@@ -156,7 +156,10 @@ class ServiceDist:
     # -- monotone inverses -------------------------------------------------
 
     def _inverse(self, fn, dfn, p: float) -> float:
-        """Safeguarded bisection/Newton solve of fn(x) = p to 1e-12."""
+        """Safeguarded bisection/Newton solve of fn(x) = p to 1e-12.
+
+        Raises FloatingPointError when 200 steps do not converge.
+        """
         if p < 0 or p >= 1:
             if p == 1.0:
                 return np.inf
@@ -183,7 +186,7 @@ class ServiceDist:
             if abs(x_new - x) < _INV_TOL:
                 return x_new
             x = x_new
-        return x
+        raise FloatingPointError(f"inverse of p = {p} did not converge in 200 steps (x = {x!r})")
 
     def ppf(self, p: float) -> float:
         """F^{-1}(p)."""

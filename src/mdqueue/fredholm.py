@@ -1,8 +1,10 @@
 """Adjoint solve for the rate functional: forcing assembly, Fredholm kernel,
-Picard/direct solve, dual value, and recovery of the optimal controls."""
+matrix-free conjugate-gradient solve, dual value, and recovery of the optimal
+controls."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -14,6 +16,7 @@ from .renewal import solve_nonlinear
 
 __all__ = [
     "AssembledKernel",
+    "ShiftOperator",
     "RateResult",
     "FredholmError",
     "forcing",
@@ -73,11 +76,12 @@ def forcing(q: GridPath, pm: ModelParams, d: ServiceDist) -> GridPath:
 
 
 def shift_matrix(d: ServiceDist, T: float, n_steps: int) -> np.ndarray:
-    """Trapezoid matrix S with (S p)_i = int_{t_i}^T p(u) F'(u - t_i) du.
+    """Dense trapezoid matrix S with (S p)_i = int_{t_i}^T p(u) F'(u - t_i) du.
 
     The discrete adjoint of S in the trapezoid inner product is the
     convolution int_0^t p(r) F'(t - r) dr, so the Fredholm operator and the
     dual objective built from S are exactly transposes of one another.
+    This is the reference that `ShiftOperator` is tested against.
     """
     t = np.linspace(0.0, T, n_steps + 1)
     dt = T / n_steps
@@ -92,57 +96,107 @@ def shift_matrix(d: ServiceDist, T: float, n_steps: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AssembledKernel:
-    """Discretized Fredholm data on [0, T]: the nodal symmetric kernel matrix
-    K(s,t) = sigma^2 (F'(|s-t|) - int_0^{s^t} F'(s-r) F'(t-r) dr) plus the
-    shift matrix S and quadrature weights used by the solver.
+class ShiftOperator:
+    """The matrix of `shift_matrix`, applied by FFT without being formed.
 
-    The solver applies the operator through S (sigma^2 (S + S* - S* S) in the
-    weighted inner product) so that the linear system is exactly the
-    stationarity condition of the discrete dual objective.
+    S_ij = dt F'(t_j - t_i) for j >= i is Toeplitz apart from the trapezoid
+    end corrections: half weight on the diagonal and on column N, and a zero
+    row N.  S p is a correlation and S^T u a convolution with the lag vector
+    g = dt (F'(0)/2, F'(t_1), ..., F'(t_N)), zero-padded to at least 2N + 1
+    points so that the circular products do not wrap.
     """
 
-    matrix: np.ndarray
-    S: np.ndarray
+    lag_fft: np.ndarray
+    n_fft: int
     weights: np.ndarray
-    sigma: float
-    horizon: float
+
+    @classmethod
+    def build(cls, d: ServiceDist, T: float, n_steps: int) -> "ShiftOperator":
+        dt = T / n_steps
+        g = dt * d.pdf(np.linspace(0.0, T, n_steps + 1))
+        g[0] *= 0.5
+        n_fft = 1 << (2 * n_steps).bit_length()
+        return cls(np.fft.rfft(g, n_fft), n_fft, trap_weights(n_steps + 1, dt))
+
+    def _convolve(self, u: np.ndarray) -> np.ndarray:
+        """First len(u) entries of the linear convolution g * u."""
+        return np.fft.irfft(self.lag_fft * np.fft.rfft(u, self.n_fft), self.n_fft)[: len(u)]
 
     def apply(self, p: np.ndarray) -> np.ndarray:
-        w = self.weights
-        Sp = self.S @ p
-        Sadj = lambda v: (self.S.T @ (w * v)) / w
-        return self.sigma**2 * (Sp + Sadj(p) - Sadj(Sp))
+        """S p."""
+        u = p.copy()
+        u[-1] *= 0.5
+        out = self._convolve(u[::-1])[::-1]
+        out[-1] = 0.0
+        return out
+
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """S* v = S^T (w v) / w, the adjoint in the trapezoid inner product."""
+        u = self.weights * v
+        u[-1] = 0.0
+        out = self._convolve(u)
+        out[-1] *= 0.5
+        return out / self.weights
+
+
+@dataclass(frozen=True)
+class AssembledKernel:
+    """Discretized Fredholm data on [0, T]: the shift operator S of the
+    symmetric kernel K(s,t) = sigma^2 (F'(|s-t|) - int_0^{s^t} F'(s-r) F'(t-r) dr).
+
+    The solver applies K through S (sigma^2 (S + S* - S* S) in the weighted
+    inner product) so that the linear system is exactly the stationarity
+    condition of the discrete dual objective.  The nodal matrix of K is
+    computed only when `matrix` is read.
+    """
+
+    shift: ShiftOperator
+    dist: ServiceDist
+    sigma: float
+    horizon: float
+    n_steps: int
+    gauss_order: int = 40
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """K at node pairs; the inner int_0^{s^t} F'F' dr uses Gauss-Legendre
+        quadrature, exact to roundoff for the analytic families."""
+        d = self.dist
+        t = np.linspace(0.0, self.horizon, self.n_steps + 1)
+        gx, gw = leggauss(self.gauss_order)
+
+        s_grid = t[:, None]
+        t_grid = t[None, :]
+        m = np.minimum(s_grid, t_grid)  # (N+1, N+1)
+        # nodes r = m/2 * (gx + 1), weights m/2 * gw
+        inner = np.zeros_like(m)
+        for k in range(self.gauss_order):
+            r = 0.5 * m * (gx[k] + 1.0)
+            inner += 0.5 * m * gw[k] * d.pdf(s_grid - r) * d.pdf(t_grid - r)
+
+        K = self.sigma**2 * (d.pdf(np.abs(s_grid - t_grid)) - inner)
+        return 0.5 * (K + K.T)  # symmetric by construction; remove roundoff skew
 
     def operator_matrix(self) -> np.ndarray:
-        w = self.weights
-        Sadj = (self.S.T * w[None, :]) / w[:, None]
-        return self.sigma**2 * (self.S + Sadj - Sadj @ self.S)
+        """Dense sigma^2 (S + S* - S* S), the reference for the matrix-free solve."""
+        S = shift_matrix(self.dist, self.horizon, self.n_steps)
+        w = self.shift.weights
+        Sadj = (S.T * w[None, :]) / w[:, None]
+        return self.sigma**2 * (S + Sadj - Sadj @ S)
 
 
 def assemble_kernel(
     pm: ModelParams, d: ServiceDist, T: float, n_steps: int, gauss_order: int = 40
 ) -> AssembledKernel:
-    """Assemble the kernel at node pairs; the inner int_0^{s^t} F'F' dr uses
-    Gauss-Legendre quadrature, exact to roundoff for the analytic families."""
-    t = np.linspace(0.0, T, n_steps + 1)
-    dt = T / n_steps
-    gx, gw = leggauss(gauss_order)
-
-    s_grid = t[:, None]
-    t_grid = t[None, :]
-    m = np.minimum(s_grid, t_grid)  # (N+1, N+1)
-    # nodes r = m/2 * (gx + 1), weights m/2 * gw
-    inner = np.zeros_like(m)
-    for k in range(gauss_order):
-        r = 0.5 * m * (gx[k] + 1.0)
-        inner += 0.5 * m * gw[k] * d.pdf(s_grid - r) * d.pdf(t_grid - r)
-
-    K = pm.sigma**2 * (d.pdf(np.abs(s_grid - t_grid)) - inner)
-    K = 0.5 * (K + K.T)  # symmetric by construction; remove roundoff skew
-    S = shift_matrix(d, T, n_steps)
-    w = trap_weights(n_steps + 1, dt)
-    return AssembledKernel(matrix=K, S=S, weights=w, sigma=pm.sigma, horizon=T)
+    """Build the shift operator on [0, T]; the nodal matrix waits until read."""
+    return AssembledKernel(
+        shift=ShiftOperator.build(d, T, n_steps),
+        dist=d,
+        sigma=pm.sigma,
+        horizon=T,
+        n_steps=n_steps,
+        gauss_order=gauss_order,
+    )
 
 
 def solve_p(
@@ -152,45 +206,41 @@ def solve_p(
     tol: float = 1e-12,
     max_iter: int = 400,
 ) -> tuple[GridPath, dict]:
-    """Solve (mu + sigma^2) p = h + K p for the adjoint.
+    """Solve (mu + sigma^2) p = h + K p for the adjoint by conjugate gradients.
 
-    Picard iteration p <- (h + K p) / (mu + sigma^2) is attempted first; on
-    stagnation or divergence the dense linear solve takes over.  The residual
-    is always checked against tol; failure of both routes is a hard error.
+    The operator mu p + sigma^2 (I - S*)(I - S) p equals (mu + sigma^2) p - K p
+    and is symmetric positive definite in the trapezoid inner product
+    <x, y>_w = sum w x y, so CG in that inner product converges for every
+    mu > 0.  Iteration stops once the sup-norm residual is at most
+    tol * max(1, |h|_inf); a final residual above max(that, 1e-8) is a hard error.
     """
-    denom = pm.mu + pm.sigma**2
+    S = kernel.shift
+    w = S.weights
     hv = h.values
-    scale = max(1.0, float(np.max(np.abs(hv))))
+    target = tol * max(1.0, float(np.max(np.abs(hv))))
 
-    p = hv / denom
-    method, iters = "picard", 0
-    prev_change = np.inf
-    converged = False
-    for iters in range(1, max_iter + 1):
-        p_new = (hv + kernel.apply(p)) / denom
-        change = float(np.max(np.abs(p_new - p)))
-        p = p_new
-        if change <= 0.5 * tol * scale:
-            converged = True
-            break
-        if change > prev_change * 1.05 and iters > 5:
-            break  # diverging; kernel not a contraction at this sigma^2/mu
-        prev_change = change
+    def op(v):
+        u = v - S.apply(v)
+        return pm.mu * v + pm.sigma**2 * (u - S.adjoint(u))
 
-    def residual_of(pv):
-        return float(np.max(np.abs(denom * pv - hv - kernel.apply(pv))))
+    p = np.zeros_like(hv)
+    r = hv.copy()
+    direction = r.copy()
+    rr = float(w @ r**2)
+    iters = 0
+    while np.max(np.abs(r)) > target and iters < max_iter:
+        iters += 1
+        Ad = op(direction)
+        alpha = rr / float(w @ (direction * Ad))
+        p += alpha * direction
+        r -= alpha * Ad
+        rr, rr_old = float(w @ r**2), rr
+        direction = r + (rr / rr_old) * direction
 
-    if not converged or residual_of(p) > tol * scale:
-        A = denom * np.eye(len(hv)) - kernel.operator_matrix()
-        p = np.linalg.solve(A, hv)
-        method = "direct"
-
-    res = residual_of(p)
-    if res > max(tol * scale, 1e-8):
-        raise FredholmError(
-            f"adjoint residual {res:.3e} exceeds tolerance (method={method}, iters={iters})"
-        )
-    diag = {"method": method, "iterations": iters, "residual": res}
+    res = float(np.max(np.abs(op(p) - hv)))
+    if not res <= max(target, 1e-8):
+        raise FredholmError(f"adjoint residual {res:.3e} exceeds tolerance (method=cg, iters={iters})")
+    diag = {"method": "cg", "iterations": iters, "residual": res}
     return GridPath(h.horizon, p), diag
 
 
@@ -208,12 +258,12 @@ def dual_value(p: GridPath, h: GridPath, pm: ModelParams, d: ServiceDist) -> flo
     Shifts beyond the horizon use p = 0.  At the adjoint this equals the rate
     value by construction of the discrete saddle problem.
     """
-    S = shift_matrix(d, p.horizon, p.n_steps)
+    shift = ShiftOperator.build(d, p.horizon, p.n_steps)
     w = p.weights()
     pv = p.values
     lin = float(w @ (pv * h.values))
     quad_mu = pm.mu * float(w @ pv**2)
-    resid = pm.sigma * (pv - S @ pv)
+    resid = pm.sigma * (pv - shift.apply(pv))
     return lin - 0.5 * (quad_mu + float(w @ resid**2))
 
 
@@ -226,6 +276,7 @@ def recover_controls(
     kdot(x, t) = p(t/mu + F^{-1}(x)); p vanishes beyond the horizon.
     """
     T = p.horizon
+    shift = ShiftOperator.build(d, T, p.n_steps)
 
     x_nodes = np.linspace(0.0, 1.0, n_x + 1)
     f0_T = float(d.eq_cdf(T))
@@ -233,7 +284,7 @@ def recover_controls(
     for i, x in enumerate(x_nodes):
         if x < f0_T:
             w0[i] = p.interp(d.eq_ppf(float(x)))
-    wdot = pm.sigma * (p.values - shift_matrix(d, T, p.n_steps) @ p.values)
+    wdot = pm.sigma * (p.values - shift.apply(p.values))
 
     tau = np.linspace(0.0, pm.mu * T, p.n_steps + 1)
     f_T = float(d.cdf(T))
@@ -261,22 +312,6 @@ def lln_path(pm: ModelParams, d: ServiceDist, T: float, n_steps: int) -> GridPat
         - pm.beta * d.eq_cdf(t)
     )
     return solve_nonlinear(GridPath(T, f), d)
-
-
-def _project_zero_mean(c: ControlSet) -> float:
-    """Energy of the controls after removing the x-mean of w0dot and of each
-    kdot time slice (the bridge/Kiefer endpoint constraints)."""
-    w0 = c.w0dot.values - c.w0dot.integral()
-    wx = trap_weights(c.kdot.values.shape[0], c.kdot.dx)
-    col_means = wx @ c.kdot.values  # x-grid spans [0,1], weights sum to 1
-    kd = c.kdot.values - col_means[None, :]
-    proj = ControlSet(
-        w0dot=GridPath(1.0, w0),
-        wdot=c.wdot,
-        kdot=GridField2D(c.kdot.t_horizon, kd, x_max=c.kdot.x_max),
-        zero_mean_enforced=True,
-    )
-    return energy(proj)
 
 
 @dataclass(frozen=True)
@@ -310,16 +345,15 @@ def evaluate_rate(
     primal = energy(controls)
     gap = primal - rate
     tail_mass = float(1.0 - d.cdf(q.horizon))
-    diag = dict(
-        diag,
-        truncation_tail_mass=tail_mass,
-        projected_primal_energy=_project_zero_mean(controls),
-    )
-    # sanity: the rate must be the half pairing, nonnegative, and the gap
-    # bounded below by the control-grid quadrature error (O(dx^2 + dt^2))
-    assert rate >= 0.0
+    diag = dict(diag, truncation_tail_mass=tail_mass)
+    # the rate must be the half pairing, nonnegative, and the gap bounded
+    # below by the control-grid quadrature error (O(dx^2 + dt^2)); the
+    # negated comparisons also reject NaN
+    if not rate >= 0.0:
+        raise FredholmError(f"rate {rate} is not nonnegative")
     gap_floor = (1e-8 + (1.0 / n_x) ** 2 + q.dt**2) * (1.0 + abs(rate))
-    assert gap >= -gap_floor, f"duality gap {gap} below -{gap_floor:.2e}"
+    if not gap >= -gap_floor:
+        raise FredholmError(f"duality gap {gap} below -{gap_floor:.2e}")
     return RateResult(
         forcing=h,
         adjoint=p,

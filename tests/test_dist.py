@@ -62,6 +62,13 @@ def test_ppf_edges():
         d.ppf(1.5)
 
 
+def test_inverse_raises_when_unconverged(monkeypatch):
+    # a zero step tolerance can never be met, so the 200-step cap must raise
+    monkeypatch.setattr("mdqueue.dist._INV_TOL", 0.0)
+    with pytest.raises(FloatingPointError, match="did not converge"):
+        ServiceDist.erlang(3, 3.0).eq_ppf(0.5)
+
+
 def test_horizon_for_tail():
     d = ServiceDist.exponential(2.0)
     T = d.horizon_for_tail(1e-6)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,22 @@ from mdqueue import (
     recover_controls,
     solve_p,
 )
-from mdqueue.fredholm import FredholmError, path_derivative, positive_indicator, shift_matrix
+from mdqueue.fredholm import (
+    FredholmError,
+    ShiftOperator,
+    path_derivative,
+    positive_indicator,
+    shift_matrix,
+)
+from mdqueue.grids import trap_weights
 
 from conftest import HORIZON, battery_cases
+
+LAWS = [
+    ServiceDist.exponential(1.0),
+    ServiceDist.erlang(3, 3.0),
+    ServiceDist.hyperexponential([0.2, 0.8], [0.4, 1.6]),
+]
 
 
 def test_path_derivative_quadratic_exact():
@@ -75,6 +90,53 @@ def test_shift_matrix_adjoint_relation(exp1):
     # node 0 differs: the continuum prefix integral is 0 there while the
     # discrete adjoint keeps the diagonal half-weight
     assert np.max(np.abs(adj[1:-1] - conv[1:-1])) < 1e-12
+
+
+@pytest.mark.parametrize("n_steps", [40, 41, 400, 401])
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_shift_operator_matches_dense(d, n_steps):
+    S = shift_matrix(d, HORIZON, n_steps)
+    op = ShiftOperator.build(d, HORIZON, n_steps)
+    w = trap_weights(n_steps + 1, HORIZON / n_steps)
+    rng = np.random.default_rng(n_steps)
+    p, v = rng.standard_normal(n_steps + 1), rng.standard_normal(n_steps + 1)
+    assert np.max(np.abs(op.apply(p) - S @ p)) <= 1e-14
+    assert np.max(np.abs(op.adjoint(v) - (S.T @ (w * v)) / w)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", LAWS[1:], ids=lambda d: d.family)
+def test_cg_matches_dense_solve_at_large_sigma(d, q_quad):
+    # sigma^2 / mu = 9: the fixed-point map p <- (h + K p) / (mu + sigma^2)
+    # is not a contraction here, but CG on the SPD form still converges
+    pm = ModelParams(d.mu, 3.0, 0.5, 0.0)
+    h = forcing(q_quad, pm, d)
+    kern = assemble_kernel(pm, d, HORIZON, q_quad.n_steps)
+    p, diag = solve_p(h, kern, pm)
+    A = (pm.mu + pm.sigma**2) * np.eye(len(h.values)) - kern.operator_matrix()
+    assert diag["method"] == "cg"
+    assert np.max(np.abs(p.values - np.linalg.solve(A, h.values))) < 1e-8
+
+
+def test_zero_forcing_gives_zero_adjoint(pm_std, exp1):
+    kern = assemble_kernel(pm_std, exp1, HORIZON, 200)
+    p, diag = solve_p(GridPath(HORIZON, np.zeros(201)), kern, pm_std)
+    assert not np.any(p.values)
+    assert diag["iterations"] == 0 and diag["residual"] == 0.0
+
+
+def test_rate_at_fine_grid(pm_std, exp1):
+    # N = 10^4 needs no (N+1) x (N+1) array, so it is cheap
+    t = np.linspace(0.0, HORIZON, 10_001)
+    t0 = time.perf_counter()
+    res = evaluate_rate(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1)
+    assert time.perf_counter() - t0 <= 10.0
+    assert abs(res.rate - res.dual) / (1.0 + res.rate) <= 1e-10
+
+
+def test_negative_duality_gap_raises(pm_std, exp1, q_quad, monkeypatch):
+    monkeypatch.setattr("mdqueue.fredholm.energy", lambda controls: 0.0)
+    with pytest.raises(FredholmError, match="duality gap"):
+        evaluate_rate(q_quad, pm_std, exp1)
 
 
 def test_picard_and_direct_agree(pm_std, exp1, q_quad):
