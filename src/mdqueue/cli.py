@@ -27,7 +27,7 @@ log = logging.getLogger(__name__)
 
 COMMANDS = ("rate", "controls", "oracle-check", "simulate", "identity-check", "kiefer-check", "dist-info")
 
-NUMERICAL_ERRORS = (FredholmError, RenewalConvergenceError, np.linalg.LinAlgError, FloatingPointError, AssertionError)
+NUMERICAL_ERRORS = (FredholmError, RenewalConvergenceError, np.linalg.LinAlgError, FloatingPointError)
 
 
 class ConfigError(Exception):
@@ -55,6 +55,13 @@ def _number(block: dict, key: str, where: str, default=None):
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
     return v
+
+
+def _integer(block: dict, key: str, where: str, default, minimum: int) -> int:
+    v = _number(block, key, where, default)
+    if not float(v).is_integer() or v < minimum:
+        raise ConfigError(f"{where}.{key}: expected an integer >= {minimum}, got {v!r}")
+    return int(v)
 
 
 class Run:
@@ -146,32 +153,38 @@ class Run:
             if not isinstance(reps, int) or reps < 1:
                 raise ConfigError("sim.reps must be a positive integer")
             arrival = _expect(s.get("arrival", {}), "sim.arrival", optional=("family", "shape"))
+            if arrival.get("family", "exponential") not in ("exponential", "erlang"):
+                raise ConfigError("sim.arrival.family must be 'exponential' or 'erlang'")
+            horizon = float(_number(s, "horizon", "sim"))
+            if not horizon > 0:
+                raise ConfigError(f"sim.horizon must be positive, got {horizon!r}")
+            lln_t = float(_number(s, "lln_t", "sim", horizon))
+            if not 0 <= lln_t <= horizon:
+                raise ConfigError(f"sim.lln_t = {lln_t!r} must lie in [0, sim.horizon]")
             event = None
             if "event" in s:
                 e = _expect(s["event"], "sim.event", required=("kind", "t", "a"))
                 if e["kind"] not in ("sup", "terminal"):
                     raise ConfigError("sim.event.kind must be 'sup' or 'terminal'")
                 event = {"kind": e["kind"], "t": float(_number(e, "t", "sim.event")), "a": float(_number(e, "a", "sim.event"))}
+                if not 0 <= event["t"] <= horizon:
+                    raise ConfigError(f"sim.event.t = {event['t']!r} must lie in [0, sim.horizon]")
             if self.model is None:
                 raise ConfigError("sim block requires model and dist blocks")
             try:
                 regimes = [ScalingRegime(n=n, rule=(rule["kind"], float(rule["value"])), beta=self.model.beta) for n in ladder]
-                for sr in regimes:
-                    sr.rho  # validates positivity eagerly
             except ValueError as exc:
                 raise ConfigError(f"sim.b_rule: {exc}") from exc
             self.sim = {
                 "regimes": regimes,
                 "reps": reps,
-                "horizon": float(_number(s, "horizon", "sim")),
+                "horizon": horizon,
                 "arrival_family": arrival.get("family", "exponential"),
-                "arrival_shape": int(arrival.get("shape", 1)),
+                "arrival_shape": _integer(arrival, "shape", "sim.arrival", 1, 1),
                 "event": event,
-                "lln_t": float(_number(s, "lln_t", "sim", s["horizon"])),
-                "decomposition_steps": int(_number(s, "decomposition_steps", "sim", 200)),
+                "lln_t": lln_t,
+                "decomposition_steps": _integer(s, "decomposition_steps", "sim", 200, 1),
             }
-            if self.sim["arrival_family"] not in ("exponential", "erlang"):
-                raise ConfigError("sim.arrival.family must be 'exponential' or 'erlang'")
 
         self.kiefer = None
         if "kiefer" in cfg:
@@ -259,11 +272,13 @@ def cmd_oracle_check(run: Run, out: Path) -> dict:
 
 
 def _trace_csv(trace, path: Path) -> None:
-    names = {0: "arrival", 1: "departure"}
+    names = ("arrival", "departure")
+    rows = [
+        f"{t!r},{names[ty]},{cid}\n"
+        for t, ty, cid in zip(trace.event_times.tolist(), trace.event_types.tolist(), trace.event_ids.tolist())
+    ]
     with open(path, "w", newline="") as fh:
-        fh.write("time,type,customer\n")
-        for t, ty, cid in zip(trace.event_times, trace.event_types, trace.event_ids):
-            fh.write(f"{float(t)!r},{names[int(ty)]},{int(cid)}\n")
+        fh.write("time,type,customer\n" + "".join(rows))
 
 
 def cmd_simulate(run: Run, out: Path) -> dict:

@@ -214,15 +214,24 @@ class ServiceDist:
             return rng.exponential(1.0 / self.rates[0], size=size)
         if self.family == "erlang":
             return rng.gamma(self.shape, 1.0 / self.rates[0], size=size)
-        branch = rng.choice(len(self.weights), size=size, p=self.weights)
-        scale = 1.0 / self.rates[branch]
-        return rng.exponential(scale)
+        return self._sample_mixture(rng, self.weights, size)
 
     def sample_equilibrium(self, rng: np.random.Generator, size=None):
-        """Draw from F0 (inverse transform for the non-memoryless families)."""
+        """Draw from F0 by exact structural sampling.
+
+        F0 of Erlang(k, lam) is the equal-weight mixture of Erlang(j, lam),
+        j = 1..k (the sum in `eq_cdf`); F0 of a hyperexponential is the
+        hyperexponential with weights mu * w_i / lam_i.
+        """
         if self.family == "exponential":
             return self.sample(rng, size=size)
-        u = rng.random(size=size)
-        if np.isscalar(u) or u.ndim == 0:
-            return self.eq_ppf(float(u))
-        return np.array([self.eq_ppf(float(ui)) for ui in u])
+        if self.family == "erlang":
+            j = rng.integers(1, self.shape + 1, size=size)
+            return rng.gamma(j, 1.0 / self.rates[0])
+        p = self.weights / self.rates
+        return self._sample_mixture(rng, p / p.sum(), size)
+
+    def _sample_mixture(self, rng: np.random.Generator, p: np.ndarray, size):
+        """Hyperexponential draw: branch i with probability p_i, then Exp(rates[i])."""
+        branch = rng.choice(len(p), size=size, p=p)
+        return rng.exponential(1.0 / self.rates[branch])

@@ -35,7 +35,7 @@ _SIGN_EPS = 1e-12
 
 
 class FredholmError(RuntimeError):
-    """Adjoint solve failed to meet the residual tolerance."""
+    """A numerical check of the adjoint solve, the rate or the QP failed."""
 
 
 def positive_indicator(q: np.ndarray) -> np.ndarray:

@@ -102,11 +102,9 @@ class GridPath:
         return cum[idx] + 0.5 * frac * (v0 + vy)
 
     def to_csv(self, path) -> None:
+        rows = [f"{t!r},{v!r}\r\n" for t, v in zip(self.times.tolist(), self.values.tolist())]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "value"])
-            for t, v in zip(self.times, self.values):
-                w.writerow([repr(float(t)), repr(float(v))])
+            fh.write("t,value\r\n" + "".join(rows))
 
     @classmethod
     def from_csv(cls, path) -> "GridPath":
@@ -173,12 +171,12 @@ class GridField2D:
         return cols
 
     def to_csv(self, path) -> None:
+        xs = [repr(x) for x in self.x_grid.tolist()]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "t", "value"])
-            for it, t in enumerate(self.t_grid):
-                for ix, x in enumerate(self.x_grid):
-                    w.writerow([repr(float(x)), repr(float(t)), repr(float(self.values[ix, it]))])
+            fh.write("x,t,value\r\n")
+            for t, column in zip(self.t_grid.tolist(), self.values.T):
+                t = repr(t)
+                fh.write("".join([f"{x},{t},{v!r}\r\n" for x, v in zip(xs, column.tolist())]))
 
     @classmethod
     def from_csv(cls, path) -> "GridField2D":

@@ -9,6 +9,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .dist import ServiceDist
+from .fredholm import FredholmError
 from .grids import GridField2D, GridPath, conv_trap, trap_weights
 from .paths import ControlSet, ModelParams, partial_cell_weights
 
@@ -90,7 +91,8 @@ def build_qp(
     base = (1.0 - F) * pm.q0_plus - (1.0 - F0) * pm.q0_minus - pm.beta * F0
     qplus = np.maximum(q.values, 0.0)
     r_full = q.values - conv_trap(qplus, d.pdf(t), dt) - base
-    assert abs(r_full[0]) < 1e-9, "t = 0 constraint row must be trivial"
+    if not abs(r_full[0]) < 1e-9:
+        raise FredholmError(f"t = 0 constraint row is not trivial: residual {r_full[0]!r}")
 
     A_w0, A_w, A_k = _control_blocks(pm, d, q.horizon, n_steps, n_x)
     A_full = np.hstack([A_w0, A_w, A_k])

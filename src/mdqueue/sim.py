@@ -3,6 +3,7 @@ law-of-large-numbers and Monte Carlo tail diagnostics."""
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -53,6 +54,13 @@ class ScalingRegime:
                 raise ValueError("log rule needs c > 0")
         else:
             raise ValueError(f"unknown b rule {kind!r}")
+        if not self.b > 0:
+            raise ValueError(f"b_n = {self.b} not positive at n = {self.n}")
+        r = self.rho
+        if r <= 0:
+            raise ValueError(f"rho_n = {r} not positive at n = {self.n}")
+        if r > 1.0:
+            log.warning("rho_n = %.4f > 1 at n = %d: overloaded regime", r, self.n)
 
     @property
     def b(self) -> float:
@@ -63,12 +71,7 @@ class ScalingRegime:
 
     @property
     def rho(self) -> float:
-        r = 1.0 - self.beta * self.b / math.sqrt(self.n)
-        if r <= 0:
-            raise ValueError(f"rho_n = {r} not positive at n = {self.n}")
-        if r >= 1.0 + 1e-9 and self.beta >= 0:
-            log.warning("rho_n = %.4f >= 1 at n = %d", r, self.n)
-        return r
+        return 1.0 - self.beta * self.b / math.sqrt(self.n)
 
     def arrival_rate(self, mu: float) -> float:
         return self.n * mu * self.rho
@@ -143,8 +146,11 @@ def simulate(
 
     Q_n(0) = round(n + q0 * b_n * sqrt(n)) clamped at 0; initially in-service
     customers carry residual times from F0, everyone entering service after 0
-    draws from F.  Ties are broken arrivals-first, then by customer index
-    (they occur with probability zero but must be deterministic).
+    draws from F.  Start times follow the Kiefer-Wolfowitz recursion over a
+    heap of server-free times: customers in order of system entry (the initial
+    queue at time 0, then arrivals) start at max(entry, earliest free time).
+    Ties are broken arrivals-first, then by customer index (they occur with
+    probability zero but must be deterministic).
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -155,14 +161,6 @@ def simulate(
     in_service = min(q0_count, n)
     eta0 = np.atleast_1d(d.sample_equilibrium(rng, size=in_service)) if in_service else np.empty(0)
 
-    if horizon == 0:
-        return QueueTrace(
-            n=n, b=sr.b, q0_count=q0_count, horizon=0.0, seed_key=seed_key,
-            arrival_times=np.empty(0), tau_hat=np.empty(0), eta=np.empty(0),
-            eta0=eta0, event_times=np.empty(0), q_values=np.empty(0, dtype=np.int64),
-            event_types=np.empty(0, dtype=np.int8), event_ids=np.empty(0, dtype=np.int64),
-        )
-
     # pre-draw arrivals past the horizon
     chunk = max(64, int(lam * horizon * 1.2) + 64)
     gaps = _interarrivals(rng, lam, chunk, arrival_family, arrival_shape)
@@ -172,73 +170,43 @@ def simulate(
         arr = np.concatenate([arr, arr[-1] + np.cumsum(gaps)])
     arrivals = arr[arr <= horizon]
 
-    # departure heap: initially in-service customers
-    dep_heap = [(float(r), i) for i, r in enumerate(eta0)]
-    heapq.heapify(dep_heap)
-
-    busy = in_service
-    waiting = q0_count - in_service
-    q = q0_count
-
-    # initially queued customers (and later arrivals) draw service at service start
-    svc_pool: list[float] = []
-
-    def next_service() -> float:
-        if not svc_pool:
-            svc_pool.extend(d.sample(rng, size=256)[::-1])
-        return svc_pool.pop()
-
-    tau_hat: list[float] = []
-    eta: list[float] = []
-    ev_t: list[float] = []
-    ev_q: list[int] = []
-    ev_type: list[int] = []
-    ev_id: list[int] = []
-
-    # FCFS: the i-th post-0 service start goes to customer in_service + i
-    # (customers numbered in order of system entry)
-    assert waiting == 0 or busy == n
-
-    ia = 0
-    n_arr = len(arrivals)
-    push, pop = heapq.heappush, heapq.heappop
-    while True:
-        t_arr = arrivals[ia] if ia < n_arr else math.inf
-        t_dep = dep_heap[0][0] if dep_heap else math.inf
-        if t_arr == math.inf and (t_dep == math.inf or t_dep > horizon):
+    # FCFS: the k-th service start after 0 goes to customer in_service + k
+    # (customers numbered in order of system entry).  Service times are drawn
+    # in blocks of 256 and handed out in start order.
+    free = eta0.tolist() + [0.0] * (n - in_service)
+    heapq.heapify(free)
+    entries = itertools.chain(itertools.repeat(0.0, q0_count - in_service), arrivals.tolist())
+    starts: list[float] = []
+    services: list[float] = []
+    k = 0
+    replace, record = heapq.heapreplace, starts.append
+    for avail in entries:
+        first_free = free[0]
+        start = avail if avail > first_free else first_free
+        if start > horizon:
             break
-        if t_arr <= t_dep:  # arrivals first on ties
-            t = t_arr
-            cid = q0_count + ia
-            ia += 1
-            q += 1
-            if busy < n:
-                s = next_service()
-                tau_hat.append(t)
-                eta.append(s)
-                busy += 1
-                push(dep_heap, (t + s, in_service + len(tau_hat) - 1))
-            else:
-                waiting += 1
-            ev_type.append(0)
-            ev_id.append(cid)
-        else:
-            if t_dep > horizon:
-                break
-            t, cid = pop(dep_heap)
-            q -= 1
-            busy -= 1
-            if waiting > 0:
-                waiting -= 1
-                s = next_service()
-                tau_hat.append(t)
-                eta.append(s)
-                busy += 1
-                push(dep_heap, (t + s, in_service + len(tau_hat) - 1))
-            ev_type.append(1)
-            ev_id.append(cid)
-        ev_t.append(t)
-        ev_q.append(q)
+        if k == len(services):
+            services += d.sample(rng, size=256).tolist()
+        replace(free, start + services[k])
+        record(start)
+        k += 1
+    tau_hat = np.array(starts, dtype=float)
+    eta = np.array(services[:k], dtype=float)
+
+    # events: every arrival and every departure up to the horizon
+    dep = tau_hat + eta
+    keep0 = eta0 <= horizon
+    keep = dep <= horizon
+    times = np.concatenate([arrivals, eta0[keep0], dep[keep]])
+    types = np.repeat(np.array([0, 1], dtype=np.int8), [len(arrivals), len(times) - len(arrivals)])
+    ids = np.concatenate([
+        q0_count + np.arange(len(arrivals)),
+        np.flatnonzero(keep0),
+        in_service + np.flatnonzero(keep),
+    ]).astype(np.int64)
+    order = np.lexsort((ids, types, times))
+    types = types[order]
+    q_values = q0_count + np.cumsum(1 - 2 * types.astype(np.int64))
 
     return QueueTrace(
         n=n,
@@ -247,13 +215,13 @@ def simulate(
         horizon=horizon,
         seed_key=seed_key,
         arrival_times=arrivals,
-        tau_hat=np.array(tau_hat),
-        eta=np.array(eta),
+        tau_hat=tau_hat,
+        eta=eta,
         eta0=eta0,
-        event_times=np.array(ev_t),
-        q_values=np.array(ev_q, dtype=np.int64),
-        event_types=np.array(ev_type, dtype=np.int8),
-        event_ids=np.array(ev_id, dtype=np.int64),
+        event_times=times[order],
+        q_values=q_values,
+        event_types=types,
+        event_ids=ids[order],
     )
 
 
@@ -279,8 +247,6 @@ class DecompositionReport:
     X0: np.ndarray
     H: np.ndarray
     Theta: np.ndarray
-    J: np.ndarray
-    M: np.ndarray
     conv_Xplus: np.ndarray
     residual: np.ndarray
     quadrature_bound: float
@@ -288,6 +254,30 @@ class DecompositionReport:
     @property
     def sup_residual(self) -> float:
         return float(np.max(np.abs(self.residual))) if len(self.residual) else 0.0
+
+
+# elements per block of the (grid rows x service starts) lag sum in decomposition
+_LAG_BLOCK = 1 << 20
+
+
+def _theta_sums(d: ServiceDist, t: np.ndarray, tau: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """sum_{tau_j <= t_i} (1{tau_j + eta_j <= t_i} - F(t_i - tau_j)) for nondecreasing
+    t and tau, in row blocks of at most _LAG_BLOCK elements.
+
+    A block of rows reads only the starts up to its last node: a later start
+    adds 0 - F(0) = 0 to an earlier row.  Summing the centred terms, rather than
+    subtracting two sums of size n, keeps the round-off at that of the result.
+    """
+    counts = np.searchsorted(tau, t, side="right")
+    done_at = tau + eta
+    rows = max(1, _LAG_BLOCK // max(len(tau), 1))
+    out = np.zeros(len(t))
+    for i in range(0, len(t), rows):
+        block = t[i : i + rows, None]
+        cols = counts[i + len(block) - 1]
+        lag_f = d.cdf(np.maximum(block - tau[None, :cols], 0.0))
+        out[i : i + rows] = np.sum((done_at[None, :cols] <= block) - lag_f, axis=1)
+    return out
 
 
 def decomposition(trace: QueueTrace, d: ServiceDist, n_steps: int) -> DecompositionReport:
@@ -308,41 +298,14 @@ def decomposition(trace: QueueTrace, d: ServiceDist, n_steps: int) -> Decomposit
     A = trace.arrivals_by(t)
     Y = (A / trace.n - mu * t) * math.sqrt(trace.n) / trace.b
 
-    q0_surv = (
-        np.sum(trace.eta0[None, :] > t[:, None], axis=1) if len(trace.eta0) else np.zeros(len(t))
-    )
+    q0_surv = len(trace.eta0) - np.searchsorted(np.sort(trace.eta0), t, side="right")
     X0 = (q0_surv / trace.n - (1.0 - d.eq_cdf(t))) * math.sqrt(trace.n) / trace.b
 
     fprime = d.pdf(t)
     H = Y - conv_trap(Y, fprime, dt) if T > 0 else np.zeros(1)
 
     # Theta: exact sum over service starts
-    Theta = np.zeros(len(t))
-    J = np.zeros(len(t))
-    if len(trace.tau_hat):
-        tau = trace.tau_hat[None, :]
-        served = trace.eta[None, :]
-        started = tau <= t[:, None]
-        done = (tau + served) <= t[:, None]
-        lagF = d.cdf(np.maximum(t[:, None] - tau, 0.0))
-        Theta = -np.sum(started * (done.astype(float) - lagF), axis=1) / scale
-
-        # J(t) = int_0^t U(t-x, x) / (1 - F(x)) dF(x), trapezoid in x
-        surv = 1.0 - d.cdf(t)
-        U_at = np.zeros((len(t), len(t)))  # U(t - x_j, x_j) on the grid
-        for j, x in enumerate(t):
-            cnt = trace.starts_by(x)
-            if cnt == 0:
-                continue
-            etas = trace.eta[:cnt]
-            xarg = np.maximum(t - x, 0.0)
-            below = np.searchsorted(np.sort(etas), xarg, side="right")
-            U_at[:, j] = (below - cnt * d.cdf(xarg)) / scale
-        integrand = U_at * (fprime / surv)[None, :]
-        for i in range(1, len(t)):
-            tw = np.full(i + 1, dt)
-            tw[0] = tw[-1] = dt / 2
-            J[i] = float(tw @ integrand[i, : i + 1])
+    Theta = -_theta_sums(d, t, trace.tau_hat, trace.eta) / scale
 
     conv_Xplus = conv_trap(np.maximum(X, 0.0), fprime, dt) if T > 0 else np.zeros(1)
     X0plus = max(trace.q0_count - trace.n, 0) / scale
@@ -359,7 +322,7 @@ def decomposition(trace: QueueTrace, d: ServiceDist, n_steps: int) -> Decomposit
         + supf * tv(np.maximum(X, 0.0)) + float(np.max(np.abs(X))) * tvf
     )
     return DecompositionReport(
-        grid=t, X=X, Y=Y, X0=X0, H=H, Theta=Theta, J=J, M=J - Theta,
+        grid=t, X=X, Y=Y, X0=X0, H=H, Theta=Theta,
         conv_Xplus=conv_Xplus, residual=residual, quadrature_bound=bound,
     )
 

@@ -159,6 +159,30 @@ def test_mismatched_q0_exit_2(tmp_path):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
 
 
+SIM_OK = {"ladder": [10, 100], "b_rule": {"kind": "power", "value": 0.25}, "reps": 2, "horizon": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, sim",
+    [
+        ("identity-check", dict(SIM_OK, decomposition_steps=0)),
+        ("simulate", dict(SIM_OK, arrival={"family": "erlang", "shape": "x"})),
+        ("simulate", dict(SIM_OK, arrival={"shape": 0})),
+        ("simulate", dict(SIM_OK, ladder=[1], b_rule={"kind": "log", "value": 1.0})),
+        ("simulate", dict(SIM_OK, lln_t=1.5)),
+        ("simulate", dict(SIM_OK, event={"kind": "sup", "t": 2.0, "a": 0.5})),
+    ],
+    ids=["decomposition_steps-0", "arrival-shape-str", "arrival-shape-0", "log-rule-b1-zero",
+         "lln_t-past-horizon", "event-t-past-horizon"],
+)
+def test_invalid_sim_block_exit_2_no_outputs(tmp_path, capsys, command, sim):
+    cfg = _cfg(tmp_path, "c.json", dict(BASE, command=command, sim=sim))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "config error: sim" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_1_with_summary(tmp_path, monkeypatch):
     from mdqueue import cli
     from mdqueue.fredholm import FredholmError

@@ -85,8 +85,16 @@ def test_sampling_ks(d):
 @pytest.mark.parametrize("d", FAMILIES, ids=lambda d: d.family + str(d.shape))
 def test_equilibrium_sampling_ks(d):
     rng = np.random.default_rng(321)
-    x = np.asarray(d.sample_equilibrium(rng, size=1500))
+    x = np.asarray(d.sample_equilibrium(rng, size=100_000))
     assert kstest(x, lambda v: d.eq_cdf(v)).pvalue > 0.01
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_equilibrium_sampling_ks_erlang_shapes(k):
+    d = ServiceDist.erlang(k, 1.5)
+    x = d.sample_equilibrium(np.random.default_rng(100 + k), size=100_000)
+    assert kstest(x, lambda v: d.eq_cdf(v)).pvalue > 0.01
+    assert isinstance(d.sample_equilibrium(np.random.default_rng(0)), float)
 
 
 def test_sample_mean_clt():

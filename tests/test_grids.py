@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -92,6 +94,29 @@ def test_field2d_csv_roundtrip(tmp_path):
     back = GridField2D.from_csv(p)
     assert back.t_horizon == f.t_horizon
     assert np.array_equal(back.values, f.values)
+
+
+def test_csv_writers_match_csv_writer_reference(tmp_path):
+    rng = np.random.default_rng(2)
+    vals = rng.standard_normal((5, 7)) * 10.0 ** rng.integers(-300, 300, size=(5, 7))
+    vals[0, :3] = [0.0, -0.0, 1.0]
+    f = GridField2D(1.3, vals)
+    g = GridPath(1.3, vals[1])
+    f.to_csv(tmp_path / "f.csv")
+    g.to_csv(tmp_path / "g.csv")
+    with open(tmp_path / "f_ref.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "t", "value"])
+        for it, t in enumerate(f.t_grid):
+            for ix, x in enumerate(f.x_grid):
+                w.writerow([repr(float(x)), repr(float(t)), repr(float(f.values[ix, it]))])
+    with open(tmp_path / "g_ref.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "value"])
+        for t, v in zip(g.times, g.values):
+            w.writerow([repr(float(t)), repr(float(v))])
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "f_ref.csv").read_bytes()
+    assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "g_ref.csv").read_bytes()
 
 
 def test_field2d_interp_t_zero_beyond_horizon():

@@ -83,6 +83,14 @@ def test_build_qp_rejects_wrong_q0(exp1):
         build_qp(GridPath(1.0, np.zeros(11)), pm, exp1)
 
 
+def test_build_qp_nontrivial_first_row_raises_typed_error(exp1, pm_std, q_quad, monkeypatch):
+    from mdqueue.fredholm import FredholmError
+
+    monkeypatch.setattr("mdqueue.oracle.conv_trap", lambda a, b, dt: np.full(len(a), np.nan))
+    with pytest.raises(FredholmError, match="t = 0"):
+        build_qp(q_quad, pm_std, exp1)
+
+
 def test_min_rate_terminal_monotone_in_level(exp1):
     pm = ModelParams(1.0, 1.0, 0.5, 0.0)
     vals = [

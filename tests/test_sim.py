@@ -1,9 +1,15 @@
+import heapq
+import logging
+import math
+import time
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
 from mdqueue import (
     ModelParams,
+    QueueTrace,
     ScalingRegime,
     ServiceDist,
     decomposition,
@@ -36,6 +42,17 @@ def test_scaling_regime_validation():
         ScalingRegime(n=0, rule=("power", 0.25), beta=0.0)
     with pytest.raises(ValueError):
         ScalingRegime(n=4, rule=("power", 0.49), beta=2.0).rho  # rho <= 0
+    with pytest.raises(ValueError, match="b_n"):
+        ScalingRegime(n=1, rule=("log", 1.0), beta=0.5)  # b_1 = ln 1 = 0
+
+
+def test_overloaded_regime_warns(caplog):
+    with caplog.at_level(logging.WARNING, logger="mdqueue.sim"):
+        ScalingRegime(n=100, rule=("power", 0.25), beta=0.5)
+        assert not caplog.records
+        sr = ScalingRegime(n=100, rule=("power", 0.25), beta=-0.5)
+    assert sr.rho > 1
+    assert "overloaded" in caplog.text
 
 
 def test_empty_trace(pm):
@@ -189,3 +206,155 @@ def test_simulate_rejects_negative_horizon(pm):
     sr = ScalingRegime(n=10, rule=("power", 0.25), beta=0.5)
     with pytest.raises(ValueError):
         simulate(pm, d, sr, -1.0, np.random.default_rng(0))
+
+
+def _reference_simulate(pm, d, sr, horizon, rng, arrival_family, arrival_shape):
+    """Event-driven GI/GI/n FCFS loop: pop the earlier of the next arrival and
+    the next departure, arrivals first on ties; departures tie-break by id.
+    Draws eta0, then the arrivals, then services in blocks of 256 at service
+    start, like `simulate`."""
+    n = sr.n
+    q0_count = max(0, int(round(n + pm.q0 * sr.scale())))
+    lam = sr.arrival_rate(pm.mu)
+    in_service = min(q0_count, n)
+    eta0 = np.atleast_1d(d.sample_equilibrium(rng, size=in_service)) if in_service else np.empty(0)
+    chunk = max(64, int(lam * horizon * 1.2) + 64)
+
+    def gaps():
+        if arrival_family == "exponential":
+            return rng.exponential(1.0 / lam, size=chunk)
+        return rng.gamma(arrival_shape, 1.0 / (lam * arrival_shape), size=chunk)
+
+    arr = np.cumsum(gaps())
+    while arr[-1] <= horizon:
+        arr = np.concatenate([arr, arr[-1] + np.cumsum(gaps())])
+    arrivals = arr[arr <= horizon]
+
+    deps = [(float(r), i) for i, r in enumerate(eta0)]
+    heapq.heapify(deps)
+    busy, waiting, q = in_service, q0_count - in_service, q0_count
+    pool, tau_hat, eta, ev = [], [], [], []
+
+    def start(t):
+        if not pool:
+            pool.extend(d.sample(rng, size=256)[::-1])
+        s = pool.pop()
+        tau_hat.append(t)
+        eta.append(s)
+        heapq.heappush(deps, (t + s, in_service + len(tau_hat) - 1))
+
+    ia = 0
+    while True:
+        t_arr = arrivals[ia] if ia < len(arrivals) else math.inf
+        t_dep = deps[0][0] if deps else math.inf
+        if min(t_arr, t_dep) > horizon:
+            break
+        if t_arr <= t_dep:
+            q += 1
+            if busy < n:
+                busy += 1
+                start(t_arr)
+            else:
+                waiting += 1
+            ev.append((t_arr, 0, q0_count + ia, q))
+            ia += 1
+        else:
+            t, cid = heapq.heappop(deps)
+            q -= 1
+            busy -= 1
+            if waiting:
+                waiting -= 1
+                busy += 1
+                start(t)
+            ev.append((t, 1, cid, q))
+    ev_t, ev_type, ev_id, ev_q = zip(*ev) if ev else ((), (), (), ())
+    return {
+        "arrival_times": arrivals, "tau_hat": np.array(tau_hat), "eta": np.array(eta), "eta0": eta0,
+        "event_times": np.array(ev_t), "event_types": np.array(ev_type), "event_ids": np.array(ev_id),
+        "q_values": np.array(ev_q),
+    }
+
+
+LAWS = [
+    ServiceDist.exponential(1.0),
+    ServiceDist.erlang(3, 3.0),
+    ServiceDist.hyperexponential([0.2, 0.8], [0.4, 1.6]),
+]
+
+
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+@pytest.mark.parametrize("n", [1, 3, 50])
+def test_simulate_matches_event_driven_reference(d, n):
+    # q0 > 0 starts with a queue behind n busy servers; Erlang(2) arrivals
+    pm = ModelParams(d.mu, 1.0, 0.5, 0.8)
+    sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
+    for seed in range(5):
+        tr = simulate(pm, d, sr, 3.0, np.random.default_rng(seed), arrival_family="erlang", arrival_shape=2)
+        ref = _reference_simulate(pm, d, sr, 3.0, np.random.default_rng(seed), "erlang", 2)
+        assert tr.q0_count > n
+        assert len(tr.event_times) > 0
+        for name, want in ref.items():
+            assert np.array_equal(getattr(tr, name), want), name
+
+
+class _UnitServices:
+    """Every service and residual service lasts exactly 1."""
+
+    def sample(self, rng, size):
+        return np.ones(size)
+
+    sample_equilibrium = sample
+
+
+class _QuarterGaps:
+    """Interarrival gaps of exactly 1/4, so arrivals tie with departures."""
+
+    def exponential(self, scale, size):
+        return np.full(size, 0.25)
+
+
+def test_simulate_ties_match_event_driven_reference():
+    # departures of the 3 initial services, 3 starts from the queue and an
+    # arrival all fall at t = 1 and again at t = 2 = horizon
+    pm = ModelParams(1.0, 1.0, 0.5, 0.8)
+    sr = ScalingRegime(n=3, rule=("power", 0.25), beta=0.5)
+    tr = simulate(pm, _UnitServices(), sr, 2.0, _QuarterGaps())
+    ref = _reference_simulate(pm, _UnitServices(), sr, 2.0, _QuarterGaps(), "exponential", 1)
+    assert np.count_nonzero(tr.tau_hat == 2.0) == 3
+    for name, want in ref.items():
+        assert np.array_equal(getattr(tr, name), want), name
+
+
+def _dense_theta(trace: QueueTrace, d: ServiceDist, n_steps: int) -> np.ndarray:
+    t = np.linspace(0.0, trace.horizon, n_steps + 1)
+    tau, served = trace.tau_hat[None, :], trace.eta[None, :]
+    started = tau <= t[:, None]
+    done = (tau + served) <= t[:, None]
+    lag_f = d.cdf(np.maximum(t[:, None] - tau, 0.0))
+    return -np.sum(started * (done - lag_f), axis=1) / (trace.b * np.sqrt(trace.n))
+
+
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_decomposition_theta_matches_dense_formula(d, monkeypatch):
+    pm = ModelParams(d.mu, 1.0, 0.5, 0.3)
+    sr = ScalingRegime(n=40, rule=("power", 0.25), beta=0.5)
+    tr = simulate(pm, d, sr, 2.0, np.random.default_rng(3))
+    want = _dense_theta(tr, d, 100)
+    assert np.allclose(decomposition(tr, d, 100).Theta, want, rtol=1e-12, atol=1e-14)
+    # blocks of 7 rows, each reading only the starts up to its last node
+    monkeypatch.setattr("mdqueue.sim._LAG_BLOCK", 7 * len(tr.tau_hat))
+    assert np.allclose(decomposition(tr, d, 100).Theta, want, rtol=1e-12, atol=1e-14)
+
+
+def test_decomposition_n1e5_time_bound(pm):
+    # 401 grid nodes x ~10^5 service starts: blocked lag sums and searchsorted
+    # counts take well under a second on a 2-core x86 machine; 10 s is the bound
+    d = ServiceDist.exponential(1.0)
+    sr = ScalingRegime(n=100_000, rule=("power", 0.25), beta=0.5)
+    tr = simulate(pm, d, sr, 1.0, np.random.default_rng(8))
+    assert len(tr.tau_hat) > 50_000
+    t0 = time.perf_counter()
+    rep = decomposition(tr, d, 400)
+    elapsed = time.perf_counter() - t0
+    assert rep.sup_residual <= 1e-8 + rep.quadrature_bound
+    assert elapsed < 10.0, f"decomposition at n = 1e5, 400 steps took {elapsed:.2f} s"
