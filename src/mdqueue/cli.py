@@ -58,6 +58,7 @@ def _number(block: dict, key: str, where: str, default=None):
 
 
 def _integer(block: dict, key: str, where: str, default, minimum: int) -> int:
+    """An integer-valued number >= minimum; bool is rejected like any non-number."""
     v = _number(block, key, where, default)
     if not float(v).is_integer() or v < minimum:
         raise ConfigError(f"{where}.{key}: expected an integer >= {minimum}, got {v!r}")
@@ -79,9 +80,7 @@ class Run:
             raise ConfigError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
 
         self.cfg_dir = cfg_dir
-        self.seed = seed_override if seed_override is not None else cfg.get("seed", 0)
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        self.seed = _integer(cfg if seed_override is None else {"seed": seed_override}, "seed", "config", 0, 0)
 
         try:
             self.dist = ServiceDist.from_spec(cfg["dist"]) if "dist" in cfg else None
@@ -111,11 +110,13 @@ class Run:
         if "grid" in cfg:
             g = _expect(cfg["grid"], "grid", required=("horizon", "n_steps"), optional=("n_x",))
             horizon = float(_number(g, "horizon", "grid"))
-            n_steps = _number(g, "n_steps", "grid")
-            n_x = _number(g, "n_x", "grid", 32)
-            if horizon <= 0 or n_steps != int(n_steps) or n_steps < 2 or n_x != int(n_x) or n_x < 1:
-                raise ConfigError("grid: horizon > 0, integer n_steps >= 2, integer n_x >= 1 required")
-            self.grid = {"horizon": horizon, "n_steps": int(n_steps), "n_x": int(n_x)}
+            if not horizon > 0:
+                raise ConfigError(f"grid.horizon must be positive, got {horizon!r}")
+            self.grid = {
+                "horizon": horizon,
+                "n_steps": _integer(g, "n_steps", "grid", None, 2),
+                "n_x": _integer(g, "n_x", "grid", 32, 1),
+            }
 
         io = _expect(cfg.get("io", {}), "io", optional=("q_csv", "sheet_csv"))
         self.q_path = None
@@ -146,12 +147,14 @@ class Run:
                 optional=("arrival", "event", "lln_t", "decomposition_steps"),
             )
             ladder = s["ladder"]
-            if not (isinstance(ladder, list) and ladder and all(isinstance(n, int) and n >= 1 for n in ladder)):
+            if not (isinstance(ladder, list) and ladder):
                 raise ConfigError("sim.ladder: expected a nonempty list of positive integers")
+            ladder = [_integer(dict(enumerate(ladder)), i, "sim.ladder", None, 1) for i in range(len(ladder))]
+            if len(set(ladder)) != len(ladder):
+                # rungs are keyed by n, so a repeated n would silently replace a rung
+                raise ConfigError(f"sim.ladder: repeated server counts in {ladder}")
             rule = _expect(s["b_rule"], "sim.b_rule", required=("kind", "value"))
-            reps = s["reps"]
-            if not isinstance(reps, int) or reps < 1:
-                raise ConfigError("sim.reps must be a positive integer")
+            reps = _integer(s, "reps", "sim", None, 1)
             arrival = _expect(s.get("arrival", {}), "sim.arrival", optional=("family", "shape"))
             if arrival.get("family", "exponential") not in ("exponential", "erlang"):
                 raise ConfigError("sim.arrival.family must be 'exponential' or 'erlang'")
@@ -190,13 +193,13 @@ class Run:
         if "kiefer" in cfg:
             k = _expect(cfg["kiefer"], "kiefer", optional=("m", "n", "t_horizon", "value"))
             self.kiefer = {
-                "m": int(_number(k, "m", "kiefer", 512)),
-                "n": int(_number(k, "n", "kiefer", 512)),
+                "m": _integer(k, "m", "kiefer", 512, 2),
+                "n": _integer(k, "n", "kiefer", 512, 2),
                 "t_horizon": float(_number(k, "t_horizon", "kiefer", 1.0)),
                 "value": float(_number(k, "value", "kiefer", 1.0)),
             }
-            if self.kiefer["m"] < 2 or self.kiefer["n"] < 2 or self.kiefer["t_horizon"] <= 0:
-                raise ConfigError("kiefer: m, n >= 2 and t_horizon > 0 required")
+            if not self.kiefer["t_horizon"] > 0:
+                raise ConfigError("kiefer: t_horizon > 0 required")
 
     # -- per-command requirements -----------------------------------------
 

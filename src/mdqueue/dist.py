@@ -24,6 +24,19 @@ def _check_nonneg(x):
     return x
 
 
+def _probabilities(p) -> np.ndarray:
+    """p as a float array, checked to lie in [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("probability must be in [0, 1]")
+    return p
+
+
+def _as_input(x: np.ndarray):
+    """A Python float for a scalar argument, the array otherwise."""
+    return float(x) if x.ndim == 0 else x
+
+
 @dataclass(frozen=True)
 class ServiceDist:
     """Absolutely continuous service-time law on (0, inf).
@@ -155,49 +168,59 @@ class ServiceDist:
 
     # -- monotone inverses -------------------------------------------------
 
-    def _inverse(self, fn, dfn, p: float) -> float:
-        """Safeguarded bisection/Newton solve of fn(x) = p to 1e-12.
+    def _inverse(self, fn, dfn, p):
+        """Safeguarded bisection/Newton solve of fn(x) = p to 1e-12, elementwise.
 
-        Raises FloatingPointError when 200 steps do not converge.
+        Each element stops on its own once its step is below the tolerance.
+        Raises FloatingPointError when any element has not converged after
+        200 steps.
         """
-        if p < 0 or p >= 1:
-            if p == 1.0:
-                return np.inf
-            raise ValueError("probability must be in [0, 1)")
-        if p == 0.0:
-            return 0.0
-        lo, hi = 0.0, self.mean
-        while fn(hi) < p:
-            hi *= 2.0
-            if hi > 1e12:
+        p = _probabilities(p)
+        x = np.where(p == 1.0, np.inf, 0.0)
+        inner = (p > 0.0) & (p < 1.0)
+        target = p[inner]
+        lo = np.zeros_like(target)
+        hi = np.full_like(target, self.mean)
+        grow = fn(hi) < target
+        while np.any(grow):
+            hi[grow] *= 2.0
+            if np.any(hi > 1e12):
                 raise RuntimeError("inverse bracket growth failed")
-        x = 0.5 * (lo + hi)
+            grow = fn(hi) < target
+        xi = 0.5 * (lo + hi)
+        active = np.ones(len(target), dtype=bool)
         for _ in range(200):
-            fx = float(fn(x)) - p
-            if fx > 0:
-                hi = x
-            else:
-                lo = x
-            d = float(dfn(x))
-            step = fx / d if d > 0 else np.inf
-            x_new = x - step
-            if not (lo < x_new < hi):
-                x_new = 0.5 * (lo + hi)
-            if abs(x_new - x) < _INV_TOL:
-                return x_new
-            x = x_new
-        raise FloatingPointError(f"inverse of p = {p} did not converge in 200 steps (x = {x!r})")
+            if not np.any(active):
+                break
+            xa, la, ha = xi[active], lo[active], hi[active]
+            fx = fn(xa) - target[active]
+            above = fx > 0
+            ha = np.where(above, xa, ha)
+            la = np.where(above, la, xa)
+            d = dfn(xa)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x_new = xa - np.where(d > 0, fx / d, np.inf)
+            x_new = np.where((la < x_new) & (x_new < ha), x_new, 0.5 * (la + ha))
+            converged = np.abs(x_new - xa) < _INV_TOL
+            xi[active], lo[active], hi[active] = x_new, la, ha
+            active[active] = ~converged
+        if np.any(active):
+            k = np.flatnonzero(active)[0]
+            raise FloatingPointError(
+                f"inverse of p = {target[k]} did not converge in 200 steps (x = {xi[k]!r})"
+            )
+        x[inner] = xi
+        return _as_input(x)
 
-    def ppf(self, p: float) -> float:
-        """F^{-1}(p)."""
+    def ppf(self, p):
+        """F^{-1}(p), elementwise over scalar or array p in [0, 1]."""
         if self.family == "exponential":
-            if p >= 1.0:
-                return np.inf
-            return float(-np.log1p(-p) / self.rates[0])
+            with np.errstate(divide="ignore"):
+                return _as_input(-np.log1p(-_probabilities(p)) / self.rates[0])
         return self._inverse(self.cdf, self.pdf, p)
 
-    def eq_ppf(self, p: float) -> float:
-        """F0^{-1}(p)."""
+    def eq_ppf(self, p):
+        """F0^{-1}(p), elementwise over scalar or array p in [0, 1]."""
         if self.family == "exponential":
             return self.ppf(p)
         return self._inverse(self.eq_cdf, self.eq_pdf, p)

@@ -279,22 +279,16 @@ def recover_controls(
     shift = ShiftOperator.build(d, T, p.n_steps)
 
     x_nodes = np.linspace(0.0, 1.0, n_x + 1)
-    f0_T = float(d.eq_cdf(T))
     w0 = np.zeros(n_x + 1)
-    for i, x in enumerate(x_nodes):
-        if x < f0_T:
-            w0[i] = p.interp(d.eq_ppf(float(x)))
+    below = x_nodes < float(d.eq_cdf(T))
+    w0[below] = p.interp(d.eq_ppf(x_nodes[below]))
     wdot = pm.sigma * (p.values - shift.apply(p.values))
 
     tau = np.linspace(0.0, pm.mu * T, p.n_steps + 1)
-    f_T = float(d.cdf(T))
     kdot = np.zeros((n_x + 1, p.n_steps + 1))
-    for i, x in enumerate(x_nodes):
-        if x >= f_T:
-            continue
-        finv = d.ppf(float(x))
-        args = tau / pm.mu + finv
-        kdot[i] = np.where(args <= T, p.interp(args), 0.0)
+    below = x_nodes < float(d.cdf(T))
+    args = tau[None, :] / pm.mu + d.ppf(x_nodes[below])[:, None]
+    kdot[below] = np.where(args <= T, p.interp(args), 0.0)
 
     return ControlSet(
         w0dot=GridPath(1.0, w0),

@@ -183,6 +183,25 @@ def test_invalid_sim_block_exit_2_no_outputs(tmp_path, capsys, command, sim):
     assert "config error: sim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        dict(BASE, command="simulate", sim=dict(SIM_OK, reps=True)),
+        dict(BASE, command="simulate", sim=dict(SIM_OK, ladder=[True])),
+        dict(BASE, command="simulate", sim=SIM_OK, seed=True),
+        dict(BASE, command="simulate", sim=dict(SIM_OK, ladder=[10, 10])),
+        {"command": "kiefer-check", "kiefer": {"m": 2.7}},
+    ],
+    ids=["reps-bool", "ladder-bool", "seed-bool", "ladder-repeated-n", "kiefer-m-fraction"],
+)
+def test_invalid_integer_exit_2_no_outputs(tmp_path, capsys, payload):
+    cfg = _cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_1_with_summary(tmp_path, monkeypatch):
     from mdqueue import cli
     from mdqueue.fredholm import FredholmError

@@ -69,6 +69,52 @@ def test_inverse_raises_when_unconverged(monkeypatch):
         ServiceDist.erlang(3, 3.0).eq_ppf(0.5)
 
 
+def _scalar_inverse(fn, dfn, p, mean):
+    """Per-probability safeguarded Newton loop (reference for the array inverse)."""
+    if p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return np.inf
+    lo, hi = 0.0, mean
+    while fn(hi) < p:
+        hi *= 2.0
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        fx = float(fn(x)) - p
+        if fx > 0:
+            hi = x
+        else:
+            lo = x
+        d = float(dfn(x))
+        x_new = x - (fx / d if d > 0 else np.inf)
+        if not (lo < x_new < hi):
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) < 1e-12:
+            return x_new
+        x = x_new
+    raise AssertionError("reference did not converge")
+
+
+@pytest.mark.parametrize("d", FAMILIES[1:], ids=lambda d: d.family + str(d.shape))
+def test_array_inverse_matches_scalar_loop(d):
+    p = np.concatenate([np.linspace(0.0, 1.0, 65), [1e-12, 1.0 - 1e-9]])
+    for inverse, fn, dfn in ((d.ppf, d.cdf, d.pdf), (d.eq_ppf, d.eq_cdf, d.eq_pdf)):
+        ref = np.array([_scalar_inverse(fn, dfn, float(pi), d.mean) for pi in p])
+        got = inverse(p)
+        assert got.shape == p.shape
+        assert np.array_equal(np.isinf(got), p == 1.0)
+        assert np.max(np.abs(got[p < 1] - ref[p < 1])) <= 1e-12
+        assert np.array_equal(inverse(p.reshape(-1, 1)), got.reshape(-1, 1))
+    with pytest.raises(ValueError):
+        d.ppf(np.array([0.5, 1.5]))
+
+
+def test_array_inverse_raises_when_any_unconverged(monkeypatch):
+    monkeypatch.setattr("mdqueue.dist._INV_TOL", 0.0)
+    with pytest.raises(FloatingPointError, match="did not converge"):
+        ServiceDist.hyperexponential([0.4, 0.6], [0.5, 2.0]).ppf(np.array([0.0, 0.5, 1.0]))
+
+
 def test_horizon_for_tail():
     d = ServiceDist.exponential(2.0)
     T = d.horizon_for_tail(1e-6)

@@ -13,6 +13,23 @@ def test_trap_weights_sum():
     assert w[0] == w[-1] == 0.05
 
 
+def test_volterra_weights_rows_and_conv_trap():
+    from scipy.linalg import toeplitz
+
+    from mdqueue.grids import volterra_weights
+
+    n, dt = 9, 0.25
+    tw = volterra_weights(n, dt)
+    assert not tw[0].any() and not np.triu(tw, 1).any()
+    for i in range(1, n):
+        row = np.full(i + 1, dt)
+        row[0] = row[-1] = dt / 2
+        assert np.array_equal(tw[i, : i + 1], row)
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    assert np.allclose((tw * toeplitz(a)) @ b, conv_trap(a, b, dt), atol=1e-14)
+
+
 def test_trap_integral_polynomial_exact():
     # trapezoid is exact on affine functions
     t = np.linspace(0.0, 3.0, 31)

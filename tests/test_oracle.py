@@ -13,7 +13,44 @@ from mdqueue import (
     solve_min_norm,
 )
 
+from mdqueue.oracle import LagConstraints
+
 from conftest import HORIZON, battery_cases
+
+LAWS = [
+    ServiceDist.exponential(1.0),
+    ServiceDist.erlang(3, 3.0),
+    ServiceDist.hyperexponential([0.2, 0.8], [0.4, 1.6]),
+]
+
+
+def _loop_constraints(pm, d, T, n_steps, n_x, zero_mean):
+    """Dense A built node by node from the path equation (reference for toarray)."""
+    from mdqueue.paths import partial_cell_weights
+
+    t = np.linspace(0.0, T, n_steps + 1)
+    dt, dx = T / n_steps, 1.0 / n_x
+    m, n = n_x + 1, n_steps + 1
+    P0 = partial_cell_weights(d.eq_cdf(t), m, dx)
+    xw = partial_cell_weights(d.cdf(t), m, dx)
+    surv = 1.0 - d.cdf(t)
+    A = np.zeros((n, m + n + n * m))
+    A[:, :m] = P0
+    for i in range(1, n):
+        for j in range(i + 1):
+            tw = dt / 2 if j in (0, i) else dt
+            A[i, m + j] = pm.sigma * tw * surv[i - j]
+            A[i, m + n + j * m : m + n + (j + 1) * m] = pm.mu * tw * xw[i - j]
+    A = A[1:]
+    if zero_mean:
+        wx = np.full(m, dx)
+        wx[0] = wx[-1] = dx / 2
+        extra = np.zeros((1 + n, A.shape[1]))
+        extra[0, :m] = wx
+        for j in range(n):
+            extra[1 + j, m + n + j * m : m + n + (j + 1) * m] = wx
+        A = np.vstack([A, extra])
+    return A
 
 
 def test_zero_rhs_gives_zero(exp1):
@@ -42,6 +79,43 @@ def test_agreement_with_fredholm_battery(exp1):
         rate = evaluate_rate(q, pm, exp1).rate
         _, val = solve_min_norm(build_qp(q, pm, exp1, n_x=32))
         assert abs(val - rate) / (1.0 + rate) <= 0.02
+
+
+@pytest.mark.parametrize("zero_mean", [False, True], ids=["flags-off", "flags-on"])
+@pytest.mark.parametrize("n_steps", [40, 41])
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_lag_constraints_match_dense(d, n_steps, zero_mean):
+    pm = ModelParams(d.mu, 1.5, 0.5, 0.0)
+    A = LagConstraints.from_law(pm, d, HORIZON, n_steps, 8, zero_mean=zero_mean)
+    dense = A.toarray()
+    assert A.shape == dense.shape
+    assert np.allclose(dense, _loop_constraints(pm, d, HORIZON, n_steps, 8, zero_mean), rtol=1e-15, atol=1e-17)
+
+    G_ref = (dense / A.weights) @ dense.T
+    assert np.max(np.abs(A.gram() - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
+
+    rng = np.random.default_rng(n_steps)
+    u = rng.standard_normal(dense.shape[1])
+    lam = rng.standard_normal(dense.shape[0])
+    assert np.max(np.abs(A @ u - dense @ u)) <= 1e-13 * np.max(np.abs(dense @ u))
+    assert np.max(np.abs(A.rmatvec(lam) - dense.T @ lam)) <= 1e-13 * np.max(np.abs(dense.T @ lam))
+
+
+def test_constraint_tables_are_small(pm_std, exp1):
+    t = np.linspace(0.0, HORIZON, 1601)
+    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1, n_x=32, zero_mean=True)
+    assert sys_.A.shape == (1600 + 1602, 33 + 1601 + 1601 * 33)
+    assert sys_.A.nbytes < 1_000_000
+
+
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_agreement_with_fredholm_fine_grid(d):
+    t = np.linspace(0.0, HORIZON, 801)
+    q = GridPath(HORIZON, 0.3 * t * (2.0 - t))
+    pm = ModelParams(d.mu, 1.0, 0.5, 0.0)
+    rate = evaluate_rate(q, pm, d).rate
+    _, val = solve_min_norm(build_qp(q, pm, d, n_x=32))
+    assert abs(val - rate) / (1.0 + rate) <= 0.02
 
 
 def test_flags_on_raises_value(pm_std, exp1, q_quad):
