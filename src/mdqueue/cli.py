@@ -16,12 +16,12 @@ import numpy as np
 
 from . import __version__
 from .dist import ServiceDist
-from .fredholm import FredholmError, evaluate_rate, lln_path
+from .fredholm import FredholmError, evaluate_rate
 from .grids import GridField2D, GridPath
 from .oracle import build_qp, solve_min_norm
 from .paths import ModelParams, forward_q, kiefer_energy, kiefer_from_sheet
 from .renewal import RenewalConvergenceError
-from .sim import ScalingRegime, decomposition, flow_balance_residuals, lln_check, mc_tail, simulate, spawn_streams
+from .sim import ScalingRegime, decomposition, flow_balance_residuals, lln_check, mc_tail, replications
 
 log = logging.getLogger(__name__)
 
@@ -284,21 +284,22 @@ def _trace_csv(trace, path: Path) -> None:
         fh.write("time,type,customer\n" + "".join(rows))
 
 
+def _replications(run: Run):
+    s = run.sim
+    return replications(
+        run.model, run.dist, s["regimes"], s["reps"], run.seed, s["horizon"],
+        arrival_family=s["arrival_family"], arrival_shape=s["arrival_shape"],
+    )
+
+
 def cmd_simulate(run: Run, out: Path) -> dict:
     run.require(model=run.model is not None, sim=run.sim is not None)
     s = run.sim
     traces_by_n = {}
-    for ridx, sr in enumerate(s["regimes"]):
-        streams = spawn_streams(run.seed + ridx, s["reps"])
-        traces_by_n[sr.n] = [
-            simulate(
-                run.model, run.dist, sr, s["horizon"], rng,
-                arrival_family=s["arrival_family"], arrival_shape=s["arrival_shape"],
-                seed_key=(run.seed + ridx, rep),
-            )
-            for rep, rng in enumerate(streams)
-        ]
-        _trace_csv(traces_by_n[sr.n][0], out / f"trace_n{sr.n}.csv")
+    for sr, rep, tr in _replications(run):
+        if rep == 0:
+            _trace_csv(tr, out / f"trace_n{sr.n}.csv")
+        traces_by_n.setdefault(sr.n, []).append(tr)
 
     report = lln_check(traces_by_n, run.model.mu, s["lln_t"])
     pct = report.percentiles()
@@ -354,27 +355,20 @@ def cmd_identity_check(run: Run, out: Path) -> dict:
     s = run.sim
     steps = s["decomposition_steps"]
     rows = []
-    for ridx, sr in enumerate(s["regimes"]):
-        streams = spawn_streams(run.seed + ridx, s["reps"])
-        for rep, rng in enumerate(streams):
-            tr = simulate(
-                run.model, run.dist, sr, s["horizon"], rng,
-                arrival_family=s["arrival_family"], arrival_shape=s["arrival_shape"],
-                seed_key=(run.seed + ridx, rep),
-            )
-            fb = flow_balance_residuals(tr)
-            dec = decomposition(tr, run.dist, steps)
-            dec2 = decomposition(tr, run.dist, 2 * steps)
-            rows.append(
-                {
-                    "n": sr.n,
-                    "rep": rep,
-                    "flow_balance_max": int(np.max(np.abs(fb))) if len(fb) else 0,
-                    "residual_sup": dec.sup_residual,
-                    "residual_sup_refined": dec2.sup_residual,
-                    "quadrature_bound": dec.quadrature_bound,
-                }
-            )
+    for sr, rep, tr in _replications(run):
+        fb = flow_balance_residuals(tr)
+        dec = decomposition(tr, run.dist, steps)
+        dec2 = decomposition(tr, run.dist, 2 * steps)
+        rows.append(
+            {
+                "n": sr.n,
+                "rep": rep,
+                "flow_balance_max": int(np.max(np.abs(fb))) if len(fb) else 0,
+                "residual_sup": dec.sup_residual,
+                "residual_sup_refined": dec2.sup_residual,
+                "quadrature_bound": dec.quadrature_bound,
+            }
+        )
     with open(out / "identity.csv", "w", newline="") as fh:
         fh.write("n,rep,flow_balance_max,residual_sup,residual_sup_refined,quadrature_bound\n")
         for r in rows:

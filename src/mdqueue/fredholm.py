@@ -11,7 +11,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .dist import ServiceDist
 from .grids import GridField2D, GridPath, conv_trap, trap_weights
-from .paths import ControlSet, ModelParams, energy, forward_q
+from .paths import ControlSet, ModelParams, drift, energy
 from .renewal import solve_nonlinear
 
 __all__ = [
@@ -299,13 +299,7 @@ def recover_controls(
 
 def lln_path(pm: ModelParams, d: ServiceDist, T: float, n_steps: int) -> GridPath:
     """Law-of-large-numbers path: the zero-control solution of the path equation."""
-    t = np.linspace(0.0, T, n_steps + 1)
-    f = (
-        (1.0 - d.cdf(t)) * pm.q0_plus
-        - (1.0 - d.eq_cdf(t)) * pm.q0_minus
-        - pm.beta * d.eq_cdf(t)
-    )
-    return solve_nonlinear(GridPath(T, f), d)
+    return solve_nonlinear(GridPath(T, drift(pm, d, np.linspace(0.0, T, n_steps + 1))), d)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,22 +98,6 @@ class GridPath:
         t = np.asarray(t, dtype=float)
         return np.interp(t, self.times, self.values)
 
-    def integral(self) -> float:
-        return trap_integral(self.values, self.dt)
-
-    def cumulative(self, y):
-        """int_0^y of this path seen as a density, with partial-cell trapezoid."""
-        y = np.asarray(y, dtype=float)
-        cum = cumtrap(self.values, self.dt)
-        yc = np.clip(y, 0.0, self.horizon)
-        idx = np.minimum((yc / self.dt).astype(int), self.n_steps - 1)
-        x0 = idx * self.dt
-        frac = yc - x0
-        v0 = self.values[idx]
-        v1 = self.values[idx + 1]
-        vy = v0 + (v1 - v0) * (frac / self.dt)
-        return cum[idx] + 0.5 * frac * (v0 + vy)
-
     def to_csv(self, path) -> None:
         rows = [f"{t!r},{v!r}\r\n" for t, v in zip(self.times.tolist(), self.values.tolist())]
         with open(path, "w", newline="") as fh:
@@ -175,14 +158,6 @@ class GridField2D:
         wx = trap_weights(self.values.shape[0], self.dx)
         wt = trap_weights(self.values.shape[1], self.dt)
         return float(wx @ (self.values**2) @ wt)
-
-    def interp_t(self, t) -> np.ndarray:
-        """Columns linearly interpolated in t; zero beyond the horizon."""
-        t = np.asarray(t, dtype=float)
-        cols = np.empty((self.values.shape[0],) + t.shape)
-        for ix in range(self.values.shape[0]):
-            cols[ix] = np.interp(t, self.t_grid, self.values[ix], right=0.0)
-        return cols
 
     def to_csv(self, path) -> None:
         xs = [repr(x) for x in self.x_grid.tolist()]

@@ -6,166 +6,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, hankel, solve_triangular, toeplitz
+from scipy.linalg import cho_factor, cho_solve, solve_triangular, toeplitz
 
 from .dist import ServiceDist
 from .fredholm import FredholmError
-from .grids import GridField2D, GridPath, conv_trap, trap_weights, volterra_weights
-from .paths import ControlSet, ModelParams, partial_cell_weights
+from .grids import GridField2D, GridPath, conv_trap, volterra_weights
+from .paths import ControlSet, LagConstraints, ModelParams, drift
 
 __all__ = ["LagConstraints", "QPSystem", "build_qp", "solve_min_norm", "min_rate_terminal", "TerminalRateResult"]
-
-
-@dataclass(frozen=True)
-class LagConstraints:
-    """Constraint operator A of the oracle QP, stored by its lag structure.
-
-    Over u = (w0dot nodes, wdot nodes, kdot nodes with kdot stored x-major per
-    time node, u_k[j*(M+1) + ix]), row i = 1..N applies the three control terms
-    of the path equation at t_i: the bridge integral up to F0(t_i), the
-    convolution with the service survival, and the double integral of kdot
-    over the moving region {x <= F(t_i - s)}:
-
-        (A u)_i = P0[i] . w0dot + sum_{j<=i} tw_i[j] (sigma surv[i-j] wdot_j
-                                                   + mu xw[i-j] . kdot_j),
-
-    with tw_i the Volterra trapezoid weights (`grids.volterra_weights`).  With
-    `zero_mean` the rows wx . w0dot = 0 and wx . kdot_j = 0, j = 0..N, follow.
-    The objective weights W are trapezoid weights on [0, 1], [0, T] and
-    [0, 1] x [0, mu T].  Only O(N M) tables are stored; `toarray()` is the
-    dense reference.
-    """
-
-    P0: np.ndarray  # (N+1, M+1) partial_cell_weights(F0)
-    surv: np.ndarray  # (N+1,) 1 - F(t_l)
-    xw: np.ndarray  # (N+1, M+1) partial_cell_weights(F): xw[l] integrates to F(t_l)
-    dt: float
-    sigma: float
-    mu: float
-    zero_mean: bool = False
-
-    @classmethod
-    def from_law(
-        cls, pm: ModelParams, d: ServiceDist, horizon: float, n_steps: int, n_x: int, zero_mean: bool = False
-    ) -> "LagConstraints":
-        times = np.linspace(0.0, horizon, n_steps + 1)
-        F = d.cdf(times)
-        dx = 1.0 / n_x
-        return cls(
-            P0=partial_cell_weights(d.eq_cdf(times), n_x + 1, dx),
-            surv=1.0 - F,
-            xw=partial_cell_weights(F, n_x + 1, dx),
-            dt=horizon / n_steps,
-            sigma=pm.sigma,
-            mu=pm.mu,
-            zero_mean=zero_mean,
-        )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n, m = self.xw.shape
-        return n - 1 + (1 + n if self.zero_mean else 0), m + n + n * m
-
-    @property
-    def nbytes(self) -> int:
-        return self.P0.nbytes + self.surv.nbytes + self.xw.nbytes
-
-    def _metric(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n, m = self.xw.shape
-        return trap_weights(m, 1.0 / (m - 1)), trap_weights(n, self.dt), trap_weights(n, self.mu * self.dt)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Diagonal of W over u."""
-        wx, wt, wtau = self._metric()
-        return np.concatenate([wx, wt, (wtau[:, None] * wx[None, :]).reshape(-1)])
-
-    def _lag_values(self) -> np.ndarray:
-        """(N+1, M+2) table: column 0 the wdot lag sigma surv, then the kdot lags mu xw."""
-        return np.column_stack([self.sigma * self.surv, self.mu * self.xw])
-
-    def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        n, m = self.xw.shape
-        u_w0, u_t = u[:m], np.column_stack([u[m : m + n], u[m + n :].reshape(n, m)])
-        nodes = np.arange(n)
-        # Y[l, j]: the wdot and kdot terms of time node j at lag l
-        Y = self._lag_values() @ u_t.T
-        rows = self.P0 @ u_w0 + np.sum(volterra_weights(n, self.dt) * Y[toeplitz(nodes), nodes], axis=1)
-        out = rows[1:]
-        if self.zero_mean:
-            wx = self._metric()[0]
-            out = np.concatenate([out, [wx @ u_w0], u_t[:, 1:] @ wx])
-        return out
-
-    def rmatvec(self, lam: np.ndarray) -> np.ndarray:
-        """A^T lam."""
-        n, m = self.xw.shape
-        lam_r = np.concatenate([[0.0], lam[: n - 1]])  # the t = 0 row carries no constraint
-        nodes = np.arange(n)
-        # Hankel-indexed H[j, l] = lam_{j+l} tw_{j+l}[j] (zero for j + l > N)
-        H = (lam_r[:, None] * volterra_weights(n, self.dt))[hankel(nodes), nodes[:, None]]
-        u_t = H @ self._lag_values()
-        u_w0 = self.P0.T @ lam_r
-        if self.zero_mean:
-            wx = self._metric()[0]
-            u_w0 = u_w0 + lam[n - 1] * wx
-            u_t[:, 1:] += lam[n:, None] * wx[None, :]
-        return np.concatenate([u_w0, u_t[:, 0], u_t[:, 1:].reshape(-1)])
-
-    def toarray(self) -> np.ndarray:
-        """Dense A, row by row from the definition (test reference)."""
-        n, m = self.xw.shape
-        tw = volterra_weights(n, self.dt)
-        lagged = tw[:, :, None] * self._lag_values()[toeplitz(np.arange(n))]  # [i, j] at lag |i - j|
-        A = np.hstack([self.P0, lagged[:, :, 0], lagged[:, :, 1:].reshape(n, n * m)])[1:]
-        if self.zero_mean:
-            wx = self._metric()[0]
-            zm = np.zeros((1 + n, A.shape[1]))
-            zm[0, :m] = wx
-            zm[1:, m + n :] = np.kron(np.eye(n), wx)
-            A = np.vstack([A, zm])
-        return A
-
-    def gram(self) -> np.ndarray:
-        """G = A W^-1 A^T assembled from the lag tables in O(N^2 M).
-
-        The wdot and kdot rows give
-            G[i, i'] = sum_{j <= min(i, i')} tw_i[j] tw_i'[j] nu_j K[i-j, i'-j],
-        with K[l, l'] = sigma^2 surv[l] surv[l'] / dt + mu^2 (xw[l] / wx) . xw[l'] / (mu dt)
-        the lag Gram at the interior time weights, and nu_j = 2 at the
-        half-weight end nodes j = 0, N, 1 inside.  Interior terms have the
-        weight dt^2, so along each diagonal of G the sum is a cumulative sum
-        along the matching diagonal of K; the terms j = 0 and j = min(i, i')
-        (which covers j = N) are then corrected to their exact weights.
-        """
-        n, m = self.xw.shape
-        wx, wt, wtau = self._metric()
-        tw = volterra_weights(n, self.dt)
-        K = (self.sigma**2 / wt[1]) * np.outer(self.surv, self.surv) + (self.mu**2 / wtau[1]) * (
-            (self.xw / wx) @ self.xw.T
-        )
-        nu = wt[1] / wt
-        # D[i, i + s] = sum_{l <= i} K[l, l + s], the upper triangle only
-        D = np.zeros_like(K)
-        D[0] = K[0]
-        for i in range(1, n):
-            D[i, i:] = D[i - 1, i - 1 : -1] + K[i, i:]
-        dt2 = self.dt**2
-        first = nu[0] * np.outer(tw[:, 0], tw[:, 0]) - dt2  # j = 0
-        last = (nu * np.diag(tw))[:, None] * tw.T - dt2  # j = i <= i'
-        G = np.triu(dt2 * D + first * K + last * toeplitz(K[0]))
-        G = G + np.triu(G, 1).T
-        G = (self.P0 / wx) @ self.P0.T + G
-        G = G[1:, 1:]
-        if not self.zero_mean:
-            return G
-        # zero-mean rows: their Gram is diagonal, and they meet the path rows
-        # through the w0dot mass and the kdot x-integral xw[l] . 1 = F(t_l)
-        B = np.zeros((n - 1, 1 + n))
-        B[:, 0] = self.P0[1:].sum(axis=1)
-        B[:, 1:] = (self.mu / wtau) * tw[1:] * toeplitz(self.xw.sum(axis=1))[1:]
-        Z = np.diag(np.concatenate([[wx.sum()], wx.sum() / wtau]))
-        return np.block([[G, B], [B.T, Z]])
 
 
 @dataclass(frozen=True)
@@ -200,12 +48,8 @@ def build_qp(
     if abs(q.values[0] - pm.q0) > 1e-9:
         raise ValueError("q(0) must equal q0")
     t = q.times
-    F = d.cdf(t)
-    F0 = d.eq_cdf(t)
-
-    base = (1.0 - F) * pm.q0_plus - (1.0 - F0) * pm.q0_minus - pm.beta * F0
     qplus = np.maximum(q.values, 0.0)
-    r_full = q.values - conv_trap(qplus, d.pdf(t), q.dt) - base
+    r_full = q.values - conv_trap(qplus, d.pdf(t), q.dt) - drift(pm, d, t)
     if not abs(r_full[0]) < 1e-9:
         raise FredholmError(f"t = 0 constraint row is not trivial: residual {r_full[0]!r}")
 
@@ -273,8 +117,7 @@ def min_rate_terminal(
     it_idx = int(round(t / dt))
     if not (0 <= it_idx <= n_steps) or abs(times[it_idx] - t) > 1e-9:
         raise ValueError("terminal time t must be a grid node within the horizon")
-    F0 = d.eq_cdf(times)
-    base = (1.0 - d.cdf(times)) * pm.q0_plus - (1.0 - F0) * pm.q0_minus - pm.beta * F0
+    base = drift(pm, d, times)
 
     A = LagConstraints.from_law(pm, d, horizon, n_steps, n_x)  # path response to controls, rows t_1..t_N
     w = A.weights

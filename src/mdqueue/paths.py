@@ -1,18 +1,22 @@
-"""Control triples, their quadratic energy, the forward control-to-path map,
-and the Kiefer / Brownian-sheet transform with its energy identity."""
+"""Control triples, their quadratic energy, the control-to-forcing operator
+shared with the QP oracle, the forward control-to-path map, and the Kiefer /
+Brownian-sheet transform with its energy identity."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .dist import ServiceDist
-from .grids import GridField2D, GridPath, conv_trap, cumtrap, trap_weights
+from .grids import GridField2D, GridPath, cumtrap, trap_weights, volterra_weights
 from .renewal import solve_nonlinear
 
 __all__ = [
     "ModelParams",
     "ControlSet",
+    "LagConstraints",
+    "drift",
     "energy",
     "forward_q",
     "kiefer_from_sheet",
@@ -83,6 +87,12 @@ def zero_controls(T: float, n_steps: int, n_x: int, mu: float = 1.0) -> ControlS
     )
 
 
+def drift(pm: ModelParams, d: ServiceDist, t: np.ndarray) -> np.ndarray:
+    """Control-free forcing of the path equation: (1-F) q0^+ - (1-F0) q0^- - beta F0."""
+    F0 = d.eq_cdf(t)
+    return (1.0 - d.cdf(t)) * pm.q0_plus - (1.0 - F0) * pm.q0_minus - pm.beta * F0
+
+
 def partial_cell_weights(upper: np.ndarray, n_nodes: int, dx: float) -> np.ndarray:
     """Nodal weight vectors for int_0^{u} v(x) dx on a uniform grid.
 
@@ -91,51 +101,208 @@ def partial_cell_weights(upper: np.ndarray, n_nodes: int, dx: float) -> np.ndarr
     Returns an array of shape (len(upper), n_nodes).
     """
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    out = np.zeros((len(upper), n_nodes))
     x_max = (n_nodes - 1) * dx
     u = np.clip(upper, 0.0, x_max)
     m = np.minimum((u / dx).astype(int), n_nodes - 2)
     theta = u / dx - m
     rows = np.arange(len(upper))
     # full-cell trapezoid over nodes 0..m
-    for r, mm in zip(rows, m):
-        if mm > 0:
-            out[r, : mm + 1] = dx
-            out[r, 0] = dx / 2
-            out[r, mm] = dx / 2
+    out = np.where(np.arange(n_nodes) < m[:, None], dx, 0.0)
+    out[:, 0] /= 2.0
+    out[rows, m] = np.where(m > 0, dx / 2.0, 0.0)
     out[rows, m] += dx * theta * (2.0 - theta) / 2.0
     out[rows, m + 1] += dx * theta**2 / 2.0
     return out
 
 
+@dataclass(frozen=True)
+class LagConstraints:
+    """The control terms of the path equation as a linear operator A, stored
+    by its lag structure.
+
+    Over u = (w0dot nodes, wdot nodes, kdot nodes with kdot stored x-major per
+    time node, u_k[j*(M+1) + ix]), row i = 1..N applies the three control terms
+    of the path equation at t_i: the bridge integral up to F0(t_i), the
+    convolution with the service survival, and the double integral of kdot
+    over the moving region {x <= F(t_i - s)}:
+
+        (A u)_i = P0[i] . w0dot + sum_{j<=i} tw_i[j] (sigma surv[i-j] wdot_j
+                                                   + mu xw[i-j] . kdot_j),
+
+    with tw_i the Volterra trapezoid weights (`grids.volterra_weights`).  The
+    sum over j is the trapezoid prefix convolution of `grids.conv_trap`, one
+    per lag column; `@` applies it by FFT and `rmatvec` applies its transpose,
+    a correlation, the same way.  With `zero_mean` the rows wx . w0dot = 0 and
+    wx . kdot_j = 0, j = 0..N, follow.  The objective weights W are trapezoid
+    weights on [0, 1], [0, T] and [0, 1] x [0, mu T].  Only O(N M) tables are
+    stored; `toarray()` is the dense reference.
+
+    `forward_q` and the oracle (`build_qp`, `min_rate_terminal`) both use this
+    operator, so the forward map and the QP share one quadrature.
+    """
+
+    P0: np.ndarray  # (N+1, M+1) partial_cell_weights(F0)
+    surv: np.ndarray  # (N+1,) 1 - F(t_l)
+    xw: np.ndarray  # (N+1, M+1) partial_cell_weights(F): xw[l] integrates to F(t_l)
+    dt: float
+    sigma: float
+    mu: float
+    zero_mean: bool = False
+
+    @classmethod
+    def from_law(
+        cls, pm: ModelParams, d: ServiceDist, horizon: float, n_steps: int, n_x: int, zero_mean: bool = False
+    ) -> "LagConstraints":
+        times = np.linspace(0.0, horizon, n_steps + 1)
+        F = d.cdf(times)
+        dx = 1.0 / n_x
+        return cls(
+            P0=partial_cell_weights(d.eq_cdf(times), n_x + 1, dx),
+            surv=1.0 - F,
+            xw=partial_cell_weights(F, n_x + 1, dx),
+            dt=horizon / n_steps,
+            sigma=pm.sigma,
+            mu=pm.mu,
+            zero_mean=zero_mean,
+        )
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n, m = self.xw.shape
+        return n - 1 + (1 + n if self.zero_mean else 0), m + n + n * m
+
+    @property
+    def nbytes(self) -> int:
+        return self.P0.nbytes + self.surv.nbytes + self.xw.nbytes
+
+    def _metric(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n, m = self.xw.shape
+        return trap_weights(m, 1.0 / (m - 1)), trap_weights(n, self.dt), trap_weights(n, self.mu * self.dt)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Diagonal of W over u."""
+        wx, wt, wtau = self._metric()
+        return np.concatenate([wx, wt, (wtau[:, None] * wx[None, :]).reshape(-1)])
+
+    def _lag_values(self) -> np.ndarray:
+        """(N+1, M+2) table: column 0 the wdot lag sigma surv, then the kdot lags mu xw."""
+        return np.column_stack([self.sigma * self.surv, self.mu * self.xw])
+
+    @property
+    def _n_fft(self) -> int:
+        """FFT length of at least 2N + 1, so that the circular lag products do not wrap."""
+        return 1 << (2 * len(self.surv) - 2).bit_length()
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        n, m = self.xw.shape
+        u_w0, u_t = u[:m], np.column_stack([u[m : m + n], u[m + n :].reshape(n, m)])
+        L, n_fft = self._lag_values(), self._n_fft
+        # sum over the lag columns c of conv_trap(L[:, c], u_t[:, c], dt)
+        spec = np.einsum("fc,fc->f", np.fft.rfft(L, n_fft, axis=0), np.fft.rfft(u_t, n_fft, axis=0))
+        conv = np.fft.irfft(spec, n_fft)[:n]
+        rows = self.P0 @ u_w0 + self.dt * (conv - 0.5 * (u_t @ L[0] + L @ u_t[0]))
+        out = rows[1:]
+        if self.zero_mean:
+            wx = self._metric()[0]
+            out = np.concatenate([out, [wx @ u_w0], u_t[:, 1:] @ wx])
+        return out
+
+    def rmatvec(self, lam: np.ndarray) -> np.ndarray:
+        """A^T lam."""
+        n, m = self.xw.shape
+        lam_r = np.concatenate([[0.0], lam[: n - 1]])  # the t = 0 row carries no constraint
+        L, n_fft = self._lag_values(), self._n_fft
+        # corr[j] = sum_l lam_r[j + l] L[l]: the convolution with lam_r reversed, read backwards
+        spec = np.fft.rfft(L, n_fft, axis=0) * np.fft.rfft(lam_r[::-1], n_fft)[:, None]
+        corr = np.fft.irfft(spec, n_fft, axis=0)[n - 1 :: -1]
+        # transpose of the conv_trap end corrections: half weight at j = 0 and j = i
+        u_t = self.dt * (corr - 0.5 * lam_r[:, None] * L[0])
+        u_t[0] -= 0.5 * self.dt * corr[0]
+        u_w0 = self.P0.T @ lam_r
+        if self.zero_mean:
+            wx = self._metric()[0]
+            u_w0 = u_w0 + lam[n - 1] * wx
+            u_t[:, 1:] += lam[n:, None] * wx[None, :]
+        return np.concatenate([u_w0, u_t[:, 0], u_t[:, 1:].reshape(-1)])
+
+    def toarray(self) -> np.ndarray:
+        """Dense A, row by row from the definition (test reference)."""
+        n, m = self.xw.shape
+        tw = volterra_weights(n, self.dt)
+        lagged = tw[:, :, None] * self._lag_values()[toeplitz(np.arange(n))]  # [i, j] at lag |i - j|
+        A = np.hstack([self.P0, lagged[:, :, 0], lagged[:, :, 1:].reshape(n, n * m)])[1:]
+        if self.zero_mean:
+            wx = self._metric()[0]
+            zm = np.zeros((1 + n, A.shape[1]))
+            zm[0, :m] = wx
+            zm[1:, m + n :] = np.kron(np.eye(n), wx)
+            A = np.vstack([A, zm])
+        return A
+
+    def gram(self) -> np.ndarray:
+        """G = A W^-1 A^T assembled from the lag tables in O(N^2 M).
+
+        The wdot and kdot rows give
+            G[i, i'] = sum_{j <= min(i, i')} tw_i[j] tw_i'[j] nu_j K[i-j, i'-j],
+        with K[l, l'] = sigma^2 surv[l] surv[l'] / dt + mu^2 (xw[l] / wx) . xw[l'] / (mu dt)
+        the lag Gram at the interior time weights, and nu_j = 2 at the
+        half-weight end nodes j = 0, N, 1 inside.  Interior terms have the
+        weight dt^2, so along each diagonal of G the sum is a cumulative sum
+        along the matching diagonal of K; the terms j = 0 and j = min(i, i')
+        (which covers j = N) are then corrected to their exact weights.
+        """
+        n, m = self.xw.shape
+        wx, wt, wtau = self._metric()
+        tw = volterra_weights(n, self.dt)
+        K = (self.sigma**2 / wt[1]) * np.outer(self.surv, self.surv) + (self.mu**2 / wtau[1]) * (
+            (self.xw / wx) @ self.xw.T
+        )
+        nu = wt[1] / wt
+        # D[i, i + s] = sum_{l <= i} K[l, l + s], the upper triangle only
+        D = np.zeros_like(K)
+        D[0] = K[0]
+        for i in range(1, n):
+            D[i, i:] = D[i - 1, i - 1 : -1] + K[i, i:]
+        dt2 = self.dt**2
+        first = nu[0] * np.outer(tw[:, 0], tw[:, 0]) - dt2  # j = 0
+        last = (nu * np.diag(tw))[:, None] * tw.T - dt2  # j = i <= i'
+        G = np.triu(dt2 * D + first * K + last * toeplitz(K[0]))
+        G = G + np.triu(G, 1).T
+        G = (self.P0 / wx) @ self.P0.T + G
+        G = G[1:, 1:]
+        if not self.zero_mean:
+            return G
+        # zero-mean rows: their Gram is diagonal, and they meet the path rows
+        # through the w0dot mass and the kdot x-integral xw[l] . 1 = F(t_l)
+        B = np.zeros((n - 1, 1 + n))
+        B[:, 0] = self.P0[1:].sum(axis=1)
+        B[:, 1:] = (self.mu / wtau) * tw[1:] * toeplitz(self.xw.sum(axis=1))[1:]
+        Z = np.diag(np.concatenate([[wx.sum()], wx.sum() / wtau]))
+        return np.block([[G, B], [B.T, Z]])
+
+
 def forward_q(c: ControlSet, pm: ModelParams, d: ServiceDist, tol: float = 1e-10) -> GridPath:
     """Map a control set to the centered queue path q via the nonlinear renewal solve.
 
-    The forcing collects the initial-condition terms, the drift, the bridge
-    term w0(F0(t)), the arrival term int (1-F(t-s)) sigma wdot(s) ds and the
-    sequential-empirical term rewritten as
-    int_0^t int_0^{F(t-s)} kdot(x, mu*s) dx mu ds.
+    The forcing is the drift plus the control terms of the path equation (the
+    bridge term w0(F0(t)), the arrival term int (1-F(t-s)) sigma wdot(s) ds and
+    the sequential-empirical term int_0^t int_0^{F(t-s)} kdot(x, mu*s) dx mu ds),
+    applied by the oracle's operator `LagConstraints`.  The controls must share
+    its grids: kdot on the x nodes of w0dot and the time nodes of wdot, over
+    [0, 1] x [0, mu T].
     """
-    t = c.wdot.times
-    n = c.wdot.n_steps
-    dt = c.wdot.dt
-    F = d.cdf(t)
-    F0 = d.eq_cdf(t)
-
-    forcing = (1.0 - F) * pm.q0_plus - (1.0 - F0) * pm.q0_minus - pm.beta * F0
-    forcing = forcing + c.w0dot.cumulative(F0)
-    forcing = forcing + pm.sigma * conv_trap(1.0 - F, c.wdot.values, dt)
-
-    # kdot term: inner partial-cell x-integral up to F(lag), outer trapezoid in s
-    kcols = c.kdot.interp_t(pm.mu * t)  # (Mx+1, N+1)
-    xw = partial_cell_weights(F, c.kdot.values.shape[0], c.kdot.dx)  # (N+1 lags, Mx+1)
-    P = xw @ kcols  # P[lag, j] = int_0^{F(t_lag)} kdot(x, mu t_j) dx
-    kterm = np.zeros(n + 1)
-    for i in range(1, n + 1):
-        diag = P[i::-1, : i + 1].diagonal()  # P[i-j, j] for j=0..i
-        kterm[i] = pm.mu * (dt * diag.sum() - 0.5 * dt * (P[i, 0] + P[0, i]))
-    forcing = forcing + kterm
-
+    n_x, n = c.w0dot.n_steps, c.wdot.n_steps
+    if c.kdot.values.shape != (n_x + 1, n + 1):
+        raise ValueError(f"kdot has shape {c.kdot.values.shape}, expected {(n_x + 1, n + 1)} from w0dot and wdot")
+    t_horizon = pm.mu * c.wdot.horizon
+    if abs(c.kdot.t_horizon - t_horizon) > 1e-12 * t_horizon:
+        raise ValueError(f"kdot lives on [0, {c.kdot.t_horizon}] in time, expected [0, mu T] = [0, {t_horizon}]")
+    if abs(c.w0dot.horizon - 1.0) > 1e-12 or abs(c.kdot.x_max - 1.0) > 1e-12:
+        raise ValueError("w0dot and kdot must live on [0, 1] in x")
+    A = LagConstraints.from_law(pm, d, c.wdot.horizon, n, n_x)
+    u = np.concatenate([c.w0dot.values, c.wdot.values, c.kdot.values.T.ravel()])
+    forcing = drift(pm, d, c.wdot.times) + np.concatenate([[0.0], A @ u])
     return solve_nonlinear(GridPath(c.wdot.horizon, forcing), d, tol=tol)
 
 

@@ -6,12 +6,12 @@ import heapq
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dist import ServiceDist
-from .grids import GridPath, conv_trap
+from .grids import conv_trap
 from .paths import ModelParams
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "QueueTrace",
     "DecompositionReport",
     "simulate",
+    "replications",
     "flow_balance_residuals",
     "decomposition",
     "lln_check",
@@ -225,6 +226,30 @@ def simulate(
     )
 
 
+def replications(
+    pm: ModelParams,
+    d: ServiceDist,
+    regimes: list[ScalingRegime],
+    reps: int,
+    seed: int,
+    horizon: float,
+    arrival_family: str = "exponential",
+    arrival_shape: int = 1,
+):
+    """Yield (regime, rep, trace) for reps replications of every regime in turn.
+
+    Regime ridx runs on the streams spawn_streams(seed + ridx, reps), and its
+    traces carry seed_key (seed + ridx, rep).
+    """
+    for ridx, sr in enumerate(regimes):
+        for rep, rng in enumerate(spawn_streams(seed + ridx, reps)):
+            yield sr, rep, simulate(
+                pm, d, sr, horizon, rng,
+                arrival_family=arrival_family, arrival_shape=arrival_shape,
+                seed_key=(seed + ridx, rep),
+            )
+
+
 def flow_balance_residuals(trace: QueueTrace) -> np.ndarray:
     """(Q(t)-n)^+ + Ahat(t) - (Q(0)-n)^+ - A(t) at every event time, exact integers."""
     if len(trace.event_times) == 0:
@@ -407,15 +432,11 @@ def mc_tail(
         raise ValueError(f"unknown event kind {kind!r}")
     rows = []
     for ridx, sr in enumerate(regimes):
-        streams = spawn_streams(seed + ridx, reps)
+        scale = sr.scale()
         hits = 0
-        for rep, rng in enumerate(streams):
-            tr = simulate(
-                pm, d, sr, horizon, rng,
-                arrival_family=arrival_family, arrival_shape=arrival_shape,
-                seed_key=(seed + ridx, rep),
-            )
-            scale = sr.scale()
+        for _, _, tr in replications(
+            pm, d, [sr], reps, seed + ridx, horizon, arrival_family=arrival_family, arrival_shape=arrival_shape
+        ):
             if kind == "terminal":
                 x = (int(tr.q_at(t_ev)) - sr.n) / scale
                 hit = x >= a

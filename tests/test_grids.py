@@ -58,13 +58,6 @@ def test_gridpath_interp_and_constant_continuation():
     assert g.interp(5.0) == pytest.approx(2.0)
 
 
-def test_gridpath_cumulative_partial_cell():
-    # density v(x) = x on [0,1]: int_0^y = y^2/2 exactly (piecewise linear)
-    g = GridPath(1.0, np.linspace(0.0, 1.0, 11))
-    ys = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
-    assert np.max(np.abs(g.cumulative(ys) - ys**2 / 2.0)) < 1e-14
-
-
 def test_gridpath_csv_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     g = GridPath(2.0, rng.standard_normal(51))
@@ -134,10 +127,3 @@ def test_csv_writers_match_csv_writer_reference(tmp_path):
             w.writerow([repr(float(t)), repr(float(v))])
     assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "f_ref.csv").read_bytes()
     assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "g_ref.csv").read_bytes()
-
-
-def test_field2d_interp_t_zero_beyond_horizon():
-    f = GridField2D(1.0, np.ones((3, 3)))
-    cols = f.interp_t(np.array([0.5, 2.0]))
-    assert np.all(cols[:, 0] == 1.0)
-    assert np.all(cols[:, 1] == 0.0)

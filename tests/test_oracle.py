@@ -82,7 +82,7 @@ def test_agreement_with_fredholm_battery(exp1):
 
 
 @pytest.mark.parametrize("zero_mean", [False, True], ids=["flags-off", "flags-on"])
-@pytest.mark.parametrize("n_steps", [40, 41])
+@pytest.mark.parametrize("n_steps", [2, 3, 40, 41])
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 def test_lag_constraints_match_dense(d, n_steps, zero_mean):
     pm = ModelParams(d.mu, 1.5, 0.5, 0.0)

@@ -13,7 +13,15 @@ from mdqueue import (
     kiefer_from_sheet,
     zero_controls,
 )
-from mdqueue.paths import ControlSet, partial_cell_weights
+from mdqueue.grids import conv_trap, cumtrap
+from mdqueue.paths import ControlSet, drift, partial_cell_weights
+from mdqueue.renewal import solve_nonlinear
+
+LAWS = [
+    ServiceDist.exponential(1.0),
+    ServiceDist.erlang(3, 3.0),
+    ServiceDist.hyperexponential([0.2, 0.8], [0.4, 1.6]),
+]
 
 
 def test_energy_zero_controls():
@@ -92,6 +100,72 @@ def test_forward_q_wdot_term_against_quad(exp1):
     f = 1.0 - np.exp(-t)
     ref = f + np.array([quad(lambda s: 1.0 - np.exp(-s), 0.0, ti)[0] for ti in t])
     assert np.max(np.abs(q.values - ref)) < 5e-4
+
+
+def _reference_forcing(c, pm, d):
+    """The forward-map forcing by direct quadrature, term by term: the bridge
+    integral of w0dot up to F0(t) by partial-cell trapezoid, the arrival term by
+    conv_trap, and the kdot term as a partial-cell x-integral up to F(lag) of
+    kdot interpolated at mu t, then an outer trapezoid along each anti-diagonal."""
+    t = c.wdot.times
+    n, dt = c.wdot.n_steps, c.wdot.dt
+    F, F0 = d.cdf(t), d.eq_cdf(t)
+
+    # int_0^{F0(t)} w0dot(x) dx with w0dot linear inside the cell holding F0(t)
+    w0, dx = c.w0dot.values, c.w0dot.dt
+    y = np.clip(F0, 0.0, 1.0)
+    idx = np.minimum((y / dx).astype(int), c.w0dot.n_steps - 1)
+    frac = y - idx * dx
+    v0, v1 = w0[idx], w0[idx + 1]
+    vy = v0 + (v1 - v0) * (frac / dx)
+    bridge = cumtrap(w0, dx)[idx] + 0.5 * frac * (v0 + vy)
+
+    arrival = pm.sigma * conv_trap(1.0 - F, c.wdot.values, dt)
+
+    kcols = np.array([np.interp(pm.mu * t, c.kdot.t_grid, row, right=0.0) for row in c.kdot.values])
+    P = partial_cell_weights(F, c.kdot.values.shape[0], c.kdot.dx) @ kcols  # P[lag, j]
+    kterm = np.zeros(n + 1)
+    for i in range(1, n + 1):
+        diag = P[i::-1, : i + 1].diagonal()  # P[i - j, j] for j = 0..i
+        kterm[i] = pm.mu * (dt * diag.sum() - 0.5 * dt * (P[i, 0] + P[0, i]))
+    return drift(pm, d, t) + bridge + arrival + kterm
+
+
+@pytest.mark.parametrize("n_steps", [40, 41])
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_forward_q_matches_direct_quadrature(d, n_steps):
+    pm = ModelParams(d.mu, 1.5, 0.5, 0.2)
+    rng = np.random.default_rng(n_steps)
+    c = ControlSet(
+        w0dot=GridPath(1.0, rng.standard_normal(9)),
+        wdot=GridPath(2.0, rng.standard_normal(n_steps + 1)),
+        kdot=GridField2D(pm.mu * 2.0, rng.standard_normal((9, n_steps + 1))),
+    )
+    ref = solve_nonlinear(GridPath(2.0, _reference_forcing(c, pm, d)), d)
+    assert np.max(np.abs(forward_q(c, pm, d).values - ref.values)) <= 1e-13
+
+
+def _bad_controls(case):
+    c = zero_controls(2.0, 20, 8)
+    if case == "w0dot-x-range":
+        # ControlSet refuses this grid itself; forward_q must not rely on that
+        object.__setattr__(c, "w0dot", GridPath(2.0, np.zeros(9)))
+        return c
+    kdot = {
+        "kdot-x-nodes": GridField2D(2.0, np.zeros((10, 21))),
+        "kdot-t-nodes": GridField2D(2.0, np.zeros((9, 20))),
+        "kdot-t-horizon": GridField2D(2.5, np.zeros((9, 21))),
+        "kdot-x-range": GridField2D(2.0, np.zeros((9, 21)), x_max=0.5),
+    }[case]
+    return ControlSet(w0dot=c.w0dot, wdot=c.wdot, kdot=kdot)
+
+
+@pytest.mark.parametrize(
+    "case", ["kdot-x-nodes", "kdot-t-nodes", "kdot-t-horizon", "kdot-x-range", "w0dot-x-range"]
+)
+def test_forward_q_rejects_mismatched_grids(exp1, pm_std, case):
+    with pytest.raises(ValueError):
+        forward_q(_bad_controls(case), pm_std, exp1)
 
 
 def test_kiefer_spot_value():
