@@ -324,10 +324,7 @@ def cmd_simulate(run: Run, out: Path) -> dict:
         "ladder": ladder,
     }
     if s["event"] is not None:
-        rows = mc_tail(
-            run.model, run.dist, s["regimes"], s["event"], s["reps"], run.seed + 10_000, s["horizon"],
-            arrival_family=s["arrival_family"], arrival_shape=s["arrival_shape"],
-        )
+        rows = mc_tail(traces_by_n, s["event"])
         summary["tail"] = [
             {
                 "n": r.n, "b": r.b, "reps": r.reps, "hits": r.hits, "p_hat": r.p_hat,

@@ -32,6 +32,8 @@ __all__ = [
 
 _ZERO_CLAMP = 1e-10
 _SIGN_EPS = 1e-12
+_GAUSS_ORDER = 40  # Gauss-Legendre nodes of the inner integral in AssembledKernel.matrix
+_CG_MAX_ITER = 400  # iteration budget of the adjoint CG solve
 
 
 class FredholmError(RuntimeError):
@@ -155,7 +157,6 @@ class AssembledKernel:
     sigma: float
     horizon: float
     n_steps: int
-    gauss_order: int = 40
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -163,14 +164,14 @@ class AssembledKernel:
         quadrature, exact to roundoff for the analytic families."""
         d = self.dist
         t = np.linspace(0.0, self.horizon, self.n_steps + 1)
-        gx, gw = leggauss(self.gauss_order)
+        gx, gw = leggauss(_GAUSS_ORDER)
 
         s_grid = t[:, None]
         t_grid = t[None, :]
         m = np.minimum(s_grid, t_grid)  # (N+1, N+1)
         # nodes r = m/2 * (gx + 1), weights m/2 * gw
         inner = np.zeros_like(m)
-        for k in range(self.gauss_order):
+        for k in range(_GAUSS_ORDER):
             r = 0.5 * m * (gx[k] + 1.0)
             inner += 0.5 * m * gw[k] * d.pdf(s_grid - r) * d.pdf(t_grid - r)
 
@@ -185,9 +186,7 @@ class AssembledKernel:
         return self.sigma**2 * (S + Sadj - Sadj @ S)
 
 
-def assemble_kernel(
-    pm: ModelParams, d: ServiceDist, T: float, n_steps: int, gauss_order: int = 40
-) -> AssembledKernel:
+def assemble_kernel(pm: ModelParams, d: ServiceDist, T: float, n_steps: int) -> AssembledKernel:
     """Build the shift operator on [0, T]; the nodal matrix waits until read."""
     return AssembledKernel(
         shift=ShiftOperator.build(d, T, n_steps),
@@ -195,17 +194,10 @@ def assemble_kernel(
         sigma=pm.sigma,
         horizon=T,
         n_steps=n_steps,
-        gauss_order=gauss_order,
     )
 
 
-def solve_p(
-    h: GridPath,
-    kernel: AssembledKernel,
-    pm: ModelParams,
-    tol: float = 1e-12,
-    max_iter: int = 400,
-) -> tuple[GridPath, dict]:
+def solve_p(h: GridPath, kernel: AssembledKernel, pm: ModelParams, tol: float = 1e-12) -> tuple[GridPath, dict]:
     """Solve (mu + sigma^2) p = h + K p for the adjoint by conjugate gradients.
 
     The operator mu p + sigma^2 (I - S*)(I - S) p equals (mu + sigma^2) p - K p
@@ -228,7 +220,7 @@ def solve_p(
     direction = r.copy()
     rr = float(w @ r**2)
     iters = 0
-    while np.max(np.abs(r)) > target and iters < max_iter:
+    while np.max(np.abs(r)) > target and iters < _CG_MAX_ITER:
         iters += 1
         Ad = op(direction)
         alpha = rr / float(w @ (direction * Ad))

@@ -1,17 +1,20 @@
-"""Picard solvers for the linear and nonlinear renewal equations.
+"""Exact forward-march solvers for the linear and nonlinear renewal equations.
 
-The nonlinear equation g(t) = f(t) + int_0^t g(t-s)^+ dF(s) is solved by the
-iteration g_0 = f, g_k = f + int g_{k-1}^+ dF.  Plain Picard contracts with
-factor F(T), so for horizons where F(T) is close to 1 the grid is processed in
-windows [0, t0], [t0, 2*t0], ... on which the unresolved mass F(window) stays
-below 1/2; earlier windows are frozen while a window iterates.
+The nonlinear equation g(t) = f(t) + int_0^t g(t-s)^+ dF(s) is discretised by
+the trapezoid rule on the grid of f.  The discrete system is lower triangular:
+the unknown g_i enters its own equation only through the s = 0 term, with
+weight alpha = dt F'(0)/2.  So each node solves g_i = c_i + alpha g_i^+ in
+closed form, where c_i is the known history sum over nodes 0..i-1:
+g_i = c_i / (1 - alpha) if c_i > 0 (or in the linear equation), else g_i = c_i.
+One march from node 0 to node N solves the discrete equations to round-off.
+alpha >= 1 is an error: the grid is too coarse for the law, and the nonlinear
+node equation then has no solution or two.  The tolerance tol only bounds the
+final sup-norm residual, by max(10 tol, 1e-9).
 
 The theory assumes f absolutely continuous; grid samples with jumps are
 accepted as-is, at the cost of first-order accuracy near the jump.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -22,53 +25,49 @@ __all__ = ["solve_linear", "solve_nonlinear", "RenewalConvergenceError"]
 
 
 class RenewalConvergenceError(RuntimeError):
-    """Raised when the Picard iteration budget is exhausted.
+    """Raised when the renewal march cannot solve the discrete equations.
 
-    Carries the achieved sup-norm residual so callers never act on silently
-    wrong values.
+    Carries the sup-norm residual of the discrete equations and the number of
+    nodes marched, so callers never act on silently wrong values.
     """
 
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(f"renewal Picard did not converge: residual {residual:.3e} after {iterations} iterations")
+    def __init__(self, residual: float, iterations: int, reason: str | None = None):
+        super().__init__(
+            reason or f"renewal march residual {residual:.3e} exceeds tolerance after {iterations} nodes"
+        )
         self.residual = residual
         self.iterations = iterations
 
 
 def _solve(f: GridPath, d: ServiceDist, positive_part: bool, tol: float) -> GridPath:
     n = f.n_steps
-    dt = f.dt
+    fv = f.values
     fprime = d.pdf(f.times)
-    g = f.values.copy()
+    w = f.dt * fprime  # the trapezoid halves the end terms
+    alpha = 0.5 * float(w[0])
+    if not alpha < 1.0:
+        raise RenewalConvergenceError(
+            float("nan"), 0, f"renewal march impossible: dt F'(0)/2 = {alpha:.3e} >= 1; refine the grid"
+        )
 
-    # window length: unresolved service mass within a window at most 1/2
-    t0 = min(f.horizon, d.ppf(0.5))
-    win = max(1, int(math.floor(t0 / dt)))
-    contraction = max(float(d.cdf(win * dt)), 1e-6)
-    max_iter = 10 * max(1, math.ceil(math.log(tol) / math.log(contraction)))
-
-    total_iters = 0
-    for start in range(1, n + 1, win):
-        stop = min(start + win, n + 1)
-        for _ in range(max_iter):
-            total_iters += 1
-            arg = np.maximum(g, 0.0) if positive_part else g
-            conv = conv_trap(arg, fprime, dt)
-            new_tail = f.values[start:stop] + conv[start:stop]
-            change = float(np.max(np.abs(new_tail - g[start:stop])))
-            g[start:stop] = new_tail
-            if change <= tol:
-                break
+    # a = g^+ (nonlinear) or g (linear).  c_i = f_i + w_i a_0 / 2 + sum_{j=1}^{i-1} w_{i-j} a_j,
+    # and rev[n - k] = w_k makes the history sum one contiguous dot product
+    g = np.empty(n + 1)
+    a = np.empty(n + 1)
+    g[0] = fv[0]
+    a[0] = max(fv[0], 0.0) if positive_part else fv[0]
+    known = (fv + 0.5 * w * a[0]).tolist()
+    rev = w[::-1].copy()
+    for i in range(1, n + 1):
+        c = known[i] + float(a[1:i] @ rev[n - i + 1 : n])
+        if c > 0.0 or not positive_part:
+            g[i] = a[i] = c / (1.0 - alpha)
         else:
-            arg = np.maximum(g, 0.0) if positive_part else g
-            res = float(np.max(np.abs(g - f.values - conv_trap(arg, fprime, dt))))
-            raise RenewalConvergenceError(res, total_iters)
-    # node 0 has an empty convolution
-    g[0] = f.values[0]
+            g[i], a[i] = c, 0.0
 
-    arg = np.maximum(g, 0.0) if positive_part else g
-    residual = float(np.max(np.abs(g - f.values - conv_trap(arg, fprime, dt))))
-    if residual > max(10 * tol, 1e-9):
-        raise RenewalConvergenceError(residual, total_iters)
+    residual = float(np.max(np.abs(g - fv - conv_trap(a, fprime, f.dt))))
+    if not residual <= max(10 * tol, 1e-9):
+        raise RenewalConvergenceError(residual, n)
     return GridPath(horizon=f.horizon, values=g)
 
 

@@ -409,19 +409,10 @@ class TailRow:
     censored: bool
 
 
-def mc_tail(
-    pm: ModelParams,
-    d: ServiceDist,
-    regimes: list[ScalingRegime],
-    event: dict,
-    reps: int,
-    seed: int,
-    horizon: float,
-    arrival_family: str = "exponential",
-    arrival_shape: int = 1,
-) -> list[TailRow]:
-    """Monte Carlo tail probabilities under the scaling ladder.
+def mc_tail(traces_by_n: dict, event: dict) -> list[TailRow]:
+    """Monte Carlo tail probabilities over the traces of the scaling ladder.
 
+    traces_by_n maps n to the replications of that rung, as for `lln_check`.
     event: {"kind": "sup" | "terminal", "t": time, "a": level}.  A trend
     diagnostic only: the regime's limiting constants are far beyond what naive
     Monte Carlo can certify, so no threshold ties the estimates to the rate
@@ -431,29 +422,23 @@ def mc_tail(
     if kind not in ("sup", "terminal"):
         raise ValueError(f"unknown event kind {kind!r}")
     rows = []
-    for ridx, sr in enumerate(regimes):
-        scale = sr.scale()
+    for n, traces in traces_by_n.items():
+        b, reps = traces[0].b, len(traces)
+        scale = b * math.sqrt(n)
         hits = 0
-        for _, _, tr in replications(
-            pm, d, [sr], reps, seed + ridx, horizon, arrival_family=arrival_family, arrival_shape=arrival_shape
-        ):
+        for tr in traces:
             if kind == "terminal":
-                x = (int(tr.q_at(t_ev)) - sr.n) / scale
+                x = (int(tr.q_at(t_ev)) - n) / scale
                 hit = x >= a
             else:
                 mask = tr.event_times <= t_ev
-                vals = (tr.q_values[mask] - sr.n) / scale
-                x0 = (tr.q0_count - sr.n) / scale
+                vals = (tr.q_values[mask] - n) / scale
+                x0 = (tr.q0_count - n) / scale
                 hit = max([x0, *vals.tolist()]) >= a
             hits += bool(hit)
         if hits == 0:
-            rows.append(TailRow(sr.n, sr.b, reps, 0, None, None, None, censored=True))
+            rows.append(TailRow(n, b, reps, 0, None, None, None, censored=True))
         else:
             p = hits / reps
-            rows.append(
-                TailRow(
-                    sr.n, sr.b, reps, hits, p, _wilson(hits, reps),
-                    -math.log(p) / sr.b**2, censored=False,
-                )
-            )
+            rows.append(TailRow(n, b, reps, hits, p, _wilson(hits, reps), -math.log(p) / b**2, censored=False))
     return rows

@@ -1,8 +1,18 @@
+import time
+import warnings
+
 import numpy as np
 import pytest
 
 from mdqueue import GridPath, ServiceDist, solve_linear, solve_nonlinear
+from mdqueue.grids import conv_trap
 from mdqueue.renewal import RenewalConvergenceError
+
+LAWS = {
+    "exponential": ServiceDist.exponential(1.0),
+    "erlang": ServiceDist.erlang(3, 3.0),
+    "hyperexponential": ServiceDist.hyperexponential([0.5, 0.5], [0.5, 2.0]),
+}
 
 
 def test_linear_constant_forcing_exponential():
@@ -48,7 +58,7 @@ def test_monotone_in_forcing():
 
 
 def test_long_horizon_windowing():
-    # F(T) ~ 1 at T = 20; plain Picard would contract impossibly slowly
+    # F(T) ~ 1 at T = 20: almost all of g comes from the history sum
     d = ServiceDist.exponential(1.0)
     n = 2000
     f = GridPath(20.0, np.ones(n + 1))
@@ -71,8 +81,6 @@ def test_grid_refinement_converges():
 
 
 def test_residual_definition():
-    from mdqueue.grids import conv_trap
-
     d = ServiceDist.erlang(3, 3.0)
     t = np.linspace(0.0, 2.0, 201)
     f = GridPath(2.0, np.sin(t))
@@ -86,3 +94,35 @@ def test_convergence_error_carries_residual():
     assert err.residual == 0.5
     assert err.iterations == 12
     assert "0.5" in str(err) or "5.000e-01" in str(err)
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("positive_part", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 401])
+def test_march_solves_discrete_equations(law, positive_part, n):
+    # f crosses zero, so the nonlinear march takes both closed-form branches
+    d = LAWS[law]
+    t = np.linspace(0.0, 2.0, n + 1)
+    f = GridPath(2.0, np.sin(3.0 * t) - 0.2)
+    g = (solve_nonlinear if positive_part else solve_linear)(f, d).values
+    arg = np.maximum(g, 0.0) if positive_part else g
+    res = np.max(np.abs(g - f.values - conv_trap(arg, d.pdf(t), f.dt)))
+    assert res <= 1e-13 * max(1.0, np.max(np.abs(g)))
+
+
+def test_march_rejects_alpha_at_least_one_at_once():
+    # dt F'(0)/2 = 0.5 * 10 / 2 = 2.5: the node equations have no unique solution
+    f = GridPath(1.0, np.ones(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RenewalConvergenceError, match=r"dt F'\(0\)/2") as info:
+            solve_nonlinear(f, ServiceDist.exponential(10.0))
+    assert info.value.iterations == 0
+
+
+def test_march_long_grid_is_fast():
+    d = LAWS["hyperexponential"]
+    t = np.linspace(0.0, 2.0, 10_001)
+    start = time.perf_counter()
+    solve_nonlinear(GridPath(2.0, np.sin(3.0 * t) - 0.2), d)
+    assert time.perf_counter() - start < 1.0

@@ -19,6 +19,7 @@ from mdqueue import (
     simulate,
     spawn_streams,
 )
+from mdqueue.sim import replications
 
 
 @pytest.fixture(scope="module")
@@ -178,10 +179,17 @@ def test_interarrival_ks(pm):
     assert kstest(gaps * lam, "expon").pvalue > 0.01
 
 
+def _traces_by_n(pm, d, regimes, reps, seed, horizon):
+    traces_by_n = {}
+    for sr, _, tr in replications(pm, d, regimes, reps, seed, horizon):
+        traces_by_n.setdefault(sr.n, []).append(tr)
+    return traces_by_n
+
+
 def test_mc_tail_rows(pm):
     d = ServiceDist.exponential(1.0)
     regimes = [ScalingRegime(n=n, rule=("power", 0.25), beta=0.5) for n in (10, 50)]
-    rows = mc_tail(pm, d, regimes, {"kind": "sup", "t": 1.0, "a": 0.2}, reps=40, seed=5, horizon=1.0)
+    rows = mc_tail(_traces_by_n(pm, d, regimes, reps=40, seed=5, horizon=1.0), {"kind": "sup", "t": 1.0, "a": 0.2})
     assert len(rows) == 2
     for r in rows:
         assert r.reps == 40
@@ -197,7 +205,7 @@ def test_mc_tail_rows(pm):
 def test_mc_tail_impossible_event_censored(pm):
     d = ServiceDist.exponential(1.0)
     regimes = [ScalingRegime(n=10, rule=("power", 0.25), beta=0.5)]
-    rows = mc_tail(pm, d, regimes, {"kind": "terminal", "t": 0.5, "a": 1e9}, reps=10, seed=5, horizon=1.0)
+    rows = mc_tail(_traces_by_n(pm, d, regimes, reps=10, seed=5, horizon=1.0), {"kind": "terminal", "t": 0.5, "a": 1e9})
     assert rows[0].censored
 
 
