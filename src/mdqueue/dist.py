@@ -144,6 +144,12 @@ class ServiceDist:
     def survival(self, x):
         return 1.0 - self.cdf(x)
 
+    def phases(self) -> list[tuple[float, float, int]]:
+        """(w, lam, k) per term of 1 - F(x) = sum w e^{-lam x} sum_{m < k} (lam x)^m / m!."""
+        if self.family == "hyperexponential":
+            return [(float(w), float(lam), 1) for w, lam in zip(self.weights, self.rates)]
+        return [(1.0, float(self.rates[0]), self.shape)]
+
     # -- stationary excess (equilibrium) law -------------------------------
 
     def eq_cdf(self, x):

@@ -281,37 +281,42 @@ class DecompositionReport:
         return float(np.max(np.abs(self.residual))) if len(self.residual) else 0.0
 
 
-# elements per block of the (grid rows x service starts) lag sum in decomposition
-_LAG_BLOCK = 1 << 20
-
-
 def _theta_sums(d: ServiceDist, t: np.ndarray, tau: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """sum_{tau_j <= t_i} (1{tau_j + eta_j <= t_i} - F(t_i - tau_j)) for nondecreasing
-    t and tau, in row blocks of at most _LAG_BLOCK elements.
-
-    A block of rows reads only the starts up to its last node: a later start
-    adds 0 - F(0) = 0 to an earlier row.  Summing the centred terms, rather than
-    subtracting two sums of size n, keeps the round-off at that of the result.
-    """
-    counts = np.searchsorted(tau, t, side="right")
-    done_at = tau + eta
-    rows = max(1, _LAG_BLOCK // max(len(tau), 1))
-    out = np.zeros(len(t))
-    for i in range(0, len(t), rows):
-        block = t[i : i + rows, None]
-        cols = counts[i + len(block) - 1]
-        lag_f = d.cdf(np.maximum(block - tau[None, :cols], 0.0))
-        out[i : i + rows] = np.sum((done_at[None, :cols] <= block) - lag_f, axis=1)
-    return out
+    """sum_{tau_j <= t_i} (1{tau_j + eta_j <= t_i} - F(t_i - tau_j)) for nondecreasing t and
+    tau, in O(n + N k^2) time: #done_by(t_i) - #started_by(t_i) + sum_{tau_j <= t_i} S(t_i - tau_j),
+    where S = 1 - F sums w e^{-lam x} (lam x)^m / m! over `ServiceDist.phases` and m < k.  Per
+    phase, the sums A_m of those terms move from t_{i-1} to t_i by the binomial shift A_m <-
+    e^{-lam h} sum_{r <= m} A_r (lam h)^{m-r} / (m-r)!, h = t_i - t_{i-1}, then gain the starts
+    in (t_{i-1}, t_i]; a start on a node belongs to it and adds S(0) = 1."""
+    done = np.searchsorted(np.sort(tau + eta), t, side="right")
+    started = np.searchsorted(tau, t, side="right")
+    cell = np.searchsorted(t, tau, side="left")
+    live = cell < len(t)  # starts after the last node reach no row
+    cell, tau = cell[live], tau[live]
+    h = np.diff(t, prepend=t[0])
+    surv = np.zeros(len(t))
+    for w, lam, k in d.phases():
+        x, y = lam * (t[cell] - tau), lam * h
+        term, step = np.exp(-x), np.exp(-y)
+        fresh, shift = np.empty((len(t), k)), np.empty((len(t), k))
+        for m in range(k):
+            fresh[:, m] = np.bincount(cell, weights=term, minlength=len(t))
+            shift[:, m] = step
+            term, step = term * x / (m + 1), step * y / (m + 1)
+        a = np.zeros(k)
+        for i in range(len(t)):
+            a = np.convolve(a, shift[i])[:k] + fresh[i]
+            surv[i] += w * a.sum()
+    return (done - started) + surv
 
 
 def decomposition(trace: QueueTrace, d: ServiceDist, n_steps: int) -> DecompositionReport:
     """Rebuild the decomposition from event data and evaluate its defect.
 
-    All terms except the two convolutions are computed exactly from events;
-    the residual therefore isolates the trapezoid error of the convolutions,
-    which shrinks like dt.  quadrature_bound is the a-priori total-variation
-    bound on that error for this trace and grid.
+    All terms except the two convolutions are computed exactly from events, up
+    to round-off; the residual therefore isolates the trapezoid error of the
+    convolutions, which shrinks like dt.  quadrature_bound is the a-priori
+    total-variation bound on that error for this trace and grid.
     """
     mu = d.mu
     scale = trace.b * math.sqrt(trace.n)
@@ -329,7 +334,7 @@ def decomposition(trace: QueueTrace, d: ServiceDist, n_steps: int) -> Decomposit
     fprime = d.pdf(t)
     H = Y - conv_trap(Y, fprime, dt) if T > 0 else np.zeros(1)
 
-    # Theta: exact sum over service starts
+    # Theta: exact sum over service starts, by the phase recursion
     Theta = -_theta_sums(d, t, trace.tau_hat, trace.eta) / scale
 
     conv_Xplus = conv_trap(np.maximum(X, 0.0), fprime, dt) if T > 0 else np.zeros(1)
@@ -431,10 +436,9 @@ def mc_tail(traces_by_n: dict, event: dict) -> list[TailRow]:
                 x = (int(tr.q_at(t_ev)) - n) / scale
                 hit = x >= a
             else:
-                mask = tr.event_times <= t_ev
-                vals = (tr.q_values[mask] - n) / scale
-                x0 = (tr.q0_count - n) / scale
-                hit = max([x0, *vals.tolist()]) >= a
+                # x -> (x - n) / scale is monotone, so it commutes with the max
+                top = np.max(tr.q_values[tr.event_times <= t_ev], initial=tr.q0_count)
+                hit = (int(top) - n) / scale >= a
             hits += bool(hit)
         if hits == 0:
             rows.append(TailRow(n, b, reps, 0, None, None, None, censored=True))

@@ -174,3 +174,30 @@ def test_constructor_validation():
         ServiceDist.erlang(0, 1.0)
     with pytest.raises(ValueError):
         ServiceDist.hyperexponential([0.5, 0.6], [1.0, 2.0])  # weights don't sum to 1
+
+
+@pytest.mark.parametrize(
+    "d",
+    [ServiceDist.erlang(k, 1.7) for k in range(1, 7)]
+    + [
+        ServiceDist.exponential(1.3),
+        ServiceDist.hyperexponential([0.4, 0.6], [0.5, 2.0]),
+        ServiceDist.hyperexponential([0.1, 0.3, 0.6], [0.25, 1.0, 2.5]),
+    ],
+    ids=lambda d: f"{d.family}{d.shape if d.family == 'erlang' else len(d.rates)}",
+)
+def test_phases_sum_to_survival(d):
+    x = np.linspace(0.0, 30.0, 3001)
+    surv = np.zeros_like(x)
+    for w, lam, k in d.phases():
+        term = np.exp(-lam * x)
+        for m in range(k):
+            surv += w * term
+            term = term * lam * x / (m + 1)
+    assert np.allclose(surv, 1.0 - d.cdf(x), rtol=0.0, atol=1e-14)
+
+
+def test_phases_terms():
+    assert ServiceDist.exponential(1.3).phases() == [(1.0, 1.3, 1)]
+    assert ServiceDist.erlang(3, 3.0).phases() == [(1.0, 3.0, 3)]
+    assert ServiceDist.hyperexponential([0.4, 0.6], [0.5, 2.0]).phases() == [(0.4, 0.5, 1), (0.6, 2.0, 1)]

@@ -19,7 +19,7 @@ from mdqueue import (
     simulate,
     spawn_streams,
 )
-from mdqueue.sim import replications
+from mdqueue.sim import _theta_sums, replications
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +209,40 @@ def test_mc_tail_impossible_event_censored(pm):
     assert rows[0].censored
 
 
+def _old_sup_hits(traces, t_ev, a):
+    """The sup-event hit count of the list-based expression mc_tail used before."""
+    hits = 0
+    for tr in traces:
+        scale = tr.b * math.sqrt(tr.n)
+        vals = (tr.q_values[tr.event_times <= t_ev] - tr.n) / scale
+        x0 = (tr.q0_count - tr.n) / scale
+        hits += bool(max([x0, *vals.tolist()]) >= a)
+    return hits
+
+
+def test_mc_tail_sup_matches_list_max():
+    # Q starts at 14 > n = 10, drops to 12, then climbs to 15 at t = 1.5
+    def trace(q0_count):
+        return QueueTrace(
+            n=10, b=1.5, q0_count=q0_count, horizon=2.0, seed_key=(),
+            arrival_times=np.empty(0), tau_hat=np.empty(0), eta=np.empty(0), eta0=np.empty(0),
+            event_times=np.array([0.5, 1.0, 1.5]), q_values=np.array([13, 12, 15]),
+        )
+
+    traces = [trace(14), trace(11)]
+    scale = 1.5 * math.sqrt(10)
+    cases = [
+        (0.2, 4 / scale),  # before the first event: only q0_count counts, and hits exactly
+        (0.2, 1 / scale),  # before the first event, hit by both traces
+        (1.2, 4 / scale),  # hit only by q0_count = 14
+        (1.2, 4 / scale + 1e-12),
+        (2.0, 5 / scale),  # hit only by the event at 1.5
+        (2.0, 6 / scale),
+    ]
+    hits = [mc_tail({10: traces}, {"kind": "sup", "t": t, "a": a})[0].hits for t, a in cases]
+    assert hits == [_old_sup_hits(traces, t, a) for t, a in cases] == [1, 2, 1, 0, 2, 0]
+
+
 def test_simulate_rejects_negative_horizon(pm):
     d = ServiceDist.exponential(1.0)
     sr = ScalingRegime(n=10, rule=("power", 0.25), beta=0.5)
@@ -342,20 +376,97 @@ def _dense_theta(trace: QueueTrace, d: ServiceDist, n_steps: int) -> np.ndarray:
     return -np.sum(started * (done - lag_f), axis=1) / (trace.b * np.sqrt(trace.n))
 
 
-@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
-def test_decomposition_theta_matches_dense_formula(d, monkeypatch):
+@pytest.mark.parametrize(
+    "d",
+    [pytest.param(d, id=d.family) for d in LAWS]
+    + [
+        pytest.param(ServiceDist.erlang(5, 5.0), id="erlang5"),
+        pytest.param(ServiceDist.hyperexponential([0.1, 0.3, 0.6], [0.25, 1.0, 2.5]), id="hyperexponential3"),
+    ],
+)
+def test_decomposition_theta_matches_dense_formula(d):
     pm = ModelParams(d.mu, 1.0, 0.5, 0.3)
     sr = ScalingRegime(n=40, rule=("power", 0.25), beta=0.5)
     tr = simulate(pm, d, sr, 2.0, np.random.default_rng(3))
     want = _dense_theta(tr, d, 100)
     assert np.allclose(decomposition(tr, d, 100).Theta, want, rtol=1e-12, atol=1e-14)
-    # blocks of 7 rows, each reading only the starts up to its last node
-    monkeypatch.setattr("mdqueue.sim._LAG_BLOCK", 7 * len(tr.tau_hat))
-    assert np.allclose(decomposition(tr, d, 100).Theta, want, rtol=1e-12, atol=1e-14)
+
+
+class _ZeroResiduals(_UnitServices):
+    """Unit services, but the initially busy servers free up at t = 0."""
+
+    def sample_equilibrium(self, rng, size):
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize("stub", [_UnitServices(), _ZeroResiduals()], ids=["unit", "zero_residual"])
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_decomposition_theta_starts_on_nodes(d, stub):
+    # every start falls on a node of the 0.25-spaced grid: the queued customers
+    # start at t = 0 (zero residuals) or t = 1, and the last at t = 2 = horizon
+    pm = ModelParams(1.0, 1.0, 0.5, 0.8)
+    sr = ScalingRegime(n=3, rule=("power", 0.25), beta=0.5)
+    tr = simulate(pm, stub, sr, 2.0, _QuarterGaps())
+    t = np.linspace(0.0, 2.0, 9)
+    assert np.all(np.isin(tr.tau_hat, t))
+    assert tr.tau_hat[-1] == 2.0
+    assert (tr.tau_hat[0] == 0.0) == isinstance(stub, _ZeroResiduals)
+    want = _dense_theta(tr, d, 8)
+    assert np.allclose(decomposition(tr, d, 8).Theta, want, rtol=1e-12, atol=1e-14)
+
+
+def _longdouble_lag_sum(d: ServiceDist, t: float, tau: np.ndarray, eta: np.ndarray) -> float:
+    """sum_{tau_j <= t} (1{tau_j + eta_j <= t} - F(t - tau_j)), term by term in long double."""
+    started = tau <= t
+    x = np.longdouble(t) - tau[started].astype(np.longdouble)
+    done = (tau + eta)[started] <= t
+    if d.family == "exponential":
+        cdf = -np.expm1(-np.longdouble(d.rates[0]) * x)
+    elif d.family == "erlang":
+        y = np.longdouble(d.rates[0]) * x
+        term, surv = np.ones_like(y), np.ones_like(y)
+        for m in range(1, d.shape):
+            term = term * y / m
+            surv = surv + term
+        cdf = 1 - np.exp(-y) * surv
+    else:
+        cdf = sum(np.longdouble(w) * -np.expm1(-np.longdouble(lam) * x) for w, lam in zip(d.weights, d.rates))
+    return float(np.sum(done - cdf))
+
+
+@pytest.fixture(scope="module")
+def traces_1e5(pm):
+    # one horizon-1 path at n = 1e5 per law; every law in LAWS has mean 1
+    sr = ScalingRegime(n=100_000, rule=("power", 0.25), beta=0.5)
+    return {d.family: simulate(pm, d, sr, 1.0, np.random.default_rng(8)) for d in LAWS}
+
+
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_theta_sums_match_longdouble_at_n1e5(d, traces_1e5):
+    # the counts cancel against survival sums of order 1e5, so the unscaled
+    # sums carry round-off of order 1e-10; 2e-9 is the bound
+    tr = traces_1e5[d.family]
+    t = np.linspace(0.0, 1.0, 401)
+    got = _theta_sums(d, t, tr.tau_hat, tr.eta)
+    for i in np.linspace(0, 400, 9).astype(int):
+        want = _longdouble_lag_sum(d, t[i], tr.tau_hat, tr.eta)
+        assert abs(got[i] - want) <= 2e-9, (i, got[i], want)
+
+
+def test_decomposition_n1e5_erlang_time_bound(traces_1e5):
+    # the phase recursion costs O(n + N k^2): Erlang(3, 3) at 401 nodes x ~10^5
+    # starts takes about 0.01 s on a 2-core x86 machine; 1 s is the bound
+    d = LAWS[1]
+    tr = traces_1e5[d.family]
+    t0 = time.perf_counter()
+    rep = decomposition(tr, d, 400)
+    elapsed = time.perf_counter() - t0
+    assert rep.sup_residual <= 1e-8 + rep.quadrature_bound
+    assert elapsed < 1.0, f"Erlang(3, 3) decomposition at n = 1e5, 400 steps took {elapsed:.2f} s"
 
 
 def test_decomposition_n1e5_time_bound(pm):
-    # 401 grid nodes x ~10^5 service starts: blocked lag sums and searchsorted
+    # 401 grid nodes x ~10^5 service starts: the phase recursion and searchsorted
     # counts take well under a second on a 2-core x86 machine; 10 s is the bound
     d = ServiceDist.exponential(1.0)
     sr = ScalingRegime(n=100_000, rule=("power", 0.25), beta=0.5)
