@@ -8,7 +8,6 @@ decomposition and law-of-large-numbers diagnostics.
 
 from .dist import ServiceDist
 from .fredholm import (
-    AssembledKernel,
     FredholmError,
     RateResult,
     assemble_kernel,
@@ -64,7 +63,6 @@ __all__ = [
     "solve_linear",
     "solve_nonlinear",
     "RenewalConvergenceError",
-    "AssembledKernel",
     "RateResult",
     "FredholmError",
     "forcing",

@@ -1,16 +1,17 @@
 """Service-time distribution families with exact cdf/pdf and stationary-excess laws.
 
 Supported families all have analytic cdf and density: exponential, Erlang and
-hyperexponential mixtures.  Tabulated or atomic distributions are rejected by
-construction; the downstream solvers need F' everywhere and a strictly
-increasing F for the inverse maps.
+hyperexponential mixtures.  Each is a mixture of Erlang terms of one shape, so
+one closed form gives F, F' and F0 for all of them.  Tabulated or atomic
+distributions are rejected by construction; the downstream solvers need F'
+everywhere and a strictly increasing F for the inverse maps.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc
 
 __all__ = ["ServiceDist"]
 
@@ -30,6 +31,11 @@ def _probabilities(p) -> np.ndarray:
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("probability must be in [0, 1]")
     return p
+
+
+def _mix(coef: np.ndarray, branches: np.ndarray):
+    """sum_i coef_i branches[i], over the mixture branches on axis 0."""
+    return np.sum(coef.reshape(coef.shape + (1,) * (branches.ndim - 1)) * branches, axis=0)
 
 
 def _as_input(x: np.ndarray):
@@ -64,8 +70,13 @@ class ServiceDist:
             raise ValueError("shape must be an integer >= 1")
         if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to 1")
-        if self.family == "hyperexponential" and len(self.rates) != len(self.weights):
+        if len(self.rates) != len(self.weights):
             raise ValueError("weights and rates must have equal length")
+        # the closed forms read only the phase table; ppf and sampling also read the family
+        if self.family != "erlang" and self.shape != 1:
+            raise ValueError(f"{self.family} law must have shape 1")
+        if self.family != "hyperexponential" and len(self.rates) != 1:
+            raise ValueError(f"{self.family} law must have a single rate")
 
     # -- constructors ------------------------------------------------------
 
@@ -102,11 +113,7 @@ class ServiceDist:
 
     @property
     def mean(self) -> float:
-        if self.family == "exponential":
-            return 1.0 / self.rates[0]
-        if self.family == "erlang":
-            return self.shape / self.rates[0]
-        return float(np.sum(self.weights / self.rates))
+        return float(np.sum(self.weights * self.shape / self.rates))
 
     @property
     def mu(self) -> float:
@@ -114,59 +121,43 @@ class ServiceDist:
         return 1.0 / self.mean
 
     # -- cdf / pdf ---------------------------------------------------------
+    # Every family is the mixture sum_i w_i Erlang(k, lam_i) over the phase
+    # table (weights, rates, shape).
+
+    def _erlang_cdfs(self, x: np.ndarray) -> list[np.ndarray]:
+        """[E_1, ..., E_k] at y = lam_i x, E_j the Erlang(j) cdf.
+
+        E_1(y) = -expm1(-y) and E_{j+1}(y) = E_j(y) - e^{-y} y^j / j!, the
+        Poisson sum built up one term at a time.
+        """
+        y = np.multiply.outer(self.rates, x)
+        cdfs = [-np.expm1(-y)]
+        term = np.exp(-y)
+        for j in range(1, self.shape):
+            term = term * y / j
+            cdfs.append(cdfs[-1] - term)
+        return cdfs
 
     def cdf(self, x):
-        x = _check_nonneg(x)
-        if self.family == "exponential":
-            return -np.expm1(-self.rates[0] * x)
-        if self.family == "erlang":
-            return gammainc(self.shape, self.rates[0] * x)
-        return np.sum(self.weights[:, None] * -np.expm1(-np.outer(self.rates, np.atleast_1d(x))), axis=0).reshape(np.shape(x))
+        return _mix(self.weights, self._erlang_cdfs(_check_nonneg(x))[-1])
 
     def pdf(self, x):
-        x = _check_nonneg(x)
-        if self.family == "exponential":
-            lam = self.rates[0]
-            return lam * np.exp(-lam * x)
-        if self.family == "erlang":
-            lam, k = self.rates[0], self.shape
-            from scipy.special import gammaln
-
-            logpdf = k * np.log(lam) + np.where(x > 0, (k - 1) * np.log(np.maximum(x, 1e-300)), 0.0) - lam * x - gammaln(k)
-            dens = np.exp(logpdf)
-            if k > 1:
-                dens = np.where(x > 0, dens, 0.0)
-            return dens
-        return np.sum(
-            (self.weights * self.rates)[:, None] * np.exp(-np.outer(self.rates, np.atleast_1d(x))), axis=0
-        ).reshape(np.shape(x))
+        y = np.multiply.outer(self.rates, _check_nonneg(x))
+        k = self.shape
+        return _mix(self.weights * self.rates, np.exp(-y) * y ** (k - 1) / math.factorial(k - 1))
 
     def survival(self, x):
         return 1.0 - self.cdf(x)
 
     def phases(self) -> list[tuple[float, float, int]]:
         """(w, lam, k) per term of 1 - F(x) = sum w e^{-lam x} sum_{m < k} (lam x)^m / m!."""
-        if self.family == "hyperexponential":
-            return [(float(w), float(lam), 1) for w, lam in zip(self.weights, self.rates)]
-        return [(1.0, float(self.rates[0]), self.shape)]
+        return [(float(w), float(lam), self.shape) for w, lam in zip(self.weights, self.rates)]
 
     # -- stationary excess (equilibrium) law -------------------------------
 
     def eq_cdf(self, x):
-        """F0(x) = mu * int_0^x (1 - F(y)) dy, in closed form per family."""
-        x = _check_nonneg(x)
-        if self.family == "exponential":
-            return self.cdf(x)
-        if self.family == "erlang":
-            lam, k = self.rates[0], self.shape
-            acc = 0.0
-            for j in range(1, k + 1):
-                acc = acc + gammainc(j, lam * x)
-            return acc / k
-        integr = np.sum(
-            (self.weights / self.rates)[:, None] * -np.expm1(-np.outer(self.rates, np.atleast_1d(x))), axis=0
-        ).reshape(np.shape(x))
-        return self.mu * integr
+        """F0(x) = mu * int_0^x (1 - F(y)) dy = mu sum_i (w_i / lam_i) sum_{j <= k} E_j(lam_i x)."""
+        return self.mu * _mix(self.weights / self.rates, sum(self._erlang_cdfs(_check_nonneg(x))))
 
     def eq_pdf(self, x):
         """F0'(x) = mu * (1 - F(x)); bounded by mu."""
@@ -206,7 +197,9 @@ class ServiceDist:
             d = dfn(xa)
             with np.errstate(divide="ignore", invalid="ignore"):
                 x_new = xa - np.where(d > 0, fx / d, np.inf)
-            x_new = np.where((la < x_new) & (x_new < ha), x_new, 0.5 * (la + ha))
+            # a converged Newton step stands even when round-off puts it on the bracket
+            keep = ((la < x_new) & (x_new < ha)) | (np.abs(x_new - xa) < _INV_TOL)
+            x_new = np.where(keep, x_new, 0.5 * (la + ha))
             converged = np.abs(x_new - xa) < _INV_TOL
             xi[active], lo[active], hi[active] = x_new, la, ha
             active[active] = ~converged

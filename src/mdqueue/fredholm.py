@@ -4,10 +4,8 @@ controls."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .dist import ServiceDist
 from .grids import GridField2D, GridPath, conv_trap, trap_weights
@@ -15,7 +13,6 @@ from .paths import ControlSet, ModelParams, drift, energy
 from .renewal import solve_nonlinear
 
 __all__ = [
-    "AssembledKernel",
     "ShiftOperator",
     "RateResult",
     "FredholmError",
@@ -32,7 +29,6 @@ __all__ = [
 
 _ZERO_CLAMP = 1e-10
 _SIGN_EPS = 1e-12
-_GAUSS_ORDER = 40  # Gauss-Legendre nodes of the inner integral in AssembledKernel.matrix
 _CG_MAX_ITER = 400  # iteration budget of the adjoint CG solve
 
 
@@ -112,14 +108,6 @@ class ShiftOperator:
     n_fft: int
     weights: np.ndarray
 
-    @classmethod
-    def build(cls, d: ServiceDist, T: float, n_steps: int) -> "ShiftOperator":
-        dt = T / n_steps
-        g = dt * d.pdf(np.linspace(0.0, T, n_steps + 1))
-        g[0] *= 0.5
-        n_fft = 1 << (2 * n_steps).bit_length()
-        return cls(np.fft.rfft(g, n_fft), n_fft, trap_weights(n_steps + 1, dt))
-
     def _convolve(self, u: np.ndarray) -> np.ndarray:
         """First len(u) entries of the linear convolution g * u."""
         return np.fft.irfft(self.lag_fft * np.fft.rfft(u, self.n_fft), self.n_fft)[: len(u)]
@@ -141,63 +129,22 @@ class ShiftOperator:
         return out / self.weights
 
 
-@dataclass(frozen=True)
-class AssembledKernel:
-    """Discretized Fredholm data on [0, T]: the shift operator S of the
-    symmetric kernel K(s,t) = sigma^2 (F'(|s-t|) - int_0^{s^t} F'(s-r) F'(t-r) dr).
+def assemble_kernel(d: ServiceDist, T: float, n_steps: int) -> ShiftOperator:
+    """The shift operator S on [0, T] that carries the Fredholm kernel
+    K(s,t) = sigma^2 (F'(|s-t|) - int_0^{s^t} F'(s-r) F'(t-r) dr).
 
-    The solver applies K through S (sigma^2 (S + S* - S* S) in the weighted
-    inner product) so that the linear system is exactly the stationarity
-    condition of the discrete dual objective.  The nodal matrix of K is
-    computed only when `matrix` is read.
+    The solver applies K as sigma^2 (S + S* - S* S) in the weighted inner
+    product, so that the linear system is exactly the stationarity condition
+    of the discrete dual objective; K is never formed.
     """
-
-    shift: ShiftOperator
-    dist: ServiceDist
-    sigma: float
-    horizon: float
-    n_steps: int
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """K at node pairs; the inner int_0^{s^t} F'F' dr uses Gauss-Legendre
-        quadrature, exact to roundoff for the analytic families."""
-        d = self.dist
-        t = np.linspace(0.0, self.horizon, self.n_steps + 1)
-        gx, gw = leggauss(_GAUSS_ORDER)
-
-        s_grid = t[:, None]
-        t_grid = t[None, :]
-        m = np.minimum(s_grid, t_grid)  # (N+1, N+1)
-        # nodes r = m/2 * (gx + 1), weights m/2 * gw
-        inner = np.zeros_like(m)
-        for k in range(_GAUSS_ORDER):
-            r = 0.5 * m * (gx[k] + 1.0)
-            inner += 0.5 * m * gw[k] * d.pdf(s_grid - r) * d.pdf(t_grid - r)
-
-        K = self.sigma**2 * (d.pdf(np.abs(s_grid - t_grid)) - inner)
-        return 0.5 * (K + K.T)  # symmetric by construction; remove roundoff skew
-
-    def operator_matrix(self) -> np.ndarray:
-        """Dense sigma^2 (S + S* - S* S), the reference for the matrix-free solve."""
-        S = shift_matrix(self.dist, self.horizon, self.n_steps)
-        w = self.shift.weights
-        Sadj = (S.T * w[None, :]) / w[:, None]
-        return self.sigma**2 * (S + Sadj - Sadj @ S)
+    dt = T / n_steps
+    g = dt * d.pdf(np.linspace(0.0, T, n_steps + 1))
+    g[0] *= 0.5
+    n_fft = 1 << (2 * n_steps).bit_length()
+    return ShiftOperator(np.fft.rfft(g, n_fft), n_fft, trap_weights(n_steps + 1, dt))
 
 
-def assemble_kernel(pm: ModelParams, d: ServiceDist, T: float, n_steps: int) -> AssembledKernel:
-    """Build the shift operator on [0, T]; the nodal matrix waits until read."""
-    return AssembledKernel(
-        shift=ShiftOperator.build(d, T, n_steps),
-        dist=d,
-        sigma=pm.sigma,
-        horizon=T,
-        n_steps=n_steps,
-    )
-
-
-def solve_p(h: GridPath, kernel: AssembledKernel, pm: ModelParams, tol: float = 1e-12) -> tuple[GridPath, dict]:
+def solve_p(h: GridPath, S: ShiftOperator, pm: ModelParams, tol: float = 1e-12) -> tuple[GridPath, dict]:
     """Solve (mu + sigma^2) p = h + K p for the adjoint by conjugate gradients.
 
     The operator mu p + sigma^2 (I - S*)(I - S) p equals (mu + sigma^2) p - K p
@@ -206,7 +153,6 @@ def solve_p(h: GridPath, kernel: AssembledKernel, pm: ModelParams, tol: float = 
     mu > 0.  Iteration stops once the sup-norm residual is at most
     tol * max(1, |h|_inf); a final residual above max(that, 1e-8) is a hard error.
     """
-    S = kernel.shift
     w = S.weights
     hv = h.values
     target = tol * max(1.0, float(np.max(np.abs(hv))))
@@ -244,37 +190,37 @@ def rate_value(p: GridPath, h: GridPath, tol: float = _ZERO_CLAMP) -> float:
     return max(val, 0.0)
 
 
-def dual_value(p: GridPath, h: GridPath, pm: ModelParams, d: ServiceDist) -> float:
+def dual_value(p: GridPath, h: GridPath, pm: ModelParams, S: ShiftOperator) -> float:
     """Concave dual objective int p h - 1/2 (mu int p^2 + int (sigma p - sigma S p)^2).
 
-    Shifts beyond the horizon use p = 0.  At the adjoint this equals the rate
-    value by construction of the discrete saddle problem.
+    S is the `assemble_kernel` operator on the grid of p; shifts beyond the
+    horizon use p = 0.  At the adjoint this equals the rate value by
+    construction of the discrete saddle problem.
     """
-    shift = ShiftOperator.build(d, p.horizon, p.n_steps)
     w = p.weights()
     pv = p.values
     lin = float(w @ (pv * h.values))
     quad_mu = pm.mu * float(w @ pv**2)
-    resid = pm.sigma * (pv - shift.apply(pv))
+    resid = pm.sigma * (pv - S.apply(pv))
     return lin - 0.5 * (quad_mu + float(w @ resid**2))
 
 
 def recover_controls(
-    p: GridPath, pm: ModelParams, d: ServiceDist, n_x: int = 32
+    p: GridPath, pm: ModelParams, d: ServiceDist, S: ShiftOperator, n_x: int = 32
 ) -> ControlSet:
     """Optimal controls from the adjoint:
 
     w0dot(x) = p(F0^{-1}(x)), wdot(t) = sigma (p(t) - int p(t+s) F'(s) ds),
-    kdot(x, t) = p(t/mu + F^{-1}(x)); p vanishes beyond the horizon.
+    kdot(x, t) = p(t/mu + F^{-1}(x)); p vanishes beyond the horizon.  S is
+    the `assemble_kernel` operator on the grid of p.
     """
     T = p.horizon
-    shift = ShiftOperator.build(d, T, p.n_steps)
 
     x_nodes = np.linspace(0.0, 1.0, n_x + 1)
     w0 = np.zeros(n_x + 1)
     below = x_nodes < float(d.eq_cdf(T))
     w0[below] = p.interp(d.eq_ppf(x_nodes[below]))
-    wdot = pm.sigma * (p.values - shift.apply(p.values))
+    wdot = pm.sigma * (p.values - S.apply(p.values))
 
     tau = np.linspace(0.0, pm.mu * T, p.n_steps + 1)
     kdot = np.zeros((n_x + 1, p.n_steps + 1))
@@ -317,11 +263,11 @@ def evaluate_rate(
 ) -> RateResult:
     """Full adjoint pipeline: forcing, kernel, adjoint, rate, dual, controls."""
     h = forcing(q, pm, d)
-    kern = assemble_kernel(pm, d, q.horizon, q.n_steps)
-    p, diag = solve_p(h, kern, pm, tol=tol)
+    S = assemble_kernel(d, q.horizon, q.n_steps)
+    p, diag = solve_p(h, S, pm, tol=tol)
     rate = rate_value(p, h)
-    dual = dual_value(p, h, pm, d)
-    controls = recover_controls(p, pm, d, n_x=n_x)
+    dual = dual_value(p, h, pm, S)
+    controls = recover_controls(p, pm, d, S, n_x=n_x)
     primal = energy(controls)
     gap = primal - rate
     tail_mass = float(1.0 - d.cdf(q.horizon))

@@ -14,6 +14,7 @@ __all__ = [
     "trap_integral",
     "conv_trap",
     "cumtrap",
+    "lags",
 ]
 
 
@@ -37,6 +38,12 @@ def volterra_weights(n_nodes: int, dt: float) -> np.ndarray:
     np.fill_diagonal(tw, dt / 2.0)
     tw[0] = 0.0
     return tw
+
+
+def lags(n: int) -> np.ndarray:
+    """(n, n) index table |i - j|: v[lags(n)] is the symmetric Toeplitz matrix of v."""
+    idx = np.arange(n)
+    return np.abs(idx[:, None] - idx[None, :])
 
 
 def trap_integral(values: np.ndarray, dt: float) -> float:

@@ -6,11 +6,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular, toeplitz
 
 from .dist import ServiceDist
 from .fredholm import FredholmError
-from .grids import GridField2D, GridPath, conv_trap, volterra_weights
+from .grids import GridField2D, GridPath, conv_trap, lags, volterra_weights
 from .paths import ControlSet, LagConstraints, ModelParams, drift
 
 __all__ = ["LagConstraints", "QPSystem", "build_qp", "solve_min_norm", "min_rate_terminal", "TerminalRateResult"]
@@ -65,6 +64,8 @@ def build_qp(
 def solve_min_norm(sys: QPSystem) -> tuple[ControlSet, float]:
     """Minimum-weighted-norm solution u* = W^-1 A' (A W^-1 A')^-1 r via a
     symmetric positive-definite factorization; value = 1/2 ||u*||_W^2."""
+    from scipy.linalg import cho_factor, cho_solve
+
     G = sys.A.gram()
     try:
         lam = cho_solve(cho_factor(G), sys.r)
@@ -102,16 +103,17 @@ def min_rate_terminal(
     horizon: float,
     n_steps: int = 100,
     n_x: int = 16,
-    initial_pattern: np.ndarray | None = None,
-    max_pattern_iters: int = 30,
 ) -> TerminalRateResult:
     """Experimental: minimum of the control energy over paths with q(t) = a.
 
     The positive-part feedback is frozen at an assumed sign pattern, making
     the path affine in the controls; the pattern is recomputed from the
-    resulting path and the solve repeats until the pattern is stable.  Nodes
-    with |q| <= 1e-9 keep their previous label to prevent oscillation.
+    resulting path and the solve repeats until the pattern is stable, for at
+    most 30 solves.  The first pattern is the sign of the drift; nodes with
+    |q| <= 1e-9 keep their previous label to prevent oscillation.
     """
+    from scipy.linalg import solve_triangular
+
     times = np.linspace(0.0, horizon, n_steps + 1)
     dt = horizon / n_steps
     it_idx = int(round(t / dt))
@@ -123,20 +125,13 @@ def min_rate_terminal(
     w = A.weights
 
     # L[i, j] = tw_i[j] F'(t_i - t_j) times the frozen pattern at t_j
-    lagged_fprime = volterra_weights(n_steps + 1, dt) * toeplitz(d.pdf(times))
-    pattern = (
-        np.asarray(initial_pattern, dtype=float)
-        if initial_pattern is not None
-        else (base > 0).astype(float)
-    )
+    lagged_fprime = volterra_weights(n_steps + 1, dt) * d.pdf(times)[lags(n_steps + 1)]
+    pattern = (base > 0).astype(float)
     e_t = np.zeros(n_steps + 1)
     e_t[it_idx] = 1.0
 
-    u = np.zeros(len(w))
-    q_vals = base.copy()
     stable = False
-    iters = 0
-    for iters in range(1, max_pattern_iters + 1):
+    for iters in range(1, 31):
         # q = (I - L)^{-1} (base + B u), B = A with the zero t = 0 row restored
         I_L = np.eye(n_steps + 1) - lagged_fprime * pattern[None, :]
         m_t = solve_triangular(I_L, e_t, lower=True, trans="T")  # row it_idx of (I - L)^{-1}

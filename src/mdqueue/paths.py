@@ -6,10 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .dist import ServiceDist
-from .grids import GridField2D, GridPath, cumtrap, trap_weights, volterra_weights
+from .grids import GridField2D, GridPath, cumtrap, lags, trap_weights, volterra_weights
 from .renewal import solve_nonlinear
 
 __all__ = [
@@ -135,7 +134,7 @@ class LagConstraints:
     a correlation, the same way.  With `zero_mean` the rows wx . w0dot = 0 and
     wx . kdot_j = 0, j = 0..N, follow.  The objective weights W are trapezoid
     weights on [0, 1], [0, T] and [0, 1] x [0, mu T].  Only O(N M) tables are
-    stored; `toarray()` is the dense reference.
+    stored.
 
     `forward_q` and the oracle (`build_qp`, `min_rate_terminal`) both use this
     operator, so the forward map and the QP share one quadrature.
@@ -226,20 +225,6 @@ class LagConstraints:
             u_t[:, 1:] += lam[n:, None] * wx[None, :]
         return np.concatenate([u_w0, u_t[:, 0], u_t[:, 1:].reshape(-1)])
 
-    def toarray(self) -> np.ndarray:
-        """Dense A, row by row from the definition (test reference)."""
-        n, m = self.xw.shape
-        tw = volterra_weights(n, self.dt)
-        lagged = tw[:, :, None] * self._lag_values()[toeplitz(np.arange(n))]  # [i, j] at lag |i - j|
-        A = np.hstack([self.P0, lagged[:, :, 0], lagged[:, :, 1:].reshape(n, n * m)])[1:]
-        if self.zero_mean:
-            wx = self._metric()[0]
-            zm = np.zeros((1 + n, A.shape[1]))
-            zm[0, :m] = wx
-            zm[1:, m + n :] = np.kron(np.eye(n), wx)
-            A = np.vstack([A, zm])
-        return A
-
     def gram(self) -> np.ndarray:
         """G = A W^-1 A^T assembled from the lag tables in O(N^2 M).
 
@@ -267,7 +252,7 @@ class LagConstraints:
         dt2 = self.dt**2
         first = nu[0] * np.outer(tw[:, 0], tw[:, 0]) - dt2  # j = 0
         last = (nu * np.diag(tw))[:, None] * tw.T - dt2  # j = i <= i'
-        G = np.triu(dt2 * D + first * K + last * toeplitz(K[0]))
+        G = np.triu(dt2 * D + first * K + last * K[0][lags(n)])
         G = G + np.triu(G, 1).T
         G = (self.P0 / wx) @ self.P0.T + G
         G = G[1:, 1:]
@@ -277,7 +262,7 @@ class LagConstraints:
         # through the w0dot mass and the kdot x-integral xw[l] . 1 = F(t_l)
         B = np.zeros((n - 1, 1 + n))
         B[:, 0] = self.P0[1:].sum(axis=1)
-        B[:, 1:] = (self.mu / wtau) * tw[1:] * toeplitz(self.xw.sum(axis=1))[1:]
+        B[:, 1:] = (self.mu / wtau) * tw[1:] * self.xw.sum(axis=1)[lags(n)][1:]
         Z = np.diag(np.concatenate([[wx.sum()], wx.sum() / wtau]))
         return np.block([[G, B], [B.T, Z]])
 
@@ -306,13 +291,13 @@ def forward_q(c: ControlSet, pm: ModelParams, d: ServiceDist, tol: float = 1e-10
     return solve_nonlinear(GridPath(c.wdot.horizon, forcing), d, tol=tol)
 
 
-def _log_grid(n_sub: int, u_max: float):
-    u = np.linspace(0.0, u_max, n_sub + 1)
-    x = -np.expm1(-u)  # 1 - e^{-u}
-    return u, x
+def _log_grid(b: GridField2D, u_max: float):
+    """Nodes u on [0, u_max], 8 per x cell of b, and x = 1 - e^{-u}."""
+    u = np.linspace(0.0, u_max, 8 * (b.values.shape[0] - 1) + 1)
+    return u, -np.expm1(-u)
 
 
-def kiefer_from_sheet(b: GridField2D, n_sub: int | None = None) -> GridField2D:
+def kiefer_from_sheet(b: GridField2D) -> GridField2D:
     """Solve k(x,t) = -int_0^x k(y,t)/(1-y) dy + b(x,t) for k given the sheet density.
 
     Uses the explicit solution k(x,t) = (1-x) int_0^x b_y(y,t)/(1-y) dy with
@@ -321,14 +306,12 @@ def kiefer_from_sheet(b: GridField2D, n_sub: int | None = None) -> GridField2D:
     k(1,t) is set to 0, consistent with the x->1 limit for finite-energy
     sheets.  Returns k on the node grid of b.
     """
-    m = b.values.shape[0] - 1
-    n_sub = n_sub or 8 * m
     u_max = max(4.0, -np.log(max(b.dx, 1e-12)) + 8.0)
-    u, xs = _log_grid(n_sub, u_max)
+    u, xs = _log_grid(b, u_max)
 
     # b_y(y, t) = int_0^t bdot(y, s) ds, interpolated onto the log-spaced x nodes
     by = np.apply_along_axis(cumtrap, 1, b.values, b.dt)  # (M+1, N+1)
-    by_log = np.empty((n_sub + 1, by.shape[1]))
+    by_log = np.empty((len(u), by.shape[1]))
     for j in range(by.shape[1]):
         by_log[:, j] = np.interp(xs, b.x_grid, by[:, j])
 
@@ -344,7 +327,7 @@ def kiefer_from_sheet(b: GridField2D, n_sub: int | None = None) -> GridField2D:
     return GridField2D(b.t_horizon, k, x_max=b.x_max)
 
 
-def kiefer_energy(b: GridField2D, n_sub: int | None = None) -> tuple[float, float]:
+def kiefer_energy(b: GridField2D) -> tuple[float, float]:
     """Energies (integral of kdot^2, integral of bdot^2) for the transform of b.
 
     kdot(x,t) = bdot(x,t) - int_0^x bdot(y,t)/(1-y) dy; the x-integral of
@@ -352,19 +335,16 @@ def kiefer_energy(b: GridField2D, n_sub: int | None = None) -> tuple[float, floa
     (bdot - m)^2 e^{-u} is smooth and the endpoint log singularity of the
     transform carries negligible truncated mass.
     """
-    m = b.values.shape[0] - 1
-    n_sub = n_sub or 8 * m
-    u_max = 30.0
-    u, xs = _log_grid(n_sub, u_max)
+    u, xs = _log_grid(b, 30.0)
     du = u[1] - u[0]
 
-    bdot_log = np.empty((n_sub + 1, b.values.shape[1]))
+    bdot_log = np.empty((len(u), b.values.shape[1]))
     for j in range(b.values.shape[1]):
         bdot_log[:, j] = np.interp(xs, b.x_grid, b.values[:, j])
 
     m_int = np.apply_along_axis(cumtrap, 0, bdot_log, du)  # int_0^u bdot(x(v),t) dv
     kdot_log = bdot_log - m_int
-    wx = trap_weights(n_sub + 1, du) * np.exp(-u)
+    wx = trap_weights(len(u), du) * np.exp(-u)
     per_t = wx @ kdot_log**2
     wt = trap_weights(b.values.shape[1], b.dt)
     return float(per_t @ wt), b.integral_sq()

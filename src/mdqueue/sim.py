@@ -179,15 +179,16 @@ def simulate(
     entries = itertools.chain(itertools.repeat(0.0, q0_count - in_service), arrivals.tolist())
     starts: list[float] = []
     services: list[float] = []
-    k = 0
+    k = drawn = 0
     replace, record = heapq.heapreplace, starts.append
     for avail in entries:
         first_free = free[0]
         start = avail if avail > first_free else first_free
         if start > horizon:
             break
-        if k == len(services):
+        if k == drawn:
             services += d.sample(rng, size=256).tolist()
+            drawn += 256
         replace(free, start + services[k])
         record(start)
         k += 1

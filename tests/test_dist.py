@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.stats import kstest
+from scipy.special import gammainc
+from scipy.stats import gamma, kstest
 
 from mdqueue import ServiceDist
 
@@ -19,6 +20,43 @@ def test_erlang_cdf_closed_form():
     # Erlang(2, rate 2) at x=1: 1 - e^{-2}(1 + 2) = 1 - 3 e^{-2}
     d = ServiceDist.erlang(2, 2.0)
     assert d.cdf(1.0) == pytest.approx(1.0 - 3.0 * np.exp(-2.0), abs=1e-14)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_erlang_closed_forms_match_scipy(k):
+    x = np.linspace(0.0, 60.0, 6001)
+    for lam in (0.5, 1.0, 3.0, 7.0):
+        d = ServiceDist.erlang(k, lam)
+        y = lam * x
+        assert np.max(np.abs(d.cdf(x) - gammainc(k, y))) <= 2e-15
+        eq_ref = sum(gammainc(j, y) for j in range(1, k + 1)) / k
+        assert np.max(np.abs(d.eq_cdf(x) - eq_ref)) <= 2e-15
+        # the reference takes the same y = lam x: gamma.pdf(x, scale=1/lam)
+        # rounds y differently, and at y = 420 that alone moves e^{-y} by ~420 eps
+        ref = lam * gamma.pdf(y, k)
+        pdf = d.pdf(x)
+        assert np.array_equal(pdf == 0.0, ref == 0.0)
+        assert np.max(np.abs(pdf - ref)[ref > 0] / ref[ref > 0]) <= 1e-13
+
+
+def test_single_phase_laws_match_expm1_formulas():
+    x = np.linspace(0.0, 60.0, 6001)
+    for lam in (1.0, 1.3):
+        d = ServiceDist.exponential(lam)
+        cdf = -np.expm1(-lam * x)
+        assert np.array_equal(d.cdf(x), cdf)
+        assert np.array_equal(d.pdf(x), lam * np.exp(-lam * x))
+        # F0 = F for the exponential; the mixture form mu (1 / lam) F is F
+        # exactly at lam = 1 and moves it by at most one ulp elsewhere
+        tol = 0.0 if lam == 1.0 else np.finfo(float).eps
+        assert np.max(np.abs(d.eq_cdf(x) - cdf)) <= tol
+
+    w, r = np.array([0.2, 0.8]), np.array([0.4, 1.6])
+    d = ServiceDist.hyperexponential(w, r)
+    branch_cdf = -np.expm1(-np.outer(r, x))
+    assert np.array_equal(d.cdf(x), np.sum(w[:, None] * branch_cdf, axis=0))
+    assert np.array_equal(d.pdf(x), np.sum((w * r)[:, None] * np.exp(-np.outer(r, x)), axis=0))
+    assert np.array_equal(d.eq_cdf(x), d.mu * np.sum((w / r)[:, None] * branch_cdf, axis=0))
 
 
 def test_hyperexponential_mean():
@@ -87,7 +125,7 @@ def _scalar_inverse(fn, dfn, p, mean):
             lo = x
         d = float(dfn(x))
         x_new = x - (fx / d if d > 0 else np.inf)
-        if not (lo < x_new < hi):
+        if not (lo < x_new < hi or abs(x_new - x) < 1e-12):
             x_new = 0.5 * (lo + hi)
         if abs(x_new - x) < 1e-12:
             return x_new
@@ -107,6 +145,25 @@ def test_array_inverse_matches_scalar_loop(d):
         assert np.array_equal(inverse(p.reshape(-1, 1)), got.reshape(-1, 1))
     with pytest.raises(ValueError):
         d.ppf(np.array([0.5, 1.5]))
+
+
+@pytest.mark.parametrize(
+    "d", [ServiceDist.erlang(3, 3.0), ServiceDist.hyperexponential([0.2, 0.8], [0.4, 1.6])], ids=["erlang3", "hyper"]
+)
+def test_inverse_stops_at_converged_newton_step(d):
+    # the 31 interior x nodes of recover_controls at n_x = 32: a Newton step
+    # that converges onto the bracket edge ends the solve instead of bisecting
+    p = np.linspace(0.0, 1.0, 33)[1:-1]
+    for fn, dfn in ((d.cdf, d.pdf), (d.eq_cdf, d.eq_pdf)):
+        calls = []
+
+        def counted(x, fn=fn):
+            calls.append(1)
+            return fn(x)
+
+        x = d._inverse(counted, dfn, p)
+        assert len(calls) <= 15
+        assert np.max(np.abs(fn(x) - p)) <= 1e-12
 
 
 def test_array_inverse_raises_when_any_unconverged(monkeypatch):
@@ -174,6 +231,13 @@ def test_constructor_validation():
         ServiceDist.erlang(0, 1.0)
     with pytest.raises(ValueError):
         ServiceDist.hyperexponential([0.5, 0.6], [1.0, 2.0])  # weights don't sum to 1
+    # the family must agree with the phase table that cdf, pdf and eq_cdf read
+    with pytest.raises(ValueError, match="shape 1"):
+        ServiceDist("exponential", rates=[1.0], shape=3)
+    with pytest.raises(ValueError, match="shape 1"):
+        ServiceDist("hyperexponential", rates=[1.0, 2.0], shape=2, weights=[0.5, 0.5])
+    with pytest.raises(ValueError, match="single rate"):
+        ServiceDist("erlang", rates=[1.0, 2.0], shape=2, weights=[0.5, 0.5])
 
 
 @pytest.mark.parametrize(

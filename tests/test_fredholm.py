@@ -19,7 +19,6 @@ from mdqueue import (
 )
 from mdqueue.fredholm import (
     FredholmError,
-    ShiftOperator,
     path_derivative,
     positive_indicator,
     shift_matrix,
@@ -27,6 +26,7 @@ from mdqueue.fredholm import (
 from mdqueue.grids import trap_weights
 
 from conftest import HORIZON, battery_cases
+from reference import kernel_matrix, operator_matrix
 
 LAWS = [
     ServiceDist.exponential(1.0),
@@ -65,11 +65,10 @@ def test_forcing_zero_path(exp1):
 
 
 def test_exponential_kernel_closed_form(pm_std, exp1):
-    kern = assemble_kernel(pm_std, exp1, HORIZON, 64)
     t = np.linspace(0.0, HORIZON, 65)
     s, tt = t[:, None], t[None, :]
     exact = 0.5 * (np.exp(-np.abs(s - tt)) + np.exp(-(s + tt)))
-    assert np.max(np.abs(kern.matrix - exact)) <= 1e-10
+    assert np.max(np.abs(kernel_matrix(exp1, pm_std.sigma, HORIZON, 64) - exact)) <= 1e-10
 
 
 def test_shift_matrix_adjoint_relation(exp1):
@@ -96,7 +95,7 @@ def test_shift_matrix_adjoint_relation(exp1):
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 def test_shift_operator_matches_dense(d, n_steps):
     S = shift_matrix(d, HORIZON, n_steps)
-    op = ShiftOperator.build(d, HORIZON, n_steps)
+    op = assemble_kernel(d, HORIZON, n_steps)
     w = trap_weights(n_steps + 1, HORIZON / n_steps)
     rng = np.random.default_rng(n_steps)
     p, v = rng.standard_normal(n_steps + 1), rng.standard_normal(n_steps + 1)
@@ -110,16 +109,14 @@ def test_cg_matches_dense_solve_at_large_sigma(d, q_quad):
     # is not a contraction here, but CG on the SPD form still converges
     pm = ModelParams(d.mu, 3.0, 0.5, 0.0)
     h = forcing(q_quad, pm, d)
-    kern = assemble_kernel(pm, d, HORIZON, q_quad.n_steps)
-    p, diag = solve_p(h, kern, pm)
-    A = (pm.mu + pm.sigma**2) * np.eye(len(h.values)) - kern.operator_matrix()
+    p, diag = solve_p(h, assemble_kernel(d, HORIZON, q_quad.n_steps), pm)
+    A = (pm.mu + pm.sigma**2) * np.eye(len(h.values)) - operator_matrix(d, pm.sigma, HORIZON, q_quad.n_steps)
     assert diag["method"] == "cg"
     assert np.max(np.abs(p.values - np.linalg.solve(A, h.values))) < 1e-8
 
 
 def test_zero_forcing_gives_zero_adjoint(pm_std, exp1):
-    kern = assemble_kernel(pm_std, exp1, HORIZON, 200)
-    p, diag = solve_p(GridPath(HORIZON, np.zeros(201)), kern, pm_std)
+    p, diag = solve_p(GridPath(HORIZON, np.zeros(201)), assemble_kernel(exp1, HORIZON, 200), pm_std)
     assert not np.any(p.values)
     assert diag["iterations"] == 0 and diag["residual"] == 0.0
 
@@ -141,9 +138,10 @@ def test_negative_duality_gap_raises(pm_std, exp1, q_quad, monkeypatch):
 
 def test_picard_and_direct_agree(pm_std, exp1, q_quad):
     h = forcing(q_quad, pm_std, exp1)
-    kern = assemble_kernel(pm_std, exp1, HORIZON, q_quad.n_steps)
-    p_pic, diag = solve_p(h, kern, pm_std)
-    A = (pm_std.mu + pm_std.sigma**2) * np.eye(len(h.values)) - kern.operator_matrix()
+    p_pic, diag = solve_p(h, assemble_kernel(exp1, HORIZON, q_quad.n_steps), pm_std)
+    A = (pm_std.mu + pm_std.sigma**2) * np.eye(len(h.values)) - operator_matrix(
+        exp1, pm_std.sigma, HORIZON, q_quad.n_steps
+    )
     p_dir = np.linalg.solve(A, h.values)
     assert np.max(np.abs(p_pic.values - p_dir)) < 1e-8
 
@@ -172,10 +170,11 @@ def test_dual_at_perturbed_point_is_lower(pm_std, exp1, q_quad):
     # concavity: any perturbation of the adjoint lowers the dual objective
     res = evaluate_rate(q_quad, pm_std, exp1)
     h = res.forcing
+    S = assemble_kernel(exp1, HORIZON, h.n_steps)
     rng = np.random.default_rng(3)
     for _ in range(3):
         pert = GridPath(HORIZON, res.adjoint.values + 0.05 * rng.standard_normal(len(h.values)))
-        assert dual_value(pert, h, pm_std, exp1) <= res.dual + 1e-12
+        assert dual_value(pert, h, pm_std, S) <= res.dual + 1e-12
 
 
 def test_lln_path_zero_rate(exp1):
@@ -206,7 +205,7 @@ def test_roundtrip_improves_with_refinement(pm_std, exp1):
 
 
 def test_recovered_controls_shapes(pm_std, exp1, q_quad):
-    c = recover_controls(GridPath(HORIZON, np.ones(201)), pm_std, exp1, n_x=16)
+    c = recover_controls(GridPath(HORIZON, np.ones(201)), pm_std, exp1, assemble_kernel(exp1, HORIZON, 200), n_x=16)
     assert c.w0dot.values.shape == (17,)
     assert c.wdot.values.shape == (201,)
     assert c.kdot.values.shape == (17, 201)

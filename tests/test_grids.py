@@ -30,6 +30,16 @@ def test_volterra_weights_rows_and_conv_trap():
     assert np.allclose((tw * toeplitz(a)) @ b, conv_trap(a, b, dt), atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_lags_index_is_toeplitz(n):
+    from scipy.linalg import toeplitz
+
+    from mdqueue.grids import lags
+
+    v = np.random.default_rng(n).standard_normal(n)
+    assert np.array_equal(v[lags(n)], toeplitz(v))
+
+
 def test_trap_integral_polynomial_exact():
     # trapezoid is exact on affine functions
     t = np.linspace(0.0, 3.0, 31)
