@@ -9,6 +9,7 @@ everywhere and a strictly increasing F for the inverse maps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,8 +67,11 @@ class ServiceDist:
             raise ValueError(f"unsupported family: {self.family!r}")
         if np.any(self.rates <= 0):
             raise ValueError("rates must be positive")
-        if self.shape < 1 or self.shape != int(self.shape):
-            raise ValueError("shape must be an integer >= 1")
+        # bool and str are rejected, not coerced; an integral float such as 3.0 is stored as 3
+        k = self.shape
+        if isinstance(k, bool) or not isinstance(k, numbers.Real) or not float(k).is_integer() or k < 1:
+            raise ValueError(f"shape must be an integer >= 1, got {k!r}")
+        object.__setattr__(self, "shape", int(k))
         if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to 1")
         if len(self.rates) != len(self.weights):
@@ -86,7 +90,7 @@ class ServiceDist:
 
     @classmethod
     def erlang(cls, shape: int, rate: float) -> "ServiceDist":
-        return cls("erlang", rates=np.array([rate]), shape=int(shape))
+        return cls("erlang", rates=np.array([rate]), shape=shape)
 
     @classmethod
     def hyperexponential(cls, weights, rates) -> "ServiceDist":

@@ -2,6 +2,7 @@
 discretized path equation.  Exists to cross-check the adjoint route."""
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 
@@ -13,6 +14,8 @@ from .grids import GridField2D, GridPath, conv_trap, lags, volterra_weights
 from .paths import ControlSet, LagConstraints, ModelParams, drift
 
 __all__ = ["LagConstraints", "QPSystem", "build_qp", "solve_min_norm", "min_rate_terminal", "TerminalRateResult"]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -61,30 +64,48 @@ def build_qp(
     )
 
 
-def solve_min_norm(sys: QPSystem) -> tuple[ControlSet, float]:
+def solve_min_norm(sys: QPSystem) -> tuple[ControlSet, float, str]:
     """Minimum-weighted-norm solution u* = W^-1 A' (A W^-1 A')^-1 r via a
-    symmetric positive-definite factorization; value = 1/2 ||u*||_W^2."""
+    symmetric positive-definite factorization; value = 1/2 ||u*||_W^2.
+
+    Only the N x N Gram of the path rows is factored (`LagConstraints.gram`).
+    With the zero-mean rows it is their Schur complement, so u* is W^-1 A' lam
+    over the path rows with the wx-weighted mean then taken out of w0dot and
+    of each kdot time slice, the W-orthogonal projection onto those rows.
+    The route is "cholesky", or "regularized" when the Gram is numerically
+    rank-deficient and a diagonal shift of 1e-12 of its mean diagonal is
+    solved instead (with a warning).
+    """
     from scipy.linalg import cho_factor, cho_solve
 
     G = sys.A.gram()
+    r = sys.r[: sys.n_steps]
     try:
-        lam = cho_solve(cho_factor(G), sys.r)
+        lam = cho_solve(cho_factor(G), r)
+        route = "cholesky"
     except np.linalg.LinAlgError:
         warnings.warn("constraint Gram matrix rank-deficient; using regularized solve")
-        reg = 1e-12 * np.trace(G) / G.shape[0]
-        lam = np.linalg.solve(G + reg * np.eye(G.shape[0]), sys.r)
-    u = sys.A.rmatvec(lam) / sys.w
-    value = 0.5 * float(u @ (sys.w * u))
+        G.flat[:: len(G) + 1] += 1e-12 * np.trace(G) / len(G)
+        lam = np.linalg.solve(G, r)
+        route = "regularized"
+    log.info("min-norm QP (%d path rows, zero mean %s): %s route", len(r), sys.zero_mean_rows > 0, route)
+    u = sys.A.rmatvec(np.concatenate([lam, np.zeros(sys.zero_mean_rows)])) / sys.w
 
     sl0, sl1, slk = sys.slices
     m, n = sys.n_x + 1, sys.n_steps + 1
+    w0dot, kdot = u[sl0], u[slk].reshape(n, m)  # views: the projection below also updates u
+    if sys.zero_mean_rows:
+        wx = sys.w[sl0]
+        w0dot -= (wx @ w0dot) / wx.sum()
+        kdot -= (kdot @ wx)[:, None] / wx.sum()
+    value = 0.5 * float(u @ (sys.w * u))
     controls = ControlSet(
-        w0dot=GridPath(1.0, u[sl0]),
+        w0dot=GridPath(1.0, w0dot),
         wdot=GridPath(sys.horizon, u[sl1]),
-        kdot=GridField2D(sys.mu * sys.horizon, u[slk].reshape(n, m).T),
+        kdot=GridField2D(sys.mu * sys.horizon, kdot.T),
         zero_mean_enforced=sys.zero_mean_rows > 0,
     )
-    return controls, value
+    return controls, value, route
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import ServiceDist
-from .grids import GridField2D, GridPath, cumtrap, lags, trap_weights, volterra_weights
+from .grids import GridField2D, GridPath, cumtrap, trap_weights
 from .renewal import solve_nonlinear
 
 __all__ = [
@@ -226,45 +226,51 @@ class LagConstraints:
         return np.concatenate([u_w0, u_t[:, 0], u_t[:, 1:].reshape(-1)])
 
     def gram(self) -> np.ndarray:
-        """G = A W^-1 A^T assembled from the lag tables in O(N^2 M).
+        """The N x N Gram G = A W^-1 A^T of the path rows t_1..t_N, in O(N^2 M).
 
-        The wdot and kdot rows give
-            G[i, i'] = sum_{j <= min(i, i')} tw_i[j] tw_i'[j] nu_j K[i-j, i'-j],
-        with K[l, l'] = sigma^2 surv[l] surv[l'] / dt + mu^2 (xw[l] / wx) . xw[l'] / (mu dt)
-        the lag Gram at the interior time weights, and nu_j = 2 at the
-        half-weight end nodes j = 0, N, 1 inside.  Interior terms have the
-        weight dt^2, so along each diagonal of G the sum is a cumulative sum
-        along the matching diagonal of K; the terms j = 0 and j = min(i, i')
-        (which covers j = N) are then corrected to their exact weights.
+        Row pairs give
+            G[i, i'] = P0[i] . P0[i'] / wx + sum_{j <= min(i, i')} tw_i[j] tw_i'[j] nu_j K[i-j, i'-j],
+        with K = V V^T the lag Gram at the interior time weights, V the (N+1, M+2)
+        table [sigma surv / sqrt(wt_1), mu xw / sqrt(wtau_1 wx)], and nu_j = 2 at
+        the half-weight end nodes j = 0, N, 1 inside.  Interior terms have the
+        weight dt^2, so the sum is a cumulative sum along each diagonal of K,
+        which is symmetric because K is.  The end terms then take their exact
+        weights: j = 0 adds -dt^2/2 K[i, i']; j = i < i' adds -dt^2/2 K[0, i' - i]
+        and j = i = i' adds -3 dt^2/4 K[0, 0], or -dt^2/2 K[0, 0] at i = N.
+
+        With `zero_mean` this is the Gram of the path rows restricted to the
+        W-orthogonal complement of the zero-mean rows: the Schur complement
+        G - B Z^-1 B^T of the bordered (2N+2)-row Gram, whose zero-mean block Z
+        is diagonal.  Each zero-mean row reads one x slice, so the complement is
+        the same formula with every row v of P0 and xw replaced by its
+        projection v - (sum v) wx / sum wx.
         """
-        n, m = self.xw.shape
+        n = len(self.surv)
         wx, wt, wtau = self._metric()
-        tw = volterra_weights(n, self.dt)
-        K = (self.sigma**2 / wt[1]) * np.outer(self.surv, self.surv) + (self.mu**2 / wtau[1]) * (
-            (self.xw / wx) @ self.xw.T
-        )
-        nu = wt[1] / wt
-        # D[i, i + s] = sum_{l <= i} K[l, l + s], the upper triangle only
-        D = np.zeros_like(K)
-        D[0] = K[0]
-        for i in range(1, n):
-            D[i, i:] = D[i - 1, i - 1 : -1] + K[i, i:]
-        dt2 = self.dt**2
-        first = nu[0] * np.outer(tw[:, 0], tw[:, 0]) - dt2  # j = 0
-        last = (nu * np.diag(tw))[:, None] * tw.T - dt2  # j = i <= i'
-        G = np.triu(dt2 * D + first * K + last * K[0][lags(n)])
-        G = G + np.triu(G, 1).T
-        G = (self.P0 / wx) @ self.P0.T + G
-        G = G[1:, 1:]
-        if not self.zero_mean:
-            return G
-        # zero-mean rows: their Gram is diagonal, and they meet the path rows
-        # through the w0dot mass and the kdot x-integral xw[l] . 1 = F(t_l)
-        B = np.zeros((n - 1, 1 + n))
-        B[:, 0] = self.P0[1:].sum(axis=1)
-        B[:, 1:] = (self.mu / wtau) * tw[1:] * self.xw.sum(axis=1)[lags(n)][1:]
-        Z = np.diag(np.concatenate([[wx.sum()], wx.sum() / wtau]))
-        return np.block([[G, B], [B.T, Z]])
+        P0, xw = self.P0[1:], self.xw
+        if self.zero_mean:
+            P0, xw = (v - v.sum(axis=1, keepdims=True) * (wx / wx.sum()) for v in (P0, xw))
+        root_wx = np.sqrt(wx)
+        V = np.column_stack([self.sigma / np.sqrt(wt[1]) * self.surv, self.mu / np.sqrt(wtau[1]) * xw / root_wx])
+        # Row a of the N x N arrays below is time node i = a + 1.
+        k0 = V @ V[0]  # row 0 of K
+        K = V[1:] @ V[1:].T  # K without row and column 0
+        # G = cumulative sums along the diagonals of K, D[i, i'] = D[i-1, i'-1] + K[i, i'],
+        # started from row and column 0 of K
+        G = np.empty_like(K)
+        G[0] = k0[:-1] + K[0]
+        G[1:, 0] = k0[1:-1] + K[1:, 0]
+        for a in range(1, n - 1):
+            np.add(G[a - 1, :-1], K[a, 1:], out=G[a, 1:])
+        # end corrections -dt^2/2 (K[i, i'] + K[0, |i' - i|]), the latter a Toeplitz view of k0
+        K += np.lib.stride_tricks.sliding_window_view(np.concatenate([k0[-2:0:-1], k0[:-1]]), n - 1)[::-1]
+        K *= 0.5
+        G -= K
+        G *= self.dt**2
+        G.flat[: -1 : n] -= 0.25 * self.dt**2 * k0[0]  # diagonal i = i' < N
+        P = P0 / root_wx
+        G += np.matmul(P, P.T, out=K)  # the w0dot term, into the spent K
+        return G
 
 
 def forward_q(c: ControlSet, pm: ModelParams, d: ServiceDist, tol: float = 1e-10) -> GridPath:

@@ -1,4 +1,5 @@
-"""Dense references for the matrix-free Fredholm operator of `mdqueue.fredholm`."""
+"""Dense references for the matrix-free Fredholm operator of `mdqueue.fredholm`
+and for the oracle's minimum-norm solve."""
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -34,3 +35,16 @@ def operator_matrix(d, sigma, T, n_steps):
     w = trap_weights(n_steps + 1, T / n_steps)
     Sadj = (S.T * w[None, :]) / w[:, None]
     return sigma**2 * (S + Sadj - Sadj @ S)
+
+
+def bordered_min_norm(sys):
+    """Minimum-weighted-norm controls u and value 1/2 u' W u of the QP `sys`
+    through the Gram of all its constraint rows at once, the zero-mean rows
+    bordering the path rows ((2N+2) x (2N+2) with them): the reference for the
+    N x N Schur-complement solve of `oracle.solve_min_norm`."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    A = np.stack([sys.A.rmatvec(e) for e in np.eye(sys.A.shape[0])])  # rows of the dense A
+    lam = cho_solve(cho_factor((A / sys.w) @ A.T), sys.r)
+    u = (A.T @ lam) / sys.w
+    return u, 0.5 * float(u @ (sys.w * u))

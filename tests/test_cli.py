@@ -80,6 +80,7 @@ def test_oracle_check_report(tmp_path):
     s = json.loads((out / "summary.json").read_text())
     for key in ("value", "flagsOn", "flagsOff", "fredholmValue", "relGap", "N", "M"):
         assert key in s
+    assert (s["flagsOffRoute"], s["flagsOnRoute"]) == ("cholesky", "cholesky")
     assert s["flagsOn"] >= s["flagsOff"]
     assert s["relGap"] <= 0.02 or abs(s["value"] - s["fredholmValue"]) / (1 + s["fredholmValue"]) <= 0.02
 
@@ -205,6 +206,16 @@ def test_invalid_integer_exit_2_no_outputs(tmp_path, capsys, payload):
     assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [2.7, True, "3"], ids=["fraction", "bool", "string"])
+def test_erlang_shape_not_integer_exit_2_no_outputs(tmp_path, capsys, shape):
+    dist = {"family": "erlang", "shape": shape, "rate": 2.0}
+    cfg = _cfg(tmp_path, "c.json", {"command": "dist-info", "dist": dist})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "config error: dist: shape must be an integer" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_1_with_summary(tmp_path, monkeypatch):

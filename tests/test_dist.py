@@ -238,6 +238,13 @@ def test_constructor_validation():
         ServiceDist("hyperexponential", rates=[1.0, 2.0], shape=2, weights=[0.5, 0.5])
     with pytest.raises(ValueError, match="single rate"):
         ServiceDist("erlang", rates=[1.0, 2.0], shape=2, weights=[0.5, 0.5])
+    # the Erlang shape is an integer: no truncation of 2.7, no bool or str coercion
+    for shape in (2.7, True, "3", float("nan")):
+        with pytest.raises(ValueError, match="shape must be an integer"):
+            ServiceDist.erlang(shape, 1.0)
+    for spec_shape in (3, 3.0):
+        d = ServiceDist.from_spec({"family": "erlang", "shape": spec_shape, "rate": 3.0})
+        assert d.shape == 3 and type(d.shape) is int
 
 
 @pytest.mark.parametrize(

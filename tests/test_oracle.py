@@ -16,6 +16,7 @@ from mdqueue import (
 from mdqueue.oracle import LagConstraints
 
 from conftest import HORIZON, battery_cases
+from reference import bordered_min_norm
 
 LAWS = [
     ServiceDist.exponential(1.0),
@@ -57,7 +58,7 @@ def test_zero_rhs_gives_zero(exp1):
     # the LLN path satisfies the path equation with no controls: r = 0, value 0
     pm = ModelParams(1.0, 1.0, 0.5, 0.0)
     q = lln_path(pm, exp1, HORIZON, 200)
-    c, val = solve_min_norm(build_qp(q, pm, exp1, n_x=8))
+    c, val, _ = solve_min_norm(build_qp(q, pm, exp1, n_x=8))
     assert val <= 1e-12
     assert np.max(np.abs(c.wdot.values)) < 1e-6
 
@@ -65,7 +66,7 @@ def test_zero_rhs_gives_zero(exp1):
 def test_constraint_residual_is_path_defect(pm_std, exp1, q_quad):
     # feeding the QP solution through the forward map must reproduce q
     sys_ = build_qp(q_quad, pm_std, exp1, n_x=16)
-    c, _ = solve_min_norm(sys_)
+    c, _, _ = solve_min_norm(sys_)
     assert np.max(np.abs(sys_.A @ np.concatenate(
         [c.w0dot.values, c.wdot.values, c.kdot.values.T.reshape(-1)]
     ) - sys_.r)) < 1e-8
@@ -77,7 +78,7 @@ def test_agreement_with_fredholm_battery(exp1):
     for beta, q0, q in battery_cases(200):
         pm = ModelParams(1.0, 1.0, beta, q0)
         rate = evaluate_rate(q, pm, exp1).rate
-        _, val = solve_min_norm(build_qp(q, pm, exp1, n_x=32))
+        _, val, _ = solve_min_norm(build_qp(q, pm, exp1, n_x=32))
         assert abs(val - rate) / (1.0 + rate) <= 0.02
 
 
@@ -91,6 +92,11 @@ def test_lag_constraints_match_dense(d, n_steps, zero_mean):
     assert A.shape == dense.shape
 
     G_ref = (dense / A.weights) @ dense.T
+    if zero_mean:
+        # the path rows' Gram on the complement of the zero-mean rows: G_pp - B Z^-1 B^T
+        G_pp, B, Z = G_ref[:n_steps, :n_steps], G_ref[:n_steps, n_steps:], G_ref[n_steps:, n_steps:]
+        assert np.array_equal(Z, np.diag(np.diag(Z)))
+        G_ref = G_pp - (B / np.diag(Z)) @ B.T
     assert np.max(np.abs(A.gram() - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
 
     rng = np.random.default_rng(n_steps)
@@ -98,6 +104,59 @@ def test_lag_constraints_match_dense(d, n_steps, zero_mean):
     lam = rng.standard_normal(dense.shape[0])
     assert np.max(np.abs(A @ u - dense @ u)) <= 1e-13 * np.max(np.abs(dense @ u))
     assert np.max(np.abs(A.rmatvec(lam) - dense.T @ lam)) <= 1e-13 * np.max(np.abs(dense.T @ lam))
+
+
+@pytest.mark.parametrize("zero_mean", [False, True], ids=["flags-off", "flags-on"])
+@pytest.mark.parametrize("n_steps", [2, 3, 40, 41])
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_min_norm_matches_bordered_solve(d, n_steps, zero_mean):
+    pm = ModelParams(d.mu, 1.5, 0.5, 0.0)
+    t = np.linspace(0.0, HORIZON, n_steps + 1)
+    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d, n_x=8, zero_mean=zero_mean)
+    u_ref, val_ref = bordered_min_norm(sys_)
+    c, val, route = solve_min_norm(sys_)
+    u = np.concatenate([c.w0dot.values, c.wdot.values, c.kdot.values.T.reshape(-1)])
+    assert route == "cholesky"
+    assert abs(val - val_ref) <= 1e-12 * val_ref
+    assert np.max(np.abs(u - u_ref)) <= 1e-9 * np.max(np.abs(u_ref))
+
+
+def test_regularized_route_reported(pm_std, exp1, q_quad, monkeypatch, caplog):
+    import logging
+
+    from mdqueue.grids import trap_weights
+
+    sys_ = build_qp(q_quad, pm_std, exp1, n_x=16, zero_mean=True)
+    _, val_chol, route_chol = solve_min_norm(sys_)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("synthetic: not positive definite")
+
+    monkeypatch.setattr("scipy.linalg.cho_factor", singular)
+    with pytest.warns(UserWarning, match="regularized"), caplog.at_level(logging.INFO, logger="mdqueue.oracle"):
+        c, val, route = solve_min_norm(sys_)
+    assert (route_chol, route) == ("cholesky", "regularized")
+    assert "regularized route" in caplog.text
+    assert abs(val - val_chol) <= 1e-9 * val_chol
+    wx = trap_weights(17, 1.0 / 16)
+    assert abs(wx @ c.w0dot.values) <= 1e-12
+    assert np.max(np.abs(wx @ c.kdot.values)) <= 1e-12
+
+
+def test_zero_mean_solve_memory(pm_std, exp1):
+    # the Gram and its Cholesky factor, N x N each, take 39 MiB; a bordered
+    # (2N+2)-row Gram with its copies peaks near 235 MiB
+    import tracemalloc
+
+    t = np.linspace(0.0, HORIZON, 1601)
+    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1, n_x=32, zero_mean=True)
+    tracemalloc.start()
+    try:
+        solve_min_norm(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 120 * 2**20
 
 
 def test_constraint_tables_are_small(pm_std, exp1):
@@ -113,20 +172,20 @@ def test_agreement_with_fredholm_fine_grid(d):
     q = GridPath(HORIZON, 0.3 * t * (2.0 - t))
     pm = ModelParams(d.mu, 1.0, 0.5, 0.0)
     rate = evaluate_rate(q, pm, d).rate
-    _, val = solve_min_norm(build_qp(q, pm, d, n_x=32))
+    _, val, _ = solve_min_norm(build_qp(q, pm, d, n_x=32))
     assert abs(val - rate) / (1.0 + rate) <= 0.02
 
 
 def test_flags_on_raises_value(pm_std, exp1, q_quad):
-    _, off = solve_min_norm(build_qp(q_quad, pm_std, exp1, n_x=16, zero_mean=False))
-    _, on = solve_min_norm(build_qp(q_quad, pm_std, exp1, n_x=16, zero_mean=True))
+    _, off, _ = solve_min_norm(build_qp(q_quad, pm_std, exp1, n_x=16, zero_mean=False))
+    _, on, _ = solve_min_norm(build_qp(q_quad, pm_std, exp1, n_x=16, zero_mean=True))
     assert on >= off - 1e-12
 
 
 def test_zero_mean_constraints_hold(pm_std, exp1, q_quad):
     from mdqueue.grids import trap_weights
 
-    c, _ = solve_min_norm(build_qp(q_quad, pm_std, exp1, n_x=16, zero_mean=True))
+    c, _, _ = solve_min_norm(build_qp(q_quad, pm_std, exp1, n_x=16, zero_mean=True))
     wx = trap_weights(17, 1.0 / 16)
     assert abs(wx @ c.w0dot.values) < 1e-9
     assert np.max(np.abs(wx @ c.kdot.values)) < 1e-9
@@ -138,15 +197,15 @@ def test_refinement_stability(pm_std, exp1):
     for n in (100, 200):
         t = np.linspace(0.0, HORIZON, n + 1)
         q = GridPath(HORIZON, 0.3 * t * (2.0 - t))
-        _, v = solve_min_norm(build_qp(q, pm_std, exp1, n_x=32))
+        _, v, _ = solve_min_norm(build_qp(q, pm_std, exp1, n_x=32))
         vals.append(v)
     assert abs(vals[1] - vals[0]) / vals[0] <= 0.01
 
 
 def test_repeated_solves_bit_identical(pm_std, exp1, q_quad):
     sys_ = build_qp(q_quad, pm_std, exp1, n_x=8)
-    _, v1 = solve_min_norm(sys_)
-    _, v2 = solve_min_norm(sys_)
+    _, v1, _ = solve_min_norm(sys_)
+    _, v2, _ = solve_min_norm(sys_)
     assert v1 == v2
 
 
