@@ -254,8 +254,8 @@ def cmd_oracle_check(run: Run, out: Path) -> dict:
     run.require(model=run.model is not None, io_q_csv=run.q_path is not None, grid=run.grid is not None)
     n_x = run.grid["n_x"]
     res = evaluate_rate(run.q_path, run.model, run.dist, n_x=n_x, tol=run.tol_fredholm)
-    _, val_off, route_off = solve_min_norm(build_qp(run.q_path, run.model, run.dist, n_x=n_x, zero_mean=False))
-    _, val_on, route_on = solve_min_norm(build_qp(run.q_path, run.model, run.dist, n_x=n_x, zero_mean=True))
+    val_off, route_off = solve_min_norm(build_qp(run.q_path, run.model, run.dist, zero_mean=False))
+    val_on, route_on = solve_min_norm(build_qp(run.q_path, run.model, run.dist, zero_mean=True))
     denom = max(res.rate, 1e-12)
     summary = {
         "value": val_off,

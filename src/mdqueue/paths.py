@@ -55,15 +55,12 @@ class ControlSet:
     """Control densities: w0dot on [0,1], wdot on [0,T], kdot on [0,1]x[0,T'].
 
     The densities themselves are stored (not integrated paths) since the rate
-    functional and the path equation consume densities.  zero_mean_enforced
-    records whether the bridge/Kiefer endpoint constraints (zero x-mean of
-    w0dot, and of each kdot time slice) were imposed when the set was built.
+    functional and the path equation consume densities.
     """
 
     w0dot: GridPath
     wdot: GridPath
     kdot: GridField2D
-    zero_mean_enforced: bool = False
 
     def __post_init__(self):
         if abs(self.w0dot.horizon - 1.0) > 1e-12:
@@ -117,7 +114,7 @@ def partial_cell_weights(upper: np.ndarray, n_nodes: int, dx: float) -> np.ndarr
 @dataclass(frozen=True)
 class LagConstraints:
     """The control terms of the path equation as a linear operator A, stored
-    by its lag structure.
+    by the law at the time nodes.
 
     Over u = (w0dot nodes, wdot nodes, kdot nodes with kdot stored x-major per
     time node, u_k[j*(M+1) + ix]), row i = 1..N applies the three control terms
@@ -128,21 +125,17 @@ class LagConstraints:
         (A u)_i = P0[i] . w0dot + sum_{j<=i} tw_i[j] (sigma surv[i-j] wdot_j
                                                    + mu xw[i-j] . kdot_j),
 
-    with tw_i the Volterra trapezoid weights (`grids.volterra_weights`).  The
-    sum over j is the trapezoid prefix convolution of `grids.conv_trap`, one
-    per lag column; `@` applies it by FFT and `rmatvec` applies its transpose,
-    a correlation, the same way.  With `zero_mean` the rows wx . w0dot = 0 and
-    wx . kdot_j = 0, j = 0..N, follow.  The objective weights W are trapezoid
-    weights on [0, 1], [0, T] and [0, 1] x [0, mu T].  Only O(N M) tables are
-    stored.
-
-    `forward_q` and the oracle (`build_qp`, `min_rate_terminal`) both use this
-    operator, so the forward map and the QP share one quadrature.
+    with P0 and xw the partial-cell weights of F0 and F on the M + 1 x nodes
+    of u, and tw_i the Volterra trapezoid weights.  The sum over j is the
+    trapezoid prefix convolution of `grids.conv_trap`, one per lag column;
+    `@` applies it by FFT for `forward_q`.  The oracle (`build_qp`,
+    `min_rate_terminal`) needs only `gram`, whose x integrals are exact, so it
+    has no x grid; `zero_mean` restricts that Gram to controls with zero
+    x-mean in w0dot and in every kdot time slice.
     """
 
-    P0: np.ndarray  # (N+1, M+1) partial_cell_weights(F0)
-    surv: np.ndarray  # (N+1,) 1 - F(t_l)
-    xw: np.ndarray  # (N+1, M+1) partial_cell_weights(F): xw[l] integrates to F(t_l)
+    F0: np.ndarray  # (N+1,) F0(t_i)
+    F: np.ndarray  # (N+1,) F(t_l)
     dt: float
     sigma: float
     mu: float
@@ -150,114 +143,62 @@ class LagConstraints:
 
     @classmethod
     def from_law(
-        cls, pm: ModelParams, d: ServiceDist, horizon: float, n_steps: int, n_x: int, zero_mean: bool = False
+        cls, pm: ModelParams, d: ServiceDist, horizon: float, n_steps: int, zero_mean: bool = False
     ) -> "LagConstraints":
         times = np.linspace(0.0, horizon, n_steps + 1)
-        F = d.cdf(times)
-        dx = 1.0 / n_x
         return cls(
-            P0=partial_cell_weights(d.eq_cdf(times), n_x + 1, dx),
-            surv=1.0 - F,
-            xw=partial_cell_weights(F, n_x + 1, dx),
-            dt=horizon / n_steps,
-            sigma=pm.sigma,
-            mu=pm.mu,
-            zero_mean=zero_mean,
+            F0=d.eq_cdf(times), F=d.cdf(times), dt=horizon / n_steps, sigma=pm.sigma, mu=pm.mu, zero_mean=zero_mean
         )
 
     @property
-    def shape(self) -> tuple[int, int]:
-        n, m = self.xw.shape
-        return n - 1 + (1 + n if self.zero_mean else 0), m + n + n * m
-
-    @property
     def nbytes(self) -> int:
-        return self.P0.nbytes + self.surv.nbytes + self.xw.nbytes
-
-    def _metric(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n, m = self.xw.shape
-        return trap_weights(m, 1.0 / (m - 1)), trap_weights(n, self.dt), trap_weights(n, self.mu * self.dt)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Diagonal of W over u."""
-        wx, wt, wtau = self._metric()
-        return np.concatenate([wx, wt, (wtau[:, None] * wx[None, :]).reshape(-1)])
-
-    def _lag_values(self) -> np.ndarray:
-        """(N+1, M+2) table: column 0 the wdot lag sigma surv, then the kdot lags mu xw."""
-        return np.column_stack([self.sigma * self.surv, self.mu * self.xw])
-
-    @property
-    def _n_fft(self) -> int:
-        """FFT length of at least 2N + 1, so that the circular lag products do not wrap."""
-        return 1 << (2 * len(self.surv) - 2).bit_length()
+        return self.F0.nbytes + self.F.nbytes
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        n, m = self.xw.shape
+        n = len(self.F)
+        m = (len(u) - n) // (n + 1)  # x nodes, from len(u) = m + n + n m
+        dx = 1.0 / (m - 1)
         u_w0, u_t = u[:m], np.column_stack([u[m : m + n], u[m + n :].reshape(n, m)])
-        L, n_fft = self._lag_values(), self._n_fft
+        # (N+1, M+2) lag table: column 0 the wdot lag sigma surv, then the kdot lags mu xw
+        L = np.column_stack([self.sigma * (1.0 - self.F), self.mu * partial_cell_weights(self.F, m, dx)])
+        n_fft = 1 << (2 * n - 2).bit_length()  # at least 2N + 1: the circular lag products do not wrap
         # sum over the lag columns c of conv_trap(L[:, c], u_t[:, c], dt)
         spec = np.einsum("fc,fc->f", np.fft.rfft(L, n_fft, axis=0), np.fft.rfft(u_t, n_fft, axis=0))
         conv = np.fft.irfft(spec, n_fft)[:n]
-        rows = self.P0 @ u_w0 + self.dt * (conv - 0.5 * (u_t @ L[0] + L @ u_t[0]))
-        out = rows[1:]
-        if self.zero_mean:
-            wx = self._metric()[0]
-            out = np.concatenate([out, [wx @ u_w0], u_t[:, 1:] @ wx])
-        return out
-
-    def rmatvec(self, lam: np.ndarray) -> np.ndarray:
-        """A^T lam."""
-        n, m = self.xw.shape
-        lam_r = np.concatenate([[0.0], lam[: n - 1]])  # the t = 0 row carries no constraint
-        L, n_fft = self._lag_values(), self._n_fft
-        # corr[j] = sum_l lam_r[j + l] L[l]: the convolution with lam_r reversed, read backwards
-        spec = np.fft.rfft(L, n_fft, axis=0) * np.fft.rfft(lam_r[::-1], n_fft)[:, None]
-        corr = np.fft.irfft(spec, n_fft, axis=0)[n - 1 :: -1]
-        # transpose of the conv_trap end corrections: half weight at j = 0 and j = i
-        u_t = self.dt * (corr - 0.5 * lam_r[:, None] * L[0])
-        u_t[0] -= 0.5 * self.dt * corr[0]
-        u_w0 = self.P0.T @ lam_r
-        if self.zero_mean:
-            wx = self._metric()[0]
-            u_w0 = u_w0 + lam[n - 1] * wx
-            u_t[:, 1:] += lam[n:, None] * wx[None, :]
-        return np.concatenate([u_w0, u_t[:, 0], u_t[:, 1:].reshape(-1)])
+        rows = partial_cell_weights(self.F0, m, dx) @ u_w0 + self.dt * (conv - 0.5 * (u_t @ L[0] + L @ u_t[0]))
+        return rows[1:]
 
     def gram(self) -> np.ndarray:
-        """The N x N Gram G = A W^-1 A^T of the path rows t_1..t_N, in O(N^2 M).
+        """The N x N Gram G = A W^-1 A^T of the path rows t_1..t_N, in O(N^2).
 
-        Row pairs give
-            G[i, i'] = P0[i] . P0[i'] / wx + sum_{j <= min(i, i')} tw_i[j] tw_i'[j] nu_j K[i-j, i'-j],
-        with K = V V^T the lag Gram at the interior time weights, V the (N+1, M+2)
-        table [sigma surv / sqrt(wt_1), mu xw / sqrt(wtau_1 wx)], and nu_j = 2 at
-        the half-weight end nodes j = 0, N, 1 inside.  Interior terms have the
-        weight dt^2, so the sum is a cumulative sum along each diagonal of K,
-        which is symmetric because K is.  The end terms then take their exact
-        weights: j = 0 adds -dt^2/2 K[i, i']; j = i < i' adds -dt^2/2 K[0, i' - i]
-        and j = i = i' adds -3 dt^2/4 K[0, 0], or -dt^2/2 K[0, 0] at i = N.
-
-        With `zero_mean` this is the Gram of the path rows restricted to the
-        W-orthogonal complement of the zero-mean rows: the Schur complement
-        G - B Z^-1 B^T of the bordered (2N+2)-row Gram, whose zero-mean block Z
-        is diagonal.  Each zero-mean row reads one x slice, so the complement is
-        the same formula with every row v of P0 and xw replaced by its
-        projection v - (sum v) wx / sum wx.
+        W is the trapezoid metric in time (on [0, T] for wdot, [0, mu T] for
+        kdot) and the exact L2 metric on [0, 1] in x, in which the indicator
+        rows have the x integrals m(a, b) = int 1{x <= a} 1{x <= b} dx
+        = min(a, b), or min(a, b) - a b with `zero_mean` (the indicators less
+        their x-means).  Row pairs give
+            G[i, i'] = m(F0_i, F0_i') + sum_{j <= min(i, i')} tw_i[j] tw_i'[j] nu_j K[i-j, i'-j],
+        with K = sigma^2 surv surv^T / dt + mu m(F, F^T) / dt the lag Gram at
+        the interior time weights and nu_j = 2 at the half-weight end nodes
+        j = 0, N, 1 inside.  Interior terms have the weight dt^2, so the sum is
+        a cumulative sum along each diagonal of K, which is symmetric.  The end
+        terms then take their exact weights: j = 0 adds -dt^2/2 K[i, i']; j = i
+        < i' adds -dt^2/2 K[0, i' - i] and j = i = i' adds -3 dt^2/4 K[0, 0],
+        or -dt^2/2 K[0, 0] at i = N.
         """
-        n = len(self.surv)
-        wx, wt, wtau = self._metric()
-        P0, xw = self.P0[1:], self.xw
+        n = len(self.F)
+        F, F0 = self.F, self.F0[1:]
+        s = self.sigma / np.sqrt(self.dt) * (1.0 - F)
+        c_k = self.mu / self.dt
+        # Row a of the N x N arrays below is time node i = a + 1; G is scratch until the diagonal sums.
+        k0 = s[0] * s + c_k * (np.minimum(F[0], F) - (F[0] * F if self.zero_mean else 0.0))  # row 0 of K
+        K = np.minimum.outer(F[1:], F[1:])
+        G = np.empty_like(K)
         if self.zero_mean:
-            P0, xw = (v - v.sum(axis=1, keepdims=True) * (wx / wx.sum()) for v in (P0, xw))
-        root_wx = np.sqrt(wx)
-        V = np.column_stack([self.sigma / np.sqrt(wt[1]) * self.surv, self.mu / np.sqrt(wtau[1]) * xw / root_wx])
-        # Row a of the N x N arrays below is time node i = a + 1.
-        k0 = V @ V[0]  # row 0 of K
-        K = V[1:] @ V[1:].T  # K without row and column 0
+            K -= np.multiply.outer(F[1:], F[1:], out=G)
+        K *= c_k
+        K += np.multiply.outer(s[1:], s[1:], out=G)
         # G = cumulative sums along the diagonals of K, D[i, i'] = D[i-1, i'-1] + K[i, i'],
         # started from row and column 0 of K
-        G = np.empty_like(K)
         G[0] = k0[:-1] + K[0]
         G[1:, 0] = k0[1:-1] + K[1:, 0]
         for a in range(1, n - 1):
@@ -268,8 +209,9 @@ class LagConstraints:
         G -= K
         G *= self.dt**2
         G.flat[: -1 : n] -= 0.25 * self.dt**2 * k0[0]  # diagonal i = i' < N
-        P = P0 / root_wx
-        G += np.matmul(P, P.T, out=K)  # the w0dot term, into the spent K
+        G += np.minimum.outer(F0, F0, out=K)  # the w0dot term, into the spent K
+        if self.zero_mean:
+            G -= np.multiply.outer(F0, F0, out=K)
         return G
 
 
@@ -279,8 +221,8 @@ def forward_q(c: ControlSet, pm: ModelParams, d: ServiceDist, tol: float = 1e-10
     The forcing is the drift plus the control terms of the path equation (the
     bridge term w0(F0(t)), the arrival term int (1-F(t-s)) sigma wdot(s) ds and
     the sequential-empirical term int_0^t int_0^{F(t-s)} kdot(x, mu*s) dx mu ds),
-    applied by the oracle's operator `LagConstraints`.  The controls must share
-    its grids: kdot on the x nodes of w0dot and the time nodes of wdot, over
+    applied by `LagConstraints`, whose Gram the oracle factors.  The controls
+    must share its grids: kdot on the x nodes of w0dot and the time nodes of wdot, over
     [0, 1] x [0, mu T].
     """
     n_x, n = c.w0dot.n_steps, c.wdot.n_steps
@@ -291,7 +233,7 @@ def forward_q(c: ControlSet, pm: ModelParams, d: ServiceDist, tol: float = 1e-10
         raise ValueError(f"kdot lives on [0, {c.kdot.t_horizon}] in time, expected [0, mu T] = [0, {t_horizon}]")
     if abs(c.w0dot.horizon - 1.0) > 1e-12 or abs(c.kdot.x_max - 1.0) > 1e-12:
         raise ValueError("w0dot and kdot must live on [0, 1] in x")
-    A = LagConstraints.from_law(pm, d, c.wdot.horizon, n, n_x)
+    A = LagConstraints.from_law(pm, d, c.wdot.horizon, n)
     u = np.concatenate([c.w0dot.values, c.wdot.values, c.kdot.values.T.ravel()])
     forcing = drift(pm, d, c.wdot.times) + np.concatenate([[0.0], A @ u])
     return solve_nonlinear(GridPath(c.wdot.horizon, forcing), d, tol=tol)

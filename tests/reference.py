@@ -1,5 +1,5 @@
 """Dense references for the matrix-free Fredholm operator of `mdqueue.fredholm`
-and for the oracle's minimum-norm solve."""
+and for the oracle's Gram."""
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -37,14 +37,30 @@ def operator_matrix(d, sigma, T, n_steps):
     return sigma**2 * (S + Sadj - Sadj @ S)
 
 
-def bordered_min_norm(sys):
-    """Minimum-weighted-norm controls u and value 1/2 u' W u of the QP `sys`
-    through the Gram of all its constraint rows at once, the zero-mean rows
-    bordering the path rows ((2N+2) x (2N+2) with them): the reference for the
-    N x N Schur-complement solve of `oracle.solve_min_norm`."""
-    from scipy.linalg import cho_factor, cho_solve
+def continuum_gram(pm, d, T, n_steps, zero_mean):
+    """The N x N Gram of the path rows t_1..t_N in the trapezoid time metric and
+    the exact x metric, node by node: the reference for `LagConstraints.gram`.
 
-    A = np.stack([sys.A.rmatvec(e) for e in np.eye(sys.A.shape[0])])  # rows of the dense A
-    lam = cho_solve(cho_factor((A / sys.w) @ A.T), sys.r)
-    u = (A.T @ lam) / sys.w
-    return u, 0.5 * float(u @ (sys.w * u))
+        G[i, i'] = m(F0_i, F0_i') + sum_{j <= min(i, i')} tw_i[j] tw_i'[j]
+                   (sigma^2 surv_{i-j} surv_{i'-j} / wt_j + mu^2 m(F_{i-j}, F_{i'-j}) / wtau_j),
+
+    with m(a, b) = int 1{x <= a} 1{x <= b} dx = min(a, b), less a b when the
+    controls have zero x-mean."""
+    t = np.linspace(0.0, T, n_steps + 1)
+    dt = T / n_steps
+    F, F0 = d.cdf(t), d.eq_cdf(t)
+    surv = 1.0 - F
+    wt = trap_weights(n_steps + 1, dt)
+
+    def m(a, b):
+        return np.minimum(a, b) - (a * b if zero_mean else 0.0)
+
+    G = np.zeros((n_steps, n_steps))
+    for i in range(1, n_steps + 1):
+        for k in range(1, n_steps + 1):
+            j = np.arange(min(i, k) + 1)
+            tw_i = np.where((j == 0) | (j == i), dt / 2, dt)
+            tw_k = np.where((j == 0) | (j == k), dt / 2, dt)
+            lag = pm.sigma**2 * surv[i - j] * surv[k - j] / wt[j] + pm.mu**2 * m(F[i - j], F[k - j]) / (pm.mu * wt[j])
+            G[i - 1, k - 1] = m(F0[i], F0[k]) + np.sum(tw_i * tw_k * lag)
+    return G
