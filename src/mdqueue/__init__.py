@@ -35,6 +35,7 @@ from .sim import (
     DecompositionReport,
     QueueTrace,
     ScalingRegime,
+    SimulationError,
     decomposition,
     flow_balance_residuals,
     lln_check,
@@ -87,5 +88,6 @@ __all__ = [
     "lln_check",
     "mc_tail",
     "spawn_streams",
+    "SimulationError",
     "__version__",
 ]

@@ -21,13 +21,13 @@ from .grids import GridField2D, GridPath
 from .oracle import build_qp, solve_min_norm
 from .paths import ModelParams, forward_q, kiefer_energy, kiefer_from_sheet
 from .renewal import RenewalConvergenceError
-from .sim import ScalingRegime, decomposition, flow_balance_residuals, lln_check, mc_tail, replications
+from .sim import ScalingRegime, SimulationError, decomposition, flow_balance_residuals, lln_check, mc_tail, replications
 
 log = logging.getLogger(__name__)
 
 COMMANDS = ("rate", "controls", "oracle-check", "simulate", "identity-check", "kiefer-check", "dist-info")
 
-NUMERICAL_ERRORS = (FredholmError, RenewalConvergenceError, np.linalg.LinAlgError, FloatingPointError)
+NUMERICAL_ERRORS = (FredholmError, RenewalConvergenceError, SimulationError, np.linalg.LinAlgError, FloatingPointError)
 
 
 class ConfigError(Exception):

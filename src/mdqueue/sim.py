@@ -2,8 +2,6 @@
 law-of-large-numbers and Monte Carlo tail diagnostics."""
 from __future__ import annotations
 
-import heapq
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -25,9 +23,14 @@ __all__ = [
     "lln_check",
     "mc_tail",
     "spawn_streams",
+    "SimulationError",
 ]
 
 log = logging.getLogger(__name__)
+
+
+class SimulationError(RuntimeError):
+    """The start times of a window did not settle within their pass bound."""
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,55 @@ def _interarrivals(rng: np.random.Generator, lam: float, count: int, family: str
     raise ValueError(f"unsupported interarrival family {family!r}")
 
 
+def _start_times(free: np.ndarray, entries: np.ndarray, horizon: float, draw) -> tuple[np.ndarray, np.ndarray]:
+    """Start times by the horizon and their services, for n = len(free) servers
+    free at `free` and customers entering at `entries`; draw() returns the next
+    256 services.  By Kiefer-Wolfowitz, customer k starts at s_k = max(e_k, m_k),
+    m_k the k-th smallest of the free times and the departures s_j + eta_j,
+    j < k.  No later departure is below m_k (d_j >= s_j >= s_k >= m_k), so
+    the starts of a window of w customers are the fixed point of s = max(e, the
+    w smallest of free and s + eta).  Iterating from the upper bound
+    max(e, free[:w]) falls onto it monotonically and fixes at least one more
+    start per pass, with the same float operations as one customer at a time.
+    """
+    window = max(256, 4 * len(free))
+    # a free time or departure after the horizon can never serve a start by it
+    free = np.sort(free[free <= horizon])
+    services = np.empty(-(-len(entries) // 256) * 256)
+    tau_hat = np.empty(len(entries))
+    k = drawn = 0
+    while k < len(entries):
+        e = entries[k:k + window]
+        w, f = len(e), len(free)
+        while drawn < k + w:
+            services[drawn:drawn + 256] = draw()
+            drawn += 256
+        eta = services[k:k + w]
+        # the upper bound max(e, free[:w]), inf past the last free time
+        s = np.full(w, np.inf)
+        s[:f] = free[:w]
+        np.maximum(e, s, out=s)
+        pool, s_next = np.empty(f + w), np.empty(w)
+        for _ in range(w + 1):
+            pool[:f] = free
+            np.add(s, eta, out=pool[f:])
+            pool.sort()
+            np.maximum(e, pool[:w], out=s_next)
+            if np.array_equal(s_next, s):
+                break
+            s, s_next = s_next, s
+        else:
+            raise SimulationError(f"start times of customers {k}..{k + w - 1} did not settle in {w + 1} passes")
+        started = int(np.searchsorted(s, horizon, side="right"))
+        tau_hat[k:k + started] = s[:started]
+        k += started
+        if started < w:
+            break
+        # the free times and departures the window did not take carry over
+        free = pool[w:np.searchsorted(pool, horizon, side="right")]
+    return tau_hat[:k].copy(), services[:k].copy()
+
+
 def simulate(
     pm: ModelParams,
     d: ServiceDist,
@@ -147,11 +199,15 @@ def simulate(
 
     Q_n(0) = round(n + q0 * b_n * sqrt(n)) clamped at 0; initially in-service
     customers carry residual times from F0, everyone entering service after 0
-    draws from F.  Start times follow the Kiefer-Wolfowitz recursion over a
-    heap of server-free times: customers in order of system entry (the initial
-    queue at time 0, then arrivals) start at max(entry, earliest free time).
-    Ties are broken arrivals-first, then by customer index (they occur with
-    probability zero but must be deterministic).
+    draws from F.  Customers in order of system entry (the initial queue at
+    time 0, then arrivals) start at max(entry, earliest free server), solved a
+    window of max(256, 4n) customers at a time.  Event ties are broken
+    arrivals-first, then by customer index (they occur with probability zero
+    but must be deterministic).
+
+    rng draws eta0, the arrivals past the horizon, then each window's services
+    in blocks of 256, so it may end up to one window of draws past the started
+    customers' services: do not read it after the call.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -171,29 +227,10 @@ def simulate(
         arr = np.concatenate([arr, arr[-1] + np.cumsum(gaps)])
     arrivals = arr[arr <= horizon]
 
-    # FCFS: the k-th service start after 0 goes to customer in_service + k
-    # (customers numbered in order of system entry).  Service times are drawn
-    # in blocks of 256 and handed out in start order.
-    free = eta0.tolist() + [0.0] * (n - in_service)
-    heapq.heapify(free)
-    entries = itertools.chain(itertools.repeat(0.0, q0_count - in_service), arrivals.tolist())
-    starts: list[float] = []
-    services: list[float] = []
-    k = drawn = 0
-    replace, record = heapq.heapreplace, starts.append
-    for avail in entries:
-        first_free = free[0]
-        start = avail if avail > first_free else first_free
-        if start > horizon:
-            break
-        if k == drawn:
-            services += d.sample(rng, size=256).tolist()
-            drawn += 256
-        replace(free, start + services[k])
-        record(start)
-        k += 1
-    tau_hat = np.array(starts, dtype=float)
-    eta = np.array(services[:k], dtype=float)
+    # customers in order of system entry: the initial queue at time 0, then arrivals
+    entries = np.concatenate([np.zeros(q0_count - in_service), arrivals])
+    free = np.concatenate([eta0, np.zeros(n - in_service)])
+    tau_hat, eta = _start_times(free, entries, horizon, lambda: d.sample(rng, size=256))
 
     # events: every arrival and every departure up to the horizon
     dep = tau_hat + eta
@@ -206,7 +243,9 @@ def simulate(
         np.flatnonzero(keep0),
         in_service + np.flatnonzero(keep),
     ]).astype(np.int64)
-    order = np.lexsort((ids, types, times))
+    # the concatenation is in (type, id) order, so a stable sort by time breaks
+    # ties arrivals first, then by customer index
+    order = np.argsort(times, kind="stable")
     types = types[order]
     q_values = q0_count + np.cumsum(1 - 2 * types.astype(np.int64))
 

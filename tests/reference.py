@@ -1,5 +1,8 @@
 """Dense references for the matrix-free Fredholm operator of `mdqueue.fredholm`
-and for the oracle's Gram."""
+and for the oracle's Gram, and the one-customer-at-a-time start-time recursion
+of `mdqueue.sim`."""
+import heapq
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -64,3 +67,22 @@ def continuum_gram(pm, d, T, n_steps, zero_mean):
             lag = pm.sigma**2 * surv[i - j] * surv[k - j] / wt[j] + pm.mu**2 * m(F[i - j], F[k - j]) / (pm.mu * wt[j])
             G[i - 1, k - 1] = m(F0[i], F0[k]) + np.sum(tw_i * tw_k * lag)
     return G
+
+
+def heap_start_times(free, entries, horizon, draw):
+    """Kiefer-Wolfowitz start times one customer at a time over a heap of
+    server-free times: customers in order of entry start at max(entry, earliest
+    free time) until a start passes the horizon.  draw() returns the next block
+    of services, handed out in start order.  Returns (starts, services)."""
+    free = list(map(float, free))
+    heapq.heapify(free)
+    starts, services = [], []
+    for avail in map(float, entries):
+        start = max(avail, free[0])
+        if start > horizon:
+            break
+        if len(starts) == len(services):
+            services += draw().tolist()
+        heapq.heapreplace(free, start + services[len(starts)])
+        starts.append(start)
+    return np.array(starts, dtype=float), np.array(services[:len(starts)], dtype=float)

@@ -235,6 +235,21 @@ def test_numerical_failure_exit_1_with_summary(tmp_path, monkeypatch):
     assert "FredholmError" in s["error"]
 
 
+def test_unsettled_start_times_exit_1_with_summary(tmp_path, monkeypatch):
+    # no pass ever matches the one before it, so simulate runs the w + 1 passes
+    # its first window of w customers allows and raises SimulationError
+    monkeypatch.setattr(np, "array_equal", lambda a, b: False)
+    cfg = _cfg(tmp_path, "c.json", dict(
+        BASE, command="simulate", seed=9,
+        sim={"ladder": [10], "b_rule": {"kind": "power", "value": 0.25}, "reps": 1, "horizon": 1.0},
+    ))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    s = json.loads((out / "summary.json").read_text())
+    assert s["status"] == "numerical-failure"
+    assert s["error"].startswith("SimulationError: start times of customers 0..")
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = _cfg(tmp_path, "c.json", dict(
         BASE, command="simulate", seed=1,

@@ -5,6 +5,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import heap_start_times
 from scipy.stats import kstest
 
 from mdqueue import (
@@ -339,6 +342,84 @@ def test_simulate_matches_event_driven_reference(d, n):
             assert np.array_equal(getattr(tr, name), want), name
 
 
+# mean 1: a rate-100 branch next to a slow one, so a server that frees up early
+# often serves several queued customers in a row
+_W_SLOW = 0.99 / (1 / 0.502 - 0.01)
+FAST_HYPEREXP = ServiceDist.hyperexponential([1 - _W_SLOW, _W_SLOW], [100.0, 0.502])
+KW_LAWS = [pytest.param(d, id=d.family) for d in LAWS] + [pytest.param(FAST_HYPEREXP, id="fast_hyperexponential")]
+
+
+class _Recorded:
+    """A service law that keeps every block of services `simulate` draws."""
+
+    def __init__(self, d):
+        self.d, self.blocks = d, []
+
+    def sample_equilibrium(self, rng, size):
+        return self.d.sample_equilibrium(rng, size=size)
+
+    def sample(self, rng, size):
+        self.blocks.append(self.d.sample(rng, size=size))
+        return self.blocks[-1]
+
+
+def _simulate_recorded(pm, d, sr, horizon, rng, **arrivals):
+    rec = _Recorded(d)
+    return simulate(pm, rec, sr, horizon, rng, **arrivals), rec.blocks
+
+
+def _assert_starts_match_heap(tr, blocks):
+    in_service = len(tr.eta0)
+    free = np.concatenate([tr.eta0, np.zeros(tr.n - in_service)])
+    entries = np.concatenate([np.zeros(tr.q0_count - in_service), tr.arrival_times])
+    draw = iter(blocks).__next__
+    tau_hat, eta = heap_start_times(free, entries, tr.horizon, draw)
+    assert tr.tau_hat.dtype == tr.eta.dtype == np.float64
+    assert np.array_equal(tr.tau_hat, tau_hat)
+    assert np.array_equal(tr.eta, eta)
+
+
+@pytest.mark.parametrize("q0", [-0.5, 0.0, 0.8, 1.0])
+@pytest.mark.parametrize("d", KW_LAWS)
+def test_simulate_start_times_match_heap(d, q0):
+    # q0 -0.5 leaves servers idle at 0, 0.8 and 1 start with a queue; horizon 0
+    # starts only the customers whose servers are free at 0
+    pm = ModelParams(d.mu, 1.0, 0.5, q0)
+    for n in (1, 2, 3, 7, 50, 400, 3000):
+        sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
+        for horizon in (0.0, 0.3, 3.0):
+            for seed, (family, shape) in enumerate([("exponential", 1), ("erlang", 2)]):
+                rng = np.random.default_rng(seed)
+                _assert_starts_match_heap(*_simulate_recorded(pm, d, sr, horizon, rng,
+                                                              arrival_family=family, arrival_shape=shape))
+    # several windows of max(256, 4n) customers, with the free times and
+    # departures carried from one to the next
+    for n, horizon in [(1, 2000.0), (10, 100.0), (50, 20.0)]:
+        sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
+        tr, blocks = _simulate_recorded(pm, d, sr, horizon, np.random.default_rng(2))
+        assert len(tr.tau_hat) > 2 * max(256, 4 * n)
+        _assert_starts_match_heap(tr, blocks)
+
+
+@given(
+    law=st.sampled_from(LAWS + [FAST_HYPEREXP]),
+    n=st.integers(1, 60),
+    q0=st.floats(-1.0, 1.5),
+    horizon=st.floats(0.0, 5.0),
+    arrival_shape=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_simulate_matches_event_driven_reference_property(law, n, q0, horizon, arrival_shape, seed):
+    family = "exponential" if arrival_shape == 1 else "erlang"
+    pm = ModelParams(law.mu, 1.0, 0.5, q0)
+    sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
+    tr = simulate(pm, law, sr, horizon, np.random.default_rng(seed), arrival_family=family, arrival_shape=arrival_shape)
+    ref = _reference_simulate(pm, law, sr, horizon, np.random.default_rng(seed), family, arrival_shape)
+    for name, want in ref.items():
+        assert np.array_equal(getattr(tr, name), want), name
+
+
 class _UnitServices:
     """Every service and residual service lasts exactly 1."""
 
@@ -435,10 +516,48 @@ def _longdouble_lag_sum(d: ServiceDist, t: float, tau: np.ndarray, eta: np.ndarr
 
 
 @pytest.fixture(scope="module")
-def traces_1e5(pm):
-    # one horizon-1 path at n = 1e5 per law; every law in LAWS has mean 1
+def runs_1e5(pm):
+    # one horizon-1 path at n = 1e5 per law, with its service draws; every law
+    # in LAWS has mean 1
     sr = ScalingRegime(n=100_000, rule=("power", 0.25), beta=0.5)
-    return {d.family: simulate(pm, d, sr, 1.0, np.random.default_rng(8)) for d in LAWS}
+    return {d.family: _simulate_recorded(pm, d, sr, 1.0, np.random.default_rng(8)) for d in LAWS}
+
+
+@pytest.fixture(scope="module")
+def traces_1e5(runs_1e5):
+    return {family: tr for family, (tr, _) in runs_1e5.items()}
+
+
+@pytest.fixture(scope="module")
+def fast_queue_1e5():
+    # a queue of b_n sqrt(n) ~ 5,600 customers behind the fast hyperexponential
+    # law, whose start times take the most passes to settle; returns the run and
+    # the seconds simulate took
+    pm = ModelParams(1.0, 1.0, 0.5, 1.0)
+    sr = ScalingRegime(n=100_000, rule=("power", 0.25), beta=0.5)
+    t0 = time.perf_counter()
+    run = _simulate_recorded(pm, FAST_HYPEREXP, sr, 1.0, np.random.default_rng(8))
+    return run, time.perf_counter() - t0
+
+
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_simulate_start_times_match_heap_at_n1e5(d, runs_1e5):
+    _assert_starts_match_heap(*runs_1e5[d.family])
+
+
+def test_simulate_start_times_match_heap_at_n1e5_fast_queue(fast_queue_1e5):
+    (tr, blocks), _ = fast_queue_1e5
+    assert tr.q0_count - tr.n > 5_000
+    _assert_starts_match_heap(tr, blocks)
+
+
+def test_simulate_n1e5_time_bound(fast_queue_1e5):
+    # about 40 passes of one sort each settle the start times in about 0.15 s on
+    # a 2-core x86 machine, against 0.23 s for a heap; 1 s is the bound, which a
+    # pass count growing with the number of customers would break
+    (tr, _), elapsed = fast_queue_1e5
+    assert len(tr.tau_hat) > 90_000
+    assert elapsed < 1.0, f"simulate at n = 1e5, fast hyperexponential, q0 = 1 took {elapsed:.2f} s"
 
 
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
