@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .dist import ServiceDist
 from .fredholm import FredholmError, evaluate_rate
-from .grids import GridField2D, GridPath
+from .grids import GridField2D, GridPath, float_strs, write_csv
 from .oracle import build_qp, solve_min_norm
 from .paths import ModelParams, forward_q, kiefer_energy, kiefer_from_sheet
 from .renewal import RenewalConvergenceError
@@ -63,6 +63,12 @@ def _integer(block: dict, key: str, where: str, default, minimum: int) -> int:
     if not float(v).is_integer() or v < minimum:
         raise ConfigError(f"{where}.{key}: expected an integer >= {minimum}, got {v!r}")
     return int(v)
+
+
+def _table_csv(path: Path, header: str, columns: list) -> None:
+    """A small CSV from whole columns: float columns as repr strings, any other by str."""
+    columns = [float_strs(c) if all(isinstance(v, float) for v in c) else list(map(str, c)) for c in columns]
+    write_csv(path, header, len(columns[0]), lambda lo, hi: [c[lo:hi] for c in columns])
 
 
 class Run:
@@ -268,22 +274,15 @@ def cmd_oracle_check(run: Run, out: Path) -> dict:
         "N": run.q_path.n_steps,
         "M": n_x,
     }
-    (out / "oracle.csv").write_text(
-        "quantity,value\n"
-        + "\n".join(f"{k},{v!r}" for k, v in summary.items() if isinstance(v, float))
-        + "\n"
-    )
+    floats = {k: v for k, v in summary.items() if isinstance(v, float)}
+    _table_csv(out / "oracle.csv", "quantity,value", [list(floats), list(floats.values())])
     return summary
 
 
 def _trace_csv(trace, path: Path) -> None:
-    names = ("arrival", "departure")
-    rows = [
-        f"{t!r},{names[ty]},{cid}\n"
-        for t, ty, cid in zip(trace.event_times.tolist(), trace.event_types.tolist(), trace.event_ids.tolist())
-    ]
-    with open(path, "w", newline="") as fh:
-        fh.write("time,type,customer\n" + "".join(rows))
+    write_csv(path, "time,type,customer", len(trace.event_times), lambda lo, hi: (
+        float_strs(trace.event_times[lo:hi]), [("arrival", "departure")[ty] for ty in trace.event_types[lo:hi].tolist()],
+        list(map(str, trace.event_ids[lo:hi].tolist()))))
 
 
 def _replications(run: Run):
@@ -340,12 +339,8 @@ def cmd_simulate(run: Run, out: Path) -> dict:
             "compared against the rate function"
         )
 
-    with open(out / "ladder.csv", "w", newline="") as fh:
-        fh.write("n,b,rho,condition_value,lln_percentile\n")
-        for row in ladder:
-            fh.write(
-                f"{row['n']},{row['b']!r},{row['rho']!r},{row['condition_value']!r},{row['lln_percentile']!r}\n"
-            )
+    keys = ("n", "b", "rho", "condition_value", "lln_percentile")
+    _table_csv(out / "ladder.csv", ",".join(keys), [[row[k] for row in ladder] for k in keys])
     return summary
 
 
@@ -368,13 +363,8 @@ def cmd_identity_check(run: Run, out: Path) -> dict:
                 "quadrature_bound": dec.quadrature_bound,
             }
         )
-    with open(out / "identity.csv", "w", newline="") as fh:
-        fh.write("n,rep,flow_balance_max,residual_sup,residual_sup_refined,quadrature_bound\n")
-        for r in rows:
-            fh.write(
-                f"{r['n']},{r['rep']},{r['flow_balance_max']},{r['residual_sup']!r},"
-                f"{r['residual_sup_refined']!r},{r['quadrature_bound']!r}\n"
-            )
+    keys = ("n", "rep", "flow_balance_max", "residual_sup", "residual_sup_refined", "quadrature_bound")
+    _table_csv(out / "identity.csv", ",".join(keys), [[r[k] for r in rows] for k in keys])
     summary = {
         "traces": len(rows),
         "decomposition_steps": steps,
@@ -417,10 +407,7 @@ def cmd_dist_info(run: Run, out: Path) -> dict:
     T = run.grid["horizon"] if run.grid else d.horizon_for_tail(1e-6)
     n = run.grid["n_steps"] if run.grid else 200
     t = np.linspace(0.0, T, n + 1)
-    with open(out / "dist.csv", "w", newline="") as fh:
-        fh.write("t,cdf,pdf,eq_cdf,eq_pdf\n")
-        for ti, c, p, c0, p0 in zip(t, d.cdf(t), d.pdf(t), d.eq_cdf(t), d.eq_pdf(t)):
-            fh.write(f"{float(ti)!r},{float(c)!r},{float(p)!r},{float(c0)!r},{float(p0)!r}\n")
+    _table_csv(out / "dist.csv", "t,cdf,pdf,eq_cdf,eq_pdf", [t, d.cdf(t), d.pdf(t), d.eq_cdf(t), d.eq_pdf(t)])
     return {
         "family": d.family,
         "mean": d.mean,

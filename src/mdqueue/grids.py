@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import csv
+import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +11,8 @@ import numpy as np
 __all__ = [
     "GridPath",
     "GridField2D",
+    "float_strs",
+    "write_csv",
     "trap_weights",
     "volterra_weights",
     "trap_integral",
@@ -16,6 +20,32 @@ __all__ = [
     "cumtrap",
     "lags",
 ]
+
+log = logging.getLogger(__name__)
+BLOCK_ROWS = 4096  # rows formatted and written at a time: bounds the strings alive at once
+
+
+def float_strs(values) -> list:
+    """repr() of each float in values, from orjson's shortest round-trip digits.  The two
+    differ only where repr writes an exponent (0 < |x| < 1e-4, |x| >= 1e16) or nan/inf:
+    orjson writes 1e-5 and 1e16 for 1e-05 and 1e+16, so those entries take repr."""
+    import orjson
+    a = np.ascontiguousarray(values, dtype=float).ravel()
+    strs = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",") if a.size else []
+    fix = np.flatnonzero((np.abs(a) < 1e-4) & (a != 0.0) | ~(np.abs(a) < 1e16))
+    for i, x in zip(fix.tolist(), a[fix].tolist()):
+        strs[i] = repr(x)
+    return strs
+
+
+def write_csv(path, header: str, n_rows: int, columns, newline: str = "\n") -> None:
+    """Write the header line and n_rows rows, BLOCK_ROWS at a time; columns(lo, hi)
+    returns the string columns of rows lo..hi-1.  Logs the file's rows and bytes."""
+    with open(path, "w", newline="") as fh:
+        n_bytes = fh.write(header + newline)
+        for lo in range(0, n_rows, BLOCK_ROWS):
+            n_bytes += fh.write(newline.join(map(",".join, zip(*columns(lo, min(lo + BLOCK_ROWS, n_rows))))) + newline)
+    log.info("%s: %d rows, %d bytes", os.path.basename(path), n_rows, n_bytes)
 
 
 def trap_weights(n_nodes: int, dt: float) -> np.ndarray:
@@ -106,9 +136,8 @@ class GridPath:
         return np.interp(t, self.times, self.values)
 
     def to_csv(self, path) -> None:
-        rows = [f"{t!r},{v!r}\r\n" for t, v in zip(self.times.tolist(), self.values.tolist())]
-        with open(path, "w", newline="") as fh:
-            fh.write("t,value\r\n" + "".join(rows))
+        t, v = self.times, self.values
+        write_csv(path, "t,value", len(v), lambda lo, hi: (float_strs(t[lo:hi]), float_strs(v[lo:hi])), "\r\n")
 
     @classmethod
     def from_csv(cls, path) -> "GridPath":
@@ -167,12 +196,11 @@ class GridField2D:
         return float(wx @ (self.values**2) @ wt)
 
     def to_csv(self, path) -> None:
-        xs = [repr(x) for x in self.x_grid.tolist()]
-        with open(path, "w", newline="") as fh:
-            fh.write("x,t,value\r\n")
-            for t, column in zip(self.t_grid.tolist(), self.values.T):
-                t = repr(t)
-                fh.write("".join([f"{x},{t},{v!r}\r\n" for x, v in zip(xs, column.tolist())]))
+        def columns(lo, hi):  # rows in t-major order: row r holds node divmod(r, M + 1) = (it, ix)
+            it, ix = np.divmod(np.arange(lo, hi), self.values.shape[0])
+            return float_strs(self.x_grid[ix]), float_strs(self.t_grid[it]), float_strs(self.values[ix, it])
+
+        write_csv(path, "x,t,value", self.values.size, columns, "\r\n")
 
     @classmethod
     def from_csv(cls, path) -> "GridField2D":

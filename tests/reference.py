@@ -1,6 +1,7 @@
 """Dense references for the matrix-free Fredholm operator of `mdqueue.fredholm`
-and for the oracle's Gram, and the one-customer-at-a-time start-time recursion
-of `mdqueue.sim`."""
+and for the oracle's Gram, the one-customer-at-a-time start-time recursion
+of `mdqueue.sim`, and the row-at-a-time `repr` CSV writers that are the byte
+reference for `grids.write_csv` and the artifacts written through it."""
 import heapq
 
 import numpy as np
@@ -86,3 +87,72 @@ def heap_start_times(free, entries, horizon, draw):
         heapq.heapreplace(free, start + services[len(starts)])
         starts.append(start)
     return np.array(starts, dtype=float), np.array(services[:len(starts)], dtype=float)
+
+
+# -- CSV artifacts, one row and one repr per float at a time ----------------
+
+
+def path_csv(q, path):
+    """`GridPath.to_csv`: header t,value, CRLF line ends."""
+    rows = [f"{t!r},{v!r}\r\n" for t, v in zip(q.times.tolist(), q.values.tolist())]
+    with open(path, "w", newline="") as fh:
+        fh.write("t,value\r\n" + "".join(rows))
+
+
+def field_csv(f, path):
+    """`GridField2D.to_csv`: header x,t,value, rows in t-major order, CRLF line ends."""
+    xs = [repr(x) for x in f.x_grid.tolist()]
+    with open(path, "w", newline="") as fh:
+        fh.write("x,t,value\r\n")
+        for t, column in zip(f.t_grid.tolist(), f.values.T):
+            t = repr(t)
+            fh.write("".join([f"{x},{t},{v!r}\r\n" for x, v in zip(xs, column.tolist())]))
+
+
+def trace_csv(trace, path):
+    """The `trace_n*.csv` of `simulate`: one row per event, LF line ends."""
+    names = ("arrival", "departure")
+    rows = [
+        f"{t!r},{names[ty]},{cid}\n"
+        for t, ty, cid in zip(trace.event_times.tolist(), trace.event_types.tolist(), trace.event_ids.tolist())
+    ]
+    with open(path, "w", newline="") as fh:
+        fh.write("time,type,customer\n" + "".join(rows))
+
+
+def dist_csv(d, t, path):
+    """The `dist.csv` of `dist-info` on the nodes t."""
+    with open(path, "w", newline="") as fh:
+        fh.write("t,cdf,pdf,eq_cdf,eq_pdf\n")
+        for ti, c, p, c0, p0 in zip(t, d.cdf(t), d.pdf(t), d.eq_cdf(t), d.eq_pdf(t)):
+            fh.write(f"{float(ti)!r},{float(c)!r},{float(p)!r},{float(c0)!r},{float(p0)!r}\n")
+
+
+def ladder_csv(ladder, path):
+    """The `ladder.csv` of `simulate` from its summary's ladder rows."""
+    with open(path, "w", newline="") as fh:
+        fh.write("n,b,rho,condition_value,lln_percentile\n")
+        for row in ladder:
+            fh.write(
+                f"{row['n']},{row['b']!r},{row['rho']!r},{row['condition_value']!r},{row['lln_percentile']!r}\n"
+            )
+
+
+def identity_csv(rows, path):
+    """The `identity.csv` of `identity-check`, one row per trace."""
+    with open(path, "w", newline="") as fh:
+        fh.write("n,rep,flow_balance_max,residual_sup,residual_sup_refined,quadrature_bound\n")
+        for r in rows:
+            fh.write(
+                f"{r['n']},{r['rep']},{r['flow_balance_max']},{r['residual_sup']!r},"
+                f"{r['residual_sup_refined']!r},{r['quadrature_bound']!r}\n"
+            )
+
+
+def oracle_csv(summary, path):
+    """The `oracle.csv` of `oracle-check`: the float entries of its summary, in order."""
+    path.write_text(
+        "quantity,value\n"
+        + "\n".join(f"{k},{v!r}" for k, v in summary.items() if isinstance(v, float))
+        + "\n"
+    )
