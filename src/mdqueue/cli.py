@@ -25,9 +25,13 @@ from .sim import ScalingRegime, SimulationError, decomposition, flow_balance_res
 
 log = logging.getLogger(__name__)
 
-COMMANDS = ("rate", "controls", "oracle-check", "simulate", "identity-check", "kiefer-check", "dist-info")
+# The blocks each command reads, checked with the rest of the config before anything is written.
+REQUIRES = {"rate": ("model", "io.q_csv"), "controls": ("model", "io.q_csv"), "oracle-check": ("model", "io.q_csv", "grid"),
+            "simulate": ("model", "sim"), "identity-check": ("model", "sim"), "kiefer-check": (), "dist-info": ("dist",)}
+COMMANDS = tuple(REQUIRES)
 
-NUMERICAL_ERRORS = (FredholmError, RenewalConvergenceError, SimulationError, np.linalg.LinAlgError, FloatingPointError)
+# Errors inside a command exit 1 with a summary.json; a ValueError there is an input the config checks let through.
+NUMERICAL_ERRORS = (FredholmError, RenewalConvergenceError, SimulationError, np.linalg.LinAlgError, FloatingPointError, ValueError)
 
 
 class ConfigError(Exception):
@@ -51,9 +55,17 @@ def _expect(block: dict, where: str, required: tuple = (), optional: tuple = ())
 
 
 def _number(block: dict, key: str, where: str, default=None):
+    """A finite number: bool, NaN, +-Infinity and integers beyond the float range are rejected."""
     v = block.get(key, default)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {v!r}")
+    return v
+
+
+def _positive(block: dict, key: str, where: str, default=None) -> float:
+    v = float(_number(block, key, where, default))
+    if not v > 0:
+        raise ConfigError(f"{where}.{key} must be positive, got {v!r}")
     return v
 
 
@@ -63,6 +75,21 @@ def _integer(block: dict, key: str, where: str, default, minimum: int) -> int:
     if not float(v).is_integer() or v < minimum:
         raise ConfigError(f"{where}.{key}: expected an integer >= {minimum}, got {v!r}")
     return int(v)
+
+
+def _load_csv(io: dict, key: str, cfg_dir: Path, cls):
+    """cls.from_csv of the file io[key] names, relative to the config; None when absent."""
+    if key not in io:
+        return None
+    if not isinstance(io[key], str):
+        raise ConfigError(f"io.{key}: expected a file name, got {io[key]!r}")
+    p = (cfg_dir / io[key]).resolve()
+    if not p.is_file():
+        raise ConfigError(f"io.{key}: file not found: {p}")
+    try:
+        return cls.from_csv(p)
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"io.{key}: {exc}") from exc
 
 
 def _table_csv(path: Path, header: str, columns: list) -> None:
@@ -94,8 +121,8 @@ class Run:
             raise ConfigError(f"dist: {exc}") from exc
 
         tol = _expect(cfg.get("tolerances", {}), "tolerances", optional=("fredholm", "renewal"))
-        self.tol_fredholm = float(_number(tol, "fredholm", "tolerances", 1e-12))
-        self.tol_renewal = float(_number(tol, "renewal", "tolerances", 1e-10))
+        self.tol_fredholm = _positive(tol, "fredholm", "tolerances", 1e-12)
+        self.tol_renewal = _positive(tol, "renewal", "tolerances", 1e-10)
 
         self.model = None
         if "model" in cfg:
@@ -115,34 +142,17 @@ class Run:
         self.grid = None
         if "grid" in cfg:
             g = _expect(cfg["grid"], "grid", required=("horizon", "n_steps"), optional=("n_x",))
-            horizon = float(_number(g, "horizon", "grid"))
-            if not horizon > 0:
-                raise ConfigError(f"grid.horizon must be positive, got {horizon!r}")
             self.grid = {
-                "horizon": horizon,
+                "horizon": _positive(g, "horizon", "grid"),
                 "n_steps": _integer(g, "n_steps", "grid", None, 2),
-                "n_x": _integer(g, "n_x", "grid", 32, 1),
+                "n_x": _integer(g, "n_x", "grid", 32, 2),
             }
 
         io = _expect(cfg.get("io", {}), "io", optional=("q_csv", "sheet_csv"))
-        self.q_path = None
-        if "q_csv" in io:
-            p = (cfg_dir / io["q_csv"]).resolve()
-            if not p.is_file():
-                raise ConfigError(f"io.q_csv: file not found: {p}")
-            try:
-                self.q_path = GridPath.from_csv(p)
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"io.q_csv: {exc}") from exc
-        self.sheet = None
-        if "sheet_csv" in io:
-            p = (cfg_dir / io["sheet_csv"]).resolve()
-            if not p.is_file():
-                raise ConfigError(f"io.sheet_csv: file not found: {p}")
-            try:
-                self.sheet = GridField2D.from_csv(p)
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"io.sheet_csv: {exc}") from exc
+        self.q_path = _load_csv(io, "q_csv", cfg_dir, GridPath)
+        self.sheet = _load_csv(io, "sheet_csv", cfg_dir, GridField2D)
+        if self.q_path is not None and self.model is not None and not abs(self.q_path.values[0] - self.model.q0) <= 1e-9:
+            raise ConfigError(f"q(0) = {self.q_path.values[0]} does not match q0 = {self.model.q0}")
 
         self.sim = None
         if "sim" in cfg:
@@ -164,9 +174,7 @@ class Run:
             arrival = _expect(s.get("arrival", {}), "sim.arrival", optional=("family", "shape"))
             if arrival.get("family", "exponential") not in ("exponential", "erlang"):
                 raise ConfigError("sim.arrival.family must be 'exponential' or 'erlang'")
-            horizon = float(_number(s, "horizon", "sim"))
-            if not horizon > 0:
-                raise ConfigError(f"sim.horizon must be positive, got {horizon!r}")
+            horizon = _positive(s, "horizon", "sim")
             lln_t = float(_number(s, "lln_t", "sim", horizon))
             if not 0 <= lln_t <= horizon:
                 raise ConfigError(f"sim.lln_t = {lln_t!r} must lie in [0, sim.horizon]")
@@ -181,7 +189,8 @@ class Run:
             if self.model is None:
                 raise ConfigError("sim block requires model and dist blocks")
             try:
-                regimes = [ScalingRegime(n=n, rule=(rule["kind"], float(rule["value"])), beta=self.model.beta) for n in ladder]
+                value = float(_number(rule, "value", "sim.b_rule"))
+                regimes = [ScalingRegime(n=n, rule=(rule["kind"], value), beta=self.model.beta) for n in ladder]
             except ValueError as exc:
                 raise ConfigError(f"sim.b_rule: {exc}") from exc
             self.sim = {
@@ -201,17 +210,13 @@ class Run:
             self.kiefer = {
                 "m": _integer(k, "m", "kiefer", 512, 2),
                 "n": _integer(k, "n", "kiefer", 512, 2),
-                "t_horizon": float(_number(k, "t_horizon", "kiefer", 1.0)),
+                "t_horizon": _positive(k, "t_horizon", "kiefer", 1.0),
                 "value": float(_number(k, "value", "kiefer", 1.0)),
             }
-            if not self.kiefer["t_horizon"] > 0:
-                raise ConfigError("kiefer: t_horizon > 0 required")
 
-    # -- per-command requirements -----------------------------------------
-
-    def require(self, **blocks):
-        for name, ok in blocks.items():
-            if not ok:
+        blocks = {"model": self.model, "io.q_csv": self.q_path, "grid": self.grid, "sim": self.sim, "dist": self.dist}
+        for name in REQUIRES[self.command]:
+            if blocks[name] is None:
                 raise ConfigError(f"command {self.command!r} requires the {name} block")
 
 
@@ -240,13 +245,11 @@ def _rate_artifacts(run: Run, out: Path) -> dict:
 
 
 def cmd_rate(run: Run, out: Path) -> dict:
-    run.require(model=run.model is not None, io_q_csv=run.q_path is not None)
     summary, _ = _rate_artifacts(run, out)
     return summary
 
 
 def cmd_controls(run: Run, out: Path) -> dict:
-    run.require(model=run.model is not None, io_q_csv=run.q_path is not None)
     summary, res = _rate_artifacts(run, out)
     q_rt = forward_q(res.controls, run.model, run.dist, tol=run.tol_renewal)
     q_rt.to_csv(out / "q_roundtrip.csv")
@@ -257,7 +260,6 @@ def cmd_controls(run: Run, out: Path) -> dict:
 
 
 def cmd_oracle_check(run: Run, out: Path) -> dict:
-    run.require(model=run.model is not None, io_q_csv=run.q_path is not None, grid=run.grid is not None)
     n_x = run.grid["n_x"]
     res = evaluate_rate(run.q_path, run.model, run.dist, n_x=n_x, tol=run.tol_fredholm)
     val_off, route_off = solve_min_norm(build_qp(run.q_path, run.model, run.dist, zero_mean=False))
@@ -294,7 +296,6 @@ def _replications(run: Run):
 
 
 def cmd_simulate(run: Run, out: Path) -> dict:
-    run.require(model=run.model is not None, sim=run.sim is not None)
     s = run.sim
     traces_by_n = {}
     for sr, rep, tr in _replications(run):
@@ -345,7 +346,6 @@ def cmd_simulate(run: Run, out: Path) -> dict:
 
 
 def cmd_identity_check(run: Run, out: Path) -> dict:
-    run.require(model=run.model is not None, sim=run.sim is not None)
     s = run.sim
     steps = s["decomposition_steps"]
     rows = []
@@ -402,7 +402,6 @@ def cmd_kiefer_check(run: Run, out: Path) -> dict:
 
 
 def cmd_dist_info(run: Run, out: Path) -> dict:
-    run.require(dist=run.dist is not None)
     d = run.dist
     T = run.grid["horizon"] if run.grid else d.horizon_for_tail(1e-6)
     n = run.grid["n_steps"] if run.grid else 200
@@ -471,11 +470,6 @@ def main(argv: list[str] | None = None) -> int:
     except NUMERICAL_ERRORS as exc:
         _write_summary(out, dict(base, status="numerical-failure", error=f"{type(exc).__name__}: {exc}"), args.quiet)
         return 1
-    except (ConfigError, ValueError) as exc:
-        # ValueError from the numerics means inconsistent inputs (e.g. a q path
-        # whose q(0) does not match the configured q0): a config problem
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
     _write_summary(out, dict(base, status="ok", **summary), args.quiet)
     return 0
 

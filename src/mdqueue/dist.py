@@ -65,14 +65,14 @@ class ServiceDist:
         object.__setattr__(self, "weights", np.atleast_1d(np.asarray(self.weights, dtype=float)))
         if self.family not in ("exponential", "erlang", "hyperexponential"):
             raise ValueError(f"unsupported family: {self.family!r}")
-        if np.any(self.rates <= 0):
-            raise ValueError("rates must be positive")
+        if not np.all((self.rates > 0) & np.isfinite(self.rates)):
+            raise ValueError("rates must be positive and finite")
         # bool and str are rejected, not coerced; an integral float such as 3.0 is stored as 3
         k = self.shape
         if isinstance(k, bool) or not isinstance(k, numbers.Real) or not float(k).is_integer() or k < 1:
             raise ValueError(f"shape must be an integer >= 1, got {k!r}")
         object.__setattr__(self, "shape", int(k))
-        if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-12:
+        if not (np.all(self.weights > 0) and abs(self.weights.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must be positive and sum to 1")
         if len(self.rates) != len(self.weights):
             raise ValueError("weights and rates must have equal length")

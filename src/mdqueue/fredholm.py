@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dist import ServiceDist
-from .grids import GridField2D, GridPath, conv_trap, trap_weights
-from .paths import ControlSet, ModelParams, drift, energy
+from .grids import GridField2D, GridPath, trap_weights
+from .paths import ControlSet, ModelParams, defect, drift, energy
 from .renewal import solve_nonlinear
 
 __all__ = [
@@ -28,28 +28,11 @@ __all__ = [
 ]
 
 _ZERO_CLAMP = 1e-10
-_SIGN_EPS = 1e-12
 _CG_MAX_ITER = 400  # iteration budget of the adjoint CG solve
 
 
 class FredholmError(RuntimeError):
     """A numerical check of the adjoint solve, the rate or the QP failed."""
-
-
-def positive_indicator(q: np.ndarray) -> np.ndarray:
-    """Grid indicator of {q > 0}, with values in [-1e-12, 1e-12] treated as zero.
-
-    A zero node adjacent to a positive node counts as positive: the integrand
-    q' 1{q>0} is defined a.e. and its one-sided limit at the edge of a positive
-    interval is q', so giving the edge node that value keeps the trapezoid rule
-    second-order there instead of dropping the half-weight endpoint.
-    """
-    pos = q > _SIGN_EPS
-    near0 = np.abs(q) <= _SIGN_EPS
-    edge = np.zeros_like(pos)
-    edge[:-1] |= pos[1:]
-    edge[1:] |= pos[:-1]
-    return (pos | (near0 & edge)).astype(float)
 
 
 def path_derivative(q: GridPath) -> np.ndarray:
@@ -63,14 +46,10 @@ def path_derivative(q: GridPath) -> np.ndarray:
 
 
 def forcing(q: GridPath, pm: ModelParams, d: ServiceDist) -> GridPath:
-    """h(t) = qdot(t) - int_0^t qdot(s) 1{q(s)>0} F'(t-s) ds + (beta - q0^-) F0'(t)."""
-    if abs(q.values[0] - pm.q0) > 1e-9:
-        raise ValueError(f"q(0) = {q.values[0]} does not match q0 = {pm.q0}")
-    t = q.times
-    dq = path_derivative(q)
-    a = dq * positive_indicator(q.values)
-    h = dq - conv_trap(a, d.pdf(t), q.dt) + (pm.beta - pm.q0_minus) * d.eq_pdf(t)
-    return GridPath(q.horizon, h)
+    """h = r' for the defect r of `paths.defect`, the constraint right side of
+    the oracle; in the continuum h(t) = qdot(t) - int_0^t (q^+)'(s) F'(t-s) ds
+    + (beta - q0^-) F0'(t)."""
+    return GridPath(q.horizon, path_derivative(GridPath(q.horizon, defect(q, pm, d))))
 
 
 def shift_matrix(d: ServiceDist, T: float, n_steps: int) -> np.ndarray:

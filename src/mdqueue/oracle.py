@@ -10,8 +10,8 @@ import numpy as np
 
 from .dist import ServiceDist
 from .fredholm import FredholmError
-from .grids import GridPath, conv_trap, lags, volterra_weights
-from .paths import LagConstraints, ModelParams, drift
+from .grids import GridPath, lags, volterra_weights
+from .paths import LagConstraints, ModelParams, defect, drift
 
 __all__ = ["LagConstraints", "QPSystem", "build_qp", "solve_min_norm", "min_rate_terminal", "TerminalRateResult"]
 
@@ -31,11 +31,7 @@ class QPSystem:
 def build_qp(q: GridPath, pm: ModelParams, d: ServiceDist, zero_mean: bool = False) -> QPSystem:
     """Assemble the affine constraints A u = r whose residual at u is the
     pointwise defect of the path equation (affine in the controls given q)."""
-    if abs(q.values[0] - pm.q0) > 1e-9:
-        raise ValueError("q(0) must equal q0")
-    t = q.times
-    qplus = np.maximum(q.values, 0.0)
-    r_full = q.values - conv_trap(qplus, d.pdf(t), q.dt) - drift(pm, d, t)
+    r_full = defect(q, pm, d)
     if not abs(r_full[0]) < 1e-9:
         raise FredholmError(f"t = 0 constraint row is not trivial: residual {r_full[0]!r}")
     # the trivial t = 0 row is dropped

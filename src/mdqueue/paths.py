@@ -1,6 +1,7 @@
-"""Control triples, their quadratic energy, the control-to-forcing operator
-shared with the QP oracle, the forward control-to-path map, and the Kiefer /
-Brownian-sheet transform with its energy identity."""
+"""Control triples, their quadratic energy, the path equation's defect and the
+control-to-forcing operator shared with the QP oracle, the forward
+control-to-path map, and the Kiefer / Brownian-sheet transform with its energy
+identity."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import ServiceDist
-from .grids import GridField2D, GridPath, cumtrap, trap_weights
+from .grids import GridField2D, GridPath, conv_trap, cumtrap, trap_weights
 from .renewal import solve_nonlinear
 
 __all__ = [
@@ -16,6 +17,7 @@ __all__ = [
     "ControlSet",
     "LagConstraints",
     "drift",
+    "defect",
     "energy",
     "forward_q",
     "kiefer_from_sheet",
@@ -87,6 +89,18 @@ def drift(pm: ModelParams, d: ServiceDist, t: np.ndarray) -> np.ndarray:
     """Control-free forcing of the path equation: (1-F) q0^+ - (1-F0) q0^- - beta F0."""
     F0 = d.eq_cdf(t)
     return (1.0 - d.cdf(t)) * pm.q0_plus - (1.0 - F0) * pm.q0_minus - pm.beta * F0
+
+
+def defect(q: GridPath, pm: ModelParams, d: ServiceDist) -> np.ndarray:
+    """The path equation's defect with no controls at the nodes of q,
+    q - int_0^t q^+(s) F'(t-s) ds - drift, the feedback integral by the
+    trapezoid rule on the nodal values of q^+.  The oracle constrains it; the
+    adjoint's forcing is its derivative.  Zero at t = 0 once q(0) = q0, which
+    is checked here."""
+    if abs(q.values[0] - pm.q0) > 1e-9:
+        raise ValueError(f"q(0) = {q.values[0]} does not match q0 = {pm.q0}")
+    t = q.times
+    return q.values - conv_trap(np.maximum(q.values, 0.0), d.pdf(t), q.dt) - drift(pm, d, t)
 
 
 def partial_cell_weights(upper: np.ndarray, n_nodes: int, dx: float) -> np.ndarray:

@@ -84,7 +84,10 @@ class ScalingRegime:
     def condition_value(self) -> float:
         """b_n^3 n^{1/b_n^2 - 1/2}: must tend to 0 along the regime."""
         b = self.b
-        return b**3 * self.n ** (1.0 / b**2 - 0.5)
+        try:
+            return b**3 * self.n ** (1.0 / b**2 - 0.5)
+        except (OverflowError, ZeroDivisionError):  # b_n so small that the value passes the float range
+            return math.inf
 
     def scale(self) -> float:
         """Centering scale b_n sqrt(n)."""

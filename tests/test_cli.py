@@ -162,7 +162,9 @@ def test_mismatched_q0_exit_2(tmp_path):
         "dist": {"family": "exponential", "rate": 1.0},
         "io": {"q_csv": "q.csv"},
     })
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
 
 
 SIM_OK = {"ladder": [10, 100], "b_rule": {"kind": "power", "value": 0.25}, "reps": 2, "horizon": 1.0}
@@ -177,9 +179,10 @@ SIM_OK = {"ladder": [10, 100], "b_rule": {"kind": "power", "value": 0.25}, "reps
         ("simulate", dict(SIM_OK, ladder=[1], b_rule={"kind": "log", "value": 1.0})),
         ("simulate", dict(SIM_OK, lln_t=1.5)),
         ("simulate", dict(SIM_OK, event={"kind": "sup", "t": 2.0, "a": 0.5})),
+        ("simulate", dict(SIM_OK, b_rule={"kind": "power", "value": [0.25]})),
     ],
     ids=["decomposition_steps-0", "arrival-shape-str", "arrival-shape-0", "log-rule-b1-zero",
-         "lln_t-past-horizon", "event-t-past-horizon"],
+         "lln_t-past-horizon", "event-t-past-horizon", "b-rule-value-list"],
 )
 def test_invalid_sim_block_exit_2_no_outputs(tmp_path, capsys, command, sim):
     cfg = _cfg(tmp_path, "c.json", dict(BASE, command=command, sim=sim))
@@ -216,6 +219,56 @@ def test_erlang_shape_not_integer_exit_2_no_outputs(tmp_path, capsys, shape):
     assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert not out.exists()
     assert "config error: dist: shape must be an integer" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        dict(BASE, command="rate", io={"q_csv": "q.csv"}, tolerances={"fredholm": INF}),
+        dict(BASE, command="rate", io={"q_csv": "q.csv"}, tolerances={"fredholm": -1}),
+        dict(BASE, command="simulate", sim=dict(SIM_OK, horizon=INF)),
+        dict(BASE, command="rate", io={"q_csv": "q.csv"}, dist={"family": "exponential", "rate": INF}),
+        {"command": "dist-info", "dist": {"family": "exponential", "rate": NAN}},
+        {"command": "dist-info", "dist": BASE["dist"], "grid": {"horizon": INF, "n_steps": 10}},
+        {"command": "dist-info", "dist": {"family": "hyperexponential", "weights": [NAN, 0.8], "rates": [0.4, 1.6]}},
+        {"command": "dist-info", "dist": {"family": "hyperexponential", "weights": [0.2, 0.8], "rates": [0.4, NAN]}},
+        dict(BASE, command="simulate", sim=dict(SIM_OK, event={"kind": "sup", "t": 0.5, "a": NAN})),
+        dict(BASE, command="rate", io={"q_csv": 5}),
+    ],
+    ids=["fredholm-tol-inf", "fredholm-tol-negative", "sim-horizon-inf", "rate-inf", "rate-nan", "grid-horizon-inf",
+         "hyperexp-weight-nan", "hyperexp-rate-nan", "event-a-nan", "q_csv-not-a-name"],
+)
+def test_invalid_value_exit_2_no_outputs(tmp_path, capsys, payload):
+    # json.loads reads NaN and +-Infinity; each is a config error, as are a
+    # tolerance <= 0 and a file name that is not a string
+    _write_q(tmp_path / "q.csv")
+    cfg = _cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
+def test_value_error_in_command_exit_1_with_summary(tmp_path, monkeypatch):
+    # a ValueError raised after the config checks is a numerical failure: the
+    # files already written stay, and summary.json says what failed
+    from mdqueue import cli
+
+    def write_then_fail(run, out):
+        (out / "dist.csv").write_text("t\n")
+        raise ValueError("synthetic failure")
+
+    monkeypatch.setitem(cli.DISPATCH, "dist-info", write_then_fail)
+    cfg = _cfg(tmp_path, "c.json", {"command": "dist-info", "dist": BASE["dist"]})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    s = json.loads((out / "summary.json").read_text())
+    assert s["status"] == "numerical-failure"
+    assert s["error"] == "ValueError: synthetic failure"
+    assert (out / "dist.csv").is_file()
 
 
 def test_numerical_failure_exit_1_with_summary(tmp_path, monkeypatch):

@@ -20,7 +20,6 @@ from mdqueue import (
 from mdqueue.fredholm import (
     FredholmError,
     path_derivative,
-    positive_indicator,
     shift_matrix,
 )
 from mdqueue.grids import trap_weights
@@ -42,13 +41,6 @@ def test_path_derivative_quadratic_exact():
     assert np.max(np.abs(dq - (2.0 * t - 1.0))) < 1e-10
 
 
-def test_positive_indicator_edges():
-    q = np.array([0.0, 0.5, 1.0, 0.0, -0.3, 0.0])
-    ind = positive_indicator(q)
-    # zero nodes adjacent to positive nodes count as positive (one-sided limit)
-    assert ind.tolist() == [1.0, 1.0, 1.0, 1.0, 0.0, 0.0]
-
-
 def test_forcing_rejects_mismatched_q0(exp1):
     pm = ModelParams(1.0, 1.0, 0.0, 0.5)
     q = GridPath(1.0, np.zeros(11))
@@ -57,11 +49,16 @@ def test_forcing_rejects_mismatched_q0(exp1):
 
 
 def test_forcing_zero_path(exp1):
-    # q = 0: h(t) = beta * F0'(t)
+    # q = 0: the defect is beta F0, so h is its difference quotient, which
+    # tends to beta F0' at second order
     pm = ModelParams(1.0, 1.0, 0.7, 0.0)
-    q = GridPath(2.0, np.zeros(201))
-    h = forcing(q, pm, exp1)
-    assert np.max(np.abs(h.values - 0.7 * exp1.eq_pdf(h.times))) < 1e-12
+    errs = []
+    for n in (200, 400, 800):
+        q = GridPath(2.0, np.zeros(n + 1))
+        h = forcing(q, pm, exp1)
+        assert np.max(np.abs(h.values - path_derivative(GridPath(2.0, 0.7 * exp1.eq_cdf(q.times))))) < 1e-12
+        errs.append(float(np.max(np.abs(h.values - 0.7 * exp1.eq_pdf(q.times)))))
+    assert all(e0 >= 3.5 * e1 for e0, e1 in zip(errs, errs[1:])), errs
 
 
 def test_exponential_kernel_closed_form(pm_std, exp1):

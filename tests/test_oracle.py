@@ -189,6 +189,29 @@ def test_oracle_fredholm_gap_is_second_order(d, sigma):
     assert all(g0 >= 3.5 * g1 for g0, g1 in zip(gaps, gaps[1:])), gaps
 
 
+CROSSINGS = {
+    "node": (-0.5, lambda t: -0.5 + 0.4 * t),  # zero at the node t = 1.25
+    "between-nodes": (-0.5, lambda t: -0.5 + 0.37 * t),
+    "downward": (0.3, lambda t: 0.3 - 0.4 * t),
+}
+
+
+@pytest.mark.parametrize("path", list(CROSSINGS))
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_oracle_fredholm_gap_is_second_order_on_crossing_paths(d, path):
+    # the forcing differentiates the oracle's defect, so a sign change of q
+    # inside (0, T) costs no order
+    q0, f = CROSSINGS[path]
+    pm = ModelParams(d.mu, 1.0, 0.0, q0)
+    gaps = []
+    for n in (200, 400, 800):
+        q = GridPath(HORIZON, f(np.linspace(0.0, HORIZON, n + 1)))
+        val, _ = solve_min_norm(build_qp(q, pm, d))
+        gaps.append(abs(evaluate_rate(q, pm, d).rate - val) / val)
+    assert gaps[0] <= 2e-4
+    assert all(g0 >= 3.5 * g1 for g0, g1 in zip(gaps, gaps[1:])), gaps
+
+
 def test_flags_on_raises_value(pm_std, exp1, q_quad):
     off, _ = solve_min_norm(build_qp(q_quad, pm_std, exp1, zero_mean=False))
     on, _ = solve_min_norm(build_qp(q_quad, pm_std, exp1, zero_mean=True))
@@ -221,7 +244,7 @@ def test_build_qp_rejects_wrong_q0(exp1):
 def test_build_qp_nontrivial_first_row_raises_typed_error(exp1, pm_std, q_quad, monkeypatch):
     from mdqueue.fredholm import FredholmError
 
-    monkeypatch.setattr("mdqueue.oracle.conv_trap", lambda a, b, dt: np.full(len(a), np.nan))
+    monkeypatch.setattr("mdqueue.paths.conv_trap", lambda a, b, dt: np.full(len(a), np.nan))
     with pytest.raises(FredholmError, match="t = 0"):
         build_qp(q_quad, pm_std, exp1)
 
