@@ -31,7 +31,7 @@ REQUIRES = {"rate": ("model", "io.q_csv"), "controls": ("model", "io.q_csv"), "o
 COMMANDS = tuple(REQUIRES)
 
 # Errors inside a command exit 1 with a summary.json; a ValueError there is an input the config checks let through.
-NUMERICAL_ERRORS = (FredholmError, RenewalConvergenceError, SimulationError, np.linalg.LinAlgError, FloatingPointError, ValueError)
+NUMERICAL_ERRORS = (FredholmError, RenewalConvergenceError, SimulationError, FloatingPointError, ValueError)
 
 
 class ConfigError(Exception):
@@ -262,17 +262,18 @@ def cmd_controls(run: Run, out: Path) -> dict:
 def cmd_oracle_check(run: Run, out: Path) -> dict:
     n_x = run.grid["n_x"]
     res = evaluate_rate(run.q_path, run.model, run.dist, n_x=n_x, tol=run.tol_fredholm)
-    val_off, route_off = solve_min_norm(build_qp(run.q_path, run.model, run.dist, zero_mean=False))
-    val_on, route_on = solve_min_norm(build_qp(run.q_path, run.model, run.dist, zero_mean=True))
-    denom = max(res.rate, 1e-12)
+    val_off, diag_off = solve_min_norm(build_qp(run.q_path, run.model, run.dist, zero_mean=False))
+    val_on, diag_on = solve_min_norm(build_qp(run.q_path, run.model, run.dist, zero_mean=True))
     summary = {
         "value": val_off,
         "flagsOn": val_on,
         "flagsOff": val_off,
-        "flagsOnRoute": route_on,
-        "flagsOffRoute": route_off,
+        "flagsOnRoute": diag_on["route"],
+        "flagsOffRoute": diag_off["route"],
+        "flagsOnIterations": diag_on["iterations"],
+        "flagsOffIterations": diag_off["iterations"],
         "fredholmValue": res.rate,
-        "relGap": abs(val_off - res.rate) / denom,
+        "relGap": abs(val_off - res.rate) / max(res.rate, 1e-12),
         "N": run.q_path.n_steps,
         "M": n_x,
     }

@@ -3,7 +3,6 @@ discretized path equation.  Exists to cross-check the adjoint route."""
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,28 +37,38 @@ def build_qp(q: GridPath, pm: ModelParams, d: ServiceDist, zero_mean: bool = Fal
     return QPSystem(A=LagConstraints.from_law(pm, d, q.horizon, q.n_steps, zero_mean=zero_mean), r=r_full[1:])
 
 
-def solve_min_norm(sys: QPSystem) -> tuple[float, str]:
-    """Least control energy min 1/2 ||u||_W^2 subject to A u = r: with the
-    Gram G = A W^-1 A' (`LagConstraints.gram`, exact in x), G lam = r and
-    value = 1/2 lam . r.
+def _pcg_cap(n: int) -> int:
+    """Iteration cap of the oracle's PCG for n path rows (about 430 are run at sigma = 100, n = 400)."""
+    return 2 * n + 200
 
-    The route is "cholesky", or "regularized" when the Gram is numerically
-    rank-deficient and a diagonal shift of 1e-12 of its mean diagonal is
-    solved instead (with a warning).
-    """
-    from scipy.linalg import cho_factor, cho_solve
 
-    G = sys.A.gram()
-    try:
-        lam = cho_solve(cho_factor(G), sys.r)
-        route = "cholesky"
-    except np.linalg.LinAlgError:
-        warnings.warn("constraint Gram matrix rank-deficient; using regularized solve")
-        G.flat[:: len(G) + 1] += 1e-12 * np.trace(G) / len(G)
-        lam = np.linalg.solve(G, sys.r)
-        route = "regularized"
-    log.info("min-norm QP (%d path rows, zero mean %s): %s route", len(sys.r), sys.A.zero_mean, route)
-    return 0.5 * float(lam @ sys.r), route
+def solve_min_norm(sys: QPSystem) -> tuple[float, dict]:
+    """Least control energy min 1/2 ||u||_W^2 subject to A u = r, lam . r / 2
+    for G lam = r with G = A W^-1 A' of `LagConstraints.gram_operator`, by CG
+    preconditioned with the inverse of G's min kernel until the recurrence
+    residual res = r - G lam is at most 1e-12 |r| (past `_pcg_cap` iterations,
+    a FredholmError).  The value is the dual objective lam . r - lam . G lam / 2
+    = lam . (r + res) / 2, second order in the error of lam.  Returns it and the
+    route "pcg", the iterations and |res| / |r|."""
+    G = sys.A.gram_operator()
+    r_norm = float(np.linalg.norm(sys.r)) or 1.0
+    lam, res = np.zeros_like(sys.r), sys.r.copy()
+    direction = z = G.min_kernel_solve(res)
+    rz, iters = float(res @ z), 0
+    while not (rel := float(np.linalg.norm(res)) / r_norm) <= 1e-12:  # NaN runs to the cap
+        if iters == _pcg_cap(len(res)):
+            raise FredholmError(f"oracle PCG: relative residual {rel:.3e} after {iters} iterations")
+        iters += 1
+        Gd = G @ direction
+        alpha = rz / float(direction @ Gd)
+        lam += alpha * direction
+        res -= alpha * Gd
+        z = G.min_kernel_solve(res)
+        rz, rz_old = float(res @ z), rz
+        direction = z + (rz / rz_old) * direction
+    log.info("min-norm QP (%d path rows, zero mean %s): pcg, %d iterations, relative residual %.3e",
+             len(sys.r), sys.A.zero_mean, iters, rel)
+    return 0.5 * float(lam @ (sys.r + res)), {"route": "pcg", "iterations": iters, "residual": rel}
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,7 @@ def min_rate_terminal(
     The positive-part feedback is frozen at an assumed sign pattern, making
     the path affine in the controls, q = (I - L)^{-1} (base + [0, A u]).  With
     m the path rows of (I - L)^{-T} e_t and c = a - (I - L)^{-T} e_t . base,
-    the least energy is c^2 / (2 m G m) (G = `LagConstraints.gram`) and the
+    the least energy is c^2 / (2 m G m) (G = `LagConstraints.gram_operator`) and the
     minimiser moves the path rows by A u = G m c / (m G m).  The pattern is
     recomputed from the resulting path and the solve repeats until the
     pattern is stable, for at most 30 solves.  The first pattern is the sign
@@ -98,15 +107,13 @@ def min_rate_terminal(
     if not (0 <= it_idx <= n_steps) or abs(times[it_idx] - t) > 1e-9:
         raise ValueError("terminal time t must be a grid node within the horizon")
     base = drift(pm, d, times)
-    G = LagConstraints.from_law(pm, d, horizon, n_steps).gram()
+    G = LagConstraints.from_law(pm, d, horizon, n_steps).gram_operator()
 
     # L[i, j] = tw_i[j] F'(t_i - t_j) times the frozen pattern at t_j
     lagged_fprime = volterra_weights(n_steps + 1, dt) * d.pdf(times)[lags(n_steps + 1)]
     pattern = (base > 0).astype(float)
-    e_t = np.zeros(n_steps + 1)
-    e_t[it_idx] = 1.0
+    e_t = np.eye(1, n_steps + 1, it_idx)[0]
 
-    stable = False
     for iters in range(1, 31):
         I_L = np.eye(n_steps + 1) - lagged_fprime * pattern[None, :]
         m_t = solve_triangular(I_L, e_t, lower=True, trans="T")  # row it_idx of (I - L)^{-1}
@@ -115,14 +122,10 @@ def min_rate_terminal(
         mGm = float(m_t[1:] @ Gm)
         q_vals = solve_triangular(I_L, base + np.concatenate([[0.0], Gm * (c / mGm)]), lower=True)
 
-        new_pattern = pattern.copy()
-        mask = np.abs(q_vals) > 1e-9
-        new_pattern[mask] = (q_vals[mask] > 0).astype(float)
-        if np.array_equal(new_pattern, pattern):
-            stable = True
+        new_pattern = np.where(np.abs(q_vals) > 1e-9, q_vals > 0, pattern)
+        stable = np.array_equal(new_pattern, pattern)
+        if stable:
             break
         pattern = new_pattern
 
-    return TerminalRateResult(
-        value=0.5 * c**2 / mGm, pattern_stable=stable, iterations=iters, q=GridPath(horizon, q_vals)
-    )
+    return TerminalRateResult(0.5 * c**2 / mGm, stable, iters, GridPath(horizon, q_vals))

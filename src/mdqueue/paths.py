@@ -125,6 +125,46 @@ def partial_cell_weights(upper: np.ndarray, n_nodes: int, dx: float) -> np.ndarr
     return out
 
 
+def _lag_products(lag_fft: np.ndarray, lags: np.ndarray, u: np.ndarray, n_fft: int) -> np.ndarray:
+    """sum_c conv_trap(lags[:, c], u[:, c], 1) by FFT, `lag_fft` the spectra of the lag columns."""
+    conv = np.fft.irfft(np.einsum("fc,fc->f", lag_fft, np.fft.rfft(u, n_fft, axis=0)), n_fft)[: len(u)]
+    return conv - 0.5 * (u @ lags[0] + lags @ u[0])
+
+
+@dataclass(frozen=True)
+class GramOperator:
+    """G = A W^-1 A^T of the path rows t_1..t_N of `LagConstraints`, applied in
+    O(N log N) time and O(N) memory.  F and F0 are nondecreasing with F(0) = 0,
+    so the x integrals min(a, b) of the w0dot and kdot rows sum to the min
+    kernel a_min(i, i'), a = F0 + mu cumtrap(F), which is L diag(da) L^T for L
+    the lower all-ones matrix; `min_kernel_solve` applies its inverse.  The wdot
+    rows add sigma^2 T_s W^-1 T_s^T, s = 1 - F, with T_g[i, j] = tw_i[j] g(t_i - t_j)
+    the trapezoid convolution with g.  `zero_mean` takes a b off each x
+    integral, so G also loses F0 F0^T + mu T_F W^-1 T_F^T."""
+
+    da: np.ndarray  # (N,) increments of a at t_1..t_N, from a_0 = 0
+    lags: np.ndarray  # (N+1, k) lag columns sqrt(dt) sigma s, then sqrt(dt mu) F with zero mean
+    lag_fft: np.ndarray  # their spectra, zero-padded to n_fft >= 2N + 1
+    n_fft: int
+    F0: np.ndarray | None  # (N,) F0 at t_1..t_N with zero mean, else None
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        y = np.concatenate([[0.0], v])  # node t_0 carries no row
+        # x = W^-1 T_g^T y: the correlation with g less the trapezoid end terms, doubled at j = 0, N
+        corr = np.fft.irfft(self.lag_fft * np.fft.rfft(y[::-1], self.n_fft)[:, None], self.n_fft, axis=0)[len(v) :: -1]
+        x = corr - 0.5 * y[:, None] * self.lags[0]
+        x[0], x[-1] = corr[0], 2.0 * x[-1]
+        x[:, 1:] *= -1.0  # the zero-mean lag is subtracted
+        out = np.cumsum(self.da * np.cumsum(v[::-1])[::-1])
+        out += _lag_products(self.lag_fft, self.lags, x, self.n_fft)[1:]
+        return out if self.F0 is None else out - self.F0 * (self.F0 @ v)
+
+    def min_kernel_solve(self, r: np.ndarray) -> np.ndarray:
+        z = np.diff(r, prepend=0.0) / self.da  # a_min^-1 r = L^-T diag(da)^-1 L^-1 r
+        z[:-1] -= z[1:]
+        return z
+
+
 @dataclass(frozen=True)
 class LagConstraints:
     """The control terms of the path equation as a linear operator A, stored
@@ -142,10 +182,9 @@ class LagConstraints:
     with P0 and xw the partial-cell weights of F0 and F on the M + 1 x nodes
     of u, and tw_i the Volterra trapezoid weights.  The sum over j is the
     trapezoid prefix convolution of `grids.conv_trap`, one per lag column;
-    `@` applies it by FFT for `forward_q`.  The oracle (`build_qp`,
-    `min_rate_terminal`) needs only `gram`, whose x integrals are exact, so it
-    has no x grid; `zero_mean` restricts that Gram to controls with zero
-    x-mean in w0dot and in every kdot time slice.
+    `@` applies it by FFT for `forward_q`.  The oracle needs only
+    `gram_operator`, exact in x, so it has no x grid; `zero_mean` restricts
+    its Gram to controls with zero x-mean in w0dot and every kdot time slice.
     """
 
     F0: np.ndarray  # (N+1,) F0(t_i)
@@ -156,13 +195,9 @@ class LagConstraints:
     zero_mean: bool = False
 
     @classmethod
-    def from_law(
-        cls, pm: ModelParams, d: ServiceDist, horizon: float, n_steps: int, zero_mean: bool = False
-    ) -> "LagConstraints":
-        times = np.linspace(0.0, horizon, n_steps + 1)
-        return cls(
-            F0=d.eq_cdf(times), F=d.cdf(times), dt=horizon / n_steps, sigma=pm.sigma, mu=pm.mu, zero_mean=zero_mean
-        )
+    def from_law(cls, pm: ModelParams, d: ServiceDist, horizon: float, n_steps: int, zero_mean: bool = False):
+        t = np.linspace(0.0, horizon, n_steps + 1)
+        return cls(F0=d.eq_cdf(t), F=d.cdf(t), dt=horizon / n_steps, sigma=pm.sigma, mu=pm.mu, zero_mean=zero_mean)
 
     @property
     def nbytes(self) -> int:
@@ -176,57 +211,18 @@ class LagConstraints:
         # (N+1, M+2) lag table: column 0 the wdot lag sigma surv, then the kdot lags mu xw
         L = np.column_stack([self.sigma * (1.0 - self.F), self.mu * partial_cell_weights(self.F, m, dx)])
         n_fft = 1 << (2 * n - 2).bit_length()  # at least 2N + 1: the circular lag products do not wrap
-        # sum over the lag columns c of conv_trap(L[:, c], u_t[:, c], dt)
-        spec = np.einsum("fc,fc->f", np.fft.rfft(L, n_fft, axis=0), np.fft.rfft(u_t, n_fft, axis=0))
-        conv = np.fft.irfft(spec, n_fft)[:n]
-        rows = partial_cell_weights(self.F0, m, dx) @ u_w0 + self.dt * (conv - 0.5 * (u_t @ L[0] + L @ u_t[0]))
+        rows = partial_cell_weights(self.F0, m, dx) @ u_w0 + self.dt * _lag_products(
+            np.fft.rfft(L, n_fft, axis=0), L, u_t, n_fft)
         return rows[1:]
 
-    def gram(self) -> np.ndarray:
-        """The N x N Gram G = A W^-1 A^T of the path rows t_1..t_N, in O(N^2).
-
-        W is the trapezoid metric in time (on [0, T] for wdot, [0, mu T] for
-        kdot) and the exact L2 metric on [0, 1] in x, in which the indicator
-        rows have the x integrals m(a, b) = int 1{x <= a} 1{x <= b} dx
-        = min(a, b), or min(a, b) - a b with `zero_mean` (the indicators less
-        their x-means).  Row pairs give
-            G[i, i'] = m(F0_i, F0_i') + sum_{j <= min(i, i')} tw_i[j] tw_i'[j] nu_j K[i-j, i'-j],
-        with K = sigma^2 surv surv^T / dt + mu m(F, F^T) / dt the lag Gram at
-        the interior time weights and nu_j = 2 at the half-weight end nodes
-        j = 0, N, 1 inside.  Interior terms have the weight dt^2, so the sum is
-        a cumulative sum along each diagonal of K, which is symmetric.  The end
-        terms then take their exact weights: j = 0 adds -dt^2/2 K[i, i']; j = i
-        < i' adds -dt^2/2 K[0, i' - i] and j = i = i' adds -3 dt^2/4 K[0, 0],
-        or -dt^2/2 K[0, 0] at i = N.
-        """
-        n = len(self.F)
-        F, F0 = self.F, self.F0[1:]
-        s = self.sigma / np.sqrt(self.dt) * (1.0 - F)
-        c_k = self.mu / self.dt
-        # Row a of the N x N arrays below is time node i = a + 1; G is scratch until the diagonal sums.
-        k0 = s[0] * s + c_k * (np.minimum(F[0], F) - (F[0] * F if self.zero_mean else 0.0))  # row 0 of K
-        K = np.minimum.outer(F[1:], F[1:])
-        G = np.empty_like(K)
-        if self.zero_mean:
-            K -= np.multiply.outer(F[1:], F[1:], out=G)
-        K *= c_k
-        K += np.multiply.outer(s[1:], s[1:], out=G)
-        # G = cumulative sums along the diagonals of K, D[i, i'] = D[i-1, i'-1] + K[i, i'],
-        # started from row and column 0 of K
-        G[0] = k0[:-1] + K[0]
-        G[1:, 0] = k0[1:-1] + K[1:, 0]
-        for a in range(1, n - 1):
-            np.add(G[a - 1, :-1], K[a, 1:], out=G[a, 1:])
-        # end corrections -dt^2/2 (K[i, i'] + K[0, |i' - i|]), the latter a Toeplitz view of k0
-        K += np.lib.stride_tricks.sliding_window_view(np.concatenate([k0[-2:0:-1], k0[:-1]]), n - 1)[::-1]
-        K *= 0.5
-        G -= K
-        G *= self.dt**2
-        G.flat[: -1 : n] -= 0.25 * self.dt**2 * k0[0]  # diagonal i = i' < N
-        G += np.minimum.outer(F0, F0, out=K)  # the w0dot term, into the spent K
-        if self.zero_mean:
-            G -= np.multiply.outer(F0, F0, out=K)
-        return G
+    def gram_operator(self) -> GramOperator:
+        """The Gram of the path rows, G = A W^-1 A^T, as a `GramOperator`."""
+        cols = [self.sigma * (1.0 - self.F)] + ([np.sqrt(self.mu) * self.F] if self.zero_mean else [])
+        lags = np.sqrt(self.dt) * np.column_stack(cols)
+        a = self.F0 + self.mu * cumtrap(self.F, self.dt)
+        n_fft = 1 << (2 * len(a) - 2).bit_length()
+        F0 = self.F0[1:] if self.zero_mean else None
+        return GramOperator(np.diff(a[1:], prepend=0.0), lags, np.fft.rfft(lags, n_fft, axis=0), n_fft, F0)
 
 
 def forward_q(c: ControlSet, pm: ModelParams, d: ServiceDist, tol: float = 1e-10) -> GridPath:
@@ -235,7 +231,7 @@ def forward_q(c: ControlSet, pm: ModelParams, d: ServiceDist, tol: float = 1e-10
     The forcing is the drift plus the control terms of the path equation (the
     bridge term w0(F0(t)), the arrival term int (1-F(t-s)) sigma wdot(s) ds and
     the sequential-empirical term int_0^t int_0^{F(t-s)} kdot(x, mu*s) dx mu ds),
-    applied by `LagConstraints`, whose Gram the oracle factors.  The controls
+    applied by `LagConstraints`, whose Gram the oracle solves with.  The controls
     must share its grids: kdot on the x nodes of w0dot and the time nodes of wdot, over
     [0, 1] x [0, mu T].
     """

@@ -1,5 +1,5 @@
 """Dense references for the matrix-free Fredholm operator of `mdqueue.fredholm`
-and for the oracle's Gram, the one-customer-at-a-time start-time recursion
+and for the oracle's matrix-free Gram, the one-customer-at-a-time start-time recursion
 of `mdqueue.sim`, and the row-at-a-time `repr` CSV writers that are the byte
 reference for `grids.write_csv` and the artifacts written through it."""
 import heapq
@@ -43,7 +43,7 @@ def operator_matrix(d, sigma, T, n_steps):
 
 def continuum_gram(pm, d, T, n_steps, zero_mean):
     """The N x N Gram of the path rows t_1..t_N in the trapezoid time metric and
-    the exact x metric, node by node: the reference for `LagConstraints.gram`.
+    the exact x metric, node by node: the reference for `lag_gram` and `GramOperator`.
 
         G[i, i'] = m(F0_i, F0_i') + sum_{j <= min(i, i')} tw_i[j] tw_i'[j]
                    (sigma^2 surv_{i-j} surv_{i'-j} / wt_j + mu^2 m(F_{i-j}, F_{i'-j}) / wtau_j),
@@ -67,6 +67,51 @@ def continuum_gram(pm, d, T, n_steps, zero_mean):
             tw_k = np.where((j == 0) | (j == k), dt / 2, dt)
             lag = pm.sigma**2 * surv[i - j] * surv[k - j] / wt[j] + pm.mu**2 * m(F[i - j], F[k - j]) / (pm.mu * wt[j])
             G[i - 1, k - 1] = m(F0[i], F0[k]) + np.sum(tw_i * tw_k * lag)
+    return G
+
+
+def lag_gram(A):
+    """The dense N x N Gram G = A W^-1 A^T of the path rows t_1..t_N of the
+    `LagConstraints` A, in O(N^2): the reference for `GramOperator` at grids
+    where `continuum_gram` is too slow.
+
+    Row pairs give
+        G[i, i'] = m(F0_i, F0_i') + sum_{j <= min(i, i')} tw_i[j] tw_i'[j] nu_j K[i-j, i'-j],
+    with K = sigma^2 surv surv^T / dt + mu m(F, F^T) / dt the lag Gram at the
+    interior time weights and nu_j = 2 at the half-weight end nodes j = 0, N,
+    1 inside.  Interior terms have the weight dt^2, so the sum is a cumulative
+    sum along each diagonal of K, which is symmetric.  The end terms then take
+    their exact weights: j = 0 adds -dt^2/2 K[i, i']; j = i < i' adds
+    -dt^2/2 K[0, i' - i] and j = i = i' adds -3 dt^2/4 K[0, 0], or
+    -dt^2/2 K[0, 0] at i = N.
+    """
+    n = len(A.F)
+    F, F0 = A.F, A.F0[1:]
+    s = A.sigma / np.sqrt(A.dt) * (1.0 - F)
+    c_k = A.mu / A.dt
+    # Row a of the N x N arrays below is time node i = a + 1; G is scratch until the diagonal sums.
+    k0 = s[0] * s + c_k * (np.minimum(F[0], F) - (F[0] * F if A.zero_mean else 0.0))  # row 0 of K
+    K = np.minimum.outer(F[1:], F[1:])
+    G = np.empty_like(K)
+    if A.zero_mean:
+        K -= np.multiply.outer(F[1:], F[1:], out=G)
+    K *= c_k
+    K += np.multiply.outer(s[1:], s[1:], out=G)
+    # G = cumulative sums along the diagonals of K, D[i, i'] = D[i-1, i'-1] + K[i, i'],
+    # started from row and column 0 of K
+    G[0] = k0[:-1] + K[0]
+    G[1:, 0] = k0[1:-1] + K[1:, 0]
+    for a in range(1, n - 1):
+        np.add(G[a - 1, :-1], K[a, 1:], out=G[a, 1:])
+    # end corrections -dt^2/2 (K[i, i'] + K[0, |i' - i|]), the latter a Toeplitz view of k0
+    K += np.lib.stride_tricks.sliding_window_view(np.concatenate([k0[-2:0:-1], k0[:-1]]), n - 1)[::-1]
+    K *= 0.5
+    G -= K
+    G *= A.dt**2
+    G.flat[: -1 : n] -= 0.25 * A.dt**2 * k0[0]  # diagonal i = i' < N
+    G += np.minimum.outer(F0, F0, out=K)  # the w0dot term, into the spent K
+    if A.zero_mean:
+        G -= np.multiply.outer(F0, F0, out=K)
     return G
 
 

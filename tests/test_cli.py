@@ -80,7 +80,8 @@ def test_oracle_check_report(tmp_path):
     s = json.loads((out / "summary.json").read_text())
     for key in ("value", "flagsOn", "flagsOff", "fredholmValue", "relGap", "N", "M"):
         assert key in s
-    assert (s["flagsOffRoute"], s["flagsOnRoute"]) == ("cholesky", "cholesky")
+    assert (s["flagsOffRoute"], s["flagsOnRoute"]) == ("pcg", "pcg")
+    assert all(isinstance(s[k], int) and 0 < s[k] <= 40 for k in ("flagsOffIterations", "flagsOnIterations"))
     assert s["flagsOn"] >= s["flagsOff"]
     assert s["relGap"] <= 0.02 or abs(s["value"] - s["fredholmValue"]) / (1 + s["fredholmValue"]) <= 0.02
 
@@ -288,6 +289,19 @@ def test_numerical_failure_exit_1_with_summary(tmp_path, monkeypatch):
     assert "FredholmError" in s["error"]
 
 
+def test_oracle_pcg_cap_exit_1_with_summary(tmp_path, monkeypatch):
+    monkeypatch.setattr("mdqueue.oracle._pcg_cap", lambda n: 1)
+    _write_q(tmp_path / "q.csv")
+    cfg = _cfg(tmp_path, "c.json", dict(
+        BASE, command="oracle-check", grid={"horizon": 2.0, "n_steps": 200, "n_x": 32}, io={"q_csv": "q.csv"},
+    ))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    s = json.loads((out / "summary.json").read_text())
+    assert s["status"] == "numerical-failure"
+    assert s["error"].startswith("FredholmError: oracle PCG: relative residual")
+
+
 def test_unsettled_start_times_exit_1_with_summary(tmp_path, monkeypatch):
     # no pass ever matches the one before it, so simulate runs the w + 1 passes
     # its first window of w customers allows and raises SimulationError
@@ -330,9 +344,23 @@ def test_rerun_byte_identical(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # only oracle-check and the tests need scipy; it is imported where used
+    # only min_rate_terminal and the tests need scipy; it is imported where used
     src = str(Path(mdqueue.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, mdqueue.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_oracle_check_loads_no_scipy(tmp_path):
+    _write_q(tmp_path / "q.csv")
+    cfg = _cfg(tmp_path, "c.json", dict(
+        BASE, command="oracle-check", grid={"horizon": 2.0, "n_steps": 200, "n_x": 32}, io={"q_csv": "q.csv"},
+    ))
+    src = str(Path(mdqueue.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from mdqueue.cli import main; assert main(sys.argv[1:]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -15,7 +15,7 @@ from mdqueue import (
 from mdqueue.oracle import LagConstraints
 
 from conftest import HORIZON, battery_cases
-from reference import continuum_gram
+from reference import continuum_gram, lag_gram
 
 LAWS = [
     ServiceDist.exponential(1.0),
@@ -90,7 +90,9 @@ def test_lag_constraints_match_dense(d, n_steps, zero_mean):
     pm = ModelParams(d.mu, 1.5, 0.5, 0.0)
     A = LagConstraints.from_law(pm, d, HORIZON, n_steps, zero_mean=zero_mean)
     G_ref = continuum_gram(pm, d, HORIZON, n_steps, zero_mean)
-    assert np.max(np.abs(A.gram() - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
+    v = np.random.default_rng(n_steps).standard_normal(n_steps)
+    assert np.max(np.abs(A.gram_operator() @ v - G_ref @ v)) <= 1e-12 * np.max(np.abs(G_ref @ v))
+    assert np.max(np.abs(lag_gram(A) - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
 
     dense = _loop_constraints(pm, d, HORIZON, n_steps, 8, False)[0]
     u = np.random.default_rng(n_steps).standard_normal(dense.shape[1])
@@ -101,9 +103,9 @@ def test_lag_constraints_match_dense(d, n_steps, zero_mean):
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 def test_grid_gram_converges_to_gram(d, zero_mean):
     # the Gram of the forward map's x-grid rows tends to the exact-in-x Gram
-    # at first order in dx, so `@` and `gram` describe the same operator
+    # at first order in dx, so `@` and the Gram describe the same operator
     pm = ModelParams(d.mu, 1.5, 0.5, 0.0)
-    G = LagConstraints.from_law(pm, d, HORIZON, 40, zero_mean=zero_mean).gram()
+    G = lag_gram(LagConstraints.from_law(pm, d, HORIZON, 40, zero_mean=zero_mean))
     errs = [np.max(np.abs(_grid_gram(pm, d, HORIZON, 40, m, zero_mean) - G)) / np.max(np.abs(G))
             for m in (8, 16, 32, 64, 128)]
     assert all(e0 >= 1.7 * e1 for e0, e1 in zip(errs, errs[1:])), errs
@@ -119,31 +121,48 @@ def test_min_norm_matches_bordered_solve(d, n_steps, zero_mean):
     sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d, zero_mean=zero_mean)
     assert len(sys_.r) == n_steps
     val_ref = 0.5 * float(sys_.r @ np.linalg.solve(continuum_gram(pm, d, HORIZON, n_steps, zero_mean), sys_.r))
-    val, route = solve_min_norm(sys_)
-    assert route == "cholesky"
+    val, diag = solve_min_norm(sys_)
+    assert diag["route"] == "pcg"
     assert abs(val - val_ref) <= 1e-12 * val_ref
 
 
-def test_regularized_route_reported(pm_std, exp1, q_quad, monkeypatch, caplog):
+@pytest.mark.parametrize("zero_mean", [False, True], ids=["flags-off", "flags-on"])
+@pytest.mark.parametrize("n_steps", [41, 200, 400])
+@pytest.mark.parametrize("sigma", [0.05, 1.0, 3.0, 10.0, 100.0])
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_pcg_matches_cholesky_of_reference_gram(d, sigma, n_steps, zero_mean):
+    # the iteration count grows with sigma, past n_steps at sigma = 100
+    from scipy.linalg import cho_factor, cho_solve
+
+    pm = ModelParams(d.mu, sigma, 0.5, 0.0)
+    t = np.linspace(0.0, HORIZON, n_steps + 1)
+    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d, zero_mean=zero_mean)
+    val_ref = 0.5 * float(sys_.r @ cho_solve(cho_factor(lag_gram(sys_.A)), sys_.r))
+    val, diag = solve_min_norm(sys_)
+    assert diag["residual"] <= 1e-12
+    assert abs(val - val_ref) <= 1e-12 * val_ref
+
+
+def test_pcg_reports_iterations(pm_std, exp1, q_quad, caplog):
     import logging
 
-    sys_ = build_qp(q_quad, pm_std, exp1, zero_mean=True)
-    val_chol, route_chol = solve_min_norm(sys_)
+    with caplog.at_level(logging.INFO, logger="mdqueue.oracle"):
+        _, diag = solve_min_norm(build_qp(q_quad, pm_std, exp1, zero_mean=True))
+    assert diag["route"] == "pcg" and 0 < diag["iterations"] <= 40
+    assert f"pcg, {diag['iterations']} iterations, relative residual {diag['residual']:.3e}" in caplog.text
 
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("synthetic: not positive definite")
 
-    monkeypatch.setattr("scipy.linalg.cho_factor", singular)
-    with pytest.warns(UserWarning, match="regularized"), caplog.at_level(logging.INFO, logger="mdqueue.oracle"):
-        val, route = solve_min_norm(sys_)
-    assert (route_chol, route) == ("cholesky", "regularized")
-    assert "regularized route" in caplog.text
-    assert abs(val - val_chol) <= 1e-9 * val_chol
+def test_pcg_iteration_cap_raises(pm_std, exp1, q_quad, monkeypatch):
+    from mdqueue.fredholm import FredholmError
+
+    monkeypatch.setattr("mdqueue.oracle._pcg_cap", lambda n: 1)
+    with pytest.raises(FredholmError, match="after 1 iterations"):
+        solve_min_norm(build_qp(q_quad, pm_std, exp1))
 
 
 def test_zero_mean_solve_memory(pm_std, exp1):
-    # the Gram and its Cholesky factor, N x N each, take 39 MiB; a bordered
-    # (2N+2)-row Gram with its copies peaks near 235 MiB
+    # PCG keeps O(N) vectors and FFT buffers (under 1 MiB); the N x N Gram
+    # alone would take 20 MiB
     import tracemalloc
 
     t = np.linspace(0.0, HORIZON, 1601)
@@ -154,7 +173,7 @@ def test_zero_mean_solve_memory(pm_std, exp1):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 120 * 2**20
+    assert peak < 4 * 2**20
 
 
 def test_constraint_tables_are_small(pm_std, exp1):
