@@ -122,6 +122,8 @@ class Run:
 
         tol = _expect(cfg.get("tolerances", {}), "tolerances", optional=("fredholm", "renewal"))
         self.tol_fredholm = _positive(tol, "fredholm", "tolerances", 1e-12)
+        if not self.tol_fredholm < 1:  # the adjoint stops at tol * |h|: tol >= 1 would stop at p = 0
+            raise ConfigError(f"tolerances.fredholm must be below 1, got {self.tol_fredholm!r}")
         self.tol_renewal = _positive(tol, "renewal", "tolerances", 1e-10)
 
         self.model = None
@@ -283,9 +285,10 @@ def cmd_oracle_check(run: Run, out: Path) -> dict:
 
 
 def _trace_csv(trace, path: Path) -> None:
+    names = np.array(["arrival", "departure"], dtype=object)
     write_csv(path, "time,type,customer", len(trace.event_times), lambda lo, hi: (
-        float_strs(trace.event_times[lo:hi]), [("arrival", "departure")[ty] for ty in trace.event_types[lo:hi].tolist()],
-        list(map(str, trace.event_ids[lo:hi].tolist()))))
+        float_strs(trace.event_times[lo:hi]), names[trace.event_types[lo:hi]].tolist(),
+        float_strs(trace.event_ids[lo:hi])))
 
 
 def _replications(run: Run):

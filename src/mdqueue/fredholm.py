@@ -130,11 +130,12 @@ def solve_p(h: GridPath, S: ShiftOperator, pm: ModelParams, tol: float = 1e-12) 
     and is symmetric positive definite in the trapezoid inner product
     <x, y>_w = sum w x y, so CG in that inner product converges for every
     mu > 0.  Iteration stops once the sup-norm residual is at most
-    tol * max(1, |h|_inf); a final residual above max(that, 1e-8) is a hard error.
+    tol * |h|_inf, so any tol < 1 takes at least one step on a nonzero forcing;
+    a final residual above max(that, 1e-8) is a hard error.
     """
     w = S.weights
     hv = h.values
-    target = tol * max(1.0, float(np.max(np.abs(hv))))
+    target = tol * float(np.max(np.abs(hv)))
 
     def op(v):
         u = v - S.apply(v)

@@ -28,10 +28,15 @@ BLOCK_ROWS = 4096  # rows formatted and written at a time: bounds the strings al
 def float_strs(values) -> list:
     """repr() of each float in values, from orjson's shortest round-trip digits.  The two
     differ only where repr writes an exponent (0 < |x| < 1e-4, |x| >= 1e16) or nan/inf:
-    orjson writes 1e-5 and 1e16 for 1e-05 and 1e+16, so those entries take repr."""
+    orjson writes 1e-5 and 1e16 for 1e-05 and 1e+16, so those entries take repr.  An
+    integer array gives orjson's integer digits, which are str() of each entry."""
     import orjson
-    a = np.ascontiguousarray(values, dtype=float).ravel()
+    a = np.asarray(values)
+    integer = a.dtype.kind in "iu"
+    a = np.ascontiguousarray(a if integer else a.astype(float, copy=False)).ravel()
     strs = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",") if a.size else []
+    if integer:
+        return strs
     fix = np.flatnonzero((np.abs(a) < 1e-4) & (a != 0.0) | ~(np.abs(a) < 1e16))
     for i, x in zip(fix.tolist(), a[fix].tolist()):
         strs[i] = repr(x)
@@ -196,9 +201,11 @@ class GridField2D:
         return float(wx @ (self.values**2) @ wt)
 
     def to_csv(self, path) -> None:
+        xs, ts = (np.array(float_strs(g), dtype=object) for g in (self.x_grid, self.t_grid))
+
         def columns(lo, hi):  # rows in t-major order: row r holds node divmod(r, M + 1) = (it, ix)
             it, ix = np.divmod(np.arange(lo, hi), self.values.shape[0])
-            return float_strs(self.x_grid[ix]), float_strs(self.t_grid[it]), float_strs(self.values[ix, it])
+            return xs[ix].tolist(), ts[it].tolist(), float_strs(self.values[ix, it])
 
         write_csv(path, "x,t,value", self.values.size, columns, "\r\n")
 

@@ -246,9 +246,15 @@ def simulate(
         np.flatnonzero(keep0),
         in_service + np.flatnonzero(keep),
     ]).astype(np.int64)
-    # the concatenation is in (type, id) order, so a stable sort by time breaks
-    # ties arrivals first, then by customer index
-    order = np.argsort(times, kind="stable")
+    # distinct times have one sorting permutation, so the default (SIMD) sort
+    # gives it; on a tie the stable sort of this (type, id)-ordered
+    # concatenation breaks it arrivals first, then by customer index
+    order = np.argsort(times)
+    event_times = times[order]
+    if np.any(event_times[1:] == event_times[:-1]):
+        log.debug("tied event times: stable sort")
+        order = np.argsort(times, kind="stable")
+        event_times = times[order]
     types = types[order]
     q_values = q0_count + np.cumsum(1 - 2 * types.astype(np.int64))
 
@@ -262,7 +268,7 @@ def simulate(
         tau_hat=tau_hat,
         eta=eta,
         eta0=eta0,
-        event_times=times[order],
+        event_times=event_times,
         q_values=q_values,
         event_types=types,
         event_ids=ids[order],
@@ -324,32 +330,32 @@ class DecompositionReport:
         return float(np.max(np.abs(self.residual))) if len(self.residual) else 0.0
 
 
-def _theta_sums(d: ServiceDist, t: np.ndarray, tau: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """sum_{tau_j <= t_i} (1{tau_j + eta_j <= t_i} - F(t_i - tau_j)) for nondecreasing t and
-    tau, in O(n + N k^2) time: #done_by(t_i) - #started_by(t_i) + sum_{tau_j <= t_i} S(t_i - tau_j),
-    where S = 1 - F sums w e^{-lam x} (lam x)^m / m! over `ServiceDist.phases` and m < k.  Per
-    phase, the sums A_m of those terms move from t_{i-1} to t_i by the binomial shift A_m <-
-    e^{-lam h} sum_{r <= m} A_r (lam h)^{m-r} / (m-r)!, h = t_i - t_{i-1}, then gain the starts
-    in (t_{i-1}, t_i]; a start on a node belongs to it and adds S(0) = 1."""
+def _theta_sums(d: ServiceDist, t: np.ndarray, dt: float, tau: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """sum_{tau_j <= t_i} (1{tau_j + eta_j <= t_i} - F(t_i - tau_j)) on the uniform grid t_i = i dt
+    for nondecreasing tau: #done_by(t_i) - #started_by(t_i) + sum_{tau_j <= t_i} S(t_i - tau_j),
+    where S = 1 - F sums w e^{-lam x} (lam x)^m / m! over `ServiceDist.phases` and m < k.  A start
+    belongs to its node t_c = the first node >= tau_j (a start on a node adds S(0) = 1), and the
+    binomial expansion of (lam (t_i - t_c + t_c - tau_j))^m splits its term at t_i into
+    sum_{r < k} e^{-x} x^r / r! G_{k-1-r}(t_i - t_c), x = lam (t_c - tau_j), with
+    G_j(s) = P(Poisson(lam s) <= j).  So per phase the survival sums are the convolutions over
+    r < k of the per-node sums of e^{-x} x^r / r! with G_{k-1-r} on the grid: O(n + k N^2)."""
     done = np.searchsorted(np.sort(tau + eta), t, side="right")
     started = np.searchsorted(tau, t, side="right")
-    cell = np.searchsorted(t, tau, side="left")
-    live = cell < len(t)  # starts after the last node reach no row
-    cell, tau = cell[live], tau[live]
-    h = np.diff(t, prepend=t[0])
+    # tau is sorted, so the started[i] - started[i-1] starts in (t_{i-1}, t_i] have
+    # node i; starts after the last node reach no row
+    cell = np.repeat(np.arange(len(t)), np.diff(started, prepend=0))
+    tau = tau[:len(cell)]
     surv = np.zeros(len(t))
     for w, lam, k in d.phases():
-        x, y = lam * (t[cell] - tau), lam * h
-        term, step = np.exp(-x), np.exp(-y)
-        fresh, shift = np.empty((len(t), k)), np.empty((len(t), k))
+        x, y = lam * (t[cell] - tau), lam * dt * np.arange(len(t))
+        term, step, cdf = np.exp(-x), np.exp(-y), 0.0
+        fresh, cdfs = [], []  # cdfs[j] = G_j on the grid
         for m in range(k):
-            fresh[:, m] = np.bincount(cell, weights=term, minlength=len(t))
-            shift[:, m] = step
+            fresh.append(np.bincount(cell, weights=term, minlength=len(t)))
+            cdf = cdf + step
+            cdfs.append(cdf)
             term, step = term * x / (m + 1), step * y / (m + 1)
-        a = np.zeros(k)
-        for i in range(len(t)):
-            a = np.convolve(a, shift[i])[:k] + fresh[i]
-            surv[i] += w * a.sum()
+        surv += w * sum(np.convolve(f, cdfs[k - 1 - r])[:len(t)] for r, f in enumerate(fresh))
     return (done - started) + surv
 
 
@@ -377,8 +383,8 @@ def decomposition(trace: QueueTrace, d: ServiceDist, n_steps: int) -> Decomposit
     fprime = d.pdf(t)
     H = Y - conv_trap(Y, fprime, dt) if T > 0 else np.zeros(1)
 
-    # Theta: exact sum over service starts, by the phase recursion
-    Theta = -_theta_sums(d, t, trace.tau_hat, trace.eta) / scale
+    # Theta: exact sum over service starts, by the phase convolutions
+    Theta = -_theta_sums(d, t, dt, trace.tau_hat, trace.eta) / scale
 
     conv_Xplus = conv_trap(np.maximum(X, 0.0), fprime, dt) if T > 0 else np.zeros(1)
     X0plus = max(trace.q0_count - trace.n, 0) / scale

@@ -1,7 +1,8 @@
 """Dense references for the matrix-free Fredholm operator of `mdqueue.fredholm`
-and for the oracle's matrix-free Gram, the one-customer-at-a-time start-time recursion
-of `mdqueue.sim`, and the row-at-a-time `repr` CSV writers that are the byte
-reference for `grids.write_csv` and the artifacts written through it."""
+and for the oracle's matrix-free Gram; for `mdqueue.sim`, the one-customer-at-a-time
+start-time recursion, the node-at-a-time Theta recursion and the stable event sort;
+and the row-at-a-time `repr` CSV writers that are the byte reference for
+`grids.write_csv` and the artifacts written through it."""
 import heapq
 
 import numpy as np
@@ -132,6 +133,50 @@ def heap_start_times(free, entries, horizon, draw):
         heapq.heapreplace(free, start + services[len(starts)])
         starts.append(start)
     return np.array(starts, dtype=float), np.array(services[:len(starts)], dtype=float)
+
+
+def theta_sums_recursion(d, t, tau, eta):
+    """`sim._theta_sums` node by node for nondecreasing t and tau, in O(n + N k^2):
+    #done_by(t_i) - #started_by(t_i) + sum_{tau_j <= t_i} S(t_i - tau_j).  Per phase
+    (w, lam, k) of S = 1 - F, the sums A_m of w e^{-lam x} (lam x)^m / m! over the
+    started customers move from t_{i-1} to t_i by the binomial shift A_m <- e^{-lam h}
+    sum_{r <= m} A_r (lam h)^{m-r} / (m-r)!, h = t_i - t_{i-1}, then gain the starts
+    in (t_{i-1}, t_i]; a start on a node belongs to it and adds S(0) = 1."""
+    done = np.searchsorted(np.sort(tau + eta), t, side="right")
+    started = np.searchsorted(tau, t, side="right")
+    cell = np.searchsorted(t, tau, side="left")
+    live = cell < len(t)
+    cell, tau = cell[live], tau[live]
+    h = np.diff(t, prepend=t[0])
+    surv = np.zeros(len(t))
+    for w, lam, k in d.phases():
+        x, y = lam * (t[cell] - tau), lam * h
+        term, step = np.exp(-x), np.exp(-y)
+        fresh, shift = np.empty((len(t), k)), np.empty((len(t), k))
+        for m in range(k):
+            fresh[:, m] = np.bincount(cell, weights=term, minlength=len(t))
+            shift[:, m] = step
+            term, step = term * x / (m + 1), step * y / (m + 1)
+        a = np.zeros(k)
+        for i in range(len(t)):
+            a = np.convolve(a, shift[i])[:k] + fresh[i]
+            surv[i] += w * a.sum()
+    return (done - started) + surv
+
+
+def stable_events(trace):
+    """(times, types, ids) of the trace's events sorted by the documented rule: by
+    time, ties arrivals first, then by customer index.  The events are the arrivals,
+    the residual services that end by the horizon and the departures by the horizon,
+    stable-sorted from that (type, id) order."""
+    dep = trace.tau_hat + trace.eta
+    keep0, keep = trace.eta0 <= trace.horizon, dep <= trace.horizon
+    n_arr, in_service = len(trace.arrival_times), len(trace.eta0)
+    times = np.concatenate([trace.arrival_times, trace.eta0[keep0], dep[keep]])
+    types = np.repeat([0, 1], [n_arr, len(times) - n_arr])
+    ids = np.concatenate([trace.q0_count + np.arange(n_arr), np.flatnonzero(keep0), in_service + np.flatnonzero(keep)])
+    order = np.argsort(times, kind="stable")
+    return times[order], types[order], ids[order]
 
 
 # -- CSV artifacts, one row and one repr per float at a time ----------------

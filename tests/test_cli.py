@@ -253,6 +253,42 @@ def test_invalid_value_exit_2_no_outputs(tmp_path, capsys, payload):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", [1, 100])
+def test_fredholm_tolerance_at_least_one_exit_2_no_outputs(tmp_path, capsys, tol):
+    # the adjoint solve stops at tol * |h|, where p = 0 already stops it at tol >= 1:
+    # on the hump path that was an exit 0 with rate 0.0, and now it is a config error
+    _write_q(tmp_path / "q.csv")
+    cfg = _cfg(tmp_path, "c.json", dict(BASE, command="rate", io={"q_csv": "q.csv"}, tolerances={"fredholm": tol}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "config error: tolerances.fredholm must be below 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("amplitude, beta, rate", [(1.0, 0.5, 0.11569), (0.01, 0.0, 5.1363e-6)])
+def test_fredholm_tolerance_half_meets_its_residual(tmp_path, amplitude, beta, rate):
+    # a loose tolerance below 1 takes at least one CG step and stops at a residual
+    # of at most tol * |h|: on the hump path one step and a rate 2.4% low; a stop at
+    # tol * max(1, |h|) took no step on the small hump, where |h| = 0.006, and gave rate 0
+    t = np.linspace(0.0, 2.0, 201)
+    GridPath(2.0, amplitude * 0.3 * t * (2.0 - t)).to_csv(tmp_path / "q.csv")
+    model = {"sigma": 1.0, "beta": beta, "q0": 0.0}
+    rates = {}
+    for tol in (0.5, 1e-12):
+        cfg = _cfg(tmp_path, "c.json", dict(BASE, command="rate", model=model, io={"q_csv": "q.csv"},
+                                            tolerances={"fredholm": tol}))
+        out = tmp_path / f"out{tol}"
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        s = json.loads((out / "summary.json").read_text())
+        h = GridPath.from_csv(out / "h.csv").values
+        assert s["status"] == "ok"
+        assert s["solver"]["iterations"] >= 1
+        assert s["solver"]["residual"] <= tol * np.max(np.abs(h))
+        rates[tol] = s["rate"]
+    assert rates[1e-12] == pytest.approx(rate, rel=1e-4)
+    assert 0.9 * rates[1e-12] < rates[0.5] < rates[1e-12]
+
+
 def test_value_error_in_command_exit_1_with_summary(tmp_path, monkeypatch):
     # a ValueError raised after the config checks is a numerical failure: the
     # files already written stay, and summary.json says what failed

@@ -52,6 +52,19 @@ def test_float_strs_boundaries():
     assert float_strs(np.array([[1e-5, 2.0], [1e16, 0.5]])) == ["1e-05", "2.0", "1e+16", "0.5"]
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8, np.uint64])
+def test_float_strs_integers(dtype):
+    # an integer array takes orjson's integer digits: str() of each entry, from the
+    # dtype's extremes through 0 to the negatives
+    info = np.iinfo(dtype)
+    a = np.array([info.min, info.min + 1, -1 if info.min else 1, 0, 7, info.max - 1, info.max], dtype=dtype)
+    rng = np.random.default_rng(13)
+    a = np.concatenate([a, rng.integers(info.min, info.max, size=10_000, dtype=dtype, endpoint=True)])
+    assert float_strs(a) == list(map(str, a.tolist()))
+    assert float_strs(a[::3]) == list(map(str, a[::3].tolist()))
+    assert float_strs(np.array([], dtype=dtype)) == []
+
+
 def _wide_values(rng, shape):
     """Normal draws scaled over 10^-300..10^300, with zeros and the exponent switches mixed in."""
     v = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import heap_start_times
+from reference import heap_start_times, stable_events, theta_sums_recursion
 from scipy.stats import kstest
 
 from mdqueue import (
@@ -436,16 +436,45 @@ class _QuarterGaps:
         return np.full(size, 0.25)
 
 
-def test_simulate_ties_match_event_driven_reference():
+def _assert_stable_event_order(tr):
+    times, types, ids = stable_events(tr)
+    assert np.array_equal(tr.event_times, times)
+    assert np.array_equal(tr.event_types, types)
+    assert np.array_equal(tr.event_ids, ids)
+
+
+def test_simulate_ties_match_event_driven_reference(caplog):
     # departures of the 3 initial services, 3 starts from the queue and an
     # arrival all fall at t = 1 and again at t = 2 = horizon
     pm = ModelParams(1.0, 1.0, 0.5, 0.8)
     sr = ScalingRegime(n=3, rule=("power", 0.25), beta=0.5)
-    tr = simulate(pm, _UnitServices(), sr, 2.0, _QuarterGaps())
+    with caplog.at_level(logging.DEBUG, logger="mdqueue.sim"):
+        tr = simulate(pm, _UnitServices(), sr, 2.0, _QuarterGaps())
+    # the tie sends the event sort to its stable fallback
+    assert "tied event times: stable sort" in caplog.text
     ref = _reference_simulate(pm, _UnitServices(), sr, 2.0, _QuarterGaps(), "exponential", 1)
     assert np.count_nonzero(tr.tau_hat == 2.0) == 3
     for name, want in ref.items():
         assert np.array_equal(getattr(tr, name), want), name
+    _assert_stable_event_order(tr)
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_event_order_is_stable_sort(d, n, pm, caplog):
+    # untied times: the default sort runs alone and gives the stable sort's order
+    sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
+    for seed in range(3):
+        with caplog.at_level(logging.DEBUG, logger="mdqueue.sim"):
+            tr = simulate(pm, d, sr, 2.0, np.random.default_rng(seed))
+        assert "tied event times" not in caplog.text
+        assert len(tr.event_times) > n
+        _assert_stable_event_order(tr)
+
+
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_event_order_is_stable_sort_at_n1e5(d, traces_1e5):
+    _assert_stable_event_order(traces_1e5[d.family])
 
 
 def _dense_theta(trace: QueueTrace, d: ServiceDist, n_steps: int) -> np.ndarray:
@@ -563,17 +592,45 @@ def test_simulate_n1e5_time_bound(fast_queue_1e5):
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 def test_theta_sums_match_longdouble_at_n1e5(d, traces_1e5):
     # the counts cancel against survival sums of order 1e5, so the unscaled
-    # sums carry round-off of order 1e-10; 2e-9 is the bound
+    # sums carry round-off of order 1e-11 (the node-by-node recursion, 1e-10);
+    # 1e-10 is the bound
     tr = traces_1e5[d.family]
     t = np.linspace(0.0, 1.0, 401)
-    got = _theta_sums(d, t, tr.tau_hat, tr.eta)
+    got = _theta_sums(d, t, 1.0 / 400, tr.tau_hat, tr.eta)
     for i in np.linspace(0, 400, 9).astype(int):
         want = _longdouble_lag_sum(d, t[i], tr.tau_hat, tr.eta)
-        assert abs(got[i] - want) <= 2e-9, (i, got[i], want)
+        assert abs(got[i] - want) <= 1e-10, (i, got[i], want)
+
+
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_theta_sums_match_node_recursion_at_n1e5(d, traces_1e5):
+    # the two differ by round-off of at most 1e-9 in the unscaled sums, so Theta,
+    # the sums over b_n sqrt(n) ~ 5,600, agrees to 1e-12
+    tr = traces_1e5[d.family]
+    scale = tr.b * math.sqrt(tr.n)
+    for n_steps in (400, 800):
+        t = np.linspace(0.0, 1.0, n_steps + 1)
+        got = _theta_sums(d, t, 1.0 / n_steps, tr.tau_hat, tr.eta)
+        want = theta_sums_recursion(d, t, tr.tau_hat, tr.eta)
+        assert np.max(np.abs(got - want)) / scale <= 1e-12
+
+
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_theta_sums_match_node_recursion_at_horizon_0(d):
+    # horizon 0: one node, where the queued customers start on the servers
+    # whose residual services are zero
+    pm = ModelParams(1.0, 1.0, 0.5, 0.8)
+    sr = ScalingRegime(n=3, rule=("power", 0.25), beta=0.5)
+    tr = simulate(pm, _ZeroResiduals(), sr, 0.0, _QuarterGaps())
+    assert np.array_equal(tr.tau_hat, np.zeros(2))
+    t = np.zeros(1)
+    got = _theta_sums(d, t, 0.0, tr.tau_hat, tr.eta)
+    assert np.allclose(got, theta_sums_recursion(d, t, tr.tau_hat, tr.eta), rtol=0, atol=1e-12)
+    assert np.allclose(decomposition(tr, d, 10).Theta, -got / (tr.b * math.sqrt(tr.n)), rtol=0, atol=1e-12)
 
 
 def test_decomposition_n1e5_erlang_time_bound(traces_1e5):
-    # the phase recursion costs O(n + N k^2): Erlang(3, 3) at 401 nodes x ~10^5
+    # the phase convolutions cost O(n + k N^2): Erlang(3, 3) at 401 nodes x ~10^5
     # starts takes about 0.01 s on a 2-core x86 machine; 1 s is the bound
     d = LAWS[1]
     tr = traces_1e5[d.family]
@@ -585,7 +642,7 @@ def test_decomposition_n1e5_erlang_time_bound(traces_1e5):
 
 
 def test_decomposition_n1e5_time_bound(pm):
-    # 401 grid nodes x ~10^5 service starts: the phase recursion and searchsorted
+    # 401 grid nodes x ~10^5 service starts: the phase convolutions and searchsorted
     # counts take well under a second on a 2-core x86 machine; 10 s is the bound
     d = ServiceDist.exponential(1.0)
     sr = ScalingRegime(n=100_000, rule=("power", 0.25), beta=0.5)
