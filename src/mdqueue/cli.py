@@ -10,6 +10,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -264,8 +265,9 @@ def cmd_controls(run: Run, out: Path) -> dict:
 def cmd_oracle_check(run: Run, out: Path) -> dict:
     n_x = run.grid["n_x"]
     res = evaluate_rate(run.q_path, run.model, run.dist, n_x=n_x, tol=run.tol_fredholm)
-    val_off, diag_off = solve_min_norm(build_qp(run.q_path, run.model, run.dist, zero_mean=False))
-    val_on, diag_on = solve_min_norm(build_qp(run.q_path, run.model, run.dist, zero_mean=True))
+    qp = build_qp(run.q_path, run.model, run.dist)
+    val_off, diag_off = solve_min_norm(qp)
+    val_on, diag_on = solve_min_norm(replace(qp, A=replace(qp.A, zero_mean=True)))
     summary = {
         "value": val_off,
         "flagsOn": val_on,

@@ -14,11 +14,9 @@ __all__ = [
     "float_strs",
     "write_csv",
     "trap_weights",
-    "volterra_weights",
     "trap_integral",
     "conv_trap",
     "cumtrap",
-    "lags",
 ]
 
 log = logging.getLogger(__name__)
@@ -60,25 +58,6 @@ def trap_weights(n_nodes: int, dt: float) -> np.ndarray:
     w = np.full(n_nodes, dt)
     w[0] = w[-1] = dt / 2.0
     return w
-
-
-def volterra_weights(n_nodes: int, dt: float) -> np.ndarray:
-    """Prefix-trapezoid weights of the Volterra integrals int_0^{t_i} g(s) ds.
-
-    Row i holds the weights tw_i[j] on nodes j = 0..i: dt inside, dt/2 at
-    j = 0 and j = i.  Row 0 is zero and the matrix is lower triangular.
-    """
-    tw = np.tril(np.full((n_nodes, n_nodes), dt))
-    tw[:, 0] /= 2.0
-    np.fill_diagonal(tw, dt / 2.0)
-    tw[0] = 0.0
-    return tw
-
-
-def lags(n: int) -> np.ndarray:
-    """(n, n) index table |i - j|: v[lags(n)] is the symmetric Toeplitz matrix of v."""
-    idx = np.arange(n)
-    return np.abs(idx[:, None] - idx[None, :])
 
 
 def trap_integral(values: np.ndarray, dt: float) -> float:

@@ -9,8 +9,9 @@ import numpy as np
 
 from .dist import ServiceDist
 from .fredholm import FredholmError
-from .grids import GridPath, lags, volterra_weights
+from .grids import GridPath
 from .paths import LagConstraints, ModelParams, defect, drift
+from .renewal import _solve, _solve_transposed
 
 __all__ = ["LagConstraints", "QPSystem", "build_qp", "solve_min_norm", "min_rate_terminal", "TerminalRateResult"]
 
@@ -93,14 +94,14 @@ def min_rate_terminal(
     the path affine in the controls, q = (I - L)^{-1} (base + [0, A u]).  With
     m the path rows of (I - L)^{-T} e_t and c = a - (I - L)^{-T} e_t . base,
     the least energy is c^2 / (2 m G m) (G = `LagConstraints.gram_operator`) and the
-    minimiser moves the path rows by A u = G m c / (m G m).  The pattern is
-    recomputed from the resulting path and the solve repeats until the
-    pattern is stable, for at most 30 solves.  The first pattern is the sign
-    of the drift; nodes with |q| <= 1e-9 keep their previous label to prevent
-    oscillation.
+    minimiser moves the path rows by A u = G m c / (m G m).  Both triangular
+    solves are the renewal march with the frozen pattern, forward for q and
+    backward for m, so a grid with dt F'(0)/2 >= 1 raises
+    `RenewalConvergenceError`.  The pattern is recomputed from the resulting
+    path and the solve repeats until the pattern is stable, for at most 30
+    solves.  The first pattern is the sign of the drift; nodes with
+    |q| <= 1e-9 keep their previous label to prevent oscillation.
     """
-    from scipy.linalg import solve_triangular
-
     times = np.linspace(0.0, horizon, n_steps + 1)
     dt = horizon / n_steps
     it_idx = int(round(t / dt))
@@ -108,24 +109,20 @@ def min_rate_terminal(
         raise ValueError("terminal time t must be a grid node within the horizon")
     base = drift(pm, d, times)
     G = LagConstraints.from_law(pm, d, horizon, n_steps).gram_operator()
-
-    # L[i, j] = tw_i[j] F'(t_i - t_j) times the frozen pattern at t_j
-    lagged_fprime = volterra_weights(n_steps + 1, dt) * d.pdf(times)[lags(n_steps + 1)]
-    pattern = (base > 0).astype(float)
-    e_t = np.eye(1, n_steps + 1, it_idx)[0]
+    pattern = base > 0
+    e_t = GridPath(horizon, np.arange(n_steps + 1) == it_idx)
 
     for iters in range(1, 31):
-        I_L = np.eye(n_steps + 1) - lagged_fprime * pattern[None, :]
-        m_t = solve_triangular(I_L, e_t, lower=True, trans="T")  # row it_idx of (I - L)^{-1}
+        m_t = _solve_transposed(e_t, d, pattern).values  # row it_idx of (I - L)^{-1}
         c = a - float(m_t @ base)
         Gm = G @ m_t[1:]
         mGm = float(m_t[1:] @ Gm)
-        q_vals = solve_triangular(I_L, base + np.concatenate([[0.0], Gm * (c / mGm)]), lower=True)
+        q = _solve(GridPath(horizon, base + np.concatenate([[0.0], Gm * (c / mGm)])), d, pattern)
 
-        new_pattern = np.where(np.abs(q_vals) > 1e-9, q_vals > 0, pattern)
+        new_pattern = np.where(np.abs(q.values) > 1e-9, q.values > 0, pattern)
         stable = np.array_equal(new_pattern, pattern)
         if stable:
             break
         pattern = new_pattern
 
-    return TerminalRateResult(0.5 * c**2 / mGm, stable, iters, GridPath(horizon, q_vals))
+    return TerminalRateResult(0.5 * c**2 / mGm, stable, iters, q)

