@@ -379,6 +379,29 @@ def test_rerun_byte_identical(tmp_path):
         assert (o1 / f).read_bytes() == (o2 / f).read_bytes()
 
 
+def test_cli_import_loads_no_scipy():
+    # scipy is for the tests only; importing the CLI must not pull it in
+    src = str(Path(mdqueue.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, mdqueue.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_oracle_check_loads_no_scipy(tmp_path):
+    _write_q(tmp_path / "q.csv")
+    cfg = _cfg(tmp_path, "c.json", dict(
+        BASE, command="oracle-check", grid={"horizon": 2.0, "n_steps": 200, "n_x": 32}, io={"q_csv": "q.csv"},
+    ))
+    src = str(Path(mdqueue.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from mdqueue.cli import main; assert main(sys.argv[1:]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 _NO_SCIPY = """
 import json, sys
 from importlib.abc import MetaPathFinder
