@@ -10,7 +10,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +89,7 @@ def _load_csv(io: dict, key: str, cfg_dir: Path, cls):
         raise ConfigError(f"io.{key}: file not found: {p}")
     try:
         return cls.from_csv(p)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"io.{key}: {exc}") from exc
 
 
@@ -142,14 +142,11 @@ class Run:
             except ValueError as exc:
                 raise ConfigError(f"model: {exc}") from exc
 
-        self.grid = None
+        self.grid, g = None, {}
         if "grid" in cfg:
             g = _expect(cfg["grid"], "grid", required=("horizon", "n_steps"), optional=("n_x",))
-            self.grid = {
-                "horizon": _positive(g, "horizon", "grid"),
-                "n_steps": _integer(g, "n_steps", "grid", None, 2),
-                "n_x": _integer(g, "n_x", "grid", 32, 2),
-            }
+            self.grid = {"horizon": _positive(g, "horizon", "grid"), "n_steps": _integer(g, "n_steps", "grid", None, 2)}
+        self.n_x = _integer(g, "n_x", "grid", 32, 2)
 
         io = _expect(cfg.get("io", {}), "io", optional=("q_csv", "sheet_csv"))
         self.q_path = _load_csv(io, "q_csv", cfg_dir, GridPath)
@@ -207,15 +204,13 @@ class Run:
                 "decomposition_steps": _integer(s, "decomposition_steps", "sim", 200, 1),
             }
 
-        self.kiefer = None
-        if "kiefer" in cfg:
-            k = _expect(cfg["kiefer"], "kiefer", optional=("m", "n", "t_horizon", "value"))
-            self.kiefer = {
-                "m": _integer(k, "m", "kiefer", 512, 2),
-                "n": _integer(k, "n", "kiefer", 512, 2),
-                "t_horizon": _positive(k, "t_horizon", "kiefer", 1.0),
-                "value": float(_number(k, "value", "kiefer", 1.0)),
-            }
+        k = _expect(cfg.get("kiefer", {}), "kiefer", optional=("m", "n", "t_horizon", "value"))
+        self.kiefer = {
+            "m": _integer(k, "m", "kiefer", 512, 2),
+            "n": _integer(k, "n", "kiefer", 512, 2),
+            "t_horizon": _positive(k, "t_horizon", "kiefer", 1.0),
+            "value": float(_number(k, "value", "kiefer", 1.0)),
+        }
 
         blocks = {"model": self.model, "io.q_csv": self.q_path, "grid": self.grid, "sim": self.sim, "dist": self.dist}
         for name in REQUIRES[self.command]:
@@ -228,7 +223,7 @@ class Run:
 
 def _rate_artifacts(run: Run, out: Path) -> dict:
     q = run.q_path
-    res = evaluate_rate(q, run.model, run.dist, n_x=run.grid["n_x"] if run.grid else 32, tol=run.tol_fredholm)
+    res = evaluate_rate(q, run.model, run.dist, n_x=run.n_x, tol=run.tol_fredholm)
     res.adjoint.to_csv(out / "pbar.csv")
     res.forcing.to_csv(out / "h.csv")
     res.controls.w0dot.to_csv(out / "w0dot.csv")
@@ -263,8 +258,7 @@ def cmd_controls(run: Run, out: Path) -> dict:
 
 
 def cmd_oracle_check(run: Run, out: Path) -> dict:
-    n_x = run.grid["n_x"]
-    res = evaluate_rate(run.q_path, run.model, run.dist, n_x=n_x, tol=run.tol_fredholm)
+    res = evaluate_rate(run.q_path, run.model, run.dist, n_x=run.n_x, tol=run.tol_fredholm)
     qp = build_qp(run.q_path, run.model, run.dist)
     val_off, diag_off = solve_min_norm(qp)
     val_on, diag_on = solve_min_norm(replace(qp, A=replace(qp.A, zero_mean=True)))
@@ -279,7 +273,7 @@ def cmd_oracle_check(run: Run, out: Path) -> dict:
         "fredholmValue": res.rate,
         "relGap": abs(val_off - res.rate) / max(res.rate, 1e-12),
         "N": run.q_path.n_steps,
-        "M": n_x,
+        "M": run.n_x,
     }
     floats = {k: v for k, v in summary.items() if isinstance(v, float)}
     _table_csv(out / "oracle.csv", "quantity,value", [list(floats), list(floats.values())])
@@ -332,14 +326,7 @@ def cmd_simulate(run: Run, out: Path) -> dict:
         "ladder": ladder,
     }
     if s["event"] is not None:
-        rows = mc_tail(traces_by_n, s["event"])
-        summary["tail"] = [
-            {
-                "n": r.n, "b": r.b, "reps": r.reps, "hits": r.hits, "p_hat": r.p_hat,
-                "wilson": list(r.wilson) if r.wilson else None, "slope": r.slope, "censored": r.censored,
-            }
-            for r in rows
-        ]
+        summary["tail"] = [asdict(r) for r in mc_tail(traces_by_n, s["event"])]
         summary["tail_note"] = (
             "trend diagnostic only: moderate-deviations probabilities at realistic "
             "(n, a) are far below Monte Carlo resolution, so no estimate here is "
@@ -387,11 +374,8 @@ def cmd_identity_check(run: Run, out: Path) -> dict:
 
 
 def cmd_kiefer_check(run: Run, out: Path) -> dict:
-    if run.sheet is not None:
-        b = run.sheet
-    else:
-        k = run.kiefer or {"m": 512, "n": 512, "t_horizon": 1.0, "value": 1.0}
-        b = GridField2D(k["t_horizon"], np.full((k["m"] + 1, k["n"] + 1), k["value"]))
+    k = run.kiefer
+    b = run.sheet if run.sheet is not None else GridField2D(k["t_horizon"], np.full((k["m"] + 1, k["n"] + 1), k["value"]))
     kfield = kiefer_from_sheet(b)
     e_k, e_b = kiefer_energy(b)
     kfield.to_csv(out / "kiefer.csv")

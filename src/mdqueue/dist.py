@@ -173,8 +173,8 @@ class ServiceDist:
         """Safeguarded bisection/Newton solve of fn(x) = p to 1e-12, elementwise.
 
         Each element stops on its own once its step is below the tolerance.
-        Raises FloatingPointError when any element has not converged after
-        200 steps.
+        Raises FloatingPointError when the bracket overflows or any element
+        has not converged after 200 steps.
         """
         p = _probabilities(p)
         x = np.where(p == 1.0, np.inf, 0.0)
@@ -185,8 +185,8 @@ class ServiceDist:
         grow = fn(hi) < target
         while np.any(grow):
             hi[grow] *= 2.0
-            if np.any(hi > 1e12):
-                raise RuntimeError("inverse bracket growth failed")
+            if np.any(np.isinf(hi)):
+                raise FloatingPointError("inverse bracket overflowed")
             grow = fn(hi) < target
         xi = 0.5 * (lo + hi)
         active = np.ones(len(target), dtype=bool)

@@ -162,11 +162,11 @@ def solve_p(h: GridPath, S: ShiftOperator, pm: ModelParams, tol: float = 1e-12) 
     return GridPath(h.horizon, p), diag
 
 
-def rate_value(p: GridPath, h: GridPath, tol: float = _ZERO_CLAMP) -> float:
-    """I = 1/2 * int p h dt, clamped to 0 inside [-tol, 0)."""
+def rate_value(p: GridPath, h: GridPath) -> float:
+    """I = 1/2 * int p h dt, clamped to 0 inside [-_ZERO_CLAMP, 0)."""
     val = 0.5 * float(p.weights() @ (p.values * h.values))
-    if val < -tol:
-        raise FredholmError(f"rate value {val:.3e} below -{tol:.0e}: solver inconsistency")
+    if val < -_ZERO_CLAMP:
+        raise FredholmError(f"rate value {val:.3e} below -{_ZERO_CLAMP:.0e}: solver inconsistency")
     return max(val, 0.0)
 
 

@@ -5,6 +5,7 @@ import csv
 import logging
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -82,6 +83,32 @@ def cumtrap(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _read_grid(path, names: tuple) -> tuple[tuple, np.ndarray]:
+    """The CSV grid file with header `names`,value: every row has the header's fields,
+    each coordinate takes the nodes of a uniform grid from 0, and each node of their
+    product has exactly one row.  Returns the nodes of each coordinate and the values
+    indexed by node."""
+    header = [*names, "value"]
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != header:
+        raise ValueError(f"{path}: expected header {','.join(header)!r}")
+    if set(map(len, rows[1:])) - {len(header)}:
+        raise ValueError(f"{path}: every row must have the header's {len(header)} fields")
+    data = np.fromiter(map(float, chain.from_iterable(rows[1:])), float).reshape(-1, len(header))
+    nodes, index = zip(*(np.unique(c, return_inverse=True) for c in data[:, :-1].T))
+    for name, grid in zip(names, nodes):
+        step = np.diff(grid)
+        if len(grid) < 2 or abs(grid[0]) > 1e-12 or not np.allclose(step, step[0], rtol=1e-9, atol=1e-12):
+            raise ValueError(f"{path}: {name} must take the nodes of a uniform grid from 0, at least 2 of them")
+    shape = tuple(map(len, nodes))
+    if len(data) != np.prod(shape) or np.bincount(np.ravel_multi_index(index, shape)).max() > 1:
+        raise ValueError(f"{path}: each node of the {' x '.join(map(str, shape))} grid must have exactly one row")
+    values = np.empty(shape)
+    values[index] = data[:, -1]
+    return nodes, values
+
+
 @dataclass(frozen=True)
 class GridPath:
     """Scalar path sampled at t_i = i * T / N on [0, T]."""
@@ -125,18 +152,8 @@ class GridPath:
 
     @classmethod
     def from_csv(cls, path) -> "GridPath":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["t", "value"]:
-            raise ValueError(f"{path}: expected header 't,value'")
-        t = np.array([float(r[0]) for r in rows[1:]])
-        v = np.array([float(r[1]) for r in rows[1:]])
-        if len(t) < 3 or np.any(np.diff(t) <= 0):
-            raise ValueError(f"{path}: need strictly increasing t with N >= 2")
-        dt = np.diff(t)
-        if not np.allclose(dt, dt[0], rtol=1e-9, atol=1e-12) or abs(t[0]) > 1e-12:
-            raise ValueError(f"{path}: grid must be uniform and start at 0")
-        return cls(horizon=float(t[-1]), values=v)
+        (t,), values = _read_grid(path, ("t",))
+        return cls(horizon=float(t[-1]), values=values)
 
 
 @dataclass(frozen=True)
@@ -145,7 +162,6 @@ class GridField2D:
 
     t_horizon: float
     values: np.ndarray  # shape (M+1, N+1)
-    x_max: float = 1.0
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -154,12 +170,12 @@ class GridField2D:
             raise ValueError("GridField2D needs at least a 2x2 node grid")
         if not np.all(np.isfinite(vals)):
             raise ValueError("GridField2D values must be finite")
-        if not (self.t_horizon > 0 and self.x_max > 0):
-            raise ValueError("grid extents must be positive")
+        if not self.t_horizon > 0:
+            raise ValueError("t_horizon must be positive")
 
     @property
     def x_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.x_max, self.values.shape[0])
+        return np.linspace(0.0, 1.0, self.values.shape[0])
 
     @property
     def t_grid(self) -> np.ndarray:
@@ -167,7 +183,7 @@ class GridField2D:
 
     @property
     def dx(self) -> float:
-        return self.x_max / (self.values.shape[0] - 1)
+        return 1.0 / (self.values.shape[0] - 1)
 
     @property
     def dt(self) -> float:
@@ -190,17 +206,7 @@ class GridField2D:
 
     @classmethod
     def from_csv(cls, path) -> "GridField2D":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["x", "t", "value"]:
-            raise ValueError(f"{path}: expected header 'x,t,value'")
-        data = np.array([[float(c) for c in r] for r in rows[1:]])
-        xs = np.unique(data[:, 0])
-        ts = np.unique(data[:, 1])
-        if len(xs) * len(ts) != len(data):
-            raise ValueError(f"{path}: not a full grid")
-        vals = np.empty((len(xs), len(ts)))
-        ix = np.searchsorted(xs, data[:, 0])
-        it = np.searchsorted(ts, data[:, 1])
-        vals[ix, it] = data[:, 2]
-        return cls(t_horizon=float(ts[-1]), values=vals, x_max=float(xs[-1]))
+        (x, t), values = _read_grid(path, ("x", "t"))
+        if abs(x[-1] - 1.0) > 1e-12:
+            raise ValueError(f"{path}: x must end at 1, not {x[-1]!r}")
+        return cls(t_horizon=float(t[-1]), values=values)

@@ -241,8 +241,8 @@ def forward_q(c: ControlSet, pm: ModelParams, d: ServiceDist, tol: float = 1e-10
     t_horizon = pm.mu * c.wdot.horizon
     if abs(c.kdot.t_horizon - t_horizon) > 1e-12 * t_horizon:
         raise ValueError(f"kdot lives on [0, {c.kdot.t_horizon}] in time, expected [0, mu T] = [0, {t_horizon}]")
-    if abs(c.w0dot.horizon - 1.0) > 1e-12 or abs(c.kdot.x_max - 1.0) > 1e-12:
-        raise ValueError("w0dot and kdot must live on [0, 1] in x")
+    if abs(c.w0dot.horizon - 1.0) > 1e-12:
+        raise ValueError("w0dot must live on [0, 1]")
     A = LagConstraints.from_law(pm, d, c.wdot.horizon, n)
     u = np.concatenate([c.w0dot.values, c.wdot.values, c.kdot.values.T.ravel()])
     forcing = drift(pm, d, c.wdot.times) + np.concatenate([[0.0], A @ u])
@@ -282,7 +282,7 @@ def kiefer_from_sheet(b: GridField2D) -> GridField2D:
         k[:, j] = np.interp(b.x_grid, xs, k_log[:, j])
     k[-1, :] = 0.0
     k[:, 0] = 0.0
-    return GridField2D(b.t_horizon, k, x_max=b.x_max)
+    return GridField2D(b.t_horizon, k)
 
 
 def kiefer_energy(b: GridField2D) -> tuple[float, float]:

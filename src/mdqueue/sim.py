@@ -102,7 +102,6 @@ class QueueTrace:
     b: float
     q0_count: int
     horizon: float
-    seed_key: tuple
     arrival_times: np.ndarray  # exogenous arrivals, increasing
     tau_hat: np.ndarray  # service-start times after 0, nondecreasing
     eta: np.ndarray  # matched service durations for tau_hat
@@ -196,7 +195,6 @@ def simulate(
     rng: np.random.Generator,
     arrival_family: str = "exponential",
     arrival_shape: int = 1,
-    seed_key: tuple = (),
 ) -> QueueTrace:
     """Simulate one GI/GI/n FCFS path on [0, horizon].
 
@@ -263,7 +261,6 @@ def simulate(
         b=sr.b,
         q0_count=q0_count,
         horizon=horizon,
-        seed_key=seed_key,
         arrival_times=arrivals,
         tau_hat=tau_hat,
         eta=eta,
@@ -287,15 +284,13 @@ def replications(
 ):
     """Yield (regime, rep, trace) for reps replications of every regime in turn.
 
-    Regime ridx runs on the streams spawn_streams(seed + ridx, reps), and its
-    traces carry seed_key (seed + ridx, rep).
+    Regime ridx runs on the streams spawn_streams(seed + ridx, reps).
     """
     for ridx, sr in enumerate(regimes):
         for rep, rng in enumerate(spawn_streams(seed + ridx, reps)):
             yield sr, rep, simulate(
                 pm, d, sr, horizon, rng,
                 arrival_family=arrival_family, arrival_shape=arrival_shape,
-                seed_key=(seed + ridx, rep),
             )
 
 
@@ -313,15 +308,9 @@ def flow_balance_residuals(trace: QueueTrace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Pathwise decomposition terms on a uniform grid, plus the identity residual."""
+    """The decomposition's Theta term on a uniform grid, plus the identity residual."""
 
-    grid: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
-    X0: np.ndarray
-    H: np.ndarray
     Theta: np.ndarray
-    conv_Xplus: np.ndarray
     residual: np.ndarray
     quadrature_bound: float
 
@@ -400,10 +389,7 @@ def decomposition(trace: QueueTrace, d: ServiceDist, n_steps: int) -> Decomposit
         supf * tv(Y) + float(np.max(np.abs(Y))) * tvf
         + supf * tv(np.maximum(X, 0.0)) + float(np.max(np.abs(X))) * tvf
     )
-    return DecompositionReport(
-        grid=t, X=X, Y=Y, X0=X0, H=H, Theta=Theta,
-        conv_Xplus=conv_Xplus, residual=residual, quadrature_bound=bound,
-    )
+    return DecompositionReport(Theta=Theta, residual=residual, quadrature_bound=bound)
 
 
 def lln_sup_stat(trace: QueueTrace, mu: float, t_max: float) -> float:
@@ -443,8 +429,9 @@ def lln_check(traces_by_n: dict, mu: float, t_max: float, percentile: float = 99
     return LLNReport(stats=stats, percentile=percentile)
 
 
-def _wilson(hits: int, reps: int, z: float = 1.96) -> tuple[float, float]:
-    p = hits / reps
+def _wilson(hits: int, reps: int) -> tuple[float, float]:
+    """The 95% Wilson score interval of hits / reps."""
+    p, z = hits / reps, 1.96
     denom = 1 + z**2 / reps
     centre = (p + z**2 / (2 * reps)) / denom
     half = z * math.sqrt(p * (1 - p) / reps + z**2 / (4 * reps**2)) / denom

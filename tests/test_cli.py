@@ -132,6 +132,51 @@ def test_dist_info(tmp_path):
     assert s["mean"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("rate", [1e-11, 1e-100])
+def test_dist_info_tiny_rate(tmp_path, rate):
+    # the tail quantile lies past 1e12: the inverse's bracket grows until it
+    # overflows, so no fixed cap turns a valid law into a traceback
+    horizons = {}
+    for r in (rate, 1.0):
+        cfg = _cfg(tmp_path, "c.json", {"command": "dist-info", "dist": {"family": "erlang", "shape": 2, "rate": r}})
+        out = tmp_path / f"out{r}"
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        horizons[r] = json.loads((out / "summary.json").read_text())["horizon_tail_1e-6"]
+    assert horizons[rate] * rate == pytest.approx(horizons[1.0], rel=1e-13)
+
+
+def _sheet_rows(x, t):
+    return [[xi, ti, 1.0] for ti in t for xi in x]
+
+
+@pytest.mark.parametrize("case", ["x-to-2", "x-squared", "t-from-half", "node-twice", "fourth-column", "q-third-column"])
+def test_malformed_grid_csv_exit_2_no_outputs(tmp_path, capsys, case):
+    # each file is not one row per node of a uniform grid from 0 (on [0, 1] in x),
+    # so reading it as one would give wrong numbers or drop a column with exit 0
+    s = np.linspace(0.0, 1.0, 9)
+    if case == "q-third-column":
+        header, rows = "t,value", [[2.0 * si, 0.0, 0.0] for si in s]
+        key, payload = "q_csv", dict(BASE, command="rate", io={"q_csv": "in.csv"})
+    else:
+        header, rows = "x,t,value", {
+            "x-to-2": _sheet_rows(2.0 * s, s),
+            "x-squared": _sheet_rows(s**2, s),
+            "t-from-half": _sheet_rows(s, 0.5 + 0.5 * s),
+            "node-twice": _sheet_rows(s, s),
+            "fourth-column": [r + [0.0] for r in _sheet_rows(s, s)],
+        }[case]
+        if case == "node-twice":
+            rows[1] = rows[0]  # node (x_1, t_0) is missing and (x_0, t_0) has two rows
+        key, payload = "sheet_csv", {"command": "kiefer-check", "io": {"sheet_csv": "in.csv"}}
+    lines = [header] + [",".join(repr(float(v)) for v in r) for r in rows]
+    (tmp_path / "in.csv").write_text("\r\n".join(lines) + "\r\n")
+    cfg = _cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert f"config error: io.{key}" in capsys.readouterr().err
+
+
 def test_malformed_json_exit_2_no_outputs(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -178,6 +178,30 @@ def test_horizon_for_tail():
     assert float(d.survival(T)) == pytest.approx(1e-6, rel=1e-6)
 
 
+def _laws_at(rate):
+    return [ServiceDist.erlang(2, rate), ServiceDist.erlang(5, rate),
+            ServiceDist.hyperexponential([0.2, 0.8], [0.4 * rate, 1.6 * rate])]
+
+
+@pytest.mark.parametrize("rate", [1e-6, 1e-11, 1e-30, 1e-100, 1e-300])
+def test_inverses_scale_with_the_rate(rate):
+    # the law at rate r is the rate-1 law on a clock slowed by 1/r, so its
+    # quantiles are the rate-1 quantiles over r, however far past 1e12 they lie
+    p = np.array([0.01, 0.1, 0.5, 0.9, 0.99])
+    for d, d1 in zip(_laws_at(rate), _laws_at(1.0)):
+        assert np.allclose(d.ppf(p) * rate, d1.ppf(p), rtol=1e-13, atol=0.0)
+        assert np.allclose(d.eq_ppf(p) * rate, d1.eq_ppf(p), rtol=1e-13, atol=0.0)
+        assert d.horizon_for_tail(1e-6) * rate == pytest.approx(d1.horizon_for_tail(1e-6), rel=1e-13)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_inverse_bracket_overflow_raises():
+    # a function that never reaches p doubles the bracket until it overflows
+    d = ServiceDist.erlang(2, 1.0)
+    with pytest.raises(FloatingPointError, match="overflowed"):
+        d._inverse(np.zeros_like, d.pdf, 0.5)
+
+
 @pytest.mark.parametrize("d", FAMILIES, ids=lambda d: d.family + str(d.shape))
 def test_sampling_ks(d):
     rng = np.random.default_rng(123)

@@ -155,13 +155,12 @@ def _bad_controls(case):
         "kdot-x-nodes": GridField2D(2.0, np.zeros((10, 21))),
         "kdot-t-nodes": GridField2D(2.0, np.zeros((9, 20))),
         "kdot-t-horizon": GridField2D(2.5, np.zeros((9, 21))),
-        "kdot-x-range": GridField2D(2.0, np.zeros((9, 21)), x_max=0.5),
     }[case]
     return ControlSet(w0dot=c.w0dot, wdot=c.wdot, kdot=kdot)
 
 
 @pytest.mark.parametrize(
-    "case", ["kdot-x-nodes", "kdot-t-nodes", "kdot-t-horizon", "kdot-x-range", "w0dot-x-range"]
+    "case", ["kdot-x-nodes", "kdot-t-nodes", "kdot-t-horizon", "w0dot-x-range"]
 )
 def test_forward_q_rejects_mismatched_grids(exp1, pm_std, case):
     with pytest.raises(ValueError):

@@ -227,7 +227,7 @@ def test_mc_tail_sup_matches_list_max():
     # Q starts at 14 > n = 10, drops to 12, then climbs to 15 at t = 1.5
     def trace(q0_count):
         return QueueTrace(
-            n=10, b=1.5, q0_count=q0_count, horizon=2.0, seed_key=(),
+            n=10, b=1.5, q0_count=q0_count, horizon=2.0,
             arrival_times=np.empty(0), tau_hat=np.empty(0), eta=np.empty(0), eta0=np.empty(0),
             event_times=np.array([0.5, 1.0, 1.5]), q_values=np.array([13, 12, 15]),
         )

@@ -1,0 +1,20 @@
+"""Rules over the package source.  Invariants raise typed errors: an `assert`
+vanishes under `python -O`, and a bare RuntimeError or Exception is not in
+`cli.NUMERICAL_ERRORS`, so the CLI cannot map it to an exit code."""
+import ast
+from pathlib import Path
+
+import mdqueue
+
+
+def test_no_assert_and_no_bare_runtime_error():
+    found = []
+    for path in sorted(Path(mdqueue.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}: assert")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in ("RuntimeError", "Exception"):
+                    found.append(f"{path.name}:{node.lineno}: raise {exc.id}")
+    assert found == []
