@@ -20,7 +20,7 @@ from .fredholm import (
     solve_p,
 )
 from .grids import GridField2D, GridPath, conv_trap, cumtrap, trap_integral, trap_weights
-from .oracle import QPSystem, TerminalRateResult, build_qp, min_rate_terminal, solve_min_norm
+from .oracle import QPSystem, build_qp, solve_min_norm
 from .paths import (
     ControlSet,
     ModelParams,
@@ -75,10 +75,8 @@ __all__ = [
     "evaluate_rate",
     "lln_path",
     "QPSystem",
-    "TerminalRateResult",
     "build_qp",
     "solve_min_norm",
-    "min_rate_terminal",
     "ScalingRegime",
     "QueueTrace",
     "DecompositionReport",

@@ -20,7 +20,7 @@ from .dist import ServiceDist
 from .fredholm import FredholmError, evaluate_rate
 from .grids import GridField2D, GridPath, float_strs, write_csv
 from .oracle import build_qp, solve_min_norm
-from .paths import ModelParams, forward_q, kiefer_energy, kiefer_from_sheet
+from .paths import ModelParams, energy, forward_q, kiefer_energy, kiefer_from_sheet
 from .renewal import RenewalConvergenceError
 from .sim import ScalingRegime, SimulationError, decomposition, flow_balance_residuals, lln_check, mc_tail, replications
 
@@ -234,6 +234,7 @@ def _rate_artifacts(run: Run, out: Path) -> dict:
         "dual": res.dual,
         "duality_gap": res.duality_gap,
         "primal_energy": res.primal_energy,
+        "x_quadrature_error": energy(res.controls) - res.rate,
         "horizon": q.horizon,
         "n_steps": q.n_steps,
         "truncation_tail_mass": res.diagnostics["truncation_tail_mass"],

@@ -81,6 +81,10 @@ class ServiceDist:
             raise ValueError(f"{self.family} law must have shape 1")
         if self.family != "hyperexponential" and len(self.rates) != 1:
             raise ValueError(f"{self.family} law must have a single rate")
+        with np.errstate(over="ignore"):  # the service rate mu is 1 / mean
+            mean = self.mean
+        if not math.isfinite(mean):
+            raise ValueError(f"mean {mean} is not finite")
 
     # -- constructors ------------------------------------------------------
 

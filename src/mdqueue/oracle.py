@@ -8,12 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import ServiceDist
-from .fredholm import FredholmError
+from .fredholm import FredholmError, _cg
 from .grids import GridPath
-from .paths import LagConstraints, ModelParams, defect, drift
-from .renewal import _solve, _solve_transposed
+from .paths import LagConstraints, ModelParams, defect
 
-__all__ = ["LagConstraints", "QPSystem", "build_qp", "solve_min_norm", "min_rate_terminal", "TerminalRateResult"]
+__all__ = ["LagConstraints", "QPSystem", "build_qp", "solve_min_norm"]
 
 log = logging.getLogger(__name__)
 
@@ -53,76 +52,13 @@ def solve_min_norm(sys: QPSystem) -> tuple[float, dict]:
     route "pcg", the iterations and |res| / |r|."""
     G = sys.A.gram_operator()
     r_norm = float(np.linalg.norm(sys.r)) or 1.0
-    lam, res = np.zeros_like(sys.r), sys.r.copy()
-    direction = z = G.min_kernel_solve(res)
-    rz, iters = float(res @ z), 0
-    while not (rel := float(np.linalg.norm(res)) / r_norm) <= 1e-12:  # NaN runs to the cap
-        if iters == _pcg_cap(len(res)):
-            raise FredholmError(f"oracle PCG: relative residual {rel:.3e} after {iters} iterations")
-        iters += 1
-        Gd = G @ direction
-        alpha = rz / float(direction @ Gd)
-        lam += alpha * direction
-        res -= alpha * Gd
-        z = G.min_kernel_solve(res)
-        rz, rz_old = float(res @ z), rz
-        direction = z + (rz / rz_old) * direction
+    cap = _pcg_cap(len(sys.r))
+    # a NaN residual is never done, so it runs to the cap
+    lam, res, iters = _cg(lambda v: G @ v, sys.r, lambda u, v: float(u @ v), G.min_kernel_solve,
+                          lambda r: float(np.linalg.norm(r)) / r_norm <= 1e-12, cap)
+    rel = float(np.linalg.norm(res)) / r_norm
+    if not rel <= 1e-12:
+        raise FredholmError(f"oracle PCG: relative residual {rel:.3e} after {iters} iterations")
     log.info("min-norm QP (%d path rows, zero mean %s): pcg, %d iterations, relative residual %.3e",
              len(sys.r), sys.A.zero_mean, iters, rel)
     return 0.5 * float(lam @ (sys.r + res)), {"route": "pcg", "iterations": iters, "residual": rel}
-
-
-@dataclass(frozen=True)
-class TerminalRateResult:
-    value: float
-    pattern_stable: bool
-    iterations: int
-    q: GridPath
-
-
-def min_rate_terminal(
-    a: float,
-    t: float,
-    pm: ModelParams,
-    d: ServiceDist,
-    horizon: float,
-    n_steps: int = 100,
-) -> TerminalRateResult:
-    """Experimental: minimum of the control energy over paths with q(t) = a.
-
-    The positive-part feedback is frozen at an assumed sign pattern, making
-    the path affine in the controls, q = (I - L)^{-1} (base + [0, A u]).  With
-    m the path rows of (I - L)^{-T} e_t and c = a - (I - L)^{-T} e_t . base,
-    the least energy is c^2 / (2 m G m) (G = `LagConstraints.gram_operator`) and the
-    minimiser moves the path rows by A u = G m c / (m G m).  Both triangular
-    solves are the renewal march with the frozen pattern, forward for q and
-    backward for m, so a grid with dt F'(0)/2 >= 1 raises
-    `RenewalConvergenceError`.  The pattern is recomputed from the resulting
-    path and the solve repeats until the pattern is stable, for at most 30
-    solves.  The first pattern is the sign of the drift; nodes with
-    |q| <= 1e-9 keep their previous label to prevent oscillation.
-    """
-    times = np.linspace(0.0, horizon, n_steps + 1)
-    dt = horizon / n_steps
-    it_idx = int(round(t / dt))
-    if not (0 <= it_idx <= n_steps) or abs(times[it_idx] - t) > 1e-9:
-        raise ValueError("terminal time t must be a grid node within the horizon")
-    base = drift(pm, d, times)
-    G = LagConstraints.from_law(pm, d, horizon, n_steps).gram_operator()
-    pattern = base > 0
-    e_t = GridPath(horizon, np.arange(n_steps + 1) == it_idx)
-
-    for iters in range(1, 31):
-        m_t = _solve_transposed(e_t, d, pattern).values  # row it_idx of (I - L)^{-1}
-        c = a - float(m_t @ base)
-        Gm = G @ m_t[1:]
-        mGm = float(m_t[1:] @ Gm)
-        q = _solve(GridPath(horizon, base + np.concatenate([[0.0], Gm * (c / mGm)])), d, pattern)
-
-        new_pattern = np.where(np.abs(q.values) > 1e-9, q.values > 0, pattern)
-        stable = np.array_equal(new_pattern, pattern)
-        if stable:
-            break
-        pattern = new_pattern
-
-    return TerminalRateResult(0.5 * c**2 / mGm, stable, iters, q)

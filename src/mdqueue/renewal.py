@@ -7,9 +7,6 @@ weight alpha = dt F'(0)/2.  So each node solves g_i = c_i + alpha g_i^+ in
 closed form, where c_i is the known history sum over nodes 0..i-1:
 g_i = c_i / (1 - alpha) if c_i > 0 (or in the linear equation), else g_i = c_i.
 One march from node 0 to node N solves the discrete equations to round-off.
-With the feedback frozen at a sign pattern the system is linear, (I - L) g = f
-with L[i, j] = tw_i[j] F'(t_i - t_j) pattern_j (tw_i the prefix-trapezoid
-weights); the march solves it, and run backward from node N solves (I - L)^T m = v.
 alpha >= 1 is an error: the grid is too coarse for the law, and the nonlinear
 node equation then has no solution or two.  The tolerance tol only bounds the
 final sup-norm residual, by max(10 tol, 1e-9).
@@ -42,7 +39,11 @@ class RenewalConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def _lag_weights(f: GridPath, d: ServiceDist) -> tuple[np.ndarray, np.ndarray, float]:
+def _solve(f: GridPath, d: ServiceDist, linear: bool, tol: float = 1e-10) -> GridPath:
+    """The forward march.  Node i feeds back g_i always when linear, else
+    where c_i > 0 (the positive part)."""
+    n = f.n_steps
+    fv = f.values
     fprime = d.pdf(f.times)
     w = f.dt * fprime  # the trapezoid halves the end terms
     alpha = 0.5 * float(w[0])
@@ -50,67 +51,33 @@ def _lag_weights(f: GridPath, d: ServiceDist) -> tuple[np.ndarray, np.ndarray, f
         raise RenewalConvergenceError(
             float("nan"), 0, f"renewal march impossible: dt F'(0)/2 = {alpha:.3e} >= 1; refine the grid"
         )
-    return fprime, w, alpha
 
-
-def _check(residual: float, n: int, tol: float) -> None:
-    if not residual <= max(10 * tol, 1e-9):  # NaN fails too, before GridPath rejects the values
-        raise RenewalConvergenceError(residual, n)
-
-
-def _solve(f: GridPath, d: ServiceDist, pattern: np.ndarray | None, tol: float = 1e-10) -> GridPath:
-    """The forward march.  Node i feeds back g_i where c_i > 0 when pattern is
-    None (the positive part), else where the boolean pattern is True."""
-    n = f.n_steps
-    fv = f.values
-    fprime, w, alpha = _lag_weights(f, d)
-    feeds = None if pattern is None else pattern.tolist()
-
-    # a = g^+, g, or g where the pattern feeds back.  c_i = f_i + w_i a_0 / 2 + sum_{j=1}^{i-1} w_{i-j} a_j,
+    # a = g or g^+.  c_i = f_i + w_i a_0 / 2 + sum_{j=1}^{i-1} w_{i-j} a_j,
     # and rev[n - k] = w_k makes the history sum one contiguous dot product
     g = np.empty(n + 1)
     a = np.empty(n + 1)
     g[0] = fv[0]
-    a[0] = max(fv[0], 0.0) if feeds is None else (fv[0] if feeds[0] else 0.0)
+    a[0] = fv[0] if linear else max(fv[0], 0.0)
     known = (fv + 0.5 * w * a[0]).tolist()
     rev = w[::-1].copy()
     for i in range(1, n + 1):
         c = known[i] + float(a[1:i] @ rev[n - i + 1 : n])
-        if c > 0.0 if feeds is None else feeds[i]:
+        if linear or c > 0.0:
             g[i] = a[i] = c / (1.0 - alpha)
         else:
             g[i], a[i] = c, 0.0
 
-    _check(float(np.max(np.abs(g - fv - conv_trap(a, fprime, f.dt)))), n, tol)
+    residual = float(np.max(np.abs(g - fv - conv_trap(a, fprime, f.dt))))
+    if not residual <= max(10 * tol, 1e-9):  # NaN fails too, before GridPath rejects the values
+        raise RenewalConvergenceError(residual, n)
     return GridPath(horizon=f.horizon, values=g)
-
-
-def _solve_transposed(v: GridPath, d: ServiceDist, pattern: np.ndarray, tol: float = 1e-10) -> GridPath:
-    """The backward march: (I - L)^T m = v for the frozen boolean pattern.
-    Column j of L holds tw_i[j] = dt for i > j (dt/2 at j = 0) and dt/2 at
-    i = j >= 1 (row 0 of L is zero), so from node N down to 1
-        m_j = (v_j + pattern_j dt sum_{i>j} F'(t_i - t_j) m_i) / (1 - pattern_j alpha),
-    and m_0 = v_0 + pattern_0 (dt/2) sum_{i>=1} F'(t_i) m_i."""
-    n, vv, feeds = v.n_steps, v.values, pattern.tolist()
-    fprime, w, alpha = _lag_weights(v, d)
-    m = np.empty(n + 1)
-    for j in range(n, 0, -1):
-        m[j] = (vv[j] + float(w[1 : n - j + 1] @ m[j + 1 :])) / (1.0 - alpha) if feeds[j] else vv[j]
-    m[0] = vv[0] + 0.5 * float(w[1:] @ m[1:]) if feeds[0] else vv[0]
-
-    # (L^T m)_j = pattern_j (s_j - alpha m_j), with half of s_0 at j = 0, where
-    # s_j = dt sum_{i>=j} F'(t_i - t_j) m_i, a convolution with m reversed
-    s = v.dt * np.convolve(fprime, m[::-1])[n::-1]
-    s[0] *= 0.5
-    _check(float(np.max(np.abs(m - vv - pattern * (s - alpha * m)))), n, tol)
-    return GridPath(horizon=v.horizon, values=m)
 
 
 def solve_linear(f: GridPath, d: ServiceDist, tol: float = 1e-10) -> GridPath:
     """Solve g = f + int_0^t g(t-s) dF(s) on the grid of f."""
-    return _solve(f, d, np.ones(f.n_steps + 1, dtype=bool), tol)
+    return _solve(f, d, True, tol)
 
 
 def solve_nonlinear(f: GridPath, d: ServiceDist, tol: float = 1e-10) -> GridPath:
     """Solve g = f + int_0^t g(t-s)^+ dF(s) on the grid of f."""
-    return _solve(f, d, None, tol)
+    return _solve(f, d, False, tol)

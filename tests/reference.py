@@ -1,19 +1,16 @@
 """Dense references for the matrix-free Fredholm operator of `mdqueue.fredholm`,
-for the oracle's matrix-free Gram, and for the renewal marches with a frozen
-feedback pattern and the terminal minimiser built on them; for `mdqueue.sim`,
-the one-customer-at-a-time start-time recursion, the node-at-a-time Theta
-recursion and the stable event sort; and the row-at-a-time `repr` CSV writers
-that are the byte reference for `grids.write_csv` and the artifacts written
-through it."""
+for the oracle's matrix-free Gram and for the prefix-trapezoid weights of
+`grids.conv_trap`; for `mdqueue.sim`, the one-customer-at-a-time start-time
+recursion, the node-at-a-time Theta recursion and the stable event sort; and
+the row-at-a-time `repr` CSV writers that are the byte reference for
+`grids.write_csv` and the artifacts written through it."""
 import heapq
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from mdqueue.fredholm import shift_matrix
-from mdqueue.grids import GridPath, trap_weights
-from mdqueue.oracle import TerminalRateResult
-from mdqueue.paths import LagConstraints, drift
+from mdqueue.grids import trap_weights
 
 _GAUSS_ORDER = 40  # Gauss-Legendre nodes of the inner integral in kernel_matrix
 
@@ -63,41 +60,6 @@ def lags(n):
     """(n, n) index table |i - j|: v[lags(n)] is the symmetric Toeplitz matrix of v."""
     idx = np.arange(n)
     return np.abs(idx[:, None] - idx[None, :])
-
-
-def renewal_matrix(d, T, n_steps, pattern):
-    """Dense I - L of the renewal equation with the feedback frozen at the
-    pattern, L[i, j] = tw_i[j] F'(t_i - t_j) pattern_j: the reference for the
-    forward and backward marches of `mdqueue.renewal`."""
-    times = np.linspace(0.0, T, n_steps + 1)
-    L = volterra_weights(n_steps + 1, T / n_steps) * d.pdf(times)[lags(n_steps + 1)]
-    return np.eye(n_steps + 1) - L * np.asarray(pattern, dtype=float)[None, :]
-
-
-def terminal_dense(a, t, pm, d, horizon, n_steps=100):
-    """`oracle.min_rate_terminal` with both triangular solves on the dense
-    `renewal_matrix` by `scipy.linalg.solve_triangular`."""
-    from scipy.linalg import solve_triangular
-
-    times = np.linspace(0.0, horizon, n_steps + 1)
-    it_idx = int(round(t / (horizon / n_steps)))
-    base = drift(pm, d, times)
-    G = LagConstraints.from_law(pm, d, horizon, n_steps).gram_operator()
-    pattern = base > 0
-    e_t = np.eye(1, n_steps + 1, it_idx)[0]
-    for iters in range(1, 31):
-        I_L = renewal_matrix(d, horizon, n_steps, pattern)
-        m_t = solve_triangular(I_L, e_t, lower=True, trans="T")
-        c = a - float(m_t @ base)
-        Gm = G @ m_t[1:]
-        mGm = float(m_t[1:] @ Gm)
-        q_vals = solve_triangular(I_L, base + np.concatenate([[0.0], Gm * (c / mGm)]), lower=True)
-        new_pattern = np.where(np.abs(q_vals) > 1e-9, q_vals > 0, pattern)
-        stable = np.array_equal(new_pattern, pattern)
-        if stable:
-            break
-        pattern = new_pattern
-    return TerminalRateResult(0.5 * c**2 / mGm, stable, iters, GridPath(horizon, q_vals))
 
 
 def continuum_gram(pm, d, T, n_steps, zero_mean):

@@ -266,6 +266,9 @@ def test_constructor_validation():
     for shape in (2.7, True, "3", float("nan")):
         with pytest.raises(ValueError, match="shape must be an integer"):
             ServiceDist.erlang(shape, 1.0)
+    # each rate is finite, but the mean is not
+    with pytest.raises(ValueError, match="mean inf is not finite"):
+        ServiceDist.erlang(2, 1e-308)
     for spec_shape in (3, 3.0):
         d = ServiceDist.from_spec({"family": "erlang", "shape": spec_shape, "rate": 3.0})
         assert d.shape == 3 and type(d.shape) is int

@@ -128,9 +128,28 @@ def test_rate_at_fine_grid(pm_std, exp1):
 
 
 def test_negative_duality_gap_raises(pm_std, exp1, q_quad, monkeypatch):
-    monkeypatch.setattr("mdqueue.fredholm.energy", lambda controls: 0.0)
+    # an adjoint 10% short of the one its residual describes: the gap is
+    # -0.09 rate, far past what that residual allows
+    def short_solve(h, S, pm, tol):
+        p, diag = solve_p(h, S, pm, tol)
+        return GridPath(p.horizon, 0.9 * p.values), diag
+
+    monkeypatch.setattr("mdqueue.fredholm.solve_p", short_solve)
     with pytest.raises(FredholmError, match="duality gap"):
         evaluate_rate(q_quad, pm_std, exp1)
+
+
+@pytest.mark.parametrize("case, iters", [("cap", 1), ("nan", 0)])
+def test_adjoint_cg_cap_and_nan_raise(pm_std, exp1, q_quad, monkeypatch, case, iters):
+    # the CG stops at its cap, or at once on a NaN residual, and the final
+    # residual check then raises
+    h = forcing(q_quad, pm_std, exp1)
+    if case == "cap":
+        monkeypatch.setattr("mdqueue.fredholm._CG_MAX_ITER", 1)
+    else:
+        h.values[5] = np.nan
+    with pytest.raises(FredholmError, match=rf"adjoint residual .*iters={iters}\)"):
+        solve_p(h, assemble_kernel(exp1, HORIZON, q_quad.n_steps), pm_std)
 
 
 def test_picard_and_direct_agree(pm_std, exp1, q_quad):
@@ -188,6 +207,19 @@ def test_roundtrip_battery(exp1):
         q_rt = forward_q(res.controls, pm, exp1)
         scale = max(1.0, float(np.max(np.abs(q.values))))
         assert np.max(np.abs(q_rt.values - q.values)) / scale <= 0.03
+
+
+@pytest.mark.parametrize("d", LAWS[1:], ids=lambda d: d.family)
+def test_roundtrip_battery_non_exponential(d):
+    # F0 and F differ for these laws, so w0dot read through F^-1 or kdot
+    # through F0^-1 fails here (errors of 0.024 to 0.15); the correct controls
+    # give at most 0.0043
+    for beta, q0, q in battery_cases(200):
+        pm = ModelParams(d.mu, 1.0, beta, q0)
+        res = evaluate_rate(q, pm, d)
+        q_rt = forward_q(res.controls, pm, d)
+        scale = max(1.0, float(np.max(np.abs(q.values))))
+        assert np.max(np.abs(q_rt.values - q.values)) / scale <= 0.01
 
 
 def test_roundtrip_improves_with_refinement(pm_std, exp1):

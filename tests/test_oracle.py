@@ -8,15 +8,13 @@ from mdqueue import (
     build_qp,
     evaluate_rate,
     lln_path,
-    min_rate_terminal,
     solve_min_norm,
 )
 
 from mdqueue.oracle import LagConstraints
-from mdqueue.renewal import RenewalConvergenceError
 
 from conftest import HORIZON, battery_cases
-from reference import continuum_gram, lag_gram, terminal_dense
+from reference import continuum_gram, lag_gram
 
 LAWS = [
     ServiceDist.exponential(1.0),
@@ -267,84 +265,3 @@ def test_build_qp_nontrivial_first_row_raises_typed_error(exp1, pm_std, q_quad, 
     monkeypatch.setattr("mdqueue.paths.conv_trap", lambda a, b, dt: np.full(len(a), np.nan))
     with pytest.raises(FredholmError, match="t = 0"):
         build_qp(q_quad, pm_std, exp1)
-
-
-def test_min_rate_terminal_monotone_in_level(exp1):
-    pm = ModelParams(1.0, 1.0, 0.5, 0.0)
-    vals = [
-        min_rate_terminal(a, 1.0, pm, exp1, horizon=1.0, n_steps=50).value
-        for a in (0.2, 0.4, 0.8)
-    ]
-    assert vals[0] < vals[1] < vals[2]
-
-
-def test_min_rate_terminal_hits_target(exp1):
-    pm = ModelParams(1.0, 1.0, 0.5, 0.0)
-    res = min_rate_terminal(0.4, 1.0, pm, exp1, horizon=1.0, n_steps=50)
-    assert res.pattern_stable
-    assert res.q.values[-1] == pytest.approx(0.4, abs=1e-8)
-    assert res.value > 0.0
-
-
-def test_min_rate_terminal_dominated_by_path_rate(exp1):
-    # the terminal infimum can be no larger than the rate of any path ending at a
-    pm = ModelParams(1.0, 1.0, 0.5, 0.0)
-    res = min_rate_terminal(0.3, 2.0, pm, exp1, horizon=2.0, n_steps=100)
-    t = np.linspace(0.0, 2.0, 201)
-    q = GridPath(2.0, 0.15 * t)  # ends at 0.3
-    full = evaluate_rate(q, pm, exp1).rate
-    assert res.value <= full + 1e-6
-
-
-@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
-def test_min_rate_terminal_saddle(d):
-    # at the minimiser q*, the adjoint rate of q* is the terminal value, to O(dt^2)
-    pm = ModelParams(d.mu, 1.0, 0.5, 0.0)
-    gaps = []
-    for n in (100, 200, 400, 800):
-        res = min_rate_terminal(0.5, HORIZON, pm, d, horizon=HORIZON, n_steps=n)
-        assert res.pattern_stable
-        rate = evaluate_rate(res.q, pm, d).rate
-        gaps.append(abs(res.value - rate) / rate)
-    assert gaps[0] <= 2e-4
-    assert all(g0 >= 3.5 * g1 for g0, g1 in zip(gaps, gaps[1:])), gaps
-
-
-TERMINAL_CASES = {"hump-0.5": (0.5, 0.0), "hump-0.3": (0.3, 0.0), "negative": (-0.2, -0.5)}
-
-
-@pytest.mark.parametrize(
-    "d, case, n",
-    [(d, case, n) for d in LAWS for case in TERMINAL_CASES for n in (50, 400, 1600)]
-    # the pattern iteration does not settle here: both routes stop after 30 solves
-    + [(LAWS[1], "hump-0.3", 800)],
-    ids=lambda v: getattr(v, "family", str(v)),
-)
-def test_min_rate_terminal_matches_dense_solves(d, case, n):
-    a, q0 = TERMINAL_CASES[case]
-    pm = ModelParams(d.mu, 1.0, 0.5, q0)
-    res = min_rate_terminal(a, HORIZON, pm, d, horizon=HORIZON, n_steps=n)
-    ref = terminal_dense(a, HORIZON, pm, d, horizon=HORIZON, n_steps=n)
-    assert (res.iterations, res.pattern_stable) == (ref.iterations, ref.pattern_stable)
-    assert res.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
-    assert np.max(np.abs(res.q.values - ref.q.values)) <= 1e-13
-
-
-def test_min_rate_terminal_rejects_alpha_at_least_one():
-    # dt F'(0)/2 = 0.25 * 10 / 2 = 1.25: the frozen-pattern marches refuse the grid
-    pm = ModelParams(10.0, 1.0, 0.5, 0.0)
-    with pytest.raises(RenewalConvergenceError, match=r"dt F'\(0\)/2"):
-        min_rate_terminal(0.3, 1.0, pm, ServiceDist.exponential(10.0), horizon=1.0, n_steps=4)
-
-
-def test_min_rate_terminal_forms_no_dense_matrix(exp1):
-    import tracemalloc
-
-    pm = ModelParams(1.0, 1.0, 0.5, 0.0)
-    tracemalloc.start()
-    try:
-        min_rate_terminal(0.5, HORIZON, pm, exp1, horizon=HORIZON, n_steps=1600)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20  # a dense (N+1)^2 array alone is 20 MB

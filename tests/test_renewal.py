@@ -6,9 +6,7 @@ import pytest
 
 from mdqueue import GridPath, ServiceDist, solve_linear, solve_nonlinear
 from mdqueue.grids import conv_trap
-from mdqueue.renewal import RenewalConvergenceError, _solve, _solve_transposed
-
-from reference import renewal_matrix
+from mdqueue.renewal import RenewalConvergenceError
 
 LAWS = {
     "exponential": ServiceDist.exponential(1.0),
@@ -112,28 +110,11 @@ def test_march_solves_discrete_equations(law, positive_part, n):
     assert res <= 1e-13 * max(1.0, np.max(np.abs(g)))
 
 
-@pytest.mark.parametrize("law", sorted(LAWS))
-@pytest.mark.parametrize("n", [2, 3, 401])
-def test_frozen_pattern_marches_solve_discrete_equations(law, n):
-    # forward (I - L) g = f and backward (I - L)^T m = v for a random feedback pattern
-    d = LAWS[law]
-    t = np.linspace(0.0, 2.0, n + 1)
-    rng = np.random.default_rng(n)
-    pattern = rng.random(n + 1) < 0.5
-    I_L = renewal_matrix(d, 2.0, n, pattern)
-    f = GridPath(2.0, np.sin(3.0 * t) - 0.2)
-    g = _solve(f, d, pattern).values
-    assert np.max(np.abs(I_L @ g - f.values)) <= 1e-13 * max(1.0, np.max(np.abs(g)))
-    v = GridPath(2.0, rng.standard_normal(n + 1))
-    m = _solve_transposed(v, d, pattern).values
-    assert np.max(np.abs(I_L.T @ m - v.values)) <= 1e-13 * max(1.0, np.max(np.abs(m)))
-
-
 def test_march_rejects_alpha_at_least_one_at_once():
     # dt F'(0)/2 = 0.5 * 10 / 2 = 2.5: the node equations have no unique solution
     f = GridPath(1.0, np.ones(3))
     d = ServiceDist.exponential(10.0)
-    for march in (solve_nonlinear, lambda f, d: _solve_transposed(f, d, np.ones(3, dtype=bool))):
+    for march in (solve_linear, solve_nonlinear):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RenewalConvergenceError, match=r"dt F'\(0\)/2") as info:
