@@ -1,8 +1,9 @@
 """Batch command-line front end: JSON config in, JSON summary + CSV artifacts out.
 
-Exit codes: 0 success, 1 numerical failure (residuals/tolerances), 2 config
-error.  Config errors are detected before any artifact is written; numerical
-failures still produce a summary.json describing the failure.
+Exit codes: 0 success, 1 numerical failure (a solver residual or check), 2
+config error.  Config errors are detected before any artifact is written;
+numerical failures still produce a summary.json describing the failure.
+Each solver has one fixed stop rule, and the path in io.q_csv sets the t grid.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .dist import ServiceDist
-from .fredholm import FredholmError, evaluate_rate
+from .fredholm import FredholmError, assemble_kernel, evaluate_rate, forcing, rate_value, solve_p
 from .grids import GridField2D, GridPath, float_strs, write_csv
 from .oracle import build_qp, solve_min_norm
 from .paths import ModelParams, energy, forward_q, kiefer_energy, kiefer_from_sheet
@@ -27,7 +28,7 @@ from .sim import ScalingRegime, SimulationError, decomposition, flow_balance_res
 log = logging.getLogger(__name__)
 
 # The blocks each command reads, checked with the rest of the config before anything is written.
-REQUIRES = {"rate": ("model", "io.q_csv"), "controls": ("model", "io.q_csv"), "oracle-check": ("model", "io.q_csv", "grid"),
+REQUIRES = {"rate": ("model", "io.q_csv"), "controls": ("model", "io.q_csv"), "oracle-check": ("model", "io.q_csv"),
             "simulate": ("model", "sim"), "identity-check": ("model", "sim"), "kiefer-check": (), "dist-info": ("dist",)}
 COMMANDS = tuple(REQUIRES)
 
@@ -107,25 +108,18 @@ class Run:
             cfg,
             "config",
             required=("command",),
-            optional=("model", "dist", "grid", "tolerances", "io", "sim", "kiefer", "seed"),
+            optional=("model", "dist", "grid", "io", "sim", "kiefer", "seed"),
         )
         self.command = cfg["command"]
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
 
-        self.cfg_dir = cfg_dir
         self.seed = _integer(cfg if seed_override is None else {"seed": seed_override}, "seed", "config", 0, 0)
 
         try:
             self.dist = ServiceDist.from_spec(cfg["dist"]) if "dist" in cfg else None
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"dist: {exc}") from exc
-
-        tol = _expect(cfg.get("tolerances", {}), "tolerances", optional=("fredholm", "renewal"))
-        self.tol_fredholm = _positive(tol, "fredholm", "tolerances", 1e-12)
-        if not self.tol_fredholm < 1:  # the adjoint stops at tol * |h|: tol >= 1 would stop at p = 0
-            raise ConfigError(f"tolerances.fredholm must be below 1, got {self.tol_fredholm!r}")
-        self.tol_renewal = _positive(tol, "renewal", "tolerances", 1e-10)
 
         self.model = None
         if "model" in cfg:
@@ -142,17 +136,20 @@ class Run:
             except ValueError as exc:
                 raise ConfigError(f"model: {exc}") from exc
 
+        io = _expect(cfg.get("io", {}), "io", optional=("q_csv", "sheet_csv"))
+        self.q_path = q = _load_csv(io, "q_csv", cfg_dir, GridPath)
+        self.sheet = _load_csv(io, "sheet_csv", cfg_dir, GridField2D)
+        if q is not None and self.model is not None and not abs(q.values[0] - self.model.q0) <= 1e-9:
+            raise ConfigError(f"q(0) = {q.values[0]} does not match q0 = {self.model.q0}")
+
         self.grid, g = None, {}
         if "grid" in cfg:
             g = _expect(cfg["grid"], "grid", required=("horizon", "n_steps"), optional=("n_x",))
             self.grid = {"horizon": _positive(g, "horizon", "grid"), "n_steps": _integer(g, "n_steps", "grid", None, 2)}
+            # the path sets the t grid: a grid block may only repeat it
+            if q is not None and (abs(self.grid["horizon"] / q.horizon - 1) > 1e-9 or self.grid["n_steps"] != q.n_steps):
+                raise ConfigError(f"grid {self.grid} does not match io.q_csv: horizon {q.horizon}, n_steps {q.n_steps}")
         self.n_x = _integer(g, "n_x", "grid", 32, 2)
-
-        io = _expect(cfg.get("io", {}), "io", optional=("q_csv", "sheet_csv"))
-        self.q_path = _load_csv(io, "q_csv", cfg_dir, GridPath)
-        self.sheet = _load_csv(io, "sheet_csv", cfg_dir, GridField2D)
-        if self.q_path is not None and self.model is not None and not abs(self.q_path.values[0] - self.model.q0) <= 1e-9:
-            raise ConfigError(f"q(0) = {self.q_path.values[0]} does not match q0 = {self.model.q0}")
 
         self.sim = None
         if "sim" in cfg:
@@ -212,7 +209,7 @@ class Run:
             "value": float(_number(k, "value", "kiefer", 1.0)),
         }
 
-        blocks = {"model": self.model, "io.q_csv": self.q_path, "grid": self.grid, "sim": self.sim, "dist": self.dist}
+        blocks = {"model": self.model, "io.q_csv": self.q_path, "sim": self.sim, "dist": self.dist}
         for name in REQUIRES[self.command]:
             if blocks[name] is None:
                 raise ConfigError(f"command {self.command!r} requires the {name} block")
@@ -223,7 +220,7 @@ class Run:
 
 def _rate_artifacts(run: Run, out: Path) -> dict:
     q = run.q_path
-    res = evaluate_rate(q, run.model, run.dist, n_x=run.n_x, tol=run.tol_fredholm)
+    res = evaluate_rate(q, run.model, run.dist, n_x=run.n_x)
     res.adjoint.to_csv(out / "pbar.csv")
     res.forcing.to_csv(out / "h.csv")
     res.controls.w0dot.to_csv(out / "w0dot.csv")
@@ -250,7 +247,7 @@ def cmd_rate(run: Run, out: Path) -> dict:
 
 def cmd_controls(run: Run, out: Path) -> dict:
     summary, res = _rate_artifacts(run, out)
-    q_rt = forward_q(res.controls, run.model, run.dist, tol=run.tol_renewal)
+    q_rt = forward_q(res.controls, run.model, run.dist)
     q_rt.to_csv(out / "q_roundtrip.csv")
     scale = max(1.0, float(np.max(np.abs(run.q_path.values))))
     summary["roundtrip_sup_error"] = float(np.max(np.abs(q_rt.values - run.q_path.values)))
@@ -259,8 +256,11 @@ def cmd_controls(run: Run, out: Path) -> dict:
 
 
 def cmd_oracle_check(run: Run, out: Path) -> dict:
-    res = evaluate_rate(run.q_path, run.model, run.dist, n_x=run.n_x, tol=run.tol_fredholm)
-    qp = build_qp(run.q_path, run.model, run.dist)
+    q = run.q_path
+    h = forcing(q, run.model, run.dist)  # the adjoint route only as far as the rate
+    p, _ = solve_p(h, assemble_kernel(run.dist, q.horizon, q.n_steps), run.model)
+    rate = rate_value(p, h)
+    qp = build_qp(q, run.model, run.dist)
     val_off, diag_off = solve_min_norm(qp)
     val_on, diag_on = solve_min_norm(replace(qp, A=replace(qp.A, zero_mean=True)))
     summary = {
@@ -271,10 +271,9 @@ def cmd_oracle_check(run: Run, out: Path) -> dict:
         "flagsOffRoute": diag_off["route"],
         "flagsOnIterations": diag_on["iterations"],
         "flagsOffIterations": diag_off["iterations"],
-        "fredholmValue": res.rate,
-        "relGap": abs(val_off - res.rate) / max(res.rate, 1e-12),
-        "N": run.q_path.n_steps,
-        "M": run.n_x,
+        "fredholmValue": rate,
+        "relGap": abs(val_off - rate) / max(rate, 1e-12),
+        "N": q.n_steps,
     }
     floats = {k: v for k, v in summary.items() if isinstance(v, float)}
     _table_csv(out / "oracle.csv", "quantity,value", [list(floats), list(floats.values())])

@@ -29,6 +29,7 @@ __all__ = [
 
 _ZERO_CLAMP = 1e-10
 _CG_MAX_ITER = 400  # iteration budget of the adjoint CG solve
+_CG_TOL = 1e-12  # the adjoint CG stops at _CG_TOL * |h|_inf
 
 
 class FredholmError(RuntimeError):
@@ -144,20 +145,20 @@ def _cg(apply, b, inner, precond, done, cap) -> tuple[np.ndarray, np.ndarray, in
     return x, r, iters
 
 
-def solve_p(h: GridPath, S: ShiftOperator, pm: ModelParams, tol: float = 1e-12) -> tuple[GridPath, dict]:
+def solve_p(h: GridPath, S: ShiftOperator, pm: ModelParams) -> tuple[GridPath, dict]:
     """Solve (mu + sigma^2) p = h + K p for the adjoint by conjugate gradients.
 
     The operator mu p + sigma^2 (I - S*)(I - S) p equals (mu + sigma^2) p - K p
     and is symmetric positive definite in the trapezoid inner product
     <x, y>_w = sum w x y, so CG in that inner product converges for every
     mu > 0.  Iteration stops once the sup-norm residual is at most
-    tol * |h|_inf (a NaN residual stops it at once), so any tol < 1 takes at
-    least one step on a nonzero forcing; a final residual above
-    max(that, 1e-8) is a hard error.
+    1e-12 |h|_inf (a NaN residual stops it at once), relative to |h| alone so
+    that a small forcing is solved as closely as a large one; a final residual
+    above max(that, 1e-8) is a hard error.
     """
     w = S.weights
     hv = h.values
-    target = tol * float(np.max(np.abs(hv)))
+    target = _CG_TOL * float(np.max(np.abs(hv)))
 
     def op(v):
         u = v - S.apply(v)
@@ -244,17 +245,11 @@ class RateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def evaluate_rate(
-    q: GridPath,
-    pm: ModelParams,
-    d: ServiceDist,
-    n_x: int = 32,
-    tol: float = 1e-12,
-) -> RateResult:
+def evaluate_rate(q: GridPath, pm: ModelParams, d: ServiceDist, n_x: int = 32) -> RateResult:
     """Full adjoint pipeline: forcing, kernel, adjoint, rate, dual, controls."""
     h = forcing(q, pm, d)
     S = assemble_kernel(d, q.horizon, q.n_steps)
-    p, diag = solve_p(h, S, pm, tol=tol)
+    p, diag = solve_p(h, S, pm)
     rate = rate_value(p, h)
     dual = dual_value(p, h, pm, S)
     controls = recover_controls(p, pm, d, S, n_x=n_x)

@@ -27,14 +27,14 @@ class QPSystem:
     r: np.ndarray
 
 
-def build_qp(q: GridPath, pm: ModelParams, d: ServiceDist, zero_mean: bool = False) -> QPSystem:
-    """Assemble the affine constraints A u = r whose residual at u is the
-    pointwise defect of the path equation (affine in the controls given q)."""
+def build_qp(q: GridPath, pm: ModelParams, d: ServiceDist) -> QPSystem:
+    """Assemble the affine constraints A u = r, `A.zero_mean` off, whose residual
+    at u is the pointwise defect of the path equation (affine in u given q)."""
     r_full = defect(q, pm, d)
     if not abs(r_full[0]) < 1e-9:
         raise FredholmError(f"t = 0 constraint row is not trivial: residual {r_full[0]!r}")
     # the trivial t = 0 row is dropped
-    return QPSystem(A=LagConstraints.from_law(pm, d, q.horizon, q.n_steps, zero_mean=zero_mean), r=r_full[1:])
+    return QPSystem(A=LagConstraints.from_law(pm, d, q.horizon, q.n_steps), r=r_full[1:])
 
 
 def _pcg_cap(n: int) -> int:

@@ -225,7 +225,7 @@ class LagConstraints:
         return GramOperator(np.diff(a[1:], prepend=0.0), lags, np.fft.rfft(lags, n_fft, axis=0), n_fft, F0)
 
 
-def forward_q(c: ControlSet, pm: ModelParams, d: ServiceDist, tol: float = 1e-10) -> GridPath:
+def forward_q(c: ControlSet, pm: ModelParams, d: ServiceDist) -> GridPath:
     """Map a control set to the centered queue path q via the nonlinear renewal solve.
 
     The forcing is the drift plus the control terms of the path equation (the
@@ -246,7 +246,7 @@ def forward_q(c: ControlSet, pm: ModelParams, d: ServiceDist, tol: float = 1e-10
     A = LagConstraints.from_law(pm, d, c.wdot.horizon, n)
     u = np.concatenate([c.w0dot.values, c.wdot.values, c.kdot.values.T.ravel()])
     forcing = drift(pm, d, c.wdot.times) + np.concatenate([[0.0], A @ u])
-    return solve_nonlinear(GridPath(c.wdot.horizon, forcing), d, tol=tol)
+    return solve_nonlinear(GridPath(c.wdot.horizon, forcing), d)
 
 
 def _log_grid(b: GridField2D, u_max: float):

@@ -8,8 +8,8 @@ closed form, where c_i is the known history sum over nodes 0..i-1:
 g_i = c_i / (1 - alpha) if c_i > 0 (or in the linear equation), else g_i = c_i.
 One march from node 0 to node N solves the discrete equations to round-off.
 alpha >= 1 is an error: the grid is too coarse for the law, and the nonlinear
-node equation then has no solution or two.  The tolerance tol only bounds the
-final sup-norm residual, by max(10 tol, 1e-9).
+node equation then has no solution or two.  A final sup-norm residual of the
+discrete equations above 1e-9 is an error.
 
 The theory assumes f absolutely continuous; grid samples with jumps are
 accepted as-is, at the cost of first-order accuracy near the jump.
@@ -39,7 +39,7 @@ class RenewalConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def _solve(f: GridPath, d: ServiceDist, linear: bool, tol: float = 1e-10) -> GridPath:
+def _solve(f: GridPath, d: ServiceDist, linear: bool) -> GridPath:
     """The forward march.  Node i feeds back g_i always when linear, else
     where c_i > 0 (the positive part)."""
     n = f.n_steps
@@ -68,16 +68,16 @@ def _solve(f: GridPath, d: ServiceDist, linear: bool, tol: float = 1e-10) -> Gri
             g[i], a[i] = c, 0.0
 
     residual = float(np.max(np.abs(g - fv - conv_trap(a, fprime, f.dt))))
-    if not residual <= max(10 * tol, 1e-9):  # NaN fails too, before GridPath rejects the values
+    if not residual <= 1e-9:  # NaN fails too, before GridPath rejects the values
         raise RenewalConvergenceError(residual, n)
     return GridPath(horizon=f.horizon, values=g)
 
 
-def solve_linear(f: GridPath, d: ServiceDist, tol: float = 1e-10) -> GridPath:
+def solve_linear(f: GridPath, d: ServiceDist) -> GridPath:
     """Solve g = f + int_0^t g(t-s) dF(s) on the grid of f."""
-    return _solve(f, d, True, tol)
+    return _solve(f, d, True)
 
 
-def solve_nonlinear(f: GridPath, d: ServiceDist, tol: float = 1e-10) -> GridPath:
+def solve_nonlinear(f: GridPath, d: ServiceDist) -> GridPath:
     """Solve g = f + int_0^t g(t-s)^+ dF(s) on the grid of f."""
-    return _solve(f, d, False, tol)
+    return _solve(f, d, False)

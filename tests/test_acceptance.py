@@ -44,7 +44,7 @@ def battery_results():
     for beta, q0, q in battery_cases(200):
         pm = ModelParams(mu=1.0, sigma=1.0, beta=beta, q0=q0)
         res = evaluate_rate(q, pm, D, n_x=32)
-        qp_val, _ = solve_min_norm(build_qp(q, pm, D, zero_mean=False))
+        qp_val, _ = solve_min_norm(build_qp(q, pm, D))
         out.append((pm, q, res, qp_val))
     return out, time.time() - t0
 

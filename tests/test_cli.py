@@ -95,12 +95,51 @@ def test_oracle_check_report(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     s = json.loads((out / "summary.json").read_text())
-    for key in ("value", "flagsOn", "flagsOff", "fredholmValue", "relGap", "N", "M"):
+    for key in ("value", "flagsOn", "flagsOff", "fredholmValue", "relGap", "N"):
         assert key in s
+    assert "M" not in s  # n_x sets only the x grid of the control CSVs, which oracle-check does not write
     assert (s["flagsOffRoute"], s["flagsOnRoute"]) == ("pcg", "pcg")
     assert all(isinstance(s[k], int) and 0 < s[k] <= 40 for k in ("flagsOffIterations", "flagsOnIterations"))
     assert s["flagsOn"] >= s["flagsOff"]
     assert s["relGap"] <= 0.02 or abs(s["value"] - s["fredholmValue"]) / (1 + s["fredholmValue"]) <= 0.02
+
+
+def test_oracle_check_needs_no_grid(tmp_path):
+    # the t grid is the q grid, so a grid block that repeats it (the horizon to
+    # 1e-9 relative) changes nothing
+    _write_q(tmp_path / "q.csv")
+    runs = {}
+    grid = {"horizon": 2.0 * (1 + 1e-10), "n_steps": 200, "n_x": 5}
+    for name, extra in (("grid", {"grid": grid}), ("none", {})):
+        cfg = _cfg(tmp_path, f"{name}.json", dict(BASE, command="oracle-check", io={"q_csv": "q.csv"}, **extra))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / name), "--quiet"]) == 0
+        runs[name] = {f: (tmp_path / name / f).read_bytes() for f in ("summary.json", "oracle.csv")}
+    assert runs["grid"] == runs["none"]
+
+
+def test_fredholm_value_is_the_rate(tmp_path):
+    # oracle-check stops the adjoint route at the rate; it is the rate that `rate` reports
+    _write_q(tmp_path / "q.csv")
+    s = {}
+    for command in ("rate", "oracle-check"):
+        cfg = _cfg(tmp_path, f"{command}.json", dict(BASE, command=command, io={"q_csv": "q.csv"}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / command), "--quiet"]) == 0
+        s[command] = json.loads((tmp_path / command / "summary.json").read_text())
+    assert s["oracle-check"]["fredholmValue"] == s["rate"]["rate"]
+
+
+@pytest.mark.parametrize("command", ["rate", "controls", "oracle-check", "dist-info"])
+@pytest.mark.parametrize("grid", [{"horizon": 7.0, "n_steps": 13, "n_x": 5},
+                                  {"horizon": 2.0 * (1 + 1e-8), "n_steps": 200},
+                                  {"horizon": 2.0, "n_steps": 199}], ids=["both", "horizon", "n_steps"])
+def test_grid_not_the_q_grid_exit_2_no_outputs(tmp_path, capsys, command, grid):
+    # io.q_csv sets the t grid; a grid block that names another one is a config error
+    _write_q(tmp_path / "q.csv")
+    cfg = _cfg(tmp_path, "c.json", dict(BASE, command=command, grid=grid, io={"q_csv": "q.csv"}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "does not match io.q_csv" in capsys.readouterr().err
 
 
 def test_simulate_summary_has_condition_values(tmp_path):
@@ -290,8 +329,7 @@ NAN, INF = float("nan"), float("inf")
 @pytest.mark.parametrize(
     "payload",
     [
-        dict(BASE, command="rate", io={"q_csv": "q.csv"}, tolerances={"fredholm": INF}),
-        dict(BASE, command="rate", io={"q_csv": "q.csv"}, tolerances={"fredholm": -1}),
+        dict(BASE, command="rate", io={"q_csv": "q.csv"}, tolerances={"fredholm": 1e-12}),
         dict(BASE, command="simulate", sim=dict(SIM_OK, horizon=INF)),
         dict(BASE, command="rate", io={"q_csv": "q.csv"}, dist={"family": "exponential", "rate": INF}),
         {"command": "dist-info", "dist": {"family": "exponential", "rate": NAN}},
@@ -302,13 +340,13 @@ NAN, INF = float("nan"), float("inf")
         dict(BASE, command="simulate", sim=dict(SIM_OK, event={"kind": "sup", "t": 0.5, "a": NAN})),
         dict(BASE, command="rate", io={"q_csv": 5}),
     ],
-    ids=["fredholm-tol-inf", "fredholm-tol-negative", "sim-horizon-inf", "rate-inf", "rate-nan", "grid-horizon-inf",
+    ids=["tolerances-block", "sim-horizon-inf", "rate-inf", "rate-nan", "grid-horizon-inf",
          "hyperexp-weight-nan", "hyperexp-rate-nan", "erlang-mean-inf", "event-a-nan", "q_csv-not-a-name"],
 )
 def test_invalid_value_exit_2_no_outputs(tmp_path, capsys, payload):
     # json.loads reads NaN and +-Infinity; each is a config error, as are a
-    # tolerance <= 0, a law whose mean overflows and a file name that is not
-    # a string
+    # tolerances block (the solvers' stop rules are fixed), a law whose mean
+    # overflows and a file name that is not a string
     _write_q(tmp_path / "q.csv")
     cfg = _cfg(tmp_path, "c.json", payload)
     out = tmp_path / "out"
@@ -317,40 +355,23 @@ def test_invalid_value_exit_2_no_outputs(tmp_path, capsys, payload):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", [1, 100])
-def test_fredholm_tolerance_at_least_one_exit_2_no_outputs(tmp_path, capsys, tol):
-    # the adjoint solve stops at tol * |h|, where p = 0 already stops it at tol >= 1:
-    # on the hump path that was an exit 0 with rate 0.0, and now it is a config error
-    _write_q(tmp_path / "q.csv")
-    cfg = _cfg(tmp_path, "c.json", dict(BASE, command="rate", io={"q_csv": "q.csv"}, tolerances={"fredholm": tol}))
-    out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
-    assert not out.exists()
-    assert "config error: tolerances.fredholm must be below 1" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("amplitude, beta, rate", [(1.0, 0.5, 0.11569), (0.01, 0.0, 5.1363e-6)])
 def test_fredholm_tolerance_half_meets_its_residual(tmp_path, amplitude, beta, rate):
-    # a loose tolerance below 1 takes at least one CG step and stops at a residual
-    # of at most tol * |h|: on the hump path one step and a rate 2.4% low; a stop at
-    # tol * max(1, |h|) took no step on the small hump, where |h| = 0.006, and gave rate 0
+    # the adjoint CG stops at the fixed rule residual <= 1e-12 |h|_inf on both
+    # paths; on the small hump |h|_inf = 0.006, so a rule relative to
+    # max(1, |h|_inf) would stop about 170 times looser
     t = np.linspace(0.0, 2.0, 201)
     GridPath(2.0, amplitude * 0.3 * t * (2.0 - t)).to_csv(tmp_path / "q.csv")
     model = {"sigma": 1.0, "beta": beta, "q0": 0.0}
-    rates = {}
-    for tol in (0.5, 1e-12):
-        cfg = _cfg(tmp_path, "c.json", dict(BASE, command="rate", model=model, io={"q_csv": "q.csv"},
-                                            tolerances={"fredholm": tol}))
-        out = tmp_path / f"out{tol}"
-        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-        s = json.loads((out / "summary.json").read_text())
-        h = GridPath.from_csv(out / "h.csv").values
-        assert s["status"] == "ok"
-        assert s["solver"]["iterations"] >= 1
-        assert s["solver"]["residual"] <= tol * np.max(np.abs(h))
-        rates[tol] = s["rate"]
-    assert rates[1e-12] == pytest.approx(rate, rel=1e-4)
-    assert 0.9 * rates[1e-12] < rates[0.5] < rates[1e-12]
+    cfg = _cfg(tmp_path, "c.json", dict(BASE, command="rate", model=model, io={"q_csv": "q.csv"}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    s = json.loads((out / "summary.json").read_text())
+    h = GridPath.from_csv(out / "h.csv").values
+    assert s["status"] == "ok"
+    assert s["solver"]["iterations"] >= 1
+    assert s["solver"]["residual"] <= 1e-12 * np.max(np.abs(h))
+    assert s["rate"] == pytest.approx(rate, rel=1e-4)
 
 
 def test_value_error_in_command_exit_1_with_summary(tmp_path, monkeypatch):

@@ -130,8 +130,8 @@ def test_rate_at_fine_grid(pm_std, exp1):
 def test_negative_duality_gap_raises(pm_std, exp1, q_quad, monkeypatch):
     # an adjoint 10% short of the one its residual describes: the gap is
     # -0.09 rate, far past what that residual allows
-    def short_solve(h, S, pm, tol):
-        p, diag = solve_p(h, S, pm, tol)
+    def short_solve(h, S, pm):
+        p, diag = solve_p(h, S, pm)
         return GridPath(p.horizon, 0.9 * p.values), diag
 
     monkeypatch.setattr("mdqueue.fredholm.solve_p", short_solve)

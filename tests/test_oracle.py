@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,12 @@ LAWS = [
     ServiceDist.erlang(3, 3.0),
     ServiceDist.hyperexponential([0.2, 0.8], [0.4, 1.6]),
 ]
+
+
+def _qp(q, pm, d, zero_mean):
+    """`build_qp`, with the zero-mean rows switched on as `cmd_oracle_check` does."""
+    sys_ = build_qp(q, pm, d)
+    return replace(sys_, A=replace(sys_.A, zero_mean=True)) if zero_mean else sys_
 
 
 def _loop_constraints(pm, d, T, n_steps, n_x, zero_mean):
@@ -117,7 +125,7 @@ def test_min_norm_matches_bordered_solve(d, n_steps, zero_mean):
     # the value is the least energy 1/2 r' G^-1 r of the dense continuum Gram
     pm = ModelParams(d.mu, 1.5, 0.5, 0.0)
     t = np.linspace(0.0, HORIZON, n_steps + 1)
-    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d, zero_mean=zero_mean)
+    sys_ = _qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d, zero_mean)
     assert len(sys_.r) == n_steps
     val_ref = 0.5 * float(sys_.r @ np.linalg.solve(continuum_gram(pm, d, HORIZON, n_steps, zero_mean), sys_.r))
     val, diag = solve_min_norm(sys_)
@@ -135,7 +143,7 @@ def test_pcg_matches_cholesky_of_reference_gram(d, sigma, n_steps, zero_mean):
 
     pm = ModelParams(d.mu, sigma, 0.5, 0.0)
     t = np.linspace(0.0, HORIZON, n_steps + 1)
-    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d, zero_mean=zero_mean)
+    sys_ = _qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d, zero_mean)
     val_ref = 0.5 * float(sys_.r @ cho_solve(cho_factor(lag_gram(sys_.A)), sys_.r))
     val, diag = solve_min_norm(sys_)
     assert diag["residual"] <= 1e-12
@@ -146,7 +154,7 @@ def test_pcg_reports_iterations(pm_std, exp1, q_quad, caplog):
     import logging
 
     with caplog.at_level(logging.INFO, logger="mdqueue.oracle"):
-        _, diag = solve_min_norm(build_qp(q_quad, pm_std, exp1, zero_mean=True))
+        _, diag = solve_min_norm(_qp(q_quad, pm_std, exp1, True))
     assert diag["route"] == "pcg" and 0 < diag["iterations"] <= 40
     assert f"pcg, {diag['iterations']} iterations, relative residual {diag['residual']:.3e}" in caplog.text
 
@@ -165,7 +173,7 @@ def test_zero_mean_solve_memory(pm_std, exp1):
     import tracemalloc
 
     t = np.linspace(0.0, HORIZON, 1601)
-    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1, zero_mean=True)
+    sys_ = _qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1, True)
     tracemalloc.start()
     try:
         solve_min_norm(sys_)
@@ -177,7 +185,7 @@ def test_zero_mean_solve_memory(pm_std, exp1):
 
 def test_constraint_tables_are_small(pm_std, exp1):
     t = np.linspace(0.0, HORIZON, 1601)
-    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1, zero_mean=True)
+    sys_ = _qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1, True)
     assert len(sys_.r) == 1600
     assert sys_.A.nbytes < 1_000_000
 
@@ -231,8 +239,8 @@ def test_oracle_fredholm_gap_is_second_order_on_crossing_paths(d, path):
 
 
 def test_flags_on_raises_value(pm_std, exp1, q_quad):
-    off, _ = solve_min_norm(build_qp(q_quad, pm_std, exp1, zero_mean=False))
-    on, _ = solve_min_norm(build_qp(q_quad, pm_std, exp1, zero_mean=True))
+    off, _ = solve_min_norm(build_qp(q_quad, pm_std, exp1))
+    on, _ = solve_min_norm(_qp(q_quad, pm_std, exp1, True))
     assert on >= off - 1e-12
 
 
