@@ -329,6 +329,8 @@ NAN, INF = float("nan"), float("inf")
 @pytest.mark.parametrize(
     "payload",
     [
+        dict(BASE, command="rate", io={"q_csv": "q.csv"}, tolerances={"fredholm": INF}),
+        dict(BASE, command="rate", io={"q_csv": "q.csv"}, tolerances={"fredholm": -1}),
         dict(BASE, command="rate", io={"q_csv": "q.csv"}, tolerances={"fredholm": 1e-12}),
         dict(BASE, command="simulate", sim=dict(SIM_OK, horizon=INF)),
         dict(BASE, command="rate", io={"q_csv": "q.csv"}, dist={"family": "exponential", "rate": INF}),
@@ -340,7 +342,7 @@ NAN, INF = float("nan"), float("inf")
         dict(BASE, command="simulate", sim=dict(SIM_OK, event={"kind": "sup", "t": 0.5, "a": NAN})),
         dict(BASE, command="rate", io={"q_csv": 5}),
     ],
-    ids=["tolerances-block", "sim-horizon-inf", "rate-inf", "rate-nan", "grid-horizon-inf",
+    ids=["fredholm-tol-inf", "fredholm-tol-negative", "tolerances-block", "sim-horizon-inf", "rate-inf", "rate-nan", "grid-horizon-inf",
          "hyperexp-weight-nan", "hyperexp-rate-nan", "erlang-mean-inf", "event-a-nan", "q_csv-not-a-name"],
 )
 def test_invalid_value_exit_2_no_outputs(tmp_path, capsys, payload):
