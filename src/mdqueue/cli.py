@@ -11,8 +11,9 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,11 +27,6 @@ from .renewal import RenewalConvergenceError
 from .sim import ScalingRegime, SimulationError, decomposition, flow_balance_residuals, lln_check, mc_tail, replications
 
 log = logging.getLogger(__name__)
-
-# The blocks each command reads, checked with the rest of the config before anything is written.
-REQUIRES = {"rate": ("model", "io.q_csv"), "controls": ("model", "io.q_csv"), "oracle-check": ("model", "io.q_csv"),
-            "simulate": ("model", "sim"), "identity-check": ("model", "sim"), "kiefer-check": (), "dist-info": ("dist",)}
-COMMANDS = tuple(REQUIRES)
 
 # Errors inside a command exit 1 with a summary.json; a ValueError there is an input the config checks let through.
 NUMERICAL_ERRORS = (FredholmError, RenewalConvergenceError, SimulationError, FloatingPointError, ValueError)
@@ -100,31 +96,83 @@ def _table_csv(path: Path, header: str, columns: list) -> None:
     write_csv(path, header, len(columns[0]), lambda lo, hi: [c[lo:hi] for c in columns])
 
 
+def _sim_settings(s: dict, beta: float) -> dict:
+    """The validated sim block, its ladder as `ScalingRegime`s at the model's beta."""
+    _expect(s, "sim", required=("ladder", "b_rule", "reps", "horizon"),
+            optional=("arrival", "event", "lln_t", "decomposition_steps"))
+    ladder = s["ladder"]
+    if not (isinstance(ladder, list) and ladder):
+        raise ConfigError("sim.ladder: expected a nonempty list of positive integers")
+    ladder = [_integer(dict(enumerate(ladder)), i, "sim.ladder", None, 1) for i in range(len(ladder))]
+    if len(set(ladder)) != len(ladder):
+        # rungs are keyed by n, so a repeated n would silently replace a rung
+        raise ConfigError(f"sim.ladder: repeated server counts in {ladder}")
+    rule = _expect(s["b_rule"], "sim.b_rule", required=("kind", "value"))
+    reps = _integer(s, "reps", "sim", None, 1)
+    arrival = _expect(s.get("arrival", {}), "sim.arrival", optional=("family", "shape"))
+    if arrival.get("family", "exponential") not in ("exponential", "erlang"):
+        raise ConfigError("sim.arrival.family must be 'exponential' or 'erlang'")
+    horizon = _positive(s, "horizon", "sim")
+    lln_t = float(_number(s, "lln_t", "sim", horizon))
+    if not 0 <= lln_t <= horizon:
+        raise ConfigError(f"sim.lln_t = {lln_t!r} must lie in [0, sim.horizon]")
+    event = None
+    if "event" in s:
+        e = _expect(s["event"], "sim.event", required=("kind", "t", "a"))
+        if e["kind"] not in ("sup", "terminal"):
+            raise ConfigError("sim.event.kind must be 'sup' or 'terminal'")
+        event = {"kind": e["kind"], "t": float(_number(e, "t", "sim.event")), "a": float(_number(e, "a", "sim.event"))}
+        if not 0 <= event["t"] <= horizon:
+            raise ConfigError(f"sim.event.t = {event['t']!r} must lie in [0, sim.horizon]")
+    try:
+        value = float(_number(rule, "value", "sim.b_rule"))
+        regimes = [ScalingRegime(n=n, rule=(rule["kind"], value), beta=beta) for n in ladder]
+    except ValueError as exc:
+        raise ConfigError(f"sim.b_rule: {exc}") from exc
+    return {
+        "regimes": regimes,
+        "reps": reps,
+        "horizon": horizon,
+        "arrival_family": arrival.get("family", "exponential"),
+        "arrival_shape": _integer(arrival, "shape", "sim.arrival", 1, 1),
+        "event": event,
+        "lln_t": lln_t,
+        "decomposition_steps": _integer(s, "decomposition_steps", "sim", 200, 1),
+    }
+
+
 class Run:
-    """Validated config plus loaded inputs; all ConfigError checks happen here."""
+    """Validated config plus loaded inputs; all ConfigError checks happen here.  The command's
+    row in COMMANDS is checked first, so each block parsed after it has the blocks its command needs."""
 
     def __init__(self, cfg: dict, cfg_dir: Path, seed_override: int | None):
-        _expect(
-            cfg,
-            "config",
-            required=("command",),
-            optional=("model", "dist", "grid", "io", "sim", "kiefer", "seed"),
-        )
-        self.command = cfg["command"]
-        if self.command not in COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
+        if not isinstance(cfg, dict):
+            raise ConfigError("config: expected an object")
+        self.command = cfg.get("command")
+        # a list or an object is no key of the table, and not hashable either
+        if not isinstance(self.command, str) or self.command not in COMMANDS:
+            raise ConfigError(f"unknown command {self.command!r}; expected one of {tuple(COMMANDS)}")
+        row = COMMANDS[self.command]
+        io = cfg.get("io", {})
+        if not isinstance(io, dict):
+            raise ConfigError("io: expected an object")
+        given = {k for k in cfg if k not in ("command", "seed", "io")} | {f"io.{k}" for k in io}
+        unread, missing = given - set(row.needs + row.takes), set(row.needs) - given
+        if unread:
+            raise ConfigError(f"command {self.command!r} does not read {sorted(unread)};"
+                              f" it needs {list(row.needs)} and may take {list(row.takes)}")
+        if missing:
+            raise ConfigError(f"command {self.command!r} requires {sorted(missing)}")
 
         self.seed = _integer(cfg if seed_override is None else {"seed": seed_override}, "seed", "config", 0, 0)
 
         try:
             self.dist = ServiceDist.from_spec(cfg["dist"]) if "dist" in cfg else None
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"dist: {exc}") from exc
 
         self.model = None
-        if "model" in cfg:
-            if self.dist is None:
-                raise ConfigError("model block requires a dist block (mu is the reciprocal mean)")
+        if "model" in cfg:  # every command that reads model needs dist: mu is the reciprocal mean
             m = _expect(cfg["model"], "model", required=("sigma", "beta", "q0"))
             try:
                 self.model = ModelParams(
@@ -136,10 +184,9 @@ class Run:
             except ValueError as exc:
                 raise ConfigError(f"model: {exc}") from exc
 
-        io = _expect(cfg.get("io", {}), "io", optional=("q_csv", "sheet_csv"))
         self.q_path = q = _load_csv(io, "q_csv", cfg_dir, GridPath)
         self.sheet = _load_csv(io, "sheet_csv", cfg_dir, GridField2D)
-        if q is not None and self.model is not None and not abs(q.values[0] - self.model.q0) <= 1e-9:
+        if q is not None and not abs(q.values[0] - self.model.q0) <= 1e-9:
             raise ConfigError(f"q(0) = {q.values[0]} does not match q0 = {self.model.q0}")
 
         self.grid, g = None, {}
@@ -151,55 +198,8 @@ class Run:
                 raise ConfigError(f"grid {self.grid} does not match io.q_csv: horizon {q.horizon}, n_steps {q.n_steps}")
         self.n_x = _integer(g, "n_x", "grid", 32, 2)
 
-        self.sim = None
-        if "sim" in cfg:
-            s = _expect(
-                cfg["sim"],
-                "sim",
-                required=("ladder", "b_rule", "reps", "horizon"),
-                optional=("arrival", "event", "lln_t", "decomposition_steps"),
-            )
-            ladder = s["ladder"]
-            if not (isinstance(ladder, list) and ladder):
-                raise ConfigError("sim.ladder: expected a nonempty list of positive integers")
-            ladder = [_integer(dict(enumerate(ladder)), i, "sim.ladder", None, 1) for i in range(len(ladder))]
-            if len(set(ladder)) != len(ladder):
-                # rungs are keyed by n, so a repeated n would silently replace a rung
-                raise ConfigError(f"sim.ladder: repeated server counts in {ladder}")
-            rule = _expect(s["b_rule"], "sim.b_rule", required=("kind", "value"))
-            reps = _integer(s, "reps", "sim", None, 1)
-            arrival = _expect(s.get("arrival", {}), "sim.arrival", optional=("family", "shape"))
-            if arrival.get("family", "exponential") not in ("exponential", "erlang"):
-                raise ConfigError("sim.arrival.family must be 'exponential' or 'erlang'")
-            horizon = _positive(s, "horizon", "sim")
-            lln_t = float(_number(s, "lln_t", "sim", horizon))
-            if not 0 <= lln_t <= horizon:
-                raise ConfigError(f"sim.lln_t = {lln_t!r} must lie in [0, sim.horizon]")
-            event = None
-            if "event" in s:
-                e = _expect(s["event"], "sim.event", required=("kind", "t", "a"))
-                if e["kind"] not in ("sup", "terminal"):
-                    raise ConfigError("sim.event.kind must be 'sup' or 'terminal'")
-                event = {"kind": e["kind"], "t": float(_number(e, "t", "sim.event")), "a": float(_number(e, "a", "sim.event"))}
-                if not 0 <= event["t"] <= horizon:
-                    raise ConfigError(f"sim.event.t = {event['t']!r} must lie in [0, sim.horizon]")
-            if self.model is None:
-                raise ConfigError("sim block requires model and dist blocks")
-            try:
-                value = float(_number(rule, "value", "sim.b_rule"))
-                regimes = [ScalingRegime(n=n, rule=(rule["kind"], value), beta=self.model.beta) for n in ladder]
-            except ValueError as exc:
-                raise ConfigError(f"sim.b_rule: {exc}") from exc
-            self.sim = {
-                "regimes": regimes,
-                "reps": reps,
-                "horizon": horizon,
-                "arrival_family": arrival.get("family", "exponential"),
-                "arrival_shape": _integer(arrival, "shape", "sim.arrival", 1, 1),
-                "event": event,
-                "lln_t": lln_t,
-                "decomposition_steps": _integer(s, "decomposition_steps", "sim", 200, 1),
-            }
+        # every command that reads sim needs model
+        self.sim = _sim_settings(cfg["sim"], self.model.beta) if "sim" in cfg else None
 
         k = _expect(cfg.get("kiefer", {}), "kiefer", optional=("m", "n", "t_horizon", "value"))
         self.kiefer = {
@@ -208,11 +208,6 @@ class Run:
             "t_horizon": _positive(k, "t_horizon", "kiefer", 1.0),
             "value": float(_number(k, "value", "kiefer", 1.0)),
         }
-
-        blocks = {"model": self.model, "io.q_csv": self.q_path, "sim": self.sim, "dist": self.dist}
-        for name in REQUIRES[self.command]:
-            if blocks[name] is None:
-                raise ConfigError(f"command {self.command!r} requires the {name} block")
 
 
 # -- command implementations ----------------------------------------------
@@ -262,7 +257,7 @@ def cmd_oracle_check(run: Run, out: Path) -> dict:
     rate = rate_value(p, h)
     qp = build_qp(q, run.model, run.dist)
     val_off, diag_off = solve_min_norm(qp)
-    val_on, diag_on = solve_min_norm(replace(qp, A=replace(qp.A, zero_mean=True)))
+    val_on, diag_on = solve_min_norm(qp, zero_mean=True)
     summary = {
         "value": val_off,
         "flagsOn": val_on,
@@ -306,17 +301,8 @@ def cmd_simulate(run: Run, out: Path) -> dict:
     report = lln_check(traces_by_n, run.model.mu, s["lln_t"])
     pct = report.percentiles()
 
-    ladder = []
-    for sr in s["regimes"]:
-        ladder.append(
-            {
-                "n": sr.n,
-                "b": sr.b,
-                "rho": sr.rho,
-                "condition_value": sr.condition_value,
-                "lln_percentile": pct[sr.n],
-            }
-        )
+    ladder = [{"n": sr.n, "b": sr.b, "rho": sr.rho, "condition_value": sr.condition_value, "lln_percentile": pct[sr.n]}
+              for sr in s["regimes"]]
     summary = {
         "reps": s["reps"],
         "horizon": s["horizon"],
@@ -406,14 +392,24 @@ def cmd_dist_info(run: Run, out: Path) -> dict:
     }
 
 
-DISPATCH = {
-    "rate": cmd_rate,
-    "controls": cmd_controls,
-    "oracle-check": cmd_oracle_check,
-    "simulate": cmd_simulate,
-    "identity-check": cmd_identity_check,
-    "kiefer-check": cmd_kiefer_check,
-    "dist-info": cmd_dist_info,
+class Command(NamedTuple):
+    """A command's handler, the blocks and io files it needs, and those it may take besides.
+    Any other block or io file is a config error; seed is allowed for every command."""
+
+    handler: Callable[[Run, Path], dict]
+    needs: tuple = ()
+    takes: tuple = ()
+
+
+# grid.n_x is read only by rate and controls, and accepted wherever grid is
+COMMANDS = {
+    "rate": Command(cmd_rate, ("model", "dist", "io.q_csv"), ("grid",)),
+    "controls": Command(cmd_controls, ("model", "dist", "io.q_csv"), ("grid",)),
+    "oracle-check": Command(cmd_oracle_check, ("model", "dist", "io.q_csv"), ("grid",)),
+    "simulate": Command(cmd_simulate, ("model", "dist", "sim")),
+    "identity-check": Command(cmd_identity_check, ("model", "dist", "sim")),
+    "kiefer-check": Command(cmd_kiefer_check, (), ("kiefer", "io.sheet_csv")),
+    "dist-info": Command(cmd_dist_info, ("dist",), ("grid",)),
 }
 
 
@@ -456,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
 
     base = {"command": run.command, "version": _version_string(), "seed": run.seed}
     try:
-        summary = DISPATCH[run.command](run, out)
+        summary = COMMANDS[run.command].handler(run, out)
     except NUMERICAL_ERRORS as exc:
         _write_summary(out, dict(base, status="numerical-failure", error=f"{type(exc).__name__}: {exc}"), args.quiet)
         return 1

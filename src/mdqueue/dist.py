@@ -61,8 +61,11 @@ class ServiceDist:
     weights: np.ndarray = field(default_factory=lambda: np.array([1.0]))
 
     def __post_init__(self):
-        object.__setattr__(self, "rates", np.atleast_1d(np.asarray(self.rates, dtype=float)))
-        object.__setattr__(self, "weights", np.atleast_1d(np.asarray(self.weights, dtype=float)))
+        for name in ("rates", "weights"):  # a bool, str, null or nested entry is rejected, not coerced
+            v = np.atleast_1d(np.asarray(getattr(self, name), dtype=object))
+            if v.ndim != 1 or not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in v):
+                raise ValueError(f"{name} must be a list of numbers, got {v.tolist()!r}")
+            object.__setattr__(self, name, v.astype(float))
         if self.family not in ("exponential", "erlang", "hyperexponential"):
             raise ValueError(f"unsupported family: {self.family!r}")
         if not np.all((self.rates > 0) & np.isfinite(self.rates)):
@@ -90,15 +93,15 @@ class ServiceDist:
 
     @classmethod
     def exponential(cls, rate: float) -> "ServiceDist":
-        return cls("exponential", rates=np.array([rate]))
+        return cls("exponential", rates=[rate])
 
     @classmethod
     def erlang(cls, shape: int, rate: float) -> "ServiceDist":
-        return cls("erlang", rates=np.array([rate]), shape=shape)
+        return cls("erlang", rates=[rate], shape=shape)
 
     @classmethod
     def hyperexponential(cls, weights, rates) -> "ServiceDist":
-        return cls("hyperexponential", rates=np.asarray(rates), weights=np.asarray(weights))
+        return cls("hyperexponential", rates=rates, weights=weights)
 
     @classmethod
     def from_spec(cls, spec: dict) -> "ServiceDist":

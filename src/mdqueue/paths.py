@@ -182,9 +182,8 @@ class LagConstraints:
     with P0 and xw the partial-cell weights of F0 and F on the M + 1 x nodes
     of u, and tw_i the Volterra trapezoid weights.  The sum over j is the
     trapezoid prefix convolution of `grids.conv_trap`, one per lag column;
-    `@` applies it by FFT for `forward_q`.  The oracle needs only
-    `gram_operator`, exact in x, so it has no x grid; `zero_mean` restricts
-    its Gram to controls with zero x-mean in w0dot and every kdot time slice.
+    `@` applies it by FFT to a `ControlSet` for `forward_q`.  The oracle needs
+    only `gram_operator`, exact in x, so it has no x grid.
     """
 
     F0: np.ndarray  # (N+1,) F0(t_i)
@@ -192,22 +191,20 @@ class LagConstraints:
     dt: float
     sigma: float
     mu: float
-    zero_mean: bool = False
 
     @classmethod
-    def from_law(cls, pm: ModelParams, d: ServiceDist, horizon: float, n_steps: int, zero_mean: bool = False):
+    def from_law(cls, pm: ModelParams, d: ServiceDist, horizon: float, n_steps: int):
         t = np.linspace(0.0, horizon, n_steps + 1)
-        return cls(F0=d.eq_cdf(t), F=d.cdf(t), dt=horizon / n_steps, sigma=pm.sigma, mu=pm.mu, zero_mean=zero_mean)
+        return cls(F0=d.eq_cdf(t), F=d.cdf(t), dt=horizon / n_steps, sigma=pm.sigma, mu=pm.mu)
 
     @property
     def nbytes(self) -> int:
         return self.F0.nbytes + self.F.nbytes
 
-    def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        n = len(self.F)
-        m = (len(u) - n) // (n + 1)  # x nodes, from len(u) = m + n + n m
+    def __matmul__(self, c: ControlSet) -> np.ndarray:
+        n, m = len(self.F), len(c.w0dot.values)  # time and x nodes
         dx = 1.0 / (m - 1)
-        u_w0, u_t = u[:m], np.column_stack([u[m : m + n], u[m + n :].reshape(n, m)])
+        u_w0, u_t = c.w0dot.values, np.column_stack([c.wdot.values, c.kdot.values.T])
         # (N+1, M+2) lag table: column 0 the wdot lag sigma surv, then the kdot lags mu xw
         L = np.column_stack([self.sigma * (1.0 - self.F), self.mu * partial_cell_weights(self.F, m, dx)])
         n_fft = 1 << (2 * n - 2).bit_length()  # at least 2N + 1: the circular lag products do not wrap
@@ -215,13 +212,14 @@ class LagConstraints:
             np.fft.rfft(L, n_fft, axis=0), L, u_t, n_fft)
         return rows[1:]
 
-    def gram_operator(self) -> GramOperator:
-        """The Gram of the path rows, G = A W^-1 A^T, as a `GramOperator`."""
-        cols = [self.sigma * (1.0 - self.F)] + ([np.sqrt(self.mu) * self.F] if self.zero_mean else [])
+    def gram_operator(self, zero_mean: bool) -> GramOperator:
+        """The Gram of the path rows, G = A W^-1 A^T, as a `GramOperator`; `zero_mean`
+        restricts it to controls with zero x-mean in w0dot and every kdot time slice."""
+        cols = [self.sigma * (1.0 - self.F)] + ([np.sqrt(self.mu) * self.F] if zero_mean else [])
         lags = np.sqrt(self.dt) * np.column_stack(cols)
         a = self.F0 + self.mu * cumtrap(self.F, self.dt)
         n_fft = 1 << (2 * len(a) - 2).bit_length()
-        F0 = self.F0[1:] if self.zero_mean else None
+        F0 = self.F0[1:] if zero_mean else None
         return GramOperator(np.diff(a[1:], prepend=0.0), lags, np.fft.rfft(lags, n_fft, axis=0), n_fft, F0)
 
 
@@ -244,8 +242,7 @@ def forward_q(c: ControlSet, pm: ModelParams, d: ServiceDist) -> GridPath:
     if abs(c.w0dot.horizon - 1.0) > 1e-12:
         raise ValueError("w0dot must live on [0, 1]")
     A = LagConstraints.from_law(pm, d, c.wdot.horizon, n)
-    u = np.concatenate([c.w0dot.values, c.wdot.values, c.kdot.values.T.ravel()])
-    forcing = drift(pm, d, c.wdot.times) + np.concatenate([[0.0], A @ u])
+    forcing = drift(pm, d, c.wdot.times) + np.concatenate([[0.0], A @ c])
     return solve_nonlinear(GridPath(c.wdot.horizon, forcing), d)
 
 

@@ -91,10 +91,11 @@ def continuum_gram(pm, d, T, n_steps, zero_mean):
     return G
 
 
-def lag_gram(A):
+def lag_gram(A, zero_mean):
     """The dense N x N Gram G = A W^-1 A^T of the path rows t_1..t_N of the
-    `LagConstraints` A, in O(N^2): the reference for `GramOperator` at grids
-    where `continuum_gram` is too slow.
+    `LagConstraints` A, in O(N^2), over controls with zero x-mean when
+    `zero_mean`: the reference for `GramOperator` at grids where
+    `continuum_gram` is too slow.
 
     Row pairs give
         G[i, i'] = m(F0_i, F0_i') + sum_{j <= min(i, i')} tw_i[j] tw_i'[j] nu_j K[i-j, i'-j],
@@ -111,10 +112,10 @@ def lag_gram(A):
     s = A.sigma / np.sqrt(A.dt) * (1.0 - F)
     c_k = A.mu / A.dt
     # Row a of the N x N arrays below is time node i = a + 1; G is scratch until the diagonal sums.
-    k0 = s[0] * s + c_k * (np.minimum(F[0], F) - (F[0] * F if A.zero_mean else 0.0))  # row 0 of K
+    k0 = s[0] * s + c_k * (np.minimum(F[0], F) - (F[0] * F if zero_mean else 0.0))  # row 0 of K
     K = np.minimum.outer(F[1:], F[1:])
     G = np.empty_like(K)
-    if A.zero_mean:
+    if zero_mean:
         K -= np.multiply.outer(F[1:], F[1:], out=G)
     K *= c_k
     K += np.multiply.outer(s[1:], s[1:], out=G)
@@ -131,7 +132,7 @@ def lag_gram(A):
     G *= A.dt**2
     G.flat[: -1 : n] -= 0.25 * A.dt**2 * k0[0]  # diagonal i = i' < N
     G += np.minimum.outer(F0, F0, out=K)  # the w0dot term, into the spent K
-    if A.zero_mean:
+    if zero_mean:
         G -= np.multiply.outer(F0, F0, out=K)
     return G
 

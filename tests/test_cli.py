@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mdqueue
-from mdqueue import GridPath
+from mdqueue import GridField2D, GridPath
 from mdqueue.cli import main
 
 
@@ -27,6 +27,7 @@ BASE = {
     "model": {"sigma": 1.0, "beta": 0.5, "q0": 0.0},
     "dist": {"family": "exponential", "rate": 1.0},
 }
+SIM_OK = {"ladder": [10, 100], "b_rule": {"kind": "power", "value": 0.25}, "reps": 2, "horizon": 1.0}
 
 
 def test_rate_zero_path_zero_rate(tmp_path, capsys):
@@ -133,13 +134,21 @@ def test_fredholm_value_is_the_rate(tmp_path):
                                   {"horizon": 2.0 * (1 + 1e-8), "n_steps": 200},
                                   {"horizon": 2.0, "n_steps": 199}], ids=["both", "horizon", "n_steps"])
 def test_grid_not_the_q_grid_exit_2_no_outputs(tmp_path, capsys, command, grid):
-    # io.q_csv sets the t grid; a grid block that names another one is a config error
+    # io.q_csv sets the t grid; a grid block that names another one is a config error.
+    # dist-info reads no io.q_csv (nor model), so for it the error is the unread blocks
     _write_q(tmp_path / "q.csv")
-    cfg = _cfg(tmp_path, "c.json", dict(BASE, command=command, grid=grid, io={"q_csv": "q.csv"}))
+    payload = dict(BASE, command=command, grid=grid, io={"q_csv": "q.csv"})
+    if command == "dist-info":
+        del payload["model"]
+    cfg = _cfg(tmp_path, "c.json", payload)
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert not out.exists()
-    assert "does not match io.q_csv" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if command == "dist-info":
+        assert "command 'dist-info' does not read ['io.q_csv']" in err
+    else:
+        assert "does not match io.q_csv" in err
 
 
 def test_simulate_summary_has_condition_values(tmp_path):
@@ -246,6 +255,40 @@ def test_unknown_key_exit_2(tmp_path):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize(
+    "payload, unread",
+    [
+        (dict(BASE, command="oracle-check", io={"q_csv": "q.csv"}, kiefer={"m": 8}, sim=SIM_OK), "['kiefer', 'sim']"),
+        (dict(BASE, command="rate", io={"q_csv": "q.csv"}, sim=SIM_OK), "['sim']"),
+        ({"command": "kiefer-check", "io": {"q_csv": "q.csv"}}, "['io.q_csv']"),
+        ({"command": "dist-info", "dist": BASE["dist"], "model": BASE["model"]}, "['model']"),
+        (dict(BASE, command="simulate", sim=SIM_OK, grid={"horizon": 1.0, "n_steps": 10}), "['grid']"),
+        (dict(BASE, command="identity-check", sim=SIM_OK, io={"sheet_csv": "b.csv"}), "['io.sheet_csv']"),
+    ],
+    ids=["oracle-check-kiefer-sim", "rate-sim", "kiefer-check-q_csv", "dist-info-model", "simulate-grid",
+         "identity-check-sheet_csv"],
+)
+def test_unread_block_exit_2_no_outputs(tmp_path, capsys, payload, unread):
+    # each command's row names the blocks it reads; any other block would be silently ignored
+    _write_q(tmp_path / "q.csv")
+    GridField2D(1.0, np.ones((3, 3))).to_csv(tmp_path / "b.csv")
+    cfg = _cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert f"config error: command {payload['command']!r} does not read {unread}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["rate"], {"a": 1}, None, 7], ids=["list", "object", "null", "number"])
+def test_command_not_a_string_exit_2_no_outputs(tmp_path, capsys, command):
+    cfg = _cfg(tmp_path, "c.json", dict(BASE, command=command, io={"q_csv": "q.csv"}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "config error: unknown command" in err and "Traceback" not in err
+
+
 def test_unknown_command_exit_2(tmp_path):
     cfg = _cfg(tmp_path, "c.json", dict(BASE, command="frobnicate"))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
@@ -267,9 +310,6 @@ def test_mismatched_q0_exit_2(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert not out.exists()
-
-
-SIM_OK = {"ladder": [10, 100], "b_rule": {"kind": "power", "value": 0.25}, "reps": 2, "horizon": 1.0}
 
 
 @pytest.mark.parametrize(
@@ -341,14 +381,22 @@ NAN, INF = float("nan"), float("inf")
         {"command": "dist-info", "dist": {"family": "erlang", "shape": 2, "rate": 1e-308}},
         dict(BASE, command="simulate", sim=dict(SIM_OK, event={"kind": "sup", "t": 0.5, "a": NAN})),
         dict(BASE, command="rate", io={"q_csv": 5}),
+        {"command": "dist-info", "dist": {"family": "exponential", "rate": "1"}},
+        {"command": "dist-info", "dist": {"family": "exponential", "rate": True}},
+        {"command": "dist-info", "dist": {"family": "hyperexponential", "weights": ["0.2", "0.8"], "rates": [0.4, 1.6]}},
+        {"command": "dist-info", "dist": {"family": "exponential", "rate": [1.0]}},
+        {"command": "dist-info", "dist": {"family": "hyperexponential", "weights": [0.2, 0.8], "rates": [[0.4], [1.6]]}},
+        {"command": "dist-info", "dist": {"family": "exponential", "rate": 10**400}},
     ],
     ids=["fredholm-tol-inf", "fredholm-tol-negative", "tolerances-block", "sim-horizon-inf", "rate-inf", "rate-nan", "grid-horizon-inf",
-         "hyperexp-weight-nan", "hyperexp-rate-nan", "erlang-mean-inf", "event-a-nan", "q_csv-not-a-name"],
+         "hyperexp-weight-nan", "hyperexp-rate-nan", "erlang-mean-inf", "event-a-nan", "q_csv-not-a-name",
+         "rate-str", "rate-bool", "hyperexp-weights-str", "rate-list", "hyperexp-rates-nested", "rate-int-past-float"],
 )
 def test_invalid_value_exit_2_no_outputs(tmp_path, capsys, payload):
     # json.loads reads NaN and +-Infinity; each is a config error, as are a
     # tolerances block (the solvers' stop rules are fixed), a law whose mean
-    # overflows and a file name that is not a string
+    # overflows, a file name that is not a string, and a law parameter that is
+    # a string, a bool, a list where a number goes or an integer past the float range
     _write_q(tmp_path / "q.csv")
     cfg = _cfg(tmp_path, "c.json", payload)
     out = tmp_path / "out"
@@ -385,7 +433,7 @@ def test_value_error_in_command_exit_1_with_summary(tmp_path, monkeypatch):
         (out / "dist.csv").write_text("t\n")
         raise ValueError("synthetic failure")
 
-    monkeypatch.setitem(cli.DISPATCH, "dist-info", write_then_fail)
+    monkeypatch.setitem(cli.COMMANDS, "dist-info", cli.COMMANDS["dist-info"]._replace(handler=write_then_fail))
     cfg = _cfg(tmp_path, "c.json", {"command": "dist-info", "dist": BASE["dist"]})
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 1

@@ -1,8 +1,11 @@
 """The CLI's contract over configs drawn from the README grammar: exit 0, 1 or
 2 and never an exception; exit 2 creates no output directory; exit 1 writes a
 summary.json with status numerical-failure.  An input CSV drawn with a defect,
-a grid block that is not the grid of q.csv, and a tolerances block are always
-exit 2; a grid block that is the grid of q.csv changes no exit code."""
+a grid block that is not the grid of q.csv, a tolerances block and a block the
+command does not read are always exit 2; a grid block that is the grid of
+q.csv changes no exit code."""
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -14,46 +17,85 @@ from hypothesis import strategies as st
 
 from mdqueue.cli import main
 
-# one number in ten is NaN, +-Infinity, 0 or -1, so that whole configs are often valid
-NUMBERS = st.integers(0, 9).flatmap(
-    lambda k: st.sampled_from([math.nan, math.inf, -math.inf, 0, -1]) if k == 0 else st.floats(1e-3, 4.0))
-SIGNED = st.tuples(st.sampled_from([1, -1]), NUMBERS).map(lambda s: s[0] * s[1])
+
+def one_in(n: int, rare, common):
+    """`rare` about one time in n, else `common`.  sampled_from draws its index near
+    uniformly; an integer drawn to pick the branch is 0 far more often than one time in n."""
+    return st.sampled_from([False] * (n - 1) + [True]).flatmap(lambda r: rare if r else common)
+
+
+# what JSON can put in a number field that is no number
+NOT_NUMBERS = st.sampled_from(["1", "", None, True, False, [1.0], [], {}])
+# one number in ten is NaN, +-Infinity, 0 or -1 and one in twenty of the rest is
+# no number, so that whole configs are often valid
+NUMBERS = one_in(10, st.sampled_from([math.nan, math.inf, -math.inf, 0, -1]),
+                 one_in(20, NOT_NUMBERS, st.floats(1e-3, 4.0)))
+SIGNED = st.tuples(st.sampled_from([1, -1]), NUMBERS).map(lambda s: s[0] * s[1] if type(s[1]) in (int, float) else s[1])
+
+
+def integers(lo: int, hi: int):
+    """An integer in [lo, hi], or one time in twenty no number."""
+    return one_in(20, NOT_NUMBERS, st.integers(lo, hi))
+
 
 DISTS = st.one_of(
     st.fixed_dictionaries({"family": st.just("exponential"), "rate": NUMBERS}),
-    st.fixed_dictionaries({"family": st.just("erlang"), "shape": st.integers(0, 4), "rate": NUMBERS}),
+    st.fixed_dictionaries({"family": st.just("erlang"), "shape": integers(0, 4), "rate": NUMBERS}),
     st.builds(
-        lambda w, rates: {"family": "hyperexponential", "weights": [w / 4, 1.0 - w / 4], "rates": rates},
+        lambda w, rates: {"family": "hyperexponential", "rates": rates,
+                          "weights": [w / 4, 1.0 - w / 4] if type(w) in (int, float) else [w, 0.8]},
         NUMBERS, st.lists(NUMBERS, min_size=2, max_size=2),
     ),
 )
 MODELS = st.fixed_dictionaries({"sigma": NUMBERS, "beta": SIGNED, "q0": SIGNED})
-GRIDS = st.fixed_dictionaries({"horizon": NUMBERS, "n_steps": st.integers(2, 64)}, optional={"n_x": st.integers(1, 16)})
+GRIDS = st.fixed_dictionaries({"horizon": NUMBERS, "n_steps": integers(2, 64)}, optional={"n_x": integers(1, 16)})
 # the grid block of a config with a q.csv, or None (one time in three): the grid of
 # q.csv (half the time), or that grid with its horizon scaled by 1 + rel or its
 # n_steps moved by a nonzero step; and its n_x or None
 Q_GRIDS = st.integers(0, 2).flatmap(lambda k: st.none() if k == 0 else st.tuples(
     st.sampled_from(["match", "match", "horizon", "n_steps"]), st.floats(1e-8, 1.0),
-    st.sampled_from([-2, -1, 1, 7]), st.one_of(st.none(), st.integers(1, 16))))
+    st.sampled_from([-2, -1, 1, 7]), st.one_of(st.none(), integers(1, 16))))
 # a tolerances block about one time in ten, else None: no key of it is read, since the solvers' stop rules are fixed
-TOLERANCES = st.integers(0, 9).flatmap(
-    lambda k: st.fixed_dictionaries({}, optional={"fredholm": NUMBERS, "renewal": NUMBERS}) if k == 0 else st.none())
+TOLERANCES = one_in(10, st.fixed_dictionaries({}, optional={"fredholm": NUMBERS, "renewal": NUMBERS}), st.none())
 SIMS = st.fixed_dictionaries(
     {
         "ladder": st.lists(st.integers(1, 100), min_size=1, max_size=3, unique=True),
         "b_rule": st.fixed_dictionaries({"kind": st.sampled_from(["power", "log"]), "value": NUMBERS}),
-        "reps": st.integers(1, 3),
+        "reps": integers(1, 3),
         "horizon": NUMBERS,
     },
     optional={
         "arrival": st.fixed_dictionaries({"family": st.sampled_from(["exponential", "erlang"])},
-                                         optional={"shape": st.integers(1, 3)}),
+                                         optional={"shape": integers(1, 3)}),
         "event": st.fixed_dictionaries({"kind": st.sampled_from(["sup", "terminal"]), "t": NUMBERS, "a": SIGNED}),
         "lln_t": NUMBERS,
+        "decomposition_steps": integers(1, 50),
     },
 )
 KIEFER = st.fixed_dictionaries(
-    {"m": st.integers(2, 64), "n": st.integers(2, 64)}, optional={"t_horizon": NUMBERS, "value": NUMBERS})
+    {"m": integers(2, 64), "n": integers(2, 64)}, optional={"t_horizon": NUMBERS, "value": NUMBERS})
+# the blocks and io files each command reads (README, "Config grammar"), and a
+# valid instance of each; any other block is exit 2
+READS = {
+    "rate": {"model", "dist", "grid", "io.q_csv"},
+    "controls": {"model", "dist", "grid", "io.q_csv"},
+    "oracle-check": {"model", "dist", "grid", "io.q_csv"},
+    "simulate": {"model", "dist", "sim"},
+    "identity-check": {"model", "dist", "sim"},
+    "kiefer-check": {"kiefer", "io.sheet_csv"},
+    "dist-info": {"dist", "grid"},
+}
+BLOCKS = {
+    "model": {"sigma": 1.0, "beta": 0.5, "q0": 0.0},
+    "dist": {"family": "exponential", "rate": 1.0},
+    "grid": {"horizon": 2.0, "n_steps": 8},
+    "sim": {"ladder": [10], "b_rule": {"kind": "power", "value": 0.25}, "reps": 1, "horizon": 1.0},
+    "kiefer": {"m": 4, "n": 4},
+    "io.q_csv": "q.csv",
+    "io.sheet_csv": "sheet.csv",
+}
+# about one time in ten, the index of a block the command does not read among those blocks
+UNREAD = one_in(10, st.integers(0, len(BLOCKS)), st.none())
 # a defect of an input CSV, or None; "x-end" puts the sheet's x grid on [0, 2]
 DEFECTS = ["ragged", "non-uniform", "single-row"]
 # the q.csv of a rate, controls or oracle-check config: its horizon, steps and
@@ -64,13 +106,15 @@ Q_PATHS = st.tuples(st.floats(1e-3, 4.0), st.integers(2, 64), st.floats(-1.0, 1.
 SHEETS = st.tuples(st.integers(2, 16), st.integers(2, 16), st.sampled_from([None, *DEFECTS, "x-end"]))
 
 PATH_CONFIGS = st.fixed_dictionaries({"command": st.sampled_from(["rate", "controls", "oracle-check"]), "q": Q_PATHS,
-                                      "model": MODELS, "dist": DISTS, "q_grid": Q_GRIDS, "tolerances": TOLERANCES})
+                                      "model": MODELS, "dist": DISTS, "q_grid": Q_GRIDS, "tolerances": TOLERANCES,
+                                      "unread": UNREAD})
 CONFIGS = st.one_of(
     PATH_CONFIGS,
-    st.fixed_dictionaries({"command": st.just("dist-info")}, optional={"dist": DISTS, "grid": GRIDS}),
-    st.fixed_dictionaries({"command": st.just("kiefer-check")}, optional={"kiefer": KIEFER, "sheet": SHEETS}),
-    st.fixed_dictionaries({"command": st.just("simulate"), "sim": SIMS, "model": MODELS, "dist": DISTS},
-                          optional={"seed": st.integers(0, 2**32)}),
+    st.fixed_dictionaries({"command": st.just("dist-info"), "unread": UNREAD}, optional={"dist": DISTS, "grid": GRIDS}),
+    st.fixed_dictionaries({"command": st.just("kiefer-check"), "unread": UNREAD},
+                          optional={"kiefer": KIEFER, "sheet": SHEETS}),
+    st.fixed_dictionaries({"command": st.sampled_from(["simulate", "identity-check"]), "sim": SIMS, "model": MODELS,
+                           "dist": DISTS, "unread": UNREAD}, optional={"seed": integers(0, 2**32)}),
 )
 
 
@@ -87,7 +131,9 @@ def _write_rows(path: Path, header: str, rows: list, defect) -> None:
 
 def _write_q(path: Path, q, model) -> None:
     horizon, n_steps, amplitude, starts_at_q0, defect = q
-    q0 = model.get("q0", 0.0) if starts_at_q0 and model and math.isfinite(model.get("q0", 0.0)) else 0.0
+    q0 = model.get("q0", 0.0) if starts_at_q0 and model else 0.0
+    if type(q0) not in (int, float) or not math.isfinite(q0):
+        q0 = 0.0
     t = np.linspace(0.0, horizon, n_steps + 1)
     if defect == "non-uniform":
         t = t**2 / horizon
@@ -105,9 +151,10 @@ def _q_grid(q, q_grid) -> tuple[dict, bool]:
     return grid, kind == "match"
 
 
-def _run(tmp: Path, cfg: dict, name: str) -> int:
+def _run(tmp: Path, cfg: dict, name: str, err: io.StringIO | None = None) -> int:
     (tmp / f"{name}.json").write_text(json.dumps(cfg))
-    return main(["--config", str(tmp / f"{name}.json"), "--out", str(tmp / name), "--quiet"])
+    with contextlib.redirect_stderr(err or io.StringIO()):
+        return main(["--config", str(tmp / f"{name}.json"), "--out", str(tmp / name), "--quiet"])
 
 
 def _write_sheet(path: Path, sheet) -> None:
@@ -135,15 +182,27 @@ def _check_contract(cfg: dict) -> None:
             defect = cfg["sheet"][-1]
             _write_sheet(tmp / "sheet.csv", cfg.pop("sheet"))
             cfg["io"] = {"sheet_csv": "sheet.csv"}
-        code = _run(tmp, cfg, "out")
-        must_fail = defect is not None or grid_matches is False or "tolerances" in cfg
+        unread = cfg.pop("unread")
+        if unread is not None:
+            choices = sorted(set(BLOCKS) - READS[cfg["command"]])
+            unread = choices[unread % len(choices)]
+            if unread.startswith("io."):
+                cfg.setdefault("io", {})[unread[3:]] = BLOCKS[unread]
+            else:
+                cfg[unread] = BLOCKS[unread]
+        err = io.StringIO()
+        code = _run(tmp, cfg, "out", err)
+        must_fail = defect is not None or grid_matches is False or "tolerances" in cfg or unread is not None
         assert code in ((2,) if must_fail else (0, 1, 2))
+        if unread is not None:
+            assert f"command {cfg['command']!r} does not read" in err.getvalue() and f"'{unread}'" in err.getvalue()
         if code == 2:
             assert not (tmp / "out").exists()
         else:
             status = json.loads((tmp / "out" / "summary.json").read_text())["status"]
             assert status == ("ok" if code == 0 else "numerical-failure")
-        if grid_matches and cfg["grid"].get("n_x", 2) >= 2:
+        n_x = cfg["grid"].get("n_x", 2) if grid_matches else None
+        if grid_matches and type(n_x) is int and n_x >= 2:
             # the q grid named again is no error: the code is the one without the grid block
             del cfg["grid"]
             assert _run(tmp, cfg, "out-no-grid") == code

@@ -269,6 +269,15 @@ def test_constructor_validation():
     # each rate is finite, but the mean is not
     with pytest.raises(ValueError, match="mean inf is not finite"):
         ServiceDist.erlang(2, 1e-308)
+    # rates and weights are lists of numbers: no str or bool coercion, no nesting
+    for spec in ({"family": "exponential", "rate": "1"}, {"family": "exponential", "rate": True},
+                 {"family": "exponential", "rate": [1.0]}, {"family": "exponential", "rate": None},
+                 {"family": "hyperexponential", "weights": ["0.2", "0.8"], "rates": [0.4, 1.6]},
+                 {"family": "hyperexponential", "weights": [0.2, 0.8], "rates": [[0.4], [1.6]]},
+                 {"family": "hyperexponential", "weights": [0.2, 0.8], "rates": [0.4, False]}):
+        with pytest.raises(ValueError, match="must be a list of numbers"):
+            ServiceDist.from_spec(spec)
+    assert ServiceDist.hyperexponential([0.2, 0.8], [np.int64(1), np.float64(2.0)]).rates.dtype == float
     for spec_shape in (3, 3.0):
         d = ServiceDist.from_spec({"family": "erlang", "shape": spec_shape, "rate": 3.0})
         assert d.shape == 3 and type(d.shape) is int

@@ -1,9 +1,9 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from mdqueue import (
+    ControlSet,
+    GridField2D,
     GridPath,
     ModelParams,
     ServiceDist,
@@ -23,12 +23,6 @@ LAWS = [
     ServiceDist.erlang(3, 3.0),
     ServiceDist.hyperexponential([0.2, 0.8], [0.4, 1.6]),
 ]
-
-
-def _qp(q, pm, d, zero_mean):
-    """`build_qp`, with the zero-mean rows switched on as `cmd_oracle_check` does."""
-    sys_ = build_qp(q, pm, d)
-    return replace(sys_, A=replace(sys_.A, zero_mean=True)) if zero_mean else sys_
 
 
 def _loop_constraints(pm, d, T, n_steps, n_x, zero_mean):
@@ -95,15 +89,19 @@ def test_agreement_with_fredholm_battery(exp1):
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 def test_lag_constraints_match_dense(d, n_steps, zero_mean):
     pm = ModelParams(d.mu, 1.5, 0.5, 0.0)
-    A = LagConstraints.from_law(pm, d, HORIZON, n_steps, zero_mean=zero_mean)
+    A = LagConstraints.from_law(pm, d, HORIZON, n_steps)
     G_ref = continuum_gram(pm, d, HORIZON, n_steps, zero_mean)
     v = np.random.default_rng(n_steps).standard_normal(n_steps)
-    assert np.max(np.abs(A.gram_operator() @ v - G_ref @ v)) <= 1e-12 * np.max(np.abs(G_ref @ v))
-    assert np.max(np.abs(lag_gram(A) - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
+    assert np.max(np.abs(A.gram_operator(zero_mean) @ v - G_ref @ v)) <= 1e-12 * np.max(np.abs(G_ref @ v))
+    assert np.max(np.abs(lag_gram(A, zero_mean) - G_ref)) <= 1e-12 * np.max(np.abs(G_ref))
 
-    dense = _loop_constraints(pm, d, HORIZON, n_steps, 8, False)[0]
+    # the dense rows act on the controls packed as (w0dot, wdot, kdot x-major per time node)
+    m, n = 9, n_steps + 1
+    dense = _loop_constraints(pm, d, HORIZON, n_steps, m - 1, False)[0]
     u = np.random.default_rng(n_steps).standard_normal(dense.shape[1])
-    assert np.max(np.abs(A @ u - dense @ u)) <= 1e-13 * np.max(np.abs(dense @ u))
+    c = ControlSet(GridPath(1.0, u[:m]), GridPath(HORIZON, u[m : m + n]),
+                   GridField2D(pm.mu * HORIZON, u[m + n :].reshape(n, m).T))
+    assert np.max(np.abs(A @ c - dense @ u)) <= 1e-13 * np.max(np.abs(dense @ u))
 
 
 @pytest.mark.parametrize("zero_mean", [False, True], ids=["flags-off", "flags-on"])
@@ -112,7 +110,7 @@ def test_grid_gram_converges_to_gram(d, zero_mean):
     # the Gram of the forward map's x-grid rows tends to the exact-in-x Gram
     # at first order in dx, so `@` and the Gram describe the same operator
     pm = ModelParams(d.mu, 1.5, 0.5, 0.0)
-    G = lag_gram(LagConstraints.from_law(pm, d, HORIZON, 40, zero_mean=zero_mean))
+    G = lag_gram(LagConstraints.from_law(pm, d, HORIZON, 40), zero_mean)
     errs = [np.max(np.abs(_grid_gram(pm, d, HORIZON, 40, m, zero_mean) - G)) / np.max(np.abs(G))
             for m in (8, 16, 32, 64, 128)]
     assert all(e0 >= 1.7 * e1 for e0, e1 in zip(errs, errs[1:])), errs
@@ -125,10 +123,10 @@ def test_min_norm_matches_bordered_solve(d, n_steps, zero_mean):
     # the value is the least energy 1/2 r' G^-1 r of the dense continuum Gram
     pm = ModelParams(d.mu, 1.5, 0.5, 0.0)
     t = np.linspace(0.0, HORIZON, n_steps + 1)
-    sys_ = _qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d, zero_mean)
+    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d)
     assert len(sys_.r) == n_steps
     val_ref = 0.5 * float(sys_.r @ np.linalg.solve(continuum_gram(pm, d, HORIZON, n_steps, zero_mean), sys_.r))
-    val, diag = solve_min_norm(sys_)
+    val, diag = solve_min_norm(sys_, zero_mean)
     assert diag["route"] == "pcg"
     assert abs(val - val_ref) <= 1e-12 * val_ref
 
@@ -143,9 +141,9 @@ def test_pcg_matches_cholesky_of_reference_gram(d, sigma, n_steps, zero_mean):
 
     pm = ModelParams(d.mu, sigma, 0.5, 0.0)
     t = np.linspace(0.0, HORIZON, n_steps + 1)
-    sys_ = _qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d, zero_mean)
-    val_ref = 0.5 * float(sys_.r @ cho_solve(cho_factor(lag_gram(sys_.A)), sys_.r))
-    val, diag = solve_min_norm(sys_)
+    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d)
+    val_ref = 0.5 * float(sys_.r @ cho_solve(cho_factor(lag_gram(sys_.A, zero_mean)), sys_.r))
+    val, diag = solve_min_norm(sys_, zero_mean)
     assert diag["residual"] <= 1e-12
     assert abs(val - val_ref) <= 1e-12 * val_ref
 
@@ -154,7 +152,7 @@ def test_pcg_reports_iterations(pm_std, exp1, q_quad, caplog):
     import logging
 
     with caplog.at_level(logging.INFO, logger="mdqueue.oracle"):
-        _, diag = solve_min_norm(_qp(q_quad, pm_std, exp1, True))
+        _, diag = solve_min_norm(build_qp(q_quad, pm_std, exp1), zero_mean=True)
     assert diag["route"] == "pcg" and 0 < diag["iterations"] <= 40
     assert f"pcg, {diag['iterations']} iterations, relative residual {diag['residual']:.3e}" in caplog.text
 
@@ -173,10 +171,10 @@ def test_zero_mean_solve_memory(pm_std, exp1):
     import tracemalloc
 
     t = np.linspace(0.0, HORIZON, 1601)
-    sys_ = _qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1, True)
+    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1)
     tracemalloc.start()
     try:
-        solve_min_norm(sys_)
+        solve_min_norm(sys_, zero_mean=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -185,7 +183,7 @@ def test_zero_mean_solve_memory(pm_std, exp1):
 
 def test_constraint_tables_are_small(pm_std, exp1):
     t = np.linspace(0.0, HORIZON, 1601)
-    sys_ = _qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1, True)
+    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1)
     assert len(sys_.r) == 1600
     assert sys_.A.nbytes < 1_000_000
 
@@ -240,7 +238,7 @@ def test_oracle_fredholm_gap_is_second_order_on_crossing_paths(d, path):
 
 def test_flags_on_raises_value(pm_std, exp1, q_quad):
     off, _ = solve_min_norm(build_qp(q_quad, pm_std, exp1))
-    on, _ = solve_min_norm(_qp(q_quad, pm_std, exp1, True))
+    on, _ = solve_min_norm(build_qp(q_quad, pm_std, exp1), zero_mean=True)
     assert on >= off - 1e-12
 
 
