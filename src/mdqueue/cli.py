@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 
 # Errors inside a command exit 1 with a summary.json; a ValueError there is an input the config checks let through.
 NUMERICAL_ERRORS = (FredholmError, RenewalConvergenceError, SimulationError, FloatingPointError, ValueError)
+SIM_OPTIONAL = ("arrival", "event", "lln_t", "decomposition_steps")  # named sim.<key> in COMMANDS
 
 
 class ConfigError(Exception):
@@ -98,8 +99,7 @@ def _table_csv(path: Path, header: str, columns: list) -> None:
 
 def _sim_settings(s: dict, beta: float) -> dict:
     """The validated sim block, its ladder as `ScalingRegime`s at the model's beta."""
-    _expect(s, "sim", required=("ladder", "b_rule", "reps", "horizon"),
-            optional=("arrival", "event", "lln_t", "decomposition_steps"))
+    _expect(s, "sim", required=("ladder", "b_rule", "reps", "horizon"), optional=SIM_OPTIONAL)
     ladder = s["ladder"]
     if not (isinstance(ladder, list) and ladder):
         raise ConfigError("sim.ladder: expected a nonempty list of positive integers")
@@ -156,11 +156,13 @@ class Run:
         io = cfg.get("io", {})
         if not isinstance(io, dict):
             raise ConfigError("io: expected an object")
-        given = {k for k in cfg if k not in ("command", "seed", "io")} | {f"io.{k}" for k in io}
-        unread, missing = given - set(row.needs + row.takes), set(row.needs) - given
+        given = ({k for k in cfg if k not in ("command", "seed", "io")} | {f"io.{k}" for k in io}
+                 | {f"sim.{k}" for k in SIM_OPTIONAL if isinstance(cfg.get("sim"), dict) and k in cfg["sim"]})
+        takes = [k for k in row.takes if k in given][:1] if row.exclusive else row.takes
+        unread, missing = given - set(row.needs) - set(takes), set(row.needs) - given
         if unread:
-            raise ConfigError(f"command {self.command!r} does not read {sorted(unread)};"
-                              f" it needs {list(row.needs)} and may take {list(row.takes)}")
+            raise ConfigError(f"command {self.command!r} does not read {sorted(unread)}; it needs"
+                              f" {list(row.needs)} and may take {'one of ' * row.exclusive}{list(row.takes)}")
         if missing:
             raise ConfigError(f"command {self.command!r} requires {sorted(missing)}")
 
@@ -393,22 +395,28 @@ def cmd_dist_info(run: Run, out: Path) -> dict:
 
 
 class Command(NamedTuple):
-    """A command's handler, the blocks and io files it needs, and those it may take besides.
-    Any other block or io file is a config error; seed is allowed for every command."""
+    """A command's handler, the blocks, io files and optional sim keys it needs, and those it
+    may take besides, of which it reads only the first given when `exclusive`.  Anything
+    else is a config error; seed is allowed for every command."""
 
     handler: Callable[[Run, Path], dict]
     needs: tuple = ()
     takes: tuple = ()
+    exclusive: bool = False
 
 
-# grid.n_x is read only by rate and controls, and accepted wherever grid is
+# grid.n_x is read only by rate and controls and sim.lln_t only by simulate, but grid.n_x is
+# accepted wherever grid is and sim.lln_t by identity-check too: the benchmark's
+# crosscheck-n400 and sim-ladder configs pass them to oracle-check and identity-check
 COMMANDS = {
     "rate": Command(cmd_rate, ("model", "dist", "io.q_csv"), ("grid",)),
     "controls": Command(cmd_controls, ("model", "dist", "io.q_csv"), ("grid",)),
     "oracle-check": Command(cmd_oracle_check, ("model", "dist", "io.q_csv"), ("grid",)),
-    "simulate": Command(cmd_simulate, ("model", "dist", "sim")),
-    "identity-check": Command(cmd_identity_check, ("model", "dist", "sim")),
-    "kiefer-check": Command(cmd_kiefer_check, (), ("kiefer", "io.sheet_csv")),
+    "simulate": Command(cmd_simulate, ("model", "dist", "sim"), ("sim.arrival", "sim.event", "sim.lln_t")),
+    "identity-check": Command(cmd_identity_check, ("model", "dist", "sim"),
+                              ("sim.arrival", "sim.decomposition_steps", "sim.lln_t")),
+    # a sheet in io.sheet_csv replaces the constant sheet of the kiefer block
+    "kiefer-check": Command(cmd_kiefer_check, (), ("io.sheet_csv", "kiefer"), exclusive=True),
     "dist-info": Command(cmd_dist_info, ("dist",), ("grid",)),
 }
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dist import ServiceDist
-from .grids import GridField2D, GridPath, trap_weights
+from .grids import GridField2D, GridPath, LagConv, trap_weights
 from .paths import ControlSet, ModelParams, defect, drift
 from .renewal import solve_nonlinear
 
@@ -75,38 +75,20 @@ def shift_matrix(d: ServiceDist, T: float, n_steps: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShiftOperator:
-    """The matrix of `shift_matrix`, applied by FFT without being formed.
+    """The matrix of `shift_matrix` as S = J T J, J the reversal of the grid and T the
+    `grids.LagConv` of the lag dt F'(t_k): T's halved j = i term is S's halved diagonal,
+    its halved j = 0 term S's halved column N and its zero row 0 S's zero row N."""
 
-    S_ij = dt F'(t_j - t_i) for j >= i is Toeplitz apart from the trapezoid
-    end corrections: half weight on the diagonal and on column N, and a zero
-    row N.  S p is a correlation and S^T u a convolution with the lag vector
-    g = dt (F'(0)/2, F'(t_1), ..., F'(t_N)), zero-padded to at least 2N + 1
-    points so that the circular products do not wrap.
-    """
-
-    lag_fft: np.ndarray
-    n_fft: int
+    T: LagConv
     weights: np.ndarray
-
-    def _convolve(self, u: np.ndarray) -> np.ndarray:
-        """First len(u) entries of the linear convolution g * u."""
-        return np.fft.irfft(self.lag_fft * np.fft.rfft(u, self.n_fft), self.n_fft)[: len(u)]
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         """S p."""
-        u = p.copy()
-        u[-1] *= 0.5
-        out = self._convolve(u[::-1])[::-1]
-        out[-1] = 0.0
-        return out
+        return (self.T @ p[::-1])[::-1]
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """S* v = S^T (w v) / w, the adjoint in the trapezoid inner product."""
-        u = self.weights * v
-        u[-1] = 0.0
-        out = self._convolve(u)
-        out[-1] *= 0.5
-        return out / self.weights
+        return self.T.rmatvec((self.weights * v)[::-1])[::-1] / self.weights
 
 
 def assemble_kernel(d: ServiceDist, T: float, n_steps: int) -> ShiftOperator:
@@ -118,10 +100,7 @@ def assemble_kernel(d: ServiceDist, T: float, n_steps: int) -> ShiftOperator:
     of the discrete dual objective; K is never formed.
     """
     dt = T / n_steps
-    g = dt * d.pdf(np.linspace(0.0, T, n_steps + 1))
-    g[0] *= 0.5
-    n_fft = 1 << (2 * n_steps).bit_length()
-    return ShiftOperator(np.fft.rfft(g, n_fft), n_fft, trap_weights(n_steps + 1, dt))
+    return ShiftOperator(LagConv.of(dt * d.pdf(np.linspace(0.0, T, n_steps + 1))), trap_weights(n_steps + 1, dt))
 
 
 def _cg(apply, b, inner, precond, done, cap) -> tuple[np.ndarray, np.ndarray, int]:
@@ -174,9 +153,10 @@ def solve_p(h: GridPath, S: ShiftOperator, pm: ModelParams) -> tuple[GridPath, d
 
 
 def rate_value(p: GridPath, h: GridPath) -> float:
-    """I = 1/2 * int p h dt, clamped to 0 inside [-_ZERO_CLAMP, 0)."""
+    """I = 1/2 * int p h dt, clamped to 0 inside [-_ZERO_CLAMP, 0); below it, or
+    NaN, is a FredholmError."""
     val = 0.5 * float(p.weights() @ (p.values * h.values))
-    if val < -_ZERO_CLAMP:
+    if not val >= -_ZERO_CLAMP:  # the negated comparison also rejects NaN
         raise FredholmError(f"rate value {val:.3e} below -{_ZERO_CLAMP:.0e}: solver inconsistency")
     return max(val, 0.0)
 
@@ -258,23 +238,11 @@ def evaluate_rate(q: GridPath, pm: ModelParams, d: ServiceDist, n_x: int = 32) -
     w = p.weights()
     primal = 0.5 * (pm.mu * float(w @ p.values**2) + float(w @ controls.wdot.values**2))
     gap = primal - rate
-    tail_mass = float(1.0 - d.cdf(q.horizon))
-    diag = dict(diag, truncation_tail_mass=tail_mass)
-    # the rate must be the half pairing, nonnegative, and the gap within what
-    # the solver's residual allows, plus round-off; the negated comparisons
-    # also reject NaN
-    if not rate >= 0.0:
-        raise FredholmError(f"rate {rate} is not nonnegative")
+    diag = dict(diag, truncation_tail_mass=float(1.0 - d.cdf(q.horizon)))
+    # the gap must be within what the solver's residual allows, plus round-off;
+    # the negated comparison also rejects NaN
     gap_bound = 0.5 * float(w @ np.abs(p.values)) * diag["residual"] + 1e-12 * (1.0 + rate)
     if not abs(gap) <= gap_bound:
         raise FredholmError(f"duality gap {gap} exceeds the adjoint residual bound {gap_bound:.2e}")
-    return RateResult(
-        forcing=h,
-        adjoint=p,
-        rate=rate,
-        dual=dual,
-        controls=controls,
-        primal_energy=primal,
-        duality_gap=gap,
-        diagnostics=diag,
-    )
+    return RateResult(forcing=h, adjoint=p, rate=rate, dual=dual, controls=controls, primal_energy=primal,
+                      duality_gap=gap, diagnostics=diag)

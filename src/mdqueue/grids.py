@@ -1,4 +1,5 @@
-"""Uniform-grid containers for paths and 2-D density fields, plus quadrature helpers."""
+"""Uniform-grid containers for paths and 2-D density fields, quadrature helpers and the
+one trapezoid lag convolution."""
 from __future__ import annotations
 
 import csv
@@ -18,6 +19,7 @@ __all__ = [
     "trap_integral",
     "conv_trap",
     "cumtrap",
+    "LagConv",
 ]
 
 log = logging.getLogger(__name__)
@@ -65,15 +67,48 @@ def trap_integral(values: np.ndarray, dt: float) -> float:
     return float(trap_weights(len(values), dt) @ values)
 
 
-def conv_trap(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
-    """Prefix convolutions c_i = int_0^{t_i} a(t_i - s) b(s) ds by the trapezoid rule.
+@dataclass(frozen=True)
+class LagConv:
+    """The trapezoid prefix convolution T at unit step with lag columns g_c on a uniform
+    grid: (T u)_i = sum_c sum_{j<=i} tw_i[j] g_c[i-j] u_c[j], tw_i the trapezoid weights
+    of [0, t_i] (1/2 at j = 0 and j = i; row 0 is zero).  With g_0 and u_0 halved, which
+    meet only in row 0, T u is a linear convolution, applied by FFT zero-padded to
+    n_fft >= 2n - 1 points so that nothing wraps.  A 1-D `lags` is one column."""
 
-    a and b are nodal samples on the same uniform grid; c_0 = 0 exactly.
-    """
-    n = len(a)
-    c = dt * np.convolve(a, b)[:n]
-    c -= 0.5 * dt * (a[0] * b + b[0] * a)
-    return c
+    spectra: np.ndarray  # rfft of the lag columns, g_0 halved, to n_fft points
+    n_fft: int
+
+    @classmethod
+    def of(cls, lags) -> "LagConv":
+        g = np.array(lags, dtype=float)
+        g[0] *= 0.5
+        n_fft = 1 << (2 * len(g) - 2).bit_length()
+        return cls(np.fft.rfft(g, n_fft, axis=0), n_fft)
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        """T u, u of the shape of the lags: the sum over columns of their convolutions."""
+        u = np.array(u, dtype=float)
+        u[0] *= 0.5
+        U = np.fft.rfft(u, self.n_fft, axis=0)
+        # einsum sums over the columns without a (n_fft/2 + 1, k) product
+        spectrum = self.spectra * U if U.ndim == 1 else np.einsum("fc,fc->f", self.spectra, U)
+        out = np.fft.irfft(spectrum, self.n_fft)[: len(u)]
+        out[0] = 0.0
+        return out
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """T^T y, one column per lag: the correlation with y_1..y_N (row 0 of T is zero), halved at 0."""
+        Y = np.fft.rfft(y[:0:-1], self.n_fft)
+        out = np.fft.irfft(self.spectra * (Y if self.spectra.ndim == 1 else Y[:, None]), self.n_fft, axis=0)
+        out = out[len(y) - 1 :: -1]
+        out[0] *= 0.5
+        return out
+
+
+def conv_trap(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
+    """Prefix convolutions c_i = int_0^{t_i} a(t_i - s) b(s) ds by the trapezoid rule, a and b
+    nodal samples on one uniform grid; c_0 = 0 exactly."""
+    return dt * (LagConv.of(a) @ b)
 
 
 def cumtrap(values: np.ndarray, dt: float) -> np.ndarray:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import ServiceDist
-from .grids import GridField2D, GridPath, conv_trap, cumtrap, trap_weights
+from .grids import GridField2D, GridPath, LagConv, conv_trap, cumtrap, trap_weights
 from .renewal import solve_nonlinear
 
 __all__ = [
@@ -125,12 +125,6 @@ def partial_cell_weights(upper: np.ndarray, n_nodes: int, dx: float) -> np.ndarr
     return out
 
 
-def _lag_products(lag_fft: np.ndarray, lags: np.ndarray, u: np.ndarray, n_fft: int) -> np.ndarray:
-    """sum_c conv_trap(lags[:, c], u[:, c], 1) by FFT, `lag_fft` the spectra of the lag columns."""
-    conv = np.fft.irfft(np.einsum("fc,fc->f", lag_fft, np.fft.rfft(u, n_fft, axis=0)), n_fft)[: len(u)]
-    return conv - 0.5 * (u @ lags[0] + lags @ u[0])
-
-
 @dataclass(frozen=True)
 class GramOperator:
     """G = A W^-1 A^T of the path rows t_1..t_N of `LagConstraints`, applied in
@@ -138,25 +132,20 @@ class GramOperator:
     so the x integrals min(a, b) of the w0dot and kdot rows sum to the min
     kernel a_min(i, i'), a = F0 + mu cumtrap(F), which is L diag(da) L^T for L
     the lower all-ones matrix; `min_kernel_solve` applies its inverse.  The wdot
-    rows add sigma^2 T_s W^-1 T_s^T, s = 1 - F, with T_g[i, j] = tw_i[j] g(t_i - t_j)
-    the trapezoid convolution with g.  `zero_mean` takes a b off each x
-    integral, so G also loses F0 F0^T + mu T_F W^-1 T_F^T."""
+    rows add sigma^2 T_s W^-1 T_s^T, s = 1 - F, with T_g the `grids.LagConv` of
+    g.  `zero_mean` takes a b off each x integral, so G also loses
+    F0 F0^T + mu T_F W^-1 T_F^T."""
 
     da: np.ndarray  # (N,) increments of a at t_1..t_N, from a_0 = 0
-    lags: np.ndarray  # (N+1, k) lag columns sqrt(dt) sigma s, then sqrt(dt mu) F with zero mean
-    lag_fft: np.ndarray  # their spectra, zero-padded to n_fft >= 2N + 1
-    n_fft: int
+    T: LagConv  # lag columns sqrt(dt) sigma s, then sqrt(dt mu) F with zero mean
     F0: np.ndarray | None  # (N,) F0 at t_1..t_N with zero mean, else None
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        y = np.concatenate([[0.0], v])  # node t_0 carries no row
-        # x = W^-1 T_g^T y: the correlation with g less the trapezoid end terms, doubled at j = 0, N
-        corr = np.fft.irfft(self.lag_fft * np.fft.rfft(y[::-1], self.n_fft)[:, None], self.n_fft, axis=0)[len(v) :: -1]
-        x = corr - 0.5 * y[:, None] * self.lags[0]
-        x[0], x[-1] = corr[0], 2.0 * x[-1]
+        x = self.T.rmatvec(np.concatenate([[0.0], v]))  # node t_0 carries no row
+        x[[0, -1]] *= 2.0  # W^-1 at unit step doubles the end rows
         x[:, 1:] *= -1.0  # the zero-mean lag is subtracted
         out = np.cumsum(self.da * np.cumsum(v[::-1])[::-1])
-        out += _lag_products(self.lag_fft, self.lags, x, self.n_fft)[1:]
+        out += (self.T @ x)[1:]
         return out if self.F0 is None else out - self.F0 * (self.F0 @ v)
 
     def min_kernel_solve(self, r: np.ndarray) -> np.ndarray:
@@ -181,8 +170,8 @@ class LagConstraints:
 
     with P0 and xw the partial-cell weights of F0 and F on the M + 1 x nodes
     of u, and tw_i the Volterra trapezoid weights.  The sum over j is the
-    trapezoid prefix convolution of `grids.conv_trap`, one per lag column;
-    `@` applies it by FFT to a `ControlSet` for `forward_q`.  The oracle needs
+    trapezoid prefix convolution of `grids.LagConv`, one per lag column;
+    `@` applies it to a `ControlSet` for `forward_q`.  The oracle needs
     only `gram_operator`, exact in x, so it has no x grid.
     """
 
@@ -202,14 +191,12 @@ class LagConstraints:
         return self.F0.nbytes + self.F.nbytes
 
     def __matmul__(self, c: ControlSet) -> np.ndarray:
-        n, m = len(self.F), len(c.w0dot.values)  # time and x nodes
+        m = len(c.w0dot.values)  # x nodes
         dx = 1.0 / (m - 1)
         u_w0, u_t = c.w0dot.values, np.column_stack([c.wdot.values, c.kdot.values.T])
         # (N+1, M+2) lag table: column 0 the wdot lag sigma surv, then the kdot lags mu xw
         L = np.column_stack([self.sigma * (1.0 - self.F), self.mu * partial_cell_weights(self.F, m, dx)])
-        n_fft = 1 << (2 * n - 2).bit_length()  # at least 2N + 1: the circular lag products do not wrap
-        rows = partial_cell_weights(self.F0, m, dx) @ u_w0 + self.dt * _lag_products(
-            np.fft.rfft(L, n_fft, axis=0), L, u_t, n_fft)
+        rows = partial_cell_weights(self.F0, m, dx) @ u_w0 + self.dt * (LagConv.of(L) @ u_t)
         return rows[1:]
 
     def gram_operator(self, zero_mean: bool) -> GramOperator:
@@ -218,9 +205,7 @@ class LagConstraints:
         cols = [self.sigma * (1.0 - self.F)] + ([np.sqrt(self.mu) * self.F] if zero_mean else [])
         lags = np.sqrt(self.dt) * np.column_stack(cols)
         a = self.F0 + self.mu * cumtrap(self.F, self.dt)
-        n_fft = 1 << (2 * len(a) - 2).bit_length()
-        F0 = self.F0[1:] if zero_mean else None
-        return GramOperator(np.diff(a[1:], prepend=0.0), lags, np.fft.rfft(lags, n_fft, axis=0), n_fft, F0)
+        return GramOperator(np.diff(a[1:], prepend=0.0), LagConv.of(lags), self.F0[1:] if zero_mean else None)
 
 
 def forward_q(c: ControlSet, pm: ModelParams, d: ServiceDist) -> GridPath:

@@ -180,6 +180,12 @@ def test_identity_check(tmp_path):
     assert s["all_within_bound"] is True
 
 
+def test_identity_check_takes_lln_t(tmp_path):
+    # simulate alone reads sim.lln_t; identity-check accepts it, as the sim-ladder benchmark passes it
+    cfg = _cfg(tmp_path, "c.json", dict(BASE, command="identity-check", sim=dict(SIM_OK, lln_t=1.0)))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+
 def test_kiefer_check(tmp_path):
     cfg = _cfg(tmp_path, "c.json", {"command": "kiefer-check", "kiefer": {"m": 128, "n": 128}})
     out = tmp_path / "out"
@@ -264,9 +270,14 @@ def test_unknown_key_exit_2(tmp_path):
         ({"command": "dist-info", "dist": BASE["dist"], "model": BASE["model"]}, "['model']"),
         (dict(BASE, command="simulate", sim=SIM_OK, grid={"horizon": 1.0, "n_steps": 10}), "['grid']"),
         (dict(BASE, command="identity-check", sim=SIM_OK, io={"sheet_csv": "b.csv"}), "['io.sheet_csv']"),
+        (dict(BASE, command="identity-check", sim=dict(SIM_OK, event={"kind": "sup", "t": 1.0, "a": 0.5})),
+         "['sim.event']"),
+        (dict(BASE, command="simulate", sim=dict(SIM_OK, decomposition_steps=50)), "['sim.decomposition_steps']"),
+        ({"command": "kiefer-check", "io": {"sheet_csv": "b.csv"}, "kiefer": {"value": 3.0}}, "['kiefer']"),
     ],
     ids=["oracle-check-kiefer-sim", "rate-sim", "kiefer-check-q_csv", "dist-info-model", "simulate-grid",
-         "identity-check-sheet_csv"],
+         "identity-check-sheet_csv", "identity-check-event", "simulate-decomposition_steps",
+         "kiefer-check-sheet-and-kiefer"],
 )
 def test_unread_block_exit_2_no_outputs(tmp_path, capsys, payload, unread):
     # each command's row names the blocks it reads; any other block would be silently ignored

@@ -1,9 +1,10 @@
 """The CLI's contract over configs drawn from the README grammar: exit 0, 1 or
 2 and never an exception; exit 2 creates no output directory; exit 1 writes a
 summary.json with status numerical-failure.  An input CSV drawn with a defect,
-a grid block that is not the grid of q.csv, a tolerances block and a block the
-command does not read are always exit 2; a grid block that is the grid of
-q.csv changes no exit code."""
+a grid block that is not the grid of q.csv, a tolerances block, a block the
+command does not read, an optional sim key it does not read and a kiefer block
+next to a sheet are always exit 2; a grid block that is the grid of q.csv
+changes no exit code."""
 import contextlib
 import io
 import json
@@ -94,6 +95,8 @@ BLOCKS = {
     "io.q_csv": "q.csv",
     "io.sheet_csv": "sheet.csv",
 }
+# the optional sim key that each sim command does not read, drawn in SIMS for both
+SIM_UNREAD = {"simulate": "sim.decomposition_steps", "identity-check": "sim.event"}
 # about one time in ten, the index of a block the command does not read among those blocks
 UNREAD = one_in(10, st.integers(0, len(BLOCKS)), st.none())
 # a defect of an input CSV, or None; "x-end" puts the sheet's x grid on [0, 2]
@@ -178,6 +181,10 @@ def _check_contract(cfg: dict) -> None:
                 cfg["grid"], grid_matches = _q_grid(q, q_grid)
             if cfg["tolerances"] is None:
                 del cfg["tolerances"]
+        # a key the command does not read besides the drawn block: a kiefer block next to the sheet replacing it
+        stray = "kiefer" if "sheet" in cfg and "kiefer" in cfg else None
+        if "sim" in cfg and SIM_UNREAD[cfg["command"]][4:] in cfg["sim"]:
+            stray = SIM_UNREAD[cfg["command"]]
         if "sheet" in cfg:
             defect = cfg["sheet"][-1]
             _write_sheet(tmp / "sheet.csv", cfg.pop("sheet"))
@@ -192,10 +199,11 @@ def _check_contract(cfg: dict) -> None:
                 cfg[unread] = BLOCKS[unread]
         err = io.StringIO()
         code = _run(tmp, cfg, "out", err)
-        must_fail = defect is not None or grid_matches is False or "tolerances" in cfg or unread is not None
+        must_fail = (defect is not None or grid_matches is False or "tolerances" in cfg or unread is not None
+                     or stray is not None)
         assert code in ((2,) if must_fail else (0, 1, 2))
-        if unread is not None:
-            assert f"command {cfg['command']!r} does not read" in err.getvalue() and f"'{unread}'" in err.getvalue()
+        for key in {unread, stray} - {None}:
+            assert f"command {cfg['command']!r} does not read" in err.getvalue() and f"'{key}'" in err.getvalue()
         if code == 2:
             assert not (tmp / "out").exists()
         else:

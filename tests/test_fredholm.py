@@ -180,6 +180,10 @@ def test_rate_value_negative_raises():
     h = GridPath(1.0, np.array([-1.0, -1.0, -1.0]))
     with pytest.raises(FredholmError):
         rate_value(p, h)
+    # a NaN pairing fails the same sign check; GridPath itself rejects NaN values
+    object.__setattr__(h, "values", np.full(3, np.nan))
+    with pytest.raises(FredholmError):
+        rate_value(p, h)
 
 
 def test_dual_at_perturbed_point_is_lower(pm_std, exp1, q_quad):

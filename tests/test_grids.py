@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from mdqueue import GridField2D, GridPath, conv_trap, cumtrap, trap_integral, trap_weights
+from mdqueue.grids import LagConv
 
 
 def test_trap_weights_sum():
@@ -28,6 +29,27 @@ def test_volterra_weights_rows_and_conv_trap():
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal(n), rng.standard_normal(n)
     assert np.allclose((tw * toeplitz(a)) @ b, conv_trap(a, b, dt), atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 401])
+@pytest.mark.parametrize("k", [None, 3], ids=["1-D", "3-columns"])
+def test_lag_conv_matches_dense(n, k):
+    # each lag column g is the dense prefix-trapezoid matrix volterra_weights(n, 1) * toeplitz(g);
+    # @ sums the columns' products and rmatvec gives each column's transpose
+    from scipy.linalg import toeplitz
+
+    from reference import volterra_weights
+
+    rng = np.random.default_rng(n)
+    g, u = rng.standard_normal((2, n) if k is None else (2, n, k))
+    y = rng.standard_normal(n)
+    dense = [volterra_weights(n, 1.0) * toeplitz(c) for c in (g[:, None] if k is None else g).T]
+    T = LagConv.of(g)
+    pairs = [(T @ u, sum(D @ c for D, c in zip(dense, (u[:, None] if k is None else u).T))),
+             (T.rmatvec(y), np.column_stack([D.T @ y for D in dense]).reshape(g.shape))]
+    for got, ref in pairs:
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
