@@ -24,7 +24,8 @@ from .grids import GridField2D, GridPath, float_strs, write_csv
 from .oracle import build_qp, solve_min_norm
 from .paths import ModelParams, energy, forward_q, kiefer_energy, kiefer_from_sheet
 from .renewal import RenewalConvergenceError
-from .sim import ScalingRegime, SimulationError, decomposition, flow_balance_residuals, lln_check, mc_tail, replications
+from .sim import (LLN_PERCENTILE, ScalingRegime, SimulationError, decomposition, flow_balance_residuals, lln_check,
+                  lln_sup_stat, mc_tail, replications, tail_hit)
 
 log = logging.getLogger(__name__)
 
@@ -294,13 +295,17 @@ def _replications(run: Run):
 
 def cmd_simulate(run: Run, out: Path) -> dict:
     s = run.sim
-    traces_by_n = {}
+    # each replication is reduced to its two diagnostics as it is simulated: one trace is alive at a time
+    sup_stats, hits = {}, {}
     for sr, rep, tr in _replications(run):
         if rep == 0:
             _trace_csv(tr, out / f"trace_n{sr.n}.csv")
-        traces_by_n.setdefault(sr.n, []).append(tr)
+        sup_stats.setdefault(sr.n, []).append(lln_sup_stat(tr, run.model.mu, s["lln_t"]))
+        if s["event"] is not None:
+            hits.setdefault(sr, []).append(tail_hit(tr, s["event"]))
+        del tr  # before _replications simulates the next one
 
-    report = lln_check(traces_by_n, run.model.mu, s["lln_t"])
+    report = lln_check(sup_stats)
     pct = report.percentiles()
 
     ladder = [{"n": sr.n, "b": sr.b, "rho": sr.rho, "condition_value": sr.condition_value, "lln_percentile": pct[sr.n]}
@@ -309,12 +314,12 @@ def cmd_simulate(run: Run, out: Path) -> dict:
         "reps": s["reps"],
         "horizon": s["horizon"],
         "lln_t": s["lln_t"],
-        "lln_percentile_level": report.percentile,
+        "lln_percentile_level": LLN_PERCENTILE,
         "lln_monotone_decreasing": report.monotone_decreasing,
         "ladder": ladder,
     }
     if s["event"] is not None:
-        summary["tail"] = [asdict(r) for r in mc_tail(traces_by_n, s["event"])]
+        summary["tail"] = [asdict(r) for r in mc_tail(hits)]
         summary["tail_note"] = (
             "trend diagnostic only: moderate-deviations probabilities at realistic "
             "(n, a) are far below Monte Carlo resolution, so no estimate here is "

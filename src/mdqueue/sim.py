@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+LLN_PERCENTILE = 99.0  # the percentile of the LLN sup statistic that must fall along the ladder
 
 
 class SimulationError(RuntimeError):
@@ -108,8 +109,8 @@ class QueueTrace:
     eta0: np.ndarray  # residual durations of initially in-service customers
     event_times: np.ndarray  # all state-change times, increasing
     q_values: np.ndarray  # Q_n right after each event (integers)
-    event_types: np.ndarray = None  # 0 = arrival, 1 = departure
-    event_ids: np.ndarray = None  # customer index, in order of system entry
+    event_types: np.ndarray  # 0 = arrival, 1 = departure
+    event_ids: np.ndarray  # customer index, in order of system entry
 
     def q_at(self, t) -> np.ndarray:
         """Right-continuous Q_n(t)."""
@@ -356,26 +357,24 @@ def decomposition(trace: QueueTrace, d: ServiceDist, n_steps: int) -> Decomposit
     convolutions, which shrinks like dt.  quadrature_bound is the a-priori
     total-variation bound on that error for this trace and grid.
     """
-    mu = d.mu
     scale = trace.b * math.sqrt(trace.n)
-    T = trace.horizon
-    t = np.linspace(0.0, T, n_steps + 1) if T > 0 else np.zeros(1)
-    dt = T / n_steps if T > 0 else 0.0
+    t = np.linspace(0.0, trace.horizon, n_steps + 1)
+    dt = trace.horizon / n_steps
 
     X = (trace.q_at(t) - trace.n) / scale
     A = trace.arrivals_by(t)
-    Y = (A / trace.n - mu * t) * math.sqrt(trace.n) / trace.b
+    Y = (A / trace.n - d.mu * t) * math.sqrt(trace.n) / trace.b
 
     q0_surv = len(trace.eta0) - np.searchsorted(np.sort(trace.eta0), t, side="right")
     X0 = (q0_surv / trace.n - (1.0 - d.eq_cdf(t))) * math.sqrt(trace.n) / trace.b
 
     fprime = d.pdf(t)
-    H = Y - conv_trap(Y, fprime, dt) if T > 0 else np.zeros(1)
+    H = Y - conv_trap(Y, fprime, dt)
 
     # Theta: exact sum over service starts, by the phase convolutions
     Theta = -_theta_sums(d, t, dt, trace.tau_hat, trace.eta) / scale
 
-    conv_Xplus = conv_trap(np.maximum(X, 0.0), fprime, dt) if T > 0 else np.zeros(1)
+    conv_Xplus = conv_trap(np.maximum(X, 0.0), fprime, dt)
     X0plus = max(trace.q0_count - trace.n, 0) / scale
     F = d.cdf(t)
     residual = X - ((1.0 - F) * X0plus + X0 + conv_Xplus + H + Theta)
@@ -410,10 +409,9 @@ def lln_sup_stat(trace: QueueTrace, mu: float, t_max: float) -> float:
 @dataclass(frozen=True)
 class LLNReport:
     stats: dict  # n -> np.ndarray of per-replication sup statistics
-    percentile: float
 
     def percentiles(self) -> dict:
-        return {n: float(np.percentile(s, self.percentile)) for n, s in self.stats.items()}
+        return {n: float(np.percentile(s, LLN_PERCENTILE)) for n, s in self.stats.items()}
 
     @property
     def monotone_decreasing(self) -> bool:
@@ -421,12 +419,9 @@ class LLNReport:
         return all(b < a for a, b in zip(p, p[1:]))
 
 
-def lln_check(traces_by_n: dict, mu: float, t_max: float, percentile: float = 99.0) -> LLNReport:
-    stats = {
-        n: np.array([lln_sup_stat(tr, mu, t_max) for tr in traces])
-        for n, traces in traces_by_n.items()
-    }
-    return LLNReport(stats=stats, percentile=percentile)
+def lln_check(stats_by_n: dict) -> LLNReport:
+    """The LLN trend over the ladder; stats_by_n maps n to its rung's `lln_sup_stat` values."""
+    return LLNReport(stats={n: np.array(stats) for n, stats in stats_by_n.items()})
 
 
 def _wilson(hits: int, reps: int) -> tuple[float, float]:
@@ -450,32 +445,31 @@ class TailRow:
     censored: bool
 
 
-def mc_tail(traces_by_n: dict, event: dict) -> list[TailRow]:
-    """Monte Carlo tail probabilities over the traces of the scaling ladder.
-
-    traces_by_n maps n to the replications of that rung, as for `lln_check`.
-    event: {"kind": "sup" | "terminal", "t": time, "a": level}.  A trend
-    diagnostic only: the regime's limiting constants are far beyond what naive
-    Monte Carlo can certify, so no threshold ties the estimates to the rate
-    function.
-    """
+def tail_hit(trace: QueueTrace, event: dict) -> bool:
+    """Whether (Q_n - n) / (b_n sqrt(n)) reaches a at time t for event {"kind": "terminal",
+    "t": t, "a": a}, or anywhere on [0, t] for kind "sup"."""
     kind, t_ev, a = event["kind"], float(event["t"]), float(event["a"])
-    if kind not in ("sup", "terminal"):
-        raise ValueError(f"unknown event kind {kind!r}")
+    scale = trace.b * math.sqrt(trace.n)
+    if kind == "terminal":
+        return (int(trace.q_at(t_ev)) - trace.n) / scale >= a
+    if kind == "sup":
+        # x -> (x - n) / scale is monotone, so it commutes with the max
+        top = np.max(trace.q_values[trace.event_times <= t_ev], initial=trace.q0_count)
+        return (int(top) - trace.n) / scale >= a
+    raise ValueError(f"unknown event kind {kind!r}")
+
+
+def mc_tail(hits_by_regime: dict) -> list[TailRow]:
+    """Monte Carlo tail probabilities over the scaling ladder.
+
+    hits_by_regime maps each rung's ScalingRegime to the `tail_hit` of each of
+    its replications.  A trend diagnostic only: the regime's limiting constants
+    are far beyond what naive Monte Carlo can certify, so no threshold ties the
+    estimates to the rate function.
+    """
     rows = []
-    for n, traces in traces_by_n.items():
-        b, reps = traces[0].b, len(traces)
-        scale = b * math.sqrt(n)
-        hits = 0
-        for tr in traces:
-            if kind == "terminal":
-                x = (int(tr.q_at(t_ev)) - n) / scale
-                hit = x >= a
-            else:
-                # x -> (x - n) / scale is monotone, so it commutes with the max
-                top = np.max(tr.q_values[tr.event_times <= t_ev], initial=tr.q0_count)
-                hit = (int(top) - n) / scale >= a
-            hits += bool(hit)
+    for sr, rung in hits_by_regime.items():
+        n, b, reps, hits = sr.n, sr.b, len(rung), sum(rung)
         if hits == 0:
             rows.append(TailRow(n, b, reps, 0, None, None, None, censored=True))
         else:

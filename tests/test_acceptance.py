@@ -29,6 +29,7 @@ from mdqueue import (
     solve_min_norm,
     spawn_streams,
 )
+from mdqueue.sim import lln_sup_stat
 
 from conftest import HORIZON, battery_cases
 from reference import kernel_matrix
@@ -172,11 +173,13 @@ def test_criterion_8_simulator_exactness():
 def test_criterion_9_lln_trend():
     pm = ModelParams(1.0, 1.0, 0.5, 0.0)
     t0 = time.time()
-    traces = {}
+    stats = {}
     for i, n in enumerate((100, 1000, 10000)):
         sr = ScalingRegime(n=n, rule=("power", 0.1), beta=0.5)
-        traces[n] = [simulate(pm, D, sr, 1.0, rng) for rng in spawn_streams(42 + i, 200)]
-    rep = lln_check(traces, mu=1.0, t_max=1.0, percentile=99.0)
+        # each trace is reduced to its statistic as it is simulated
+        stats[n] = [lln_sup_stat(simulate(pm, D, sr, 1.0, rng), mu=1.0, t_max=1.0)
+                    for rng in spawn_streams(42 + i, 200)]
+    rep = lln_check(stats)
     pct = rep.percentiles()
     elapsed = time.time() - t0
     assert rep.monotone_decreasing, f"percentiles not decreasing: {pct}"

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,28 @@ def test_simulate_summary_has_condition_values(tmp_path):
         assert row["condition_value"] == pytest.approx(b**3 * n ** (1 / b**2 - 0.5))
     assert (out / "trace_n10.csv").is_file()
     assert (out / "ladder.csv").is_file()
+
+
+def test_simulate_memory_independent_of_reps(tmp_path):
+    # each replication is reduced to its LLN statistic and tail hit as it is simulated, so the
+    # traced peak is one n = 10^4 trace (~0.8 MB) and its CSV whatever reps is; a run that keeps
+    # every trace peaks about 0.75 MB higher per replication
+    def peak_mib(reps, tag):
+        cfg = _cfg(tmp_path, f"{tag}.json", dict(
+            BASE, command="simulate", seed=3,
+            sim={"ladder": [10_000], "b_rule": {"kind": "power", "value": 0.25}, "reps": reps, "horizon": 1.0,
+                 "event": {"kind": "sup", "t": 1.0, "a": 0.5}},
+        ))
+        tracemalloc.start()
+        try:
+            assert main(["--config", str(cfg), "--out", str(tmp_path / tag), "--quiet"]) == 0
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    peak_mib(2, "warm-up")  # the first run includes one-time imports
+    few, many = peak_mib(2, "few"), peak_mib(10, "many")
+    assert many <= 1.25 * few, f"tracemalloc peak {few:.2f} MiB at reps 2, {many:.2f} MiB at reps 10"
 
 
 def test_identity_check(tmp_path):

@@ -22,7 +22,7 @@ from mdqueue import (
     simulate,
     spawn_streams,
 )
-from mdqueue.sim import _theta_sums, replications
+from mdqueue.sim import _theta_sums, lln_sup_stat, replications, tail_hit
 
 
 @pytest.fixture(scope="module")
@@ -163,11 +163,11 @@ def test_decomposition_theta_martingale_term_centered(pm):
 
 def test_lln_check_trend(pm):
     d = ServiceDist.exponential(1.0)
-    traces = {}
+    stats = {}
     for i, n in enumerate((100, 1000)):
         sr = ScalingRegime(n=n, rule=("power", 0.1), beta=0.5)
-        traces[n] = [simulate(pm, d, sr, 1.0, rng) for rng in spawn_streams(23 + i, 50)]
-    rep = lln_check(traces, 1.0, 1.0)
+        stats[n] = [lln_sup_stat(simulate(pm, d, sr, 1.0, rng), 1.0, 1.0) for rng in spawn_streams(23 + i, 50)]
+    rep = lln_check(stats)
     assert rep.monotone_decreasing
 
 
@@ -182,17 +182,18 @@ def test_interarrival_ks(pm):
     assert kstest(gaps * lam, "expon").pvalue > 0.01
 
 
-def _traces_by_n(pm, d, regimes, reps, seed, horizon):
-    traces_by_n = {}
+def _hits_by_regime(pm, d, regimes, reps, seed, horizon, event):
+    hits = {}
     for sr, _, tr in replications(pm, d, regimes, reps, seed, horizon):
-        traces_by_n.setdefault(sr.n, []).append(tr)
-    return traces_by_n
+        hits.setdefault(sr, []).append(tail_hit(tr, event))
+    return hits
 
 
 def test_mc_tail_rows(pm):
     d = ServiceDist.exponential(1.0)
     regimes = [ScalingRegime(n=n, rule=("power", 0.25), beta=0.5) for n in (10, 50)]
-    rows = mc_tail(_traces_by_n(pm, d, regimes, reps=40, seed=5, horizon=1.0), {"kind": "sup", "t": 1.0, "a": 0.2})
+    rows = mc_tail(_hits_by_regime(pm, d, regimes, reps=40, seed=5, horizon=1.0,
+                                   event={"kind": "sup", "t": 1.0, "a": 0.2}))
     assert len(rows) == 2
     for r in rows:
         assert r.reps == 40
@@ -208,7 +209,8 @@ def test_mc_tail_rows(pm):
 def test_mc_tail_impossible_event_censored(pm):
     d = ServiceDist.exponential(1.0)
     regimes = [ScalingRegime(n=10, rule=("power", 0.25), beta=0.5)]
-    rows = mc_tail(_traces_by_n(pm, d, regimes, reps=10, seed=5, horizon=1.0), {"kind": "terminal", "t": 0.5, "a": 1e9})
+    rows = mc_tail(_hits_by_regime(pm, d, regimes, reps=10, seed=5, horizon=1.0,
+                                   event={"kind": "terminal", "t": 0.5, "a": 1e9}))
     assert rows[0].censored
 
 
@@ -230,6 +232,7 @@ def test_mc_tail_sup_matches_list_max():
             n=10, b=1.5, q0_count=q0_count, horizon=2.0,
             arrival_times=np.empty(0), tau_hat=np.empty(0), eta=np.empty(0), eta0=np.empty(0),
             event_times=np.array([0.5, 1.0, 1.5]), q_values=np.array([13, 12, 15]),
+            event_types=np.empty(0, dtype=np.int8), event_ids=np.empty(0, dtype=np.int64),
         )
 
     traces = [trace(14), trace(11)]
@@ -242,7 +245,7 @@ def test_mc_tail_sup_matches_list_max():
         (2.0, 5 / scale),  # hit only by the event at 1.5
         (2.0, 6 / scale),
     ]
-    hits = [mc_tail({10: traces}, {"kind": "sup", "t": t, "a": a})[0].hits for t, a in cases]
+    hits = [sum(tail_hit(tr, {"kind": "sup", "t": t, "a": a}) for tr in traces) for t, a in cases]
     assert hits == [_old_sup_hits(traces, t, a) for t, a in cases] == [1, 2, 1, 0, 2, 0]
 
 
