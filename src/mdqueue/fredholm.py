@@ -161,10 +161,11 @@ def rate_value(p: GridPath, h: GridPath) -> float:
     return max(val, 0.0)
 
 
-def dual_value(p: GridPath, h: GridPath, pm: ModelParams, S: ShiftOperator) -> float:
+def dual_value(p: GridPath, h: GridPath, pm: ModelParams, wdot: GridPath) -> float:
     """Concave dual objective int p h - 1/2 (mu int p^2 + int (sigma p - sigma S p)^2).
 
-    S is the `assemble_kernel` operator on the grid of p; shifts beyond the
+    wdot is sigma (p - S p), the arrival control `recover_controls` gives for p,
+    S the `assemble_kernel` operator on the grid of p; shifts beyond the
     horizon use p = 0.  At the adjoint this equals the rate value by
     construction of the discrete saddle problem.
     """
@@ -172,8 +173,7 @@ def dual_value(p: GridPath, h: GridPath, pm: ModelParams, S: ShiftOperator) -> f
     pv = p.values
     lin = float(w @ (pv * h.values))
     quad_mu = pm.mu * float(w @ pv**2)
-    resid = pm.sigma * (pv - S.apply(pv))
-    return lin - 0.5 * (quad_mu + float(w @ resid**2))
+    return lin - 0.5 * (quad_mu + float(w @ wdot.values**2))
 
 
 def recover_controls(
@@ -231,8 +231,8 @@ def evaluate_rate(q: GridPath, pm: ModelParams, d: ServiceDist, n_x: int = 32) -
     S = assemble_kernel(d, q.horizon, q.n_steps)
     p, diag = solve_p(h, S, pm)
     rate = rate_value(p, h)
-    dual = dual_value(p, h, pm, S)
     controls = recover_controls(p, pm, d, S, n_x=n_x)
+    dual = dual_value(p, h, pm, controls.wdot)
     # the control energy exact in x: by x = F0(s) and x = F(s) the w0dot and
     # kdot terms are mu <p, p>_w / 2, so primal - rate = <p, op(p) - h>_w / 2
     w = p.weights()

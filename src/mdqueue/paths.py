@@ -4,6 +4,7 @@ control-to-path map, and the Kiefer / Brownian-sheet transform with its energy
 identity."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ class ModelParams:
         for v in (self.mu, self.sigma, self.beta, self.q0):
             if not np.isfinite(v):
                 raise ValueError("model parameters must be finite")
+        if not math.isfinite(self.sigma * self.sigma):
+            raise ValueError(f"sigma = {self.sigma!r} is too large: sigma^2 overflows")
 
     @property
     def q0_plus(self) -> float:
@@ -126,32 +129,101 @@ def partial_cell_weights(upper: np.ndarray, n_nodes: int, dx: float) -> np.ndarr
 
 
 @dataclass(frozen=True)
+class TridiagInverse:
+    """c M^-1 for the N x N symmetric tridiagonal M with off-diagonal e and diagonal
+    d = (d_- + d_+)/2, d_-+ = d -+ 2e, but for d + delta_1 and d + delta_N in its two
+    corners, applied in O(N log N) time with no FFT and no banded solver.  With
+    L = I + aZ, Z the lower shift, c (1 + a^2) = d and c a = e,
+    M = c L (I + beta g g^T + gamma e_N e_N^T) L^T for g = L^-1 e_1 = ((-a)^i),
+    beta = a^2 + delta_1 / c and gamma = delta_N / c, since L g = e_1 and L e_N = e_N.
+    So c M^-1 is L^-T, the Woodbury inverse of that rank-2 update of I, and L^-1.
+    L^-1 is the product of I - aZ and the I + a^k Z^k, k = 2, 4, 8, ..., exact once
+    k reaches N and cut once a^k is below 1e-17, applied as shifted slice updates."""
+
+    a: float  # in [-1, 1]
+    c: float  # M^-1 is 1/c times `solve`
+    factors: tuple  # (k, b) of L^-1 = prod (I + b Z^k)
+    g: np.ndarray  # (N,) L^-1 e_1
+    K: tuple  # (K_11, K_12, K_22) of the symmetric C (I + U^T U C)^-1, U = [g, e_N], C = diag(beta, gamma)
+
+    @classmethod
+    def of(cls, d_minus: float, d_plus: float, e: float, delta_1: float, delta_n: float, n: int) -> "TridiagInverse":
+        # the larger root of c^2 - d c + e^2 = 0, where d^2 - 4 e^2 = d_- d_+ has no
+        # cancellation: |a| <= 1, a = 0 where e underflows and |a| = 1 where d_- / d_+ does
+        c = 0.25 * (d_minus + d_plus) + 0.5 * math.sqrt(d_minus) * math.sqrt(d_plus)
+        a = e / c
+        factors, k, b = [(1, -a)], 2, a * a
+        while k < n and b >= 1e-17:
+            factors.append((k, b))
+            k, b = 2 * k, b * b
+        g = np.zeros(n)
+        g[0] = 1.0
+        for k, b in factors:  # L^-1
+            g[k:] += b * g[:-k]
+        # U^T U = [[g.g, g_N], [g_N, 1]]; I + beta g g^T + gamma e_N e_N^T is positive
+        # definite with M, so the determinant of I + U^T U C is positive
+        beta, gamma, gg, gn = a * a + delta_1 / c, delta_n / c, float(g @ g), float(g[-1])
+        det = (1.0 + gg * beta) * (1.0 + gamma) - gn * gn * beta * gamma
+        K = (beta * (1.0 + gamma) / det, -beta * gamma * gn / det, gamma * (1.0 + gg * beta) / det)
+        return cls(a, c, tuple(factors), g, K)
+
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """x <- c M^-1 x in place."""
+        for k, b in self.factors:  # L^-1
+            x[k:] += b * x[:-k]
+        t0, t1 = float(self.g @ x), float(x[-1])
+        k11, k12, k22 = self.K
+        x -= (k11 * t0 + k12 * t1) * self.g
+        x[-1] -= k12 * t0 + k22 * t1
+        for k, b in self.factors:  # L^-T
+            x[:-k] += b * x[k:]
+        return x
+
+
+@dataclass(frozen=True)
 class GramOperator:
     """G = A W^-1 A^T of the path rows t_1..t_N of `LagConstraints`, applied in
     O(N log N) time and O(N) memory.  F and F0 are nondecreasing with F(0) = 0,
     so the x integrals min(a, b) of the w0dot and kdot rows sum to the min
     kernel a_min(i, i'), a = F0 + mu cumtrap(F), which is L diag(da) L^T for L
-    the lower all-ones matrix; `min_kernel_solve` applies its inverse.  The wdot
-    rows add sigma^2 T_s W^-1 T_s^T, s = 1 - F, with T_g the `grids.LagConv` of
-    g.  `zero_mean` takes a b off each x integral, so G also loses
-    F0 F0^T + mu T_F W^-1 T_F^T."""
+    the lower all-ones matrix.  The wdot rows add sigma^2 T_s W^-1 T_s^T,
+    s = 1 - F, with T_g the `grids.LagConv` of g.  `zero_mean` takes a b off
+    each x integral, so G also loses F0 F0^T + mu T_F W^-1 T_F^T.
+
+    `precond` applies c P for P = D^T M^-1 D, D = L^-1 the backward difference and
+    M the leading order in dt of D G D^T, tridiagonal, by `TridiagInverse`.  With
+    m = mu dt and p = sigma^2 dt: D a_min D^T is diag(da), about m I.  The rows
+    of D T_s are sqrt(dt) sigma (1/2, s_1 - 1/2) on nodes (t_i, t_{i-1}), but
+    s_1/2 on t_0 in row 1, plus terms of order dt F' further back, so with W^-1
+    doubling the end nodes they give p tridiag(f/2, 1/4 + f^2, f/2), f = s_1 - 1/2,
+    but for 1/4 + s_1^2/2 and 1/2 + f^2 in its corners.  Zero mean subtracts
+    m F_1^2, half that in the first corner, by the same count on the F lag.  So PCG
+    takes a number of iterations that does not grow with sigma, also where dt F'
+    is not small.  PCG is blind to the scale c of the preconditioner, and c P r
+    has the scale of r, so that r . c P r stays in the float range where
+    sigma^2 dt is large."""
 
     da: np.ndarray  # (N,) increments of a at t_1..t_N, from a_0 = 0
     T: LagConv  # lag columns sqrt(dt) sigma s, then sqrt(dt mu) F with zero mean
     F0: np.ndarray | None  # (N,) F0 at t_1..t_N with zero mean, else None
+    tri: TridiagInverse  # c M^-1
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         x = self.T.rmatvec(np.concatenate([[0.0], v]))  # node t_0 carries no row
-        x[[0, -1]] *= 2.0  # W^-1 at unit step doubles the end rows
+        x[0] *= 2.0  # W^-1 at unit step doubles the end rows
+        x[-1] *= 2.0
         x[:, 1:] *= -1.0  # the zero-mean lag is subtracted
         out = np.cumsum(self.da * np.cumsum(v[::-1])[::-1])
         out += (self.T @ x)[1:]
         return out if self.F0 is None else out - self.F0 * (self.F0 @ v)
 
-    def min_kernel_solve(self, r: np.ndarray) -> np.ndarray:
-        z = np.diff(r, prepend=0.0) / self.da  # a_min^-1 r = L^-T diag(da)^-1 L^-1 r
-        z[:-1] -= z[1:]
-        return z
+    def precond(self, r: np.ndarray) -> np.ndarray:
+        """c P r, a new array."""
+        x = r.copy()
+        x[1:] -= r[:-1]  # D
+        self.tri.solve(x)  # c M^-1
+        x[:-1] -= x[1:]  # D^T
+        return x
 
 
 @dataclass(frozen=True)
@@ -205,7 +277,16 @@ class LagConstraints:
         cols = [self.sigma * (1.0 - self.F)] + ([np.sqrt(self.mu) * self.F] if zero_mean else [])
         lags = np.sqrt(self.dt) * np.column_stack(cols)
         a = self.F0 + self.mu * cumtrap(self.F, self.dt)
-        return GramOperator(np.diff(a[1:], prepend=0.0), LagConv.of(lags), self.F0[1:] if zero_mean else None)
+        # the tridiagonal M of `GramOperator`: diagonal m' + p (1/4 + f^2), m' = m (1 - F_1^2)
+        # with zero mean and m without, and off-diagonal p f/2, f = 1/2 - F_1, so that
+        # d -+ 2e = m' + p F_1^2, m' + p s_1^2; the corners add m F_1^2 / 2 with zero mean,
+        # p (1 - 2 F_1^2) / 4 and p / 4
+        m, p, F1, s1 = self.mu * self.dt, self.sigma * self.sigma * self.dt, self.F[1], 1.0 - self.F[1]
+        m_diag = m * (1.0 - F1 * F1) if zero_mean else m
+        delta_1 = (0.5 * m * F1 * F1 if zero_mean else 0.0) + 0.25 * p * (1.0 - 2.0 * F1 * F1)
+        tri = TridiagInverse.of(m_diag + p * F1 * F1, m_diag + p * s1 * s1, 0.25 * p * (s1 - F1), delta_1, 0.25 * p,
+                                len(a) - 1)
+        return GramOperator(np.diff(a[1:], prepend=0.0), LagConv.of(lags), self.F0[1:] if zero_mean else None, tri)
 
 
 def forward_q(c: ControlSet, pm: ModelParams, d: ServiceDist) -> GridPath:

@@ -1,6 +1,7 @@
 """Dense references for the matrix-free Fredholm operator of `mdqueue.fredholm`,
 for the oracle's matrix-free Gram and for the prefix-trapezoid weights of
-`grids.conv_trap`; for `mdqueue.sim`, the one-customer-at-a-time start-time
+`grids.conv_trap`; the oracle's solve with its earlier min-kernel
+preconditioner; for `mdqueue.sim`, the one-customer-at-a-time start-time
 recursion, the node-at-a-time Theta recursion and the stable event sort; and
 the row-at-a-time `repr` CSV writers that are the byte reference for
 `grids.write_csv` and the artifacts written through it."""
@@ -9,7 +10,7 @@ import heapq
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from mdqueue.fredholm import shift_matrix
+from mdqueue.fredholm import _cg, shift_matrix
 from mdqueue.grids import trap_weights
 
 _GAUSS_ORDER = 40  # Gauss-Legendre nodes of the inner integral in kernel_matrix
@@ -135,6 +136,25 @@ def lag_gram(A, zero_mean):
     if zero_mean:
         G -= np.multiply.outer(F0, F0, out=K)
     return G
+
+
+def min_kernel_min_norm(sys_, zero_mean):
+    """The oracle's value lam . (r + res) / 2 for G lam = r, G the `gram_operator(zero_mean)`
+    Gram of the QP `sys_`, by CG preconditioned with the inverse of G's min kernel
+    L diag(da) L^T alone, L the lower all-ones matrix, to the oracle's stop rule:
+    its iteration count grows with sigma, about 400 at sigma = 100.  Returns the value
+    and the iterations."""
+    G = sys_.A.gram_operator(zero_mean)
+    r_norm = float(np.linalg.norm(sys_.r)) or 1.0
+
+    def min_kernel_solve(r):  # L^-T diag(da)^-1 L^-1 r
+        z = np.diff(r, prepend=0.0) / G.da
+        z[:-1] -= z[1:]
+        return z
+
+    lam, res, iters = _cg(G.__matmul__, sys_.r, lambda u, v: float(u @ v), min_kernel_solve,
+                          lambda r: float(np.linalg.norm(r)) / r_norm <= 1e-12, 2 * len(sys_.r) + 200)
+    return 0.5 * float(lam @ (sys_.r + res)), iters
 
 
 def heap_start_times(free, entries, horizon, draw):

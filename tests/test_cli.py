@@ -421,22 +421,38 @@ NAN, INF = float("nan"), float("inf")
         {"command": "dist-info", "dist": {"family": "exponential", "rate": [1.0]}},
         {"command": "dist-info", "dist": {"family": "hyperexponential", "weights": [0.2, 0.8], "rates": [[0.4], [1.6]]}},
         {"command": "dist-info", "dist": {"family": "exponential", "rate": 10**400}},
+        dict(BASE, command="rate", io={"q_csv": "q.csv"}, model=dict(BASE["model"], sigma=1e155)),
+        dict(BASE, command="oracle-check", io={"q_csv": "q.csv"}, model=dict(BASE["model"], sigma=1e155)),
     ],
     ids=["fredholm-tol-inf", "fredholm-tol-negative", "tolerances-block", "sim-horizon-inf", "rate-inf", "rate-nan", "grid-horizon-inf",
          "hyperexp-weight-nan", "hyperexp-rate-nan", "erlang-mean-inf", "event-a-nan", "q_csv-not-a-name",
-         "rate-str", "rate-bool", "hyperexp-weights-str", "rate-list", "hyperexp-rates-nested", "rate-int-past-float"],
+         "rate-str", "rate-bool", "hyperexp-weights-str", "rate-list", "hyperexp-rates-nested", "rate-int-past-float",
+         "rate-sigma-square-inf", "oracle-sigma-square-inf"],
 )
 def test_invalid_value_exit_2_no_outputs(tmp_path, capsys, payload):
     # json.loads reads NaN and +-Infinity; each is a config error, as are a
     # tolerances block (the solvers' stop rules are fixed), a law whose mean
-    # overflows, a file name that is not a string, and a law parameter that is
-    # a string, a bool, a list where a number goes or an integer past the float range
+    # overflows, a file name that is not a string, a law parameter that is
+    # a string, a bool, a list where a number goes or an integer past the float
+    # range, and a sigma whose square overflows
     _write_q(tmp_path / "q.csv")
     cfg = _cfg(tmp_path, "c.json", payload)
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rate", "oracle-check"])
+def test_sigma_square_underflow_exit_0(tmp_path, command):
+    # sigma^2 dt = 1e-322 is subnormal, and so is a: the oracle's preconditioner is,
+    # to round-off, the diagonal one of the min kernel alone
+    _write_q(tmp_path / "q.csv")
+    cfg = _cfg(tmp_path, "c.json", dict(BASE, command=command, io={"q_csv": "q.csv"},
+                                        model=dict(BASE["model"], sigma=1e-160)))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "summary.json").read_text())["status"] == "ok"
 
 
 @pytest.mark.parametrize("amplitude, beta, rate", [(1.0, 0.5, 0.11569), (0.01, 0.0, 5.1363e-6)])
@@ -505,6 +521,25 @@ def test_oracle_pcg_cap_exit_1_with_summary(tmp_path, monkeypatch):
     s = json.loads((out / "summary.json").read_text())
     assert s["status"] == "numerical-failure"
     assert s["error"].startswith("FredholmError: oracle PCG: relative residual")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_oracle_pcg_stops_at_once_on_nan(tmp_path):
+    # at dt = 2.5, sigma^2 dt overflows the Gram while the adjoint still converges:
+    # the oracle PCG meets a NaN residual in its first iterations and stops there,
+    # where it used to run all 2N + 200 = 1000
+    import re
+
+    t = np.linspace(0.0, 1000.0, 401)
+    GridPath(1000.0, 0.3 * np.sin(np.pi * t / 1000.0)).to_csv(tmp_path / "q.csv")
+    cfg = _cfg(tmp_path, "c.json", dict(BASE, command="oracle-check", model={"sigma": 1e154, "beta": 0.0, "q0": 0.0},
+                                        grid={"horizon": 1000.0, "n_steps": 400, "n_x": 32}, io={"q_csv": "q.csv"}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    s = json.loads((out / "summary.json").read_text())
+    assert s["status"] == "numerical-failure"
+    iters = re.fullmatch(r"FredholmError: oracle PCG: relative residual nan after (\d+) iterations", s["error"])
+    assert iters and int(iters.group(1)) <= 5, s["error"]
 
 
 def test_unsettled_start_times_exit_1_with_summary(tmp_path, monkeypatch):

@@ -194,7 +194,8 @@ def test_dual_at_perturbed_point_is_lower(pm_std, exp1, q_quad):
     rng = np.random.default_rng(3)
     for _ in range(3):
         pert = GridPath(HORIZON, res.adjoint.values + 0.05 * rng.standard_normal(len(h.values)))
-        assert dual_value(pert, h, pm_std, S) <= res.dual + 1e-12
+        wdot = recover_controls(pert, pm_std, exp1, S).wdot
+        assert dual_value(pert, h, pm_std, wdot) <= res.dual + 1e-12
 
 
 def test_lln_path_zero_rate(exp1):

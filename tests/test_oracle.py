@@ -14,9 +14,10 @@ from mdqueue import (
 )
 
 from mdqueue.oracle import LagConstraints
+from mdqueue.paths import TridiagInverse
 
 from conftest import HORIZON, battery_cases
-from reference import continuum_gram, lag_gram
+from reference import continuum_gram, lag_gram, min_kernel_min_norm
 
 LAWS = [
     ServiceDist.exponential(1.0),
@@ -136,7 +137,6 @@ def test_min_norm_matches_bordered_solve(d, n_steps, zero_mean):
 @pytest.mark.parametrize("sigma", [0.05, 1.0, 3.0, 10.0, 100.0])
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 def test_pcg_matches_cholesky_of_reference_gram(d, sigma, n_steps, zero_mean):
-    # the iteration count grows with sigma, past n_steps at sigma = 100
     from scipy.linalg import cho_factor, cho_solve
 
     pm = ModelParams(d.mu, sigma, 0.5, 0.0)
@@ -146,6 +146,93 @@ def test_pcg_matches_cholesky_of_reference_gram(d, sigma, n_steps, zero_mean):
     val, diag = solve_min_norm(sys_, zero_mean)
     assert diag["residual"] <= 1e-12
     assert abs(val - val_ref) <= 1e-12 * val_ref
+
+
+PCG_ITERATIONS = 12  # at most 10 were run over the grid of test_pcg_matches_min_kernel_route
+MIN_KERNEL_CASES = [(n, sigma) for n in (400, 1600) for sigma in (0.05, 1.0, 3.0, 10.0, 100.0)] + [
+    (10_000, sigma) for sigma in (0.05, 1.0, 3.0)]
+
+
+@pytest.mark.parametrize("n_steps, sigma", MIN_KERNEL_CASES, ids=[f"N{n}-s{s:g}" for n, s in MIN_KERNEL_CASES])
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_pcg_matches_min_kernel_route(d, n_steps, sigma):
+    # the earlier preconditioner inverted only the min kernel and took up to 483
+    # iterations here; the tridiagonal one takes a count that does not grow with sigma
+    pm = ModelParams(d.mu, sigma, 0.5, 0.0)
+    t = np.linspace(0.0, HORIZON, n_steps + 1)
+    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d)
+    for zero_mean in (False, True):
+        val, diag = solve_min_norm(sys_, zero_mean)
+        val_ref, _ = min_kernel_min_norm(sys_, zero_mean)
+        assert abs(val - val_ref) <= 1e-12 * val_ref
+        assert diag["iterations"] <= PCG_ITERATIONS
+
+
+def _dense_tridiag(d_minus, d_plus, e, delta_1, delta_n, n):
+    M = np.diag(np.full(n, 0.5 * (d_minus + d_plus))) + e * (np.eye(n, k=1) + np.eye(n, k=-1))
+    M[0, 0] += delta_1
+    M[-1, -1] += delta_n
+    return M
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+@pytest.mark.parametrize("coeffs, a", [
+    ((1.0, 1.0, 0.0, 0.0, 0.0), 0.0),  # e = 0: the diagonal m I
+    ((1.0, 3.0, 0.5, 0.5, 0.5), None),  # fine grid, a in (0, 1)
+    ((1e-40, 1.0, 0.25, 0.25, 0.25), 1.0),  # d_- / d_+ below round-off: a rounds to 1
+    ((2.0, 0.5, -0.375, -0.1, 0.25), None),  # coarse grid, a in (-1, 0), a negative corner term
+], ids=["a0", "a-mid", "a1", "a-negative"])
+def test_tridiag_inverse_matches_dense(coeffs, a, n):
+    tri = TridiagInverse.of(*coeffs, n=n)
+    if a is not None:
+        assert abs(tri.a - a) <= 1e-15
+    x = np.random.default_rng(n).standard_normal(n)
+    ref = np.linalg.solve(_dense_tridiag(*coeffs, n), x)
+    assert np.max(np.abs(tri.solve(x.copy()) / tri.c - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("zero_mean", [False, True], ids=["flags-off", "flags-on"])
+@pytest.mark.parametrize("d, sigma, horizon, a", [
+    (ServiceDist.exponential(1.0), 1e-170, HORIZON, 0.0),  # sigma^2 underflows
+    (ServiceDist.exponential(1.0), 1.0, HORIZON, None),
+    (ServiceDist.erlang(20, 20.0), 1e20, 0.1, 1.0),  # F_1 and m / p below round-off
+    (ServiceDist.exponential(1.0), 3.0, 80.0, None),  # dt F'(0) = 2: a < 0
+], ids=["a0", "a-mid", "a1", "coarse"])
+@pytest.mark.parametrize("n_steps", [2, 7, 40])
+def test_precond_is_leading_tridiagonal_of_differenced_gram(d, sigma, horizon, a, n_steps, zero_mean):
+    # c^-1 precond is D^T M^-1 D, D the backward difference and M, from the first
+    # two lags alone, m I + p R W^-1 R^T, less m R_F W^-1 R_F^T with zero mean
+    A = LagConstraints.from_law(ModelParams(d.mu, sigma, 0.0, 0.0), d, horizon, n_steps)
+    G = A.gram_operator(zero_mean)
+    if a is not None:
+        assert abs(G.tri.a - a) <= 1e-15
+    n, m, p, F1 = n_steps, A.mu * A.dt, A.sigma * A.sigma * A.dt, A.F[1]
+    R, R_F = np.zeros((n, n + 1)), np.zeros((n, n + 1))  # row i - 1 for t_i, column j for t_j
+    R[0, 0], R_F[0, 0] = 0.5 * (1.0 - F1), 0.5 * F1
+    for i in range(1, n + 1):
+        R[i - 1, i] = 0.5
+        if i >= 2:
+            R[i - 1, i - 1], R_F[i - 1, i - 1] = 0.5 - F1, F1
+    w_inv = np.ones(n + 1)
+    w_inv[[0, -1]] = 2.0
+    M = m * np.eye(n) + p * (R * w_inv) @ R.T - (m * (R_F * w_inv) @ R_F.T if zero_mean else 0.0)
+    D = np.eye(n) - np.eye(n, k=-1)
+    r = np.random.default_rng(n).standard_normal(n)
+    ref = D.T @ np.linalg.solve(M, D @ r)
+    assert np.max(np.abs(G.precond(r) / G.tri.c - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100, 1e-150, 1e-160])
+def test_value_scales_with_the_path(exp1, scale):
+    # with beta = q0 = 0 the defect is homogeneous in q, so the value is scale^2
+    # times that of q; CG runs on r / |r|, so r . z neither overflows nor underflows
+    # (at scale 1e-160 it used to underflow to 0 and divide by it); 1e-322 covers
+    # the subnormal spacing of a value near 6e-321
+    pm = ModelParams(1.0, 1.0, 0.0, 0.0)
+    t = np.linspace(0.0, HORIZON, 201)
+    val, _ = solve_min_norm(build_qp(GridPath(HORIZON, t * (2.0 - t)), pm, exp1))
+    scaled, _ = solve_min_norm(build_qp(GridPath(HORIZON, scale * t * (2.0 - t)), pm, exp1))
+    assert abs(scaled - scale * scale * val) <= 1e-12 * scale * scale * val + 1e-322
 
 
 def test_pcg_reports_iterations(pm_std, exp1, q_quad, caplog):
