@@ -22,7 +22,7 @@ from .dist import ServiceDist
 from .fredholm import FredholmError, assemble_kernel, evaluate_rate, forcing, rate_value, solve_p
 from .grids import GridField2D, GridPath, float_strs, write_csv
 from .oracle import build_qp, solve_min_norm
-from .paths import ModelParams, energy, forward_q, kiefer_energy, kiefer_from_sheet
+from .paths import ModelParams, defect, energy, forward_q, kiefer_energy, kiefer_from_sheet
 from .renewal import RenewalConvergenceError
 from .sim import (LLN_PERCENTILE, ScalingRegime, SimulationError, decomposition, flow_balance_residuals, lln_check,
                   lln_sup_stat, mc_tail, replications, tail_hit)
@@ -95,7 +95,13 @@ def _load_csv(io: dict, key: str, cfg_dir: Path, cls):
 def _table_csv(path: Path, header: str, columns: list) -> None:
     """A small CSV from whole columns: float columns as repr strings, any other by str."""
     columns = [float_strs(c) if all(isinstance(v, float) for v in c) else list(map(str, c)) for c in columns]
-    write_csv(path, header, len(columns[0]), lambda lo, hi: [c[lo:hi] for c in columns])
+
+    def pieces(lo, hi):  # the columns' rows lo..hi-1 with a comma between columns
+        row = [","] * (2 * len(columns) - 1)
+        row[::2] = [c[lo:hi] for c in columns]
+        return row
+
+    write_csv(path, header, len(columns[0]), pieces)
 
 
 def _sim_settings(s: dict, beta: float) -> dict:
@@ -255,10 +261,11 @@ def cmd_controls(run: Run, out: Path) -> dict:
 
 def cmd_oracle_check(run: Run, out: Path) -> dict:
     q = run.q_path
-    h = forcing(q, run.model, run.dist)  # the adjoint route only as far as the rate
+    r = defect(q, run.model, run.dist)  # the constraint right side, and the forcing's antiderivative
+    h = forcing(q, run.model, run.dist, r)  # the adjoint route only as far as the rate
     p, _ = solve_p(h, assemble_kernel(run.dist, q.horizon, q.n_steps), run.model)
     rate = rate_value(p, h)
-    qp = build_qp(q, run.model, run.dist)
+    qp = build_qp(q, run.model, run.dist, r)
     val_off, diag_off = solve_min_norm(qp)
     val_on, diag_on = solve_min_norm(qp, zero_mean=True)
     summary = {
@@ -279,7 +286,7 @@ def cmd_oracle_check(run: Run, out: Path) -> dict:
 
 
 def _trace_csv(trace, path: Path) -> None:
-    names = np.array(["arrival", "departure"], dtype=object)
+    names = np.array([",arrival,", ",departure,"], dtype=object)  # with the separators on both sides
     write_csv(path, "time,type,customer", len(trace.event_times), lambda lo, hi: (
         float_strs(trace.event_times[lo:hi]), names[trace.event_types[lo:hi]].tolist(),
         float_strs(trace.event_ids[lo:hi])))

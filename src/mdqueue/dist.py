@@ -153,9 +153,14 @@ class ServiceDist:
         return _mix(self.weights, self._erlang_cdfs(_check_nonneg(x))[-1])
 
     def pdf(self, x):
+        """sum_i w_i lam_i e^{-y} y^{k-1} / (k-1)!, y = lam_i x, the Poisson term from its
+        log, so that neither the power nor the factorial overflows at a large shape."""
         y = np.multiply.outer(self.rates, _check_nonneg(x))
         k = self.shape
-        return _mix(self.weights * self.rates, np.exp(-y) * y ** (k - 1) / math.factorial(k - 1))
+        if k == 1:
+            return _mix(self.weights * self.rates, np.exp(-y))
+        with np.errstate(divide="ignore"):  # log 0 = -inf: the density is 0 at x = 0
+            return _mix(self.weights * self.rates, np.exp(-y + (k - 1) * np.log(y) - math.lgamma(k)))
 
     def survival(self, x):
         return 1.0 - self.cdf(x)
@@ -206,8 +211,9 @@ class ServiceDist:
             ha = np.where(above, xa, ha)
             la = np.where(above, la, xa)
             d = dfn(xa)
+            # a zero, infinite or NaN derivative takes the bisection step
             with np.errstate(divide="ignore", invalid="ignore"):
-                x_new = xa - np.where(d > 0, fx / d, np.inf)
+                x_new = xa - np.where((d > 0) & (d < np.inf), fx / d, np.inf)
             # a converged Newton step stands even when round-off puts it on the bracket
             keep = ((la < x_new) & (x_new < ha)) | (np.abs(x_new - xa) < _INV_TOL)
             x_new = np.where(keep, x_new, 0.5 * (la + ha))

@@ -3,6 +3,7 @@ matrix-free conjugate-gradient solve, dual value, and recovery of the optimal
 controls."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,11 +47,12 @@ def path_derivative(q: GridPath) -> np.ndarray:
     return dq
 
 
-def forcing(q: GridPath, pm: ModelParams, d: ServiceDist) -> GridPath:
-    """h = r' for the defect r of `paths.defect`, the constraint right side of
-    the oracle; in the continuum h(t) = qdot(t) - int_0^t (q^+)'(s) F'(t-s) ds
-    + (beta - q0^-) F0'(t)."""
-    return GridPath(q.horizon, path_derivative(GridPath(q.horizon, defect(q, pm, d))))
+def forcing(q: GridPath, pm: ModelParams, d: ServiceDist, r: np.ndarray | None = None) -> GridPath:
+    """h = r' for the defect r of `paths.defect` (computed unless given), the
+    constraint right side of the oracle; in the continuum h(t) = qdot(t) -
+    int_0^t (q^+)'(s) F'(t-s) ds + (beta - q0^-) F0'(t)."""
+    r = defect(q, pm, d) if r is None else r
+    return GridPath(q.horizon, path_derivative(GridPath(q.horizon, r)))
 
 
 def shift_matrix(d: ServiceDist, T: float, n_steps: int) -> np.ndarray:
@@ -136,16 +138,23 @@ def solve_p(h: GridPath, S: ShiftOperator, pm: ModelParams) -> tuple[GridPath, d
     above max(that, 1e-8) is a hard error.
     """
     w = S.weights
-    hv = h.values
-    target = _CG_TOL * float(np.max(np.abs(hv)))
+    h_max = float(np.max(np.abs(h.values)))
+    target = _CG_TOL * h_max
+    # CG runs on h 2^e with |h 2^e|_inf in [1/2, 1), or smaller by the factor that keeps the
+    # operator's coefficients times it below 2^1000, so that its inner products do not
+    # underflow for a tiny forcing nor the operator overflow at a huge sigma; a power of
+    # two scales every operation exactly
+    e = -math.frexp(h_max)[1] - max(0, math.frexp(max(pm.mu, pm.sigma * pm.sigma))[1] - 1000)
+    hv = np.ldexp(h.values, e)
 
     def op(v):
         u = v - S.apply(v)
         return pm.mu * v + pm.sigma**2 * (u - S.adjoint(u))
 
     p, _, iters = _cg(op, hv, lambda u, v: float(w @ (u * v)), np.copy,
-                      lambda r: not np.max(np.abs(r)) > target, _CG_MAX_ITER)
-    res = float(np.max(np.abs(op(p) - hv)))
+                      lambda r: not np.max(np.abs(r)) > math.ldexp(target, e), _CG_MAX_ITER)
+    res = math.ldexp(float(np.max(np.abs(op(p) - hv))), -e)
+    p = np.ldexp(p, -e)
     if not res <= max(target, 1e-8):
         raise FredholmError(f"adjoint residual {res:.3e} exceeds tolerance (method=cg, iters={iters})")
     diag = {"method": "cg", "iterations": iters, "residual": res}

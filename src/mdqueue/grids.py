@@ -44,13 +44,22 @@ def float_strs(values) -> list:
     return strs
 
 
-def write_csv(path, header: str, n_rows: int, columns, newline: str = "\n") -> None:
-    """Write the header line and n_rows rows, BLOCK_ROWS at a time; columns(lo, hi)
-    returns the string columns of rows lo..hi-1.  Logs the file's rows and bytes."""
+def write_csv(path, header: str, n_rows: int, pieces, newline: str = "\n") -> None:
+    """Write the header line and n_rows rows, BLOCK_ROWS at a time.  pieces(lo, hi)
+    returns the pieces of rows lo..hi-1 in row order, each a list with one string
+    per row or one string for every row; a row is its pieces joined, then the
+    newline, and a block is one join over the flat list of its rows' pieces.
+    Logs the file's rows and bytes."""
     with open(path, "w", newline="") as fh:
         n_bytes = fh.write(header + newline)
         for lo in range(0, n_rows, BLOCK_ROWS):
-            n_bytes += fh.write(newline.join(map(",".join, zip(*columns(lo, min(lo + BLOCK_ROWS, n_rows))))) + newline)
+            m = min(BLOCK_ROWS, n_rows - lo)
+            columns = pieces(lo, lo + m)
+            k = len(columns) + 1  # pieces per row, the newline last
+            flat = [newline] * (k * m)
+            for j, c in enumerate(columns):
+                flat[j::k] = [c] * m if isinstance(c, str) else c
+            n_bytes += fh.write("".join(flat))
     log.info("%s: %d rows, %d bytes", os.path.basename(path), n_rows, n_bytes)
 
 
@@ -183,7 +192,7 @@ class GridPath:
 
     def to_csv(self, path) -> None:
         t, v = self.times, self.values
-        write_csv(path, "t,value", len(v), lambda lo, hi: (float_strs(t[lo:hi]), float_strs(v[lo:hi])), "\r\n")
+        write_csv(path, "t,value", len(v), lambda lo, hi: (float_strs(t[lo:hi]), ",", float_strs(v[lo:hi])), "\r\n")
 
     @classmethod
     def from_csv(cls, path) -> "GridPath":
@@ -231,7 +240,8 @@ class GridField2D:
         return float(wx @ (self.values**2) @ wt)
 
     def to_csv(self, path) -> None:
-        xs, ts = (np.array(float_strs(g), dtype=object) for g in (self.x_grid, self.t_grid))
+        # each x and t string carries the separator that follows it
+        xs, ts = (np.array([x + "," for x in float_strs(g)], dtype=object) for g in (self.x_grid, self.t_grid))
 
         def columns(lo, hi):  # rows in t-major order: row r holds node divmod(r, M + 1) = (it, ix)
             it, ix = np.divmod(np.arange(lo, hi), self.values.shape[0])

@@ -26,10 +26,11 @@ class QPSystem:
     r: np.ndarray
 
 
-def build_qp(q: GridPath, pm: ModelParams, d: ServiceDist) -> QPSystem:
-    """Assemble the affine constraints A u = r, whose residual
-    at u is the pointwise defect of the path equation (affine in u given q)."""
-    r_full = defect(q, pm, d)
+def build_qp(q: GridPath, pm: ModelParams, d: ServiceDist, r: np.ndarray | None = None) -> QPSystem:
+    """Assemble the affine constraints A u = r, whose residual at u is the
+    pointwise defect of the path equation (affine in u given q); r is the
+    `paths.defect` of q, computed unless given."""
+    r_full = defect(q, pm, d) if r is None else r
     if not abs(r_full[0]) < 1e-9:
         raise FredholmError(f"t = 0 constraint row is not trivial: residual {r_full[0]!r}")
     # the trivial t = 0 row is dropped

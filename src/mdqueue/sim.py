@@ -2,6 +2,8 @@
 law-of-large-numbers and Monte Carlo tail diagnostics."""
 from __future__ import annotations
 
+import bisect
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -97,7 +99,9 @@ class ScalingRegime:
 
 @dataclass(frozen=True)
 class QueueTrace:
-    """Event-level record of one simulated GI/GI/n path."""
+    """One simulated GI/GI/n path: its arrivals, service starts and services.  The
+    event list (event_times, q_values, event_types, event_ids) is built from them,
+    once, the first time any of it is read."""
 
     n: int
     b: float
@@ -107,10 +111,59 @@ class QueueTrace:
     tau_hat: np.ndarray  # service-start times after 0, nondecreasing
     eta: np.ndarray  # matched service durations for tau_hat
     eta0: np.ndarray  # residual durations of initially in-service customers
-    event_times: np.ndarray  # all state-change times, increasing
-    q_values: np.ndarray  # Q_n right after each event (integers)
-    event_types: np.ndarray  # 0 = arrival, 1 = departure
-    event_ids: np.ndarray  # customer index, in order of system entry
+
+    @functools.cached_property
+    def _events(self) -> tuple:
+        """(times, q_values, types, ids) of every arrival and every departure up to the
+        horizon, sorted by time; ties go arrivals first, then by customer index (they
+        occur with probability zero but must be deterministic)."""
+        arrivals, in_service = self.arrival_times, len(self.eta0)
+        dep = self.tau_hat + self.eta
+        keep0 = self.eta0 <= self.horizon
+        keep = dep <= self.horizon
+        times = np.concatenate([arrivals, self.eta0[keep0], dep[keep]])
+        types = np.repeat(np.array([0, 1], dtype=np.int8), [len(arrivals), len(times) - len(arrivals)])
+        ids = np.concatenate([
+            self.q0_count + np.arange(len(arrivals)),
+            np.flatnonzero(keep0),
+            in_service + np.flatnonzero(keep),
+        ]).astype(np.int64, copy=False)
+        # distinct times have one sorting permutation, so the default (SIMD) sort
+        # gives it; on a tie the stable sort of this (type, id)-ordered
+        # concatenation breaks it arrivals first, then by customer index
+        order = np.argsort(times)
+        event_times = times[order]
+        if np.any(event_times[1:] == event_times[:-1]):
+            log.debug("tied event times: stable sort")
+            order = np.argsort(times, kind="stable")
+            event_times = times[order]
+        # each input is dropped once gathered, so that at most one spare copy is alive
+        del times
+        ids, types = ids[order], types[order]
+        del order
+        q_values = np.cumsum(1 - 2 * types, dtype=np.int64)
+        q_values += self.q0_count
+        return event_times, q_values, types, ids
+
+    @property
+    def event_times(self) -> np.ndarray:
+        """All state-change times, increasing."""
+        return self._events[0]
+
+    @property
+    def q_values(self) -> np.ndarray:
+        """Q_n right after each event (integers)."""
+        return self._events[1]
+
+    @property
+    def event_types(self) -> np.ndarray:
+        """0 = arrival, 1 = departure."""
+        return self._events[2]
+
+    @property
+    def event_ids(self) -> np.ndarray:
+        """Customer index, in order of system entry."""
+        return self._events[3]
 
     def q_at(self, t) -> np.ndarray:
         """Right-continuous Q_n(t)."""
@@ -121,9 +174,6 @@ class QueueTrace:
 
     def arrivals_by(self, t) -> np.ndarray:
         return np.searchsorted(self.arrival_times, np.asarray(t, dtype=float), side="right")
-
-    def starts_by(self, t) -> np.ndarray:
-        return np.searchsorted(self.tau_hat, np.asarray(t, dtype=float), side="right")
 
 
 def spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
@@ -139,10 +189,11 @@ def _interarrivals(rng: np.random.Generator, lam: float, count: int, family: str
     raise ValueError(f"unsupported interarrival family {family!r}")
 
 
-def _start_times(free: np.ndarray, entries: np.ndarray, horizon: float, draw) -> tuple[np.ndarray, np.ndarray]:
+def _start_times(free: np.ndarray, entries: np.ndarray, horizon: float,
+                 services: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start times by the horizon and their services, for n = len(free) servers
-    free at `free` and customers entering at `entries`; draw() returns the next
-    256 services.  By Kiefer-Wolfowitz, customer k starts at s_k = max(e_k, m_k),
+    free at `free` and customers entering at `entries`, customer k served for
+    services[k].  By Kiefer-Wolfowitz, customer k starts at s_k = max(e_k, m_k),
     m_k the k-th smallest of the free times and the departures s_j + eta_j,
     j < k.  No later departure is below m_k (d_j >= s_j >= s_k >= m_k), so
     the starts of a window of w customers are the fixed point of s = max(e, the
@@ -153,15 +204,11 @@ def _start_times(free: np.ndarray, entries: np.ndarray, horizon: float, draw) ->
     window = max(256, 4 * len(free))
     # a free time or departure after the horizon can never serve a start by it
     free = np.sort(free[free <= horizon])
-    services = np.empty(-(-len(entries) // 256) * 256)
     tau_hat = np.empty(len(entries))
-    k = drawn = 0
+    k = 0
     while k < len(entries):
         e = entries[k:k + window]
         w, f = len(e), len(free)
-        while drawn < k + w:
-            services[drawn:drawn + 256] = draw()
-            drawn += 256
         eta = services[k:k + w]
         # the upper bound max(e, free[:w]), inf past the last free time
         s = np.full(w, np.inf)
@@ -203,13 +250,12 @@ def simulate(
     customers carry residual times from F0, everyone entering service after 0
     draws from F.  Customers in order of system entry (the initial queue at
     time 0, then arrivals) start at max(entry, earliest free server), solved a
-    window of max(256, 4n) customers at a time.  Event ties are broken
-    arrivals-first, then by customer index (they occur with probability zero
-    but must be deterministic).
+    window of max(256, 4n) customers at a time.  No event is sorted here: the
+    trace builds its event list when it is first read.
 
-    rng draws eta0, the arrivals past the horizon, then each window's services
-    in blocks of 256, so it may end up to one window of draws past the started
-    customers' services: do not read it after the call.
+    rng draws eta0, then the arrivals past the horizon, then one service per
+    entering customer in one call, in order of entry; a customer who does not
+    start by the horizon leaves its service unread.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -232,45 +278,9 @@ def simulate(
     # customers in order of system entry: the initial queue at time 0, then arrivals
     entries = np.concatenate([np.zeros(q0_count - in_service), arrivals])
     free = np.concatenate([eta0, np.zeros(n - in_service)])
-    tau_hat, eta = _start_times(free, entries, horizon, lambda: d.sample(rng, size=256))
-
-    # events: every arrival and every departure up to the horizon
-    dep = tau_hat + eta
-    keep0 = eta0 <= horizon
-    keep = dep <= horizon
-    times = np.concatenate([arrivals, eta0[keep0], dep[keep]])
-    types = np.repeat(np.array([0, 1], dtype=np.int8), [len(arrivals), len(times) - len(arrivals)])
-    ids = np.concatenate([
-        q0_count + np.arange(len(arrivals)),
-        np.flatnonzero(keep0),
-        in_service + np.flatnonzero(keep),
-    ]).astype(np.int64)
-    # distinct times have one sorting permutation, so the default (SIMD) sort
-    # gives it; on a tie the stable sort of this (type, id)-ordered
-    # concatenation breaks it arrivals first, then by customer index
-    order = np.argsort(times)
-    event_times = times[order]
-    if np.any(event_times[1:] == event_times[:-1]):
-        log.debug("tied event times: stable sort")
-        order = np.argsort(times, kind="stable")
-        event_times = times[order]
-    types = types[order]
-    q_values = q0_count + np.cumsum(1 - 2 * types.astype(np.int64))
-
-    return QueueTrace(
-        n=n,
-        b=sr.b,
-        q0_count=q0_count,
-        horizon=horizon,
-        arrival_times=arrivals,
-        tau_hat=tau_hat,
-        eta=eta,
-        eta0=eta0,
-        event_times=event_times,
-        q_values=q_values,
-        event_types=types,
-        event_ids=ids[order],
-    )
+    tau_hat, eta = _start_times(free, entries, horizon, d.sample(rng, size=len(entries)))
+    return QueueTrace(n=n, b=sr.b, q0_count=q0_count, horizon=horizon,
+                      arrival_times=arrivals, tau_hat=tau_hat, eta=eta, eta0=eta0)
 
 
 def replications(
@@ -297,14 +307,16 @@ def replications(
 
 def flow_balance_residuals(trace: QueueTrace) -> np.ndarray:
     """(Q(t)-n)^+ + Ahat(t) - (Q(0)-n)^+ - A(t) at every event time, exact integers."""
-    if len(trace.event_times) == 0:
-        return np.zeros(0, dtype=np.int64)
     t = trace.event_times
-    qp = np.maximum(trace.q_values - trace.n, 0)
-    ahat = trace.starts_by(t).astype(np.int64)
-    a = trace.arrivals_by(t).astype(np.int64)
-    q0p = max(trace.q0_count - trace.n, 0)
-    return qp + ahat - q0p - a
+
+    def counts(times):  # the times counted at each event: a time counts from the first event at or after it
+        return np.bincount(np.searchsorted(t, times, side="left"), minlength=len(t) + 1)[:len(t)]
+
+    # Ahat(t_k) - A(t_k), the starts less the arrivals counted up to event k, updated in place
+    res = np.cumsum(counts(trace.tau_hat) - counts(trace.arrival_times))
+    res += np.maximum(trace.q_values - trace.n, 0)
+    res -= max(trace.q0_count - trace.n, 0)
+    return res
 
 
 @dataclass(frozen=True)
@@ -447,16 +459,31 @@ class TailRow:
 
 def tail_hit(trace: QueueTrace, event: dict) -> bool:
     """Whether (Q_n - n) / (b_n sqrt(n)) reaches a at time t for event {"kind": "terminal",
-    "t": t, "a": a}, or anywhere on [0, t] for kind "sup"."""
+    "t": t, "a": a}, or anywhere on [0, t] for kind "sup".  Q_n is counted from the
+    arrivals and departures by t, without the event list."""
     kind, t_ev, a = event["kind"], float(event["t"]), float(event["a"])
+    if kind not in ("terminal", "sup"):
+        raise ValueError(f"unknown event kind {kind!r}")
     scale = trace.b * math.sqrt(trace.n)
+
+    def reaches(q: int) -> bool:  # monotone in q
+        return (q - trace.n) / scale >= a
+
+    q0 = trace.q0_count
+    arrived = trace.arrival_times[:np.searchsorted(trace.arrival_times, t_ev, side="right")]
+    dep = np.concatenate([trace.eta0, trace.tau_hat + trace.eta])  # every departure, unsorted
     if kind == "terminal":
-        return (int(trace.q_at(t_ev)) - trace.n) / scale >= a
-    if kind == "sup":
-        # x -> (x - n) / scale is monotone, so it commutes with the max
-        top = np.max(trace.q_values[trace.event_times <= t_ev], initial=trace.q0_count)
-        return (int(top) - trace.n) / scale >= a
-    raise ValueError(f"unknown event kind {kind!r}")
+        return reaches(q0 + len(arrived) - int(np.count_nonzero(dep <= t_ev)))
+    if reaches(q0):
+        return True
+    # Q peaks right after an arrival, and arrivals go first on ties, so right after
+    # arrival i (from 0) Q is q0 + i + 1 - #{departures < a_i}.  That reaches q0 + m,
+    # m the least count past q0 that reaches a, iff the departure of rank i + 1 - m
+    # (from 0) is not before a_i, or there is no such departure.
+    m = bisect.bisect_left(range(1, len(arrived) + 1), True, key=lambda m: reaches(q0 + m)) + 1
+    late = arrived[m - 1:]  # the arrivals i >= m - 1, each against the departure of rank i + 1 - m
+    dep.sort()
+    return len(late) > len(dep) or bool(np.any(dep[:len(late)] >= late))
 
 
 def mc_tail(hits_by_regime: dict) -> list[TailRow]:

@@ -157,21 +157,19 @@ def min_kernel_min_norm(sys_, zero_mean):
     return 0.5 * float(lam @ (sys_.r + res)), iters
 
 
-def heap_start_times(free, entries, horizon, draw):
+def heap_start_times(free, entries, horizon, services):
     """Kiefer-Wolfowitz start times one customer at a time over a heap of
     server-free times: customers in order of entry start at max(entry, earliest
-    free time) until a start passes the horizon.  draw() returns the next block
-    of services, handed out in start order.  Returns (starts, services)."""
+    free time) until a start passes the horizon, customer k served for
+    services[k].  Returns (starts, their services)."""
     free = list(map(float, free))
     heapq.heapify(free)
-    starts, services = [], []
-    for avail in map(float, entries):
+    starts = []
+    for avail, service in zip(map(float, entries), map(float, services)):
         start = max(avail, free[0])
         if start > horizon:
             break
-        if len(starts) == len(services):
-            services += draw().tolist()
-        heapq.heapreplace(free, start + services[len(starts)])
+        heapq.heapreplace(free, start + service)
         starts.append(start)
     return np.array(starts, dtype=float), np.array(services[:len(starts)], dtype=float)
 

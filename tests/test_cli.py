@@ -455,6 +455,74 @@ def test_sigma_square_underflow_exit_0(tmp_path, command):
     assert json.loads((out / "summary.json").read_text())["status"] == "ok"
 
 
+def _csv_values(out):
+    """Every number in the CSV artifacts of out."""
+    return np.concatenate([np.loadtxt(f, delimiter=",", skiprows=1).ravel() for f in sorted(out.glob("*.csv"))])
+
+
+@pytest.mark.parametrize("eps", [1e-155, 1e-160])
+@pytest.mark.parametrize("command", ["rate", "controls"])
+def test_tiny_forcing_exit_0_with_finite_artifacts(tmp_path, command, eps):
+    # h ~ eps: the adjoint CG runs on h scaled by a power of two, so its inner
+    # products (~eps^2) do not underflow to 0; the adjoint is eps times the adjoint
+    # of eps = 1, and the rate, ~eps^2, is subnormal or 0
+    model = {"sigma": 1.0, "beta": 0.0, "q0": 0.0}
+    t = np.linspace(0.0, 2.0, 201)
+    adjoints, rates = {}, {}
+    for scale in (eps, 1.0):
+        GridPath(2.0, scale * t * (2.0 - t)).to_csv(tmp_path / f"q{scale}.csv")
+        cfg = _cfg(tmp_path, "c.json", dict(BASE, command=command, model=model, io={"q_csv": f"q{scale}.csv"}))
+        out = tmp_path / f"out{scale}"
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        s = json.loads((out / "summary.json").read_text())
+        assert s["status"] == "ok"
+        assert np.all(np.isfinite(_csv_values(out)))
+        adjoints[scale], rates[scale] = GridPath.from_csv(out / "pbar.csv").values, s["rate"]
+    assert 0.0 <= rates[eps] <= 1e-300 < rates[1.0]
+    assert np.allclose(adjoints[eps] / eps, adjoints[1.0], rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("command, shape", [("dist-info", 140), ("dist-info", 170), ("controls", 500), ("rate", 140)])
+def test_large_erlang_shape_no_traceback(tmp_path, command, shape):
+    # y^(k-1) and (k-1)! overflowed in the density: dist-info wrote inf and the
+    # tail horizon missed its 1e-6, and controls at k = 500 raised OverflowError
+    dist = {"family": "erlang", "shape": shape, "rate": float(shape)}
+    payload = {"command": "dist-info", "dist": dist}
+    if command != "dist-info":
+        _write_q(tmp_path / "q.csv")
+        payload = dict(BASE, command=command, dist=dist, io={"q_csv": "q.csv"})
+    cfg = _cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out", str(out), "--quiet"])
+    s = json.loads((out / "summary.json").read_text())
+    assert (code, s["status"]) in ((0, "ok"), (1, "numerical-failure"))
+    if code == 0:
+        assert np.all(np.isfinite(_csv_values(out)))
+    if command == "dist-info":
+        from mdqueue import ServiceDist
+
+        assert code == 0
+        assert ServiceDist.from_spec(dist).cdf(s["horizon_tail_1e-6"]) >= 1.0 - 1e-6
+
+
+def test_oracle_check_computes_the_defect_once(tmp_path, monkeypatch):
+    # the forcing and the QP share the defect of the path
+    from mdqueue import cli, fredholm, oracle, paths
+
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return paths.defect(*args)
+
+    for module in (cli, fredholm, oracle):
+        monkeypatch.setattr(module, "defect", counted)
+    _write_q(tmp_path / "q.csv")
+    cfg = _cfg(tmp_path, "c.json", dict(BASE, command="oracle-check", io={"q_csv": "q.csv"}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("amplitude, beta, rate", [(1.0, 0.5, 0.11569), (0.01, 0.0, 5.1363e-6)])
 def test_fredholm_tolerance_half_meets_its_residual(tmp_path, amplitude, beta, rate):
     # the adjoint CG stops at the fixed rule residual <= 1e-12 |h|_inf on both

@@ -39,6 +39,20 @@ def test_erlang_closed_forms_match_scipy(k):
         assert np.max(np.abs(pdf - ref)[ref > 0] / ref[ref > 0]) <= 1e-13
 
 
+@pytest.mark.parametrize("k", [140, 170, 500])
+def test_large_erlang_pdf_matches_scipy(k):
+    # y^(k-1) overflows past k = 140 on this range and (k-1)! past k = 171; the
+    # Poisson term taken from its log stays finite and as close as at small k
+    d = ServiceDist.erlang(k, float(k))
+    T = d.horizon_for_tail(1e-6)
+    assert d.cdf(T) >= 1.0 - 1e-6
+    x = np.linspace(0.0, T, 2001)
+    pdf, ref = d.pdf(x), k * gamma.pdf(k * x, k)
+    assert np.all(np.isfinite(pdf))
+    live = ref > 1e-300
+    assert np.max(np.abs(pdf - ref)[live] / ref[live]) <= 1e-12
+
+
 def test_single_phase_laws_match_expm1_formulas():
     x = np.linspace(0.0, 60.0, 6001)
     for lam in (1.0, 1.3):
@@ -164,6 +178,15 @@ def test_inverse_stops_at_converged_newton_step(d):
         x = d._inverse(counted, dfn, p)
         assert len(calls) <= 15
         assert np.max(np.abs(fn(x) - p)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_inverse_bisects_on_a_nonfinite_derivative(bad):
+    # an infinite derivative would make the Newton step 0, which reads as converged
+    d = ServiceDist.erlang(3, 3.0)
+    p = np.linspace(0.0, 1.0, 33)[1:-1]
+    x = d._inverse(d.cdf, lambda x: np.full_like(x, bad), p)
+    assert np.max(np.abs(d.cdf(x) - p)) <= 1e-12
 
 
 def test_array_inverse_raises_when_any_unconverged(monkeypatch):

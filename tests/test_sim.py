@@ -226,16 +226,19 @@ def _old_sup_hits(traces, t_ev, a):
 
 
 def test_mc_tail_sup_matches_list_max():
-    # Q starts at 14 > n = 10, drops to 12, then climbs to 15 at t = 1.5
-    def trace(q0_count):
+    # Q starts at q0_count > n = 10, drops by one at t = 0.5 and at t = 1.0 (two
+    # residual services end), then climbs to 15 at t = 1.5 (17 - q0_count arrivals);
+    # every start, from the queue or on arrival, is served past the horizon
+    def trace(q0_count, tau_hat):
         return QueueTrace(
-            n=10, b=1.5, q0_count=q0_count, horizon=2.0,
-            arrival_times=np.empty(0), tau_hat=np.empty(0), eta=np.empty(0), eta0=np.empty(0),
-            event_times=np.array([0.5, 1.0, 1.5]), q_values=np.array([13, 12, 15]),
-            event_types=np.empty(0, dtype=np.int8), event_ids=np.empty(0, dtype=np.int64),
+            n=10, b=1.5, q0_count=q0_count, horizon=2.0, arrival_times=np.full(17 - q0_count, 1.5),
+            tau_hat=np.array(tau_hat), eta=np.full(len(tau_hat), 3.0), eta0=np.array([0.5, 1.0] + [3.0] * 8),
         )
 
-    traces = [trace(14), trace(11)]
+    # 14: two of the four queued start at 0.5 and 1.0; 11: the one queued starts at 0.5,
+    # and the first arrival at 1.5 on the server idle since 1.0
+    traces = [trace(14, [0.5, 1.0]), trace(11, [0.5, 1.5])]
+    assert [tr.q_values.tolist() for tr in traces] == [[13, 12, 13, 14, 15], [10, 9, *range(10, 16)]]
     scale = 1.5 * math.sqrt(10)
     cases = [
         (0.2, 4 / scale),  # before the first event: only q0_count counts, and hits exactly
@@ -259,8 +262,8 @@ def test_simulate_rejects_negative_horizon(pm):
 def _reference_simulate(pm, d, sr, horizon, rng, arrival_family, arrival_shape):
     """Event-driven GI/GI/n FCFS loop: pop the earlier of the next arrival and
     the next departure, arrivals first on ties; departures tie-break by id.
-    Draws eta0, then the arrivals, then services in blocks of 256 at service
-    start, like `simulate`."""
+    Draws eta0, then the arrivals, then one service per entering customer in
+    one call, handed out in start order, like `simulate`."""
     n = sr.n
     q0_count = max(0, int(round(n + pm.q0 * sr.scale())))
     lam = sr.arrival_rate(pm.mu)
@@ -277,16 +280,15 @@ def _reference_simulate(pm, d, sr, horizon, rng, arrival_family, arrival_shape):
     while arr[-1] <= horizon:
         arr = np.concatenate([arr, arr[-1] + np.cumsum(gaps())])
     arrivals = arr[arr <= horizon]
+    services = iter(d.sample(rng, size=q0_count - in_service + len(arrivals)).tolist())
 
     deps = [(float(r), i) for i, r in enumerate(eta0)]
     heapq.heapify(deps)
     busy, waiting, q = in_service, q0_count - in_service, q0_count
-    pool, tau_hat, eta, ev = [], [], [], []
+    tau_hat, eta, ev = [], [], []
 
     def start(t):
-        if not pool:
-            pool.extend(d.sample(rng, size=256)[::-1])
-        s = pool.pop()
+        s = next(services)
         tau_hat.append(t)
         eta.append(s)
         heapq.heappush(deps, (t + s, in_service + len(tau_hat) - 1))
@@ -353,7 +355,8 @@ KW_LAWS = [pytest.param(d, id=d.family) for d in LAWS] + [pytest.param(FAST_HYPE
 
 
 class _Recorded:
-    """A service law that keeps every block of services `simulate` draws."""
+    """A service law that keeps every block of services `simulate` draws: one block,
+    one service per entering customer."""
 
     def __init__(self, d):
         self.d, self.blocks = d, []
@@ -375,8 +378,9 @@ def _assert_starts_match_heap(tr, blocks):
     in_service = len(tr.eta0)
     free = np.concatenate([tr.eta0, np.zeros(tr.n - in_service)])
     entries = np.concatenate([np.zeros(tr.q0_count - in_service), tr.arrival_times])
-    draw = iter(blocks).__next__
-    tau_hat, eta = heap_start_times(free, entries, tr.horizon, draw)
+    (services,) = blocks
+    assert len(services) == len(entries)
+    tau_hat, eta = heap_start_times(free, entries, tr.horizon, services)
     assert tr.tau_hat.dtype == tr.eta.dtype == np.float64
     assert np.array_equal(tr.tau_hat, tau_hat)
     assert np.array_equal(tr.eta, eta)
@@ -453,6 +457,8 @@ def test_simulate_ties_match_event_driven_reference(caplog):
     sr = ScalingRegime(n=3, rule=("power", 0.25), beta=0.5)
     with caplog.at_level(logging.DEBUG, logger="mdqueue.sim"):
         tr = simulate(pm, _UnitServices(), sr, 2.0, _QuarterGaps())
+        assert "tied event times" not in caplog.text  # simulate sorts nothing
+        tr.event_times  # the first read builds the event list
     # the tie sends the event sort to its stable fallback
     assert "tied event times: stable sort" in caplog.text
     ref = _reference_simulate(pm, _UnitServices(), sr, 2.0, _QuarterGaps(), "exponential", 1)
@@ -470,6 +476,7 @@ def test_event_order_is_stable_sort(d, n, pm, caplog):
     for seed in range(3):
         with caplog.at_level(logging.DEBUG, logger="mdqueue.sim"):
             tr = simulate(pm, d, sr, 2.0, np.random.default_rng(seed))
+            tr.event_times  # the first read builds the event list
         assert "tied event times" not in caplog.text
         assert len(tr.event_times) > n
         _assert_stable_event_order(tr)
@@ -478,6 +485,64 @@ def test_event_order_is_stable_sort(d, n, pm, caplog):
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 def test_event_order_is_stable_sort_at_n1e5(d, traces_1e5):
     _assert_stable_event_order(traces_1e5[d.family])
+
+
+def _assert_tail_hit_matches_event_list(tr, t):
+    """tail_hit at t against the event-list expressions: the max of q_values over the
+    events by t from q0_count (sup) and q_at(t) (terminal).  Each is hit at its own
+    level a and missed just above it, which pins the count tail_hit reaches."""
+    scale = tr.b * math.sqrt(tr.n)
+    want = {"sup": int(np.max(tr.q_values[tr.event_times <= t], initial=tr.q0_count)), "terminal": int(tr.q_at(t))}
+    for kind, q in want.items():
+        a = (q - tr.n) / scale
+        assert tail_hit(tr, {"kind": kind, "t": t, "a": a}), (kind, t, q)
+        assert not tail_hit(tr, {"kind": kind, "t": t, "a": np.nextafter(a, np.inf)}), (kind, t, q)
+
+
+@pytest.mark.parametrize("q0", [-0.5, 0.0, 0.8])
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_tail_hit_matches_event_list(d, q0):
+    pm = ModelParams(d.mu, 1.0, 0.5, q0)
+    for seed, n in enumerate((1, 3, 50, 1000)):
+        sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
+        tr = simulate(pm, d, sr, 2.0, np.random.default_rng(seed))
+        for t in (0.0, 1.0, 2.0):
+            _assert_tail_hit_matches_event_list(tr, t)
+
+
+def test_tail_hit_matches_event_list_on_ties():
+    # at t = 1 and t = 2 an arrival ties with three departures and goes first, so the
+    # peak at 1 is the arrival's 9 before they leave: counting the departures at or
+    # before an arrival's time, not strictly before it, would miss it
+    pm = ModelParams(1.0, 1.0, 0.5, 0.8)
+    sr = ScalingRegime(n=3, rule=("power", 0.25), beta=0.5)
+    tr = simulate(pm, _UnitServices(), sr, 2.0, _QuarterGaps())
+    assert tr.q0_count == 5 and np.max(tr.q_values[tr.event_times <= 1.0]) == 9
+    for t in (0.0, 0.75, 1.0, 2.0):
+        _assert_tail_hit_matches_event_list(tr, t)
+
+
+def test_tail_hit_matches_event_list_past_the_last_departure():
+    # a record of arrivals that nobody serves: each arrival lifts Q past every
+    # departure there is, which a simulated path with a server never does
+    tr = QueueTrace(n=1, b=1.0, q0_count=0, horizon=1.0, arrival_times=np.array([0.25, 0.5, 0.75]),
+                    tau_hat=np.empty(0), eta=np.empty(0), eta0=np.empty(0))
+    assert tr.q_values.tolist() == [1, 2, 3]
+    for t in (0.5, 1.0):
+        _assert_tail_hit_matches_event_list(tr, t)
+
+
+def test_replication_diagnostics_leave_the_event_list_unbuilt(pm):
+    d = ServiceDist.erlang(3, 3.0)
+    sr = ScalingRegime(n=200, rule=("power", 0.25), beta=0.5)
+    tr = simulate(pm, d, sr, 1.0, np.random.default_rng(4))
+    lln_sup_stat(tr, 1.0, 1.0)
+    for kind in ("sup", "terminal"):
+        tail_hit(tr, {"kind": kind, "t": 1.0, "a": 0.1})
+    assert "_events" not in vars(tr)
+    times = tr.event_types, tr.event_times
+    assert "_events" in vars(tr)
+    assert tr.event_times is times[1]  # built once
 
 
 def _dense_theta(trace: QueueTrace, d: ServiceDist, n_steps: int) -> np.ndarray:
