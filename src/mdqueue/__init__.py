@@ -19,7 +19,7 @@ from .fredholm import (
     recover_controls,
     solve_p,
 )
-from .grids import GridField2D, GridPath, conv_trap, cumtrap, trap_integral, trap_weights
+from .grids import GridField2D, GridPath, conv_trap, cumtrap, trap_weights
 from .oracle import QPSystem, build_qp, solve_min_norm
 from .paths import (
     ControlSet,
@@ -28,7 +28,6 @@ from .paths import (
     forward_q,
     kiefer_energy,
     kiefer_from_sheet,
-    zero_controls,
 )
 from .renewal import RenewalConvergenceError, solve_linear, solve_nonlinear
 from .sim import (
@@ -51,13 +50,11 @@ __all__ = [
     "GridPath",
     "GridField2D",
     "trap_weights",
-    "trap_integral",
     "conv_trap",
     "cumtrap",
     "ModelParams",
     "ControlSet",
     "energy",
-    "zero_controls",
     "forward_q",
     "kiefer_from_sheet",
     "kiefer_energy",

@@ -17,6 +17,10 @@ import numpy as np
 __all__ = ["ServiceDist"]
 
 _INV_TOL = 1e-12
+# The largest supported Erlang shape.  The cdf sums Poisson terms from e^{-y}, which
+# underflows past y = 745: at shape 500 it is within 1e-14 of the regularised incomplete
+# gamma function, at 600 within 2e-8, and at 1000 it reads 1 where that is 5.5e-12.
+MAX_SHAPE = 500
 
 
 def _check_nonneg(x):
@@ -72,8 +76,9 @@ class ServiceDist:
             raise ValueError("rates must be positive and finite")
         # bool and str are rejected, not coerced; an integral float such as 3.0 is stored as 3
         k = self.shape
-        if isinstance(k, bool) or not isinstance(k, numbers.Real) or not float(k).is_integer() or k < 1:
-            raise ValueError(f"shape must be an integer >= 1, got {k!r}")
+        if (isinstance(k, bool) or not isinstance(k, numbers.Real) or not float(k).is_integer()
+                or not 1 <= k <= MAX_SHAPE):
+            raise ValueError(f"shape must be an integer in [1, {MAX_SHAPE}], got {k!r}")
         object.__setattr__(self, "shape", int(k))
         if not (np.all(self.weights > 0) and abs(self.weights.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must be positive and sum to 1")

@@ -61,14 +61,11 @@ def shift_matrix(d: ServiceDist, T: float, n_steps: int) -> np.ndarray:
     The discrete adjoint of S in the trapezoid inner product is the
     convolution int_0^t p(r) F'(t - r) dr, so the Fredholm operator and the
     dual objective built from S are exactly transposes of one another.
-    This is the reference that `ShiftOperator` is tested against.
+    This is the reference that `ShiftOperator` is tested against: S[i, j] is the lag
+    g_{j-i} of `LagConv.of_law` for j >= i.
     """
-    t = np.linspace(0.0, T, n_steps + 1)
-    dt = T / n_steps
-    lag = t[None, :] - t[:, None]
-    S = np.where(lag >= 0, d.pdf(np.abs(lag)), 0.0)
-    S *= dt
     idx = np.arange(n_steps + 1)
+    S = np.triu(LagConv.of_law(d, T, n_steps).lags[np.abs(idx[None, :] - idx[:, None])])
     S[idx, idx] *= 0.5
     S[:, -1] *= 0.5
     S[-1, -1] = 0.0
@@ -78,7 +75,7 @@ def shift_matrix(d: ServiceDist, T: float, n_steps: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ShiftOperator:
     """The matrix of `shift_matrix` as S = J T J, J the reversal of the grid and T the
-    `grids.LagConv` of the lag dt F'(t_k): T's halved j = i term is S's halved diagonal,
+    `grids.LagConv.of_law` of the lag dt F'(t_k): T's halved j = i term is S's halved diagonal,
     its halved j = 0 term S's halved column N and its zero row 0 S's zero row N."""
 
     T: LagConv
@@ -101,8 +98,7 @@ def assemble_kernel(d: ServiceDist, T: float, n_steps: int) -> ShiftOperator:
     product, so that the linear system is exactly the stationarity condition
     of the discrete dual objective; K is never formed.
     """
-    dt = T / n_steps
-    return ShiftOperator(LagConv.of(dt * d.pdf(np.linspace(0.0, T, n_steps + 1))), trap_weights(n_steps + 1, dt))
+    return ShiftOperator(LagConv.of_law(d, T, n_steps), trap_weights(n_steps + 1, T / n_steps))
 
 
 def _cg(apply, b, inner, precond, done, cap) -> tuple[np.ndarray, np.ndarray, int]:

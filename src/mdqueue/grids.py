@@ -16,7 +16,6 @@ __all__ = [
     "float_strs",
     "write_csv",
     "trap_weights",
-    "trap_integral",
     "conv_trap",
     "cumtrap",
     "LagConv",
@@ -72,10 +71,6 @@ def trap_weights(n_nodes: int, dt: float) -> np.ndarray:
     return w
 
 
-def trap_integral(values: np.ndarray, dt: float) -> float:
-    return float(trap_weights(len(values), dt) @ values)
-
-
 @dataclass(frozen=True)
 class LagConv:
     """The trapezoid prefix convolution T at unit step with lag columns g_c on a uniform
@@ -84,15 +79,25 @@ class LagConv:
     meet only in row 0, T u is a linear convolution, applied by FFT zero-padded to
     n_fft >= 2n - 1 points so that nothing wraps.  A 1-D `lags` is one column."""
 
+    lags: np.ndarray  # the lag columns g_c as given
     spectra: np.ndarray  # rfft of the lag columns, g_0 halved, to n_fft points
     n_fft: int
 
     @classmethod
     def of(cls, lags) -> "LagConv":
-        g = np.array(lags, dtype=float)
+        lags = np.asarray(lags, dtype=float)
+        g = lags.copy()
         g[0] *= 0.5
         n_fft = 1 << (2 * len(g) - 2).bit_length()
-        return cls(np.fft.rfft(g, n_fft, axis=0), n_fft)
+        return cls(lags, np.fft.rfft(g, n_fft, axis=0), n_fft)
+
+    @classmethod
+    def of_law(cls, d, horizon: float, n_steps: int) -> "LagConv":
+        """T of the lag g_k = dt F'(t_k) of the service law d on t_k = k dt, dt = horizon / n_steps:
+        (T u)_i is the trapezoid rule for int_0^{t_i} u(t_i - s) dF(s).  The one place the lag of
+        dF is built: the adjoint's shift operator, the defect, the renewal march and the
+        simulator's decomposition all take it from here."""
+        return cls.of(horizon / n_steps * d.pdf(np.linspace(0.0, horizon, n_steps + 1)))
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
         """T u, u of the shape of the lags: the sum over columns of their convolutions."""

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import ServiceDist
-from .grids import GridField2D, GridPath, LagConv, conv_trap, cumtrap, trap_weights
+from .grids import GridField2D, GridPath, LagConv, cumtrap, trap_weights
 from .renewal import solve_nonlinear
 
 __all__ = [
@@ -80,14 +80,6 @@ def energy(c: ControlSet) -> float:
     return 0.5 * (e_w0 + e_w + e_k)
 
 
-def zero_controls(T: float, n_steps: int, n_x: int, mu: float = 1.0) -> ControlSet:
-    return ControlSet(
-        w0dot=GridPath(1.0, np.zeros(n_x + 1)),
-        wdot=GridPath(T, np.zeros(n_steps + 1)),
-        kdot=GridField2D(mu * T, np.zeros((n_x + 1, n_steps + 1))),
-    )
-
-
 def drift(pm: ModelParams, d: ServiceDist, t: np.ndarray) -> np.ndarray:
     """Control-free forcing of the path equation: (1-F) q0^+ - (1-F0) q0^- - beta F0."""
     F0 = d.eq_cdf(t)
@@ -97,13 +89,13 @@ def drift(pm: ModelParams, d: ServiceDist, t: np.ndarray) -> np.ndarray:
 def defect(q: GridPath, pm: ModelParams, d: ServiceDist) -> np.ndarray:
     """The path equation's defect with no controls at the nodes of q,
     q - int_0^t q^+(s) F'(t-s) ds - drift, the feedback integral by the
-    trapezoid rule on the nodal values of q^+.  The oracle constrains it; the
-    adjoint's forcing is its derivative.  Zero at t = 0 once q(0) = q0, which
-    is checked here."""
+    trapezoid rule of `LagConv.of_law` on the nodal values of q^+.  The oracle
+    constrains it; the adjoint's forcing is its derivative.  Zero at t = 0 once
+    q(0) = q0, which is checked here."""
     if abs(q.values[0] - pm.q0) > 1e-9:
         raise ValueError(f"q(0) = {q.values[0]} does not match q0 = {pm.q0}")
-    t = q.times
-    return q.values - conv_trap(np.maximum(q.values, 0.0), d.pdf(t), q.dt) - drift(pm, d, t)
+    feedback = LagConv.of_law(d, q.horizon, q.n_steps) @ np.maximum(q.values, 0.0)
+    return q.values - feedback - drift(pm, d, q.times)
 
 
 def partial_cell_weights(upper: np.ndarray, n_nodes: int, dx: float) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Exact forward-march solvers for the linear and nonlinear renewal equations.
 
 The nonlinear equation g(t) = f(t) + int_0^t g(t-s)^+ dF(s) is discretised by
-the trapezoid rule on the grid of f.  The discrete system is lower triangular:
+the trapezoid rule on the grid of f, the lag of `grids.LagConv.of_law`, which
+also checks the residual.  The discrete system is lower triangular:
 the unknown g_i enters its own equation only through the s = 0 term, with
 weight alpha = dt F'(0)/2.  So each node solves g_i = c_i + alpha g_i^+ in
 closed form, where c_i is the known history sum over nodes 0..i-1:
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dist import ServiceDist
-from .grids import GridPath, conv_trap
+from .grids import GridPath, LagConv
 
 __all__ = ["solve_linear", "solve_nonlinear", "RenewalConvergenceError"]
 
@@ -44,8 +45,8 @@ def _solve(f: GridPath, d: ServiceDist, linear: bool) -> GridPath:
     where c_i > 0 (the positive part)."""
     n = f.n_steps
     fv = f.values
-    fprime = d.pdf(f.times)
-    w = f.dt * fprime  # the trapezoid halves the end terms
+    lag = LagConv.of_law(d, f.horizon, n)
+    w = lag.lags  # dt F'(t_k); the trapezoid halves the end terms
     alpha = 0.5 * float(w[0])
     if not alpha < 1.0:
         raise RenewalConvergenceError(
@@ -67,7 +68,7 @@ def _solve(f: GridPath, d: ServiceDist, linear: bool) -> GridPath:
         else:
             g[i], a[i] = c, 0.0
 
-    residual = float(np.max(np.abs(g - fv - conv_trap(a, fprime, f.dt))))
+    residual = float(np.max(np.abs(g - fv - lag @ a)))
     if not residual <= 1e-9:  # NaN fails too, before GridPath rejects the values
         raise RenewalConvergenceError(residual, n)
     return GridPath(horizon=f.horizon, values=g)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import ServiceDist
-from .grids import conv_trap
+from .grids import LagConv
 from .paths import ModelParams
 
 __all__ = [
@@ -380,26 +380,23 @@ def decomposition(trace: QueueTrace, d: ServiceDist, n_steps: int) -> Decomposit
     q0_surv = len(trace.eta0) - np.searchsorted(np.sort(trace.eta0), t, side="right")
     X0 = (q0_surv / trace.n - (1.0 - d.eq_cdf(t))) * math.sqrt(trace.n) / trace.b
 
-    fprime = d.pdf(t)
-    H = Y - conv_trap(Y, fprime, dt)
+    lag = LagConv.of_law(d, trace.horizon, n_steps)
+    H = Y - lag @ Y
 
     # Theta: exact sum over service starts, by the phase convolutions
     Theta = -_theta_sums(d, t, dt, trace.tau_hat, trace.eta) / scale
 
-    conv_Xplus = conv_trap(np.maximum(X, 0.0), fprime, dt)
+    Xplus = np.maximum(X, 0.0)
     X0plus = max(trace.q0_count - trace.n, 0) / scale
     F = d.cdf(t)
-    residual = X - ((1.0 - F) * X0plus + X0 + conv_Xplus + H + Theta)
+    residual = X - ((1.0 - F) * X0plus + X0 + lag @ Xplus + H + Theta)
 
     def tv(vals):
         return float(np.sum(np.abs(np.diff(vals))))
 
-    supf = float(np.max(fprime))
-    tvf = tv(fprime)
-    bound = dt * (
-        supf * tv(Y) + float(np.max(np.abs(Y))) * tvf
-        + supf * tv(np.maximum(X, 0.0)) + float(np.max(np.abs(X))) * tvf
-    )
+    # dt sup F' and dt TV(F') on the grid, from the lag dt F'(t_k)
+    sup_g, tv_g = float(np.max(lag.lags)), tv(lag.lags)
+    bound = sup_g * tv(Y) + float(np.max(np.abs(Y))) * tv_g + sup_g * tv(Xplus) + float(np.max(np.abs(X))) * tv_g
     return DecompositionReport(Theta=Theta, residual=residual, quadrature_bound=bound)
 
 

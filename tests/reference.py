@@ -2,18 +2,34 @@
 for the oracle's matrix-free Gram and for the prefix-trapezoid weights of
 `grids.conv_trap`; the oracle's solve with its earlier min-kernel
 preconditioner; for `mdqueue.sim`, the one-customer-at-a-time start-time
-recursion, the node-at-a-time Theta recursion and the stable event sort; and
-the row-at-a-time `repr` CSV writers that are the byte reference for
-`grids.write_csv` and the artifacts written through it."""
+recursion, the node-at-a-time Theta recursion and the stable event sort; the
+row-at-a-time `repr` CSV writers that are the byte reference for
+`grids.write_csv` and the artifacts written through it; and the test helpers
+`trap_integral` and `zero_controls`."""
 import heapq
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from mdqueue.fredholm import _cg, shift_matrix
-from mdqueue.grids import trap_weights
+from mdqueue.grids import GridField2D, GridPath, trap_weights
+from mdqueue.paths import ControlSet
 
 _GAUSS_ORDER = 40  # Gauss-Legendre nodes of the inner integral in kernel_matrix
+
+
+def trap_integral(values, dt):
+    """Trapezoid integral of nodal values with step dt."""
+    return float(trap_weights(len(values), dt) @ values)
+
+
+def zero_controls(T, n_steps, n_x, mu=1.0):
+    """The zero control set on n_steps time cells of [0, T] and n_x x cells."""
+    return ControlSet(
+        w0dot=GridPath(1.0, np.zeros(n_x + 1)),
+        wdot=GridPath(T, np.zeros(n_steps + 1)),
+        kdot=GridField2D(mu * T, np.zeros((n_x + 1, n_steps + 1))),
+    )
 
 
 def kernel_matrix(d, sigma, T, n_steps):

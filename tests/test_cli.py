@@ -482,10 +482,13 @@ def test_tiny_forcing_exit_0_with_finite_artifacts(tmp_path, command, eps):
     assert np.allclose(adjoints[eps] / eps, adjoints[1.0], rtol=1e-9, atol=0.0)
 
 
-@pytest.mark.parametrize("command, shape", [("dist-info", 140), ("dist-info", 170), ("controls", 500), ("rate", 140)])
+@pytest.mark.parametrize("command, shape", [("dist-info", 140), ("dist-info", 170), ("controls", 500), ("rate", 140),
+                                            ("dist-info", 500), ("dist-info", 501), ("controls", 501),
+                                            ("dist-info", 1000), ("controls", 1000)])
 def test_large_erlang_shape_no_traceback(tmp_path, command, shape):
     # y^(k-1) and (k-1)! overflowed in the density: dist-info wrote inf and the
-    # tail horizon missed its 1e-6, and controls at k = 500 raised OverflowError
+    # tail horizon missed its 1e-6, and controls at k = 500 raised OverflowError.
+    # Past shape 500 the cdf's Poisson sum loses e^{-y} to underflow: a config error
     dist = {"family": "erlang", "shape": shape, "rate": float(shape)}
     payload = {"command": "dist-info", "dist": dist}
     if command != "dist-info":
@@ -494,6 +497,11 @@ def test_large_erlang_shape_no_traceback(tmp_path, command, shape):
     cfg = _cfg(tmp_path, "c.json", payload)
     out = tmp_path / "out"
     code = main(["--config", str(cfg), "--out", str(out), "--quiet"])
+    if shape > 500:
+        assert code == 2 and not out.exists()
+        return
+    if shape == 500:
+        assert code == 0
     s = json.loads((out / "summary.json").read_text())
     assert (code, s["status"]) in ((0, "ok"), (1, "numerical-failure"))
     if code == 0:

@@ -1,9 +1,11 @@
 """The CLI's contract over configs drawn from the README grammar: exit 0, 1 or
 2 and never an exception; exit 2 creates no output directory; exit 1 writes a
-summary.json with status numerical-failure.  An input CSV drawn with a defect,
-a grid block that is not the grid of q.csv, a tolerances block, a block the
-command does not read, an optional sim key it does not read and a kiefer block
-next to a sheet are always exit 2; a grid block that is the grid of q.csv
+summary.json with status numerical-failure; exit 0 writes no NaN or infinity in
+any artifact.  About one law and one sigma in ten of the path commands and
+dist-info are drawn at the edge of the float range.  An input CSV drawn with a
+defect, a grid block that is not the grid of q.csv, a tolerances block, a block
+the command does not read, an optional sim key it does not read and a kiefer
+block next to a sheet are always exit 2; a grid block that is the grid of q.csv
 changes no exit code."""
 import contextlib
 import io
@@ -48,7 +50,21 @@ DISTS = st.one_of(
         NUMBERS, st.lists(NUMBERS, min_size=2, max_size=2),
     ),
 )
+# laws at the edge of the float range: rates log-uniform on [1e-6, 1e6] and Erlang shapes
+# up to 1000, past the supported 500.  The sim commands keep DISTS: their event count
+# grows with the rate, and nothing in the config bounds it
+RATES = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+EXTREME_DISTS = st.one_of(
+    st.fixed_dictionaries({"family": st.just("exponential"), "rate": RATES}),
+    st.fixed_dictionaries({"family": st.just("erlang"), "shape": st.integers(1, 1000), "rate": RATES}),
+    st.builds(lambda w, rates: {"family": "hyperexponential", "rates": rates, "weights": [w, 1.0 - w]},
+              st.floats(0.01, 0.99), st.lists(RATES, min_size=2, max_size=2)),
+)
+PATH_DISTS = one_in(10, EXTREME_DISTS, DISTS)
+# sigma log-uniform up to 1e160, past the 1.3e154 where sigma^2 overflows
+SIGMAS = one_in(10, st.floats(-3.0, 160.0).map(lambda e: 10.0**e), NUMBERS)
 MODELS = st.fixed_dictionaries({"sigma": NUMBERS, "beta": SIGNED, "q0": SIGNED})
+PATH_MODELS = st.fixed_dictionaries({"sigma": SIGMAS, "beta": SIGNED, "q0": SIGNED})
 GRIDS = st.fixed_dictionaries({"horizon": NUMBERS, "n_steps": integers(2, 64)}, optional={"n_x": integers(1, 16)})
 # the grid block of a config with a q.csv, or None (one time in three): the grid of
 # q.csv (half the time), or that grid with its horizon scaled by 1 + rel or its
@@ -109,11 +125,12 @@ Q_PATHS = st.tuples(st.floats(1e-3, 4.0), st.integers(2, 64), st.floats(-1.0, 1.
 SHEETS = st.tuples(st.integers(2, 16), st.integers(2, 16), st.sampled_from([None, *DEFECTS, "x-end"]))
 
 PATH_CONFIGS = st.fixed_dictionaries({"command": st.sampled_from(["rate", "controls", "oracle-check"]), "q": Q_PATHS,
-                                      "model": MODELS, "dist": DISTS, "q_grid": Q_GRIDS, "tolerances": TOLERANCES,
-                                      "unread": UNREAD})
+                                      "model": PATH_MODELS, "dist": PATH_DISTS, "q_grid": Q_GRIDS,
+                                      "tolerances": TOLERANCES, "unread": UNREAD})
 CONFIGS = st.one_of(
     PATH_CONFIGS,
-    st.fixed_dictionaries({"command": st.just("dist-info"), "unread": UNREAD}, optional={"dist": DISTS, "grid": GRIDS}),
+    st.fixed_dictionaries({"command": st.just("dist-info"), "unread": UNREAD},
+                          optional={"dist": PATH_DISTS, "grid": GRIDS}),
     st.fixed_dictionaries({"command": st.just("kiefer-check"), "unread": UNREAD},
                           optional={"kiefer": KIEFER, "sheet": SHEETS}),
     st.fixed_dictionaries({"command": st.sampled_from(["simulate", "identity-check"]), "sim": SIMS, "model": MODELS,
@@ -167,6 +184,32 @@ def _write_sheet(path: Path, sheet) -> None:
     _write_rows(path, "x,t,value", [[xi, ti, xi * ti] for ti in np.linspace(0.0, 1.0, n + 1) for xi in x], defect)
 
 
+def _non_finite(out: Path) -> list:
+    """The artifacts under out that hold a NaN or an infinity: a CSV field that parses as
+    a float, or a number in a JSON file."""
+    def numbers(x):
+        if isinstance(x, dict):
+            x = list(x.values())
+        if isinstance(x, list):
+            return [v for item in x for v in numbers(item)]
+        return [x] if isinstance(x, float) else []
+
+    found = []
+    for f in sorted(out.rglob("*")):
+        if f.suffix == ".json":
+            values = numbers(json.loads(f.read_text()))
+        elif f.suffix == ".csv":
+            values = []
+            for field in f.read_text().replace("\r\n", "\n").replace("\n", ",").split(","):
+                with contextlib.suppress(ValueError):
+                    values.append(float(field))
+        else:
+            continue
+        if not all(map(math.isfinite, values)):
+            found.append(f.name)
+    return found
+
+
 def _check_contract(cfg: dict) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -209,6 +252,8 @@ def _check_contract(cfg: dict) -> None:
         else:
             status = json.loads((tmp / "out" / "summary.json").read_text())["status"]
             assert status == ("ok" if code == 0 else "numerical-failure")
+            if code == 0:
+                assert _non_finite(tmp / "out") == []
         n_x = cfg["grid"].get("n_x", 2) if grid_matches else None
         if grid_matches and type(n_x) is int and n_x >= 2:
             # the q grid named again is no error: the code is the one without the grid block

@@ -53,6 +53,14 @@ def test_large_erlang_pdf_matches_scipy(k):
     assert np.max(np.abs(pdf - ref)[live] / ref[live]) <= 1e-12
 
 
+def test_largest_erlang_shape_cdf_matches_gammainc():
+    # the cdf's Poisson terms start from e^{-y}: at the largest supported shape they
+    # have not underflowed over the bulk and the right tail, [0, k + 12 sqrt(k)]
+    k = 500
+    x = np.linspace(0.0, k + 12.0 * np.sqrt(k), 20001)
+    assert np.max(np.abs(ServiceDist.erlang(k, 1.0).cdf(x) - gammainc(k, x))) <= 1e-13
+
+
 def test_single_phase_laws_match_expm1_formulas():
     x = np.linspace(0.0, 60.0, 6001)
     for lam in (1.0, 1.3):
@@ -288,6 +296,10 @@ def test_constructor_validation():
     # the Erlang shape is an integer: no truncation of 2.7, no bool or str coercion
     for shape in (2.7, True, "3", float("nan")):
         with pytest.raises(ValueError, match="shape must be an integer"):
+            ServiceDist.erlang(shape, 1.0)
+    # past the supported shape the cdf's Poisson sum loses e^{-y} to underflow
+    for shape in (501, 1000):
+        with pytest.raises(ValueError, match=r"shape must be an integer in \[1, 500\]"):
             ServiceDist.erlang(shape, 1.0)
     # each rate is finite, but the mean is not
     with pytest.raises(ValueError, match="mean inf is not finite"):

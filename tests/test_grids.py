@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mdqueue import GridField2D, GridPath, conv_trap, cumtrap, trap_integral, trap_weights
+from mdqueue import GridField2D, GridPath, conv_trap, cumtrap, trap_weights
 from mdqueue.grids import LagConv
+from reference import trap_integral
 
 
 def test_trap_weights_sum():

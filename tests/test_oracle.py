@@ -354,7 +354,36 @@ def test_build_qp_rejects_wrong_q0(exp1):
 
 def test_build_qp_nontrivial_first_row_raises_typed_error(exp1, pm_std, q_quad, monkeypatch):
     from mdqueue.fredholm import FredholmError
+    from mdqueue.grids import LagConv
 
-    monkeypatch.setattr("mdqueue.paths.conv_trap", lambda a, b, dt: np.full(len(a), np.nan))
+    class NaNLag:  # a lag whose feedback term is NaN at every node, t = 0 included
+        def __matmul__(self, u):
+            return np.full(len(u), np.nan)
+
+    monkeypatch.setattr(LagConv, "of_law", classmethod(lambda cls, d, horizon, n_steps: NaNLag()))
     with pytest.raises(FredholmError, match="t = 0"):
         build_qp(q_quad, pm_std, exp1)
+
+
+# paths from q(0) = 0 on [0, HORIZON]: a hump, a rise and a sine that crosses zero
+SCALING_PATHS = {
+    "hump": lambda t: 0.3 * t * (2.0 - t),
+    "rise": lambda t: 0.2 * t * t,
+    "crossing": lambda t: 0.4 * np.sin(np.pi * t),
+}
+
+
+@pytest.mark.parametrize("c", [0.1, 7.0])
+@pytest.mark.parametrize("path", sorted(SCALING_PATHS))
+@pytest.mark.parametrize("sigma", [0.05, 1.0, 100.0])
+@pytest.mark.parametrize("d", LAWS, ids=["exp", "erlang3", "hyperexp"])
+def test_rate_scales_quadratically(d, sigma, path, c):
+    # with beta = q0 = 0 the drift is 0 and the defect is positively homogeneous in q,
+    # so I(c q) = c^2 I(q) for c > 0, on the adjoint route and on the oracle's
+    pm = ModelParams(mu=d.mu, sigma=sigma, beta=0.0, q0=0.0)
+    q = SCALING_PATHS[path](np.linspace(0.0, HORIZON, 101))
+    for rate in (lambda v: evaluate_rate(GridPath(HORIZON, v), pm, d).rate,
+                 lambda v: solve_min_norm(build_qp(GridPath(HORIZON, v), pm, d))[0]):
+        base = rate(q)
+        assert base > 0.0
+        assert abs(rate(c * q) - c * c * base) <= 1e-12 * c * c * base

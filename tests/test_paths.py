@@ -11,11 +11,11 @@ from mdqueue import (
     forward_q,
     kiefer_energy,
     kiefer_from_sheet,
-    zero_controls,
 )
 from mdqueue.grids import conv_trap, cumtrap
 from mdqueue.paths import ControlSet, drift, partial_cell_weights
 from mdqueue.renewal import solve_nonlinear
+from reference import zero_controls
 
 LAWS = [
     ServiceDist.exponential(1.0),

@@ -1,7 +1,8 @@
 """Rules over the package source.  Invariants raise typed errors: an `assert`
 vanishes under `python -O`, and a bare RuntimeError or Exception is not in
 `cli.NUMERICAL_ERRORS`, so the CLI cannot map it to an exit code.  The one
-trapezoid lag convolution, `grids.LagConv`, is the only user of the FFT."""
+trapezoid lag convolution, `grids.LagConv`, is the only user of the FFT, and
+`LagConv.of_law` the only place that builds the lag dt F'(t_k)."""
 import ast
 from pathlib import Path
 
@@ -28,4 +29,16 @@ def test_fft_only_in_grids():
             found += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text(), str(path)))
                       if isinstance(node, ast.Attribute) and node.attr == "fft"
                       or isinstance(node, ast.ImportFrom) and "fft" in (node.module or "").split(".")]
+    assert found == []
+
+
+def test_law_lag_only_from_of_law():
+    # the solvers and the simulator read F' through LagConv.of_law: no other module
+    # evaluates the density (dist defines it, and dist-info tabulates it) or calls conv_trap
+    found = []
+    for path in sorted(Path(mdqueue.__file__).parent.glob("*.py")):
+        if path.name not in ("grids.py", "dist.py", "cli.py"):
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("pdf", "conv_trap")]
     assert found == []
