@@ -14,7 +14,6 @@ from .fredholm import (
     dual_value,
     evaluate_rate,
     forcing,
-    lln_path,
     rate_value,
     recover_controls,
     solve_p,
@@ -24,6 +23,8 @@ from .oracle import QPSystem, build_qp, solve_min_norm
 from .paths import (
     ControlSet,
     ModelParams,
+    PathEquation,
+    defect,
     energy,
     forward_q,
     kiefer_energy,
@@ -54,6 +55,8 @@ __all__ = [
     "cumtrap",
     "ModelParams",
     "ControlSet",
+    "PathEquation",
+    "defect",
     "energy",
     "forward_q",
     "kiefer_from_sheet",
@@ -70,7 +73,6 @@ __all__ = [
     "dual_value",
     "recover_controls",
     "evaluate_rate",
-    "lln_path",
     "QPSystem",
     "build_qp",
     "solve_min_norm",

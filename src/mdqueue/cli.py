@@ -22,7 +22,7 @@ from .dist import ServiceDist
 from .fredholm import FredholmError, assemble_kernel, evaluate_rate, forcing, rate_value, solve_p
 from .grids import GridField2D, GridPath, float_strs, write_csv
 from .oracle import build_qp, solve_min_norm
-from .paths import ModelParams, defect, energy, forward_q, kiefer_energy, kiefer_from_sheet
+from .paths import ModelParams, PathEquation, defect, energy, forward_q, kiefer_energy, kiefer_from_sheet
 from .renewal import RenewalConvergenceError
 from .sim import (LLN_PERCENTILE, ScalingRegime, SimulationError, decomposition, flow_balance_residuals, lln_check,
                   lln_sup_stat, mc_tail, replications, tail_hit)
@@ -32,6 +32,7 @@ log = logging.getLogger(__name__)
 # Errors inside a command exit 1 with a summary.json; a ValueError there is an input the config checks let through.
 NUMERICAL_ERRORS = (FredholmError, RenewalConvergenceError, SimulationError, FloatingPointError, ValueError)
 SIM_OPTIONAL = ("arrival", "event", "lln_t", "decomposition_steps")  # named sim.<key> in COMMANDS
+MAX_EXPECTED_ARRIVALS = 1e7  # n mu rho_n horizon per replication; 1e6 took 0.3 s and 142 MB peak on 2-core x86
 
 
 class ConfigError(Exception):
@@ -104,8 +105,8 @@ def _table_csv(path: Path, header: str, columns: list) -> None:
     write_csv(path, header, len(columns[0]), pieces)
 
 
-def _sim_settings(s: dict, beta: float) -> dict:
-    """The validated sim block, its ladder as `ScalingRegime`s at the model's beta."""
+def _sim_settings(s: dict, pm: ModelParams) -> dict:
+    """The validated sim block, its ladder as `ScalingRegime`s at the model's beta, each within the arrival cap."""
     _expect(s, "sim", required=("ladder", "b_rule", "reps", "horizon"), optional=SIM_OPTIONAL)
     ladder = s["ladder"]
     if not (isinstance(ladder, list) and ladder):
@@ -133,9 +134,14 @@ def _sim_settings(s: dict, beta: float) -> dict:
             raise ConfigError(f"sim.event.t = {event['t']!r} must lie in [0, sim.horizon]")
     try:
         value = float(_number(rule, "value", "sim.b_rule"))
-        regimes = [ScalingRegime(n=n, rule=(rule["kind"], value), beta=beta) for n in ladder]
+        regimes = [ScalingRegime(n=n, rule=(rule["kind"], value), beta=pm.beta) for n in ladder]
     except ValueError as exc:
         raise ConfigError(f"sim.b_rule: {exc}") from exc
+    for sr in regimes:
+        expected = sr.arrival_rate(pm.mu) * horizon
+        if not expected <= MAX_EXPECTED_ARRIVALS:  # NaN fails too
+            raise ConfigError(f"sim: rung n = {sr.n} expects {expected:.3g} arrivals per replication"
+                              f" (n mu rho_n horizon), more than the {MAX_EXPECTED_ARRIVALS:.0e} supported")
     return {
         "regimes": regimes,
         "reps": reps,
@@ -208,7 +214,7 @@ class Run:
         self.n_x = _integer(g, "n_x", "grid", 32, 2)
 
         # every command that reads sim needs model
-        self.sim = _sim_settings(cfg["sim"], self.model.beta) if "sim" in cfg else None
+        self.sim = _sim_settings(cfg["sim"], self.model) if "sim" in cfg else None
 
         k = _expect(cfg.get("kiefer", {}), "kiefer", optional=("m", "n", "t_horizon", "value"))
         self.kiefer = {
@@ -222,9 +228,10 @@ class Run:
 # -- command implementations ----------------------------------------------
 
 
-def _rate_artifacts(run: Run, out: Path) -> dict:
+def _rate_artifacts(run: Run, out: Path) -> tuple:
     q = run.q_path
-    res = evaluate_rate(q, run.model, run.dist, n_x=run.n_x)
+    eq = PathEquation.from_law(run.model, run.dist, q.horizon, q.n_steps)  # the command's one sampling of the law
+    res = evaluate_rate(q, eq, n_x=run.n_x)
     res.adjoint.to_csv(out / "pbar.csv")
     res.forcing.to_csv(out / "h.csv")
     res.controls.w0dot.to_csv(out / "w0dot.csv")
@@ -241,17 +248,16 @@ def _rate_artifacts(run: Run, out: Path) -> dict:
         "truncation_tail_mass": res.diagnostics["truncation_tail_mass"],
         "solver": {k: res.diagnostics[k] for k in ("method", "iterations", "residual")},
     }
-    return summary, res
+    return summary, res, eq
 
 
 def cmd_rate(run: Run, out: Path) -> dict:
-    summary, _ = _rate_artifacts(run, out)
-    return summary
+    return _rate_artifacts(run, out)[0]
 
 
 def cmd_controls(run: Run, out: Path) -> dict:
-    summary, res = _rate_artifacts(run, out)
-    q_rt = forward_q(res.controls, run.model, run.dist)
+    summary, res, eq = _rate_artifacts(run, out)
+    q_rt = forward_q(res.controls, eq)
     q_rt.to_csv(out / "q_roundtrip.csv")
     scale = max(1.0, float(np.max(np.abs(run.q_path.values))))
     summary["roundtrip_sup_error"] = float(np.max(np.abs(q_rt.values - run.q_path.values)))
@@ -261,11 +267,12 @@ def cmd_controls(run: Run, out: Path) -> dict:
 
 def cmd_oracle_check(run: Run, out: Path) -> dict:
     q = run.q_path
-    r = defect(q, run.model, run.dist)  # the constraint right side, and the forcing's antiderivative
-    h = forcing(q, run.model, run.dist, r)  # the adjoint route only as far as the rate
-    p, _ = solve_p(h, assemble_kernel(run.dist, q.horizon, q.n_steps), run.model)
+    eq = PathEquation.from_law(run.model, run.dist, q.horizon, q.n_steps)
+    r = defect(q, eq)  # the constraint right side, and the forcing's antiderivative
+    h = forcing(q, r)  # the adjoint route only as far as the rate
+    p, _ = solve_p(h, assemble_kernel(eq), run.model)
     rate = rate_value(p, h)
-    qp = build_qp(q, run.model, run.dist, r)
+    qp = build_qp(eq, r)
     val_off, diag_off = solve_min_norm(qp)
     val_on, diag_on = solve_min_norm(qp, zero_mean=True)
     summary = {
@@ -341,22 +348,15 @@ def cmd_simulate(run: Run, out: Path) -> dict:
 def cmd_identity_check(run: Run, out: Path) -> dict:
     s = run.sim
     steps = s["decomposition_steps"]
+    # every trace is checked on these two grids, the second one refined
+    eqs = [PathEquation.from_law(run.model, run.dist, s["horizon"], m) for m in (steps, 2 * steps)]
+    keys = ("n", "rep", "flow_balance_max", "residual_sup", "residual_sup_refined", "quadrature_bound")
     rows = []
     for sr, rep, tr in _replications(run):
         fb = flow_balance_residuals(tr)
-        dec = decomposition(tr, run.dist, steps)
-        dec2 = decomposition(tr, run.dist, 2 * steps)
-        rows.append(
-            {
-                "n": sr.n,
-                "rep": rep,
-                "flow_balance_max": int(np.max(np.abs(fb))) if len(fb) else 0,
-                "residual_sup": dec.sup_residual,
-                "residual_sup_refined": dec2.sup_residual,
-                "quadrature_bound": dec.quadrature_bound,
-            }
-        )
-    keys = ("n", "rep", "flow_balance_max", "residual_sup", "residual_sup_refined", "quadrature_bound")
+        dec, dec2 = (decomposition(tr, eq) for eq in eqs)
+        rows.append(dict(zip(keys, (sr.n, rep, int(np.max(np.abs(fb))) if len(fb) else 0, dec.sup_residual,
+                                    dec2.sup_residual, dec.quadrature_bound))))
     _table_csv(out / "identity.csv", ",".join(keys), [[r[k] for r in rows] for k in keys])
     summary = {
         "traces": len(rows),

@@ -10,8 +10,7 @@ import numpy as np
 
 from .dist import ServiceDist
 from .grids import GridField2D, GridPath, LagConv, trap_weights
-from .paths import ControlSet, ModelParams, defect, drift
-from .renewal import solve_nonlinear
+from .paths import ControlSet, ModelParams, PathEquation, defect
 
 __all__ = [
     "ShiftOperator",
@@ -24,7 +23,6 @@ __all__ = [
     "dual_value",
     "recover_controls",
     "evaluate_rate",
-    "lln_path",
     "shift_matrix",
 ]
 
@@ -47,11 +45,10 @@ def path_derivative(q: GridPath) -> np.ndarray:
     return dq
 
 
-def forcing(q: GridPath, pm: ModelParams, d: ServiceDist, r: np.ndarray | None = None) -> GridPath:
-    """h = r' for the defect r of `paths.defect` (computed unless given), the
-    constraint right side of the oracle; in the continuum h(t) = qdot(t) -
+def forcing(q: GridPath, r: np.ndarray) -> GridPath:
+    """h = r' on the grid of q for its defect r = `paths.defect`, the constraint
+    right side of the oracle; in the continuum h(t) = qdot(t) -
     int_0^t (q^+)'(s) F'(t-s) ds + (beta - q0^-) F0'(t)."""
-    r = defect(q, pm, d) if r is None else r
     return GridPath(q.horizon, path_derivative(GridPath(q.horizon, r)))
 
 
@@ -90,15 +87,15 @@ class ShiftOperator:
         return self.T.rmatvec((self.weights * v)[::-1])[::-1] / self.weights
 
 
-def assemble_kernel(d: ServiceDist, T: float, n_steps: int) -> ShiftOperator:
-    """The shift operator S on [0, T] that carries the Fredholm kernel
+def assemble_kernel(eq: PathEquation) -> ShiftOperator:
+    """The shift operator S on the grid of eq, of its lag, that carries the Fredholm kernel
     K(s,t) = sigma^2 (F'(|s-t|) - int_0^{s^t} F'(s-r) F'(t-r) dr).
 
     The solver applies K as sigma^2 (S + S* - S* S) in the weighted inner
     product, so that the linear system is exactly the stationarity condition
     of the discrete dual objective; K is never formed.
     """
-    return ShiftOperator(LagConv.of_law(d, T, n_steps), trap_weights(n_steps + 1, T / n_steps))
+    return ShiftOperator(eq.lag, trap_weights(eq.n_steps + 1, eq.dt))
 
 
 def _cg(apply, b, inner, precond, done, cap) -> tuple[np.ndarray, np.ndarray, int]:
@@ -139,16 +136,16 @@ def solve_p(h: GridPath, S: ShiftOperator, pm: ModelParams) -> tuple[GridPath, d
     # CG runs on h 2^e with |h 2^e|_inf in [1/2, 1), or smaller by the factor that keeps the
     # operator's coefficients times it below 2^1000, so that its inner products do not
     # underflow for a tiny forcing nor the operator overflow at a huge sigma; a power of
-    # two scales every operation exactly
+    # two scales every operation exactly; the stop rule, scaled alike, cannot underflow to 0
     e = -math.frexp(h_max)[1] - max(0, math.frexp(max(pm.mu, pm.sigma * pm.sigma))[1] - 1000)
-    hv = np.ldexp(h.values, e)
+    hv, stop = np.ldexp(h.values, e), _CG_TOL * math.ldexp(h_max, e)
 
     def op(v):
         u = v - S.apply(v)
         return pm.mu * v + pm.sigma**2 * (u - S.adjoint(u))
 
     p, _, iters = _cg(op, hv, lambda u, v: float(w @ (u * v)), np.copy,
-                      lambda r: not np.max(np.abs(r)) > math.ldexp(target, e), _CG_MAX_ITER)
+                      lambda r: not np.max(np.abs(r)) > stop, _CG_MAX_ITER)
     res = math.ldexp(float(np.max(np.abs(op(p) - hv))), -e)
     p = np.ldexp(p, -e)
     if not res <= max(target, 1e-8):
@@ -181,26 +178,25 @@ def dual_value(p: GridPath, h: GridPath, pm: ModelParams, wdot: GridPath) -> flo
     return lin - 0.5 * (quad_mu + float(w @ wdot.values**2))
 
 
-def recover_controls(
-    p: GridPath, pm: ModelParams, d: ServiceDist, S: ShiftOperator, n_x: int = 32
-) -> ControlSet:
+def recover_controls(p: GridPath, eq: PathEquation, S: ShiftOperator, n_x: int = 32) -> ControlSet:
     """Optimal controls from the adjoint:
 
     w0dot(x) = p(F0^{-1}(x)), wdot(t) = sigma (p(t) - int p(t+s) F'(s) ds),
-    kdot(x, t) = p(t/mu + F^{-1}(x)); p vanishes beyond the horizon.  S is
-    the `assemble_kernel` operator on the grid of p.
+    kdot(x, t) = p(t/mu + F^{-1}(x)); p vanishes beyond the horizon.  p lives
+    on the grid of eq, and S is its `assemble_kernel` operator.
     """
-    T = p.horizon
+    eq.check_grid("p", p.horizon, p.n_steps)
+    pm, d, T = eq.pm, eq.d, p.horizon
 
     x_nodes = np.linspace(0.0, 1.0, n_x + 1)
     w0 = np.zeros(n_x + 1)
-    below = x_nodes < float(d.eq_cdf(T))
+    below = x_nodes < float(eq.F0[-1])
     w0[below] = p.interp(d.eq_ppf(x_nodes[below]))
     wdot = pm.sigma * (p.values - S.apply(p.values))
 
     tau = np.linspace(0.0, pm.mu * T, p.n_steps + 1)
     kdot = np.zeros((n_x + 1, p.n_steps + 1))
-    below = x_nodes < float(d.cdf(T))
+    below = x_nodes < float(eq.F[-1])
     args = tau[None, :] / pm.mu + d.ppf(x_nodes[below])[:, None]
     kdot[below] = np.where(args <= T, p.interp(args), 0.0)
 
@@ -209,11 +205,6 @@ def recover_controls(
         wdot=GridPath(T, wdot),
         kdot=GridField2D(pm.mu * T, kdot),
     )
-
-
-def lln_path(pm: ModelParams, d: ServiceDist, T: float, n_steps: int) -> GridPath:
-    """Law-of-large-numbers path: the zero-control solution of the path equation."""
-    return solve_nonlinear(GridPath(T, drift(pm, d, np.linspace(0.0, T, n_steps + 1))), d)
 
 
 @dataclass(frozen=True)
@@ -230,20 +221,21 @@ class RateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def evaluate_rate(q: GridPath, pm: ModelParams, d: ServiceDist, n_x: int = 32) -> RateResult:
-    """Full adjoint pipeline: forcing, kernel, adjoint, rate, dual, controls."""
-    h = forcing(q, pm, d)
-    S = assemble_kernel(d, q.horizon, q.n_steps)
+def evaluate_rate(q: GridPath, eq: PathEquation, n_x: int = 32) -> RateResult:
+    """Full adjoint pipeline on the grid of eq: forcing, kernel, adjoint, rate, dual, controls."""
+    pm = eq.pm
+    h = forcing(q, defect(q, eq))
+    S = assemble_kernel(eq)
     p, diag = solve_p(h, S, pm)
     rate = rate_value(p, h)
-    controls = recover_controls(p, pm, d, S, n_x=n_x)
+    controls = recover_controls(p, eq, S, n_x=n_x)
     dual = dual_value(p, h, pm, controls.wdot)
     # the control energy exact in x: by x = F0(s) and x = F(s) the w0dot and
     # kdot terms are mu <p, p>_w / 2, so primal - rate = <p, op(p) - h>_w / 2
     w = p.weights()
     primal = 0.5 * (pm.mu * float(w @ p.values**2) + float(w @ controls.wdot.values**2))
     gap = primal - rate
-    diag = dict(diag, truncation_tail_mass=float(1.0 - d.cdf(q.horizon)))
+    diag = dict(diag, truncation_tail_mass=float(1.0 - eq.F[-1]))
     # the gap must be within what the solver's residual allows, plus round-off;
     # the negated comparison also rejects NaN
     gap_bound = 0.5 * float(w @ np.abs(p.values)) * diag["residual"] + 1e-12 * (1.0 + rate)

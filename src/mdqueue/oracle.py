@@ -7,12 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import ServiceDist
 from .fredholm import FredholmError, _cg
-from .grids import GridPath
-from .paths import LagConstraints, ModelParams, defect
+from .paths import PathEquation
 
-__all__ = ["LagConstraints", "QPSystem", "build_qp", "solve_min_norm"]
+__all__ = ["QPSystem", "build_qp", "solve_min_norm"]
 
 log = logging.getLogger(__name__)
 
@@ -20,21 +18,21 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class QPSystem:
     """The constraints A u = r of the minimum-norm QP: one row per time node
-    t_1..t_N, r the path defect of q with no controls."""
+    t_1..t_N, A the control terms of the path equation and r the path defect
+    of q with no controls."""
 
-    A: LagConstraints
+    A: PathEquation
     r: np.ndarray
 
 
-def build_qp(q: GridPath, pm: ModelParams, d: ServiceDist, r: np.ndarray | None = None) -> QPSystem:
+def build_qp(eq: PathEquation, r: np.ndarray) -> QPSystem:
     """Assemble the affine constraints A u = r, whose residual at u is the
     pointwise defect of the path equation (affine in u given q); r is the
-    `paths.defect` of q, computed unless given."""
-    r_full = defect(q, pm, d) if r is None else r
-    if not abs(r_full[0]) < 1e-9:
-        raise FredholmError(f"t = 0 constraint row is not trivial: residual {r_full[0]!r}")
+    `paths.defect` of q on the grid of eq."""
+    if not abs(r[0]) < 1e-9:
+        raise FredholmError(f"t = 0 constraint row is not trivial: residual {r[0]!r}")
     # the trivial t = 0 row is dropped
-    return QPSystem(A=LagConstraints.from_law(pm, d, q.horizon, q.n_steps), r=r_full[1:])
+    return QPSystem(A=eq, r=r[1:])
 
 
 def _pcg_cap(n: int) -> int:
@@ -46,7 +44,7 @@ def _pcg_cap(n: int) -> int:
 def solve_min_norm(sys: QPSystem, zero_mean: bool = False) -> tuple[float, dict]:
     """Least control energy min 1/2 ||u||_W^2 subject to A u = r, over controls
     with zero x-mean when `zero_mean`: lam . r / 2 for G lam = r with
-    G = A W^-1 A' of `LagConstraints.gram_operator(zero_mean)`, by CG
+    G = A W^-1 A' of `PathEquation.gram_operator(zero_mean)`, by CG
     preconditioned with `GramOperator.precond` until the recurrence residual
     res = r - G lam is at most 1e-12 |r| (past `_pcg_cap` iterations, or at a
     NaN residual, a FredholmError).  The value is the dual objective

@@ -1,7 +1,7 @@
-"""Control triples, their quadratic energy, the path equation's defect and the
-control-to-forcing operator shared with the QP oracle, the forward
-control-to-path map, and the Kiefer / Brownian-sheet transform with its energy
-identity."""
+"""Control triples, their quadratic energy, the discrete path equation (the one
+sampling of the law on a t grid, its drift and its control-to-forcing operator
+shared with the QP oracle), its defect, the forward control-to-path map, and the
+Kiefer / Brownian-sheet transform with its energy identity."""
 from __future__ import annotations
 
 import math
@@ -16,8 +16,7 @@ from .renewal import solve_nonlinear
 __all__ = [
     "ModelParams",
     "ControlSet",
-    "LagConstraints",
-    "drift",
+    "PathEquation",
     "defect",
     "energy",
     "forward_q",
@@ -46,14 +45,6 @@ class ModelParams:
         if not math.isfinite(self.sigma * self.sigma):
             raise ValueError(f"sigma = {self.sigma!r} is too large: sigma^2 overflows")
 
-    @property
-    def q0_plus(self) -> float:
-        return max(self.q0, 0.0)
-
-    @property
-    def q0_minus(self) -> float:
-        return max(-self.q0, 0.0)
-
 
 @dataclass(frozen=True)
 class ControlSet:
@@ -78,24 +69,6 @@ def energy(c: ControlSet) -> float:
     e_w = float(c.wdot.weights() @ c.wdot.values**2)
     e_k = c.kdot.integral_sq()
     return 0.5 * (e_w0 + e_w + e_k)
-
-
-def drift(pm: ModelParams, d: ServiceDist, t: np.ndarray) -> np.ndarray:
-    """Control-free forcing of the path equation: (1-F) q0^+ - (1-F0) q0^- - beta F0."""
-    F0 = d.eq_cdf(t)
-    return (1.0 - d.cdf(t)) * pm.q0_plus - (1.0 - F0) * pm.q0_minus - pm.beta * F0
-
-
-def defect(q: GridPath, pm: ModelParams, d: ServiceDist) -> np.ndarray:
-    """The path equation's defect with no controls at the nodes of q,
-    q - int_0^t q^+(s) F'(t-s) ds - drift, the feedback integral by the
-    trapezoid rule of `LagConv.of_law` on the nodal values of q^+.  The oracle
-    constrains it; the adjoint's forcing is its derivative.  Zero at t = 0 once
-    q(0) = q0, which is checked here."""
-    if abs(q.values[0] - pm.q0) > 1e-9:
-        raise ValueError(f"q(0) = {q.values[0]} does not match q0 = {pm.q0}")
-    feedback = LagConv.of_law(d, q.horizon, q.n_steps) @ np.maximum(q.values, 0.0)
-    return q.values - feedback - drift(pm, d, q.times)
 
 
 def partial_cell_weights(upper: np.ndarray, n_nodes: int, dx: float) -> np.ndarray:
@@ -174,7 +147,7 @@ class TridiagInverse:
 
 @dataclass(frozen=True)
 class GramOperator:
-    """G = A W^-1 A^T of the path rows t_1..t_N of `LagConstraints`, applied in
+    """G = A W^-1 A^T of the path rows t_1..t_N of `PathEquation`, applied in
     O(N log N) time and O(N) memory.  F and F0 are nondecreasing with F(0) = 0,
     so the x integrals min(a, b) of the w0dot and kdot rows sum to the min
     kernel a_min(i, i'), a = F0 + mu cumtrap(F), which is L diag(da) L^T for L
@@ -219,13 +192,14 @@ class GramOperator:
 
 
 @dataclass(frozen=True)
-class LagConstraints:
-    """The control terms of the path equation as a linear operator A, stored
-    by the law at the time nodes.
+class PathEquation:
+    """The discrete path equation q = drift + T q^+ + A u on the grid t_i = i horizon / N,
+    T the `LagConv.of_law` lag of dF and A the control terms.  `from_law` is the one
+    place the law is sampled on a t grid; every solver reads F, F0 and T from here.
 
     Over u = (w0dot nodes, wdot nodes, kdot nodes with kdot stored x-major per
-    time node, u_k[j*(M+1) + ix]), row i = 1..N applies the three control terms
-    of the path equation at t_i: the bridge integral up to F0(t_i), the
+    time node, u_k[j*(M+1) + ix]), row i = 1..N of A applies the three control
+    terms of the path equation at t_i: the bridge integral up to F0(t_i), the
     convolution with the service survival, and the double integral of kdot
     over the moving region {x <= F(t_i - s)}:
 
@@ -239,41 +213,64 @@ class LagConstraints:
     only `gram_operator`, exact in x, so it has no x grid.
     """
 
+    pm: ModelParams
+    d: ServiceDist
+    horizon: float
     F0: np.ndarray  # (N+1,) F0(t_i)
-    F: np.ndarray  # (N+1,) F(t_l)
-    dt: float
-    sigma: float
-    mu: float
+    F: np.ndarray  # (N+1,) F(t_i)
+    lag: LagConv  # T, of the lag dt F'(t_k)
 
     @classmethod
-    def from_law(cls, pm: ModelParams, d: ServiceDist, horizon: float, n_steps: int):
+    def from_law(cls, pm: ModelParams, d: ServiceDist, horizon: float, n_steps: int) -> "PathEquation":
         t = np.linspace(0.0, horizon, n_steps + 1)
-        return cls(F0=d.eq_cdf(t), F=d.cdf(t), dt=horizon / n_steps, sigma=pm.sigma, mu=pm.mu)
+        return cls(pm, d, horizon, d.eq_cdf(t), d.cdf(t), LagConv.of_law(d, horizon, n_steps))
 
     @property
-    def nbytes(self) -> int:
-        return self.F0.nbytes + self.F.nbytes
+    def n_steps(self) -> int:
+        return len(self.F) - 1
+
+    @property
+    def dt(self) -> float:
+        return self.horizon / self.n_steps
+
+    @property
+    def drift(self) -> np.ndarray:
+        """The control-free forcing (1-F) q0^+ - (1-F0) q0^- - beta F0 at the nodes."""
+        q0, beta = self.pm.q0, self.pm.beta
+        return (1.0 - self.F) * max(q0, 0.0) - (1.0 - self.F0) * max(-q0, 0.0) - beta * self.F0
+
+    @property
+    def nbytes(self) -> int:  # F0, F and the lag with its spectrum
+        return self.F0.nbytes + self.F.nbytes + self.lag.lags.nbytes + self.lag.spectra.nbytes
+
+    def check_grid(self, what: str, horizon: float, n_steps: int | None = None) -> None:
+        """ValueError unless [0, horizon] (to 1e-12 relative) in n_steps steps (any when None) is this grid."""
+        if not abs(horizon - self.horizon) <= 1e-12 * self.horizon or n_steps not in (None, self.n_steps):
+            steps = "" if n_steps is None else f" in {n_steps} steps"
+            raise ValueError(f"{what} on [0, {horizon}]{steps} is not on the grid of its path equation,"
+                             f" [0, {self.horizon}] in {self.n_steps} steps")
 
     def __matmul__(self, c: ControlSet) -> np.ndarray:
         m = len(c.w0dot.values)  # x nodes
         dx = 1.0 / (m - 1)
         u_w0, u_t = c.w0dot.values, np.column_stack([c.wdot.values, c.kdot.values.T])
         # (N+1, M+2) lag table: column 0 the wdot lag sigma surv, then the kdot lags mu xw
-        L = np.column_stack([self.sigma * (1.0 - self.F), self.mu * partial_cell_weights(self.F, m, dx)])
+        L = np.column_stack([self.pm.sigma * (1.0 - self.F), self.pm.mu * partial_cell_weights(self.F, m, dx)])
         rows = partial_cell_weights(self.F0, m, dx) @ u_w0 + self.dt * (LagConv.of(L) @ u_t)
         return rows[1:]
 
     def gram_operator(self, zero_mean: bool) -> GramOperator:
         """The Gram of the path rows, G = A W^-1 A^T, as a `GramOperator`; `zero_mean`
         restricts it to controls with zero x-mean in w0dot and every kdot time slice."""
-        cols = [self.sigma * (1.0 - self.F)] + ([np.sqrt(self.mu) * self.F] if zero_mean else [])
-        lags = np.sqrt(self.dt) * np.column_stack(cols)
-        a = self.F0 + self.mu * cumtrap(self.F, self.dt)
+        sigma, mu, dt = self.pm.sigma, self.pm.mu, self.dt
+        cols = [sigma * (1.0 - self.F)] + ([np.sqrt(mu) * self.F] if zero_mean else [])
+        lags = np.sqrt(dt) * np.column_stack(cols)
+        a = self.F0 + mu * cumtrap(self.F, dt)
         # the tridiagonal M of `GramOperator`: diagonal m' + p (1/4 + f^2), m' = m (1 - F_1^2)
         # with zero mean and m without, and off-diagonal p f/2, f = 1/2 - F_1, so that
         # d -+ 2e = m' + p F_1^2, m' + p s_1^2; the corners add m F_1^2 / 2 with zero mean,
         # p (1 - 2 F_1^2) / 4 and p / 4
-        m, p, F1, s1 = self.mu * self.dt, self.sigma * self.sigma * self.dt, self.F[1], 1.0 - self.F[1]
+        m, p, F1, s1 = mu * dt, sigma * sigma * dt, self.F[1], 1.0 - self.F[1]
         m_diag = m * (1.0 - F1 * F1) if zero_mean else m
         delta_1 = (0.5 * m * F1 * F1 if zero_mean else 0.0) + 0.25 * p * (1.0 - 2.0 * F1 * F1)
         tri = TridiagInverse.of(m_diag + p * F1 * F1, m_diag + p * s1 * s1, 0.25 * p * (s1 - F1), delta_1, 0.25 * p,
@@ -281,27 +278,38 @@ class LagConstraints:
         return GramOperator(np.diff(a[1:], prepend=0.0), LagConv.of(lags), self.F0[1:] if zero_mean else None, tri)
 
 
-def forward_q(c: ControlSet, pm: ModelParams, d: ServiceDist) -> GridPath:
+def defect(q: GridPath, eq: PathEquation) -> np.ndarray:
+    """The path equation's defect with no controls at the nodes of q, q - T q^+ - drift,
+    T the lag of eq applied to the nodal values of q^+.  The oracle constrains it;
+    the adjoint's forcing is its derivative.  Zero at t = 0 once q(0) = q0, which is
+    checked here, as is the grid of q."""
+    eq.check_grid("q", q.horizon, q.n_steps)
+    if abs(q.values[0] - eq.pm.q0) > 1e-9:
+        raise ValueError(f"q(0) = {q.values[0]} does not match q0 = {eq.pm.q0}")
+    return q.values - eq.lag @ np.maximum(q.values, 0.0) - eq.drift
+
+
+def forward_q(c: ControlSet, eq: PathEquation) -> GridPath:
     """Map a control set to the centered queue path q via the nonlinear renewal solve.
 
     The forcing is the drift plus the control terms of the path equation (the
     bridge term w0(F0(t)), the arrival term int (1-F(t-s)) sigma wdot(s) ds and
     the sequential-empirical term int_0^t int_0^{F(t-s)} kdot(x, mu*s) dx mu ds),
-    applied by `LagConstraints`, whose Gram the oracle solves with.  The controls
-    must share its grids: kdot on the x nodes of w0dot and the time nodes of wdot, over
-    [0, 1] x [0, mu T].
+    applied by `eq`, whose Gram the oracle solves with.  The controls must share
+    its grids: wdot on the t grid of eq, and kdot on the x nodes of w0dot and the
+    time nodes of wdot, over [0, 1] x [0, mu T].
     """
-    n_x, n = c.w0dot.n_steps, c.wdot.n_steps
-    if c.kdot.values.shape != (n_x + 1, n + 1):
-        raise ValueError(f"kdot has shape {c.kdot.values.shape}, expected {(n_x + 1, n + 1)} from w0dot and wdot")
-    t_horizon = pm.mu * c.wdot.horizon
+    eq.check_grid("wdot", c.wdot.horizon, c.wdot.n_steps)
+    shape = (c.w0dot.n_steps + 1, eq.n_steps + 1)
+    if c.kdot.values.shape != shape:
+        raise ValueError(f"kdot has shape {c.kdot.values.shape}, expected {shape} from w0dot and wdot")
+    t_horizon = eq.pm.mu * eq.horizon
     if abs(c.kdot.t_horizon - t_horizon) > 1e-12 * t_horizon:
         raise ValueError(f"kdot lives on [0, {c.kdot.t_horizon}] in time, expected [0, mu T] = [0, {t_horizon}]")
     if abs(c.w0dot.horizon - 1.0) > 1e-12:
         raise ValueError("w0dot must live on [0, 1]")
-    A = LagConstraints.from_law(pm, d, c.wdot.horizon, n)
-    forcing = drift(pm, d, c.wdot.times) + np.concatenate([[0.0], A @ c])
-    return solve_nonlinear(GridPath(c.wdot.horizon, forcing), d)
+    forcing = eq.drift + np.concatenate([[0.0], eq @ c])
+    return solve_nonlinear(GridPath(eq.horizon, forcing), eq.lag)
 
 
 def _log_grid(b: GridField2D, u_max: float):

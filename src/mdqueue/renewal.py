@@ -1,8 +1,9 @@
 """Exact forward-march solvers for the linear and nonlinear renewal equations.
 
 The nonlinear equation g(t) = f(t) + int_0^t g(t-s)^+ dF(s) is discretised by
-the trapezoid rule on the grid of f, the lag of `grids.LagConv.of_law`, which
-also checks the residual.  The discrete system is lower triangular:
+the trapezoid rule on the grid of f, with the lag dt F'(t_k) that the caller
+passes as a `grids.LagConv` (the `lag` of `paths.PathEquation`), which also
+checks the residual.  The discrete system is lower triangular:
 the unknown g_i enters its own equation only through the s = 0 term, with
 weight alpha = dt F'(0)/2.  So each node solves g_i = c_i + alpha g_i^+ in
 closed form, where c_i is the known history sum over nodes 0..i-1:
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dist import ServiceDist
 from .grids import GridPath, LagConv
 
 __all__ = ["solve_linear", "solve_nonlinear", "RenewalConvergenceError"]
@@ -40,13 +40,14 @@ class RenewalConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def _solve(f: GridPath, d: ServiceDist, linear: bool) -> GridPath:
+def _solve(f: GridPath, lag: LagConv, linear: bool) -> GridPath:
     """The forward march.  Node i feeds back g_i always when linear, else
     where c_i > 0 (the positive part)."""
     n = f.n_steps
     fv = f.values
-    lag = LagConv.of_law(d, f.horizon, n)
     w = lag.lags  # dt F'(t_k); the trapezoid halves the end terms
+    if w.shape != fv.shape:
+        raise ValueError(f"a lag of {len(w)} nodes does not fit the forcing's grid of {n + 1} nodes")
     alpha = 0.5 * float(w[0])
     if not alpha < 1.0:
         raise RenewalConvergenceError(
@@ -74,11 +75,11 @@ def _solve(f: GridPath, d: ServiceDist, linear: bool) -> GridPath:
     return GridPath(horizon=f.horizon, values=g)
 
 
-def solve_linear(f: GridPath, d: ServiceDist) -> GridPath:
-    """Solve g = f + int_0^t g(t-s) dF(s) on the grid of f."""
-    return _solve(f, d, True)
+def solve_linear(f: GridPath, lag: LagConv) -> GridPath:
+    """Solve g = f + int_0^t g(t-s) dF(s) on the grid of f, lag the `LagConv.of_law` of F there."""
+    return _solve(f, lag, True)
 
 
-def solve_nonlinear(f: GridPath, d: ServiceDist) -> GridPath:
-    """Solve g = f + int_0^t g(t-s)^+ dF(s) on the grid of f."""
-    return _solve(f, d, False)
+def solve_nonlinear(f: GridPath, lag: LagConv) -> GridPath:
+    """Solve g = f + int_0^t g(t-s)^+ dF(s) on the grid of f, lag the `LagConv.of_law` of F there."""
+    return _solve(f, lag, False)

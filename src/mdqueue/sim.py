@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import ServiceDist
-from .grids import LagConv
-from .paths import ModelParams
+from .paths import ModelParams, PathEquation
 
 __all__ = [
     "ScalingRegime",
@@ -68,6 +67,8 @@ class ScalingRegime:
             raise ValueError(f"rho_n = {r} not positive at n = {self.n}")
         if r > 1.0:
             log.warning("rho_n = %.4f > 1 at n = %d: overloaded regime", r, self.n)
+        if not math.isfinite(self.condition_value):
+            raise ValueError(f"b_n = {self.b} at n = {self.n}: b_n^3 n^(1/b_n^2 - 1/2) passes the float range")
 
     @property
     def b(self) -> float:
@@ -90,7 +91,7 @@ class ScalingRegime:
         try:
             return b**3 * self.n ** (1.0 / b**2 - 0.5)
         except (OverflowError, ZeroDivisionError):  # b_n so small that the value passes the float range
-            return math.inf
+            return math.inf  # which __post_init__ rejects
 
     def scale(self) -> float:
         """Centering scale b_n sqrt(n)."""
@@ -171,9 +172,6 @@ class QueueTrace:
         idx = np.searchsorted(self.event_times, t, side="right") - 1
         vals = np.concatenate([[self.q0_count], self.q_values])
         return vals[idx + 1]
-
-    def arrivals_by(self, t) -> np.ndarray:
-        return np.searchsorted(self.arrival_times, np.asarray(t, dtype=float), side="right")
 
 
 def spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
@@ -361,35 +359,35 @@ def _theta_sums(d: ServiceDist, t: np.ndarray, dt: float, tau: np.ndarray, eta: 
     return (done - started) + surv
 
 
-def decomposition(trace: QueueTrace, d: ServiceDist, n_steps: int) -> DecompositionReport:
-    """Rebuild the decomposition from event data and evaluate its defect.
+def decomposition(trace: QueueTrace, eq: PathEquation) -> DecompositionReport:
+    """Rebuild the decomposition from event data on the t grid of eq, the path
+    equation of the trace's law and horizon, and evaluate its defect.
 
     All terms except the two convolutions are computed exactly from events, up
     to round-off; the residual therefore isolates the trapezoid error of the
     convolutions, which shrinks like dt.  quadrature_bound is the a-priori
     total-variation bound on that error for this trace and grid.
     """
+    eq.check_grid("the trace", trace.horizon)
+    d, lag = eq.d, eq.lag
     scale = trace.b * math.sqrt(trace.n)
-    t = np.linspace(0.0, trace.horizon, n_steps + 1)
-    dt = trace.horizon / n_steps
+    t = np.linspace(0.0, eq.horizon, eq.n_steps + 1)
 
     X = (trace.q_at(t) - trace.n) / scale
-    A = trace.arrivals_by(t)
+    A = np.searchsorted(trace.arrival_times, t, side="right")
     Y = (A / trace.n - d.mu * t) * math.sqrt(trace.n) / trace.b
 
     q0_surv = len(trace.eta0) - np.searchsorted(np.sort(trace.eta0), t, side="right")
-    X0 = (q0_surv / trace.n - (1.0 - d.eq_cdf(t))) * math.sqrt(trace.n) / trace.b
+    X0 = (q0_surv / trace.n - (1.0 - eq.F0)) * math.sqrt(trace.n) / trace.b
 
-    lag = LagConv.of_law(d, trace.horizon, n_steps)
     H = Y - lag @ Y
 
     # Theta: exact sum over service starts, by the phase convolutions
-    Theta = -_theta_sums(d, t, dt, trace.tau_hat, trace.eta) / scale
+    Theta = -_theta_sums(d, t, eq.dt, trace.tau_hat, trace.eta) / scale
 
     Xplus = np.maximum(X, 0.0)
     X0plus = max(trace.q0_count - trace.n, 0) / scale
-    F = d.cdf(t)
-    residual = X - ((1.0 - F) * X0plus + X0 + lag @ Xplus + H + Theta)
+    residual = X - ((1.0 - eq.F) * X0plus + X0 + lag @ Xplus + H + Theta)
 
     def tv(vals):
         return float(np.sum(np.abs(np.diff(vals))))

@@ -5,7 +5,7 @@ preconditioner; for `mdqueue.sim`, the one-customer-at-a-time start-time
 recursion, the node-at-a-time Theta recursion and the stable event sort; the
 row-at-a-time `repr` CSV writers that are the byte reference for
 `grids.write_csv` and the artifacts written through it; and the test helpers
-`trap_integral` and `zero_controls`."""
+`trap_integral`, `zero_controls`, `lln_path`, `equation` and `qp_of`."""
 import heapq
 
 import numpy as np
@@ -13,7 +13,9 @@ from numpy.polynomial.legendre import leggauss
 
 from mdqueue.fredholm import _cg, shift_matrix
 from mdqueue.grids import GridField2D, GridPath, trap_weights
-from mdqueue.paths import ControlSet
+from mdqueue.oracle import build_qp
+from mdqueue.paths import ControlSet, PathEquation, defect
+from mdqueue.renewal import solve_nonlinear
 
 _GAUSS_ORDER = 40  # Gauss-Legendre nodes of the inner integral in kernel_matrix
 
@@ -30,6 +32,22 @@ def zero_controls(T, n_steps, n_x, mu=1.0):
         wdot=GridPath(T, np.zeros(n_steps + 1)),
         kdot=GridField2D(mu * T, np.zeros((n_x + 1, n_steps + 1))),
     )
+
+
+def equation(q, pm, d):
+    """The `PathEquation` of pm and d on the grid of the path q."""
+    return PathEquation.from_law(pm, d, q.horizon, q.n_steps)
+
+
+def qp_of(q, pm, d):
+    """The oracle's constraints for the path q: `build_qp` of its equation and its defect."""
+    eq = equation(q, pm, d)
+    return build_qp(eq, defect(q, eq))
+
+
+def lln_path(eq):
+    """Law-of-large-numbers path on the grid of the `PathEquation` eq: its zero-control solution."""
+    return solve_nonlinear(GridPath(eq.horizon, eq.drift), eq.lag)
 
 
 def kernel_matrix(d, sigma, T, n_steps):
@@ -110,7 +128,7 @@ def continuum_gram(pm, d, T, n_steps, zero_mean):
 
 def lag_gram(A, zero_mean):
     """The dense N x N Gram G = A W^-1 A^T of the path rows t_1..t_N of the
-    `LagConstraints` A, in O(N^2), over controls with zero x-mean when
+    `PathEquation` A, in O(N^2), over controls with zero x-mean when
     `zero_mean`: the reference for `GramOperator` at grids where
     `continuum_gram` is too slow.
 
@@ -126,8 +144,8 @@ def lag_gram(A, zero_mean):
     """
     n = len(A.F)
     F, F0 = A.F, A.F0[1:]
-    s = A.sigma / np.sqrt(A.dt) * (1.0 - F)
-    c_k = A.mu / A.dt
+    s = A.pm.sigma / np.sqrt(A.dt) * (1.0 - F)
+    c_k = A.pm.mu / A.dt
     # Row a of the N x N arrays below is time node i = a + 1; G is scratch until the diagonal sums.
     k0 = s[0] * s + c_k * (np.minimum(F[0], F) - (F[0] * F if zero_mean else 0.0))  # row 0 of K
     K = np.minimum.outer(F[1:], F[1:])

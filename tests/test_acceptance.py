@@ -13,9 +13,11 @@ from mdqueue import (
     GridPath,
     ModelParams,
     ScalingRegime,
+    PathEquation,
     ServiceDist,
     build_qp,
     decomposition,
+    defect,
     dual_value,
     evaluate_rate,
     flow_balance_residuals,
@@ -23,16 +25,16 @@ from mdqueue import (
     kiefer_energy,
     kiefer_from_sheet,
     lln_check,
-    lln_path,
     simulate,
     solve_linear,
     solve_min_norm,
     spawn_streams,
 )
+from mdqueue.grids import LagConv
 from mdqueue.sim import lln_sup_stat
 
 from conftest import HORIZON, battery_cases
-from reference import kernel_matrix
+from reference import equation, kernel_matrix, lln_path
 
 D = ServiceDist.exponential(1.0)
 
@@ -43,20 +45,20 @@ def battery_results():
     t0 = time.time()
     out = []
     for beta, q0, q in battery_cases(200):
-        pm = ModelParams(mu=1.0, sigma=1.0, beta=beta, q0=q0)
-        res = evaluate_rate(q, pm, D, n_x=32)
-        qp_val, _ = solve_min_norm(build_qp(q, pm, D))
-        out.append((pm, q, res, qp_val))
+        eq = equation(q, ModelParams(mu=1.0, sigma=1.0, beta=beta, q0=q0), D)
+        res = evaluate_rate(q, eq, n_x=32)
+        qp_val, _ = solve_min_norm(build_qp(eq, defect(q, eq)))
+        out.append((eq, q, res, qp_val))
     return out, time.time() - t0
 
 
 def test_criterion_1_fredholm_oracle_agreement(battery_results):
     results, elapsed = battery_results
     worst = 0.0
-    for pm, _, res, qp_val in results:
+    for eq, _, res, qp_val in results:
         rel = abs(res.rate - qp_val) / (1.0 + res.rate)
         worst = max(worst, rel)
-        assert rel <= 0.02, f"beta={pm.beta} q0={pm.q0}: rel={rel:.4f}"
+        assert rel <= 0.02, f"beta={eq.pm.beta} q0={eq.pm.q0}: rel={rel:.4f}"
     assert elapsed <= 60.0
     print(f"\nCRITERION 1 PASS: max |I_fredholm - I_oracle|/(1+I) = {worst:.5f} <= 0.02, "
           f"runtime {elapsed:.1f}s <= 60s")
@@ -65,39 +67,39 @@ def test_criterion_1_fredholm_oracle_agreement(battery_results):
 def test_oracle_gap_battery(battery_results):
     # both routes are second order in dt, also where q changes sign inside (0, T)
     results, _ = battery_results
-    for pm, _, res, qp_val in results:
-        assert abs(qp_val - res.rate) / res.rate <= 1e-3, f"beta={pm.beta} q0={pm.q0}"
+    for eq, _, res, qp_val in results:
+        assert abs(qp_val - res.rate) / res.rate <= 1e-3, f"beta={eq.pm.beta} q0={eq.pm.q0}"
 
 
 def test_criterion_2_saddle_consistency(battery_results):
     results, _ = battery_results
     worst = 0.0
-    for pm, _, res, _ in results:
+    for eq, _, res, _ in results:
         gap = abs(res.rate - res.dual) / (1.0 + res.rate)
         worst = max(worst, gap)
-        assert gap <= 1e-6, f"beta={pm.beta} q0={pm.q0}: saddle gap {gap:.2e}"
+        assert gap <= 1e-6, f"beta={eq.pm.beta} q0={eq.pm.q0}: saddle gap {gap:.2e}"
     print(f"\nCRITERION 2 PASS: max |I - dual|/(1+I) = {worst:.2e} <= 1e-6")
 
 
 def test_criterion_3_round_trip_feasibility(battery_results):
     results, _ = battery_results
     worst200 = 0.0
-    for pm, q, res, _ in results:
-        q_rt = forward_q(res.controls, pm, D)
+    for eq, q, res, _ in results:
+        q_rt = forward_q(res.controls, eq)
         scale = max(1.0, float(np.max(np.abs(q.values))))
         err = float(np.max(np.abs(q_rt.values - q.values))) / scale
         worst200 = max(worst200, err)
-        assert err <= 0.03, f"beta={pm.beta} q0={pm.q0}: roundtrip {err:.4f}"
+        assert err <= 0.03, f"beta={eq.pm.beta} q0={eq.pm.q0}: roundtrip {err:.4f}"
     # refinement check on the first battery case
     t = np.linspace(0.0, HORIZON, 401)
     q4 = GridPath(HORIZON, 0.3 * t * (2.0 - t))
     pm = ModelParams(1.0, 1.0, 0.5, 0.0)
-    res4 = evaluate_rate(q4, pm, D)
-    err400 = float(np.max(np.abs(forward_q(res4.controls, pm, D).values - q4.values)))
+    eq4 = equation(q4, pm, D)
+    err400 = float(np.max(np.abs(forward_q(evaluate_rate(q4, eq4).controls, eq4).values - q4.values)))
     t2 = np.linspace(0.0, HORIZON, 201)
     q2 = GridPath(HORIZON, 0.3 * t2 * (2.0 - t2))
-    res2 = evaluate_rate(q2, pm, D)
-    err200 = float(np.max(np.abs(forward_q(res2.controls, pm, D).values - q2.values)))
+    eq2 = equation(q2, pm, D)
+    err200 = float(np.max(np.abs(forward_q(evaluate_rate(q2, eq2).controls, eq2).values - q2.values)))
     assert err400 < err200
     print(f"\nCRITERION 3 PASS: max roundtrip rel error {worst200:.4f} <= 0.03 at N=200; "
           f"shrinks {err200:.4f} -> {err400:.4f} at N=400")
@@ -116,9 +118,8 @@ def test_criterion_4_exponential_kernel_closed_form():
 def test_criterion_5_zero_rate_certificate():
     rates = {}
     for beta in (-1.0, 0.0, 1.0):
-        pm = ModelParams(1.0, 1.0, beta, 0.0)
-        q = lln_path(pm, D, HORIZON, 800)
-        rates[beta] = evaluate_rate(q, pm, D).rate
+        eq = PathEquation.from_law(ModelParams(1.0, 1.0, beta, 0.0), D, HORIZON, 800)
+        rates[beta] = evaluate_rate(lln_path(eq), eq).rate
         assert rates[beta] <= 1e-10, f"beta={beta}: I = {rates[beta]:.2e}"
     print(f"\nCRITERION 5 PASS: LLN-path rates {rates} all <= 1e-10")
 
@@ -127,7 +128,7 @@ def test_criterion_6_renewal_solver():
     errs = {}
     for n in (200, 400):
         dt = HORIZON / n
-        g = solve_linear(GridPath(HORIZON, np.ones(n + 1)), D)
+        g = solve_linear(GridPath(HORIZON, np.ones(n + 1)), LagConv.of_law(D, HORIZON, n))
         errs[n] = float(np.max(np.abs(g.values - (1.0 + g.times))))
         limit = (5.0 if n == 200 else 2.5) * dt
         assert errs[n] <= limit, f"N={n}: err {errs[n]:.2e} > {limit:.2e}"
@@ -148,6 +149,7 @@ def test_criterion_7_kiefer_energy_identity():
 
 def test_criterion_8_simulator_exactness():
     pm = ModelParams(1.0, 1.0, 0.5, 0.0)
+    eq1, eq2 = (PathEquation.from_law(pm, D, 2.0, m) for m in (200, 400))
     n_traces = 0
     ratios = []
     for i, n in enumerate((10, 100, 1000)):
@@ -158,8 +160,8 @@ def test_criterion_8_simulator_exactness():
             tr = simulate(pm, D, sr, 2.0, rng)
             fb = flow_balance_residuals(tr)
             assert len(fb) == 0 or int(np.max(np.abs(fb))) == 0
-            r1 = decomposition(tr, D, 200)
-            r2 = decomposition(tr, D, 400)
+            r1 = decomposition(tr, eq1)
+            r2 = decomposition(tr, eq2)
             assert r1.sup_residual <= 1e-8 + r1.quadrature_bound
             ratios.append(r2.sup_residual / max(r1.sup_residual, 1e-300))
             n_traces += 1

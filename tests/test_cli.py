@@ -356,9 +356,11 @@ def test_mismatched_q0_exit_2(tmp_path):
         ("simulate", dict(SIM_OK, lln_t=1.5)),
         ("simulate", dict(SIM_OK, event={"kind": "sup", "t": 2.0, "a": 0.5})),
         ("simulate", dict(SIM_OK, b_rule={"kind": "power", "value": [0.25]})),
+        # b_2 = ln(2) / 32: b^3 n^(1/b^2 - 1/2) overflows, and was written as Infinity
+        ("simulate", dict(SIM_OK, ladder=[2], b_rule={"kind": "log", "value": 0.03125})),
     ],
     ids=["decomposition_steps-0", "arrival-shape-str", "arrival-shape-0", "log-rule-b1-zero",
-         "lln_t-past-horizon", "event-t-past-horizon", "b-rule-value-list"],
+         "lln_t-past-horizon", "event-t-past-horizon", "b-rule-value-list", "condition-value-overflow"],
 )
 def test_invalid_sim_block_exit_2_no_outputs(tmp_path, capsys, command, sim):
     cfg = _cfg(tmp_path, "c.json", dict(BASE, command=command, sim=sim))
@@ -366,6 +368,62 @@ def test_invalid_sim_block_exit_2_no_outputs(tmp_path, capsys, command, sim):
     assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert not out.exists()
     assert "config error: sim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "identity-check"])
+@pytest.mark.parametrize("dist, sim, expected", [
+    # n mu rho_n horizon, and beta = 0 gives rho_n = 1: a rate of 10^6 at n = 100 over 4 asks for 4e8,
+    # and 100 servers at rate 1 over 10^5 expect the cap itself, a hair more is past it
+    ({"family": "exponential", "rate": 1e6}, dict(SIM_OK, ladder=[1, 100], horizon=4.0), 4e8),
+    ({"family": "exponential", "rate": 1.0}, dict(SIM_OK, ladder=[100], horizon=1e5), None),
+    ({"family": "exponential", "rate": 1.0}, dict(SIM_OK, ladder=[100], horizon=1.0000001e5), 1e7),
+], ids=["rate-1e6", "at-cap", "past-cap"])
+def test_expected_arrivals_past_the_cap_exit_2_no_outputs(tmp_path, capsys, command, dist, sim, expected):
+    # checked on the config alone, so that a broken check allocates nothing: the run is
+    # started only once Run has rejected the config
+    from mdqueue.cli import MAX_EXPECTED_ARRIVALS, ConfigError, Run
+
+    payload = dict(BASE, command=command, dist=dist, model=dict(BASE["model"], beta=0.0), sim=sim)
+    if expected is None:
+        run = Run(payload, tmp_path, None)
+        (sr,) = run.sim["regimes"]
+        assert sr.arrival_rate(run.model.mu) * sim["horizon"] == MAX_EXPECTED_ARRIVALS
+        return
+    with pytest.raises(ConfigError, match="arrivals per replication") as info:
+        Run(payload, tmp_path, None)
+    assert f"expects {expected:.3g}" in str(info.value)
+    cfg = _cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "config error: sim: rung n = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, grids", [("rate", 1), ("controls", 1), ("oracle-check", 1), ("identity-check", 2)])
+def test_law_sampled_once_per_grid(tmp_path, monkeypatch, command, grids):
+    # PathEquation.from_law is the one sampling of the law on a t grid, shared by every solver
+    # of the command: one per command, and identity-check's two grids whatever its ladder and reps
+    from collections import Counter
+
+    from mdqueue import ServiceDist
+    from mdqueue.grids import LagConv
+
+    calls, of_law = Counter(), LagConv.of_law.__func__
+    monkeypatch.setattr(LagConv, "of_law", classmethod(lambda cls, *a: calls.update(["of_law"]) or of_law(cls, *a)))
+    # the t grids have 41, or 51 and 101 nodes; ppf's Newton steps and the sampler read at most 33 points
+    sizes = {51, 101} if command == "identity-check" else {41}
+    for name in ("cdf", "eq_cdf"):
+        def counted(self, x, _law=getattr(ServiceDist, name), _name=name):
+            calls[_name] += np.size(x) in sizes
+            return _law(self, x)
+        monkeypatch.setattr(ServiceDist, name, counted)
+    _write_q(tmp_path / "q.csv", n=40)
+    dist = {"family": "erlang", "shape": 3, "rate": 3.0}
+    sim = dict(SIM_OK, ladder=[10, 20, 30], reps=2, decomposition_steps=50)
+    payload = dict(BASE, command=command, dist=dist, **({"sim": sim} if command == "identity-check" else
+                                                        {"io": {"q_csv": "q.csv"}}))
+    assert main(["--config", str(_cfg(tmp_path, "c.json", payload)), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert calls == {"of_law": grids, "cdf": grids, "eq_cdf": grids}
 
 
 @pytest.mark.parametrize(
@@ -482,6 +540,24 @@ def test_tiny_forcing_exit_0_with_finite_artifacts(tmp_path, command, eps):
     assert np.allclose(adjoints[eps] / eps, adjoints[1.0], rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize("eps", [1e-312, 1e-320])
+@pytest.mark.parametrize("command", ["rate", "controls", "oracle-check"])
+def test_subnormal_path_exit_0_with_finite_artifacts(tmp_path, command, eps):
+    # |h| is subnormal, so 1e-12 |h| underflows to 0: the adjoint CG's stop rule is scaled
+    # with h, where a stop at 0 ran CG until r . r underflowed and was divided by
+    t = np.linspace(0.0, 2.0, 201)
+    GridPath(2.0, eps * t * (2.0 - t)).to_csv(tmp_path / "q.csv")
+    model = {"sigma": 1.0, "beta": 0.0, "q0": 0.0}
+    cfg = _cfg(tmp_path, "c.json", dict(BASE, command=command, model=model, io={"q_csv": "q.csv"}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    s = json.loads((out / "summary.json").read_text())
+    assert s["status"] == "ok" and s.get("rate", s.get("fredholmValue")) == 0.0
+    assert all(np.isfinite(v) for v in s.values() if isinstance(v, float))
+    if command != "oracle-check":  # oracle.csv holds the summary's floats
+        assert np.all(np.isfinite(_csv_values(out)))
+
+
 @pytest.mark.parametrize("command, shape", [("dist-info", 140), ("dist-info", 170), ("controls", 500), ("rate", 140),
                                             ("dist-info", 500), ("dist-info", 501), ("controls", 501),
                                             ("dist-info", 1000), ("controls", 1000)])
@@ -515,7 +591,7 @@ def test_large_erlang_shape_no_traceback(tmp_path, command, shape):
 
 def test_oracle_check_computes_the_defect_once(tmp_path, monkeypatch):
     # the forcing and the QP share the defect of the path
-    from mdqueue import cli, fredholm, oracle, paths
+    from mdqueue import cli, fredholm, paths
 
     calls = []
 
@@ -523,7 +599,7 @@ def test_oracle_check_computes_the_defect_once(tmp_path, monkeypatch):
         calls.append(1)
         return paths.defect(*args)
 
-    for module in (cli, fredholm, oracle):
+    for module in (cli, fredholm):
         monkeypatch.setattr(module, "defect", counted)
     _write_q(tmp_path / "q.csv")
     cfg = _cfg(tmp_path, "c.json", dict(BASE, command="oracle-check", io={"q_csv": "q.csv"}))

@@ -2,11 +2,13 @@
 2 and never an exception; exit 2 creates no output directory; exit 1 writes a
 summary.json with status numerical-failure; exit 0 writes no NaN or infinity in
 any artifact.  About one law and one sigma in ten of the path commands and
-dist-info are drawn at the edge of the float range.  An input CSV drawn with a
-defect, a grid block that is not the grid of q.csv, a tolerances block, a block
-the command does not read, an optional sim key it does not read and a kiefer
-block next to a sheet are always exit 2; a grid block that is the grid of q.csv
-changes no exit code."""
+dist-info, and one law in ten of the sim commands, are drawn at the edge of the
+float range; a sim command's extreme law comes with a horizon at which a
+replication expects at most 1e5 arrivals, or more than the supported cap.  An
+input CSV drawn with a defect, a grid block that is not the grid of q.csv, a
+tolerances block, a block the command does not read, an optional sim key it
+does not read and a kiefer block next to a sheet are always exit 2; a grid block
+that is the grid of q.csv changes no exit code."""
 import contextlib
 import io
 import json
@@ -18,7 +20,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdqueue.cli import main
+from mdqueue import ServiceDist
+from mdqueue.cli import MAX_EXPECTED_ARRIVALS, main
+from mdqueue.sim import ScalingRegime
 
 
 def one_in(n: int, rare, common):
@@ -51,8 +55,7 @@ DISTS = st.one_of(
     ),
 )
 # laws at the edge of the float range: rates log-uniform on [1e-6, 1e6] and Erlang shapes
-# up to 1000, past the supported 500.  The sim commands keep DISTS: their event count
-# grows with the rate, and nothing in the config bounds it
+# up to 1000, past the supported 500
 RATES = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
 EXTREME_DISTS = st.one_of(
     st.fixed_dictionaries({"family": st.just("exponential"), "rate": RATES}),
@@ -61,6 +64,10 @@ EXTREME_DISTS = st.one_of(
               st.floats(0.01, 0.99), st.lists(RATES, min_size=2, max_size=2)),
 )
 PATH_DISTS = one_in(10, EXTREME_DISTS, DISTS)
+# about one sim config in ten takes an extreme law and the arrivals its largest rung expects
+# per replication, log-uniform on [1, 1e5], where the run stays fast, or past the cap
+ARRIVALS = st.one_of(st.floats(0.0, 5.0), st.floats(math.log10(MAX_EXPECTED_ARRIVALS) + 0.01, 12.0))
+SIM_EXTREMES = one_in(10, st.tuples(EXTREME_DISTS, ARRIVALS.map(lambda e: 10.0**e)), st.none())
 # sigma log-uniform up to 1e160, past the 1.3e154 where sigma^2 overflows
 SIGMAS = one_in(10, st.floats(-3.0, 160.0).map(lambda e: 10.0**e), NUMBERS)
 MODELS = st.fixed_dictionaries({"sigma": NUMBERS, "beta": SIGNED, "q0": SIGNED})
@@ -134,7 +141,8 @@ CONFIGS = st.one_of(
     st.fixed_dictionaries({"command": st.just("kiefer-check"), "unread": UNREAD},
                           optional={"kiefer": KIEFER, "sheet": SHEETS}),
     st.fixed_dictionaries({"command": st.sampled_from(["simulate", "identity-check"]), "sim": SIMS, "model": MODELS,
-                           "dist": DISTS, "unread": UNREAD}, optional={"seed": integers(0, 2**32)}),
+                           "dist": DISTS, "extreme": SIM_EXTREMES, "unread": UNREAD},
+                          optional={"seed": integers(0, 2**32)}),
 )
 
 
@@ -210,7 +218,31 @@ def _non_finite(out: Path) -> list:
     return found
 
 
+def _expect_arrivals(cfg: dict, arrivals: float) -> None:
+    """Scale sim.horizon, and sim.lln_t and sim.event.t with it, so that the largest rung
+    expects `arrivals` arrivals per replication, n mu rho_n horizon; a config whose law,
+    rungs or horizon give no such count stays as drawn."""
+    s = cfg["sim"]
+    try:
+        mu = ServiceDist.from_spec(cfg["dist"]).mu
+        rule = (s["b_rule"]["kind"], float(s["b_rule"]["value"]))
+        rate = max(ScalingRegime(n, rule, float(cfg["model"]["beta"])).arrival_rate(mu) for n in s["ladder"])
+        scale = arrivals / rate / s["horizon"]
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        return
+    if not (math.isfinite(scale) and scale > 0):
+        return
+    s["horizon"] *= scale
+    for block, key in ((s, "lln_t"), (s.get("event", {}), "t")):
+        if type(block.get(key)) in (int, float):
+            block[key] *= scale
+
+
 def _check_contract(cfg: dict) -> None:
+    extreme = cfg.pop("extreme", None)
+    if extreme is not None:
+        cfg["dist"] = extreme[0]
+        _expect_arrivals(cfg, extreme[1])
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         defect, grid_matches = None, None

@@ -1,23 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdqueue import (
     ControlSet,
     GridField2D,
     GridPath,
     ModelParams,
+    RenewalConvergenceError,
     ServiceDist,
     build_qp,
+    defect,
     evaluate_rate,
-    lln_path,
     solve_min_norm,
 )
 
-from mdqueue.oracle import LagConstraints
-from mdqueue.paths import TridiagInverse
+from mdqueue.paths import PathEquation, TridiagInverse
 
 from conftest import HORIZON, battery_cases
-from reference import continuum_gram, lag_gram, min_kernel_min_norm
+from reference import continuum_gram, equation, lag_gram, lln_path, min_kernel_min_norm, qp_of
 
 LAWS = [
     ServiceDist.exponential(1.0),
@@ -29,7 +31,7 @@ LAWS = [
 def _loop_constraints(pm, d, T, n_steps, n_x, zero_mean):
     """Dense A on an M-node x grid, built node by node from the path equation,
     with the zero-mean rows below the path rows when `zero_mean`, and the
-    diagonal of its trapezoid metric W (reference for LagConstraints)."""
+    diagonal of its trapezoid metric W (reference for PathEquation)."""
     from mdqueue.grids import trap_weights
     from mdqueue.paths import partial_cell_weights
 
@@ -72,16 +74,16 @@ def _grid_gram(pm, d, T, n_steps, n_x, zero_mean):
 def test_zero_rhs_gives_zero(exp1):
     # the LLN path satisfies the path equation with no controls: r = 0, value 0
     pm = ModelParams(1.0, 1.0, 0.5, 0.0)
-    q = lln_path(pm, exp1, HORIZON, 200)
-    val, _ = solve_min_norm(build_qp(q, pm, exp1))
+    q = lln_path(PathEquation.from_law(pm, exp1, HORIZON, 200))
+    val, _ = solve_min_norm(qp_of(q, pm, exp1))
     assert val <= 1e-12
 
 
 def test_agreement_with_fredholm_battery(exp1):
     for beta, q0, q in battery_cases(200):
         pm = ModelParams(1.0, 1.0, beta, q0)
-        rate = evaluate_rate(q, pm, exp1).rate
-        val, _ = solve_min_norm(build_qp(q, pm, exp1))
+        rate = evaluate_rate(q, equation(q, pm, exp1)).rate
+        val, _ = solve_min_norm(qp_of(q, pm, exp1))
         assert abs(val - rate) / (1.0 + rate) <= 0.02
 
 
@@ -90,7 +92,7 @@ def test_agreement_with_fredholm_battery(exp1):
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 def test_lag_constraints_match_dense(d, n_steps, zero_mean):
     pm = ModelParams(d.mu, 1.5, 0.5, 0.0)
-    A = LagConstraints.from_law(pm, d, HORIZON, n_steps)
+    A = PathEquation.from_law(pm, d, HORIZON, n_steps)
     G_ref = continuum_gram(pm, d, HORIZON, n_steps, zero_mean)
     v = np.random.default_rng(n_steps).standard_normal(n_steps)
     assert np.max(np.abs(A.gram_operator(zero_mean) @ v - G_ref @ v)) <= 1e-12 * np.max(np.abs(G_ref @ v))
@@ -111,7 +113,7 @@ def test_grid_gram_converges_to_gram(d, zero_mean):
     # the Gram of the forward map's x-grid rows tends to the exact-in-x Gram
     # at first order in dx, so `@` and the Gram describe the same operator
     pm = ModelParams(d.mu, 1.5, 0.5, 0.0)
-    G = lag_gram(LagConstraints.from_law(pm, d, HORIZON, 40), zero_mean)
+    G = lag_gram(PathEquation.from_law(pm, d, HORIZON, 40), zero_mean)
     errs = [np.max(np.abs(_grid_gram(pm, d, HORIZON, 40, m, zero_mean) - G)) / np.max(np.abs(G))
             for m in (8, 16, 32, 64, 128)]
     assert all(e0 >= 1.7 * e1 for e0, e1 in zip(errs, errs[1:])), errs
@@ -124,7 +126,7 @@ def test_min_norm_matches_bordered_solve(d, n_steps, zero_mean):
     # the value is the least energy 1/2 r' G^-1 r of the dense continuum Gram
     pm = ModelParams(d.mu, 1.5, 0.5, 0.0)
     t = np.linspace(0.0, HORIZON, n_steps + 1)
-    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d)
+    sys_ = qp_of(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d)
     assert len(sys_.r) == n_steps
     val_ref = 0.5 * float(sys_.r @ np.linalg.solve(continuum_gram(pm, d, HORIZON, n_steps, zero_mean), sys_.r))
     val, diag = solve_min_norm(sys_, zero_mean)
@@ -141,7 +143,7 @@ def test_pcg_matches_cholesky_of_reference_gram(d, sigma, n_steps, zero_mean):
 
     pm = ModelParams(d.mu, sigma, 0.5, 0.0)
     t = np.linspace(0.0, HORIZON, n_steps + 1)
-    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d)
+    sys_ = qp_of(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d)
     val_ref = 0.5 * float(sys_.r @ cho_solve(cho_factor(lag_gram(sys_.A, zero_mean)), sys_.r))
     val, diag = solve_min_norm(sys_, zero_mean)
     assert diag["residual"] <= 1e-12
@@ -160,7 +162,7 @@ def test_pcg_matches_min_kernel_route(d, n_steps, sigma):
     # iterations here; the tridiagonal one takes a count that does not grow with sigma
     pm = ModelParams(d.mu, sigma, 0.5, 0.0)
     t = np.linspace(0.0, HORIZON, n_steps + 1)
-    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d)
+    sys_ = qp_of(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d)
     for zero_mean in (False, True):
         val, diag = solve_min_norm(sys_, zero_mean)
         val_ref, _ = min_kernel_min_norm(sys_, zero_mean)
@@ -202,11 +204,11 @@ def test_tridiag_inverse_matches_dense(coeffs, a, n):
 def test_precond_is_leading_tridiagonal_of_differenced_gram(d, sigma, horizon, a, n_steps, zero_mean):
     # c^-1 precond is D^T M^-1 D, D the backward difference and M, from the first
     # two lags alone, m I + p R W^-1 R^T, less m R_F W^-1 R_F^T with zero mean
-    A = LagConstraints.from_law(ModelParams(d.mu, sigma, 0.0, 0.0), d, horizon, n_steps)
+    A = PathEquation.from_law(ModelParams(d.mu, sigma, 0.0, 0.0), d, horizon, n_steps)
     G = A.gram_operator(zero_mean)
     if a is not None:
         assert abs(G.tri.a - a) <= 1e-15
-    n, m, p, F1 = n_steps, A.mu * A.dt, A.sigma * A.sigma * A.dt, A.F[1]
+    n, m, p, F1 = n_steps, A.pm.mu * A.dt, A.pm.sigma * A.pm.sigma * A.dt, A.F[1]
     R, R_F = np.zeros((n, n + 1)), np.zeros((n, n + 1))  # row i - 1 for t_i, column j for t_j
     R[0, 0], R_F[0, 0] = 0.5 * (1.0 - F1), 0.5 * F1
     for i in range(1, n + 1):
@@ -230,8 +232,8 @@ def test_value_scales_with_the_path(exp1, scale):
     # the subnormal spacing of a value near 6e-321
     pm = ModelParams(1.0, 1.0, 0.0, 0.0)
     t = np.linspace(0.0, HORIZON, 201)
-    val, _ = solve_min_norm(build_qp(GridPath(HORIZON, t * (2.0 - t)), pm, exp1))
-    scaled, _ = solve_min_norm(build_qp(GridPath(HORIZON, scale * t * (2.0 - t)), pm, exp1))
+    val, _ = solve_min_norm(qp_of(GridPath(HORIZON, t * (2.0 - t)), pm, exp1))
+    scaled, _ = solve_min_norm(qp_of(GridPath(HORIZON, scale * t * (2.0 - t)), pm, exp1))
     assert abs(scaled - scale * scale * val) <= 1e-12 * scale * scale * val + 1e-322
 
 
@@ -239,7 +241,7 @@ def test_pcg_reports_iterations(pm_std, exp1, q_quad, caplog):
     import logging
 
     with caplog.at_level(logging.INFO, logger="mdqueue.oracle"):
-        _, diag = solve_min_norm(build_qp(q_quad, pm_std, exp1), zero_mean=True)
+        _, diag = solve_min_norm(qp_of(q_quad, pm_std, exp1), zero_mean=True)
     assert diag["route"] == "pcg" and 0 < diag["iterations"] <= 40
     assert f"pcg, {diag['iterations']} iterations, relative residual {diag['residual']:.3e}" in caplog.text
 
@@ -249,7 +251,7 @@ def test_pcg_iteration_cap_raises(pm_std, exp1, q_quad, monkeypatch):
 
     monkeypatch.setattr("mdqueue.oracle._pcg_cap", lambda n: 1)
     with pytest.raises(FredholmError, match="after 1 iterations"):
-        solve_min_norm(build_qp(q_quad, pm_std, exp1))
+        solve_min_norm(qp_of(q_quad, pm_std, exp1))
 
 
 def test_zero_mean_solve_memory(pm_std, exp1):
@@ -258,7 +260,7 @@ def test_zero_mean_solve_memory(pm_std, exp1):
     import tracemalloc
 
     t = np.linspace(0.0, HORIZON, 1601)
-    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1)
+    sys_ = qp_of(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1)
     tracemalloc.start()
     try:
         solve_min_norm(sys_, zero_mean=True)
@@ -270,7 +272,7 @@ def test_zero_mean_solve_memory(pm_std, exp1):
 
 def test_constraint_tables_are_small(pm_std, exp1):
     t = np.linspace(0.0, HORIZON, 1601)
-    sys_ = build_qp(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1)
+    sys_ = qp_of(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1)
     assert len(sys_.r) == 1600
     assert sys_.A.nbytes < 1_000_000
 
@@ -280,8 +282,8 @@ def test_agreement_with_fredholm_fine_grid(d):
     t = np.linspace(0.0, HORIZON, 801)
     q = GridPath(HORIZON, 0.3 * t * (2.0 - t))
     pm = ModelParams(d.mu, 1.0, 0.5, 0.0)
-    rate = evaluate_rate(q, pm, d).rate
-    val, _ = solve_min_norm(build_qp(q, pm, d))
+    rate = evaluate_rate(q, equation(q, pm, d)).rate
+    val, _ = solve_min_norm(qp_of(q, pm, d))
     assert abs(val - rate) / (1.0 + rate) <= 0.02
 
 
@@ -294,8 +296,8 @@ def test_oracle_fredholm_gap_is_second_order(d, sigma):
     for n in (200, 400, 800):
         t = np.linspace(0.0, HORIZON, n + 1)
         q = GridPath(HORIZON, 0.3 * t * (2.0 - t))
-        rate = evaluate_rate(q, pm, d).rate
-        val, _ = solve_min_norm(build_qp(q, pm, d))
+        rate = evaluate_rate(q, equation(q, pm, d)).rate
+        val, _ = solve_min_norm(qp_of(q, pm, d))
         gaps.append(abs(val - rate) / rate)
     assert all(g0 >= 3.5 * g1 for g0, g1 in zip(gaps, gaps[1:])), gaps
 
@@ -317,15 +319,15 @@ def test_oracle_fredholm_gap_is_second_order_on_crossing_paths(d, path):
     gaps = []
     for n in (200, 400, 800):
         q = GridPath(HORIZON, f(np.linspace(0.0, HORIZON, n + 1)))
-        val, _ = solve_min_norm(build_qp(q, pm, d))
-        gaps.append(abs(evaluate_rate(q, pm, d).rate - val) / val)
+        val, _ = solve_min_norm(qp_of(q, pm, d))
+        gaps.append(abs(evaluate_rate(q, equation(q, pm, d)).rate - val) / val)
     assert gaps[0] <= 2e-4
     assert all(g0 >= 3.5 * g1 for g0, g1 in zip(gaps, gaps[1:])), gaps
 
 
 def test_flags_on_raises_value(pm_std, exp1, q_quad):
-    off, _ = solve_min_norm(build_qp(q_quad, pm_std, exp1))
-    on, _ = solve_min_norm(build_qp(q_quad, pm_std, exp1), zero_mean=True)
+    off, _ = solve_min_norm(qp_of(q_quad, pm_std, exp1))
+    on, _ = solve_min_norm(qp_of(q_quad, pm_std, exp1), zero_mean=True)
     assert on >= off - 1e-12
 
 
@@ -334,13 +336,13 @@ def test_refinement_stability(pm_std, exp1):
     for n in (100, 200):
         t = np.linspace(0.0, HORIZON, n + 1)
         q = GridPath(HORIZON, 0.3 * t * (2.0 - t))
-        v, _ = solve_min_norm(build_qp(q, pm_std, exp1))
+        v, _ = solve_min_norm(qp_of(q, pm_std, exp1))
         vals.append(v)
     assert abs(vals[1] - vals[0]) / vals[0] <= 0.01
 
 
 def test_repeated_solves_bit_identical(pm_std, exp1, q_quad):
-    sys_ = build_qp(q_quad, pm_std, exp1)
+    sys_ = qp_of(q_quad, pm_std, exp1)
     v1, _ = solve_min_norm(sys_)
     v2, _ = solve_min_norm(sys_)
     assert v1 == v2
@@ -349,7 +351,7 @@ def test_repeated_solves_bit_identical(pm_std, exp1, q_quad):
 def test_build_qp_rejects_wrong_q0(exp1):
     pm = ModelParams(1.0, 1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
-        build_qp(GridPath(1.0, np.zeros(11)), pm, exp1)
+        qp_of(GridPath(1.0, np.zeros(11)), pm, exp1)
 
 
 def test_build_qp_nontrivial_first_row_raises_typed_error(exp1, pm_std, q_quad, monkeypatch):
@@ -362,7 +364,7 @@ def test_build_qp_nontrivial_first_row_raises_typed_error(exp1, pm_std, q_quad, 
 
     monkeypatch.setattr(LagConv, "of_law", classmethod(lambda cls, d, horizon, n_steps: NaNLag()))
     with pytest.raises(FredholmError, match="t = 0"):
-        build_qp(q_quad, pm_std, exp1)
+        qp_of(q_quad, pm_std, exp1)
 
 
 # paths from q(0) = 0 on [0, HORIZON]: a hump, a rise and a sine that crosses zero
@@ -382,8 +384,34 @@ def test_rate_scales_quadratically(d, sigma, path, c):
     # so I(c q) = c^2 I(q) for c > 0, on the adjoint route and on the oracle's
     pm = ModelParams(mu=d.mu, sigma=sigma, beta=0.0, q0=0.0)
     q = SCALING_PATHS[path](np.linspace(0.0, HORIZON, 101))
-    for rate in (lambda v: evaluate_rate(GridPath(HORIZON, v), pm, d).rate,
-                 lambda v: solve_min_norm(build_qp(GridPath(HORIZON, v), pm, d))[0]):
+    eq = PathEquation.from_law(pm, d, HORIZON, 100)
+    for rate in (lambda v: evaluate_rate(GridPath(HORIZON, v), eq).rate,
+                 lambda v: solve_min_norm(qp_of(GridPath(HORIZON, v), pm, d))[0]):
         base = rate(q)
         assert base > 0.0
         assert abs(rate(c * q) - c * c * base) <= 1e-12 * c * c * base
+
+
+
+LLN_LAWS = st.one_of(
+    st.floats(0.1, 10.0).map(ServiceDist.exponential),
+    st.builds(ServiceDist.erlang, st.integers(1, 7), st.floats(0.1, 10.0)),
+    st.builds(lambda w, rates: ServiceDist.hyperexponential([w, 1.0 - w], rates),
+              st.floats(0.1, 0.9), st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=LLN_LAWS, sigma=st.floats(0.05, 100.0), beta=st.floats(-1.0, 1.0), q0=st.floats(-1.0, 1.0),
+       horizon=st.floats(0.3, 300.0), n_steps=st.integers(50, 800))
+def test_lln_path_has_zero_rate_on_both_routes(d, sigma, beta, q0, horizon, n_steps):
+    # criterion 5 drawn over laws, grids and parameters: the zero-control path costs nothing on
+    # either route, unless the renewal march cannot solve on the grid, which is a typed error
+    eq = PathEquation.from_law(ModelParams(d.mu, sigma, beta, q0), d, horizon, n_steps)
+    try:
+        q = lln_path(eq)
+    except RenewalConvergenceError:
+        return
+    bound = 1e-12 * (1.0 + float(np.max(np.abs(q.values))) ** 2)
+    assert evaluate_rate(q, eq).rate <= bound
+    assert solve_min_norm(build_qp(eq, defect(q, eq)))[0] <= bound

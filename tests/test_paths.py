@@ -12,10 +12,10 @@ from mdqueue import (
     kiefer_energy,
     kiefer_from_sheet,
 )
-from mdqueue.grids import conv_trap, cumtrap
-from mdqueue.paths import ControlSet, drift, partial_cell_weights
+from mdqueue.grids import LagConv, conv_trap, cumtrap
+from mdqueue.paths import ControlSet, PathEquation, defect, partial_cell_weights
 from mdqueue.renewal import solve_nonlinear
-from reference import zero_controls
+from reference import equation, lln_path, zero_controls
 
 LAWS = [
     ServiceDist.exponential(1.0),
@@ -58,26 +58,26 @@ def test_partial_cell_weights_quadratic():
 
 
 def test_forward_q_zero_controls_lln(pm_std, exp1):
-    from mdqueue import lln_path
-
     c = zero_controls(2.0, 200, 16, mu=1.0)
-    q = forward_q(c, pm_std, exp1)
-    ref = lln_path(pm_std, exp1, 2.0, 200)
+    eq = equation(c.wdot, pm_std, exp1)
+    q = forward_q(c, eq)
+    ref = lln_path(eq)
     assert np.max(np.abs(q.values - ref.values)) < 1e-9
     assert q.values[0] == pytest.approx(pm_std.q0, abs=1e-12)
 
 
 def test_forward_q_monotone_in_beta(exp1):
     c = zero_controls(2.0, 100, 8)
-    q_lo = forward_q(c, ModelParams(1.0, 1.0, -0.5, 0.0), exp1)
-    q_hi = forward_q(c, ModelParams(1.0, 1.0, 0.5, 0.0), exp1)
+    q_lo = forward_q(c, equation(c.wdot, ModelParams(1.0, 1.0, -0.5, 0.0), exp1))
+    q_hi = forward_q(c, equation(c.wdot, ModelParams(1.0, 1.0, 0.5, 0.0), exp1))
     # larger beta = more spare capacity = lower centered queue
     assert np.all(q_hi.values <= q_lo.values + 1e-12)
 
 
 def test_forward_q_initial_value(exp1):
     pm = ModelParams(1.0, 1.0, 0.5, -0.3)
-    q = forward_q(zero_controls(2.0, 100, 8), pm, exp1)
+    c = zero_controls(2.0, 100, 8)
+    q = forward_q(c, equation(c.wdot, pm, exp1))
     assert q.values[0] == pytest.approx(-0.3, abs=1e-12)
 
 
@@ -92,7 +92,7 @@ def test_forward_q_wdot_term_against_quad(exp1):
         wdot=GridPath(2.0, np.ones(n + 1)),
         kdot=GridField2D(2.0, np.zeros((9, n + 1))),
     )
-    q = forward_q(c, pm, exp1)
+    q = forward_q(c, equation(c.wdot, pm, exp1))
     # exponential(1): forcing = 1 - e^{-t}; renewal solution of
     # g = (1-e^{-t}) + int g dF is g(t) = t - 1 + e^{-t} + int_0^t (s-1+e^{-s}) ds'... use
     # the known linear-renewal identity g = f + int_0^t f(s) m'(t-s) ds with m'(u) = 1
@@ -128,7 +128,8 @@ def _reference_forcing(c, pm, d):
     for i in range(1, n + 1):
         diag = P[i::-1, : i + 1].diagonal()  # P[i - j, j] for j = 0..i
         kterm[i] = pm.mu * (dt * diag.sum() - 0.5 * dt * (P[i, 0] + P[0, i]))
-    return drift(pm, d, t) + bridge + arrival + kterm
+    drift = (1.0 - F) * max(pm.q0, 0.0) - (1.0 - F0) * max(-pm.q0, 0.0) - pm.beta * F0
+    return drift + bridge + arrival + kterm
 
 
 @pytest.mark.parametrize("n_steps", [40, 41])
@@ -141,8 +142,8 @@ def test_forward_q_matches_direct_quadrature(d, n_steps):
         wdot=GridPath(2.0, rng.standard_normal(n_steps + 1)),
         kdot=GridField2D(pm.mu * 2.0, rng.standard_normal((9, n_steps + 1))),
     )
-    ref = solve_nonlinear(GridPath(2.0, _reference_forcing(c, pm, d)), d)
-    assert np.max(np.abs(forward_q(c, pm, d).values - ref.values)) <= 1e-13
+    ref = solve_nonlinear(GridPath(2.0, _reference_forcing(c, pm, d)), LagConv.of_law(d, 2.0, n_steps))
+    assert np.max(np.abs(forward_q(c, equation(c.wdot, pm, d)).values - ref.values)) <= 1e-13
 
 
 def _bad_controls(case):
@@ -164,7 +165,29 @@ def _bad_controls(case):
 )
 def test_forward_q_rejects_mismatched_grids(exp1, pm_std, case):
     with pytest.raises(ValueError):
-        forward_q(_bad_controls(case), pm_std, exp1)
+        forward_q(_bad_controls(case), PathEquation.from_law(pm_std, exp1, 2.0, 20))
+
+
+@pytest.mark.parametrize("horizon, n_steps", [(2.5, 20), (2.0, 21), (2.0 * (1 + 1e-9), 20)])
+def test_path_and_controls_off_the_equation_grid_raise(exp1, pm_std, horizon, n_steps):
+    # the path equation samples the law on one t grid; q and the controls must live on it
+    eq = PathEquation.from_law(pm_std, exp1, horizon, n_steps)
+    t = np.linspace(0.0, 2.0, 21)
+    for call in (lambda: defect(GridPath(2.0, t * (2.0 - t)), eq), lambda: forward_q(zero_controls(2.0, 20, 8), eq)):
+        with pytest.raises(ValueError, match="not on the grid of its path equation"):
+            call()
+    # a horizon within round-off of the equation's is its grid
+    assert defect(GridPath(2.0 * (1 + 1e-15), t * (2.0 - t)), PathEquation.from_law(pm_std, exp1, 2.0, 20))[0] == 0.0
+
+
+def test_equation_samples_the_law_once(exp1, pm_std):
+    # F, F0, the lag and the drift are the law's values on the grid
+    eq = PathEquation.from_law(ModelParams(1.0, 1.0, 0.5, 0.3), exp1, 2.0, 40)
+    t = np.linspace(0.0, 2.0, 41)
+    assert np.array_equal(eq.F, exp1.cdf(t)) and np.array_equal(eq.F0, exp1.eq_cdf(t))
+    assert np.array_equal(eq.lag.lags, LagConv.of_law(exp1, 2.0, 40).lags)
+    assert np.allclose(eq.drift, 0.3 * np.exp(-t) - 0.5 * (1.0 - np.exp(-t)), rtol=0, atol=1e-15)
+    assert (eq.n_steps, eq.dt, eq.horizon) == (40, 0.05, 2.0)
 
 
 def test_kiefer_spot_value():

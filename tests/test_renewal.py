@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mdqueue import GridPath, ServiceDist, solve_linear, solve_nonlinear
-from mdqueue.grids import conv_trap
+from mdqueue.grids import LagConv, conv_trap
 from mdqueue.renewal import RenewalConvergenceError
 
 LAWS = {
@@ -15,12 +15,17 @@ LAWS = {
 }
 
 
+def lag(d, f):
+    """The lag of d on the grid of f."""
+    return LagConv.of_law(d, f.horizon, f.n_steps)
+
+
 def test_linear_constant_forcing_exponential():
     # exponential(1): g = 1 + int g dF has the exact solution g(t) = 1 + t
     d = ServiceDist.exponential(1.0)
     for n in (200, 400):
         f = GridPath(2.0, np.ones(n + 1))
-        g = solve_linear(f, d)
+        g = solve_linear(f, lag(d, f))
         err = np.max(np.abs(g.values - (1.0 + g.times)))
         assert err <= 2.5 * (2.0 / n)
 
@@ -29,7 +34,8 @@ def test_linear_ramp_forcing_exponential():
     # f(t) = t gives g(t) = t + t^2/2 for exponential(1)
     d = ServiceDist.exponential(1.0)
     t = np.linspace(0.0, 2.0, 401)
-    g = solve_linear(GridPath(2.0, t.copy()), d)
+    f = GridPath(2.0, t.copy())
+    g = solve_linear(f, lag(d, f))
     assert np.max(np.abs(g.values - (t + t**2 / 2.0))) < 5e-3
 
 
@@ -37,23 +43,24 @@ def test_nonlinear_negative_forcing_is_fixed_point():
     # f <= 0 everywhere: g^+ = 0 so g = f exactly
     d = ServiceDist.exponential(1.0)
     f = GridPath(1.0, -np.ones(101))
-    g = solve_nonlinear(f, d)
+    g = solve_nonlinear(f, lag(d, f))
     assert np.array_equal(g.values, f.values)
 
 
 def test_nonlinear_matches_linear_when_positive():
     d = ServiceDist.erlang(2, 2.0)
     f = GridPath(3.0, np.ones(301))
-    gl = solve_linear(f, d)
-    gn = solve_nonlinear(f, d)
+    gl = solve_linear(f, lag(d, f))
+    gn = solve_nonlinear(f, lag(d, f))
     assert np.max(np.abs(gl.values - gn.values)) < 1e-9
 
 
 def test_monotone_in_forcing():
     d = ServiceDist.exponential(1.0)
     t = np.linspace(0.0, 2.0, 201)
-    g1 = solve_nonlinear(GridPath(2.0, 0.1 + 0.0 * t), d)
-    g2 = solve_nonlinear(GridPath(2.0, 0.2 + 0.0 * t), d)
+    f1, f2 = GridPath(2.0, 0.1 + 0.0 * t), GridPath(2.0, 0.2 + 0.0 * t)
+    g1 = solve_nonlinear(f1, lag(d, f1))
+    g2 = solve_nonlinear(f2, lag(d, f2))
     assert np.all(g2.values >= g1.values - 1e-12)
 
 
@@ -62,7 +69,7 @@ def test_long_horizon_windowing():
     d = ServiceDist.exponential(1.0)
     n = 2000
     f = GridPath(20.0, np.ones(n + 1))
-    g = solve_linear(f, d)
+    g = solve_linear(f, lag(d, f))
     err = np.max(np.abs(g.values - (1.0 + g.times)))
     assert err < 5 * (20.0 / n)
 
@@ -72,7 +79,8 @@ def test_grid_refinement_converges():
     errs = []
     for n in (100, 200, 400):
         t = np.linspace(0.0, 2.0, n + 1)
-        g = solve_linear(GridPath(2.0, np.cos(t)), d)
+        f = GridPath(2.0, np.cos(t))
+        g = solve_linear(f, lag(d, f))
         errs.append(g)
     # compare each to the finest on the coarse nodes
     fine = errs[-1]
@@ -84,7 +92,7 @@ def test_residual_definition():
     d = ServiceDist.erlang(3, 3.0)
     t = np.linspace(0.0, 2.0, 201)
     f = GridPath(2.0, np.sin(t))
-    g = solve_nonlinear(f, d)
+    g = solve_nonlinear(f, lag(d, f))
     res = g.values - f.values - conv_trap(np.maximum(g.values, 0.0), d.pdf(t), f.dt)
     assert np.max(np.abs(res)) < 1e-9
 
@@ -104,7 +112,7 @@ def test_march_solves_discrete_equations(law, positive_part, n):
     d = LAWS[law]
     t = np.linspace(0.0, 2.0, n + 1)
     f = GridPath(2.0, np.sin(3.0 * t) - 0.2)
-    g = (solve_nonlinear if positive_part else solve_linear)(f, d).values
+    g = (solve_nonlinear if positive_part else solve_linear)(f, lag(d, f)).values
     arg = np.maximum(g, 0.0) if positive_part else g
     res = np.max(np.abs(g - f.values - conv_trap(arg, d.pdf(t), f.dt)))
     assert res <= 1e-13 * max(1.0, np.max(np.abs(g)))
@@ -118,13 +126,22 @@ def test_march_rejects_alpha_at_least_one_at_once():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RenewalConvergenceError, match=r"dt F'\(0\)/2") as info:
-                march(f, d)
+                march(f, lag(d, f))
         assert info.value.iterations == 0
+
+
+def test_march_rejects_a_lag_of_another_grid():
+    f = GridPath(2.0, np.ones(11))
+    other = LagConv.of_law(ServiceDist.exponential(1.0), 2.0, 20)
+    for march in (solve_linear, solve_nonlinear):
+        with pytest.raises(ValueError, match="does not fit"):
+            march(f, other)
 
 
 def test_march_long_grid_is_fast():
     d = LAWS["hyperexponential"]
     t = np.linspace(0.0, 2.0, 10_001)
     start = time.perf_counter()
-    solve_nonlinear(GridPath(2.0, np.sin(3.0 * t) - 0.2), d)
+    f = GridPath(2.0, np.sin(3.0 * t) - 0.2)
+    solve_nonlinear(f, lag(d, f))
     assert time.perf_counter() - start < 1.0

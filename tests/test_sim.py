@@ -22,7 +22,13 @@ from mdqueue import (
     simulate,
     spawn_streams,
 )
+from mdqueue.paths import PathEquation
 from mdqueue.sim import _theta_sums, lln_sup_stat, replications, tail_hit
+
+
+def equation(tr, d, n_steps):
+    """The path equation of the law d on the horizon of the trace tr, in n_steps steps."""
+    return PathEquation.from_law(ModelParams(d.mu, 1.0, 0.0, 0.0), d, tr.horizon, n_steps)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +72,7 @@ def test_empty_trace(pm):
     tr = simulate(pm, d, sr, 0.0, rng)
     assert len(tr.event_times) == 0
     assert len(flow_balance_residuals(tr)) == 0
-    rep = decomposition(tr, d, 10)
+    rep = decomposition(tr, equation(tr, d, 10))
     assert rep.sup_residual <= 1e-12
 
 
@@ -142,8 +148,8 @@ def test_decomposition_residual_small_and_halving(pm):
     ratios = []
     for rng in spawn_streams(13, 5):
         tr = simulate(pm, d, sr, 2.0, rng)
-        r1 = decomposition(tr, d, 200)
-        r2 = decomposition(tr, d, 400)
+        r1 = decomposition(tr, equation(tr, d, 200))
+        r2 = decomposition(tr, equation(tr, d, 400))
         assert r1.sup_residual <= 1e-8 + r1.quadrature_bound
         ratios.append(r2.sup_residual / max(r1.sup_residual, 1e-300))
     assert np.median(ratios) < 0.75
@@ -156,7 +162,7 @@ def test_decomposition_theta_martingale_term_centered(pm):
     vals = []
     for rng in spawn_streams(17, 40):
         tr = simulate(pm, d, sr, 1.0, rng)
-        vals.append(decomposition(tr, d, 50).Theta[-1])
+        vals.append(decomposition(tr, equation(tr, d, 50)).Theta[-1])
     vals = np.array(vals)
     assert abs(vals.mean()) < 4 * vals.std() / np.sqrt(len(vals)) + 1e-3
 
@@ -567,7 +573,7 @@ def test_decomposition_theta_matches_dense_formula(d):
     sr = ScalingRegime(n=40, rule=("power", 0.25), beta=0.5)
     tr = simulate(pm, d, sr, 2.0, np.random.default_rng(3))
     want = _dense_theta(tr, d, 100)
-    assert np.allclose(decomposition(tr, d, 100).Theta, want, rtol=1e-12, atol=1e-14)
+    assert np.allclose(decomposition(tr, equation(tr, d, 100)).Theta, want, rtol=1e-12, atol=1e-14)
 
 
 class _ZeroResiduals(_UnitServices):
@@ -590,7 +596,7 @@ def test_decomposition_theta_starts_on_nodes(d, stub):
     assert tr.tau_hat[-1] == 2.0
     assert (tr.tau_hat[0] == 0.0) == isinstance(stub, _ZeroResiduals)
     want = _dense_theta(tr, d, 8)
-    assert np.allclose(decomposition(tr, d, 8).Theta, want, rtol=1e-12, atol=1e-14)
+    assert np.allclose(decomposition(tr, equation(tr, d, 8)).Theta, want, rtol=1e-12, atol=1e-14)
 
 
 def _longdouble_lag_sum(d: ServiceDist, t: float, tau: np.ndarray, eta: np.ndarray) -> float:
@@ -694,7 +700,8 @@ def test_theta_sums_match_node_recursion_at_horizon_0(d):
     t = np.zeros(1)
     got = _theta_sums(d, t, 0.0, tr.tau_hat, tr.eta)
     assert np.allclose(got, theta_sums_recursion(d, t, tr.tau_hat, tr.eta), rtol=0, atol=1e-12)
-    assert np.allclose(decomposition(tr, d, 10).Theta, -got / (tr.b * math.sqrt(tr.n)), rtol=0, atol=1e-12)
+    theta = decomposition(tr, equation(tr, d, 10)).Theta
+    assert np.allclose(theta, -got / (tr.b * math.sqrt(tr.n)), rtol=0, atol=1e-12)
 
 
 def test_decomposition_n1e5_erlang_time_bound(traces_1e5):
@@ -703,7 +710,7 @@ def test_decomposition_n1e5_erlang_time_bound(traces_1e5):
     d = LAWS[1]
     tr = traces_1e5[d.family]
     t0 = time.perf_counter()
-    rep = decomposition(tr, d, 400)
+    rep = decomposition(tr, equation(tr, d, 400))
     elapsed = time.perf_counter() - t0
     assert rep.sup_residual <= 1e-8 + rep.quadrature_bound
     assert elapsed < 1.0, f"Erlang(3, 3) decomposition at n = 1e5, 400 steps took {elapsed:.2f} s"
@@ -717,7 +724,14 @@ def test_decomposition_n1e5_time_bound(pm):
     tr = simulate(pm, d, sr, 1.0, np.random.default_rng(8))
     assert len(tr.tau_hat) > 50_000
     t0 = time.perf_counter()
-    rep = decomposition(tr, d, 400)
+    rep = decomposition(tr, equation(tr, d, 400))
     elapsed = time.perf_counter() - t0
     assert rep.sup_residual <= 1e-8 + rep.quadrature_bound
     assert elapsed < 10.0, f"decomposition at n = 1e5, 400 steps took {elapsed:.2f} s"
+
+
+def test_decomposition_off_the_equation_grid_raises(pm):
+    d = ServiceDist.exponential(1.0)
+    tr = simulate(pm, d, ScalingRegime(n=10, rule=("power", 0.25), beta=0.5), 2.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="not on the grid of its path equation"):
+        decomposition(tr, PathEquation.from_law(pm, d, 1.0, 10))

@@ -2,7 +2,8 @@
 vanishes under `python -O`, and a bare RuntimeError or Exception is not in
 `cli.NUMERICAL_ERRORS`, so the CLI cannot map it to an exit code.  The one
 trapezoid lag convolution, `grids.LagConv`, is the only user of the FFT, and
-`LagConv.of_law` the only place that builds the lag dt F'(t_k)."""
+`paths.PathEquation.from_law` (with the lag dt F'(t_k) of `LagConv.of_law`) the
+only place that samples the law on a t grid."""
 import ast
 from pathlib import Path
 
@@ -33,12 +34,19 @@ def test_fft_only_in_grids():
 
 
 def test_law_lag_only_from_of_law():
-    # the solvers and the simulator read F' through LagConv.of_law: no other module
-    # evaluates the density (dist defines it, and dist-info tabulates it) or calls conv_trap
+    # the solvers and the simulator read F, F0 and F' from PathEquation.from_law and the lag it
+    # takes from LagConv.of_law: outside dist.py, which defines the law, no other function
+    # evaluates cdf, eq_cdf or pdf (but the dist-info table), and none calls conv_trap
+    allowed = {("grids.py", "of_law"), ("paths.py", "from_law"), ("cli.py", "cmd_dist_info")}
     found = []
     for path in sorted(Path(mdqueue.__file__).parent.glob("*.py")):
-        if path.name not in ("grids.py", "dist.py", "cli.py"):
-            found += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text(), str(path)))
-                      if isinstance(node, ast.Call)
-                      and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("pdf", "conv_trap")]
+        if path.name == "dist.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        spans = [(f.lineno, f.end_lineno) for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef) and (path.name, f.name) in allowed]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("cdf", "eq_cdf", "pdf",
+                                                                                     "conv_trap")
+                  and not any(a <= node.lineno <= b for a, b in spans)]
     assert found == []
