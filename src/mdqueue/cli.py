@@ -33,6 +33,7 @@ log = logging.getLogger(__name__)
 NUMERICAL_ERRORS = (FredholmError, RenewalConvergenceError, SimulationError, FloatingPointError, ValueError)
 SIM_OPTIONAL = ("arrival", "event", "lln_t", "decomposition_steps")  # named sim.<key> in COMMANDS
 MAX_EXPECTED_ARRIVALS = 1e7  # n mu rho_n horizon per replication; 1e6 took 0.3 s and 142 MB peak on 2-core x86
+MAX_SERVERS = 10**7  # n per rung, which sizes its server array; 1e7 at horizon 1e-9 took 0.2 s and 197 MB peak
 
 
 class ConfigError(Exception):
@@ -106,7 +107,7 @@ def _table_csv(path: Path, header: str, columns: list) -> None:
 
 
 def _sim_settings(s: dict, pm: ModelParams) -> dict:
-    """The validated sim block, its ladder as `ScalingRegime`s at the model's beta, each within the arrival cap."""
+    """The validated sim block, its ladder as `ScalingRegime`s at the model's beta, each within both caps."""
     _expect(s, "sim", required=("ladder", "b_rule", "reps", "horizon"), optional=SIM_OPTIONAL)
     ladder = s["ladder"]
     if not (isinstance(ladder, list) and ladder):
@@ -115,6 +116,8 @@ def _sim_settings(s: dict, pm: ModelParams) -> dict:
     if len(set(ladder)) != len(ladder):
         # rungs are keyed by n, so a repeated n would silently replace a rung
         raise ConfigError(f"sim.ladder: repeated server counts in {ladder}")
+    if max(ladder) > MAX_SERVERS:
+        raise ConfigError(f"sim.ladder: server count {max(ladder)} is more than the {MAX_SERVERS:.0e} supported")
     rule = _expect(s["b_rule"], "sim.b_rule", required=("kind", "value"))
     reps = _integer(s, "reps", "sim", None, 1)
     arrival = _expect(s.get("arrival", {}), "sim.arrival", optional=("family", "shape"))
@@ -187,11 +190,11 @@ class Run:
             raise ConfigError(f"dist: {exc}") from exc
 
         self.model = None
-        if "model" in cfg:  # every command that reads model needs dist: mu is the reciprocal mean
+        if "model" in cfg:  # every command that reads model needs dist: the model carries the law
             m = _expect(cfg["model"], "model", required=("sigma", "beta", "q0"))
             try:
                 self.model = ModelParams(
-                    mu=self.dist.mu,
+                    law=self.dist,
                     sigma=float(_number(m, "sigma", "model")),
                     beta=float(_number(m, "beta", "model")),
                     q0=float(_number(m, "q0", "model")),
@@ -230,7 +233,7 @@ class Run:
 
 def _rate_artifacts(run: Run, out: Path) -> tuple:
     q = run.q_path
-    eq = PathEquation.from_law(run.model, run.dist, q.horizon, q.n_steps)  # the command's one sampling of the law
+    eq = PathEquation.from_law(run.model, q.horizon, q.n_steps)  # the command's one sampling of the law
     res = evaluate_rate(q, eq, n_x=run.n_x)
     res.adjoint.to_csv(out / "pbar.csv")
     res.forcing.to_csv(out / "h.csv")
@@ -267,7 +270,7 @@ def cmd_controls(run: Run, out: Path) -> dict:
 
 def cmd_oracle_check(run: Run, out: Path) -> dict:
     q = run.q_path
-    eq = PathEquation.from_law(run.model, run.dist, q.horizon, q.n_steps)
+    eq = PathEquation.from_law(run.model, q.horizon, q.n_steps)
     r = defect(q, eq)  # the constraint right side, and the forcing's antiderivative
     h = forcing(q, r)  # the adjoint route only as far as the rate
     p, _ = solve_p(h, assemble_kernel(eq), run.model)
@@ -302,7 +305,7 @@ def _trace_csv(trace, path: Path) -> None:
 def _replications(run: Run):
     s = run.sim
     return replications(
-        run.model, run.dist, s["regimes"], s["reps"], run.seed, s["horizon"],
+        run.model, s["regimes"], s["reps"], run.seed, s["horizon"],
         arrival_family=s["arrival_family"], arrival_shape=s["arrival_shape"],
     )
 
@@ -349,7 +352,7 @@ def cmd_identity_check(run: Run, out: Path) -> dict:
     s = run.sim
     steps = s["decomposition_steps"]
     # every trace is checked on these two grids, the second one refined
-    eqs = [PathEquation.from_law(run.model, run.dist, s["horizon"], m) for m in (steps, 2 * steps)]
+    eqs = [PathEquation.from_law(run.model, s["horizon"], m) for m in (steps, 2 * steps)]
     keys = ("n", "rep", "flow_balance_max", "residual_sup", "residual_sup_refined", "quadrature_bound")
     rows = []
     for sr, rep, tr in _replications(run):

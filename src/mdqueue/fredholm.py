@@ -186,7 +186,7 @@ def recover_controls(p: GridPath, eq: PathEquation, S: ShiftOperator, n_x: int =
     on the grid of eq, and S is its `assemble_kernel` operator.
     """
     eq.check_grid("p", p.horizon, p.n_steps)
-    pm, d, T = eq.pm, eq.d, p.horizon
+    pm, d, T = eq.pm, eq.pm.law, p.horizon
 
     x_nodes = np.linspace(0.0, 1.0, n_x + 1)
     w0 = np.zeros(n_x + 1)

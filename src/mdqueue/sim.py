@@ -235,7 +235,6 @@ def _start_times(free: np.ndarray, entries: np.ndarray, horizon: float,
 
 def simulate(
     pm: ModelParams,
-    d: ServiceDist,
     sr: ScalingRegime,
     horizon: float,
     rng: np.random.Generator,
@@ -262,7 +261,7 @@ def simulate(
     lam = sr.arrival_rate(pm.mu)
 
     in_service = min(q0_count, n)
-    eta0 = np.atleast_1d(d.sample_equilibrium(rng, size=in_service)) if in_service else np.empty(0)
+    eta0 = np.atleast_1d(pm.law.sample_equilibrium(rng, size=in_service)) if in_service else np.empty(0)
 
     # pre-draw arrivals past the horizon
     chunk = max(64, int(lam * horizon * 1.2) + 64)
@@ -276,14 +275,13 @@ def simulate(
     # customers in order of system entry: the initial queue at time 0, then arrivals
     entries = np.concatenate([np.zeros(q0_count - in_service), arrivals])
     free = np.concatenate([eta0, np.zeros(n - in_service)])
-    tau_hat, eta = _start_times(free, entries, horizon, d.sample(rng, size=len(entries)))
+    tau_hat, eta = _start_times(free, entries, horizon, pm.law.sample(rng, size=len(entries)))
     return QueueTrace(n=n, b=sr.b, q0_count=q0_count, horizon=horizon,
                       arrival_times=arrivals, tau_hat=tau_hat, eta=eta, eta0=eta0)
 
 
 def replications(
     pm: ModelParams,
-    d: ServiceDist,
     regimes: list[ScalingRegime],
     reps: int,
     seed: int,
@@ -298,7 +296,7 @@ def replications(
     for ridx, sr in enumerate(regimes):
         for rep, rng in enumerate(spawn_streams(seed + ridx, reps)):
             yield sr, rep, simulate(
-                pm, d, sr, horizon, rng,
+                pm, sr, horizon, rng,
                 arrival_family=arrival_family, arrival_shape=arrival_shape,
             )
 
@@ -369,7 +367,7 @@ def decomposition(trace: QueueTrace, eq: PathEquation) -> DecompositionReport:
     total-variation bound on that error for this trace and grid.
     """
     eq.check_grid("the trace", trace.horizon)
-    d, lag = eq.d, eq.lag
+    d, lag = eq.pm.law, eq.lag
     scale = trace.b * math.sqrt(trace.n)
     t = np.linspace(0.0, eq.horizon, eq.n_steps + 1)
 

@@ -34,7 +34,7 @@ def exp1():
 
 @pytest.fixture(scope="session")
 def pm_std(exp1):
-    return ModelParams(mu=exp1.mu, sigma=1.0, beta=0.5, q0=0.0)
+    return ModelParams(exp1, sigma=1.0, beta=0.5, q0=0.0)
 
 
 @pytest.fixture(scope="session")

@@ -34,14 +34,14 @@ def zero_controls(T, n_steps, n_x, mu=1.0):
     )
 
 
-def equation(q, pm, d):
-    """The `PathEquation` of pm and d on the grid of the path q."""
-    return PathEquation.from_law(pm, d, q.horizon, q.n_steps)
+def equation(q, pm):
+    """The `PathEquation` of the model pm on the grid of the path q."""
+    return PathEquation.from_law(pm, q.horizon, q.n_steps)
 
 
-def qp_of(q, pm, d):
+def qp_of(q, pm):
     """The oracle's constraints for the path q: `build_qp` of its equation and its defect."""
-    eq = equation(q, pm, d)
+    eq = equation(q, pm)
     return build_qp(eq, defect(q, eq))
 
 

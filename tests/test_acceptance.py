@@ -45,7 +45,7 @@ def battery_results():
     t0 = time.time()
     out = []
     for beta, q0, q in battery_cases(200):
-        eq = equation(q, ModelParams(mu=1.0, sigma=1.0, beta=beta, q0=q0), D)
+        eq = equation(q, ModelParams(D, sigma=1.0, beta=beta, q0=q0))
         res = evaluate_rate(q, eq, n_x=32)
         qp_val, _ = solve_min_norm(build_qp(eq, defect(q, eq)))
         out.append((eq, q, res, qp_val))
@@ -93,12 +93,12 @@ def test_criterion_3_round_trip_feasibility(battery_results):
     # refinement check on the first battery case
     t = np.linspace(0.0, HORIZON, 401)
     q4 = GridPath(HORIZON, 0.3 * t * (2.0 - t))
-    pm = ModelParams(1.0, 1.0, 0.5, 0.0)
-    eq4 = equation(q4, pm, D)
+    pm = ModelParams(D, 1.0, 0.5, 0.0)
+    eq4 = equation(q4, pm)
     err400 = float(np.max(np.abs(forward_q(evaluate_rate(q4, eq4).controls, eq4).values - q4.values)))
     t2 = np.linspace(0.0, HORIZON, 201)
     q2 = GridPath(HORIZON, 0.3 * t2 * (2.0 - t2))
-    eq2 = equation(q2, pm, D)
+    eq2 = equation(q2, pm)
     err200 = float(np.max(np.abs(forward_q(evaluate_rate(q2, eq2).controls, eq2).values - q2.values)))
     assert err400 < err200
     print(f"\nCRITERION 3 PASS: max roundtrip rel error {worst200:.4f} <= 0.03 at N=200; "
@@ -106,7 +106,7 @@ def test_criterion_3_round_trip_feasibility(battery_results):
 
 
 def test_criterion_4_exponential_kernel_closed_form():
-    pm = ModelParams(1.0, 1.0, 0.5, 0.0)
+    pm = ModelParams(D, 1.0, 0.5, 0.0)
     t = np.linspace(0.0, HORIZON, 201)
     s, tt = t[:, None], t[None, :]
     exact = pm.sigma**2 * (pm.mu / 2.0) * (np.exp(-pm.mu * np.abs(s - tt)) + np.exp(-pm.mu * (s + tt)))
@@ -118,7 +118,7 @@ def test_criterion_4_exponential_kernel_closed_form():
 def test_criterion_5_zero_rate_certificate():
     rates = {}
     for beta in (-1.0, 0.0, 1.0):
-        eq = PathEquation.from_law(ModelParams(1.0, 1.0, beta, 0.0), D, HORIZON, 800)
+        eq = PathEquation.from_law(ModelParams(D, 1.0, beta, 0.0), HORIZON, 800)
         rates[beta] = evaluate_rate(lln_path(eq), eq).rate
         assert rates[beta] <= 1e-10, f"beta={beta}: I = {rates[beta]:.2e}"
     print(f"\nCRITERION 5 PASS: LLN-path rates {rates} all <= 1e-10")
@@ -148,8 +148,8 @@ def test_criterion_7_kiefer_energy_identity():
 
 
 def test_criterion_8_simulator_exactness():
-    pm = ModelParams(1.0, 1.0, 0.5, 0.0)
-    eq1, eq2 = (PathEquation.from_law(pm, D, 2.0, m) for m in (200, 400))
+    pm = ModelParams(D, 1.0, 0.5, 0.0)
+    eq1, eq2 = (PathEquation.from_law(pm, 2.0, m) for m in (200, 400))
     n_traces = 0
     ratios = []
     for i, n in enumerate((10, 100, 1000)):
@@ -157,7 +157,7 @@ def test_criterion_8_simulator_exactness():
         # 17 + 17 + 16 = 50 traces across the ladder
         reps = 17 if n < 1000 else 16
         for rng in spawn_streams(100 + i, reps):
-            tr = simulate(pm, D, sr, 2.0, rng)
+            tr = simulate(pm, sr, 2.0, rng)
             fb = flow_balance_residuals(tr)
             assert len(fb) == 0 or int(np.max(np.abs(fb))) == 0
             r1 = decomposition(tr, eq1)
@@ -173,13 +173,13 @@ def test_criterion_8_simulator_exactness():
 
 
 def test_criterion_9_lln_trend():
-    pm = ModelParams(1.0, 1.0, 0.5, 0.0)
+    pm = ModelParams(D, 1.0, 0.5, 0.0)
     t0 = time.time()
     stats = {}
     for i, n in enumerate((100, 1000, 10000)):
         sr = ScalingRegime(n=n, rule=("power", 0.1), beta=0.5)
         # each trace is reduced to its statistic as it is simulated
-        stats[n] = [lln_sup_stat(simulate(pm, D, sr, 1.0, rng), mu=1.0, t_max=1.0)
+        stats[n] = [lln_sup_stat(simulate(pm, sr, 1.0, rng), mu=1.0, t_max=1.0)
                     for rng in spawn_streams(42 + i, 200)]
     rep = lln_check(stats)
     pct = rep.percentiles()

@@ -399,6 +399,28 @@ def test_expected_arrivals_past_the_cap_exit_2_no_outputs(tmp_path, capsys, comm
     assert "config error: sim: rung n = " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "identity-check"])
+@pytest.mark.parametrize("n", [10**7 + 1, 10**9])
+def test_server_count_past_the_cap_exit_2_no_outputs(tmp_path, capsys, command, n):
+    # n sizes a replication's server array and equilibrium draw: over a horizon of 1e-9 even
+    # 10^9 servers expect about 1 arrival, within the arrival cap, and would ask for gigabytes.
+    # Checked on the config alone, so that a broken check allocates nothing: the run is
+    # started only once Run has rejected the config, and the cap itself is accepted by Run
+    from mdqueue.cli import MAX_SERVERS, ConfigError, Run
+
+    assert MAX_SERVERS == 10**7
+    payload = dict(BASE, command=command, sim=dict(SIM_OK, ladder=[10, MAX_SERVERS], horizon=1e-9))
+    assert [sr.n for sr in Run(payload, tmp_path, None).sim["regimes"]] == [10, MAX_SERVERS]
+    payload = dict(payload, sim=dict(payload["sim"], ladder=[10, n]))
+    with pytest.raises(ConfigError, match=f"sim.ladder: server count {n} is more than the 1e\\+07 supported"):
+        Run(payload, tmp_path, None)
+    cfg = _cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "config error: sim.ladder: server count" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, grids", [("rate", 1), ("controls", 1), ("oracle-check", 1), ("identity-check", 2)])
 def test_law_sampled_once_per_grid(tmp_path, monkeypatch, command, grids):
     # PathEquation.from_law is the one sampling of the law on a t grid, shared by every solver

@@ -73,17 +73,17 @@ def _grid_gram(pm, d, T, n_steps, n_x, zero_mean):
 
 def test_zero_rhs_gives_zero(exp1):
     # the LLN path satisfies the path equation with no controls: r = 0, value 0
-    pm = ModelParams(1.0, 1.0, 0.5, 0.0)
-    q = lln_path(PathEquation.from_law(pm, exp1, HORIZON, 200))
-    val, _ = solve_min_norm(qp_of(q, pm, exp1))
+    pm = ModelParams(exp1, 1.0, 0.5, 0.0)
+    q = lln_path(PathEquation.from_law(pm, HORIZON, 200))
+    val, _ = solve_min_norm(qp_of(q, pm))
     assert val <= 1e-12
 
 
 def test_agreement_with_fredholm_battery(exp1):
     for beta, q0, q in battery_cases(200):
-        pm = ModelParams(1.0, 1.0, beta, q0)
-        rate = evaluate_rate(q, equation(q, pm, exp1)).rate
-        val, _ = solve_min_norm(qp_of(q, pm, exp1))
+        pm = ModelParams(exp1, 1.0, beta, q0)
+        rate = evaluate_rate(q, equation(q, pm)).rate
+        val, _ = solve_min_norm(qp_of(q, pm))
         assert abs(val - rate) / (1.0 + rate) <= 0.02
 
 
@@ -91,8 +91,8 @@ def test_agreement_with_fredholm_battery(exp1):
 @pytest.mark.parametrize("n_steps", [2, 3, 40, 41])
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 def test_lag_constraints_match_dense(d, n_steps, zero_mean):
-    pm = ModelParams(d.mu, 1.5, 0.5, 0.0)
-    A = PathEquation.from_law(pm, d, HORIZON, n_steps)
+    pm = ModelParams(d, 1.5, 0.5, 0.0)
+    A = PathEquation.from_law(pm, HORIZON, n_steps)
     G_ref = continuum_gram(pm, d, HORIZON, n_steps, zero_mean)
     v = np.random.default_rng(n_steps).standard_normal(n_steps)
     assert np.max(np.abs(A.gram_operator(zero_mean) @ v - G_ref @ v)) <= 1e-12 * np.max(np.abs(G_ref @ v))
@@ -112,8 +112,8 @@ def test_lag_constraints_match_dense(d, n_steps, zero_mean):
 def test_grid_gram_converges_to_gram(d, zero_mean):
     # the Gram of the forward map's x-grid rows tends to the exact-in-x Gram
     # at first order in dx, so `@` and the Gram describe the same operator
-    pm = ModelParams(d.mu, 1.5, 0.5, 0.0)
-    G = lag_gram(PathEquation.from_law(pm, d, HORIZON, 40), zero_mean)
+    pm = ModelParams(d, 1.5, 0.5, 0.0)
+    G = lag_gram(PathEquation.from_law(pm, HORIZON, 40), zero_mean)
     errs = [np.max(np.abs(_grid_gram(pm, d, HORIZON, 40, m, zero_mean) - G)) / np.max(np.abs(G))
             for m in (8, 16, 32, 64, 128)]
     assert all(e0 >= 1.7 * e1 for e0, e1 in zip(errs, errs[1:])), errs
@@ -124,9 +124,9 @@ def test_grid_gram_converges_to_gram(d, zero_mean):
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 def test_min_norm_matches_bordered_solve(d, n_steps, zero_mean):
     # the value is the least energy 1/2 r' G^-1 r of the dense continuum Gram
-    pm = ModelParams(d.mu, 1.5, 0.5, 0.0)
+    pm = ModelParams(d, 1.5, 0.5, 0.0)
     t = np.linspace(0.0, HORIZON, n_steps + 1)
-    sys_ = qp_of(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d)
+    sys_ = qp_of(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm)
     assert len(sys_.r) == n_steps
     val_ref = 0.5 * float(sys_.r @ np.linalg.solve(continuum_gram(pm, d, HORIZON, n_steps, zero_mean), sys_.r))
     val, diag = solve_min_norm(sys_, zero_mean)
@@ -141,9 +141,9 @@ def test_min_norm_matches_bordered_solve(d, n_steps, zero_mean):
 def test_pcg_matches_cholesky_of_reference_gram(d, sigma, n_steps, zero_mean):
     from scipy.linalg import cho_factor, cho_solve
 
-    pm = ModelParams(d.mu, sigma, 0.5, 0.0)
+    pm = ModelParams(d, sigma, 0.5, 0.0)
     t = np.linspace(0.0, HORIZON, n_steps + 1)
-    sys_ = qp_of(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d)
+    sys_ = qp_of(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm)
     val_ref = 0.5 * float(sys_.r @ cho_solve(cho_factor(lag_gram(sys_.A, zero_mean)), sys_.r))
     val, diag = solve_min_norm(sys_, zero_mean)
     assert diag["residual"] <= 1e-12
@@ -160,9 +160,9 @@ MIN_KERNEL_CASES = [(n, sigma) for n in (400, 1600) for sigma in (0.05, 1.0, 3.0
 def test_pcg_matches_min_kernel_route(d, n_steps, sigma):
     # the earlier preconditioner inverted only the min kernel and took up to 483
     # iterations here; the tridiagonal one takes a count that does not grow with sigma
-    pm = ModelParams(d.mu, sigma, 0.5, 0.0)
+    pm = ModelParams(d, sigma, 0.5, 0.0)
     t = np.linspace(0.0, HORIZON, n_steps + 1)
-    sys_ = qp_of(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm, d)
+    sys_ = qp_of(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm)
     for zero_mean in (False, True):
         val, diag = solve_min_norm(sys_, zero_mean)
         val_ref, _ = min_kernel_min_norm(sys_, zero_mean)
@@ -204,7 +204,7 @@ def test_tridiag_inverse_matches_dense(coeffs, a, n):
 def test_precond_is_leading_tridiagonal_of_differenced_gram(d, sigma, horizon, a, n_steps, zero_mean):
     # c^-1 precond is D^T M^-1 D, D the backward difference and M, from the first
     # two lags alone, m I + p R W^-1 R^T, less m R_F W^-1 R_F^T with zero mean
-    A = PathEquation.from_law(ModelParams(d.mu, sigma, 0.0, 0.0), d, horizon, n_steps)
+    A = PathEquation.from_law(ModelParams(d, sigma, 0.0, 0.0), horizon, n_steps)
     G = A.gram_operator(zero_mean)
     if a is not None:
         assert abs(G.tri.a - a) <= 1e-15
@@ -230,37 +230,37 @@ def test_value_scales_with_the_path(exp1, scale):
     # times that of q; CG runs on r / |r|, so r . z neither overflows nor underflows
     # (at scale 1e-160 it used to underflow to 0 and divide by it); 1e-322 covers
     # the subnormal spacing of a value near 6e-321
-    pm = ModelParams(1.0, 1.0, 0.0, 0.0)
+    pm = ModelParams(exp1, 1.0, 0.0, 0.0)
     t = np.linspace(0.0, HORIZON, 201)
-    val, _ = solve_min_norm(qp_of(GridPath(HORIZON, t * (2.0 - t)), pm, exp1))
-    scaled, _ = solve_min_norm(qp_of(GridPath(HORIZON, scale * t * (2.0 - t)), pm, exp1))
+    val, _ = solve_min_norm(qp_of(GridPath(HORIZON, t * (2.0 - t)), pm))
+    scaled, _ = solve_min_norm(qp_of(GridPath(HORIZON, scale * t * (2.0 - t)), pm))
     assert abs(scaled - scale * scale * val) <= 1e-12 * scale * scale * val + 1e-322
 
 
-def test_pcg_reports_iterations(pm_std, exp1, q_quad, caplog):
+def test_pcg_reports_iterations(pm_std, q_quad, caplog):
     import logging
 
     with caplog.at_level(logging.INFO, logger="mdqueue.oracle"):
-        _, diag = solve_min_norm(qp_of(q_quad, pm_std, exp1), zero_mean=True)
+        _, diag = solve_min_norm(qp_of(q_quad, pm_std), zero_mean=True)
     assert diag["route"] == "pcg" and 0 < diag["iterations"] <= 40
     assert f"pcg, {diag['iterations']} iterations, relative residual {diag['residual']:.3e}" in caplog.text
 
 
-def test_pcg_iteration_cap_raises(pm_std, exp1, q_quad, monkeypatch):
+def test_pcg_iteration_cap_raises(pm_std, q_quad, monkeypatch):
     from mdqueue.fredholm import FredholmError
 
     monkeypatch.setattr("mdqueue.oracle._pcg_cap", lambda n: 1)
     with pytest.raises(FredholmError, match="after 1 iterations"):
-        solve_min_norm(qp_of(q_quad, pm_std, exp1))
+        solve_min_norm(qp_of(q_quad, pm_std))
 
 
-def test_zero_mean_solve_memory(pm_std, exp1):
+def test_zero_mean_solve_memory(pm_std):
     # PCG keeps O(N) vectors and FFT buffers (under 1 MiB); the N x N Gram
     # alone would take 20 MiB
     import tracemalloc
 
     t = np.linspace(0.0, HORIZON, 1601)
-    sys_ = qp_of(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1)
+    sys_ = qp_of(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std)
     tracemalloc.start()
     try:
         solve_min_norm(sys_, zero_mean=True)
@@ -270,9 +270,9 @@ def test_zero_mean_solve_memory(pm_std, exp1):
     assert peak < 4 * 2**20
 
 
-def test_constraint_tables_are_small(pm_std, exp1):
+def test_constraint_tables_are_small(pm_std):
     t = np.linspace(0.0, HORIZON, 1601)
-    sys_ = qp_of(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std, exp1)
+    sys_ = qp_of(GridPath(HORIZON, 0.3 * t * (2.0 - t)), pm_std)
     assert len(sys_.r) == 1600
     assert sys_.A.nbytes < 1_000_000
 
@@ -281,9 +281,9 @@ def test_constraint_tables_are_small(pm_std, exp1):
 def test_agreement_with_fredholm_fine_grid(d):
     t = np.linspace(0.0, HORIZON, 801)
     q = GridPath(HORIZON, 0.3 * t * (2.0 - t))
-    pm = ModelParams(d.mu, 1.0, 0.5, 0.0)
-    rate = evaluate_rate(q, equation(q, pm, d)).rate
-    val, _ = solve_min_norm(qp_of(q, pm, d))
+    pm = ModelParams(d, 1.0, 0.5, 0.0)
+    rate = evaluate_rate(q, equation(q, pm)).rate
+    val, _ = solve_min_norm(qp_of(q, pm))
     assert abs(val - rate) / (1.0 + rate) <= 0.02
 
 
@@ -291,13 +291,13 @@ def test_agreement_with_fredholm_fine_grid(d):
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 def test_oracle_fredholm_gap_is_second_order(d, sigma):
     # on the hump path both routes are second order in dt, so their gap is too
-    pm = ModelParams(d.mu, sigma, 0.5, 0.0)
+    pm = ModelParams(d, sigma, 0.5, 0.0)
     gaps = []
     for n in (200, 400, 800):
         t = np.linspace(0.0, HORIZON, n + 1)
         q = GridPath(HORIZON, 0.3 * t * (2.0 - t))
-        rate = evaluate_rate(q, equation(q, pm, d)).rate
-        val, _ = solve_min_norm(qp_of(q, pm, d))
+        rate = evaluate_rate(q, equation(q, pm)).rate
+        val, _ = solve_min_norm(qp_of(q, pm))
         gaps.append(abs(val - rate) / rate)
     assert all(g0 >= 3.5 * g1 for g0, g1 in zip(gaps, gaps[1:])), gaps
 
@@ -315,46 +315,46 @@ def test_oracle_fredholm_gap_is_second_order_on_crossing_paths(d, path):
     # the forcing differentiates the oracle's defect, so a sign change of q
     # inside (0, T) costs no order
     q0, f = CROSSINGS[path]
-    pm = ModelParams(d.mu, 1.0, 0.0, q0)
+    pm = ModelParams(d, 1.0, 0.0, q0)
     gaps = []
     for n in (200, 400, 800):
         q = GridPath(HORIZON, f(np.linspace(0.0, HORIZON, n + 1)))
-        val, _ = solve_min_norm(qp_of(q, pm, d))
-        gaps.append(abs(evaluate_rate(q, equation(q, pm, d)).rate - val) / val)
+        val, _ = solve_min_norm(qp_of(q, pm))
+        gaps.append(abs(evaluate_rate(q, equation(q, pm)).rate - val) / val)
     assert gaps[0] <= 2e-4
     assert all(g0 >= 3.5 * g1 for g0, g1 in zip(gaps, gaps[1:])), gaps
 
 
-def test_flags_on_raises_value(pm_std, exp1, q_quad):
-    off, _ = solve_min_norm(qp_of(q_quad, pm_std, exp1))
-    on, _ = solve_min_norm(qp_of(q_quad, pm_std, exp1), zero_mean=True)
+def test_flags_on_raises_value(pm_std, q_quad):
+    off, _ = solve_min_norm(qp_of(q_quad, pm_std))
+    on, _ = solve_min_norm(qp_of(q_quad, pm_std), zero_mean=True)
     assert on >= off - 1e-12
 
 
-def test_refinement_stability(pm_std, exp1):
+def test_refinement_stability(pm_std):
     vals = []
     for n in (100, 200):
         t = np.linspace(0.0, HORIZON, n + 1)
         q = GridPath(HORIZON, 0.3 * t * (2.0 - t))
-        v, _ = solve_min_norm(qp_of(q, pm_std, exp1))
+        v, _ = solve_min_norm(qp_of(q, pm_std))
         vals.append(v)
     assert abs(vals[1] - vals[0]) / vals[0] <= 0.01
 
 
-def test_repeated_solves_bit_identical(pm_std, exp1, q_quad):
-    sys_ = qp_of(q_quad, pm_std, exp1)
+def test_repeated_solves_bit_identical(pm_std, q_quad):
+    sys_ = qp_of(q_quad, pm_std)
     v1, _ = solve_min_norm(sys_)
     v2, _ = solve_min_norm(sys_)
     assert v1 == v2
 
 
 def test_build_qp_rejects_wrong_q0(exp1):
-    pm = ModelParams(1.0, 1.0, 0.0, 0.5)
+    pm = ModelParams(exp1, 1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
-        qp_of(GridPath(1.0, np.zeros(11)), pm, exp1)
+        qp_of(GridPath(1.0, np.zeros(11)), pm)
 
 
-def test_build_qp_nontrivial_first_row_raises_typed_error(exp1, pm_std, q_quad, monkeypatch):
+def test_build_qp_nontrivial_first_row_raises_typed_error(pm_std, q_quad, monkeypatch):
     from mdqueue.fredholm import FredholmError
     from mdqueue.grids import LagConv
 
@@ -364,7 +364,7 @@ def test_build_qp_nontrivial_first_row_raises_typed_error(exp1, pm_std, q_quad, 
 
     monkeypatch.setattr(LagConv, "of_law", classmethod(lambda cls, d, horizon, n_steps: NaNLag()))
     with pytest.raises(FredholmError, match="t = 0"):
-        qp_of(q_quad, pm_std, exp1)
+        qp_of(q_quad, pm_std)
 
 
 # paths from q(0) = 0 on [0, HORIZON]: a hump, a rise and a sine that crosses zero
@@ -382,11 +382,11 @@ SCALING_PATHS = {
 def test_rate_scales_quadratically(d, sigma, path, c):
     # with beta = q0 = 0 the drift is 0 and the defect is positively homogeneous in q,
     # so I(c q) = c^2 I(q) for c > 0, on the adjoint route and on the oracle's
-    pm = ModelParams(mu=d.mu, sigma=sigma, beta=0.0, q0=0.0)
+    pm = ModelParams(d, sigma=sigma, beta=0.0, q0=0.0)
     q = SCALING_PATHS[path](np.linspace(0.0, HORIZON, 101))
-    eq = PathEquation.from_law(pm, d, HORIZON, 100)
+    eq = PathEquation.from_law(pm, HORIZON, 100)
     for rate in (lambda v: evaluate_rate(GridPath(HORIZON, v), eq).rate,
-                 lambda v: solve_min_norm(qp_of(GridPath(HORIZON, v), pm, d))[0]):
+                 lambda v: solve_min_norm(qp_of(GridPath(HORIZON, v), pm))[0]):
         base = rate(q)
         assert base > 0.0
         assert abs(rate(c * q) - c * c * base) <= 1e-12 * c * c * base
@@ -407,7 +407,7 @@ LLN_LAWS = st.one_of(
 def test_lln_path_has_zero_rate_on_both_routes(d, sigma, beta, q0, horizon, n_steps):
     # criterion 5 drawn over laws, grids and parameters: the zero-control path costs nothing on
     # either route, unless the renewal march cannot solve on the grid, which is a typed error
-    eq = PathEquation.from_law(ModelParams(d.mu, sigma, beta, q0), d, horizon, n_steps)
+    eq = PathEquation.from_law(ModelParams(d, sigma, beta, q0), horizon, n_steps)
     try:
         q = lln_path(eq)
     except RenewalConvergenceError:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -39,12 +41,30 @@ def test_energy_constant_controls():
 
 
 def test_controlset_requires_unit_x_interval():
-    with pytest.raises(ValueError):
-        ControlSet(
-            w0dot=GridPath(2.0, np.zeros(5)),
-            wdot=GridPath(1.0, np.zeros(5)),
-            kdot=GridField2D(1.0, np.zeros((3, 3))),
-        )
+    # the one check of the w0dot grid: a frozen ControlSet cannot leave [0, 1] later,
+    # so forward_q and the oracle do not repeat it
+    def controls(x_horizon):
+        return ControlSet(w0dot=GridPath(x_horizon, np.zeros(5)), wdot=GridPath(1.0, np.zeros(5)),
+                          kdot=GridField2D(1.0, np.zeros((5, 5))))
+
+    for x_horizon in (2.0, 0.5, 1.0 + 1e-9, 1.0 - 1e-9):
+        with pytest.raises(ValueError, match=r"w0dot must live on \[0, 1\]"):
+            controls(x_horizon)
+    assert controls(1.0 + 1e-13).w0dot.horizon == 1.0 + 1e-13  # within the 1e-12 tolerance
+
+
+def test_model_takes_mu_from_its_law():
+    # mu is the reciprocal mean of the service law, given once: a second mu can be
+    # neither passed nor set, so a model cannot disagree with its own law
+    d = ServiceDist.erlang(2, 5.0)
+    pm = ModelParams(d, 1.0, 0.5, 0.0)
+    assert pm.law is d and pm.mu == d.mu == 2.5
+    for call in (lambda: ModelParams(mu=2.0, sigma=1.0, beta=0.5, q0=0.0), lambda: ModelParams(d, 1.0, 0.5, 0.0, mu=2.0),
+                 lambda: replace(pm, mu=2.0)):
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(AttributeError):
+        pm.mu = 2.0
 
 
 def test_partial_cell_weights_quadratic():
@@ -57,9 +77,9 @@ def test_partial_cell_weights_quadratic():
     assert np.max(np.abs(vals - u**2 / 2.0)) < 1e-14
 
 
-def test_forward_q_zero_controls_lln(pm_std, exp1):
+def test_forward_q_zero_controls_lln(pm_std):
     c = zero_controls(2.0, 200, 16, mu=1.0)
-    eq = equation(c.wdot, pm_std, exp1)
+    eq = equation(c.wdot, pm_std)
     q = forward_q(c, eq)
     ref = lln_path(eq)
     assert np.max(np.abs(q.values - ref.values)) < 1e-9
@@ -68,16 +88,16 @@ def test_forward_q_zero_controls_lln(pm_std, exp1):
 
 def test_forward_q_monotone_in_beta(exp1):
     c = zero_controls(2.0, 100, 8)
-    q_lo = forward_q(c, equation(c.wdot, ModelParams(1.0, 1.0, -0.5, 0.0), exp1))
-    q_hi = forward_q(c, equation(c.wdot, ModelParams(1.0, 1.0, 0.5, 0.0), exp1))
+    q_lo = forward_q(c, equation(c.wdot, ModelParams(exp1, 1.0, -0.5, 0.0)))
+    q_hi = forward_q(c, equation(c.wdot, ModelParams(exp1, 1.0, 0.5, 0.0)))
     # larger beta = more spare capacity = lower centered queue
     assert np.all(q_hi.values <= q_lo.values + 1e-12)
 
 
 def test_forward_q_initial_value(exp1):
-    pm = ModelParams(1.0, 1.0, 0.5, -0.3)
+    pm = ModelParams(exp1, 1.0, 0.5, -0.3)
     c = zero_controls(2.0, 100, 8)
-    q = forward_q(c, equation(c.wdot, pm, exp1))
+    q = forward_q(c, equation(c.wdot, pm))
     assert q.values[0] == pytest.approx(-0.3, abs=1e-12)
 
 
@@ -85,14 +105,14 @@ def test_forward_q_wdot_term_against_quad(exp1):
     # with only wdot = 1 active and beta = q0 = 0:
     # q(t) = sigma int_0^t (1-F(t-s)) ds + int_0^t q^+ dF; for exponential and
     # small t, q stays positive and solves q = sigma F0(t)/mu + int q dF
-    pm = ModelParams(1.0, 1.0, 0.0, 0.0)
+    pm = ModelParams(exp1, 1.0, 0.0, 0.0)
     n = 400
     c = ControlSet(
         w0dot=GridPath(1.0, np.zeros(9)),
         wdot=GridPath(2.0, np.ones(n + 1)),
         kdot=GridField2D(2.0, np.zeros((9, n + 1))),
     )
-    q = forward_q(c, equation(c.wdot, pm, exp1))
+    q = forward_q(c, equation(c.wdot, pm))
     # exponential(1): forcing = 1 - e^{-t}; renewal solution of
     # g = (1-e^{-t}) + int g dF is g(t) = t - 1 + e^{-t} + int_0^t (s-1+e^{-s}) ds'... use
     # the known linear-renewal identity g = f + int_0^t f(s) m'(t-s) ds with m'(u) = 1
@@ -102,12 +122,12 @@ def test_forward_q_wdot_term_against_quad(exp1):
     assert np.max(np.abs(q.values - ref)) < 5e-4
 
 
-def _reference_forcing(c, pm, d):
+def _reference_forcing(c, pm):
     """The forward-map forcing by direct quadrature, term by term: the bridge
     integral of w0dot up to F0(t) by partial-cell trapezoid, the arrival term by
     conv_trap, and the kdot term as a partial-cell x-integral up to F(lag) of
     kdot interpolated at mu t, then an outer trapezoid along each anti-diagonal."""
-    t = c.wdot.times
+    t, d = c.wdot.times, pm.law
     n, dt = c.wdot.n_steps, c.wdot.dt
     F, F0 = d.cdf(t), d.eq_cdf(t)
 
@@ -135,23 +155,22 @@ def _reference_forcing(c, pm, d):
 @pytest.mark.parametrize("n_steps", [40, 41])
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 def test_forward_q_matches_direct_quadrature(d, n_steps):
-    pm = ModelParams(d.mu, 1.5, 0.5, 0.2)
+    pm = ModelParams(d, 1.5, 0.5, 0.2)
     rng = np.random.default_rng(n_steps)
     c = ControlSet(
         w0dot=GridPath(1.0, rng.standard_normal(9)),
         wdot=GridPath(2.0, rng.standard_normal(n_steps + 1)),
         kdot=GridField2D(pm.mu * 2.0, rng.standard_normal((9, n_steps + 1))),
     )
-    ref = solve_nonlinear(GridPath(2.0, _reference_forcing(c, pm, d)), LagConv.of_law(d, 2.0, n_steps))
-    assert np.max(np.abs(forward_q(c, equation(c.wdot, pm, d)).values - ref.values)) <= 1e-13
+    ref = solve_nonlinear(GridPath(2.0, _reference_forcing(c, pm)), LagConv.of_law(d, 2.0, n_steps))
+    assert np.max(np.abs(forward_q(c, equation(c.wdot, pm)).values - ref.values)) <= 1e-13
 
 
 def _bad_controls(case):
     c = zero_controls(2.0, 20, 8)
     if case == "w0dot-x-range":
-        # ControlSet refuses this grid itself; forward_q must not rely on that
-        object.__setattr__(c, "w0dot", GridPath(2.0, np.zeros(9)))
-        return c
+        # ControlSet refuses this grid itself, so no such controls reach forward_q
+        return ControlSet(w0dot=GridPath(2.0, np.zeros(9)), wdot=c.wdot, kdot=c.kdot)
     kdot = {
         "kdot-x-nodes": GridField2D(2.0, np.zeros((10, 21))),
         "kdot-t-nodes": GridField2D(2.0, np.zeros((9, 20))),
@@ -163,26 +182,26 @@ def _bad_controls(case):
 @pytest.mark.parametrize(
     "case", ["kdot-x-nodes", "kdot-t-nodes", "kdot-t-horizon", "w0dot-x-range"]
 )
-def test_forward_q_rejects_mismatched_grids(exp1, pm_std, case):
+def test_forward_q_rejects_mismatched_grids(pm_std, case):
     with pytest.raises(ValueError):
-        forward_q(_bad_controls(case), PathEquation.from_law(pm_std, exp1, 2.0, 20))
+        forward_q(_bad_controls(case), PathEquation.from_law(pm_std, 2.0, 20))
 
 
 @pytest.mark.parametrize("horizon, n_steps", [(2.5, 20), (2.0, 21), (2.0 * (1 + 1e-9), 20)])
-def test_path_and_controls_off_the_equation_grid_raise(exp1, pm_std, horizon, n_steps):
+def test_path_and_controls_off_the_equation_grid_raise(pm_std, horizon, n_steps):
     # the path equation samples the law on one t grid; q and the controls must live on it
-    eq = PathEquation.from_law(pm_std, exp1, horizon, n_steps)
+    eq = PathEquation.from_law(pm_std, horizon, n_steps)
     t = np.linspace(0.0, 2.0, 21)
     for call in (lambda: defect(GridPath(2.0, t * (2.0 - t)), eq), lambda: forward_q(zero_controls(2.0, 20, 8), eq)):
         with pytest.raises(ValueError, match="not on the grid of its path equation"):
             call()
     # a horizon within round-off of the equation's is its grid
-    assert defect(GridPath(2.0 * (1 + 1e-15), t * (2.0 - t)), PathEquation.from_law(pm_std, exp1, 2.0, 20))[0] == 0.0
+    assert defect(GridPath(2.0 * (1 + 1e-15), t * (2.0 - t)), PathEquation.from_law(pm_std, 2.0, 20))[0] == 0.0
 
 
 def test_equation_samples_the_law_once(exp1, pm_std):
     # F, F0, the lag and the drift are the law's values on the grid
-    eq = PathEquation.from_law(ModelParams(1.0, 1.0, 0.5, 0.3), exp1, 2.0, 40)
+    eq = PathEquation.from_law(ModelParams(exp1, 1.0, 0.5, 0.3), 2.0, 40)
     t = np.linspace(0.0, 2.0, 41)
     assert np.array_equal(eq.F, exp1.cdf(t)) and np.array_equal(eq.F0, exp1.eq_cdf(t))
     assert np.array_equal(eq.lag.lags, LagConv.of_law(exp1, 2.0, 40).lags)

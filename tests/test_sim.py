@@ -2,6 +2,7 @@ import heapq
 import logging
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,12 +29,12 @@ from mdqueue.sim import _theta_sums, lln_sup_stat, replications, tail_hit
 
 def equation(tr, d, n_steps):
     """The path equation of the law d on the horizon of the trace tr, in n_steps steps."""
-    return PathEquation.from_law(ModelParams(d.mu, 1.0, 0.0, 0.0), d, tr.horizon, n_steps)
+    return PathEquation.from_law(ModelParams(d, 1.0, 0.0, 0.0), tr.horizon, n_steps)
 
 
-@pytest.fixture(scope="module")
-def pm():
-    return ModelParams(mu=1.0, sigma=1.0, beta=0.5, q0=0.0)
+def model(d, q0=0.0):
+    """The model of the service law d at sigma 1 and beta 0.5."""
+    return ModelParams(d, 1.0, 0.5, q0)
 
 
 def test_scaling_regime_values():
@@ -65,23 +66,23 @@ def test_overloaded_regime_warns(caplog):
     assert "overloaded" in caplog.text
 
 
-def test_empty_trace(pm):
+def test_empty_trace():
     d = ServiceDist.exponential(1.0)
     sr = ScalingRegime(n=10, rule=("power", 0.25), beta=0.5)
     rng = np.random.default_rng(0)
-    tr = simulate(pm, d, sr, 0.0, rng)
+    tr = simulate(model(d), sr, 0.0, rng)
     assert len(tr.event_times) == 0
     assert len(flow_balance_residuals(tr)) == 0
     rep = decomposition(tr, equation(tr, d, 10))
     assert rep.sup_residual <= 1e-12
 
 
-def test_flow_balance_exact(pm):
+def test_flow_balance_exact():
     d = ServiceDist.erlang(2, 2.0)
     for n in (10, 100, 1000):
         sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
         for rng in spawn_streams(11, 3):
-            tr = simulate(pm, d, sr, 2.0, rng)
+            tr = simulate(model(d), sr, 2.0, rng)
             fb = flow_balance_residuals(tr)
             assert np.all(fb == 0)
 
@@ -90,9 +91,9 @@ def test_single_customer_hand_check():
     # n = 1, no initial customers (q0 makes Q0 = 0), one arrival, one departure
     d = ServiceDist.exponential(1.0)
     sr = ScalingRegime(n=1, rule=("power", 0.25), beta=0.0)
-    pm1 = ModelParams(1.0, 1.0, 0.0, -1.0)  # Q0 = round(1 - 1) = 0
+    pm1 = ModelParams(d, 1.0, 0.0, -1.0)  # Q0 = round(1 - 1) = 0
     rng = np.random.default_rng(42)
-    tr = simulate(pm1, d, sr, 50.0, rng)
+    tr = simulate(pm1, sr, 50.0, rng)
     assert tr.q0_count == 0
     # every arrival raises Q by 1, every departure lowers it by 1
     steps = np.diff(np.concatenate([[0], tr.q_values]))
@@ -103,20 +104,21 @@ def test_single_customer_hand_check():
     assert tr.tau_hat[0] == tr.arrival_times[0]
 
 
-def test_initial_customers_residual_services(pm):
+def test_initial_customers_residual_services():
     d = ServiceDist.exponential(1.0)
     sr = ScalingRegime(n=50, rule=("power", 0.25), beta=0.5)
     rng = np.random.default_rng(1)
-    tr = simulate(pm, d, sr, 1.0, rng)
+    pm = model(d)
+    tr = simulate(pm, sr, 1.0, rng)
     assert tr.q0_count == round(50 + pm.q0 * sr.scale())
     assert len(tr.eta0) == min(tr.q0_count, 50)
 
 
-def test_reproducibility_bit_identical(pm):
+def test_reproducibility_bit_identical():
     d = ServiceDist.exponential(1.0)
     sr = ScalingRegime(n=20, rule=("power", 0.25), beta=0.5)
-    tr1 = simulate(pm, d, sr, 2.0, np.random.default_rng(7))
-    tr2 = simulate(pm, d, sr, 2.0, np.random.default_rng(7))
+    tr1 = simulate(model(d), sr, 2.0, np.random.default_rng(7))
+    tr2 = simulate(model(d), sr, 2.0, np.random.default_rng(7))
     assert np.array_equal(tr1.event_times, tr2.event_times)
     assert np.array_equal(tr1.q_values, tr2.q_values)
     assert np.array_equal(tr1.eta, tr2.eta)
@@ -131,23 +133,23 @@ def test_spawn_streams_independent():
     assert len(set(a)) == 3  # distinct streams differ
 
 
-def test_mm_n_occupancy_lln(pm):
+def test_mm_n_occupancy_lln():
     # heavily loaded M/M/n: mean number in system over [5, 10] close to n
     d = ServiceDist.exponential(1.0)
     sr = ScalingRegime(n=400, rule=("power", 0.25), beta=0.5)
     rng = np.random.default_rng(3)
-    tr = simulate(pm, d, sr, 10.0, rng)
+    tr = simulate(model(d), sr, 10.0, rng)
     ts = np.linspace(5.0, 10.0, 200)
     occ = tr.q_at(ts).mean()
     assert abs(occ / sr.n - 1.0) < 0.1
 
 
-def test_decomposition_residual_small_and_halving(pm):
+def test_decomposition_residual_small_and_halving():
     d = ServiceDist.exponential(1.0)
     sr = ScalingRegime(n=100, rule=("power", 0.25), beta=0.5)
     ratios = []
     for rng in spawn_streams(13, 5):
-        tr = simulate(pm, d, sr, 2.0, rng)
+        tr = simulate(model(d), sr, 2.0, rng)
         r1 = decomposition(tr, equation(tr, d, 200))
         r2 = decomposition(tr, equation(tr, d, 400))
         assert r1.sup_residual <= 1e-8 + r1.quadrature_bound
@@ -155,50 +157,50 @@ def test_decomposition_residual_small_and_halving(pm):
     assert np.median(ratios) < 0.75
 
 
-def test_decomposition_theta_martingale_term_centered(pm):
+def test_decomposition_theta_martingale_term_centered():
     # Theta averages to ~0 over replications (it is a centered sum)
     d = ServiceDist.exponential(1.0)
     sr = ScalingRegime(n=200, rule=("power", 0.25), beta=0.5)
     vals = []
     for rng in spawn_streams(17, 40):
-        tr = simulate(pm, d, sr, 1.0, rng)
+        tr = simulate(model(d), sr, 1.0, rng)
         vals.append(decomposition(tr, equation(tr, d, 50)).Theta[-1])
     vals = np.array(vals)
     assert abs(vals.mean()) < 4 * vals.std() / np.sqrt(len(vals)) + 1e-3
 
 
-def test_lln_check_trend(pm):
+def test_lln_check_trend():
     d = ServiceDist.exponential(1.0)
     stats = {}
     for i, n in enumerate((100, 1000)):
         sr = ScalingRegime(n=n, rule=("power", 0.1), beta=0.5)
-        stats[n] = [lln_sup_stat(simulate(pm, d, sr, 1.0, rng), 1.0, 1.0) for rng in spawn_streams(23 + i, 50)]
+        stats[n] = [lln_sup_stat(simulate(model(d), sr, 1.0, rng), 1.0, 1.0) for rng in spawn_streams(23 + i, 50)]
     rep = lln_check(stats)
     assert rep.monotone_decreasing
 
 
-def test_interarrival_ks(pm):
+def test_interarrival_ks():
     # the generated arrival process has exponential gaps at rate lambda_n
     d = ServiceDist.exponential(1.0)
     sr = ScalingRegime(n=100, rule=("power", 0.25), beta=0.5)
     rng = np.random.default_rng(29)
-    tr = simulate(pm, d, sr, 20.0, rng)
+    tr = simulate(model(d), sr, 20.0, rng)
     gaps = np.diff(np.concatenate([[0.0], tr.arrival_times]))
     lam = sr.arrival_rate(1.0)
     assert kstest(gaps * lam, "expon").pvalue > 0.01
 
 
-def _hits_by_regime(pm, d, regimes, reps, seed, horizon, event):
+def _hits_by_regime(pm, regimes, reps, seed, horizon, event):
     hits = {}
-    for sr, _, tr in replications(pm, d, regimes, reps, seed, horizon):
+    for sr, _, tr in replications(pm, regimes, reps, seed, horizon):
         hits.setdefault(sr, []).append(tail_hit(tr, event))
     return hits
 
 
-def test_mc_tail_rows(pm):
+def test_mc_tail_rows():
     d = ServiceDist.exponential(1.0)
     regimes = [ScalingRegime(n=n, rule=("power", 0.25), beta=0.5) for n in (10, 50)]
-    rows = mc_tail(_hits_by_regime(pm, d, regimes, reps=40, seed=5, horizon=1.0,
+    rows = mc_tail(_hits_by_regime(model(d), regimes, reps=40, seed=5, horizon=1.0,
                                    event={"kind": "sup", "t": 1.0, "a": 0.2}))
     assert len(rows) == 2
     for r in rows:
@@ -212,10 +214,10 @@ def test_mc_tail_rows(pm):
             assert r.slope == pytest.approx(-np.log(r.p_hat) / r.b**2)
 
 
-def test_mc_tail_impossible_event_censored(pm):
+def test_mc_tail_impossible_event_censored():
     d = ServiceDist.exponential(1.0)
     regimes = [ScalingRegime(n=10, rule=("power", 0.25), beta=0.5)]
-    rows = mc_tail(_hits_by_regime(pm, d, regimes, reps=10, seed=5, horizon=1.0,
+    rows = mc_tail(_hits_by_regime(model(d), regimes, reps=10, seed=5, horizon=1.0,
                                    event={"kind": "terminal", "t": 0.5, "a": 1e9}))
     assert rows[0].censored
 
@@ -258,19 +260,19 @@ def test_mc_tail_sup_matches_list_max():
     assert hits == [_old_sup_hits(traces, t, a) for t, a in cases] == [1, 2, 1, 0, 2, 0]
 
 
-def test_simulate_rejects_negative_horizon(pm):
+def test_simulate_rejects_negative_horizon():
     d = ServiceDist.exponential(1.0)
     sr = ScalingRegime(n=10, rule=("power", 0.25), beta=0.5)
     with pytest.raises(ValueError):
-        simulate(pm, d, sr, -1.0, np.random.default_rng(0))
+        simulate(model(d), sr, -1.0, np.random.default_rng(0))
 
 
-def _reference_simulate(pm, d, sr, horizon, rng, arrival_family, arrival_shape):
+def _reference_simulate(pm, sr, horizon, rng, arrival_family, arrival_shape):
     """Event-driven GI/GI/n FCFS loop: pop the earlier of the next arrival and
     the next departure, arrivals first on ties; departures tie-break by id.
     Draws eta0, then the arrivals, then one service per entering customer in
     one call, handed out in start order, like `simulate`."""
-    n = sr.n
+    n, d = sr.n, pm.law
     q0_count = max(0, int(round(n + pm.q0 * sr.scale())))
     lam = sr.arrival_rate(pm.mu)
     in_service = min(q0_count, n)
@@ -342,11 +344,11 @@ LAWS = [
 @pytest.mark.parametrize("n", [1, 3, 50])
 def test_simulate_matches_event_driven_reference(d, n):
     # q0 > 0 starts with a queue behind n busy servers; Erlang(2) arrivals
-    pm = ModelParams(d.mu, 1.0, 0.5, 0.8)
+    pm = model(d, 0.8)
     sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
     for seed in range(5):
-        tr = simulate(pm, d, sr, 3.0, np.random.default_rng(seed), arrival_family="erlang", arrival_shape=2)
-        ref = _reference_simulate(pm, d, sr, 3.0, np.random.default_rng(seed), "erlang", 2)
+        tr = simulate(pm, sr, 3.0, np.random.default_rng(seed), arrival_family="erlang", arrival_shape=2)
+        ref = _reference_simulate(pm, sr, 3.0, np.random.default_rng(seed), "erlang", 2)
         assert tr.q0_count > n
         assert len(tr.event_times) > 0
         for name, want in ref.items():
@@ -367,6 +369,10 @@ class _Recorded:
     def __init__(self, d):
         self.d, self.blocks = d, []
 
+    @property
+    def mu(self):
+        return self.d.mu
+
     def sample_equilibrium(self, rng, size):
         return self.d.sample_equilibrium(rng, size=size)
 
@@ -375,9 +381,9 @@ class _Recorded:
         return self.blocks[-1]
 
 
-def _simulate_recorded(pm, d, sr, horizon, rng, **arrivals):
-    rec = _Recorded(d)
-    return simulate(pm, rec, sr, horizon, rng, **arrivals), rec.blocks
+def _simulate_recorded(pm, sr, horizon, rng, **arrivals):
+    rec = _Recorded(pm.law)
+    return simulate(replace(pm, law=rec), sr, horizon, rng, **arrivals), rec.blocks
 
 
 def _assert_starts_match_heap(tr, blocks):
@@ -397,19 +403,19 @@ def _assert_starts_match_heap(tr, blocks):
 def test_simulate_start_times_match_heap(d, q0):
     # q0 -0.5 leaves servers idle at 0, 0.8 and 1 start with a queue; horizon 0
     # starts only the customers whose servers are free at 0
-    pm = ModelParams(d.mu, 1.0, 0.5, q0)
+    pm = model(d, q0)
     for n in (1, 2, 3, 7, 50, 400, 3000):
         sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
         for horizon in (0.0, 0.3, 3.0):
             for seed, (family, shape) in enumerate([("exponential", 1), ("erlang", 2)]):
                 rng = np.random.default_rng(seed)
-                _assert_starts_match_heap(*_simulate_recorded(pm, d, sr, horizon, rng,
-                                                              arrival_family=family, arrival_shape=shape))
+                _assert_starts_match_heap(*_simulate_recorded(pm, sr, horizon, rng,
+                                                          arrival_family=family, arrival_shape=shape))
     # several windows of max(256, 4n) customers, with the free times and
     # departures carried from one to the next
     for n, horizon in [(1, 2000.0), (10, 100.0), (50, 20.0)]:
         sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
-        tr, blocks = _simulate_recorded(pm, d, sr, horizon, np.random.default_rng(2))
+        tr, blocks = _simulate_recorded(pm, sr, horizon, np.random.default_rng(2))
         assert len(tr.tau_hat) > 2 * max(256, 4 * n)
         _assert_starts_match_heap(tr, blocks)
 
@@ -425,16 +431,18 @@ def test_simulate_start_times_match_heap(d, q0):
 @settings(derandomize=True, max_examples=60, deadline=None)
 def test_simulate_matches_event_driven_reference_property(law, n, q0, horizon, arrival_shape, seed):
     family = "exponential" if arrival_shape == 1 else "erlang"
-    pm = ModelParams(law.mu, 1.0, 0.5, q0)
+    pm = model(law, q0)
     sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
-    tr = simulate(pm, law, sr, horizon, np.random.default_rng(seed), arrival_family=family, arrival_shape=arrival_shape)
-    ref = _reference_simulate(pm, law, sr, horizon, np.random.default_rng(seed), family, arrival_shape)
+    tr = simulate(pm, sr, horizon, np.random.default_rng(seed), arrival_family=family, arrival_shape=arrival_shape)
+    ref = _reference_simulate(pm, sr, horizon, np.random.default_rng(seed), family, arrival_shape)
     for name, want in ref.items():
         assert np.array_equal(getattr(tr, name), want), name
 
 
 class _UnitServices:
     """Every service and residual service lasts exactly 1."""
+
+    mu = 1.0
 
     def sample(self, rng, size):
         return np.ones(size)
@@ -459,15 +467,15 @@ def _assert_stable_event_order(tr):
 def test_simulate_ties_match_event_driven_reference(caplog):
     # departures of the 3 initial services, 3 starts from the queue and an
     # arrival all fall at t = 1 and again at t = 2 = horizon
-    pm = ModelParams(1.0, 1.0, 0.5, 0.8)
+    pm = model(_UnitServices(), 0.8)
     sr = ScalingRegime(n=3, rule=("power", 0.25), beta=0.5)
     with caplog.at_level(logging.DEBUG, logger="mdqueue.sim"):
-        tr = simulate(pm, _UnitServices(), sr, 2.0, _QuarterGaps())
+        tr = simulate(pm, sr, 2.0, _QuarterGaps())
         assert "tied event times" not in caplog.text  # simulate sorts nothing
         tr.event_times  # the first read builds the event list
     # the tie sends the event sort to its stable fallback
     assert "tied event times: stable sort" in caplog.text
-    ref = _reference_simulate(pm, _UnitServices(), sr, 2.0, _QuarterGaps(), "exponential", 1)
+    ref = _reference_simulate(pm, sr, 2.0, _QuarterGaps(), "exponential", 1)
     assert np.count_nonzero(tr.tau_hat == 2.0) == 3
     for name, want in ref.items():
         assert np.array_equal(getattr(tr, name), want), name
@@ -476,12 +484,12 @@ def test_simulate_ties_match_event_driven_reference(caplog):
 
 @pytest.mark.parametrize("n", [10, 1000])
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
-def test_event_order_is_stable_sort(d, n, pm, caplog):
+def test_event_order_is_stable_sort(d, n, caplog):
     # untied times: the default sort runs alone and gives the stable sort's order
     sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
     for seed in range(3):
         with caplog.at_level(logging.DEBUG, logger="mdqueue.sim"):
-            tr = simulate(pm, d, sr, 2.0, np.random.default_rng(seed))
+            tr = simulate(model(d), sr, 2.0, np.random.default_rng(seed))
             tr.event_times  # the first read builds the event list
         assert "tied event times" not in caplog.text
         assert len(tr.event_times) > n
@@ -508,10 +516,10 @@ def _assert_tail_hit_matches_event_list(tr, t):
 @pytest.mark.parametrize("q0", [-0.5, 0.0, 0.8])
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 def test_tail_hit_matches_event_list(d, q0):
-    pm = ModelParams(d.mu, 1.0, 0.5, q0)
+    pm = model(d, q0)
     for seed, n in enumerate((1, 3, 50, 1000)):
         sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
-        tr = simulate(pm, d, sr, 2.0, np.random.default_rng(seed))
+        tr = simulate(pm, sr, 2.0, np.random.default_rng(seed))
         for t in (0.0, 1.0, 2.0):
             _assert_tail_hit_matches_event_list(tr, t)
 
@@ -520,9 +528,8 @@ def test_tail_hit_matches_event_list_on_ties():
     # at t = 1 and t = 2 an arrival ties with three departures and goes first, so the
     # peak at 1 is the arrival's 9 before they leave: counting the departures at or
     # before an arrival's time, not strictly before it, would miss it
-    pm = ModelParams(1.0, 1.0, 0.5, 0.8)
     sr = ScalingRegime(n=3, rule=("power", 0.25), beta=0.5)
-    tr = simulate(pm, _UnitServices(), sr, 2.0, _QuarterGaps())
+    tr = simulate(model(_UnitServices(), 0.8), sr, 2.0, _QuarterGaps())
     assert tr.q0_count == 5 and np.max(tr.q_values[tr.event_times <= 1.0]) == 9
     for t in (0.0, 0.75, 1.0, 2.0):
         _assert_tail_hit_matches_event_list(tr, t)
@@ -538,10 +545,10 @@ def test_tail_hit_matches_event_list_past_the_last_departure():
         _assert_tail_hit_matches_event_list(tr, t)
 
 
-def test_replication_diagnostics_leave_the_event_list_unbuilt(pm):
+def test_replication_diagnostics_leave_the_event_list_unbuilt():
     d = ServiceDist.erlang(3, 3.0)
     sr = ScalingRegime(n=200, rule=("power", 0.25), beta=0.5)
-    tr = simulate(pm, d, sr, 1.0, np.random.default_rng(4))
+    tr = simulate(model(d), sr, 1.0, np.random.default_rng(4))
     lln_sup_stat(tr, 1.0, 1.0)
     for kind in ("sup", "terminal"):
         tail_hit(tr, {"kind": kind, "t": 1.0, "a": 0.1})
@@ -569,9 +576,9 @@ def _dense_theta(trace: QueueTrace, d: ServiceDist, n_steps: int) -> np.ndarray:
     ],
 )
 def test_decomposition_theta_matches_dense_formula(d):
-    pm = ModelParams(d.mu, 1.0, 0.5, 0.3)
+    pm = model(d, 0.3)
     sr = ScalingRegime(n=40, rule=("power", 0.25), beta=0.5)
-    tr = simulate(pm, d, sr, 2.0, np.random.default_rng(3))
+    tr = simulate(pm, sr, 2.0, np.random.default_rng(3))
     want = _dense_theta(tr, d, 100)
     assert np.allclose(decomposition(tr, equation(tr, d, 100)).Theta, want, rtol=1e-12, atol=1e-14)
 
@@ -588,9 +595,8 @@ class _ZeroResiduals(_UnitServices):
 def test_decomposition_theta_starts_on_nodes(d, stub):
     # every start falls on a node of the 0.25-spaced grid: the queued customers
     # start at t = 0 (zero residuals) or t = 1, and the last at t = 2 = horizon
-    pm = ModelParams(1.0, 1.0, 0.5, 0.8)
     sr = ScalingRegime(n=3, rule=("power", 0.25), beta=0.5)
-    tr = simulate(pm, stub, sr, 2.0, _QuarterGaps())
+    tr = simulate(model(stub, 0.8), sr, 2.0, _QuarterGaps())
     t = np.linspace(0.0, 2.0, 9)
     assert np.all(np.isin(tr.tau_hat, t))
     assert tr.tau_hat[-1] == 2.0
@@ -619,11 +625,11 @@ def _longdouble_lag_sum(d: ServiceDist, t: float, tau: np.ndarray, eta: np.ndarr
 
 
 @pytest.fixture(scope="module")
-def runs_1e5(pm):
+def runs_1e5():
     # one horizon-1 path at n = 1e5 per law, with its service draws; every law
     # in LAWS has mean 1
     sr = ScalingRegime(n=100_000, rule=("power", 0.25), beta=0.5)
-    return {d.family: _simulate_recorded(pm, d, sr, 1.0, np.random.default_rng(8)) for d in LAWS}
+    return {d.family: _simulate_recorded(model(d), sr, 1.0, np.random.default_rng(8)) for d in LAWS}
 
 
 @pytest.fixture(scope="module")
@@ -636,10 +642,9 @@ def fast_queue_1e5():
     # a queue of b_n sqrt(n) ~ 5,600 customers behind the fast hyperexponential
     # law, whose start times take the most passes to settle; returns the run and
     # the seconds simulate took
-    pm = ModelParams(1.0, 1.0, 0.5, 1.0)
     sr = ScalingRegime(n=100_000, rule=("power", 0.25), beta=0.5)
     t0 = time.perf_counter()
-    run = _simulate_recorded(pm, FAST_HYPEREXP, sr, 1.0, np.random.default_rng(8))
+    run = _simulate_recorded(model(FAST_HYPEREXP, 1.0), sr, 1.0, np.random.default_rng(8))
     return run, time.perf_counter() - t0
 
 
@@ -693,9 +698,8 @@ def test_theta_sums_match_node_recursion_at_n1e5(d, traces_1e5):
 def test_theta_sums_match_node_recursion_at_horizon_0(d):
     # horizon 0: one node, where the queued customers start on the servers
     # whose residual services are zero
-    pm = ModelParams(1.0, 1.0, 0.5, 0.8)
     sr = ScalingRegime(n=3, rule=("power", 0.25), beta=0.5)
-    tr = simulate(pm, _ZeroResiduals(), sr, 0.0, _QuarterGaps())
+    tr = simulate(model(_ZeroResiduals(), 0.8), sr, 0.0, _QuarterGaps())
     assert np.array_equal(tr.tau_hat, np.zeros(2))
     t = np.zeros(1)
     got = _theta_sums(d, t, 0.0, tr.tau_hat, tr.eta)
@@ -716,12 +720,12 @@ def test_decomposition_n1e5_erlang_time_bound(traces_1e5):
     assert elapsed < 1.0, f"Erlang(3, 3) decomposition at n = 1e5, 400 steps took {elapsed:.2f} s"
 
 
-def test_decomposition_n1e5_time_bound(pm):
+def test_decomposition_n1e5_time_bound():
     # 401 grid nodes x ~10^5 service starts: the phase convolutions and searchsorted
     # counts take well under a second on a 2-core x86 machine; 10 s is the bound
     d = ServiceDist.exponential(1.0)
     sr = ScalingRegime(n=100_000, rule=("power", 0.25), beta=0.5)
-    tr = simulate(pm, d, sr, 1.0, np.random.default_rng(8))
+    tr = simulate(model(d), sr, 1.0, np.random.default_rng(8))
     assert len(tr.tau_hat) > 50_000
     t0 = time.perf_counter()
     rep = decomposition(tr, equation(tr, d, 400))
@@ -730,8 +734,8 @@ def test_decomposition_n1e5_time_bound(pm):
     assert elapsed < 10.0, f"decomposition at n = 1e5, 400 steps took {elapsed:.2f} s"
 
 
-def test_decomposition_off_the_equation_grid_raises(pm):
+def test_decomposition_off_the_equation_grid_raises():
     d = ServiceDist.exponential(1.0)
-    tr = simulate(pm, d, ScalingRegime(n=10, rule=("power", 0.25), beta=0.5), 2.0, np.random.default_rng(0))
+    tr = simulate(model(d), ScalingRegime(n=10, rule=("power", 0.25), beta=0.5), 2.0, np.random.default_rng(0))
     with pytest.raises(ValueError, match="not on the grid of its path equation"):
-        decomposition(tr, PathEquation.from_law(pm, d, 1.0, 10))
+        decomposition(tr, PathEquation.from_law(model(d), 1.0, 10))

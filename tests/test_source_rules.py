@@ -3,11 +3,16 @@ vanishes under `python -O`, and a bare RuntimeError or Exception is not in
 `cli.NUMERICAL_ERRORS`, so the CLI cannot map it to an exit code.  The one
 trapezoid lag convolution, `grids.LagConv`, is the only user of the FFT, and
 `paths.PathEquation.from_law` (with the lag dt F'(t_k) of `LagConv.of_law`) the
-only place that samples the law on a t grid."""
+only place that samples the law on a t grid.  `paths.ModelParams` carries the
+service law, whose reciprocal mean is mu, so no function takes a model and a law
+side by side."""
 import ast
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import mdqueue
+from mdqueue.paths import ModelParams, PathEquation
 
 
 def test_no_assert_and_no_bare_runtime_error():
@@ -50,3 +55,23 @@ def test_law_lag_only_from_of_law():
                                                                                      "conv_trap")
                   and not any(a <= node.lineno <= b for a, b in spans)]
     assert found == []
+
+
+def test_no_function_takes_a_model_and_a_law():
+    # a model and a law passed side by side carry mu twice, and nothing would check that they agree
+    found = []
+    for path in sorted(Path(mdqueue.__file__).parent.glob("*.py")):
+        for f in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = f.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+                notes = " ".join(ast.unparse(p.annotation) for p in params if p.annotation is not None)
+                if re.search(r"\bModelParams\b", notes) and re.search(r"\bServiceDist\b", notes):
+                    found.append(f"{path.name}:{f.lineno}: {f.name}")
+    assert found == []
+
+
+def test_mu_is_not_a_field_of_the_model():
+    # mu is the law's reciprocal mean, read through the model's law; the path equation keeps the model alone
+    assert "mu" not in {f.name for f in fields(ModelParams)}
+    assert "d" not in {f.name for f in fields(PathEquation)}
