@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .dist import ServiceDist
-from .fredholm import FredholmError, assemble_kernel, evaluate_rate, forcing, rate_value, solve_p
+from .fredholm import FredholmError, evaluate_rate, forcing, rate_value, solve_p
 from .grids import GridField2D, GridPath, float_strs, write_csv
 from .oracle import build_qp, solve_min_norm
 from .paths import ModelParams, PathEquation, defect, energy, forward_q, kiefer_energy, kiefer_from_sheet
@@ -273,7 +273,7 @@ def cmd_oracle_check(run: Run, out: Path) -> dict:
     eq = PathEquation.from_law(run.model, q.horizon, q.n_steps)
     r = defect(q, eq)  # the constraint right side, and the forcing's antiderivative
     h = forcing(q, r)  # the adjoint route only as far as the rate
-    p, _ = solve_p(h, assemble_kernel(eq), run.model)
+    p, _ = solve_p(h, eq)
     rate = rate_value(p, h)
     qp = build_qp(eq, r)
     val_off, diag_off = solve_min_norm(qp)

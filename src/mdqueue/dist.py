@@ -2,7 +2,8 @@
 
 Supported families all have analytic cdf and density: exponential, Erlang and
 hyperexponential mixtures.  Each is a mixture of Erlang terms of one shape, so
-one closed form gives F, F' and F0 for all of them.  Tabulated or atomic
+one closed form gives F, F' and F0 for all of them; F is clamped at 0 against
+the round-off of that sum near x = 0.  Tabulated or atomic
 distributions are rejected by construction; the downstream solvers need F'
 everywhere and a strictly increasing F for the inverse maps.
 """
@@ -155,7 +156,10 @@ class ServiceDist:
         return cdfs
 
     def cdf(self, x):
-        return _mix(self.weights, self._erlang_cdfs(_check_nonneg(x))[-1])
+        """F(x), clamped at 0: near x = 0 the Poisson sum of a large shape cancels to
+        round-off below 0 (-3.9e-15 for Erlang(500, 500) on [0, 5]), and the clamp keeps
+        eq_pdf = mu (1 - F) at most mu."""
+        return np.maximum(_mix(self.weights, self._erlang_cdfs(_check_nonneg(x))[-1]), 0.0)
 
     def pdf(self, x):
         """sum_i w_i lam_i e^{-y} y^{k-1} / (k-1)!, y = lam_i x, the Poisson term from its

@@ -13,7 +13,6 @@ from .grids import GridField2D, GridPath, LagConv, trap_weights
 from .paths import ControlSet, ModelParams, PathEquation, defect
 
 __all__ = [
-    "ShiftOperator",
     "RateResult",
     "FredholmError",
     "forcing",
@@ -58,8 +57,8 @@ def shift_matrix(d: ServiceDist, T: float, n_steps: int) -> np.ndarray:
     The discrete adjoint of S in the trapezoid inner product is the
     convolution int_0^t p(r) F'(t - r) dr, so the Fredholm operator and the
     dual objective built from S are exactly transposes of one another.
-    This is the reference that `ShiftOperator` is tested against: S[i, j] is the lag
-    g_{j-i} of `LagConv.of_law` for j >= i.
+    This is the reference that the adjoint's S p and `assemble_kernel` are tested
+    against: S[i, j] is the lag g_{j-i} of `LagConv.of_law` for j >= i.
     """
     idx = np.arange(n_steps + 1)
     S = np.triu(LagConv.of_law(d, T, n_steps).lags[np.abs(idx[None, :] - idx[:, None])])
@@ -69,33 +68,27 @@ def shift_matrix(d: ServiceDist, T: float, n_steps: int) -> np.ndarray:
     return S
 
 
-@dataclass(frozen=True)
-class ShiftOperator:
-    """The matrix of `shift_matrix` as S = J T J, J the reversal of the grid and T the
-    `grids.LagConv.of_law` of the lag dt F'(t_k): T's halved j = i term is S's halved diagonal,
-    its halved j = 0 term S's halved column N and its zero row 0 S's zero row N."""
-
-    T: LagConv
-    weights: np.ndarray
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        """S p."""
-        return (self.T @ p[::-1])[::-1]
-
-    def adjoint(self, v: np.ndarray) -> np.ndarray:
-        """S* v = S^T (w v) / w, the adjoint in the trapezoid inner product."""
-        return self.T.rmatvec((self.weights * v)[::-1])[::-1] / self.weights
+def _shift(eq: PathEquation, p: np.ndarray) -> np.ndarray:
+    """S p for the matrix S of `shift_matrix` on the grid of eq, as J T J p, J the reversal of
+    the grid and T the lag of eq: T's halved j = i term is S's halved diagonal, its halved
+    j = 0 term S's halved column N and its zero row 0 S's zero row N."""
+    return (eq.lag @ p[::-1])[::-1]
 
 
-def assemble_kernel(eq: PathEquation) -> ShiftOperator:
-    """The shift operator S on the grid of eq, of its lag, that carries the Fredholm kernel
-    K(s,t) = sigma^2 (F'(|s-t|) - int_0^{s^t} F'(s-r) F'(t-r) dr).
-
-    The solver applies K as sigma^2 (S + S* - S* S) in the weighted inner
-    product, so that the linear system is exactly the stationarity condition
-    of the discrete dual objective; K is never formed.
+def assemble_kernel(eq: PathEquation):
+    """The Fredholm operator v -> mu v + sigma^2 (u - S* u), u = v - S v, on the grid of eq,
+    with S* = W^-1 S^T W its adjoint in the trapezoid inner product of the weights W.  It is
+    (mu + sigma^2) v - K v for the kernel
+    K(s,t) = sigma^2 (F'(|s-t|) - int_0^{s^t} F'(s-r) F'(t-r) dr),
+    applied as sigma^2 (S + S* - S* S) so that the linear system is exactly the stationarity
+    condition of the discrete dual objective; K is never formed.
     """
-    return ShiftOperator(eq.lag, trap_weights(eq.n_steps + 1, eq.dt))
+    T, w, mu, s2 = eq.lag, trap_weights(eq.n_steps + 1, eq.dt), eq.pm.mu, eq.pm.sigma**2
+
+    def op(v):
+        u = v - _shift(eq, v)
+        return mu * v + s2 * (u - T.rmatvec((w * u)[::-1])[::-1] / w)
+    return op
 
 
 def _cg(apply, b, inner, precond, done, cap) -> tuple[np.ndarray, np.ndarray, int]:
@@ -119,18 +112,19 @@ def _cg(apply, b, inner, precond, done, cap) -> tuple[np.ndarray, np.ndarray, in
     return x, r, iters
 
 
-def solve_p(h: GridPath, S: ShiftOperator, pm: ModelParams) -> tuple[GridPath, dict]:
-    """Solve (mu + sigma^2) p = h + K p for the adjoint by conjugate gradients.
+def solve_p(h: GridPath, eq: PathEquation) -> tuple[GridPath, dict]:
+    """Solve (mu + sigma^2) p = h + K p for the adjoint on the grid of eq by conjugate gradients.
 
-    The operator mu p + sigma^2 (I - S*)(I - S) p equals (mu + sigma^2) p - K p
-    and is symmetric positive definite in the trapezoid inner product
+    The operator of `assemble_kernel`, mu p + sigma^2 (I - S*)(I - S) p, equals
+    (mu + sigma^2) p - K p and is symmetric positive definite in the trapezoid inner product
     <x, y>_w = sum w x y, so CG in that inner product converges for every
     mu > 0.  Iteration stops once the sup-norm residual is at most
     1e-12 |h|_inf (a NaN residual stops it at once), relative to |h| alone so
     that a small forcing is solved as closely as a large one; a final residual
-    above max(that, 1e-8) is a hard error.
+    above max(that, 1e-8) is a hard error.  An h off the grid of eq is a ValueError.
     """
-    w = S.weights
+    eq.check_grid("h", h.horizon, h.n_steps)
+    pm, w, op = eq.pm, trap_weights(eq.n_steps + 1, eq.dt), assemble_kernel(eq)
     h_max = float(np.max(np.abs(h.values)))
     target = _CG_TOL * h_max
     # CG runs on h 2^e with |h 2^e|_inf in [1/2, 1), or smaller by the factor that keeps the
@@ -139,10 +133,6 @@ def solve_p(h: GridPath, S: ShiftOperator, pm: ModelParams) -> tuple[GridPath, d
     # two scales every operation exactly; the stop rule, scaled alike, cannot underflow to 0
     e = -math.frexp(h_max)[1] - max(0, math.frexp(max(pm.mu, pm.sigma * pm.sigma))[1] - 1000)
     hv, stop = np.ldexp(h.values, e), _CG_TOL * math.ldexp(h_max, e)
-
-    def op(v):
-        u = v - S.apply(v)
-        return pm.mu * v + pm.sigma**2 * (u - S.adjoint(u))
 
     p, _, iters = _cg(op, hv, lambda u, v: float(w @ (u * v)), np.copy,
                       lambda r: not np.max(np.abs(r)) > stop, _CG_MAX_ITER)
@@ -167,7 +157,7 @@ def dual_value(p: GridPath, h: GridPath, pm: ModelParams, wdot: GridPath) -> flo
     """Concave dual objective int p h - 1/2 (mu int p^2 + int (sigma p - sigma S p)^2).
 
     wdot is sigma (p - S p), the arrival control `recover_controls` gives for p,
-    S the `assemble_kernel` operator on the grid of p; shifts beyond the
+    S the shift of `shift_matrix` on the grid of p; shifts beyond the
     horizon use p = 0.  At the adjoint this equals the rate value by
     construction of the discrete saddle problem.
     """
@@ -178,12 +168,12 @@ def dual_value(p: GridPath, h: GridPath, pm: ModelParams, wdot: GridPath) -> flo
     return lin - 0.5 * (quad_mu + float(w @ wdot.values**2))
 
 
-def recover_controls(p: GridPath, eq: PathEquation, S: ShiftOperator, n_x: int = 32) -> ControlSet:
+def recover_controls(p: GridPath, eq: PathEquation, n_x: int = 32) -> ControlSet:
     """Optimal controls from the adjoint:
 
     w0dot(x) = p(F0^{-1}(x)), wdot(t) = sigma (p(t) - int p(t+s) F'(s) ds),
     kdot(x, t) = p(t/mu + F^{-1}(x)); p vanishes beyond the horizon.  p lives
-    on the grid of eq, and S is its `assemble_kernel` operator.
+    on the grid of eq.
     """
     eq.check_grid("p", p.horizon, p.n_steps)
     pm, d, T = eq.pm, eq.pm.law, p.horizon
@@ -192,7 +182,7 @@ def recover_controls(p: GridPath, eq: PathEquation, S: ShiftOperator, n_x: int =
     w0 = np.zeros(n_x + 1)
     below = x_nodes < float(eq.F0[-1])
     w0[below] = p.interp(d.eq_ppf(x_nodes[below]))
-    wdot = pm.sigma * (p.values - S.apply(p.values))
+    wdot = pm.sigma * (p.values - _shift(eq, p.values))
 
     tau = np.linspace(0.0, pm.mu * T, p.n_steps + 1)
     kdot = np.zeros((n_x + 1, p.n_steps + 1))
@@ -225,10 +215,9 @@ def evaluate_rate(q: GridPath, eq: PathEquation, n_x: int = 32) -> RateResult:
     """Full adjoint pipeline on the grid of eq: forcing, kernel, adjoint, rate, dual, controls."""
     pm = eq.pm
     h = forcing(q, defect(q, eq))
-    S = assemble_kernel(eq)
-    p, diag = solve_p(h, S, pm)
+    p, diag = solve_p(h, eq)
     rate = rate_value(p, h)
-    controls = recover_controls(p, eq, S, n_x=n_x)
+    controls = recover_controls(p, eq, n_x=n_x)
     dual = dual_value(p, h, pm, controls.wdot)
     # the control energy exact in x: by x = F0(s) and x = F(s) the w0dot and
     # kdot terms are mu <p, p>_w / 2, so primal - rate = <p, op(p) - h>_w / 2

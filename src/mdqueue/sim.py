@@ -252,10 +252,13 @@ def simulate(
 
     rng draws eta0, then the arrivals past the horizon, then one service per
     entering customer in one call, in order of entry; a customer who does not
-    start by the horizon leaves its service unread.
+    start by the horizon leaves its service unread.  The arrival rate follows
+    from sr.beta, which must be pm.beta (else ValueError).
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    if sr.beta != pm.beta:  # the arrival rate reads beta from the regime, the theory from the model
+        raise ValueError(f"the regime's beta = {sr.beta} is not the model's beta = {pm.beta}")
     n = sr.n
     q0_count = max(0, int(round(n + pm.q0 * sr.scale())))
     lam = sr.arrival_rate(pm.mu)

@@ -61,6 +61,16 @@ def test_largest_erlang_shape_cdf_matches_gammainc():
     assert np.max(np.abs(ServiceDist.erlang(k, 1.0).cdf(x) - gammainc(k, x))) <= 1e-13
 
 
+@pytest.mark.parametrize("k", [1, 3, 50, 500])
+def test_cdf_clamped_at_zero(k):
+    # near 0 the Poisson sum of a large shape cancels below 0 (-3.9e-15 for Erlang(500, 500)
+    # on [0, 5]); the clamp keeps F >= 0 and so eq_pdf = mu (1 - F) <= mu
+    d = ServiceDist.erlang(k, float(k))
+    x = np.linspace(0.0, 5.0, 100_001)
+    assert np.min(d.cdf(x)) >= 0.0
+    assert np.max(d.eq_pdf(x)) <= d.mu
+
+
 def test_single_phase_laws_match_expm1_formulas():
     x = np.linspace(0.0, 60.0, 6001)
     for lam in (1.0, 1.3):

@@ -18,6 +18,7 @@ from mdqueue import (
 )
 from mdqueue.fredholm import (
     FredholmError,
+    _shift,
     path_derivative,
     shift_matrix,
 )
@@ -91,13 +92,17 @@ def test_shift_matrix_adjoint_relation(exp1):
 @pytest.mark.parametrize("n_steps", [40, 41, 400, 401])
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 def test_shift_operator_matches_dense(d, n_steps):
+    # S p, and the operator mu I + sigma^2 (I - S*)(I - S), S* = W^-1 S^T W, against the dense S
+    pm = ModelParams(d, 1.5, 0.0, 0.0)
+    eq = PathEquation.from_law(pm, HORIZON, n_steps)
     S = shift_matrix(d, HORIZON, n_steps)
-    op = assemble_kernel(PathEquation.from_law(ModelParams(d, 1.0, 0.0, 0.0), HORIZON, n_steps))
     w = trap_weights(n_steps + 1, HORIZON / n_steps)
     rng = np.random.default_rng(n_steps)
     p, v = rng.standard_normal(n_steps + 1), rng.standard_normal(n_steps + 1)
-    assert np.max(np.abs(op.apply(p) - S @ p)) <= 1e-14
-    assert np.max(np.abs(op.adjoint(v) - (S.T @ (w * v)) / w)) <= 1e-14
+    assert np.max(np.abs(_shift(eq, p) - S @ p)) <= 1e-14
+    u = v - S @ v
+    dense = pm.mu * v + pm.sigma**2 * (u - (S.T @ (w * u)) / w)
+    assert np.max(np.abs(assemble_kernel(eq)(v) - dense)) <= 1e-14
 
 
 @pytest.mark.parametrize("d", LAWS[1:], ids=lambda d: d.family)
@@ -107,15 +112,14 @@ def test_cg_matches_dense_solve_at_large_sigma(d, q_quad):
     pm = ModelParams(d, 3.0, 0.5, 0.0)
     eq = equation(q_quad, pm)
     h = forcing(q_quad, defect(q_quad, eq))
-    p, diag = solve_p(h, assemble_kernel(eq), pm)
+    p, diag = solve_p(h, eq)
     A = (pm.mu + pm.sigma**2) * np.eye(len(h.values)) - operator_matrix(d, pm.sigma, HORIZON, q_quad.n_steps)
     assert diag["method"] == "cg"
     assert np.max(np.abs(p.values - np.linalg.solve(A, h.values))) < 1e-8
 
 
 def test_zero_forcing_gives_zero_adjoint(pm_std):
-    S = assemble_kernel(PathEquation.from_law(pm_std, HORIZON, 200))
-    p, diag = solve_p(GridPath(HORIZON, np.zeros(201)), S, pm_std)
+    p, diag = solve_p(GridPath(HORIZON, np.zeros(201)), PathEquation.from_law(pm_std, HORIZON, 200))
     assert not np.any(p.values)
     assert diag["iterations"] == 0 and diag["residual"] == 0.0
 
@@ -133,8 +137,8 @@ def test_rate_at_fine_grid(pm_std):
 def test_negative_duality_gap_raises(pm_std, q_quad, monkeypatch):
     # an adjoint 10% short of the one its residual describes: the gap is
     # -0.09 rate, far past what that residual allows
-    def short_solve(h, S, pm):
-        p, diag = solve_p(h, S, pm)
+    def short_solve(h, eq):
+        p, diag = solve_p(h, eq)
         return GridPath(p.horizon, 0.9 * p.values), diag
 
     monkeypatch.setattr("mdqueue.fredholm.solve_p", short_solve)
@@ -153,13 +157,13 @@ def test_adjoint_cg_cap_and_nan_raise(pm_std, q_quad, monkeypatch, case, iters):
     else:
         h.values[5] = np.nan
     with pytest.raises(FredholmError, match=rf"adjoint residual .*iters={iters}\)"):
-        solve_p(h, assemble_kernel(eq), pm_std)
+        solve_p(h, eq)
 
 
 def test_picard_and_direct_agree(pm_std, exp1, q_quad):
     eq = equation(q_quad, pm_std)
     h = forcing(q_quad, defect(q_quad, eq))
-    p_pic, diag = solve_p(h, assemble_kernel(eq), pm_std)
+    p_pic, diag = solve_p(h, eq)
     A = (pm_std.mu + pm_std.sigma**2) * np.eye(len(h.values)) - operator_matrix(
         exp1, pm_std.sigma, HORIZON, q_quad.n_steps
     )
@@ -196,11 +200,10 @@ def test_dual_at_perturbed_point_is_lower(pm_std, q_quad):
     eq = equation(q_quad, pm_std)
     res = evaluate_rate(q_quad, eq)
     h = res.forcing
-    S = assemble_kernel(eq)
     rng = np.random.default_rng(3)
     for _ in range(3):
         pert = GridPath(HORIZON, res.adjoint.values + 0.05 * rng.standard_normal(len(h.values)))
-        wdot = recover_controls(pert, eq, S).wdot
+        wdot = recover_controls(pert, eq).wdot
         assert dual_value(pert, h, pm_std, wdot) <= res.dual + 1e-12
 
 
@@ -244,7 +247,7 @@ def test_roundtrip_improves_with_refinement(pm_std):
 
 def test_recovered_controls_shapes(pm_std, q_quad):
     eq = PathEquation.from_law(pm_std, HORIZON, 200)
-    c = recover_controls(GridPath(HORIZON, np.ones(201)), eq, assemble_kernel(eq), n_x=16)
+    c = recover_controls(GridPath(HORIZON, np.ones(201)), eq, n_x=16)
     assert c.w0dot.values.shape == (17,)
     assert c.wdot.values.shape == (201,)
     assert c.kdot.values.shape == (17, 201)
@@ -268,4 +271,10 @@ def test_adjoint_off_the_equation_grid_raises(pm_std, q_quad):
     with pytest.raises(ValueError, match="not on the grid of its path equation"):
         evaluate_rate(q_quad, eq)
     with pytest.raises(ValueError, match="not on the grid of its path equation"):
-        recover_controls(GridPath(HORIZON, np.ones(201)), eq, assemble_kernel(eq))
+        recover_controls(GridPath(HORIZON, np.ones(201)), eq)
+    # the adjoint solve reads the model and the lag from eq, so h must live on its grid: solved
+    # with the lag of another horizon in as many steps, the hump path's rate read 0.1374 in place
+    # of 0.1157, with no error
+    h = GridPath(2 * HORIZON, np.ones(101))
+    with pytest.raises(ValueError, match="not on the grid of its path equation"):
+        solve_p(h, eq)

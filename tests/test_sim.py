@@ -66,6 +66,17 @@ def test_overloaded_regime_warns(caplog):
     assert "overloaded" in caplog.text
 
 
+def test_regime_beta_not_the_model_beta_raises():
+    # the arrival rate reads beta from the regime: a model at beta 0.5 with a regime at beta 0
+    # ran at rho = 1 (998 arrivals in place of 907 at n = 1000, T = 1, seed 0), with no error
+    pm = model(ServiceDist.exponential(1.0))
+    sr = ScalingRegime(n=1000, rule=("power", 0.25), beta=0.0)
+    with pytest.raises(ValueError, match="beta"):
+        simulate(pm, sr, 1.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="beta"):
+        next(replications(pm, [sr], 1, 0, 1.0))
+
+
 def test_empty_trace():
     d = ServiceDist.exponential(1.0)
     sr = ScalingRegime(n=10, rule=("power", 0.25), beta=0.5)

@@ -5,7 +5,8 @@ trapezoid lag convolution, `grids.LagConv`, is the only user of the FFT, and
 `paths.PathEquation.from_law` (with the lag dt F'(t_k) of `LagConv.of_law`) the
 only place that samples the law on a t grid.  `paths.ModelParams` carries the
 service law, whose reciprocal mean is mu, so no function takes a model and a law
-side by side."""
+side by side; a `PathEquation` carries both, and its lag and Gram operator the
+law sampled on its grid, so no function takes two of these either."""
 import ast
 import re
 from dataclasses import fields
@@ -57,8 +58,14 @@ def test_law_lag_only_from_of_law():
     assert found == []
 
 
+# each carries the service law: the model its law, the path equation its model, and the lag and the
+# Gram operator the law sampled on a grid
+CARRIERS_OF_THE_LAW = ("ServiceDist", "ModelParams", "PathEquation", "LagConv", "GramOperator")
+
+
 def test_no_function_takes_a_model_and_a_law():
-    # a model and a law passed side by side carry mu twice, and nothing would check that they agree
+    # two carriers of the law passed side by side carry it twice, and nothing would check that
+    # they agree
     found = []
     for path in sorted(Path(mdqueue.__file__).parent.glob("*.py")):
         for f in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -66,7 +73,7 @@ def test_no_function_takes_a_model_and_a_law():
                 a = f.args
                 params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
                 notes = " ".join(ast.unparse(p.annotation) for p in params if p.annotation is not None)
-                if re.search(r"\bModelParams\b", notes) and re.search(r"\bServiceDist\b", notes):
+                if sum(bool(re.search(rf"\b{name}\b", notes)) for name in CARRIERS_OF_THE_LAW) > 1:
                     found.append(f"{path.name}:{f.lineno}: {f.name}")
     assert found == []
 
