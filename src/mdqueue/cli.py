@@ -145,12 +145,13 @@ def _sim_settings(s: dict, pm: ModelParams) -> dict:
         if not expected <= MAX_EXPECTED_ARRIVALS:  # NaN fails too
             raise ConfigError(f"sim: rung n = {sr.n} expects {expected:.3g} arrivals per replication"
                               f" (n mu rho_n horizon), more than the {MAX_EXPECTED_ARRIVALS:.0e} supported")
+    # exponential arrivals are Erlang(1): a shape given with them is checked, then ignored
+    arrival_shape = _integer(arrival, "shape", "sim.arrival", 1, 1)
     return {
         "regimes": regimes,
         "reps": reps,
         "horizon": horizon,
-        "arrival_family": arrival.get("family", "exponential"),
-        "arrival_shape": _integer(arrival, "shape", "sim.arrival", 1, 1),
+        "arrival_shape": arrival_shape if arrival.get("family") == "erlang" else 1,
         "event": event,
         "lln_t": lln_t,
         "decomposition_steps": _integer(s, "decomposition_steps", "sim", 200, 1),
@@ -304,10 +305,7 @@ def _trace_csv(trace, path: Path) -> None:
 
 def _replications(run: Run):
     s = run.sim
-    return replications(
-        run.model, s["regimes"], s["reps"], run.seed, s["horizon"],
-        arrival_family=s["arrival_family"], arrival_shape=s["arrival_shape"],
-    )
+    return replications(run.model, s["regimes"], s["reps"], run.seed, s["horizon"], arrival_shape=s["arrival_shape"])
 
 
 def cmd_simulate(run: Run, out: Path) -> dict:

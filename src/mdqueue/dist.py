@@ -2,20 +2,21 @@
 
 Supported families all have analytic cdf and density: exponential, Erlang and
 hyperexponential mixtures.  Each is a mixture of Erlang terms of one shape, so
-one closed form gives F, F' and F0 for all of them; F is clamped at 0 against
-the round-off of that sum near x = 0.  Tabulated or atomic
-distributions are rejected by construction; the downstream solvers need F'
-everywhere and a strictly increasing F for the inverse maps.
+one closed form gives F, F' and F0 for all of them, and one draw samples F and
+F0; F is clamped at 0 against the round-off of that sum near x = 0.  Tabulated
+or atomic distributions are rejected by construction; the downstream solvers
+need F' everywhere and a strictly increasing F for the inverse maps.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ServiceDist"]
+__all__ = ["ServiceDist", "erlang_draws"]
 
 _INV_TOL = 1e-12
 # The largest supported Erlang shape.  The cdf sums Poisson terms from e^{-y}, which
@@ -47,6 +48,14 @@ def _mix(coef: np.ndarray, branches: np.ndarray):
 def _as_input(x: np.ndarray):
     """A Python float for a scalar argument, the array otherwise."""
     return float(x) if x.ndim == 0 else x
+
+
+def erlang_draws(rng: np.random.Generator, shape, scale, size=None):
+    """Erlang(shape) draws of the given scale: Gamma(shape, scale), shape an integer or an
+    integer array.  Shape 1 takes rng.exponential, which draws the same stream and is faster."""
+    if np.ndim(shape) == 0 and shape == 1:
+        return rng.exponential(scale, size)
+    return rng.gamma(shape, scale, size)
 
 
 @dataclass(frozen=True)
@@ -85,7 +94,7 @@ class ServiceDist:
             raise ValueError("weights must be positive and sum to 1")
         if len(self.rates) != len(self.weights):
             raise ValueError("weights and rates must have equal length")
-        # the closed forms read only the phase table; ppf and sampling also read the family
+        # every numeric method reads only the phase table (weights, rates, shape)
         if self.family != "erlang" and self.shape != 1:
             raise ValueError(f"{self.family} law must have shape 1")
         if self.family != "hyperexponential" and len(self.rates) != 1:
@@ -128,7 +137,7 @@ class ServiceDist:
 
     # -- moments -----------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def mean(self) -> float:
         return float(np.sum(self.weights * self.shape / self.rates))
 
@@ -138,7 +147,7 @@ class ServiceDist:
         return 1.0 / self.mean
 
     # -- cdf / pdf ---------------------------------------------------------
-    # Every family is the mixture sum_i w_i Erlang(k, lam_i) over the phase
+    # Every law is the mixture sum_i w_i Erlang(k, lam_i) over the phase
     # table (weights, rates, shape).
 
     def _erlang_cdfs(self, x: np.ndarray) -> list[np.ndarray]:
@@ -238,15 +247,15 @@ class ServiceDist:
         return _as_input(x)
 
     def ppf(self, p):
-        """F^{-1}(p), elementwise over scalar or array p in [0, 1]."""
-        if self.family == "exponential":
+        """F^{-1}(p), elementwise over scalar or array p in [0, 1]; closed form for one exponential phase."""
+        if len(self.rates) == 1 and self.shape == 1:
             with np.errstate(divide="ignore"):
                 return _as_input(-np.log1p(-_probabilities(p)) / self.rates[0])
         return self._inverse(self.cdf, self.pdf, p)
 
     def eq_ppf(self, p):
-        """F0^{-1}(p), elementwise over scalar or array p in [0, 1]."""
-        if self.family == "exponential":
+        """F0^{-1}(p), elementwise over scalar or array p in [0, 1]; F0 = F for one exponential phase."""
+        if len(self.rates) == 1 and self.shape == 1:
             return self.ppf(p)
         return self._inverse(self.eq_cdf, self.eq_pdf, p)
 
@@ -256,30 +265,19 @@ class ServiceDist:
 
     # -- sampling ----------------------------------------------------------
 
+    def _draw(self, rng: np.random.Generator, p: np.ndarray, size, equilibrium: bool):
+        """Branch i with probability p_i, then Erlang(j) at rate lam_i: j = k, or for the
+        equilibrium law j uniform on 1..k.  One branch draws no branch, and k = 1 no j."""
+        lam = self.rates[0] if len(p) == 1 else self.rates[rng.choice(len(p), size=size, p=p)]
+        j = rng.integers(1, self.shape + 1, size=size) if equilibrium and self.shape > 1 else self.shape
+        return erlang_draws(rng, j, 1.0 / lam, size)
+
     def sample(self, rng: np.random.Generator, size=None):
         """Draw from F by exact structural sampling."""
-        if self.family == "exponential":
-            return rng.exponential(1.0 / self.rates[0], size=size)
-        if self.family == "erlang":
-            return rng.gamma(self.shape, 1.0 / self.rates[0], size=size)
-        return self._sample_mixture(rng, self.weights, size)
+        return self._draw(rng, self.weights, size, equilibrium=False)
 
     def sample_equilibrium(self, rng: np.random.Generator, size=None):
-        """Draw from F0 by exact structural sampling.
-
-        F0 of Erlang(k, lam) is the equal-weight mixture of Erlang(j, lam),
-        j = 1..k (the sum in `eq_cdf`); F0 of a hyperexponential is the
-        hyperexponential with weights mu * w_i / lam_i.
-        """
-        if self.family == "exponential":
-            return self.sample(rng, size=size)
-        if self.family == "erlang":
-            j = rng.integers(1, self.shape + 1, size=size)
-            return rng.gamma(j, 1.0 / self.rates[0])
-        p = self.weights / self.rates
-        return self._sample_mixture(rng, p / p.sum(), size)
-
-    def _sample_mixture(self, rng: np.random.Generator, p: np.ndarray, size):
-        """Hyperexponential draw: branch i with probability p_i, then Exp(rates[i])."""
-        branch = rng.choice(len(p), size=size, p=p)
-        return rng.exponential(1.0 / self.rates[branch])
+        """Draw from F0 by exact structural sampling: F0 is the mixture of Erlang(j, lam_i),
+        j = 1..k, with weight mu w_i / lam_i each (the sum in `eq_cdf`)."""
+        p = self.weights * self.shape / self.rates
+        return self._draw(rng, p / p.sum(), size, equilibrium=True)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .dist import ServiceDist
 from .grids import GridField2D, GridPath, LagConv, trap_weights
-from .paths import ControlSet, ModelParams, PathEquation, defect
+from .paths import ControlSet, PathEquation, defect
 
 __all__ = [
     "RateResult",
@@ -153,18 +153,21 @@ def rate_value(p: GridPath, h: GridPath) -> float:
     return max(val, 0.0)
 
 
-def dual_value(p: GridPath, h: GridPath, pm: ModelParams, wdot: GridPath) -> float:
+def dual_value(p: GridPath, h: GridPath, eq: PathEquation, wdot: GridPath) -> float:
     """Concave dual objective int p h - 1/2 (mu int p^2 + int (sigma p - sigma S p)^2).
 
     wdot is sigma (p - S p), the arrival control `recover_controls` gives for p,
-    S the shift of `shift_matrix` on the grid of p; shifts beyond the
-    horizon use p = 0.  At the adjoint this equals the rate value by
-    construction of the discrete saddle problem.
+    S the shift of `shift_matrix` on the grid of eq, which p, h and wdot
+    share (else ValueError); shifts beyond the horizon use p = 0.  At the
+    adjoint this equals the rate value by construction of the discrete
+    saddle problem.
     """
+    for what, g in (("p", p), ("h", h), ("wdot", wdot)):
+        eq.check_grid(what, g.horizon, g.n_steps)
     w = p.weights()
     pv = p.values
     lin = float(w @ (pv * h.values))
-    quad_mu = pm.mu * float(w @ pv**2)
+    quad_mu = eq.pm.mu * float(w @ pv**2)
     return lin - 0.5 * (quad_mu + float(w @ wdot.values**2))
 
 
@@ -218,7 +221,7 @@ def evaluate_rate(q: GridPath, eq: PathEquation, n_x: int = 32) -> RateResult:
     p, diag = solve_p(h, eq)
     rate = rate_value(p, h)
     controls = recover_controls(p, eq, n_x=n_x)
-    dual = dual_value(p, h, pm, controls.wdot)
+    dual = dual_value(p, h, eq, controls.wdot)
     # the control energy exact in x: by x = F0(s) and x = F(s) the w0dot and
     # kdot terms are mu <p, p>_w / 2, so primal - rate = <p, op(p) - h>_w / 2
     w = p.weights()

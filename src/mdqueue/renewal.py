@@ -62,14 +62,15 @@ def _solve(f: GridPath, lag: LagConv, linear: bool) -> GridPath:
     a[0] = fv[0] if linear else max(fv[0], 0.0)
     known = (fv + 0.5 * w * a[0]).tolist()
     rev = w[::-1].copy()
-    for i in range(1, n + 1):
-        c = known[i] + float(a[1:i] @ rev[n - i + 1 : n])
-        if linear or c > 0.0:
-            g[i] = a[i] = c / (1.0 - alpha)
-        else:
-            g[i], a[i] = c, 0.0
-
-    residual = float(np.max(np.abs(g - fv - lag @ a)))
+    # a march that grows past the float range reaches inf - inf = NaN, which the residual rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n + 1):
+            c = known[i] + float(a[1:i] @ rev[n - i + 1 : n])
+            if linear or c > 0.0:
+                g[i] = a[i] = c / (1.0 - alpha)
+            else:
+                g[i], a[i] = c, 0.0
+        residual = float(np.max(np.abs(g - fv - lag @ a)))
     if not residual <= 1e-9:  # NaN fails too, before GridPath rejects the values
         raise RenewalConvergenceError(residual, n)
     return GridPath(horizon=f.horizon, values=g)

@@ -3,6 +3,8 @@ for the oracle's matrix-free Gram and for the prefix-trapezoid weights of
 `grids.conv_trap`; the oracle's solve with its earlier min-kernel
 preconditioner; for `mdqueue.sim`, the one-customer-at-a-time start-time
 recursion, the node-at-a-time Theta recursion and the stable event sort; the
+per-family draws that are the stream reference for `ServiceDist.sample`,
+`ServiceDist.sample_equilibrium` and the simulator's interarrival gaps; the
 row-at-a-time `repr` CSV writers that are the byte reference for
 `grids.write_csv` and the artifacts written through it; and the test helpers
 `trap_integral`, `zero_controls`, `lln_path`, `equation` and `qp_of`."""
@@ -206,6 +208,39 @@ def heap_start_times(free, entries, horizon, services):
         heapq.heapreplace(free, start + service)
         starts.append(start)
     return np.array(starts, dtype=float), np.array(services[:len(starts)], dtype=float)
+
+
+def family_sample(d, rng, size=None):
+    """F draws by family: exponential, gamma, or a branch choice then an exponential."""
+    if d.family == "exponential":
+        return rng.exponential(1.0 / d.rates[0], size=size)
+    if d.family == "erlang":
+        return rng.gamma(d.shape, 1.0 / d.rates[0], size=size)
+    return _family_mixture(d, rng, d.weights, size)
+
+
+def family_sample_equilibrium(d, rng, size=None):
+    """F0 draws by family: F0 of an exponential is F, of Erlang(k) the uniform mixture of
+    Erlang(1..k), of a hyperexponential the hyperexponential with weights prop. to w_i / lam_i."""
+    if d.family == "exponential":
+        return family_sample(d, rng, size=size)
+    if d.family == "erlang":
+        j = rng.integers(1, d.shape + 1, size=size)
+        return rng.gamma(j, 1.0 / d.rates[0])
+    p = d.weights / d.rates
+    return _family_mixture(d, rng, p / p.sum(), size)
+
+
+def _family_mixture(d, rng, p, size):
+    branch = rng.choice(len(p), size=size, p=p)
+    return rng.exponential(1.0 / d.rates[branch])
+
+
+def family_interarrivals(rng, lam, count, family, shape):
+    """count gaps of rate lam: exponential, or Erlang(shape) as Gamma(shape, 1 / (lam shape))."""
+    if family == "exponential":
+        return rng.exponential(1.0 / lam, size=count)
+    return rng.gamma(shape, 1.0 / (lam * shape), size=count)
 
 
 def theta_sums_recursion(d, t, tau, eta):

@@ -7,6 +7,9 @@ from scipy.special import gammainc
 from scipy.stats import gamma, kstest
 
 from mdqueue import ServiceDist
+from mdqueue.dist import erlang_draws
+
+from reference import family_interarrivals, family_sample, family_sample_equilibrium
 
 FAMILIES = [
     ServiceDist.exponential(1.3),
@@ -263,6 +266,57 @@ def test_equilibrium_sampling_ks_erlang_shapes(k):
     x = d.sample_equilibrium(np.random.default_rng(100 + k), size=100_000)
     assert kstest(x, lambda v: d.eq_cdf(v)).pvalue > 0.01
     assert isinstance(d.sample_equilibrium(np.random.default_rng(0)), float)
+
+
+STREAM_LAWS = [
+    ServiceDist.exponential(1.0),
+    ServiceDist.erlang(3, 3.0),
+    ServiceDist.hyperexponential([0.2, 0.8], [0.4, 1.6]),
+    ServiceDist.erlang(1, 1.5),
+    ServiceDist.erlang(500, 500.0),
+]
+
+
+def _assert_same_stream(draw, ref_draw, seed):
+    """draw and ref_draw, each from a generator of the given seed, give the same values bit for bit,
+    of the same Python type, and leave their generators in the same state."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = draw(rng), ref_draw(ref_rng)
+    assert type(got) is type(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype == np.float64
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+
+@pytest.mark.parametrize("size", [None, 1, 1000])
+@pytest.mark.parametrize("d", STREAM_LAWS, ids=["exp", "erlang3", "hyperexp", "erlang1", "erlang500"])
+def test_phase_table_draws_keep_the_family_streams(d, size):
+    # one Erlang-mixture draw over the phase table draws what the per-family branches drew
+    for seed in range(3):
+        _assert_same_stream(lambda rng: d.sample(rng, size=size), lambda rng: family_sample(d, rng, size), seed)
+        _assert_same_stream(lambda rng: d.sample_equilibrium(rng, size=size),
+                            lambda rng: family_sample_equilibrium(d, rng, size), seed)
+    if size is None:
+        assert type(d.sample(np.random.default_rng(0))) is float
+
+
+@pytest.mark.parametrize("family, shape", [("exponential", 1), ("erlang", 1), ("erlang", 2), ("erlang", 7)])
+def test_erlang_draws_keep_the_interarrival_streams(family, shape):
+    lam = 37.5
+    for seed in range(3):
+        _assert_same_stream(lambda rng: erlang_draws(rng, shape, 1.0 / (lam * shape), 1000),
+                            lambda rng: family_interarrivals(rng, lam, 1000, family, shape), seed)
+
+
+@pytest.mark.parametrize("size", [None, 1, 1000])
+def test_one_branch_hyperexponential_draws_the_exponential_stream(size):
+    # a one-branch mixture draws no branch, so it draws what the exponential of its rate draws
+    one, exp = ServiceDist.hyperexponential([1.0], [1.5]), ServiceDist.exponential(1.5)
+    for seed in range(3):
+        _assert_same_stream(lambda rng: one.sample(rng, size=size), lambda rng: exp.sample(rng, size=size), seed)
+        _assert_same_stream(lambda rng: one.sample_equilibrium(rng, size=size),
+                            lambda rng: exp.sample_equilibrium(rng, size=size), seed)
 
 
 def test_sample_mean_clt():

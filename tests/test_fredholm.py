@@ -204,7 +204,7 @@ def test_dual_at_perturbed_point_is_lower(pm_std, q_quad):
     for _ in range(3):
         pert = GridPath(HORIZON, res.adjoint.values + 0.05 * rng.standard_normal(len(h.values)))
         wdot = recover_controls(pert, eq).wdot
-        assert dual_value(pert, h, pm_std, wdot) <= res.dual + 1e-12
+        assert dual_value(pert, h, eq, wdot) <= res.dual + 1e-12
 
 
 def test_lln_path_zero_rate(exp1):
@@ -278,3 +278,14 @@ def test_adjoint_off_the_equation_grid_raises(pm_std, q_quad):
     h = GridPath(2 * HORIZON, np.ones(101))
     with pytest.raises(ValueError, match="not on the grid of its path equation"):
         solve_p(h, eq)
+
+
+def test_dual_value_off_the_equation_grid_raises(pm_std):
+    # the dual reads mu from eq, so p, h and wdot must live on its grid: an adjoint on [0, 4]
+    # against an equation on [0, 2] is refused
+    eq = PathEquation.from_law(pm_std, 2.0, 100)
+    on, off = GridPath(2.0, np.ones(101)), GridPath(4.0, np.ones(101))
+    assert dual_value(on, on, eq, on) == pytest.approx(2.0 - 0.5 * (pm_std.mu * 2.0 + 2.0), abs=1e-14)
+    for p, h, wdot in ((off, on, on), (on, off, on), (on, on, off)):
+        with pytest.raises(ValueError, match="not on the grid of its path equation"):
+            dual_value(p, h, eq, wdot)

@@ -130,6 +130,19 @@ def test_march_rejects_alpha_at_least_one_at_once():
         assert info.value.iterations == 0
 
 
+def test_march_past_the_float_range_raises_typed_error_without_warning():
+    # exp(4.5) on [0, 234] in 527 steps: dt F'(0)/2 = 0.999 multiplies g by about 1000 a node, so
+    # g passes the float range and inf - inf = NaN in the history sum; the residual rejects it,
+    # with no RuntimeWarning
+    d = ServiceDist.exponential(4.5)
+    f = GridPath(234.0, np.ones(528))
+    for march in (solve_linear, solve_nonlinear):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RenewalConvergenceError, match="residual nan"):
+                march(f, lag(d, f))
+
+
 def test_march_rejects_a_lag_of_another_grid():
     f = GridPath(2.0, np.ones(11))
     other = LagConv.of_law(ServiceDist.exponential(1.0), 2.0, 20)

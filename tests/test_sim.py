@@ -278,6 +278,19 @@ def test_simulate_rejects_negative_horizon():
         simulate(model(d), sr, -1.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("shape", [0, -1, 0.5, 2.0, True, "2", None])
+def test_simulate_rejects_an_arrival_shape_that_is_not_an_integer_at_least_1(shape):
+    # shape 0 would draw zero gaps and never pass the horizon, and 0.5 would draw Gamma(0.5)
+    # gaps; the check comes before any draw, so the stream is untouched
+    sr = ScalingRegime(n=10, rule=("power", 0.25), beta=0.5)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="arrival_shape must be an integer >= 1"):
+        simulate(model(ServiceDist.exponential(1.0)), sr, 1.0, rng, arrival_shape=shape)
+    assert rng.random() == np.random.default_rng(0).random()
+    tr = simulate(model(ServiceDist.exponential(1.0)), sr, 1.0, rng, arrival_shape=np.int64(2))
+    assert len(tr.arrival_times) > 0
+
+
 def _reference_simulate(pm, sr, horizon, rng, arrival_family, arrival_shape):
     """Event-driven GI/GI/n FCFS loop: pop the earlier of the next arrival and
     the next departure, arrivals first on ties; departures tie-break by id.
@@ -358,7 +371,7 @@ def test_simulate_matches_event_driven_reference(d, n):
     pm = model(d, 0.8)
     sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
     for seed in range(5):
-        tr = simulate(pm, sr, 3.0, np.random.default_rng(seed), arrival_family="erlang", arrival_shape=2)
+        tr = simulate(pm, sr, 3.0, np.random.default_rng(seed), arrival_shape=2)
         ref = _reference_simulate(pm, sr, 3.0, np.random.default_rng(seed), "erlang", 2)
         assert tr.q0_count > n
         assert len(tr.event_times) > 0
@@ -418,10 +431,9 @@ def test_simulate_start_times_match_heap(d, q0):
     for n in (1, 2, 3, 7, 50, 400, 3000):
         sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
         for horizon in (0.0, 0.3, 3.0):
-            for seed, (family, shape) in enumerate([("exponential", 1), ("erlang", 2)]):
+            for seed, shape in enumerate([1, 2]):
                 rng = np.random.default_rng(seed)
-                _assert_starts_match_heap(*_simulate_recorded(pm, sr, horizon, rng,
-                                                          arrival_family=family, arrival_shape=shape))
+                _assert_starts_match_heap(*_simulate_recorded(pm, sr, horizon, rng, arrival_shape=shape))
     # several windows of max(256, 4n) customers, with the free times and
     # departures carried from one to the next
     for n, horizon in [(1, 2000.0), (10, 100.0), (50, 20.0)]:
@@ -444,7 +456,7 @@ def test_simulate_matches_event_driven_reference_property(law, n, q0, horizon, a
     family = "exponential" if arrival_shape == 1 else "erlang"
     pm = model(law, q0)
     sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
-    tr = simulate(pm, sr, horizon, np.random.default_rng(seed), arrival_family=family, arrival_shape=arrival_shape)
+    tr = simulate(pm, sr, horizon, np.random.default_rng(seed), arrival_shape=arrival_shape)
     ref = _reference_simulate(pm, sr, horizon, np.random.default_rng(seed), family, arrival_shape)
     for name, want in ref.items():
         assert np.array_equal(getattr(tr, name), want), name

@@ -1,7 +1,8 @@
 """Rules over the package source.  Invariants raise typed errors: an `assert`
 vanishes under `python -O`, and a bare RuntimeError or Exception is not in
 `cli.NUMERICAL_ERRORS`, so the CLI cannot map it to an exit code.  The one
-trapezoid lag convolution, `grids.LagConv`, is the only user of the FFT, and
+trapezoid lag convolution, `grids.LagConv`, is the only user of the FFT, `dist`
+the only module that draws from a random generator, and
 `paths.PathEquation.from_law` (with the lag dt F'(t_k) of `LagConv.of_law`) the
 only place that samples the law on a t grid.  `paths.ModelParams` carries the
 service law, whose reciprocal mean is mu, so no function takes a model and a law
@@ -36,6 +37,34 @@ def test_fft_only_in_grids():
             found += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text(), str(path)))
                       if isinstance(node, ast.Attribute) and node.attr == "fft"
                       or isinstance(node, ast.ImportFrom) and "fft" in (node.module or "").split(".")]
+    assert found == []
+
+
+# the draws of numpy's Generator that the package may make, besides the standard_* family
+GENERATOR_DRAWS = ("exponential", "gamma", "choice", "integers", "random", "normal", "uniform")
+
+
+def test_random_draws_only_in_dist():
+    # every random draw goes through the law's phase table or `dist.erlang_draws`, so a stream
+    # has one definition; a draw elsewhere is a second sampler
+    found = []
+    for path in sorted(Path(mdqueue.__file__).parent.glob("*.py")):
+        if path.name != "dist.py":
+            found += [f"{path.name}:{node.lineno}: {node.func.attr}"
+                      for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and (node.func.attr in GENERATOR_DRAWS or node.func.attr.startswith("standard_"))]
+    assert found == []
+
+
+def test_no_service_dist_method_but_validation_reads_the_family():
+    # the numeric methods read the phase table (weights, rates, shape); the family only names it
+    tree = ast.parse(Path(mdqueue.dist.__file__).read_text())
+    (cls,) = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "ServiceDist"]
+    found = [f"{f.name}:{node.lineno}" for f in cls.body
+             if isinstance(f, ast.FunctionDef) and f.name != "__post_init__"
+             for node in ast.walk(f) if isinstance(node, ast.Attribute) and node.attr == "family"
+             and isinstance(node.value, ast.Name) and node.value.id == "self"]
     assert found == []
 
 
