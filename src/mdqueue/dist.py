@@ -52,9 +52,7 @@ def _as_input(x: np.ndarray):
 
 def erlang_draws(rng: np.random.Generator, shape, scale, size=None):
     """Erlang(shape) draws of the given scale: Gamma(shape, scale), shape an integer or an
-    integer array.  Shape 1 takes rng.exponential, which draws the same stream and is faster."""
-    if np.ndim(shape) == 0 and shape == 1:
-        return rng.exponential(scale, size)
+    integer array.  At shape 1 this is the stream of rng.exponential(scale, size)."""
     return rng.gamma(shape, scale, size)
 
 
@@ -265,19 +263,18 @@ class ServiceDist:
 
     # -- sampling ----------------------------------------------------------
 
-    def _draw(self, rng: np.random.Generator, p: np.ndarray, size, equilibrium: bool):
-        """Branch i with probability p_i, then Erlang(j) at rate lam_i: j = k, or for the
-        equilibrium law j uniform on 1..k.  One branch draws no branch, and k = 1 no j."""
+    def _draw(self, rng: np.random.Generator, p: np.ndarray, j, size):
+        """Branch i with probability p_i, then Erlang(j) at rate lam_i.  One branch draws no branch."""
         lam = self.rates[0] if len(p) == 1 else self.rates[rng.choice(len(p), size=size, p=p)]
-        j = rng.integers(1, self.shape + 1, size=size) if equilibrium and self.shape > 1 else self.shape
         return erlang_draws(rng, j, 1.0 / lam, size)
 
     def sample(self, rng: np.random.Generator, size=None):
-        """Draw from F by exact structural sampling."""
-        return self._draw(rng, self.weights, size, equilibrium=False)
+        """Draw from F by exact structural sampling: branch i with weight w_i, then Erlang(k, lam_i)."""
+        return self._draw(rng, self.weights, self.shape, size)
 
     def sample_equilibrium(self, rng: np.random.Generator, size=None):
         """Draw from F0 by exact structural sampling: F0 is the mixture of Erlang(j, lam_i),
         j = 1..k, with weight mu w_i / lam_i each (the sum in `eq_cdf`)."""
         p = self.weights * self.shape / self.rates
-        return self._draw(rng, p / p.sum(), size, equilibrium=True)
+        j = rng.integers(1, self.shape + 1, size=size) if self.shape > 1 else 1
+        return self._draw(rng, p / p.sum(), j, size)

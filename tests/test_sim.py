@@ -474,7 +474,12 @@ class _UnitServices:
 
 
 class _QuarterGaps:
-    """Interarrival gaps of exactly 1/4, so arrivals tie with departures."""
+    """Interarrival gaps of exactly 1/4, so arrivals tie with departures: `gamma` for
+    `simulate`, `exponential` for `_reference_simulate`."""
+
+    def gamma(self, shape, scale, size):
+        assert shape == 1
+        return np.full(size, 0.25)
 
     def exponential(self, scale, size):
         return np.full(size, 0.25)
