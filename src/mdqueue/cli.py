@@ -107,7 +107,7 @@ def _table_csv(path: Path, header: str, columns: list) -> None:
 
 
 def _sim_settings(s: dict, pm: ModelParams) -> dict:
-    """The validated sim block, its ladder as `ScalingRegime`s at the model's beta, each within both caps."""
+    """The validated sim block, its ladder as `ScalingRegime`s, each within both caps at the model's beta."""
     _expect(s, "sim", required=("ladder", "b_rule", "reps", "horizon"), optional=SIM_OPTIONAL)
     ladder = s["ladder"]
     if not (isinstance(ladder, list) and ladder):
@@ -123,6 +123,8 @@ def _sim_settings(s: dict, pm: ModelParams) -> dict:
     arrival = _expect(s.get("arrival", {}), "sim.arrival", optional=("family", "shape"))
     if arrival.get("family", "exponential") not in ("exponential", "erlang"):
         raise ConfigError("sim.arrival.family must be 'exponential' or 'erlang'")
+    if "shape" in arrival and arrival.get("family") != "erlang":  # exponential arrivals are Erlang(1)
+        raise ConfigError("sim.arrival.shape is read only with family 'erlang'")
     horizon = _positive(s, "horizon", "sim")
     lln_t = float(_number(s, "lln_t", "sim", horizon))
     if not 0 <= lln_t <= horizon:
@@ -137,21 +139,19 @@ def _sim_settings(s: dict, pm: ModelParams) -> dict:
             raise ConfigError(f"sim.event.t = {event['t']!r} must lie in [0, sim.horizon]")
     try:
         value = float(_number(rule, "value", "sim.b_rule"))
-        regimes = [ScalingRegime(n=n, rule=(rule["kind"], value), beta=pm.beta) for n in ladder]
+        regimes = [ScalingRegime(n=n, rule=(rule["kind"], value)) for n in ladder]
+        expected_arrivals = [sr.arrival_rate(pm) * horizon for sr in regimes]
     except ValueError as exc:
         raise ConfigError(f"sim.b_rule: {exc}") from exc
-    for sr in regimes:
-        expected = sr.arrival_rate(pm.mu) * horizon
+    for sr, expected in zip(regimes, expected_arrivals):
         if not expected <= MAX_EXPECTED_ARRIVALS:  # NaN fails too
             raise ConfigError(f"sim: rung n = {sr.n} expects {expected:.3g} arrivals per replication"
                               f" (n mu rho_n horizon), more than the {MAX_EXPECTED_ARRIVALS:.0e} supported")
-    # exponential arrivals are Erlang(1): a shape given with them is checked, then ignored
-    arrival_shape = _integer(arrival, "shape", "sim.arrival", 1, 1)
     return {
         "regimes": regimes,
         "reps": reps,
         "horizon": horizon,
-        "arrival_shape": arrival_shape if arrival.get("family") == "erlang" else 1,
+        "arrival_shape": _integer(arrival, "shape", "sim.arrival", 1, 1),
         "event": event,
         "lln_t": lln_t,
         "decomposition_steps": _integer(s, "decomposition_steps", "sim", 200, 1),
@@ -323,8 +323,8 @@ def cmd_simulate(run: Run, out: Path) -> dict:
     report = lln_check(sup_stats)
     pct = report.percentiles()
 
-    ladder = [{"n": sr.n, "b": sr.b, "rho": sr.rho, "condition_value": sr.condition_value, "lln_percentile": pct[sr.n]}
-              for sr in s["regimes"]]
+    ladder = [{"n": sr.n, "b": sr.b, "rho": sr.rho(run.model.beta), "condition_value": sr.condition_value,
+               "lln_percentile": pct[sr.n]} for sr in s["regimes"]]
     summary = {
         "reps": s["reps"],
         "horizon": s["horizon"],

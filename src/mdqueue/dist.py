@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,19 +58,17 @@ def erlang_draws(rng: np.random.Generator, shape, scale, size=None):
 
 @dataclass(frozen=True)
 class ServiceDist:
-    """Absolutely continuous service-time law on (0, inf).
+    """Absolutely continuous service-time law on (0, inf): the phase table of
+    sum_i w_i Erlang(shape, lam_i).
 
-    family: "exponential" | "erlang" | "hyperexponential"
-    rates:  positive rate parameters (one per mixture branch; a single rate
-            for exponential/erlang)
-    shape:  Erlang integer shape (1 for the other families)
+    rates:  positive rate parameters lam_i, one per mixture branch
+    shape:  Erlang integer shape, 1 when there are several rates
     weights: mixture weights summing to 1
     """
 
-    family: str
     rates: np.ndarray
     shape: int = 1
-    weights: np.ndarray = field(default_factory=lambda: np.array([1.0]))
+    weights: np.ndarray = (1.0,)  # stored as a float array, like rates
 
     def __post_init__(self):
         for name in ("rates", "weights"):  # a bool, str, null or nested entry is rejected, not coerced
@@ -78,8 +76,6 @@ class ServiceDist:
             if v.ndim != 1 or not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in v):
                 raise ValueError(f"{name} must be a list of numbers, got {v.tolist()!r}")
             object.__setattr__(self, name, v.astype(float))
-        if self.family not in ("exponential", "erlang", "hyperexponential"):
-            raise ValueError(f"unsupported family: {self.family!r}")
         if not np.all((self.rates > 0) & np.isfinite(self.rates)):
             raise ValueError("rates must be positive and finite")
         # bool and str are rejected, not coerced; an integral float such as 3.0 is stored as 3
@@ -92,11 +88,8 @@ class ServiceDist:
             raise ValueError("weights must be positive and sum to 1")
         if len(self.rates) != len(self.weights):
             raise ValueError("weights and rates must have equal length")
-        # every numeric method reads only the phase table (weights, rates, shape)
-        if self.family != "erlang" and self.shape != 1:
-            raise ValueError(f"{self.family} law must have shape 1")
-        if self.family != "hyperexponential" and len(self.rates) != 1:
-            raise ValueError(f"{self.family} law must have a single rate")
+        if len(self.rates) > 1 and self.shape != 1:  # no mixture of Erlang(k > 1) branches is supported
+            raise ValueError("a law with several rates must have shape 1")
         with np.errstate(over="ignore"):  # the service rate mu is 1 / mean
             mean = self.mean
         if not math.isfinite(mean):
@@ -106,15 +99,15 @@ class ServiceDist:
 
     @classmethod
     def exponential(cls, rate: float) -> "ServiceDist":
-        return cls("exponential", rates=[rate])
+        return cls(rates=[rate])
 
     @classmethod
     def erlang(cls, shape: int, rate: float) -> "ServiceDist":
-        return cls("erlang", rates=[rate], shape=shape)
+        return cls(rates=[rate], shape=shape)
 
     @classmethod
     def hyperexponential(cls, weights, rates) -> "ServiceDist":
-        return cls("hyperexponential", rates=rates, weights=weights)
+        return cls(rates=rates, weights=weights)
 
     @classmethod
     def from_spec(cls, spec: dict) -> "ServiceDist":
@@ -132,6 +125,11 @@ class ServiceDist:
         if spec:
             raise ValueError(f"unknown distribution keys: {sorted(spec)}")
         return d
+
+    @property
+    def family(self) -> str:
+        """The table's name: several rates are hyperexponential, one rate at a shape above 1 Erlang."""
+        return "hyperexponential" if len(self.rates) > 1 else "erlang" if self.shape > 1 else "exponential"
 
     # -- moments -----------------------------------------------------------
 

@@ -42,12 +42,12 @@ class ScalingRegime:
 
     rule: ("power", gamma) gives b_n = n^gamma with gamma in (0, 1/2);
           ("log", c) gives b_n = c * ln(n).
-    The traffic intensity follows from beta via sqrt(n)/b_n (1 - rho_n) = beta.
+    The traffic intensity rho_n follows from the model's beta via
+    sqrt(n)/b_n (1 - rho_n) = beta.
     """
 
     n: int
     rule: tuple
-    beta: float
 
     def __post_init__(self):
         if self.n < 1:
@@ -63,11 +63,6 @@ class ScalingRegime:
             raise ValueError(f"unknown b rule {kind!r}")
         if not self.b > 0:
             raise ValueError(f"b_n = {self.b} not positive at n = {self.n}")
-        r = self.rho
-        if r <= 0:
-            raise ValueError(f"rho_n = {r} not positive at n = {self.n}")
-        if r > 1.0:
-            log.warning("rho_n = %.4f > 1 at n = %d: overloaded regime", r, self.n)
         if not math.isfinite(self.condition_value):
             raise ValueError(f"b_n = {self.b} at n = {self.n}: b_n^3 n^(1/b_n^2 - 1/2) passes the float range")
 
@@ -78,12 +73,16 @@ class ScalingRegime:
             return float(self.n**par)
         return float(par * math.log(self.n))
 
-    @property
-    def rho(self) -> float:
-        return 1.0 - self.beta * self.b / math.sqrt(self.n)
+    def rho(self, beta: float) -> float:
+        """The traffic intensity rho_n at slack beta; ValueError unless it is positive."""
+        r = 1.0 - beta * self.b / math.sqrt(self.n)
+        if not r > 0:
+            raise ValueError(f"rho_n = {r} not positive at n = {self.n}")
+        return r
 
-    def arrival_rate(self, mu: float) -> float:
-        return self.n * mu * self.rho
+    def arrival_rate(self, pm: ModelParams) -> float:
+        """n mu rho_n of the model pm."""
+        return self.n * pm.mu * self.rho(pm.beta)
 
     @property
     def condition_value(self) -> float:
@@ -245,18 +244,16 @@ def simulate(
 
     rng draws eta0, then the arrivals past the horizon, then one service per
     entering customer in one call, in order of entry; a customer who does not
-    start by the horizon leaves its service unread.  The arrival rate follows
-    from sr.beta, which must be pm.beta (else ValueError).
+    start by the horizon leaves its service unread.  The arrival rate is
+    sr.arrival_rate(pm).
     """
     if isinstance(arrival_shape, bool) or not isinstance(arrival_shape, numbers.Integral) or arrival_shape < 1:
         raise ValueError(f"arrival_shape must be an integer >= 1, got {arrival_shape!r}")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    if sr.beta != pm.beta:  # the arrival rate reads beta from the regime, the theory from the model
-        raise ValueError(f"the regime's beta = {sr.beta} is not the model's beta = {pm.beta}")
     n = sr.n
     q0_count = max(0, int(round(n + pm.q0 * sr.scale())))
-    lam = sr.arrival_rate(pm.mu)
+    lam = sr.arrival_rate(pm)
 
     in_service = min(q0_count, n)
     eta0 = np.atleast_1d(pm.law.sample_equilibrium(rng, size=in_service)) if in_service else np.empty(0)
@@ -290,9 +287,12 @@ def replications(
 ):
     """Yield (regime, rep, trace) for reps replications of every regime in turn.
 
-    Regime ridx runs on the streams spawn_streams(seed + ridx, reps).
+    Regime ridx runs on the streams spawn_streams(seed + ridx, reps).  A regime with
+    rho_n > 1 is logged as overloaded once, before its first replication.
     """
     for ridx, sr in enumerate(regimes):
+        if (r := sr.rho(pm.beta)) > 1.0:
+            log.warning("rho_n = %.4f > 1 at n = %d: overloaded regime", r, sr.n)
         for rep, rng in enumerate(spawn_streams(seed + ridx, reps)):
             yield sr, rep, simulate(pm, sr, horizon, rng, arrival_shape=arrival_shape)
 
@@ -442,7 +442,7 @@ class TailRow:
     hits: int
     p_hat: float | None
     wilson: tuple | None
-    slope: float | None  # -ln p_hat / b_n^2
+    slope: float | None  # |ln p_hat| / b_n^2: -ln p_hat, but 0.0 and not -0.0 when every replication hits
     censored: bool
 
 
@@ -490,5 +490,5 @@ def mc_tail(hits_by_regime: dict) -> list[TailRow]:
             rows.append(TailRow(n, b, reps, 0, None, None, None, censored=True))
         else:
             p = hits / reps
-            rows.append(TailRow(n, b, reps, hits, p, _wilson(hits, reps), -math.log(p) / b**2, censored=False))
+            rows.append(TailRow(n, b, reps, hits, p, _wilson(hits, reps), abs(math.log(p)) / b**2, censored=False))
     return rows

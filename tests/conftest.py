@@ -1,9 +1,16 @@
-"""Shared fixtures: the standard exponential test battery and model params."""
+"""Shared fixtures: the standard exponential test battery and model params, and the
+Hypothesis profiles.  The default profile is derandomized, so every property test
+draws the same examples on every run; `pytest --hypothesis-profile=explore` draws
+new ones at the same counts."""
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.interpolate import CubicSpline
 
 from mdqueue import GridPath, ModelParams, ServiceDist
+
+settings.register_profile("default", derandomize=True)
+settings.register_profile("explore", derandomize=False)
 
 HORIZON = 2.0
 

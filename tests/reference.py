@@ -210,21 +210,21 @@ def heap_start_times(free, entries, horizon, services):
     return np.array(starts, dtype=float), np.array(services[:len(starts)], dtype=float)
 
 
-def family_sample(d, rng, size=None):
-    """F draws by family: exponential, gamma, or a branch choice then an exponential."""
-    if d.family == "exponential":
+def family_sample(d, family, rng, size=None):
+    """F draws of d by the named family: exponential, gamma, or a branch choice then an exponential."""
+    if family == "exponential":
         return rng.exponential(1.0 / d.rates[0], size=size)
-    if d.family == "erlang":
+    if family == "erlang":
         return rng.gamma(d.shape, 1.0 / d.rates[0], size=size)
     return _family_mixture(d, rng, d.weights, size)
 
 
-def family_sample_equilibrium(d, rng, size=None):
-    """F0 draws by family: F0 of an exponential is F, of Erlang(k) the uniform mixture of
-    Erlang(1..k), of a hyperexponential the hyperexponential with weights prop. to w_i / lam_i."""
-    if d.family == "exponential":
-        return family_sample(d, rng, size=size)
-    if d.family == "erlang":
+def family_sample_equilibrium(d, family, rng, size=None):
+    """F0 draws of d by the named family: F0 of an exponential is F, of Erlang(k) the uniform mixture
+    of Erlang(1..k), of a hyperexponential the hyperexponential with weights prop. to w_i / lam_i."""
+    if family == "exponential":
+        return family_sample(d, family, rng, size=size)
+    if family == "erlang":
         j = rng.integers(1, d.shape + 1, size=size)
         return rng.gamma(j, 1.0 / d.rates[0])
     p = d.weights / d.rates

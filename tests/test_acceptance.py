@@ -153,7 +153,7 @@ def test_criterion_8_simulator_exactness():
     n_traces = 0
     ratios = []
     for i, n in enumerate((10, 100, 1000)):
-        sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
+        sr = ScalingRegime(n=n, rule=("power", 0.25))
         # 17 + 17 + 16 = 50 traces across the ladder
         reps = 17 if n < 1000 else 16
         for rng in spawn_streams(100 + i, reps):
@@ -177,7 +177,7 @@ def test_criterion_9_lln_trend():
     t0 = time.time()
     stats = {}
     for i, n in enumerate((100, 1000, 10000)):
-        sr = ScalingRegime(n=n, rule=("power", 0.1), beta=0.5)
+        sr = ScalingRegime(n=n, rule=("power", 0.1))
         # each trace is reduced to its statistic as it is simulated
         stats[n] = [lln_sup_stat(simulate(pm, sr, 1.0, rng), mu=1.0, t_max=1.0)
                     for rng in spawn_streams(42 + i, 200)]

@@ -1,4 +1,6 @@
 import json
+import logging
+import math
 import os
 import subprocess
 import sys
@@ -190,6 +192,38 @@ def test_simulate_memory_independent_of_reps(tmp_path):
     assert many <= 1.25 * few, f"tracemalloc peak {few:.2f} MiB at reps 2, {many:.2f} MiB at reps 10"
 
 
+def test_nonpositive_rho_exit_2_no_outputs(tmp_path, capsys):
+    # beta 2 at b_4 = 4^0.49 gives rho_4 = 1 - 2 b_4 / 2 < 0: no arrival rate, so a config error
+    payload = dict(BASE, command="simulate", model=dict(BASE["model"], beta=2.0),
+                   sim=dict(SIM_OK, ladder=[4], b_rule={"kind": "power", "value": 0.49}))
+    out = tmp_path / "out"
+    assert main(["--config", str(_cfg(tmp_path, "c.json", payload)), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "config error: sim.b_rule: rho_n = " in capsys.readouterr().err
+
+
+def test_overloaded_ladder_logs_each_rung_once(tmp_path, caplog):
+    # rho_n > 1 (beta < 0) runs, with one warning per rung; each ladder row keeps its rho
+    payload = dict(BASE, command="simulate", model=dict(BASE["model"], beta=-0.5), sim=SIM_OK)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="mdqueue.sim"):
+        assert main(["--config", str(_cfg(tmp_path, "c.json", payload)), "--out", str(out), "--quiet"]) == 0
+    assert [r.getMessage().split(": ")[1] for r in caplog.records] == ["overloaded regime"] * 2
+    ladder = json.loads((out / "summary.json").read_text())["ladder"]
+    assert [row["rho"] for row in ladder] == [1.0 + 0.5 * n**0.25 / math.sqrt(n) for n in SIM_OK["ladder"]]
+
+
+def test_simulate_tail_slope_is_zero_when_every_replication_hits(tmp_path):
+    # p_hat = 1 gives -ln 1 / b^2 = -0.0, which the summary wrote as "slope": -0.0
+    payload = dict(BASE, command="simulate", model=dict(BASE["model"], q0=2.0),
+                   sim=dict(SIM_OK, event={"kind": "sup", "t": 1.0, "a": 0.1}))
+    out = tmp_path / "out"
+    assert main(["--config", str(_cfg(tmp_path, "c.json", payload)), "--out", str(out), "--quiet"]) == 0
+    s = json.loads((out / "summary.json").read_text())
+    assert [(row["p_hat"], math.copysign(1.0, row["slope"])) for row in s["tail"]] == [(1.0, 1.0)] * 2
+    assert '"slope": -0.0' not in (out / "summary.json").read_text()
+
+
 def test_identity_check(tmp_path):
     cfg = _cfg(tmp_path, "c.json", dict(
         BASE, command="identity-check", seed=2,
@@ -224,6 +258,18 @@ def test_dist_info(tmp_path):
     assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     s = json.loads((out / "summary.json").read_text())
     assert s["mean"] == pytest.approx(1.0)
+    assert s["family"] == "erlang"
+
+
+@pytest.mark.parametrize("dist", [{"family": "erlang", "shape": 1, "rate": 1.5},
+                                  {"family": "hyperexponential", "weights": [1.0], "rates": [1.5]}],
+                         ids=["erlang1", "hyperexp1"])
+def test_dist_info_family_is_the_name_of_the_phase_table(tmp_path, dist):
+    # one rate at shape 1 is the exponential law, whichever family the spec spelled
+    cfg = _cfg(tmp_path, "c.json", {"command": "dist-info", "dist": dist})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "summary.json").read_text())["family"] == "exponential"
 
 
 @pytest.mark.parametrize("rate", [1e-11, 1e-100])
@@ -351,7 +397,10 @@ def test_mismatched_q0_exit_2(tmp_path):
     [
         ("identity-check", dict(SIM_OK, decomposition_steps=0)),
         ("simulate", dict(SIM_OK, arrival={"family": "erlang", "shape": "x"})),
-        ("simulate", dict(SIM_OK, arrival={"shape": 0})),
+        ("simulate", dict(SIM_OK, arrival={"family": "erlang", "shape": 0})),
+        # exponential arrivals are Erlang(1): a shape beside them, or beside no family, is a key not read
+        ("simulate", dict(SIM_OK, arrival={"family": "exponential", "shape": 5})),
+        ("identity-check", dict(SIM_OK, arrival={"shape": 2})),
         ("simulate", dict(SIM_OK, ladder=[1], b_rule={"kind": "log", "value": 1.0})),
         ("simulate", dict(SIM_OK, lln_t=1.5)),
         ("simulate", dict(SIM_OK, event={"kind": "sup", "t": 2.0, "a": 0.5})),
@@ -359,7 +408,8 @@ def test_mismatched_q0_exit_2(tmp_path):
         # b_2 = ln(2) / 32: b^3 n^(1/b^2 - 1/2) overflows, and was written as Infinity
         ("simulate", dict(SIM_OK, ladder=[2], b_rule={"kind": "log", "value": 0.03125})),
     ],
-    ids=["decomposition_steps-0", "arrival-shape-str", "arrival-shape-0", "log-rule-b1-zero",
+    ids=["decomposition_steps-0", "arrival-shape-str", "arrival-shape-0", "arrival-shape-exponential",
+         "arrival-shape-no-family", "log-rule-b1-zero",
          "lln_t-past-horizon", "event-t-past-horizon", "b-rule-value-list", "condition-value-overflow"],
 )
 def test_invalid_sim_block_exit_2_no_outputs(tmp_path, capsys, command, sim):
@@ -387,7 +437,7 @@ def test_expected_arrivals_past_the_cap_exit_2_no_outputs(tmp_path, capsys, comm
     if expected is None:
         run = Run(payload, tmp_path, None)
         (sr,) = run.sim["regimes"]
-        assert sr.arrival_rate(run.model.mu) * sim["horizon"] == MAX_EXPECTED_ARRIVALS
+        assert sr.arrival_rate(run.model) * sim["horizon"] == MAX_EXPECTED_ARRIVALS
         return
     with pytest.raises(ConfigError, match="arrivals per replication") as info:
         Run(payload, tmp_path, None)

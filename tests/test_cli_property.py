@@ -7,8 +7,9 @@ float range; a sim command's extreme law comes with a horizon at which a
 replication expects at most 1e5 arrivals, or more than the supported cap.  An
 input CSV drawn with a defect, a grid block that is not the grid of q.csv, a
 tolerances block, a block the command does not read, an optional sim key it
-does not read and a kiefer block next to a sheet are always exit 2; a grid block
-that is the grid of q.csv changes no exit code."""
+does not read, a sim.arrival shape without family erlang and a kiefer block next
+to a sheet are always exit 2; a grid block that is the grid of q.csv changes no
+exit code."""
 import contextlib
 import io
 import json
@@ -20,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdqueue import ServiceDist
+from mdqueue import ModelParams, ServiceDist
 from mdqueue.cli import MAX_EXPECTED_ARRIVALS, main
 from mdqueue.sim import ScalingRegime
 
@@ -89,8 +90,8 @@ SIMS = st.fixed_dictionaries(
         "horizon": NUMBERS,
     },
     optional={
-        "arrival": st.fixed_dictionaries({"family": st.sampled_from(["exponential", "erlang"])},
-                                         optional={"shape": integers(1, 3)}),
+        "arrival": st.fixed_dictionaries({}, optional={"family": st.sampled_from(["exponential", "erlang"]),
+                                                       "shape": integers(1, 3)}),
         "event": st.fixed_dictionaries({"kind": st.sampled_from(["sup", "terminal"]), "t": NUMBERS, "a": SIGNED}),
         "lln_t": NUMBERS,
         "decomposition_steps": integers(1, 50),
@@ -224,9 +225,9 @@ def _expect_arrivals(cfg: dict, arrivals: float) -> None:
     rungs or horizon give no such count stays as drawn."""
     s = cfg["sim"]
     try:
-        mu = ServiceDist.from_spec(cfg["dist"]).mu
+        pm = ModelParams(ServiceDist.from_spec(cfg["dist"]), 1.0, float(cfg["model"]["beta"]), 0.0)
         rule = (s["b_rule"]["kind"], float(s["b_rule"]["value"]))
-        rate = max(ScalingRegime(n, rule, float(cfg["model"]["beta"])).arrival_rate(mu) for n in s["ladder"])
+        rate = max(ScalingRegime(n, rule).arrival_rate(pm) for n in s["ladder"])
         scale = arrivals / rate / s["horizon"]
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         return
@@ -260,6 +261,9 @@ def _check_contract(cfg: dict) -> None:
         stray = "kiefer" if "sheet" in cfg and "kiefer" in cfg else None
         if "sim" in cfg and SIM_UNREAD[cfg["command"]][4:] in cfg["sim"]:
             stray = SIM_UNREAD[cfg["command"]]
+        # exponential arrivals, the default, are Erlang(1): a shape is read only with family erlang
+        arrival = cfg.get("sim", {}).get("arrival", {})
+        unread_shape = "shape" in arrival and arrival.get("family") != "erlang"
         if "sheet" in cfg:
             defect = cfg["sheet"][-1]
             _write_sheet(tmp / "sheet.csv", cfg.pop("sheet"))
@@ -275,7 +279,7 @@ def _check_contract(cfg: dict) -> None:
         err = io.StringIO()
         code = _run(tmp, cfg, "out", err)
         must_fail = (defect is not None or grid_matches is False or "tolerances" in cfg or unread is not None
-                     or stray is not None)
+                     or stray is not None or unread_shape)
         assert code in ((2,) if must_fail else (0, 1, 2))
         for key in {unread, stray} - {None}:
             assert f"command {cfg['command']!r} does not read" in err.getvalue() and f"'{key}'" in err.getvalue()

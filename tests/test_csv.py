@@ -103,7 +103,7 @@ def _synthetic_trace(n_events, seed=0):
 @pytest.fixture(scope="module")
 def trace_1e5():
     pm = ModelParams(ServiceDist.exponential(1.0), sigma=1.0, beta=0.5, q0=0.0)
-    sr = ScalingRegime(n=100_000, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=100_000, rule=("power", 0.25))
     return simulate(pm, sr, 1.0, np.random.default_rng(5))
 
 

@@ -268,12 +268,15 @@ def test_equilibrium_sampling_ks_erlang_shapes(k):
     assert isinstance(d.sample_equilibrium(np.random.default_rng(0)), float)
 
 
+# each law with the family whose draws it keeps: Erlang(1) keeps the erlang branch's gamma draws,
+# and a one-branch hyperexponential, which draws no branch, the exponential's
 STREAM_LAWS = [
-    ServiceDist.exponential(1.0),
-    ServiceDist.erlang(3, 3.0),
-    ServiceDist.hyperexponential([0.2, 0.8], [0.4, 1.6]),
-    ServiceDist.erlang(1, 1.5),
-    ServiceDist.erlang(500, 500.0),
+    ("exponential", ServiceDist.exponential(1.0)),
+    ("erlang", ServiceDist.erlang(3, 3.0)),
+    ("hyperexponential", ServiceDist.hyperexponential([0.2, 0.8], [0.4, 1.6])),
+    ("erlang", ServiceDist.erlang(1, 1.5)),
+    ("erlang", ServiceDist.erlang(500, 500.0)),
+    ("exponential", ServiceDist.hyperexponential([1.0], [1.5])),
 ]
 
 
@@ -290,13 +293,15 @@ def _assert_same_stream(draw, ref_draw, seed):
 
 
 @pytest.mark.parametrize("size", [None, 1, 1000])
-@pytest.mark.parametrize("d", STREAM_LAWS, ids=["exp", "erlang3", "hyperexp", "erlang1", "erlang500"])
-def test_phase_table_draws_keep_the_family_streams(d, size):
+@pytest.mark.parametrize("family, d", STREAM_LAWS,
+                         ids=["exp", "erlang3", "hyperexp", "erlang1", "erlang500", "hyperexp1"])
+def test_phase_table_draws_keep_the_family_streams(family, d, size):
     # one Erlang-mixture draw over the phase table draws what the per-family branches drew
     for seed in range(3):
-        _assert_same_stream(lambda rng: d.sample(rng, size=size), lambda rng: family_sample(d, rng, size), seed)
+        _assert_same_stream(lambda rng: d.sample(rng, size=size),
+                            lambda rng: family_sample(d, family, rng, size), seed)
         _assert_same_stream(lambda rng: d.sample_equilibrium(rng, size=size),
-                            lambda rng: family_sample_equilibrium(d, rng, size), seed)
+                            lambda rng: family_sample_equilibrium(d, family, rng, size), seed)
     if size is None:
         assert type(d.sample(np.random.default_rng(0))) is float
 
@@ -336,6 +341,20 @@ def test_cdf_monotone(a, b):
     assert float(d.eq_cdf(lo)) <= float(d.eq_cdf(hi)) + 1e-15
 
 
+def test_family_is_the_name_of_the_phase_table():
+    # the family is read off (weights, rates, shape), not stored beside it
+    assert ServiceDist.exponential(1.3).family == "exponential"
+    assert ServiceDist.erlang(3, 3.0).family == "erlang"
+    assert ServiceDist.hyperexponential([0.4, 0.6], [0.5, 2.0]).family == "hyperexponential"
+    assert ServiceDist.erlang(1, 1.5).family == "exponential"
+    assert ServiceDist.hyperexponential([1.0], [1.5]).family == "exponential"
+    assert ServiceDist(rates=[2.0], shape=4).family == "erlang"
+    with pytest.raises(AttributeError):
+        ServiceDist.exponential(1.0).family = "erlang"
+    with pytest.raises(TypeError):
+        ServiceDist("erlang", rates=[1.0], shape=2)
+
+
 def test_from_spec_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown"):
         ServiceDist.from_spec({"family": "exponential", "rate": 1.0, "scale": 2.0})
@@ -350,13 +369,9 @@ def test_constructor_validation():
         ServiceDist.erlang(0, 1.0)
     with pytest.raises(ValueError):
         ServiceDist.hyperexponential([0.5, 0.6], [1.0, 2.0])  # weights don't sum to 1
-    # the family must agree with the phase table that cdf, pdf and eq_cdf read
-    with pytest.raises(ValueError, match="shape 1"):
-        ServiceDist("exponential", rates=[1.0], shape=3)
-    with pytest.raises(ValueError, match="shape 1"):
-        ServiceDist("hyperexponential", rates=[1.0, 2.0], shape=2, weights=[0.5, 0.5])
-    with pytest.raises(ValueError, match="single rate"):
-        ServiceDist("erlang", rates=[1.0, 2.0], shape=2, weights=[0.5, 0.5])
+    # a mixture of Erlang(k > 1) branches is no supported law
+    with pytest.raises(ValueError, match="several rates must have shape 1"):
+        ServiceDist(rates=[1, 2], shape=2, weights=[0.5, 0.5])
     # the Erlang shape is an integer: no truncation of 2.7, no bool or str coercion
     for shape in (2.7, True, "3", float("nan")):
         with pytest.raises(ValueError, match="shape must be an integer"):
@@ -390,7 +405,7 @@ def test_constructor_validation():
         ServiceDist.hyperexponential([0.4, 0.6], [0.5, 2.0]),
         ServiceDist.hyperexponential([0.1, 0.3, 0.6], [0.25, 1.0, 2.5]),
     ],
-    ids=lambda d: f"{d.family}{d.shape if d.family == 'erlang' else len(d.rates)}",
+    ids=[f"erlang{k}" for k in range(1, 7)] + ["exponential1", "hyperexponential2", "hyperexponential3"],
 )
 def test_phases_sum_to_survival(d):
     x = np.linspace(0.0, 30.0, 3001)

@@ -38,48 +38,55 @@ def model(d, q0=0.0):
 
 
 def test_scaling_regime_values():
-    sr = ScalingRegime(n=10000, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=10000, rule=("power", 0.25))
     assert sr.b == pytest.approx(10.0)
-    assert sr.rho == pytest.approx(1.0 - 0.5 * 10.0 / 100.0)
-    assert sr.arrival_rate(1.0) == pytest.approx(10000 * sr.rho)
+    assert sr.rho(0.5) == pytest.approx(1.0 - 0.5 * 10.0 / 100.0)
+    assert sr.arrival_rate(model(ServiceDist.exponential(1.0))) == pytest.approx(10000 * sr.rho(0.5))
     assert sr.condition_value == pytest.approx(1000.0 * 10000 ** (0.01 - 0.5))
     assert sr.scale() == pytest.approx(1000.0)
 
 
 def test_scaling_regime_validation():
     with pytest.raises(ValueError):
-        ScalingRegime(n=10, rule=("power", 0.7), beta=0.0)
+        ScalingRegime(n=10, rule=("power", 0.7))
     with pytest.raises(ValueError):
-        ScalingRegime(n=0, rule=("power", 0.25), beta=0.0)
-    with pytest.raises(ValueError):
-        ScalingRegime(n=4, rule=("power", 0.49), beta=2.0).rho  # rho <= 0
+        ScalingRegime(n=0, rule=("power", 0.25))
+    with pytest.raises(ValueError, match="rho_n"):
+        ScalingRegime(n=4, rule=("power", 0.49)).rho(2.0)  # rho <= 0
     with pytest.raises(ValueError, match="b_n"):
-        ScalingRegime(n=1, rule=("log", 1.0), beta=0.5)  # b_1 = ln 1 = 0
+        ScalingRegime(n=1, rule=("log", 1.0))  # b_1 = ln 1 = 0
 
 
 def test_overloaded_regime_warns(caplog):
+    # replications logs each overloaded rung once, before its first replication; simulate logs nothing
+    d = ServiceDist.exponential(1.0)
+    regimes = [ScalingRegime(n=n, rule=("power", 0.25)) for n in (10, 100)]
     with caplog.at_level(logging.WARNING, logger="mdqueue.sim"):
-        ScalingRegime(n=100, rule=("power", 0.25), beta=0.5)
+        for _ in replications(model(d), regimes, 3, 0, 0.1):
+            pass
         assert not caplog.records
-        sr = ScalingRegime(n=100, rule=("power", 0.25), beta=-0.5)
-    assert sr.rho > 1
-    assert "overloaded" in caplog.text
+        simulate(ModelParams(d, 1.0, -0.5, 0.0), regimes[1], 0.1, np.random.default_rng(0))
+        assert not caplog.records
+        for _ in replications(ModelParams(d, 1.0, -0.5, 0.0), regimes, 3, 0, 0.1):
+            pass
+    assert all(r.rho(-0.5) > 1 for r in regimes)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"rho_n = {sr.rho(-0.5):.4f} > 1 at n = {sr.n}: overloaded regime" for sr in regimes]
 
 
-def test_regime_beta_not_the_model_beta_raises():
-    # the arrival rate reads beta from the regime: a model at beta 0.5 with a regime at beta 0
-    # ran at rho = 1 (998 arrivals in place of 907 at n = 1000, T = 1, seed 0), with no error
-    pm = model(ServiceDist.exponential(1.0))
-    sr = ScalingRegime(n=1000, rule=("power", 0.25), beta=0.0)
-    with pytest.raises(ValueError, match="beta"):
-        simulate(pm, sr, 1.0, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="beta"):
-        next(replications(pm, [sr], 1, 0, 1.0))
+def test_arrivals_follow_the_model_beta():
+    # the regime carries no beta: the arrival rate is n mu rho_n at the model's, 907 arrivals
+    # at beta 0.5 and 998 at beta 0 (rho_n = 1) for n = 1000, T = 1, seed 0
+    d = ServiceDist.exponential(1.0)
+    sr = ScalingRegime(n=1000, rule=("power", 0.25))
+    for beta, arrivals in ((0.5, 907), (0.0, 998)):
+        tr = simulate(ModelParams(d, 1.0, beta, 0.0), sr, 1.0, np.random.default_rng(0))
+        assert len(tr.arrival_times) == arrivals
 
 
 def test_empty_trace():
     d = ServiceDist.exponential(1.0)
-    sr = ScalingRegime(n=10, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=10, rule=("power", 0.25))
     rng = np.random.default_rng(0)
     tr = simulate(model(d), sr, 0.0, rng)
     assert len(tr.event_times) == 0
@@ -91,7 +98,7 @@ def test_empty_trace():
 def test_flow_balance_exact():
     d = ServiceDist.erlang(2, 2.0)
     for n in (10, 100, 1000):
-        sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
+        sr = ScalingRegime(n=n, rule=("power", 0.25))
         for rng in spawn_streams(11, 3):
             tr = simulate(model(d), sr, 2.0, rng)
             fb = flow_balance_residuals(tr)
@@ -101,7 +108,7 @@ def test_flow_balance_exact():
 def test_single_customer_hand_check():
     # n = 1, no initial customers (q0 makes Q0 = 0), one arrival, one departure
     d = ServiceDist.exponential(1.0)
-    sr = ScalingRegime(n=1, rule=("power", 0.25), beta=0.0)
+    sr = ScalingRegime(n=1, rule=("power", 0.25))
     pm1 = ModelParams(d, 1.0, 0.0, -1.0)  # Q0 = round(1 - 1) = 0
     rng = np.random.default_rng(42)
     tr = simulate(pm1, sr, 50.0, rng)
@@ -117,7 +124,7 @@ def test_single_customer_hand_check():
 
 def test_initial_customers_residual_services():
     d = ServiceDist.exponential(1.0)
-    sr = ScalingRegime(n=50, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=50, rule=("power", 0.25))
     rng = np.random.default_rng(1)
     pm = model(d)
     tr = simulate(pm, sr, 1.0, rng)
@@ -127,7 +134,7 @@ def test_initial_customers_residual_services():
 
 def test_reproducibility_bit_identical():
     d = ServiceDist.exponential(1.0)
-    sr = ScalingRegime(n=20, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=20, rule=("power", 0.25))
     tr1 = simulate(model(d), sr, 2.0, np.random.default_rng(7))
     tr2 = simulate(model(d), sr, 2.0, np.random.default_rng(7))
     assert np.array_equal(tr1.event_times, tr2.event_times)
@@ -147,7 +154,7 @@ def test_spawn_streams_independent():
 def test_mm_n_occupancy_lln():
     # heavily loaded M/M/n: mean number in system over [5, 10] close to n
     d = ServiceDist.exponential(1.0)
-    sr = ScalingRegime(n=400, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=400, rule=("power", 0.25))
     rng = np.random.default_rng(3)
     tr = simulate(model(d), sr, 10.0, rng)
     ts = np.linspace(5.0, 10.0, 200)
@@ -157,7 +164,7 @@ def test_mm_n_occupancy_lln():
 
 def test_decomposition_residual_small_and_halving():
     d = ServiceDist.exponential(1.0)
-    sr = ScalingRegime(n=100, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=100, rule=("power", 0.25))
     ratios = []
     for rng in spawn_streams(13, 5):
         tr = simulate(model(d), sr, 2.0, rng)
@@ -171,7 +178,7 @@ def test_decomposition_residual_small_and_halving():
 def test_decomposition_theta_martingale_term_centered():
     # Theta averages to ~0 over replications (it is a centered sum)
     d = ServiceDist.exponential(1.0)
-    sr = ScalingRegime(n=200, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=200, rule=("power", 0.25))
     vals = []
     for rng in spawn_streams(17, 40):
         tr = simulate(model(d), sr, 1.0, rng)
@@ -184,7 +191,7 @@ def test_lln_check_trend():
     d = ServiceDist.exponential(1.0)
     stats = {}
     for i, n in enumerate((100, 1000)):
-        sr = ScalingRegime(n=n, rule=("power", 0.1), beta=0.5)
+        sr = ScalingRegime(n=n, rule=("power", 0.1))
         stats[n] = [lln_sup_stat(simulate(model(d), sr, 1.0, rng), 1.0, 1.0) for rng in spawn_streams(23 + i, 50)]
     rep = lln_check(stats)
     assert rep.monotone_decreasing
@@ -193,11 +200,11 @@ def test_lln_check_trend():
 def test_interarrival_ks():
     # the generated arrival process has exponential gaps at rate lambda_n
     d = ServiceDist.exponential(1.0)
-    sr = ScalingRegime(n=100, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=100, rule=("power", 0.25))
     rng = np.random.default_rng(29)
     tr = simulate(model(d), sr, 20.0, rng)
     gaps = np.diff(np.concatenate([[0.0], tr.arrival_times]))
-    lam = sr.arrival_rate(1.0)
+    lam = sr.arrival_rate(model(d))
     assert kstest(gaps * lam, "expon").pvalue > 0.01
 
 
@@ -210,7 +217,7 @@ def _hits_by_regime(pm, regimes, reps, seed, horizon, event):
 
 def test_mc_tail_rows():
     d = ServiceDist.exponential(1.0)
-    regimes = [ScalingRegime(n=n, rule=("power", 0.25), beta=0.5) for n in (10, 50)]
+    regimes = [ScalingRegime(n=n, rule=("power", 0.25)) for n in (10, 50)]
     rows = mc_tail(_hits_by_regime(model(d), regimes, reps=40, seed=5, horizon=1.0,
                                    event={"kind": "sup", "t": 1.0, "a": 0.2}))
     assert len(rows) == 2
@@ -225,9 +232,19 @@ def test_mc_tail_rows():
             assert r.slope == pytest.approx(-np.log(r.p_hat) / r.b**2)
 
 
+def test_mc_tail_slope_is_zero_not_negative_zero_when_every_replication_hits():
+    # -ln 1 / b^2 is -0.0; every other slope is -ln p_hat / b^2 bit for bit
+    regimes = [ScalingRegime(n=n, rule=("power", 0.25)) for n in (10, 100, 1000)]
+    rows = mc_tail(dict(zip(regimes, ([True] * 4, [True, False, True, True], [False, True, False, False]))))
+    assert [r.p_hat for r in rows] == [1.0, 0.75, 0.25]
+    assert math.copysign(1.0, rows[0].slope) == 1.0 and rows[0].slope == 0.0
+    for r in rows[1:]:
+        assert r.slope == -math.log(r.p_hat) / r.b**2
+
+
 def test_mc_tail_impossible_event_censored():
     d = ServiceDist.exponential(1.0)
-    regimes = [ScalingRegime(n=10, rule=("power", 0.25), beta=0.5)]
+    regimes = [ScalingRegime(n=10, rule=("power", 0.25))]
     rows = mc_tail(_hits_by_regime(model(d), regimes, reps=10, seed=5, horizon=1.0,
                                    event={"kind": "terminal", "t": 0.5, "a": 1e9}))
     assert rows[0].censored
@@ -273,7 +290,7 @@ def test_mc_tail_sup_matches_list_max():
 
 def test_simulate_rejects_negative_horizon():
     d = ServiceDist.exponential(1.0)
-    sr = ScalingRegime(n=10, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=10, rule=("power", 0.25))
     with pytest.raises(ValueError):
         simulate(model(d), sr, -1.0, np.random.default_rng(0))
 
@@ -282,7 +299,7 @@ def test_simulate_rejects_negative_horizon():
 def test_simulate_rejects_an_arrival_shape_that_is_not_an_integer_at_least_1(shape):
     # shape 0 would draw zero gaps and never pass the horizon, and 0.5 would draw Gamma(0.5)
     # gaps; the check comes before any draw, so the stream is untouched
-    sr = ScalingRegime(n=10, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=10, rule=("power", 0.25))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="arrival_shape must be an integer >= 1"):
         simulate(model(ServiceDist.exponential(1.0)), sr, 1.0, rng, arrival_shape=shape)
@@ -298,7 +315,7 @@ def _reference_simulate(pm, sr, horizon, rng, arrival_family, arrival_shape):
     one call, handed out in start order, like `simulate`."""
     n, d = sr.n, pm.law
     q0_count = max(0, int(round(n + pm.q0 * sr.scale())))
-    lam = sr.arrival_rate(pm.mu)
+    lam = sr.arrival_rate(pm)
     in_service = min(q0_count, n)
     eta0 = np.atleast_1d(d.sample_equilibrium(rng, size=in_service)) if in_service else np.empty(0)
     chunk = max(64, int(lam * horizon * 1.2) + 64)
@@ -369,7 +386,7 @@ LAWS = [
 def test_simulate_matches_event_driven_reference(d, n):
     # q0 > 0 starts with a queue behind n busy servers; Erlang(2) arrivals
     pm = model(d, 0.8)
-    sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=n, rule=("power", 0.25))
     for seed in range(5):
         tr = simulate(pm, sr, 3.0, np.random.default_rng(seed), arrival_shape=2)
         ref = _reference_simulate(pm, sr, 3.0, np.random.default_rng(seed), "erlang", 2)
@@ -429,7 +446,7 @@ def test_simulate_start_times_match_heap(d, q0):
     # starts only the customers whose servers are free at 0
     pm = model(d, q0)
     for n in (1, 2, 3, 7, 50, 400, 3000):
-        sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
+        sr = ScalingRegime(n=n, rule=("power", 0.25))
         for horizon in (0.0, 0.3, 3.0):
             for seed, shape in enumerate([1, 2]):
                 rng = np.random.default_rng(seed)
@@ -437,7 +454,7 @@ def test_simulate_start_times_match_heap(d, q0):
     # several windows of max(256, 4n) customers, with the free times and
     # departures carried from one to the next
     for n, horizon in [(1, 2000.0), (10, 100.0), (50, 20.0)]:
-        sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
+        sr = ScalingRegime(n=n, rule=("power", 0.25))
         tr, blocks = _simulate_recorded(pm, sr, horizon, np.random.default_rng(2))
         assert len(tr.tau_hat) > 2 * max(256, 4 * n)
         _assert_starts_match_heap(tr, blocks)
@@ -455,7 +472,7 @@ def test_simulate_start_times_match_heap(d, q0):
 def test_simulate_matches_event_driven_reference_property(law, n, q0, horizon, arrival_shape, seed):
     family = "exponential" if arrival_shape == 1 else "erlang"
     pm = model(law, q0)
-    sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=n, rule=("power", 0.25))
     tr = simulate(pm, sr, horizon, np.random.default_rng(seed), arrival_shape=arrival_shape)
     ref = _reference_simulate(pm, sr, horizon, np.random.default_rng(seed), family, arrival_shape)
     for name, want in ref.items():
@@ -496,7 +513,7 @@ def test_simulate_ties_match_event_driven_reference(caplog):
     # departures of the 3 initial services, 3 starts from the queue and an
     # arrival all fall at t = 1 and again at t = 2 = horizon
     pm = model(_UnitServices(), 0.8)
-    sr = ScalingRegime(n=3, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=3, rule=("power", 0.25))
     with caplog.at_level(logging.DEBUG, logger="mdqueue.sim"):
         tr = simulate(pm, sr, 2.0, _QuarterGaps())
         assert "tied event times" not in caplog.text  # simulate sorts nothing
@@ -514,7 +531,7 @@ def test_simulate_ties_match_event_driven_reference(caplog):
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 def test_event_order_is_stable_sort(d, n, caplog):
     # untied times: the default sort runs alone and gives the stable sort's order
-    sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=n, rule=("power", 0.25))
     for seed in range(3):
         with caplog.at_level(logging.DEBUG, logger="mdqueue.sim"):
             tr = simulate(model(d), sr, 2.0, np.random.default_rng(seed))
@@ -546,7 +563,7 @@ def _assert_tail_hit_matches_event_list(tr, t):
 def test_tail_hit_matches_event_list(d, q0):
     pm = model(d, q0)
     for seed, n in enumerate((1, 3, 50, 1000)):
-        sr = ScalingRegime(n=n, rule=("power", 0.25), beta=0.5)
+        sr = ScalingRegime(n=n, rule=("power", 0.25))
         tr = simulate(pm, sr, 2.0, np.random.default_rng(seed))
         for t in (0.0, 1.0, 2.0):
             _assert_tail_hit_matches_event_list(tr, t)
@@ -556,7 +573,7 @@ def test_tail_hit_matches_event_list_on_ties():
     # at t = 1 and t = 2 an arrival ties with three departures and goes first, so the
     # peak at 1 is the arrival's 9 before they leave: counting the departures at or
     # before an arrival's time, not strictly before it, would miss it
-    sr = ScalingRegime(n=3, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=3, rule=("power", 0.25))
     tr = simulate(model(_UnitServices(), 0.8), sr, 2.0, _QuarterGaps())
     assert tr.q0_count == 5 and np.max(tr.q_values[tr.event_times <= 1.0]) == 9
     for t in (0.0, 0.75, 1.0, 2.0):
@@ -575,7 +592,7 @@ def test_tail_hit_matches_event_list_past_the_last_departure():
 
 def test_replication_diagnostics_leave_the_event_list_unbuilt():
     d = ServiceDist.erlang(3, 3.0)
-    sr = ScalingRegime(n=200, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=200, rule=("power", 0.25))
     tr = simulate(model(d), sr, 1.0, np.random.default_rng(4))
     lln_sup_stat(tr, 1.0, 1.0)
     for kind in ("sup", "terminal"):
@@ -605,7 +622,7 @@ def _dense_theta(trace: QueueTrace, d: ServiceDist, n_steps: int) -> np.ndarray:
 )
 def test_decomposition_theta_matches_dense_formula(d):
     pm = model(d, 0.3)
-    sr = ScalingRegime(n=40, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=40, rule=("power", 0.25))
     tr = simulate(pm, sr, 2.0, np.random.default_rng(3))
     want = _dense_theta(tr, d, 100)
     assert np.allclose(decomposition(tr, equation(tr, d, 100)).Theta, want, rtol=1e-12, atol=1e-14)
@@ -623,7 +640,7 @@ class _ZeroResiduals(_UnitServices):
 def test_decomposition_theta_starts_on_nodes(d, stub):
     # every start falls on a node of the 0.25-spaced grid: the queued customers
     # start at t = 0 (zero residuals) or t = 1, and the last at t = 2 = horizon
-    sr = ScalingRegime(n=3, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=3, rule=("power", 0.25))
     tr = simulate(model(stub, 0.8), sr, 2.0, _QuarterGaps())
     t = np.linspace(0.0, 2.0, 9)
     assert np.all(np.isin(tr.tau_hat, t))
@@ -656,7 +673,7 @@ def _longdouble_lag_sum(d: ServiceDist, t: float, tau: np.ndarray, eta: np.ndarr
 def runs_1e5():
     # one horizon-1 path at n = 1e5 per law, with its service draws; every law
     # in LAWS has mean 1
-    sr = ScalingRegime(n=100_000, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=100_000, rule=("power", 0.25))
     return {d.family: _simulate_recorded(model(d), sr, 1.0, np.random.default_rng(8)) for d in LAWS}
 
 
@@ -670,7 +687,7 @@ def fast_queue_1e5():
     # a queue of b_n sqrt(n) ~ 5,600 customers behind the fast hyperexponential
     # law, whose start times take the most passes to settle; returns the run and
     # the seconds simulate took
-    sr = ScalingRegime(n=100_000, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=100_000, rule=("power", 0.25))
     t0 = time.perf_counter()
     run = _simulate_recorded(model(FAST_HYPEREXP, 1.0), sr, 1.0, np.random.default_rng(8))
     return run, time.perf_counter() - t0
@@ -726,7 +743,7 @@ def test_theta_sums_match_node_recursion_at_n1e5(d, traces_1e5):
 def test_theta_sums_match_node_recursion_at_horizon_0(d):
     # horizon 0: one node, where the queued customers start on the servers
     # whose residual services are zero
-    sr = ScalingRegime(n=3, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=3, rule=("power", 0.25))
     tr = simulate(model(_ZeroResiduals(), 0.8), sr, 0.0, _QuarterGaps())
     assert np.array_equal(tr.tau_hat, np.zeros(2))
     t = np.zeros(1)
@@ -752,7 +769,7 @@ def test_decomposition_n1e5_time_bound():
     # 401 grid nodes x ~10^5 service starts: the phase convolutions and searchsorted
     # counts take well under a second on a 2-core x86 machine; 10 s is the bound
     d = ServiceDist.exponential(1.0)
-    sr = ScalingRegime(n=100_000, rule=("power", 0.25), beta=0.5)
+    sr = ScalingRegime(n=100_000, rule=("power", 0.25))
     tr = simulate(model(d), sr, 1.0, np.random.default_rng(8))
     assert len(tr.tau_hat) > 50_000
     t0 = time.perf_counter()
@@ -764,6 +781,6 @@ def test_decomposition_n1e5_time_bound():
 
 def test_decomposition_off_the_equation_grid_raises():
     d = ServiceDist.exponential(1.0)
-    tr = simulate(model(d), ScalingRegime(n=10, rule=("power", 0.25), beta=0.5), 2.0, np.random.default_rng(0))
+    tr = simulate(model(d), ScalingRegime(n=10, rule=("power", 0.25)), 2.0, np.random.default_rng(0))
     with pytest.raises(ValueError, match="not on the grid of its path equation"):
         decomposition(tr, PathEquation.from_law(model(d), 1.0, 10))

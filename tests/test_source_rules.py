@@ -7,14 +7,18 @@ the only module that draws from a random generator, and
 only place that samples the law on a t grid.  `paths.ModelParams` carries the
 service law, whose reciprocal mean is mu, so no function takes a model and a law
 side by side; a `PathEquation` carries both, and its lag and Gram operator the
-law sampled on its grid, so no function takes two of these either."""
+law sampled on its grid, so no function takes two of these either.  A fact is
+stored once: a `ServiceDist`'s family is the name of its phase table, and a
+`ScalingRegime` reads beta from the model."""
 import ast
 import re
 from dataclasses import fields
 from pathlib import Path
 
 import mdqueue
+from mdqueue.dist import ServiceDist
 from mdqueue.paths import ModelParams, PathEquation
+from mdqueue.sim import ScalingRegime
 
 
 def test_no_assert_and_no_bare_runtime_error():
@@ -58,11 +62,10 @@ def test_random_draws_only_in_dist():
 
 
 def test_no_service_dist_method_but_validation_reads_the_family():
-    # the numeric methods read the phase table (weights, rates, shape); the family only names it
+    # the methods, validation too, read the phase table (weights, rates, shape); the family only names it
     tree = ast.parse(Path(mdqueue.dist.__file__).read_text())
     (cls,) = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "ServiceDist"]
-    found = [f"{f.name}:{node.lineno}" for f in cls.body
-             if isinstance(f, ast.FunctionDef) and f.name != "__post_init__"
+    found = [f"{f.name}:{node.lineno}" for f in cls.body if isinstance(f, ast.FunctionDef)
              for node in ast.walk(f) if isinstance(node, ast.Attribute) and node.attr == "family"
              and isinstance(node.value, ast.Name) and node.value.id == "self"]
     assert found == []
@@ -111,3 +114,13 @@ def test_mu_is_not_a_field_of_the_model():
     # mu is the law's reciprocal mean, read through the model's law; the path equation keeps the model alone
     assert "mu" not in {f.name for f in fields(ModelParams)}
     assert "d" not in {f.name for f in fields(PathEquation)}
+
+
+def test_family_is_not_a_field_of_the_service_law():
+    # the family is the name of the phase table (weights, rates, shape), read off it
+    assert "family" not in {f.name for f in fields(ServiceDist)}
+
+
+def test_beta_is_not_a_field_of_the_regime():
+    # rho_n and the arrival rate read beta from the model: the regime is n and the b_n rule
+    assert "beta" not in {f.name for f in fields(ScalingRegime)}
