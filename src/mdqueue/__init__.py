@@ -30,7 +30,7 @@ from .paths import (
     kiefer_energy,
     kiefer_from_sheet,
 )
-from .renewal import RenewalConvergenceError, solve_linear, solve_nonlinear
+from .renewal import RenewalConvergenceError, solve_nonlinear
 from .sim import (
     DecompositionReport,
     QueueTrace,
@@ -61,7 +61,6 @@ __all__ = [
     "forward_q",
     "kiefer_from_sheet",
     "kiefer_energy",
-    "solve_linear",
     "solve_nonlinear",
     "RenewalConvergenceError",
     "RateResult",

@@ -140,9 +140,12 @@ def _sim_settings(s: dict, pm: ModelParams) -> dict:
     try:
         value = float(_number(rule, "value", "sim.b_rule"))
         regimes = [ScalingRegime(n=n, rule=(rule["kind"], value)) for n in ladder]
-        expected_arrivals = [sr.arrival_rate(pm) * horizon for sr in regimes]
     except ValueError as exc:
         raise ConfigError(f"sim.b_rule: {exc}") from exc
+    try:  # rho_n = 1 - beta b_n / sqrt(n) rests on the model's beta as much as on the b rule
+        expected_arrivals = [sr.arrival_rate(pm) * horizon for sr in regimes]
+    except ValueError as exc:
+        raise ConfigError(f"model.beta = {pm.beta!r} with sim.b_rule: {exc}") from exc
     for sr, expected in zip(regimes, expected_arrivals):
         if not expected <= MAX_EXPECTED_ARRIVALS:  # NaN fails too
             raise ConfigError(f"sim: rung n = {sr.n} expects {expected:.3g} arrivals per replication"

@@ -126,9 +126,9 @@ def conv_trap(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
 
 
 def cumtrap(values: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid integral along a uniform grid, starting at 0."""
+    """Cumulative trapezoid integral along a uniform grid (axis 0), starting at 0."""
     out = np.zeros_like(values, dtype=float)
-    out[1:] = np.cumsum(0.5 * dt * (values[1:] + values[:-1]))
+    out[1:] = np.cumsum(0.5 * dt * (values[1:] + values[:-1]), axis=0)
     return out
 
 

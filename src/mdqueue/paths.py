@@ -314,10 +314,16 @@ def forward_q(c: ControlSet, eq: PathEquation) -> GridPath:
     return solve_nonlinear(GridPath(eq.horizon, forcing), eq.lag)
 
 
-def _log_grid(b: GridField2D, u_max: float):
-    """Nodes u on [0, u_max], 8 per x cell of b, and x = 1 - e^{-u}."""
+def _on_log_grid(b: GridField2D, columns: np.ndarray, u_max: float):
+    """Nodes u on [0, u_max], 8 per x cell of b, x = 1 - e^{-u}, the columns (on the x
+    nodes of b) interpolated at x, and their cumulative trapezoid integral in u, which is
+    int_0^x f(y)/(1-y) dy for a column f."""
     u = np.linspace(0.0, u_max, 8 * (b.values.shape[0] - 1) + 1)
-    return u, -np.expm1(-u)
+    xs = -np.expm1(-u)
+    on_log = np.empty((len(u), columns.shape[1]))
+    for j in range(columns.shape[1]):
+        on_log[:, j] = np.interp(xs, b.x_grid, columns[:, j])
+    return u, xs, on_log, cumtrap(on_log, u[1] - u[0])
 
 
 def kiefer_from_sheet(b: GridField2D) -> GridField2D:
@@ -329,17 +335,9 @@ def kiefer_from_sheet(b: GridField2D) -> GridField2D:
     k(1,t) is set to 0, consistent with the x->1 limit for finite-energy
     sheets.  Returns k on the node grid of b.
     """
-    u_max = max(4.0, -np.log(max(b.dx, 1e-12)) + 8.0)
-    u, xs = _log_grid(b, u_max)
-
-    # b_y(y, t) = int_0^t bdot(y, s) ds, interpolated onto the log-spaced x nodes
-    by = np.apply_along_axis(cumtrap, 1, b.values, b.dt)  # (M+1, N+1)
-    by_log = np.empty((len(u), by.shape[1]))
-    for j in range(by.shape[1]):
-        by_log[:, j] = np.interp(xs, b.x_grid, by[:, j])
-
-    # inner integral m(u) = int_0^u b_y(x(v), t) dv, then k = (1-x) * m
-    inner = np.apply_along_axis(cumtrap, 0, by_log, u[1] - u[0])
+    # b_y(y, t) = int_0^t bdot(y, s) ds; the log grid reaches x = 1 - dx
+    by = cumtrap(b.values.T, b.dt).T  # (M+1, N+1)
+    _, xs, _, inner = _on_log_grid(b, by, max(4.0, -np.log(max(b.dx, 1e-12)) + 8.0))
     k_log = (1.0 - xs)[:, None] * inner
 
     k = np.empty_like(b.values)
@@ -358,16 +356,9 @@ def kiefer_energy(b: GridField2D) -> tuple[float, float]:
     (bdot - m)^2 e^{-u} is smooth and the endpoint log singularity of the
     transform carries negligible truncated mass.
     """
-    u, xs = _log_grid(b, 30.0)
-    du = u[1] - u[0]
-
-    bdot_log = np.empty((len(u), b.values.shape[1]))
-    for j in range(b.values.shape[1]):
-        bdot_log[:, j] = np.interp(xs, b.x_grid, b.values[:, j])
-
-    m_int = np.apply_along_axis(cumtrap, 0, bdot_log, du)  # int_0^u bdot(x(v),t) dv
-    kdot_log = bdot_log - m_int
-    wx = trap_weights(len(u), du) * np.exp(-u)
-    per_t = wx @ kdot_log**2
+    # u_max = 30 leaves an e^{-30} tail of the energy
+    u, _, bdot_log, m_int = _on_log_grid(b, b.values, 30.0)
+    wx = trap_weights(len(u), u[1] - u[0]) * np.exp(-u)
+    per_t = wx @ (bdot_log - m_int) ** 2  # kdot^2 on the log grid
     wt = trap_weights(b.values.shape[1], b.dt)
     return float(per_t @ wt), b.integral_sq()

@@ -3,8 +3,10 @@ for the oracle's matrix-free Gram and for the prefix-trapezoid weights of
 `grids.conv_trap`; the oracle's solve with its earlier min-kernel
 preconditioner; for `mdqueue.sim`, the one-customer-at-a-time start-time
 recursion, the node-at-a-time Theta recursion and the stable event sort; the
-per-family draws that are the stream reference for `ServiceDist.sample`,
-`ServiceDist.sample_equilibrium` and the simulator's interarrival gaps; the
+column-at-a-time Kiefer transform of `paths.kiefer_from_sheet` and
+`paths.kiefer_energy`; the per-family draws that are the stream reference for
+`ServiceDist.sample`, `ServiceDist.sample_equilibrium` and the simulator's
+interarrival gaps; the
 row-at-a-time `repr` CSV writers that are the byte reference for
 `grids.write_csv` and the artifacts written through it; and the test helpers
 `trap_integral`, `zero_controls`, `lln_path`, `equation` and `qp_of`."""
@@ -285,6 +287,51 @@ def stable_events(trace):
     ids = np.concatenate([trace.q0_count + np.arange(n_arr), np.flatnonzero(keep0), in_service + np.flatnonzero(keep)])
     order = np.argsort(times, kind="stable")
     return times[order], types[order], ids[order]
+
+
+# -- the Kiefer transform, one column at a time ------------------------------
+
+
+def _column_log_grid(b, u_max):
+    """Nodes u on [0, u_max], 8 per x cell of b, and x = 1 - e^{-u}."""
+    u = np.linspace(0.0, u_max, 8 * (b.values.shape[0] - 1) + 1)
+    return u, -np.expm1(-u)
+
+
+def _column_cumtrap(values, dt):
+    """The cumulative trapezoid integral of one column."""
+    out = np.zeros_like(values, dtype=float)
+    out[1:] = np.cumsum(0.5 * dt * (values[1:] + values[:-1]))
+    return out
+
+
+def kiefer_from_sheet_columns(b):
+    """The values of `paths.kiefer_from_sheet`, each time integral and each log-grid
+    integral taken column by column."""
+    u, xs = _column_log_grid(b, max(4.0, -np.log(max(b.dx, 1e-12)) + 8.0))
+    by = np.apply_along_axis(_column_cumtrap, 1, b.values, b.dt)
+    by_log = np.empty((len(u), by.shape[1]))
+    for j in range(by.shape[1]):
+        by_log[:, j] = np.interp(xs, b.x_grid, by[:, j])
+    k_log = (1.0 - xs)[:, None] * np.apply_along_axis(_column_cumtrap, 0, by_log, u[1] - u[0])
+    k = np.empty_like(b.values)
+    for j in range(by.shape[1]):
+        k[:, j] = np.interp(b.x_grid, xs, k_log[:, j])
+    k[-1, :] = 0.0
+    k[:, 0] = 0.0
+    return k
+
+
+def kiefer_energy_columns(b):
+    """`paths.kiefer_energy`, each log-grid integral taken column by column."""
+    u, xs = _column_log_grid(b, 30.0)
+    du = u[1] - u[0]
+    bdot_log = np.empty((len(u), b.values.shape[1]))
+    for j in range(b.values.shape[1]):
+        bdot_log[:, j] = np.interp(xs, b.x_grid, b.values[:, j])
+    kdot_log = bdot_log - np.apply_along_axis(_column_cumtrap, 0, bdot_log, du)
+    per_t = (trap_weights(len(u), du) * np.exp(-u)) @ kdot_log**2
+    return float(per_t @ trap_weights(b.values.shape[1], b.dt)), b.integral_sq()
 
 
 # -- CSV artifacts, one row and one repr per float at a time ----------------

@@ -199,7 +199,7 @@ def test_nonpositive_rho_exit_2_no_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--config", str(_cfg(tmp_path, "c.json", payload)), "--out", str(out), "--quiet"]) == 2
     assert not out.exists()
-    assert "config error: sim.b_rule: rho_n = " in capsys.readouterr().err
+    assert "config error: model.beta = 2.0 with sim.b_rule: rho_n = " in capsys.readouterr().err
 
 
 def test_overloaded_ladder_logs_each_rung_once(tmp_path, caplog):

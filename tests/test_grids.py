@@ -85,6 +85,15 @@ def test_cumtrap_matches_antiderivative():
     assert np.max(np.abs(out - t**3 / 3.0)) < 1e-5
 
 
+def test_cumtrap_integrates_each_column_of_a_2d_array():
+    values = np.random.default_rng(3).standard_normal((41, 7))
+    out = cumtrap(values, 0.025)
+    assert out.shape == values.shape
+    for j in range(values.shape[1]):
+        assert np.array_equal(out[:, j], cumtrap(values[:, j], 0.025))
+    assert np.array_equal(cumtrap(values.T, 0.5).T[2], cumtrap(values[2], 0.5))
+
+
 def test_gridpath_interp_and_constant_continuation():
     g = GridPath(1.0, np.array([0.0, 1.0, 2.0]))
     assert g.interp(0.25) == pytest.approx(0.5)

@@ -17,7 +17,7 @@ from mdqueue import (
 from mdqueue.grids import LagConv, conv_trap, cumtrap
 from mdqueue.paths import ControlSet, PathEquation, defect, partial_cell_weights
 from mdqueue.renewal import solve_nonlinear
-from reference import equation, lln_path, zero_controls
+from reference import equation, kiefer_energy_columns, kiefer_from_sheet_columns, lln_path, zero_controls
 
 LAWS = [
     ServiceDist.exponential(1.0),
@@ -222,6 +222,14 @@ def test_kiefer_transform_profile():
     x = k.x_grid[1:-1]
     ref = (1.0 - x) * (-np.log(1.0 - x))
     assert np.max(np.abs(k.values[1:-1, -1] - ref)) < 5e-4
+
+
+@pytest.mark.parametrize("shape, t_horizon", [((2, 2), 1.0), ((33, 65), 1.5), ((257, 129), 1.0)])
+def test_kiefer_matches_column_at_a_time_reference(shape, t_horizon):
+    # one log-grid helper and a 2-D cumtrap give the bits of the column-by-column pipeline
+    b = GridField2D(t_horizon, np.random.default_rng(11).standard_normal(shape))
+    assert np.array_equal(kiefer_from_sheet(b).values, kiefer_from_sheet_columns(b))
+    assert kiefer_energy(b) == kiefer_energy_columns(b)
 
 
 def test_kiefer_endpoints_zero():

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mdqueue import GridPath, ServiceDist, solve_linear, solve_nonlinear
+from mdqueue import GridPath, ServiceDist, solve_nonlinear
 from mdqueue.grids import LagConv, conv_trap
 from mdqueue.renewal import RenewalConvergenceError
 
@@ -21,21 +21,21 @@ def lag(d, f):
 
 
 def test_linear_constant_forcing_exponential():
-    # exponential(1): g = 1 + int g dF has the exact solution g(t) = 1 + t
+    # exponential(1): g = 1 + int g dF has the exact solution g(t) = 1 + t, positive, so g^+ = g
     d = ServiceDist.exponential(1.0)
     for n in (200, 400):
         f = GridPath(2.0, np.ones(n + 1))
-        g = solve_linear(f, lag(d, f))
+        g = solve_nonlinear(f, lag(d, f))
         err = np.max(np.abs(g.values - (1.0 + g.times)))
         assert err <= 2.5 * (2.0 / n)
 
 
 def test_linear_ramp_forcing_exponential():
-    # f(t) = t gives g(t) = t + t^2/2 for exponential(1)
+    # f(t) = t gives g(t) = t + t^2/2 >= 0 for exponential(1)
     d = ServiceDist.exponential(1.0)
     t = np.linspace(0.0, 2.0, 401)
     f = GridPath(2.0, t.copy())
-    g = solve_linear(f, lag(d, f))
+    g = solve_nonlinear(f, lag(d, f))
     assert np.max(np.abs(g.values - (t + t**2 / 2.0))) < 5e-3
 
 
@@ -45,14 +45,6 @@ def test_nonlinear_negative_forcing_is_fixed_point():
     f = GridPath(1.0, -np.ones(101))
     g = solve_nonlinear(f, lag(d, f))
     assert np.array_equal(g.values, f.values)
-
-
-def test_nonlinear_matches_linear_when_positive():
-    d = ServiceDist.erlang(2, 2.0)
-    f = GridPath(3.0, np.ones(301))
-    gl = solve_linear(f, lag(d, f))
-    gn = solve_nonlinear(f, lag(d, f))
-    assert np.max(np.abs(gl.values - gn.values)) < 1e-9
 
 
 def test_monotone_in_forcing():
@@ -69,7 +61,7 @@ def test_long_horizon_windowing():
     d = ServiceDist.exponential(1.0)
     n = 2000
     f = GridPath(20.0, np.ones(n + 1))
-    g = solve_linear(f, lag(d, f))
+    g = solve_nonlinear(f, lag(d, f))
     err = np.max(np.abs(g.values - (1.0 + g.times)))
     assert err < 5 * (20.0 / n)
 
@@ -80,7 +72,7 @@ def test_grid_refinement_converges():
     for n in (100, 200, 400):
         t = np.linspace(0.0, 2.0, n + 1)
         f = GridPath(2.0, np.cos(t))
-        g = solve_linear(f, lag(d, f))
+        g = solve_nonlinear(f, lag(d, f))
         errs.append(g)
     # compare each to the finest on the coarse nodes
     fine = errs[-1]
@@ -105,16 +97,15 @@ def test_convergence_error_carries_residual():
 
 
 @pytest.mark.parametrize("law", sorted(LAWS))
-@pytest.mark.parametrize("positive_part", [False, True])
+@pytest.mark.parametrize("crosses_zero", [False, True])
 @pytest.mark.parametrize("n", [2, 3, 401])
-def test_march_solves_discrete_equations(law, positive_part, n):
-    # f crosses zero, so the nonlinear march takes both closed-form branches
+def test_march_solves_discrete_equations(law, crosses_zero, n):
+    # an f that crosses zero takes both closed-form branches; an f >= 0.2 only g_i = c_i / (1 - alpha)
     d = LAWS[law]
     t = np.linspace(0.0, 2.0, n + 1)
-    f = GridPath(2.0, np.sin(3.0 * t) - 0.2)
-    g = (solve_nonlinear if positive_part else solve_linear)(f, lag(d, f)).values
-    arg = np.maximum(g, 0.0) if positive_part else g
-    res = np.max(np.abs(g - f.values - conv_trap(arg, d.pdf(t), f.dt)))
+    f = GridPath(2.0, np.sin(3.0 * t) + (-0.2 if crosses_zero else 1.2))
+    g = solve_nonlinear(f, lag(d, f)).values
+    res = np.max(np.abs(g - f.values - conv_trap(np.maximum(g, 0.0), d.pdf(t), f.dt)))
     assert res <= 1e-13 * max(1.0, np.max(np.abs(g)))
 
 
@@ -122,12 +113,11 @@ def test_march_rejects_alpha_at_least_one_at_once():
     # dt F'(0)/2 = 0.5 * 10 / 2 = 2.5: the node equations have no unique solution
     f = GridPath(1.0, np.ones(3))
     d = ServiceDist.exponential(10.0)
-    for march in (solve_linear, solve_nonlinear):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(RenewalConvergenceError, match=r"dt F'\(0\)/2") as info:
-                march(f, lag(d, f))
-        assert info.value.iterations == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RenewalConvergenceError, match=r"dt F'\(0\)/2") as info:
+            solve_nonlinear(f, lag(d, f))
+    assert info.value.iterations == 0
 
 
 def test_march_past_the_float_range_raises_typed_error_without_warning():
@@ -136,19 +126,17 @@ def test_march_past_the_float_range_raises_typed_error_without_warning():
     # with no RuntimeWarning
     d = ServiceDist.exponential(4.5)
     f = GridPath(234.0, np.ones(528))
-    for march in (solve_linear, solve_nonlinear):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(RenewalConvergenceError, match="residual nan"):
-                march(f, lag(d, f))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RenewalConvergenceError, match="residual nan"):
+            solve_nonlinear(f, lag(d, f))
 
 
 def test_march_rejects_a_lag_of_another_grid():
     f = GridPath(2.0, np.ones(11))
     other = LagConv.of_law(ServiceDist.exponential(1.0), 2.0, 20)
-    for march in (solve_linear, solve_nonlinear):
-        with pytest.raises(ValueError, match="does not fit"):
-            march(f, other)
+    with pytest.raises(ValueError, match="does not fit"):
+        solve_nonlinear(f, other)
 
 
 def test_march_long_grid_is_fast():
