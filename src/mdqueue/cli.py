@@ -11,7 +11,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -323,8 +322,7 @@ def cmd_simulate(run: Run, out: Path) -> dict:
             hits.setdefault(sr, []).append(tail_hit(tr, s["event"]))
         del tr  # before _replications simulates the next one
 
-    report = lln_check(sup_stats)
-    pct = report.percentiles()
+    pct, decreasing = lln_check(sup_stats)
 
     ladder = [{"n": sr.n, "b": sr.b, "rho": sr.rho(run.model.beta), "condition_value": sr.condition_value,
                "lln_percentile": pct[sr.n]} for sr in s["regimes"]]
@@ -333,11 +331,11 @@ def cmd_simulate(run: Run, out: Path) -> dict:
         "horizon": s["horizon"],
         "lln_t": s["lln_t"],
         "lln_percentile_level": LLN_PERCENTILE,
-        "lln_monotone_decreasing": report.monotone_decreasing,
+        "lln_monotone_decreasing": decreasing,
         "ladder": ladder,
     }
     if s["event"] is not None:
-        summary["tail"] = [asdict(r) for r in mc_tail(hits)]
+        summary["tail"] = mc_tail(hits)
         summary["tail_note"] = (
             "trend diagnostic only: moderate-deviations probabilities at realistic "
             "(n, a) are far below Monte Carlo resolution, so no estimate here is "

@@ -179,10 +179,6 @@ class ServiceDist:
     def survival(self, x):
         return 1.0 - self.cdf(x)
 
-    def phases(self) -> list[tuple[float, float, int]]:
-        """(w, lam, k) per term of 1 - F(x) = sum w e^{-lam x} sum_{m < k} (lam x)^m / m!."""
-        return [(float(w), float(lam), self.shape) for w, lam in zip(self.weights, self.rates)]
-
     # -- stationary excess (equilibrium) law -------------------------------
 
     def eq_cdf(self, x):
@@ -196,11 +192,12 @@ class ServiceDist:
     # -- monotone inverses -------------------------------------------------
 
     def _inverse(self, fn, dfn, p):
-        """Safeguarded bisection/Newton solve of fn(x) = p to 1e-12, elementwise.
+        """Safeguarded bisection/Newton solve of fn(x) = p, elementwise.
 
-        Each element stops on its own once its step is below the tolerance.
-        Raises FloatingPointError when the bracket overflows or any element
-        has not converged after 200 steps.
+        Each element stops on its own once its step is below 1e-12 min(1, x), so
+        a quantile below 1 is solved to 1e-12 relative and never comes out negative.
+        Raises FloatingPointError when the bracket overflows or any element has not
+        converged after 200 steps, as when the quantile underflows to a subnormal or 0.
         """
         p = _probabilities(p)
         x = np.where(p == 1.0, np.inf, 0.0)
@@ -228,10 +225,11 @@ class ServiceDist:
             # a zero, infinite or NaN derivative takes the bisection step
             with np.errstate(divide="ignore", invalid="ignore"):
                 x_new = xa - np.where((d > 0) & (d < np.inf), fx / d, np.inf)
+            tol = _INV_TOL * np.minimum(1.0, xa)
             # a converged Newton step stands even when round-off puts it on the bracket
-            keep = ((la < x_new) & (x_new < ha)) | (np.abs(x_new - xa) < _INV_TOL)
+            keep = ((la < x_new) & (x_new < ha)) | (np.abs(x_new - xa) < tol)
             x_new = np.where(keep, x_new, 0.5 * (la + ha))
-            converged = np.abs(x_new - xa) < _INV_TOL
+            converged = np.abs(x_new - xa) < tol
             xi[active], lo[active], hi[active] = x_new, la, ha
             active[active] = ~converged
         if np.any(active):

@@ -327,12 +327,12 @@ class DecompositionReport:
 def _theta_sums(d: ServiceDist, t: np.ndarray, dt: float, tau: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """sum_{tau_j <= t_i} (1{tau_j + eta_j <= t_i} - F(t_i - tau_j)) on the uniform grid t_i = i dt
     for nondecreasing tau: #done_by(t_i) - #started_by(t_i) + sum_{tau_j <= t_i} S(t_i - tau_j),
-    where S = 1 - F sums w e^{-lam x} (lam x)^m / m! over `ServiceDist.phases` and m < k.  A start
-    belongs to its node t_c = the first node >= tau_j (a start on a node adds S(0) = 1), and the
-    binomial expansion of (lam (t_i - t_c + t_c - tau_j))^m splits its term at t_i into
-    sum_{r < k} e^{-x} x^r / r! G_{k-1-r}(t_i - t_c), x = lam (t_c - tau_j), with
-    G_j(s) = P(Poisson(lam s) <= j).  So per phase the survival sums are the convolutions over
-    r < k of the per-node sums of e^{-x} x^r / r! with G_{k-1-r} on the grid: O(n + k N^2)."""
+    where S = 1 - F sums w e^{-lam x} (lam x)^m / m! over m < k and the law's weights w and rates
+    lam, k its shape.  A start belongs to its node t_c = the first node >= tau_j (a start on a
+    node adds S(0) = 1), and the binomial expansion of (lam (t_i - t_c + t_c - tau_j))^m splits
+    its term at t_i into sum_{r < k} e^{-x} x^r / r! G_{k-1-r}(t_i - t_c), x = lam (t_c - tau_j),
+    with G_j(s) = P(Poisson(lam s) <= j).  So per phase the survival sums are the convolutions
+    over r < k of the per-node sums of e^{-x} x^r / r! with G_{k-1-r} on the grid: O(n + k N^2)."""
     done = np.searchsorted(np.sort(tau + eta), t, side="right")
     started = np.searchsorted(tau, t, side="right")
     # tau is sorted, so the started[i] - started[i-1] starts in (t_{i-1}, t_i] have
@@ -340,7 +340,8 @@ def _theta_sums(d: ServiceDist, t: np.ndarray, dt: float, tau: np.ndarray, eta: 
     cell = np.repeat(np.arange(len(t)), np.diff(started, prepend=0))
     tau = tau[:len(cell)]
     surv = np.zeros(len(t))
-    for w, lam, k in d.phases():
+    k = d.shape
+    for w, lam in zip(d.weights, d.rates):
         x, y = lam * (t[cell] - tau), lam * dt * np.arange(len(t))
         term, step, cdf = np.exp(-x), np.exp(-y), 0.0
         fresh, cdfs = [], []  # cdfs[j] = G_j on the grid
@@ -403,26 +404,16 @@ def lln_sup_stat(trace: QueueTrace, mu: float, t_max: float) -> float:
     cand = np.abs(i / n - mu * tau)  # just after each jump
     cand_pre = np.abs((i - 1) / n - mu * tau)  # just before each jump
     tail = abs(m / n - mu * t_max)
-    head = mu * tau[0]
-    return float(max(cand.max(), cand_pre.max(), tail, head))
+    return float(max(cand.max(), cand_pre.max(), tail))
 
 
-@dataclass(frozen=True)
-class LLNReport:
-    stats: dict  # n -> np.ndarray of per-replication sup statistics
-
-    def percentiles(self) -> dict:
-        return {n: float(np.percentile(s, LLN_PERCENTILE)) for n, s in self.stats.items()}
-
-    @property
-    def monotone_decreasing(self) -> bool:
-        p = [v for _, v in sorted(self.percentiles().items())]
-        return all(b < a for a, b in zip(p, p[1:]))
-
-
-def lln_check(stats_by_n: dict) -> LLNReport:
-    """The LLN trend over the ladder; stats_by_n maps n to its rung's `lln_sup_stat` values."""
-    return LLNReport(stats={n: np.array(stats) for n, stats in stats_by_n.items()})
+def lln_check(stats_by_n: dict) -> tuple[dict, bool]:
+    """The LLN trend over the ladder; stats_by_n maps n to its rung's `lln_sup_stat` values.
+    Returns the LLN_PERCENTILE percentile of each rung's values by n, and whether those
+    percentiles fall strictly as n grows."""
+    pct = {n: float(np.percentile(stats, LLN_PERCENTILE)) for n, stats in stats_by_n.items()}
+    p = [pct[n] for n in sorted(pct)]
+    return pct, all(b < a for a, b in zip(p, p[1:]))
 
 
 def _wilson(hits: int, reps: int) -> tuple[float, float]:
@@ -432,18 +423,6 @@ def _wilson(hits: int, reps: int) -> tuple[float, float]:
     centre = (p + z**2 / (2 * reps)) / denom
     half = z * math.sqrt(p * (1 - p) / reps + z**2 / (4 * reps**2)) / denom
     return centre - half, centre + half
-
-
-@dataclass(frozen=True)
-class TailRow:
-    n: int
-    b: float
-    reps: int
-    hits: int
-    p_hat: float | None
-    wilson: tuple | None
-    slope: float | None  # |ln p_hat| / b_n^2: -ln p_hat, but 0.0 and not -0.0 when every replication hits
-    censored: bool
 
 
 def tail_hit(trace: QueueTrace, event: dict) -> bool:
@@ -475,20 +454,21 @@ def tail_hit(trace: QueueTrace, event: dict) -> bool:
     return len(late) > len(dep) or bool(np.any(dep[:len(late)] >= late))
 
 
-def mc_tail(hits_by_regime: dict) -> list[TailRow]:
+def mc_tail(hits_by_regime: dict) -> list[dict]:
     """Monte Carlo tail probabilities over the scaling ladder.
 
     hits_by_regime maps each rung's ScalingRegime to the `tail_hit` of each of
-    its replications.  A trend diagnostic only: the regime's limiting constants
-    are far beyond what naive Monte Carlo can certify, so no threshold ties the
-    estimates to the rate function.
+    its replications.  One row per rung: n, b, reps, hits, p_hat, its 95% Wilson
+    interval and slope |ln p_hat| / b_n^2 (0.0, not -0.0, when every replication
+    hits), all None and censored True when none does.  A trend diagnostic only:
+    the regime's limiting constants are far beyond what naive Monte Carlo can
+    certify, so no threshold ties the estimates to the rate function.
     """
     rows = []
     for sr, rung in hits_by_regime.items():
-        n, b, reps, hits = sr.n, sr.b, len(rung), sum(rung)
-        if hits == 0:
-            rows.append(TailRow(n, b, reps, 0, None, None, None, censored=True))
-        else:
-            p = hits / reps
-            rows.append(TailRow(n, b, reps, hits, p, _wilson(hits, reps), abs(math.log(p)) / b**2, censored=False))
+        reps, hits = len(rung), sum(rung)
+        p = hits / reps if hits else None
+        rows.append({"n": sr.n, "b": sr.b, "reps": reps, "hits": hits, "p_hat": p,
+                     "wilson": _wilson(hits, reps) if hits else None,
+                     "slope": abs(math.log(p)) / sr.b**2 if hits else None, "censored": not hits})
     return rows

@@ -2,7 +2,8 @@
 for the oracle's matrix-free Gram and for the prefix-trapezoid weights of
 `grids.conv_trap`; the oracle's solve with its earlier min-kernel
 preconditioner; for `mdqueue.sim`, the one-customer-at-a-time start-time
-recursion, the node-at-a-time Theta recursion and the stable event sort; the
+recursion, the node-at-a-time Theta recursion, the stable event sort, and the
+earlier `lln_sup_stat` and `LLNReport` / `TailRow` reducers of the ladder; the
 column-at-a-time Kiefer transform of `paths.kiefer_from_sheet` and
 `paths.kiefer_energy`; the per-family draws that are the stream reference for
 `ServiceDist.sample`, `ServiceDist.sample_equilibrium` and the simulator's
@@ -11,6 +12,8 @@ row-at-a-time `repr` CSV writers that are the byte reference for
 `grids.write_csv` and the artifacts written through it; and the test helpers
 `trap_integral`, `zero_controls`, `lln_path`, `equation` and `qp_of`."""
 import heapq
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -20,6 +23,7 @@ from mdqueue.grids import GridField2D, GridPath, trap_weights
 from mdqueue.oracle import build_qp
 from mdqueue.paths import ControlSet, PathEquation, defect
 from mdqueue.renewal import solve_nonlinear
+from mdqueue.sim import LLN_PERCENTILE, _wilson
 
 _GAUSS_ORDER = 40  # Gauss-Legendre nodes of the inner integral in kernel_matrix
 
@@ -247,8 +251,8 @@ def family_interarrivals(rng, lam, count, family, shape):
 
 def theta_sums_recursion(d, t, tau, eta):
     """`sim._theta_sums` node by node for nondecreasing t and tau, in O(n + N k^2):
-    #done_by(t_i) - #started_by(t_i) + sum_{tau_j <= t_i} S(t_i - tau_j).  Per phase
-    (w, lam, k) of S = 1 - F, the sums A_m of w e^{-lam x} (lam x)^m / m! over the
+    #done_by(t_i) - #started_by(t_i) + sum_{tau_j <= t_i} S(t_i - tau_j).  Per weight w
+    and rate lam of the law's table, k its shape, the sums A_m of w e^{-lam x} (lam x)^m / m! over the
     started customers move from t_{i-1} to t_i by the binomial shift A_m <- e^{-lam h}
     sum_{r <= m} A_r (lam h)^{m-r} / (m-r)!, h = t_i - t_{i-1}, then gain the starts
     in (t_{i-1}, t_i]; a start on a node belongs to it and adds S(0) = 1."""
@@ -259,7 +263,8 @@ def theta_sums_recursion(d, t, tau, eta):
     cell, tau = cell[live], tau[live]
     h = np.diff(t, prepend=t[0])
     surv = np.zeros(len(t))
-    for w, lam, k in d.phases():
+    k = d.shape
+    for w, lam in zip(d.weights, d.rates):
         x, y = lam * (t[cell] - tau), lam * h
         term, step = np.exp(-x), np.exp(-y)
         fresh, shift = np.empty((len(t), k)), np.empty((len(t), k))
@@ -272,6 +277,66 @@ def theta_sums_recursion(d, t, tau, eta):
             a = np.convolve(a, shift[i])[:k] + fresh[i]
             surv[i] += w * a.sum()
     return (done - started) + surv
+
+
+def lln_sup_stat_with_head(trace, mu, t_max):
+    """`sim.lln_sup_stat` with its earlier fourth term, mu tau_0, beside the three it keeps."""
+    tau = trace.tau_hat[trace.tau_hat <= t_max]
+    n = trace.n
+    m = len(tau)
+    if m == 0:
+        return mu * t_max
+    i = np.arange(1, m + 1)
+    cand = np.abs(i / n - mu * tau)
+    cand_pre = np.abs((i - 1) / n - mu * tau)
+    tail = abs(m / n - mu * t_max)
+    head = mu * tau[0]
+    return float(max(cand.max(), cand_pre.max(), tail, head))
+
+
+@dataclass(frozen=True)
+class LLNReport:
+    """The earlier return type of `sim.lln_check`, the reference for its pair."""
+
+    stats: dict  # n -> np.ndarray of per-replication sup statistics
+
+    def percentiles(self) -> dict:
+        return {n: float(np.percentile(s, LLN_PERCENTILE)) for n, s in self.stats.items()}
+
+    @property
+    def monotone_decreasing(self) -> bool:
+        p = [v for _, v in sorted(self.percentiles().items())]
+        return all(b < a for a, b in zip(p, p[1:]))
+
+
+def lln_report(stats_by_n):
+    return LLNReport(stats={n: np.array(stats) for n, stats in stats_by_n.items()})
+
+
+@dataclass(frozen=True)
+class TailRow:
+    """The earlier row type of `sim.mc_tail`; `asdict` of it is the reference for its rows."""
+
+    n: int
+    b: float
+    reps: int
+    hits: int
+    p_hat: float | None
+    wilson: tuple | None
+    slope: float | None
+    censored: bool
+
+
+def tail_rows(hits_by_regime):
+    rows = []
+    for sr, rung in hits_by_regime.items():
+        n, b, reps, hits = sr.n, sr.b, len(rung), sum(rung)
+        if hits == 0:
+            rows.append(TailRow(n, b, reps, 0, None, None, None, censored=True))
+        else:
+            p = hits / reps
+            rows.append(TailRow(n, b, reps, hits, p, _wilson(hits, reps), abs(math.log(p)) / b**2, censored=False))
+    return rows
 
 
 def stable_events(trace):

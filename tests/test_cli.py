@@ -285,6 +285,19 @@ def test_dist_info_tiny_rate(tmp_path, rate):
     assert horizons[rate] * rate == pytest.approx(horizons[1.0], rel=1e-13)
 
 
+@pytest.mark.parametrize("rate", [1e9, 1e12, 1e300])
+def test_dist_info_fast_rate_tail_at_its_horizon(tmp_path, rate):
+    # the inverse stopped on a step below 1e-12 absolute, so past rate 1e12 its first Newton
+    # step passed as converged: at 1e12 the tail at horizon_tail_1e-6 read 1.19e-6, exit 0
+    cfg = _cfg(tmp_path, "c.json", {"command": "dist-info", "dist": {"family": "erlang", "shape": 2, "rate": rate}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    T = json.loads((out / "summary.json").read_text())["horizon_tail_1e-6"]
+    t, cdf = (float(v) for v in (out / "dist.csv").read_text().splitlines()[-1].split(",")[:2])
+    assert t == T
+    assert 1.0 - cdf == pytest.approx(1e-6, rel=1e-9)
+
+
 def _sheet_rows(x, t):
     return [[xi, ti, 1.0] for ti in t for xi in x]
 

@@ -227,15 +227,38 @@ def _laws_at(rate):
             ServiceDist.hyperexponential([0.2, 0.8], [0.4 * rate, 1.6 * rate])]
 
 
-@pytest.mark.parametrize("rate", [1e-6, 1e-11, 1e-30, 1e-100, 1e-300])
+@pytest.mark.parametrize("rate", [1e-6, 1e-11, 1e-30, 1e-100, 1e-300, 1e6, 1e9, 1e12, 1e100, 1e300])
 def test_inverses_scale_with_the_rate(rate):
-    # the law at rate r is the rate-1 law on a clock slowed by 1/r, so its
-    # quantiles are the rate-1 quantiles over r, however far past 1e12 they lie
+    # the law at rate r is the rate-1 law on a clock slowed (or sped up) by 1/r, so its
+    # quantiles are the rate-1 quantiles over r, however far past 1e12 or below 1e-12 they lie
     p = np.array([0.01, 0.1, 0.5, 0.9, 0.99])
     for d, d1 in zip(_laws_at(rate), _laws_at(1.0)):
+        assert np.all(d.ppf(p) > 0) and np.all(d.eq_ppf(p) > 0)
         assert np.allclose(d.ppf(p) * rate, d1.ppf(p), rtol=1e-13, atol=0.0)
         assert np.allclose(d.eq_ppf(p) * rate, d1.eq_ppf(p), rtol=1e-13, atol=0.0)
         assert d.horizon_for_tail(1e-6) * rate == pytest.approx(d1.horizon_for_tail(1e-6), rel=1e-13)
+
+
+@pytest.mark.parametrize("rate", [1.0, 1e12, 1e150, 1e300])
+def test_no_quantile_is_negative(rate):
+    # a first Newton step below an absolute 1e-12 passed as converged, out of the bracket
+    # too: eq_ppf of Erlang(2, 1e150) at 1e-300 read -2.2e-151.  Where the quantile
+    # underflows the inverse raises its typed error instead
+    for d in _laws_at(rate):
+        for inverse in (d.ppf, d.eq_ppf):
+            for p in (1e-300, 1e-100, 1e-12, 0.5):
+                try:
+                    x = inverse(p)
+                except FloatingPointError as err:
+                    assert "did not converge" in str(err)
+                else:
+                    assert x >= 0.0
+
+
+def test_underflowing_quantile_raises():
+    # the true F0^{-1}(1e-300) of Erlang(2, 1e150) is about 2e-450, below the float range
+    with pytest.raises(FloatingPointError, match="did not converge"):
+        ServiceDist.erlang(2, 1e150).eq_ppf(1e-300)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -408,17 +431,12 @@ def test_constructor_validation():
     ids=[f"erlang{k}" for k in range(1, 7)] + ["exponential1", "hyperexponential2", "hyperexponential3"],
 )
 def test_phases_sum_to_survival(d):
+    # 1 - F(x) = sum_i w_i e^{-lam_i x} sum_{m < k} (lam_i x)^m / m! over the phase table
     x = np.linspace(0.0, 30.0, 3001)
     surv = np.zeros_like(x)
-    for w, lam, k in d.phases():
+    for w, lam in zip(d.weights, d.rates):
         term = np.exp(-lam * x)
-        for m in range(k):
+        for m in range(d.shape):
             surv += w * term
             term = term * lam * x / (m + 1)
     assert np.allclose(surv, 1.0 - d.cdf(x), rtol=0.0, atol=1e-14)
-
-
-def test_phases_terms():
-    assert ServiceDist.exponential(1.3).phases() == [(1.0, 1.3, 1)]
-    assert ServiceDist.erlang(3, 3.0).phases() == [(1.0, 3.0, 3)]
-    assert ServiceDist.hyperexponential([0.4, 0.6], [0.5, 2.0]).phases() == [(0.4, 0.5, 1), (0.6, 2.0, 1)]

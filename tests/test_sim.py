@@ -2,13 +2,14 @@ import heapq
 import logging
 import math
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import heap_start_times, stable_events, theta_sums_recursion
+from reference import (heap_start_times, lln_report, lln_sup_stat_with_head, stable_events, tail_rows,
+                       theta_sums_recursion)
 from scipy.stats import kstest
 
 from mdqueue import (
@@ -193,8 +194,8 @@ def test_lln_check_trend():
     for i, n in enumerate((100, 1000)):
         sr = ScalingRegime(n=n, rule=("power", 0.1))
         stats[n] = [lln_sup_stat(simulate(model(d), sr, 1.0, rng), 1.0, 1.0) for rng in spawn_streams(23 + i, 50)]
-    rep = lln_check(stats)
-    assert rep.monotone_decreasing
+    _, decreasing = lln_check(stats)
+    assert decreasing
 
 
 def test_interarrival_ks():
@@ -222,24 +223,24 @@ def test_mc_tail_rows():
                                    event={"kind": "sup", "t": 1.0, "a": 0.2}))
     assert len(rows) == 2
     for r in rows:
-        assert r.reps == 40
-        if r.censored:
-            assert r.hits == 0 and r.p_hat is None
+        assert r["reps"] == 40
+        if r["censored"]:
+            assert r["hits"] == 0 and r["p_hat"] is None
         else:
-            assert 0 < r.p_hat <= 1
-            lo, hi = r.wilson
-            assert lo <= r.p_hat <= hi
-            assert r.slope == pytest.approx(-np.log(r.p_hat) / r.b**2)
+            assert 0 < r["p_hat"] <= 1
+            lo, hi = r["wilson"]
+            assert lo <= r["p_hat"] <= hi
+            assert r["slope"] == pytest.approx(-np.log(r["p_hat"]) / r["b"]**2)
 
 
 def test_mc_tail_slope_is_zero_not_negative_zero_when_every_replication_hits():
     # -ln 1 / b^2 is -0.0; every other slope is -ln p_hat / b^2 bit for bit
     regimes = [ScalingRegime(n=n, rule=("power", 0.25)) for n in (10, 100, 1000)]
     rows = mc_tail(dict(zip(regimes, ([True] * 4, [True, False, True, True], [False, True, False, False]))))
-    assert [r.p_hat for r in rows] == [1.0, 0.75, 0.25]
-    assert math.copysign(1.0, rows[0].slope) == 1.0 and rows[0].slope == 0.0
+    assert [r["p_hat"] for r in rows] == [1.0, 0.75, 0.25]
+    assert math.copysign(1.0, rows[0]["slope"]) == 1.0 and rows[0]["slope"] == 0.0
     for r in rows[1:]:
-        assert r.slope == -math.log(r.p_hat) / r.b**2
+        assert r["slope"] == -math.log(r["p_hat"]) / r["b"]**2
 
 
 def test_mc_tail_impossible_event_censored():
@@ -247,7 +248,57 @@ def test_mc_tail_impossible_event_censored():
     regimes = [ScalingRegime(n=10, rule=("power", 0.25))]
     rows = mc_tail(_hits_by_regime(model(d), regimes, reps=10, seed=5, horizon=1.0,
                                    event={"kind": "terminal", "t": 0.5, "a": 1e9}))
-    assert rows[0].censored
+    assert rows[0]["censored"]
+
+
+@pytest.mark.parametrize("stats, decreasing", [
+    ({100: [0.3, 0.1, 0.2, 0.25], 1000: np.array([0.05, 0.02]), 10000: [0.01, 0.004, 0.02]}, True),
+    ({10000: [0.01, 0.02], 100: [0.3, 0.1], 1000: [0.05]}, True),
+    ({100: [0.2, 0.1]}, True),
+    ({100: [0.1, 0.05], 1000: [0.05, 0.1], 10000: [0.01]}, False),
+    ({100: [0.3], 1000: [0.1], 10000: [0.2]}, False),
+], ids=["decreasing", "keys-out-of-order", "single-rung", "tied-percentiles", "rises"])
+def test_lln_check_matches_the_report_reducer(stats, decreasing):
+    # the percentiles by n and the trend of the earlier LLNReport, equal ones reading as not decreasing
+    pct, got = lln_check(stats)
+    want = lln_report(stats)
+    assert pct == want.percentiles() and list(pct) == list(stats)
+    assert got is want.monotone_decreasing is decreasing
+
+
+@pytest.mark.parametrize("ns, hits", [
+    ((10, 100), ([True] * 4, [True] * 3)),
+    ((10, 100), ([False] * 4, [False] * 3)),
+    ((50,), ([True, False, True],)),
+    ((1000, 10, 100), ([False, True, False, False], [True, True, False], [False] * 5)),
+], ids=["every-replication-hits", "none-hits", "single-rung", "rungs-out-of-order"])
+def test_mc_tail_matches_the_tail_row_reducer(ns, hits):
+    # the rows are the earlier TailRows as dicts, key order and the sign of a zero slope included
+    by_regime = dict(zip((ScalingRegime(n=n, rule=("power", 0.25)) for n in ns), hits))
+    rows = mc_tail(by_regime)
+    want = [asdict(r) for r in tail_rows(by_regime)]
+    assert rows == want
+    for row, ref in zip(rows, want):
+        assert list(row) == list(ref) == ["n", "b", "reps", "hits", "p_hat", "wilson", "slope", "censored"]
+        if ref["slope"] is not None:
+            assert math.copysign(1.0, row["slope"]) == math.copysign(1.0, ref["slope"])
+
+
+def test_lln_sup_stat_matches_the_formula_with_mu_tau_0():
+    # mu tau_0 is the just-before-jump term of the first start, |0 / n - mu tau_0|, bit for bit
+    rng = np.random.default_rng(11)
+    traces = [QueueTrace(n=n, b=1.0, q0_count=n, horizon=2.0, arrival_times=np.empty(0), tau_hat=tau,
+                         eta=np.ones(len(tau)), eta0=np.empty(0))
+              for n, tau in ((7, np.sort(rng.uniform(0.01, 2.0, 50))), (3, np.array([1e-300])),
+                             (2, np.array([0.9, 0.95])))]  # at mu = t_max = 1, mu tau_0 is the sup
+    d = ServiceDist.exponential(1.0)
+    traces += [simulate(model(d, q0), ScalingRegime(n=200, rule=("power", 0.25)), 1.0, rng) for q0 in (-0.5, 0.0, 0.5)]
+    for tr in traces:
+        assert tr.tau_hat[0] > 0
+        # the last t_max is before the first start
+        for mu, t_max in ((1.0, 1.0), (1.3, 0.5), (0.7, 2.0), (1.0, tr.tau_hat[0] / 2)):
+            assert lln_sup_stat(tr, mu, t_max) == lln_sup_stat_with_head(tr, mu, t_max)
+    assert lln_sup_stat(traces[2], 1.0, 1.0) == 0.9
 
 
 def _old_sup_hits(traces, t_ev, a):
