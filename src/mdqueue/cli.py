@@ -23,14 +23,14 @@ from .grids import GridField2D, GridPath, float_strs, write_csv
 from .oracle import build_qp, solve_min_norm
 from .paths import ModelParams, PathEquation, defect, energy, forward_q, kiefer_energy, kiefer_from_sheet
 from .renewal import RenewalConvergenceError
-from .sim import (LLN_PERCENTILE, ScalingRegime, SimulationError, decomposition, flow_balance_residuals, lln_check,
-                  lln_sup_stat, mc_tail, replications, tail_hit)
+from .sim import (LLN_PERCENTILE, ScalingRegime, SimulationError, decomposition, flow_balance_residuals, gap_shape,
+                  lln_check, lln_sup_stat, mc_tail, replications, tail_hit)
 
 log = logging.getLogger(__name__)
 
 # Errors inside a command exit 1 with a summary.json; a ValueError there is an input the config checks let through.
 NUMERICAL_ERRORS = (FredholmError, RenewalConvergenceError, SimulationError, FloatingPointError, ValueError)
-SIM_OPTIONAL = ("arrival", "event", "lln_t", "decomposition_steps")  # named sim.<key> in COMMANDS
+SIM_OPTIONAL = ("event", "lln_t", "decomposition_steps")  # named sim.<key> in COMMANDS
 MAX_EXPECTED_ARRIVALS = 1e7  # n mu rho_n horizon per replication; 1e6 took 0.3 s and 142 MB peak on 2-core x86
 MAX_SERVERS = 10**7  # n per rung, which sizes its server array; 1e7 at horizon 1e-9 took 0.2 s and 197 MB peak
 
@@ -106,7 +106,8 @@ def _table_csv(path: Path, header: str, columns: list) -> None:
 
 
 def _sim_settings(s: dict, pm: ModelParams) -> dict:
-    """The validated sim block, its ladder as `ScalingRegime`s, each within both caps at the model's beta."""
+    """The validated sim block, its ladder as `ScalingRegime`s, each within both caps at the model's beta.
+    The model's sigma sets the interarrival gaps, Erlang(mu / sigma^2), so it must give an integer shape."""
     _expect(s, "sim", required=("ladder", "b_rule", "reps", "horizon"), optional=SIM_OPTIONAL)
     ladder = s["ladder"]
     if not (isinstance(ladder, list) and ladder):
@@ -119,11 +120,6 @@ def _sim_settings(s: dict, pm: ModelParams) -> dict:
         raise ConfigError(f"sim.ladder: server count {max(ladder)} is more than the {MAX_SERVERS:.0e} supported")
     rule = _expect(s["b_rule"], "sim.b_rule", required=("kind", "value"))
     reps = _integer(s, "reps", "sim", None, 1)
-    arrival = _expect(s.get("arrival", {}), "sim.arrival", optional=("family", "shape"))
-    if arrival.get("family", "exponential") not in ("exponential", "erlang"):
-        raise ConfigError("sim.arrival.family must be 'exponential' or 'erlang'")
-    if "shape" in arrival and arrival.get("family") != "erlang":  # exponential arrivals are Erlang(1)
-        raise ConfigError("sim.arrival.shape is read only with family 'erlang'")
     horizon = _positive(s, "horizon", "sim")
     lln_t = float(_number(s, "lln_t", "sim", horizon))
     if not 0 <= lln_t <= horizon:
@@ -149,11 +145,14 @@ def _sim_settings(s: dict, pm: ModelParams) -> dict:
         if not expected <= MAX_EXPECTED_ARRIVALS:  # NaN fails too
             raise ConfigError(f"sim: rung n = {sr.n} expects {expected:.3g} arrivals per replication"
                               f" (n mu rho_n horizon), more than the {MAX_EXPECTED_ARRIVALS:.0e} supported")
+    try:
+        gap_shape(pm)
+    except ValueError as exc:
+        raise ConfigError(f"model.sigma = {pm.sigma!r} with mu = {pm.mu!r}: {exc}") from exc
     return {
         "regimes": regimes,
         "reps": reps,
         "horizon": horizon,
-        "arrival_shape": _integer(arrival, "shape", "sim.arrival", 1, 1),
         "event": event,
         "lln_t": lln_t,
         "decomposition_steps": _integer(s, "decomposition_steps", "sim", 200, 1),
@@ -307,7 +306,7 @@ def _trace_csv(trace, path: Path) -> None:
 
 def _replications(run: Run):
     s = run.sim
-    return replications(run.model, s["regimes"], s["reps"], run.seed, s["horizon"], arrival_shape=s["arrival_shape"])
+    return replications(run.model, s["regimes"], s["reps"], run.seed, s["horizon"])
 
 
 def cmd_simulate(run: Run, out: Path) -> dict:
@@ -426,9 +425,8 @@ COMMANDS = {
     "rate": Command(cmd_rate, ("model", "dist", "io.q_csv"), ("grid",)),
     "controls": Command(cmd_controls, ("model", "dist", "io.q_csv"), ("grid",)),
     "oracle-check": Command(cmd_oracle_check, ("model", "dist", "io.q_csv"), ("grid",)),
-    "simulate": Command(cmd_simulate, ("model", "dist", "sim"), ("sim.arrival", "sim.event", "sim.lln_t")),
-    "identity-check": Command(cmd_identity_check, ("model", "dist", "sim"),
-                              ("sim.arrival", "sim.decomposition_steps", "sim.lln_t")),
+    "simulate": Command(cmd_simulate, ("model", "dist", "sim"), ("sim.event", "sim.lln_t")),
+    "identity-check": Command(cmd_identity_check, ("model", "dist", "sim"), ("sim.decomposition_steps", "sim.lln_t")),
     # a sheet in io.sheet_csv replaces the constant sheet of the kiefer block
     "kiefer-check": Command(cmd_kiefer_check, (), ("io.sheet_csv", "kiefer"), exclusive=True),
     "dist-info": Command(cmd_dist_info, ("dist",), ("grid",)),

@@ -2,10 +2,10 @@
 
 Supported families all have analytic cdf and density: exponential, Erlang and
 hyperexponential mixtures.  Each is a mixture of Erlang terms of one shape, so
-one closed form gives F, F' and F0 for all of them, and one draw samples F and
-F0; F is clamped at 0 against the round-off of that sum near x = 0.  Tabulated
-or atomic distributions are rejected by construction; the downstream solvers
-need F' everywhere and a strictly increasing F for the inverse maps.
+one closed form gives F, F' and F0 for all of them, accurate relative to their
+size near x = 0 too, and one draw samples F and F0.  Tabulated or atomic
+distributions are rejected by construction; the downstream solvers need F'
+everywhere and a strictly increasing F for the inverse maps.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ServiceDist", "erlang_draws"]
+__all__ = ["ServiceDist"]
 
 _INV_TOL = 1e-12
 # The largest supported Erlang shape.  The cdf sums Poisson terms from e^{-y}, which
@@ -48,12 +48,6 @@ def _mix(coef: np.ndarray, branches: np.ndarray):
 def _as_input(x: np.ndarray):
     """A Python float for a scalar argument, the array otherwise."""
     return float(x) if x.ndim == 0 else x
-
-
-def erlang_draws(rng: np.random.Generator, shape, scale, size=None):
-    """Erlang(shape) draws of the given scale: Gamma(shape, scale), shape an integer or an
-    integer array.  At shape 1 this is the stream of rng.exponential(scale, size)."""
-    return rng.gamma(shape, scale, size)
 
 
 @dataclass(frozen=True)
@@ -146,25 +140,37 @@ class ServiceDist:
     # Every law is the mixture sum_i w_i Erlang(k, lam_i) over the phase
     # table (weights, rates, shape).
 
-    def _erlang_cdfs(self, x: np.ndarray) -> list[np.ndarray]:
-        """[E_1, ..., E_k] at y = lam_i x, E_j the Erlang(j) cdf.
-
-        E_1(y) = -expm1(-y) and E_{j+1}(y) = E_j(y) - e^{-y} y^j / j!, the
-        Poisson sum built up one term at a time.
-        """
-        y = np.multiply.outer(self.rates, x)
-        cdfs = [-np.expm1(-y)]
-        term = np.exp(-y)
-        for j in range(1, self.shape):
+    def _erlang_cdfs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """E_k and E_1 + ... + E_k at y = lam_i x, E_j(y) = P(Poisson(y) >= j) the Erlang(j) cdf, each
+        accurate relative to its size.  With P_m = e^{-y} y^m / m!, E_1 = -expm1(-y) and E_{j+1} = E_j - P_j,
+        a difference that cancels where E_{j+1} is small near y = 0 but not where y >= k.  Where
+        y < k, E_k is the tail sum of P_m over m >= k and the E_j sum to sum_m min(m, k) P_m: positive terms."""
+        k, y = self.shape, np.multiply.outer(self.rates, x)
+        top = total = -np.expm1(-y)
+        term, head = np.exp(-y), 0.0  # head: sum_{m < k} m P_m
+        for j in range(1, k):
             term = term * y / j
-            cdfs.append(cdfs[-1] - term)
-        return cdfs
+            top, head = top - term, head + j * term
+            total = total + top
+        low = y < k
+        if k > 1 and np.any(low):
+            yl, m, share = y[low], k, 1.0
+            term = term[low] * yl / k  # P_k
+            tail, y_max = term.copy(), float(np.max(yl))
+            # the terms past P_m fall by y / (m + 1) or more, so they add at most P_m y / (m + 1 - y), a share
+            # of P_k <= tail that grows with y: the largest y sets how many terms are summed
+            while share * y_max > 1e-17 * (m + 1 - y_max):
+                m += 1
+                share *= y_max / m
+                term *= yl
+                term /= m
+                tail += term
+            top[low], total[low] = tail, head[low] + k * tail
+        return top, total
 
     def cdf(self, x):
-        """F(x), clamped at 0: near x = 0 the Poisson sum of a large shape cancels to
-        round-off below 0 (-3.9e-15 for Erlang(500, 500) on [0, 5]), and the clamp keeps
-        eq_pdf = mu (1 - F) at most mu."""
-        return np.maximum(_mix(self.weights, self._erlang_cdfs(_check_nonneg(x))[-1]), 0.0)
+        """F(x) = sum_i w_i E_k(lam_i x), accurate relative to its size near x = 0 too."""
+        return _mix(self.weights, self._erlang_cdfs(_check_nonneg(x))[0])
 
     def pdf(self, x):
         """sum_i w_i lam_i e^{-y} y^{k-1} / (k-1)!, y = lam_i x, the Poisson term from its
@@ -183,7 +189,7 @@ class ServiceDist:
 
     def eq_cdf(self, x):
         """F0(x) = mu * int_0^x (1 - F(y)) dy = mu sum_i (w_i / lam_i) sum_{j <= k} E_j(lam_i x)."""
-        return self.mu * _mix(self.weights / self.rates, sum(self._erlang_cdfs(_check_nonneg(x))))
+        return self.mu * _mix(self.weights / self.rates, self._erlang_cdfs(_check_nonneg(x))[1])
 
     def eq_pdf(self, x):
         """F0'(x) = mu * (1 - F(x)); bounded by mu."""
@@ -262,7 +268,7 @@ class ServiceDist:
     def _draw(self, rng: np.random.Generator, p: np.ndarray, j, size):
         """Branch i with probability p_i, then Erlang(j) at rate lam_i.  One branch draws no branch."""
         lam = self.rates[0] if len(p) == 1 else self.rates[rng.choice(len(p), size=size, p=p)]
-        return erlang_draws(rng, j, 1.0 / lam, size)
+        return rng.gamma(j, 1.0 / lam, size)
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw from F by exact structural sampling: branch i with weight w_i, then Erlang(k, lam_i)."""

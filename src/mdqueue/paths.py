@@ -28,9 +28,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Limit-regime parameters: the service law, arrival variability sigma,
-    capacity-slack drift beta, initial centered state q0.  The service rate mu
-    is the law's reciprocal mean, not a parameter of its own."""
+    """Limit-regime parameters: the service law, arrival variability sigma, capacity-slack drift
+    beta, initial centered state q0.  The service rate mu is the law's reciprocal mean, not a
+    parameter of its own.  The simulator reads sigma as Erlang(mu / sigma^2) interarrival gaps."""
 
     law: ServiceDist
     sigma: float

@@ -6,12 +6,11 @@ import bisect
 import functools
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import ServiceDist, erlang_draws
+from .dist import MAX_SHAPE, ServiceDist
 from .paths import ModelParams, PathEquation
 
 __all__ = [
@@ -225,15 +224,19 @@ def _start_times(free: np.ndarray, entries: np.ndarray, horizon: float,
     return tau_hat[:k].copy(), services[:k].copy()
 
 
-def simulate(
-    pm: ModelParams,
-    sr: ScalingRegime,
-    horizon: float,
-    rng: np.random.Generator,
-    arrival_shape: int = 1,
-) -> QueueTrace:
-    """Simulate one GI/GI/n FCFS path on [0, horizon], with Erlang(arrival_shape) interarrival
-    times (1: Poisson arrivals).
+def gap_shape(pm: ModelParams) -> int:
+    """The Erlang shape k = mu / sigma^2 of the interarrival gaps, whose squared coefficient of variation is 1 / k;
+    ValueError unless mu / sigma^2 lies within 1e-12 relative of an integer in [1, MAX_SHAPE]."""
+    r = pm.mu / pm.sigma**2 if pm.sigma**2 > 0 else math.inf
+    k = round(min(r, MAX_SHAPE + 1))
+    if not (1 <= k <= MAX_SHAPE and abs(r - k) <= 1e-12 * k):
+        raise ValueError(f"mu / sigma^2 = {r!r} is not an integer in [1, {MAX_SHAPE}], an Erlang gap shape")
+    return k
+
+
+def simulate(pm: ModelParams, sr: ScalingRegime, horizon: float, rng: np.random.Generator) -> QueueTrace:
+    """Simulate one GI/GI/n FCFS path on [0, horizon], with Erlang(k) interarrival times,
+    k = gap_shape(pm) = mu / sigma^2 (1: Poisson arrivals).
 
     Q_n(0) = round(n + q0 * b_n * sqrt(n)) clamped at 0; initially in-service
     customers carry residual times from F0, everyone entering service after 0
@@ -247,8 +250,7 @@ def simulate(
     start by the horizon leaves its service unread.  The arrival rate is
     sr.arrival_rate(pm).
     """
-    if isinstance(arrival_shape, bool) or not isinstance(arrival_shape, numbers.Integral) or arrival_shape < 1:
-        raise ValueError(f"arrival_shape must be an integer >= 1, got {arrival_shape!r}")
+    k = gap_shape(pm)
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     n = sr.n
@@ -260,12 +262,12 @@ def simulate(
 
     # pre-draw arrivals past the horizon
     chunk = max(64, int(lam * horizon * 1.2) + 64)
-    scale = 1.0 / (lam * arrival_shape)
+    gap_law = ServiceDist.erlang(k, k * lam)  # mean 1 / lam
     # gaps stays bound: freed right after the cumsum, sim-ladder's peak RSS read 0.7 MB higher
-    gaps = erlang_draws(rng, arrival_shape, scale, chunk)
+    gaps = gap_law.sample(rng, chunk)
     arr = np.cumsum(gaps)
     while arr[-1] <= horizon:
-        gaps = erlang_draws(rng, arrival_shape, scale, chunk)
+        gaps = gap_law.sample(rng, chunk)
         arr = np.concatenate([arr, arr[-1] + np.cumsum(gaps)])
     arrivals = arr[arr <= horizon]
 
@@ -277,14 +279,7 @@ def simulate(
                       arrival_times=arrivals, tau_hat=tau_hat, eta=eta, eta0=eta0)
 
 
-def replications(
-    pm: ModelParams,
-    regimes: list[ScalingRegime],
-    reps: int,
-    seed: int,
-    horizon: float,
-    arrival_shape: int = 1,
-):
+def replications(pm: ModelParams, regimes: list[ScalingRegime], reps: int, seed: int, horizon: float):
     """Yield (regime, rep, trace) for reps replications of every regime in turn.
 
     Regime ridx runs on the streams spawn_streams(seed + ridx, reps).  A regime with
@@ -294,7 +289,7 @@ def replications(
         if (r := sr.rho(pm.beta)) > 1.0:
             log.warning("rho_n = %.4f > 1 at n = %d: overloaded regime", r, sr.n)
         for rep, rng in enumerate(spawn_streams(seed + ridx, reps)):
-            yield sr, rep, simulate(pm, sr, horizon, rng, arrival_shape=arrival_shape)
+            yield sr, rep, simulate(pm, sr, horizon, rng)
 
 
 def flow_balance_residuals(trace: QueueTrace) -> np.ndarray:

@@ -5,7 +5,8 @@ preconditioner; for `mdqueue.sim`, the one-customer-at-a-time start-time
 recursion, the node-at-a-time Theta recursion, the stable event sort, and the
 earlier `lln_sup_stat` and `LLNReport` / `TailRow` reducers of the ladder; the
 column-at-a-time Kiefer transform of `paths.kiefer_from_sheet` and
-`paths.kiefer_energy`; the per-family draws that are the stream reference for
+`paths.kiefer_energy`; the variance at the horizon of the linear path equation,
+which the simulator checks; the per-family draws that are the stream reference for
 `ServiceDist.sample`, `ServiceDist.sample_equilibrium` and the simulator's
 interarrival gaps; the
 row-at-a-time `repr` CSV writers that are the byte reference for
@@ -178,6 +179,23 @@ def lag_gram(A, zero_mean):
     if zero_mean:
         G -= np.multiply.outer(F0, F0, out=K)
     return G
+
+
+def terminal_variance(pm, horizon, zero_mean, n_steps=400):
+    """v = y^T G y with (I - T)^T y = e_N on rows t_1..t_N: the variance at t_N of the linear path
+    equation q = drift + T q + A u driven by white-noise controls, T the lag of
+    `PathEquation.from_law(pm, horizon, n_steps)` and G its `gram_operator(zero_mean)`.  Where
+    q stays positive, q^+ = q, and v is the variance of the diffusion limit of
+    (Q_n(horizon) - n) / sqrt(n)."""
+    eq = PathEquation.from_law(pm, horizon, n_steps)
+    i, j = np.indices((n_steps + 1, n_steps + 1))
+    T = np.tril(eq.lag.lags[np.abs(i - j)])  # the trapezoid weights of [0, t_i] halve j = 0 and j = i
+    T[:, 0] *= 0.5
+    T[i == j] *= 0.5
+    u = np.random.default_rng(0).standard_normal(n_steps + 1)
+    assert np.allclose((T @ u)[1:], (eq.lag @ u)[1:], rtol=0.0, atol=1e-13 * np.abs(T).sum(axis=1).max())
+    y = np.linalg.solve((np.eye(n_steps) - T[1:, 1:]).T, np.eye(n_steps)[-1])
+    return float(y @ (eq.gram_operator(zero_mean) @ y))
 
 
 def min_kernel_min_norm(sys_, zero_mean):

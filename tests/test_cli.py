@@ -243,6 +243,40 @@ def test_identity_check_takes_lln_t(tmp_path):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("command", ["simulate", "identity-check"])
+@pytest.mark.parametrize("mu_over_sigma2", [1 / 0.7, 501.0], ids=["sigma2-0.7mu", "shape-501"])
+def test_sigma_without_an_integer_gap_shape_exit_2_no_outputs(tmp_path, capsys, command, mu_over_sigma2):
+    # the sim commands draw Erlang(mu / sigma^2) interarrival gaps: sigma^2 = 0.7 mu, and a shape
+    # past the largest supported one (500), are config errors that name model.sigma
+    model = dict(BASE["model"], sigma=math.sqrt(1.0 / mu_over_sigma2))
+    out = tmp_path / "out"
+    payload = dict(BASE, command=command, model=model, sim=SIM_OK)
+    assert main(["--config", str(_cfg(tmp_path, "c.json", payload)), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "config error: model.sigma = " in err and "is not an integer in [1, 500]" in err
+
+
+def test_sigma_sets_the_simulated_arrivals(tmp_path):
+    # sigma = 1 / sqrt(2) at mu = 1 runs with Erlang(2) gaps: the trace's arrivals are the library's
+    # at that sigma, and differ from those at sigma 1
+    from mdqueue import ModelParams, ScalingRegime, ServiceDist
+    from mdqueue.sim import replications
+
+    arrivals = {}
+    for sigma in (1.0, math.sqrt(0.5)):
+        payload = dict(BASE, command="simulate", seed=9, model=dict(BASE["model"], sigma=sigma), sim=SIM_OK)
+        out = tmp_path / f"out-{sigma}"
+        assert main(["--config", str(_cfg(tmp_path, f"{sigma}.json", payload)), "--out", str(out), "--quiet"]) == 0
+        rows = [line.split(",") for line in (out / "trace_n100.csv").read_text().splitlines()[1:]]
+        arrivals[sigma] = [float(t) for t, kind, _ in rows if kind == "arrival"]
+        pm = ModelParams(ServiceDist.exponential(1.0), sigma, 0.5, 0.0)
+        regimes = [ScalingRegime(n, ("power", 0.25)) for n in SIM_OK["ladder"]]
+        (tr,) = [tr for sr, rep, tr in replications(pm, regimes, SIM_OK["reps"], 9, 1.0) if sr.n == 100 and rep == 0]
+        assert arrivals[sigma] == tr.arrival_times.tolist()
+    assert arrivals[1.0] != arrivals[math.sqrt(0.5)]
+
+
 def test_kiefer_check(tmp_path):
     cfg = _cfg(tmp_path, "c.json", {"command": "kiefer-check", "kiefer": {"m": 128, "n": 128}})
     out = tmp_path / "out"
@@ -411,7 +445,7 @@ def test_mismatched_q0_exit_2(tmp_path):
         ("identity-check", dict(SIM_OK, decomposition_steps=0)),
         ("simulate", dict(SIM_OK, arrival={"family": "erlang", "shape": "x"})),
         ("simulate", dict(SIM_OK, arrival={"family": "erlang", "shape": 0})),
-        # exponential arrivals are Erlang(1): a shape beside them, or beside no family, is a key not read
+        # model.sigma alone sets the interarrival gaps: an arrival block, whatever its keys, is an unknown key
         ("simulate", dict(SIM_OK, arrival={"family": "exponential", "shape": 5})),
         ("identity-check", dict(SIM_OK, arrival={"shape": 2})),
         ("simulate", dict(SIM_OK, ladder=[1], b_rule={"kind": "log", "value": 1.0})),
@@ -446,7 +480,8 @@ def test_expected_arrivals_past_the_cap_exit_2_no_outputs(tmp_path, capsys, comm
     # started only once Run has rejected the config
     from mdqueue.cli import MAX_EXPECTED_ARRIVALS, ConfigError, Run
 
-    payload = dict(BASE, command=command, dist=dist, model=dict(BASE["model"], beta=0.0), sim=sim)
+    # sigma^2 = mu: Poisson arrivals
+    payload = dict(BASE, command=command, dist=dist, model=dict(beta=0.0, q0=0.0, sigma=math.sqrt(dist["rate"])), sim=sim)
     if expected is None:
         run = Run(payload, tmp_path, None)
         (sr,) = run.sim["regimes"]

@@ -4,12 +4,13 @@ summary.json with status numerical-failure; exit 0 writes no NaN or infinity in
 any artifact.  About one law and one sigma in ten of the path commands and
 dist-info, and one law in ten of the sim commands, are drawn at the edge of the
 float range; a sim command's extreme law comes with a horizon at which a
-replication expects at most 1e5 arrivals, or more than the supported cap.  An
-input CSV drawn with a defect, a grid block that is not the grid of q.csv, a
-tolerances block, a block the command does not read, an optional sim key it
-does not read, a sim.arrival shape without family erlang and a kiefer block next
-to a sheet are always exit 2; a grid block that is the grid of q.csv changes no
-exit code."""
+replication expects at most 1e5 arrivals, or more than the supported cap.  A
+sim command's sigma is sqrt(mu / k), Erlang(k) interarrival gaps, nine times in
+ten.  An input CSV drawn with a defect, a grid block that is not the grid of
+q.csv, a tolerances block, a block the command does not read, an optional sim
+key it does not read, a sim command's sigma that gives no integer gap shape
+mu / sigma^2 in [1, 500] and a kiefer block next to a sheet are always exit 2; a
+grid block that is the grid of q.csv changes no exit code."""
 import contextlib
 import io
 import json
@@ -71,7 +72,12 @@ ARRIVALS = st.one_of(st.floats(0.0, 5.0), st.floats(math.log10(MAX_EXPECTED_ARRI
 SIM_EXTREMES = one_in(10, st.tuples(EXTREME_DISTS, ARRIVALS.map(lambda e: 10.0**e)), st.none())
 # sigma log-uniform up to 1e160, past the 1.3e154 where sigma^2 overflows
 SIGMAS = one_in(10, st.floats(-3.0, 160.0).map(lambda e: 10.0**e), NUMBERS)
-MODELS = st.fixed_dictionaries({"sigma": NUMBERS, "beta": SIGNED, "q0": SIGNED})
+# a sim command's gap shape mu / sigma^2: an integer k in {1, 2, 3} nine times in ten, else one that
+# is no integer in [1, 500] (1 / 0.7, 501 or 0.4), or a sigma that is no positive number
+SIM_SIGMAS = one_in(10, st.one_of(st.sampled_from([1 / 0.7, 501.0, 0.4]).map(lambda r: ("off", r)),
+                                  st.sampled_from([math.nan, 0, -1, "1", None]).map(lambda v: ("sigma", v))),
+                    st.integers(1, 3).map(lambda k: ("k", k)))
+SIM_MODELS = st.fixed_dictionaries({"sigma": SIM_SIGMAS, "beta": SIGNED, "q0": SIGNED})
 PATH_MODELS = st.fixed_dictionaries({"sigma": SIGMAS, "beta": SIGNED, "q0": SIGNED})
 GRIDS = st.fixed_dictionaries({"horizon": NUMBERS, "n_steps": integers(2, 64)}, optional={"n_x": integers(1, 16)})
 # the grid block of a config with a q.csv, or None (one time in three): the grid of
@@ -90,8 +96,6 @@ SIMS = st.fixed_dictionaries(
         "horizon": NUMBERS,
     },
     optional={
-        "arrival": st.fixed_dictionaries({}, optional={"family": st.sampled_from(["exponential", "erlang"]),
-                                                       "shape": integers(1, 3)}),
         "event": st.fixed_dictionaries({"kind": st.sampled_from(["sup", "terminal"]), "t": NUMBERS, "a": SIGNED}),
         "lln_t": NUMBERS,
         "decomposition_steps": integers(1, 50),
@@ -141,7 +145,7 @@ CONFIGS = st.one_of(
                           optional={"dist": PATH_DISTS, "grid": GRIDS}),
     st.fixed_dictionaries({"command": st.just("kiefer-check"), "unread": UNREAD},
                           optional={"kiefer": KIEFER, "sheet": SHEETS}),
-    st.fixed_dictionaries({"command": st.sampled_from(["simulate", "identity-check"]), "sim": SIMS, "model": MODELS,
+    st.fixed_dictionaries({"command": st.sampled_from(["simulate", "identity-check"]), "sim": SIMS, "model": SIM_MODELS,
                            "dist": DISTS, "extreme": SIM_EXTREMES, "unread": UNREAD},
                           optional={"seed": integers(0, 2**32)}),
 )
@@ -239,11 +243,24 @@ def _expect_arrivals(cfg: dict, arrivals: float) -> None:
             block[key] *= scale
 
 
+def _sim_sigma(cfg: dict) -> bool:
+    """Set the drawn sigma of a sim command's model: sqrt(mu / k), mu the drawn law's (1 when it
+    is no law), or the drawn value.  Returns whether it gives no integer gap shape in [1, 500]."""
+    kind, v = cfg["model"]["sigma"]
+    try:
+        mu = ServiceDist.from_spec(cfg["dist"]).mu
+    except (ValueError, KeyError, TypeError, OverflowError):
+        mu = 1.0
+    cfg["model"]["sigma"] = v if kind == "sigma" else math.sqrt(mu / v)
+    return kind != "k"
+
+
 def _check_contract(cfg: dict) -> None:
     extreme = cfg.pop("extreme", None)
     if extreme is not None:
         cfg["dist"] = extreme[0]
         _expect_arrivals(cfg, extreme[1])
+    sigma_off = _sim_sigma(cfg) if "sim" in cfg else False
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         defect, grid_matches = None, None
@@ -261,9 +278,6 @@ def _check_contract(cfg: dict) -> None:
         stray = "kiefer" if "sheet" in cfg and "kiefer" in cfg else None
         if "sim" in cfg and SIM_UNREAD[cfg["command"]][4:] in cfg["sim"]:
             stray = SIM_UNREAD[cfg["command"]]
-        # exponential arrivals, the default, are Erlang(1): a shape is read only with family erlang
-        arrival = cfg.get("sim", {}).get("arrival", {})
-        unread_shape = "shape" in arrival and arrival.get("family") != "erlang"
         if "sheet" in cfg:
             defect = cfg["sheet"][-1]
             _write_sheet(tmp / "sheet.csv", cfg.pop("sheet"))
@@ -279,7 +293,7 @@ def _check_contract(cfg: dict) -> None:
         err = io.StringIO()
         code = _run(tmp, cfg, "out", err)
         must_fail = (defect is not None or grid_matches is False or "tolerances" in cfg or unread is not None
-                     or stray is not None or unread_shape)
+                     or stray is not None or sigma_off)
         assert code in ((2,) if must_fail else (0, 1, 2))
         for key in {unread, stray} - {None}:
             assert f"command {cfg['command']!r} does not read" in err.getvalue() and f"'{key}'" in err.getvalue()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from scipy.special import gammainc
 from scipy.stats import gamma, kstest
 
 from mdqueue import ServiceDist
-from mdqueue.dist import erlang_draws
 
 from reference import family_interarrivals, family_sample, family_sample_equilibrium
 
@@ -66,12 +67,35 @@ def test_largest_erlang_shape_cdf_matches_gammainc():
 
 @pytest.mark.parametrize("k", [1, 3, 50, 500])
 def test_cdf_clamped_at_zero(k):
-    # near 0 the Poisson sum of a large shape cancels below 0 (-3.9e-15 for Erlang(500, 500)
-    # on [0, 5]); the clamp keeps F >= 0 and so eq_pdf = mu (1 - F) <= mu
+    # near 0 the difference E_j - P_j of a large shape cancelled below 0 (-3.9e-15 for
+    # Erlang(500, 500) on [0, 5]); where y < k the cdf is a sum of positive Poisson terms, so
+    # F >= 0 and eq_pdf = mu (1 - F) <= mu with no clamp
     d = ServiceDist.erlang(k, float(k))
     x = np.linspace(0.0, 5.0, 100_001)
     assert np.min(d.cdf(x)) >= 0.0
     assert np.max(d.eq_pdf(x)) <= d.mu
+
+
+def test_erlang_small_quantiles_are_relative_accurate():
+    # E_2(y) = 1 - e^{-y} (1 + y) cancelled near y = 0: ppf(1e-30) of Erlang(2, 1) read
+    # 1.4347e-15 against sqrt(2e-30) (1 + O(y)), and cdf(1e-6) of Erlang(3, 3) was 1.4e-5 off
+    # y^3 / 3! e^{-y} (1 + y / 4 + y^2 / 20), y = 3e-6, whose next term is below 1e-17 relative
+    assert ServiceDist.erlang(2, 1.0).ppf(1e-30) == pytest.approx(math.sqrt(2e-30), rel=1e-12, abs=0.0)
+    y = 3e-6
+    assert ServiceDist.erlang(3, 3.0).cdf(1e-6) == pytest.approx(
+        y**3 / 6 * math.exp(-y) * (1 + y / 4 + y**2 / 20), rel=1e-12, abs=0.0)
+    assert gammainc(3, y) == pytest.approx(ServiceDist.erlang(3, 3.0).cdf(1e-6), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 50, 500])
+def test_erlang_cdfs_are_relative_accurate_below_the_shape(k):
+    # y = lam x from 1e-12 k to 2k: F = gammainc(k, y) and F0 = sum_j gammainc(j, y) / k to 1e-12
+    # relative wherever they are normal floats (scipy's own error reaches 4e-13 at k = 500)
+    d = ServiceDist.erlang(k, float(k))
+    x = np.geomspace(1e-12, 2.0, 400)
+    for got, ref in ((d.cdf(x), gammainc(k, k * x)), (d.eq_cdf(x), sum(gammainc(j, k * x) for j in range(1, k + 1)) / k)):
+        live = ref > 1e-290
+        assert np.max(np.abs(got - ref)[live] / ref[live]) <= 1e-12
 
 
 def test_single_phase_laws_match_expm1_formulas():
@@ -331,9 +355,11 @@ def test_phase_table_draws_keep_the_family_streams(family, d, size):
 
 @pytest.mark.parametrize("family, shape", [("exponential", 1), ("erlang", 1), ("erlang", 2), ("erlang", 7)])
 def test_erlang_draws_keep_the_interarrival_streams(family, shape):
+    # the simulator's Erlang(k) gaps of rate lam are ServiceDist.erlang(k, k lam).sample: the stream of
+    # rng.gamma(k, 1 / (k lam)), and at k = 1 of rng.exponential(1 / lam)
     lam = 37.5
     for seed in range(3):
-        _assert_same_stream(lambda rng: erlang_draws(rng, shape, 1.0 / (lam * shape), 1000),
+        _assert_same_stream(lambda rng: ServiceDist.erlang(shape, shape * lam).sample(rng, 1000),
                             lambda rng: family_interarrivals(rng, lam, 1000, family, shape), seed)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (heap_start_times, lln_report, lln_sup_stat_with_head, stable_events, tail_rows,
-                       theta_sums_recursion)
+                       terminal_variance, theta_sums_recursion)
 from scipy.stats import kstest
 
 from mdqueue import (
@@ -25,7 +25,7 @@ from mdqueue import (
     spawn_streams,
 )
 from mdqueue.paths import PathEquation
-from mdqueue.sim import _theta_sums, lln_sup_stat, replications, tail_hit
+from mdqueue.sim import _theta_sums, gap_shape, lln_sup_stat, replications, tail_hit
 
 
 def equation(tr, d, n_steps):
@@ -33,9 +33,16 @@ def equation(tr, d, n_steps):
     return PathEquation.from_law(ModelParams(d, 1.0, 0.0, 0.0), tr.horizon, n_steps)
 
 
-def model(d, q0=0.0):
-    """The model of the service law d at sigma 1 and beta 0.5."""
-    return ModelParams(d, 1.0, 0.5, q0)
+def model(d, q0=0.0, k=1):
+    """The model of the service law d at beta 0.5 with Erlang(k) interarrival gaps: sigma^2 = mu / k."""
+    return ModelParams(d, math.sqrt(d.mu / k), 0.5, q0)
+
+
+LAWS = [
+    ServiceDist.exponential(1.0),
+    ServiceDist.erlang(3, 3.0),
+    ServiceDist.hyperexponential([0.2, 0.8], [0.4, 1.6]),
+]
 
 
 def test_scaling_regime_values():
@@ -346,25 +353,49 @@ def test_simulate_rejects_negative_horizon():
         simulate(model(d), sr, -1.0, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("shape", [0, -1, 0.5, 2.0, True, "2", None])
-def test_simulate_rejects_an_arrival_shape_that_is_not_an_integer_at_least_1(shape):
-    # shape 0 would draw zero gaps and never pass the horizon, and 0.5 would draw Gamma(0.5)
-    # gaps; the check comes before any draw, so the stream is untouched
+@pytest.mark.parametrize("mu_over_sigma2", [1 / 0.7, 501.0, 0.5, 1e-300, 2.5, 2 + 1e-11],
+                         ids=["sigma2-0.7mu", "shape-501", "shape-0.5", "shape-1e-300", "shape-2.5", "shape-2+1e-11"])
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_simulate_rejects_a_sigma_that_gives_no_integer_gap_shape(d, mu_over_sigma2):
+    # the gaps are Erlang(mu / sigma^2): sigma^2 = 0.7 mu, a shape past the largest supported
+    # one (500), below 1 (down to 1e-300, which rounds to 0), between integers or 1e-11 off
+    # one is a ValueError before any draw, so the stream is untouched; 1e-13 off an integer
+    # is that integer
     sr = ScalingRegime(n=10, rule=("power", 0.25))
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="arrival_shape must be an integer >= 1"):
-        simulate(model(ServiceDist.exponential(1.0)), sr, 1.0, rng, arrival_shape=shape)
+    pm = ModelParams(d, math.sqrt(d.mu / mu_over_sigma2), 0.5, 0.0)
+    with pytest.raises(ValueError, match=r"mu / sigma\^2 = .* is not an integer in \[1, 500\]"):
+        simulate(pm, sr, 1.0, rng)
     assert rng.random() == np.random.default_rng(0).random()
-    tr = simulate(model(ServiceDist.exponential(1.0)), sr, 1.0, rng, arrival_shape=np.int64(2))
-    assert len(tr.arrival_times) > 0
+    for k in (1, 2, 500):
+        assert gap_shape(ModelParams(d, math.sqrt(d.mu / k * (1 + 1e-13)), 0.5, 0.0)) == k
+        assert gap_shape(model(d, k=k)) == k
+    assert len(simulate(model(d, k=500), sr, 1.0, rng).arrival_times) > 0
 
 
-def _reference_simulate(pm, sr, horizon, rng, arrival_family, arrival_shape):
+def test_sigma_sets_the_interarrival_gaps():
+    # two runs that differ only in sigma draw different arrivals: sigma^2 = mu gives Poisson
+    # arrivals, sigma^2 = mu / 2 Erlang(2) gaps of the same mean, ServiceDist.erlang(k, k lam)
+    d = ServiceDist.erlang(3, 3.0)
+    sr = ScalingRegime(n=1000, rule=("power", 0.25))
+    lam = sr.arrival_rate(model(d))
+    traces = {k: simulate(model(d, k=k), sr, 1.0, np.random.default_rng(5)) for k in (1, 2)}
+    assert len(traces[1].arrival_times) != len(traces[2].arrival_times)
+    for k, tr in traces.items():
+        rng = np.random.default_rng(5)
+        d.sample_equilibrium(rng, size=len(tr.eta0))
+        gaps = ServiceDist.erlang(k, k * lam).sample(rng, max(64, int(lam * 1.2) + 64))
+        want = np.cumsum(gaps)
+        assert np.array_equal(tr.arrival_times, want[want <= 1.0])
+
+
+def _reference_simulate(pm, sr, horizon, rng, arrival_family):
     """Event-driven GI/GI/n FCFS loop: pop the earlier of the next arrival and
     the next departure, arrivals first on ties; departures tie-break by id.
     Draws eta0, then the arrivals, then one service per entering customer in
-    one call, handed out in start order, like `simulate`."""
-    n, d = sr.n, pm.law
+    one call, handed out in start order, like `simulate`.  The gaps are
+    Erlang(k), k = mu / sigma^2, drawn by `arrival_family`'s generator call."""
+    n, d, k = sr.n, pm.law, round(pm.mu / pm.sigma**2)
     q0_count = max(0, int(round(n + pm.q0 * sr.scale())))
     lam = sr.arrival_rate(pm)
     in_service = min(q0_count, n)
@@ -374,7 +405,7 @@ def _reference_simulate(pm, sr, horizon, rng, arrival_family, arrival_shape):
     def gaps():
         if arrival_family == "exponential":
             return rng.exponential(1.0 / lam, size=chunk)
-        return rng.gamma(arrival_shape, 1.0 / (lam * arrival_shape), size=chunk)
+        return rng.gamma(k, 1.0 / (lam * k), size=chunk)
 
     arr = np.cumsum(gaps())
     while arr[-1] <= horizon:
@@ -425,22 +456,15 @@ def _reference_simulate(pm, sr, horizon, rng, arrival_family, arrival_shape):
     }
 
 
-LAWS = [
-    ServiceDist.exponential(1.0),
-    ServiceDist.erlang(3, 3.0),
-    ServiceDist.hyperexponential([0.2, 0.8], [0.4, 1.6]),
-]
-
-
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 @pytest.mark.parametrize("n", [1, 3, 50])
 def test_simulate_matches_event_driven_reference(d, n):
     # q0 > 0 starts with a queue behind n busy servers; Erlang(2) arrivals
-    pm = model(d, 0.8)
+    pm = model(d, 0.8, k=2)
     sr = ScalingRegime(n=n, rule=("power", 0.25))
     for seed in range(5):
-        tr = simulate(pm, sr, 3.0, np.random.default_rng(seed), arrival_shape=2)
-        ref = _reference_simulate(pm, sr, 3.0, np.random.default_rng(seed), "erlang", 2)
+        tr = simulate(pm, sr, 3.0, np.random.default_rng(seed))
+        ref = _reference_simulate(pm, sr, 3.0, np.random.default_rng(seed), "erlang")
         assert tr.q0_count > n
         assert len(tr.event_times) > 0
         for name, want in ref.items():
@@ -473,9 +497,9 @@ class _Recorded:
         return self.blocks[-1]
 
 
-def _simulate_recorded(pm, sr, horizon, rng, **arrivals):
+def _simulate_recorded(pm, sr, horizon, rng):
     rec = _Recorded(pm.law)
-    return simulate(replace(pm, law=rec), sr, horizon, rng, **arrivals), rec.blocks
+    return simulate(replace(pm, law=rec), sr, horizon, rng), rec.blocks
 
 
 def _assert_starts_match_heap(tr, blocks):
@@ -499,9 +523,9 @@ def test_simulate_start_times_match_heap(d, q0):
     for n in (1, 2, 3, 7, 50, 400, 3000):
         sr = ScalingRegime(n=n, rule=("power", 0.25))
         for horizon in (0.0, 0.3, 3.0):
-            for seed, shape in enumerate([1, 2]):
+            for seed, k in enumerate([1, 2]):
                 rng = np.random.default_rng(seed)
-                _assert_starts_match_heap(*_simulate_recorded(pm, sr, horizon, rng, arrival_shape=shape))
+                _assert_starts_match_heap(*_simulate_recorded(model(d, q0, k), sr, horizon, rng))
     # several windows of max(256, 4n) customers, with the free times and
     # departures carried from one to the next
     for n, horizon in [(1, 2000.0), (10, 100.0), (50, 20.0)]:
@@ -516,16 +540,15 @@ def test_simulate_start_times_match_heap(d, q0):
     n=st.integers(1, 60),
     q0=st.floats(-1.0, 1.5),
     horizon=st.floats(0.0, 5.0),
-    arrival_shape=st.sampled_from([1, 2]),
+    k=st.sampled_from([1, 2]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(derandomize=True, max_examples=60, deadline=None)
-def test_simulate_matches_event_driven_reference_property(law, n, q0, horizon, arrival_shape, seed):
-    family = "exponential" if arrival_shape == 1 else "erlang"
-    pm = model(law, q0)
+def test_simulate_matches_event_driven_reference_property(law, n, q0, horizon, k, seed):
+    pm = model(law, q0, k)
     sr = ScalingRegime(n=n, rule=("power", 0.25))
-    tr = simulate(pm, sr, horizon, np.random.default_rng(seed), arrival_shape=arrival_shape)
-    ref = _reference_simulate(pm, sr, horizon, np.random.default_rng(seed), family, arrival_shape)
+    tr = simulate(pm, sr, horizon, np.random.default_rng(seed))
+    ref = _reference_simulate(pm, sr, horizon, np.random.default_rng(seed), "exponential" if k == 1 else "erlang")
     for name, want in ref.items():
         assert np.array_equal(getattr(tr, name), want), name
 
@@ -571,7 +594,7 @@ def test_simulate_ties_match_event_driven_reference(caplog):
         tr.event_times  # the first read builds the event list
     # the tie sends the event sort to its stable fallback
     assert "tied event times: stable sort" in caplog.text
-    ref = _reference_simulate(pm, sr, 2.0, _QuarterGaps(), "exponential", 1)
+    ref = _reference_simulate(pm, sr, 2.0, _QuarterGaps(), "exponential")
     assert np.count_nonzero(tr.tau_hat == 2.0) == 3
     for name, want in ref.items():
         assert np.array_equal(getattr(tr, name), want), name
@@ -835,3 +858,33 @@ def test_decomposition_off_the_equation_grid_raises():
     tr = simulate(model(d), ScalingRegime(n=10, rule=("power", 0.25)), 2.0, np.random.default_rng(0))
     with pytest.raises(ValueError, match="not on the grid of its path equation"):
         decomposition(tr, PathEquation.from_law(model(d), 1.0, 10))
+
+
+@pytest.mark.parametrize("d, k", [pytest.param(d, 1, id=d.family) for d in LAWS]
+                         + [pytest.param(LAWS[0], 2, id="exponential-erlang2-gaps")])
+def test_simulated_variance_matches_the_zero_mean_gram(d, k):
+    # the all-busy regime: at q0 = 2 and beta 0.5 every replication keeps Q_n above n on [0, 1],
+    # so q^+ = q, the path equation is linear, and the variance of (Q_n(1) - n) / sqrt(n) tends
+    # to v = y^T G y (reference.terminal_variance).  The Gram of controls with zero x-mean (a
+    # Brownian bridge and a Kiefer process) gives the queue's v; the free-mean Gram, the
+    # functional `rate` minimises, is 11 to 15 standard errors of the sample variance away
+    pm = model(d, 2.0, k)
+    sr = ScalingRegime(n=2000, rule=("power", 0.25))
+    reps = 500
+    z = []
+    for _, _, tr in replications(pm, [sr], reps, 11, 1.0):
+        assert np.min(tr.q_values) > tr.n
+        z.append((tr.q_at(1.0) - tr.n) / math.sqrt(tr.n))
+    var = float(np.var(z, ddof=1))
+    se = var * math.sqrt(2.0 / (reps - 1))
+    assert abs(var - terminal_variance(pm, 1.0, zero_mean=True)) <= 4.0 * se
+    assert abs(var - terminal_variance(pm, 1.0, zero_mean=False)) >= 8.0 * se
+
+
+def test_zero_mean_gram_variance_is_the_mm_n_variance():
+    # all-busy M/M/n with Poisson arrivals: Q(t) - Q(0) is the difference of two Poisson counts
+    # of rates lam and n mu, so v(t) = (sigma^2 + mu) t = 2t at sigma = mu = 1.  At 400 steps the
+    # trapezoid lag's mass 1 + dt^2/12 lifts t = 20 to 40.2
+    pm = model(LAWS[0], 2.0)
+    for t in (1.0, 5.0, 20.0):
+        assert terminal_variance(pm, t, zero_mean=True) == pytest.approx(2.0 * t, rel=0.01)

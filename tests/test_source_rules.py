@@ -2,14 +2,16 @@
 vanishes under `python -O`, and a bare RuntimeError or Exception is not in
 `cli.NUMERICAL_ERRORS`, so the CLI cannot map it to an exit code.  The one
 trapezoid lag convolution, `grids.LagConv`, is the only user of the FFT, `dist`
-the only module that draws from a random generator, and
+the only module that draws from a random generator (the simulator's interarrival
+gaps are the draws of an Erlang `ServiceDist`), and
 `paths.PathEquation.from_law` (with the lag dt F'(t_k) of `LagConv.of_law`) the
 only place that samples the law on a t grid.  `paths.ModelParams` carries the
 service law, whose reciprocal mean is mu, so no function takes a model and a law
 side by side; a `PathEquation` carries both, and its lag and Gram operator the
 law sampled on its grid, so no function takes two of these either.  A fact is
-stored once: a `ServiceDist`'s family is the name of its phase table, and a
-`ScalingRegime` reads beta from the model."""
+stored once: a `ServiceDist`'s family is the name of its phase table, a
+`ScalingRegime` reads beta from the model, and the simulator reads the arrival
+variability from the model's sigma."""
 import ast
 import re
 from dataclasses import fields
@@ -49,7 +51,7 @@ GENERATOR_DRAWS = ("exponential", "gamma", "choice", "integers", "random", "norm
 
 
 def test_random_draws_only_in_dist():
-    # every random draw goes through the law's phase table or `dist.erlang_draws`, so a stream
+    # every random draw goes through a law's phase table, the interarrival gaps' too, so a stream
     # has one definition; a draw elsewhere is a second sampler
     found = []
     for path in sorted(Path(mdqueue.__file__).parent.glob("*.py")):
