@@ -288,6 +288,8 @@ def cmd_oracle_check(run: Run, out: Path) -> dict:
         "flagsOffRoute": diag_off["route"],
         "flagsOnIterations": diag_on["iterations"],
         "flagsOffIterations": diag_off["iterations"],
+        "flagsOnResidual": diag_on["residual"],
+        "flagsOffResidual": diag_off["residual"],
         "fredholmValue": rate,
         "relGap": abs(val_off - rate) / max(rate, 1e-12),
         "N": q.n_steps,

@@ -23,11 +23,13 @@ __all__ = [
     "recover_controls",
     "evaluate_rate",
     "shift_matrix",
+    "cg",
 ]
 
 _ZERO_CLAMP = 1e-10
 _CG_MAX_ITER = 400  # iteration budget of the adjoint CG solve
-_CG_TOL = 1e-12  # the adjoint CG stops at _CG_TOL * |h|_inf
+_CG_STOP = 1e-12  # `cg` stops at a recurrence residual of _CG_STOP |b|_inf
+_CG_ACCEPT = 1e-6  # and accepts a true residual of at most _CG_ACCEPT |b|_inf
 
 
 class FredholmError(RuntimeError):
@@ -91,16 +93,25 @@ def assemble_kernel(eq: PathEquation):
     return op
 
 
-def _cg(apply, b, inner, precond, done, cap) -> tuple[np.ndarray, np.ndarray, int]:
-    """Preconditioned conjugate gradients for apply(x) = b from x = 0, in the
-    inner product inner(u, v), until done(r) or cap iterations.  precond must
-    return a new array: r is updated in place.  Returns x, the recurrence
-    residual r = b - apply(x) and the iteration count."""
+def cg(name: str, apply, b: np.ndarray, inner, precond, cap: int, size: float = 1.0) -> tuple:
+    """Solve apply(x) = b by conjugate gradients from x = 0: apply is symmetric positive definite in
+    inner(u, v), and precond returns a new array.  CG runs on b 2^e, |b 2^e|_inf in [1/2, 1), less
+    by the factor that keeps size (a bound on apply's coefficients) times it below 2^1000, so that a
+    tiny b does not underflow the inner products nor a huge size overflow apply; a power of two
+    scales every operation exactly, so the outcome does not depend on the scale of b.  It stops at a
+    recurrence residual of at most _CG_STOP |b|_inf (at once on a NaN), forms the true residual
+    res = b - apply(x), and raises a FredholmError naming the solve past cap iterations or at a res
+    that is NaN or above _CG_ACCEPT |b|_inf.  Returns x, the dual value <x, b + res> / 2 (exact for
+    this x, second order in its error) and {method, iterations, residual: |res|_inf / |b|_inf}."""
+    b_max = float(np.max(np.abs(b)))
+    e = -math.frexp(b_max)[1] - max(0, math.frexp(size)[1] - 1000)
+    b = np.ldexp(b, e)
+    stop = _CG_STOP * math.ldexp(b_max, e)
     x = np.zeros_like(b)
     r = b.copy()
     direction = z = precond(r)
     rz, iters = inner(r, z), 0
-    while not done(r) and iters < cap:
+    while np.max(np.abs(r)) > stop and iters < cap:
         iters += 1
         Ad = apply(direction)
         alpha = rz / inner(direction, Ad)
@@ -109,7 +120,13 @@ def _cg(apply, b, inner, precond, done, cap) -> tuple[np.ndarray, np.ndarray, in
         z = precond(r)
         rz, rz_old = inner(r, z), rz
         direction = z + (rz / rz_old) * direction
-    return x, r, iters
+    res = b - apply(x)
+    rel = float(np.max(np.abs(res))) / math.ldexp(b_max, e) if b_max else 0.0
+    if np.max(np.abs(r)) > stop or not rel <= _CG_ACCEPT:  # the negated comparison also rejects NaN
+        raise FredholmError(f"{name}: relative residual {rel:.3e} after {iters} iterations")
+    with np.errstate(over="ignore"):  # a value past the float range is inf
+        value = float(np.ldexp(0.5 * inner(x, b + res), -2 * e))
+    return np.ldexp(x, -e), value, {"method": "cg", "iterations": iters, "residual": rel}
 
 
 def solve_p(h: GridPath, eq: PathEquation) -> tuple[GridPath, dict]:
@@ -117,30 +134,14 @@ def solve_p(h: GridPath, eq: PathEquation) -> tuple[GridPath, dict]:
 
     The operator of `assemble_kernel`, mu p + sigma^2 (I - S*)(I - S) p, equals
     (mu + sigma^2) p - K p and is symmetric positive definite in the trapezoid inner product
-    <x, y>_w = sum w x y, so CG in that inner product converges for every
-    mu > 0.  Iteration stops once the sup-norm residual is at most
-    1e-12 |h|_inf (a NaN residual stops it at once), relative to |h| alone so
-    that a small forcing is solved as closely as a large one; a final residual
-    above max(that, 1e-8) is a hard error.  An h off the grid of eq is a ValueError.
+    <x, y>_w = sum w x y, so `cg` in that inner product converges for every mu > 0, within
+    _CG_MAX_ITER iterations or a FredholmError; the operator's coefficients reach
+    max(mu, sigma^2), the size `cg` scales h against.  An h off the grid of eq is a ValueError.
     """
     eq.check_grid("h", h.horizon, h.n_steps)
-    pm, w, op = eq.pm, trap_weights(eq.n_steps + 1, eq.dt), assemble_kernel(eq)
-    h_max = float(np.max(np.abs(h.values)))
-    target = _CG_TOL * h_max
-    # CG runs on h 2^e with |h 2^e|_inf in [1/2, 1), or smaller by the factor that keeps the
-    # operator's coefficients times it below 2^1000, so that its inner products do not
-    # underflow for a tiny forcing nor the operator overflow at a huge sigma; a power of
-    # two scales every operation exactly; the stop rule, scaled alike, cannot underflow to 0
-    e = -math.frexp(h_max)[1] - max(0, math.frexp(max(pm.mu, pm.sigma * pm.sigma))[1] - 1000)
-    hv, stop = np.ldexp(h.values, e), _CG_TOL * math.ldexp(h_max, e)
-
-    p, _, iters = _cg(op, hv, lambda u, v: float(w @ (u * v)), np.copy,
-                      lambda r: not np.max(np.abs(r)) > stop, _CG_MAX_ITER)
-    res = math.ldexp(float(np.max(np.abs(op(p) - hv))), -e)
-    p = np.ldexp(p, -e)
-    if not res <= max(target, 1e-8):
-        raise FredholmError(f"adjoint residual {res:.3e} exceeds tolerance (method=cg, iters={iters})")
-    diag = {"method": "cg", "iterations": iters, "residual": res}
+    pm, w = eq.pm, trap_weights(eq.n_steps + 1, eq.dt)
+    p, _, diag = cg("adjoint CG", assemble_kernel(eq), h.values, lambda u, v: float(w @ (u * v)), np.copy,
+                    _CG_MAX_ITER, max(pm.mu, pm.sigma * pm.sigma))
     return GridPath(h.horizon, p), diag
 
 
@@ -228,9 +229,10 @@ def evaluate_rate(q: GridPath, eq: PathEquation, n_x: int = 32) -> RateResult:
     primal = 0.5 * (pm.mu * float(w @ p.values**2) + float(w @ controls.wdot.values**2))
     gap = primal - rate
     diag = dict(diag, truncation_tail_mass=float(1.0 - eq.F[-1]))
-    # the gap must be within what the solver's residual allows, plus round-off;
-    # the negated comparison also rejects NaN
-    gap_bound = 0.5 * float(w @ np.abs(p.values)) * diag["residual"] + 1e-12 * (1.0 + rate)
+    # the gap must be within what the solver's residual, relative to |h|_inf, allows, plus
+    # round-off; the negated comparison also rejects NaN
+    res = diag["residual"] * float(np.max(np.abs(h.values)))
+    gap_bound = 0.5 * float(w @ np.abs(p.values)) * res + 1e-12 * (1.0 + rate)
     if not abs(gap) <= gap_bound:
         raise FredholmError(f"duality gap {gap} exceeds the adjoint residual bound {gap_bound:.2e}")
     return RateResult(forcing=h, adjoint=p, rate=rate, dual=dual, controls=controls, primal_energy=primal,

@@ -293,7 +293,7 @@ def replications(pm: ModelParams, regimes: list[ScalingRegime], reps: int, seed:
 
 
 def flow_balance_residuals(trace: QueueTrace) -> np.ndarray:
-    """(Q(t)-n)^+ + Ahat(t) - (Q(0)-n)^+ - A(t) at every event time, exact integers."""
+    """(Q(t)-n)^+ + Ahat(t) - (Q(0)-n)^+ - A(t) after the last event at each event time, exact integers."""
     t = trace.event_times
 
     def counts(times):  # the times counted at each event: a time counts from the first event at or after it
@@ -303,7 +303,7 @@ def flow_balance_residuals(trace: QueueTrace) -> np.ndarray:
     res = np.cumsum(counts(trace.tau_hat) - counts(trace.arrival_times))
     res += np.maximum(trace.q_values - trace.n, 0)
     res -= max(trace.q0_count - trace.n, 0)
-    return res
+    return res[np.diff(t, append=np.inf) != 0]  # the last event of each run of equal times
 
 
 @dataclass(frozen=True)

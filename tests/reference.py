@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from mdqueue.fredholm import _cg, shift_matrix
+from mdqueue.fredholm import cg, shift_matrix
 from mdqueue.grids import GridField2D, GridPath, trap_weights
 from mdqueue.oracle import build_qp
 from mdqueue.paths import ControlSet, PathEquation, defect
@@ -205,16 +205,15 @@ def min_kernel_min_norm(sys_, zero_mean):
     its iteration count grows with sigma, about 400 at sigma = 100.  Returns the value
     and the iterations."""
     G = sys_.A.gram_operator(zero_mean)
-    r_norm = float(np.linalg.norm(sys_.r)) or 1.0
 
     def min_kernel_solve(r):  # L^-T diag(da)^-1 L^-1 r
         z = np.diff(r, prepend=0.0) / G.da
         z[:-1] -= z[1:]
         return z
 
-    lam, res, iters = _cg(G.__matmul__, sys_.r, lambda u, v: float(u @ v), min_kernel_solve,
-                          lambda r: float(np.linalg.norm(r)) / r_norm <= 1e-12, 2 * len(sys_.r) + 200)
-    return 0.5 * float(lam @ (sys_.r + res)), iters
+    _, value, diag = cg("min-kernel PCG", G.__matmul__, sys_.r, lambda u, v: float(u @ v), min_kernel_solve,
+                        2 * len(sys_.r) + 200)
+    return value, diag["iterations"]
 
 
 def heap_start_times(free, entries, horizon, services):

@@ -177,7 +177,8 @@ def test_oracle_csv_matches_reference(tmp_path):
         "dist": {"family": "exponential", "rate": 1.0},
         "grid": {"horizon": 2.0, "n_steps": 50, "n_x": 8}, "io": {"q_csv": "q.csv"},
     })
-    in_order = {k: s[k] for k in ("value", "flagsOn", "flagsOff", "fredholmValue", "relGap")}
+    in_order = {k: s[k] for k in ("value", "flagsOn", "flagsOff", "flagsOnResidual", "flagsOffResidual",
+                                  "fredholmValue", "relGap")}
     reference.oracle_csv(in_order, tmp_path / "ref.csv")
     assert (out / "oracle.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 

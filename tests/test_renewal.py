@@ -146,3 +146,15 @@ def test_march_long_grid_is_fast():
     f = GridPath(2.0, np.sin(3.0 * t) - 0.2)
     solve_nonlinear(f, lag(d, f))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("scale", [1e7, 1e8])
+def test_march_bound_is_relative_to_the_forcing(scale):
+    # the march is exact to round-off, which grows with f: at 1e7 its residual of 3.7e-9,
+    # about 4e-16 of |g|_inf, failed an absolute bound of 1e-9
+    d = ServiceDist.exponential(1.0)
+    t = np.linspace(0.0, 2.0, 1601)
+    f = GridPath(2.0, scale * np.sin(3.0 * t))
+    g = solve_nonlinear(f, lag(d, f)).values
+    res = np.max(np.abs(g - f.values - conv_trap(np.maximum(g, 0.0), d.pdf(t), f.dt)))
+    assert res <= 1e-13 * np.max(np.abs(g))

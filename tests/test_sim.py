@@ -601,6 +601,16 @@ def test_simulate_ties_match_event_driven_reference(caplog):
     _assert_stable_event_order(tr)
 
 
+def test_flow_balance_exact_at_tied_event_times():
+    # the trace above, with four events at t = 1 and four at t = 2: the counts are
+    # right-continuous in time, so Q is compared with them after the last event of
+    # each time, where it used to be compared after each event ([0 0 0 3 2 1 0 ...])
+    sr = ScalingRegime(n=3, rule=("power", 0.25))
+    tr = simulate(model(_UnitServices(), 0.8), sr, 2.0, _QuarterGaps())
+    assert len(tr.event_times) == 14
+    assert np.array_equal(flow_balance_residuals(tr), np.zeros(8, dtype=int))
+
+
 @pytest.mark.parametrize("n", [10, 1000])
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 def test_event_order_is_stable_sort(d, n, caplog):

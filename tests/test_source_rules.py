@@ -126,3 +126,16 @@ def test_family_is_not_a_field_of_the_service_law():
 def test_beta_is_not_a_field_of_the_regime():
     # rho_n and the arrival rate read beta from the model: the regime is n and the b_n rule
     assert "beta" not in {f.name for f in fields(ScalingRegime)}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name that starts with _ (a dunder such as __version__ aside) belongs to its module: a module
+    # that imports one from another shares a helper that no interface states (the oracle once ran
+    # the adjoint's bare CG loop)
+    found = []
+    for path in sorted(Path(mdqueue.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{node.lineno}: {alias.name}"
+                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("mdqueue"))
+                  for alias in node.names if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert found == []
