@@ -275,7 +275,7 @@ def cmd_oracle_check(run: Run, out: Path) -> dict:
     eq = PathEquation.from_law(run.model, q.horizon, q.n_steps)
     r = defect(q, eq)  # the constraint right side, and the forcing's antiderivative
     h = forcing(q, r)  # the adjoint route only as far as the rate
-    p, _ = solve_p(h, eq)
+    p, _ = solve_p(h, eq, q)
     rate = rate_value(p, h)
     qp = build_qp(eq, r)
     val_off, diag_off = solve_min_norm(qp)

@@ -42,13 +42,11 @@ def _pcg_cap(n: int) -> int:
 
 
 def solve_min_norm(sys: QPSystem, zero_mean: bool = False) -> tuple[float, dict]:
-    """Least control energy min 1/2 ||u||_W^2 subject to A u = r, over controls
-    with zero x-mean when `zero_mean`: lam . r / 2 for G lam = r with
-    G = A W^-1 A' of `PathEquation.gram_operator(zero_mean)`, by `fredholm.cg`
-    preconditioned with `GramOperator.precond` within `_pcg_cap` iterations.  The value
-    is the dual objective lam . r - lam . G lam / 2 = lam . (r + res) / 2 at the true
-    residual res = r - G lam, second order in the error of lam.  Returns it and the
-    route "pcg", the iterations and |res|_inf / |r|_inf."""
+    """Least control energy min 1/2 ||u||_W^2 subject to A u = r, over controls with zero x-mean
+    when `zero_mean`: lam . r / 2 for G lam = r, G = A W^-1 A' of `PathEquation.gram_operator`, by
+    `fredholm.cg` preconditioned with `GramOperator.precond` within `_pcg_cap` iterations; the value
+    is its dual value, lam . (r + res) / 2 at the true residual res.  Returns it and the route
+    "pcg", the iterations and |res|_inf / |r|_inf."""
     G = sys.A.gram_operator(zero_mean)
     _, value, diag = cg("oracle PCG", G.__matmul__, sys.r, lambda u, v: float(u @ v), G.precond,
                         _pcg_cap(len(sys.r)))

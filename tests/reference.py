@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from mdqueue.fredholm import cg, shift_matrix
+from mdqueue.fredholm import shift_matrix
 from mdqueue.grids import GridField2D, GridPath, trap_weights
 from mdqueue.oracle import build_qp
 from mdqueue.paths import ControlSet, PathEquation, defect
@@ -200,10 +200,10 @@ def terminal_variance(pm, horizon, zero_mean, n_steps=400):
 
 def min_kernel_min_norm(sys_, zero_mean):
     """The oracle's value lam . (r + res) / 2 for G lam = r, G the `gram_operator(zero_mean)`
-    Gram of the QP `sys_`, by CG preconditioned with the inverse of G's min kernel
-    L diag(da) L^T alone, L the lower all-ones matrix, to the oracle's stop rule:
-    its iteration count grows with sigma, about 400 at sigma = 100.  Returns the value
-    and the iterations."""
+    Gram of the QP `sys_`, by a CG loop of its own, preconditioned with the inverse of G's min
+    kernel L diag(da) L^T alone, L the lower all-ones matrix, until the recurrence residual res
+    is at most 1e-12 |r|_2: its iteration count grows with sigma, about 400 at sigma = 100.
+    Returns the value and the iterations."""
     G = sys_.A.gram_operator(zero_mean)
 
     def min_kernel_solve(r):  # L^-T diag(da)^-1 L^-1 r
@@ -211,9 +211,19 @@ def min_kernel_min_norm(sys_, zero_mean):
         z[:-1] -= z[1:]
         return z
 
-    _, value, diag = cg("min-kernel PCG", G.__matmul__, sys_.r, lambda u, v: float(u @ v), min_kernel_solve,
-                        2 * len(sys_.r) + 200)
-    return value, diag["iterations"]
+    lam, res = np.zeros_like(sys_.r), sys_.r.copy()
+    direction = z = min_kernel_solve(res)
+    rz, iters = float(res @ z), 0
+    while np.linalg.norm(res) > 1e-12 * np.linalg.norm(sys_.r) and iters < 2 * len(sys_.r) + 200:
+        iters += 1
+        Gd = G @ direction
+        alpha = rz / float(direction @ Gd)
+        lam += alpha * direction
+        res -= alpha * Gd
+        z = min_kernel_solve(res)
+        rz, rz_old = float(res @ z), rz
+        direction = z + (rz / rz_old) * direction
+    return 0.5 * float(lam @ (sys_.r + res)), iters
 
 
 def heap_start_times(free, entries, horizon, services):

@@ -137,8 +137,8 @@ def test_rate_at_fine_grid(pm_std):
 def test_negative_duality_gap_raises(pm_std, q_quad, monkeypatch):
     # an adjoint 10% short of the one its residual describes: the gap is
     # -0.09 rate, far past what that residual allows
-    def short_solve(h, eq):
-        p, diag = solve_p(h, eq)
+    def short_solve(h, eq, q):
+        p, diag = solve_p(h, eq, q)
         return GridPath(p.horizon, 0.9 * p.values), diag
 
     monkeypatch.setattr("mdqueue.fredholm.solve_p", short_solve)
