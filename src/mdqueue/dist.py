@@ -27,7 +27,7 @@ MAX_SHAPE = 500
 
 def _check_nonneg(x):
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if (x < 0).any():
         raise ValueError("time argument must be nonnegative")
     return x
 
@@ -42,7 +42,7 @@ def _probabilities(p) -> np.ndarray:
 
 def _mix(coef: np.ndarray, branches: np.ndarray):
     """sum_i coef_i branches[i], over the mixture branches on axis 0."""
-    return np.sum(coef.reshape(coef.shape + (1,) * (branches.ndim - 1)) * branches, axis=0)
+    return (coef.reshape(coef.shape + (1,) * (branches.ndim - 1)) * branches).sum(axis=0)
 
 
 def _as_input(x: np.ndarray):
@@ -141,32 +141,31 @@ class ServiceDist:
     # table (weights, rates, shape).
 
     def _erlang_cdfs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """E_k and E_1 + ... + E_k at y = lam_i x, E_j(y) = P(Poisson(y) >= j) the Erlang(j) cdf, each
-        accurate relative to its size.  With P_m = e^{-y} y^m / m!, E_1 = -expm1(-y) and E_{j+1} = E_j - P_j,
-        a difference that cancels where E_{j+1} is small near y = 0 but not where y >= k.  Where
-        y < k, E_k is the tail sum of P_m over m >= k and the E_j sum to sum_m min(m, k) P_m: positive terms."""
+        """E_k and E_1 + ... + E_k at y = lam_i x, E_j(y) = P(Poisson(y) >= j) the Erlang(j) cdf, each accurate
+        relative to its size.  With P_m = e^{-y} y^m / m!, E_1 = -expm1(-y) and E_{j+1} = E_j - P_j, a difference
+        that cancels where E_{j+1} is small near y = 0 but not where y >= k.  Where y < k, E_k is the tail sum of
+        P_m over m >= k, and E_1 + ... + E_k = sum_{m < k} m P_m + k E_k everywhere: positive terms."""
         k, y = self.shape, np.multiply.outer(self.rates, x)
-        top = total = -np.expm1(-y)
-        term, head = np.exp(-y), 0.0  # head: sum_{m < k} m P_m
-        for j in range(1, k):
-            term = term * y / j
-            top, head = top - term, head + j * term
-            total = total + top
-        low = y < k
-        if k > 1 and np.any(low):
-            yl, m, share = y[low], k, 1.0
-            term = term[low] * yl / k  # P_k
-            tail, y_max = term.copy(), float(np.max(yl))
-            # the terms past P_m fall by y / (m + 1) or more, so they add at most P_m y / (m + 1 - y), a share
-            # of P_k <= tail that grows with y: the largest y sets how many terms are summed
-            while share * y_max > 1e-17 * (m + 1 - y_max):
-                m += 1
-                share *= y_max / m
-                term *= yl
-                term /= m
-                tail += term
-            top[low], total[low] = tail, head[low] + k * tail
-        return top, total
+        top, term, head = -np.expm1(-y), np.exp(-y), np.zeros_like(y)  # head: sum_{m < k} m P_m
+        for j in range(1, k):  # in place: the arrays are small in `_inverse`'s Newton steps
+            term *= y
+            term /= j
+            top -= term
+            head += j * term
+        if k > 1:
+            low = y < k
+            # P_{k-1+j} = P_{k-1} prod_{i <= j} y / (k - 1 + i): one block of cumulative products, a row per y
+            top[low] = term[low] * (y[low][:, None] / self._tail_divisors).cumprod(axis=1).sum(axis=1)
+        return top, head + k * top
+
+    @functools.cached_property
+    def _tail_divisors(self) -> np.ndarray:
+        """k, ..., m: the terms P_k, ..., P_m that `_erlang_cdfs` sums for E_k where y < k."""
+        k, m, share = self.shape, self.shape, 1.0
+        while share * k > 1e-17 * (m + 1 - k):  # the terms past P_m add at most P_m y / (m + 1 - y), most at y = k
+            m += 1
+            share *= k / m
+        return np.arange(k, m + 1, dtype=float)
 
     def cdf(self, x):
         """F(x) = sum_i w_i E_k(lam_i x), accurate relative to its size near x = 0 too."""
@@ -198,18 +197,19 @@ class ServiceDist:
     # -- monotone inverses -------------------------------------------------
 
     def _inverse(self, fn, dfn, p):
-        """Safeguarded bisection/Newton solve of fn(x) = p, elementwise.
-
-        Each element stops on its own once its step is below 1e-12 min(1, x), so
-        a quantile below 1 is solved to 1e-12 relative and never comes out negative.
-        Raises FloatingPointError when the bracket overflows or any element has not
-        converged after 200 steps, as when the quantile underflows to a subnormal or 0.
-        """
+        """Newton solve of fn(x) = p, elementwise, in log fn against log x: near 0 each fn here is a power
+        c x^j, on which one step lands however far below the mean the root lies.  A step out of the bracket,
+        from the smallest normal float up, bisects it in log x.  Each element stops once its step is below
+        1e-12 min(1, x), so a quantile below 1 is solved to 1e-12 relative and is never negative.  Raises
+        FloatingPointError for a quantile below the smallest normal float, an overflowing bracket, or any
+        element not converged after 200 steps."""
         p = _probabilities(p)
         x = np.where(p == 1.0, np.inf, 0.0)
         inner = (p > 0.0) & (p < 1.0)
         target = p[inner]
-        lo = np.zeros_like(target)
+        lo = np.full_like(target, np.finfo(float).tiny)
+        if np.any(under := fn(lo) >= target):
+            raise FloatingPointError(f"inverse of p = {target[under][0]} did not converge: quantile below {lo[0]!r}")
         hi = np.full_like(target, self.mean)
         grow = fn(hi) < target
         while np.any(grow):
@@ -217,24 +217,24 @@ class ServiceDist:
             if np.any(np.isinf(hi)):
                 raise FloatingPointError("inverse bracket overflowed")
             grow = fn(hi) < target
-        xi = 0.5 * (lo + hi)
+        xi = 0.5 * hi
         active = np.ones(len(target), dtype=bool)
         for _ in range(200):
             if not np.any(active):
                 break
-            xa, la, ha = xi[active], lo[active], hi[active]
-            fx = fn(xa) - target[active]
-            above = fx > 0
-            ha = np.where(above, xa, ha)
-            la = np.where(above, la, xa)
-            d = dfn(xa)
-            # a zero, infinite or NaN derivative takes the bisection step
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x_new = xa - np.where((d > 0) & (d < np.inf), fx / d, np.inf)
+            xa, la, ha, ta = xi[active], lo[active], hi[active], target[active]
+            fa = fn(xa)
+            above = fa > ta
+            ha, la = np.where(above, xa, ha), np.where(above, la, xa)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                # a zero, infinite or NaN slope x fn' / fn takes the bisection step
+                slope = xa * dfn(xa) / fa
+                step = np.where((slope > 0) & (slope < np.inf), np.log1p((fa - ta) / ta) / slope, np.inf)
+                x_new = xa + xa * np.expm1(-step)
             tol = _INV_TOL * np.minimum(1.0, xa)
             # a converged Newton step stands even when round-off puts it on the bracket
             keep = ((la < x_new) & (x_new < ha)) | (np.abs(x_new - xa) < tol)
-            x_new = np.where(keep, x_new, 0.5 * (la + ha))
+            x_new = np.where(keep, x_new, np.sqrt(la) * np.sqrt(ha))
             converged = np.abs(x_new - xa) < tol
             xi[active], lo[active], hi[active] = x_new, la, ha
             active[active] = ~converged

@@ -26,7 +26,7 @@ __all__ = [
     "cg",
 ]
 
-_ZERO_CLAMP = 1e-10
+_ZERO_CLAMP = 1e-10  # relative to the size of the rate's terms
 _CG_MAX_ITER = 400  # iteration budget of the adjoint CG solve
 _CG_STOP = 1e-12  # `cg` stops at a recurrence residual of _CG_STOP |b|_inf
 _CG_ACCEPT = 1e-5  # and accepts a true one up to _CG_ACCEPT |b|_inf, for the oracle's (8e-7 at T = 10^4) too
@@ -150,11 +150,13 @@ def solve_p(h: GridPath, eq: PathEquation, q: GridPath | None = None) -> tuple[G
 
 
 def rate_value(p: GridPath, h: GridPath) -> float:
-    """I = 1/2 * int p h dt, clamped to 0 inside [-_ZERO_CLAMP, 0); below it, or
-    NaN, is a FredholmError."""
-    val = 0.5 * float(p.weights() @ (p.values * h.values))
-    if not val >= -_ZERO_CLAMP:  # the negated comparison also rejects NaN
-        raise FredholmError(f"rate value {val:.3e} below -{_ZERO_CLAMP:.0e}: solver inconsistency")
+    """I = 1/2 * int p h dt, clamped to 0 inside [-floor, 0), floor = _ZERO_CLAMP 1/2 int |p h| dt plus
+    the subnormal spacing per term; below it, or NaN, is a FredholmError."""
+    w, ph = p.weights(), p.values * h.values
+    val = 0.5 * float(w @ ph)
+    floor = _ZERO_CLAMP * 0.5 * float(w @ np.abs(ph)) + len(ph) * np.finfo(float).smallest_subnormal
+    if not val >= -floor:  # the negated comparison also rejects NaN
+        raise FredholmError(f"rate value {val:.3e} below -{floor:.3e}: solver inconsistency")
     return max(val, 0.0)
 
 
@@ -233,10 +235,10 @@ def evaluate_rate(q: GridPath, eq: PathEquation, n_x: int = 32) -> RateResult:
     primal = 0.5 * (pm.mu * float(w @ p.values**2) + float(w @ controls.wdot.values**2))
     gap = primal - rate
     diag = dict(diag, truncation_tail_mass=float(1.0 - eq.F[-1]))
-    # the gap must be within what the solver's residual (relative to |h|_inf) allows, plus
-    # round-off; the negated comparison also rejects NaN
+    # the gap must be within what the solver's residual (relative to |h|_inf) allows, plus round-off relative
+    # to the two values and the subnormal spacing of their 3 (N + 1) terms; the negated comparison rejects NaN
     gap_bound = 0.5 * float(w @ np.abs(p.values)) * diag["residual"] * float(np.max(np.abs(h.values)))
-    gap_bound += 1e-12 * (1.0 + rate)
+    gap_bound += 1e-12 * (primal + rate) + 3 * len(w) * np.finfo(float).smallest_subnormal
     if not abs(gap) <= gap_bound:
         raise FredholmError(f"duality gap {gap} exceeds the adjoint residual bound {gap_bound:.2e}")
     return RateResult(forcing=h, adjoint=p, rate=rate, dual=dual, controls=controls, primal_energy=primal,

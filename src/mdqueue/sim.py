@@ -100,8 +100,8 @@ class ScalingRegime:
 @dataclass(frozen=True)
 class QueueTrace:
     """One simulated GI/GI/n path: its arrivals, service starts and services.  The
-    event list (event_times, q_values, event_types, event_ids) is built from them,
-    once, the first time any of it is read."""
+    sorted departures and the event list (event_times, q_values, event_types,
+    event_ids) are built from them, each once, the first time it is read."""
 
     n: int
     b: float
@@ -111,6 +111,13 @@ class QueueTrace:
     tau_hat: np.ndarray  # service-start times after 0, nondecreasing
     eta: np.ndarray  # matched service durations for tau_hat
     eta0: np.ndarray  # residual durations of initially in-service customers
+
+    @functools.cached_property
+    def departures(self) -> np.ndarray:
+        """Every departure by the horizon, sorted: the initial customers' eta0, the started ones' tau_hat + eta."""
+        dep = np.concatenate([self.eta0, self.tau_hat + self.eta])
+        dep.sort()
+        return dep[:np.searchsorted(dep, self.horizon, side="right")].copy()  # keeps only the cut
 
     @functools.cached_property
     def _events(self) -> tuple:
@@ -166,11 +173,9 @@ class QueueTrace:
         return self._events[3]
 
     def q_at(self, t) -> np.ndarray:
-        """Right-continuous Q_n(t)."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.event_times, t, side="right") - 1
-        vals = np.concatenate([[self.q0_count], self.q_values])
-        return vals[idx + 1]
+        """Right-continuous Q_n(t) = Q_n(0) + #arrivals - #departures by t, constant past the horizon."""
+        return (self.q0_count + np.searchsorted(self.arrival_times, t, side="right")
+                - np.searchsorted(self.departures, t, side="right"))
 
 
 def spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
@@ -308,27 +313,21 @@ def flow_balance_residuals(trace: QueueTrace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """The decomposition's Theta term on a uniform grid, plus the identity residual."""
+    """The sup over the grid of the decomposition's identity residual, and its a-priori bound."""
 
-    Theta: np.ndarray
-    residual: np.ndarray
+    sup_residual: float
     quadrature_bound: float
 
-    @property
-    def sup_residual(self) -> float:
-        return float(np.max(np.abs(self.residual))) if len(self.residual) else 0.0
 
-
-def _theta_sums(d: ServiceDist, t: np.ndarray, dt: float, tau: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """sum_{tau_j <= t_i} (1{tau_j + eta_j <= t_i} - F(t_i - tau_j)) on the uniform grid t_i = i dt
-    for nondecreasing tau: #done_by(t_i) - #started_by(t_i) + sum_{tau_j <= t_i} S(t_i - tau_j),
-    where S = 1 - F sums w e^{-lam x} (lam x)^m / m! over m < k and the law's weights w and rates
-    lam, k its shape.  A start belongs to its node t_c = the first node >= tau_j (a start on a
-    node adds S(0) = 1), and the binomial expansion of (lam (t_i - t_c + t_c - tau_j))^m splits
-    its term at t_i into sum_{r < k} e^{-x} x^r / r! G_{k-1-r}(t_i - t_c), x = lam (t_c - tau_j),
-    with G_j(s) = P(Poisson(lam s) <= j).  So per phase the survival sums are the convolutions
-    over r < k of the per-node sums of e^{-x} x^r / r! with G_{k-1-r} on the grid: O(n + k N^2)."""
-    done = np.searchsorted(np.sort(tau + eta), t, side="right")
+def _theta_sums(d: ServiceDist, t: np.ndarray, dt: float, done: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """sum_{tau_j <= t_i} (1{tau_j + eta_j <= t_i} - F(t_i - tau_j)) on the uniform grid t_i = i dt for
+    nondecreasing tau, given the count done_i of tau_j + eta_j <= t_i: done_i - #started_by(t_i) +
+    sum_{tau_j <= t_i} S(t_i - tau_j), S = 1 - F the sum of w e^{-lam x} (lam x)^m / m! over m < k for
+    the law's weights w, rates lam and shape k.  A start belongs to its node t_c = the first node >= tau_j
+    (a start on a node adds S(0) = 1), and the binomial expansion of (lam (t_i - t_c + t_c - tau_j))^m
+    splits its term at t_i into sum_{r < k} e^{-x} x^r / r! G_{k-1-r}(t_i - t_c), x = lam (t_c - tau_j),
+    G_j(s) = P(Poisson(lam s) <= j).  So per phase the survival sums are the convolutions over r < k of
+    the per-node sums of e^{-x} x^r / r! with G_{k-1-r} on the grid: O(n + k N^2)."""
     started = np.searchsorted(tau, t, side="right")
     # tau is sorted, so the started[i] - started[i-1] starts in (t_{i-1}, t_i] have
     # node i; starts after the last node reach no row
@@ -361,19 +360,20 @@ def decomposition(trace: QueueTrace, eq: PathEquation) -> DecompositionReport:
     eq.check_grid("the trace", trace.horizon)
     d, lag = eq.pm.law, eq.lag
     scale = trace.b * math.sqrt(trace.n)
-    t = np.linspace(0.0, eq.horizon, eq.n_steps + 1)
+    t = np.linspace(0.0, trace.horizon, eq.n_steps + 1)  # the trace counts no departure past its horizon
 
     X = (trace.q_at(t) - trace.n) / scale
     A = np.searchsorted(trace.arrival_times, t, side="right")
     Y = (A / trace.n - d.mu * t) * math.sqrt(trace.n) / trace.b
 
-    q0_surv = len(trace.eta0) - np.searchsorted(np.sort(trace.eta0), t, side="right")
-    X0 = (q0_surv / trace.n - (1.0 - eq.F0)) * math.sqrt(trace.n) / trace.b
+    q0_done = np.searchsorted(np.sort(trace.eta0), t, side="right")
+    X0 = ((len(trace.eta0) - q0_done) / trace.n - (1.0 - eq.F0)) * math.sqrt(trace.n) / trace.b
 
     H = Y - lag @ Y
 
-    # Theta: exact sum over service starts, by the phase convolutions
-    Theta = -_theta_sums(d, t, eq.dt, trace.tau_hat, trace.eta) / scale
+    # Theta from the phase convolutions; the started customers' departures are all less the initial ones
+    done = np.searchsorted(trace.departures, t, side="right") - q0_done
+    Theta = -_theta_sums(d, t, eq.dt, done, trace.tau_hat) / scale
 
     Xplus = np.maximum(X, 0.0)
     X0plus = max(trace.q0_count - trace.n, 0) / scale
@@ -385,7 +385,7 @@ def decomposition(trace: QueueTrace, eq: PathEquation) -> DecompositionReport:
     # dt sup F' and dt TV(F') on the grid, from the lag dt F'(t_k)
     sup_g, tv_g = float(np.max(lag.lags)), tv(lag.lags)
     bound = sup_g * tv(Y) + float(np.max(np.abs(Y))) * tv_g + sup_g * tv(Xplus) + float(np.max(np.abs(X))) * tv_g
-    return DecompositionReport(Theta=Theta, residual=residual, quadrature_bound=bound)
+    return DecompositionReport(sup_residual=float(np.max(np.abs(residual))), quadrature_bound=bound)
 
 
 def lln_sup_stat(trace: QueueTrace, mu: float, t_max: float) -> float:
@@ -423,7 +423,7 @@ def _wilson(hits: int, reps: int) -> tuple[float, float]:
 def tail_hit(trace: QueueTrace, event: dict) -> bool:
     """Whether (Q_n - n) / (b_n sqrt(n)) reaches a at time t for event {"kind": "terminal",
     "t": t, "a": a}, or anywhere on [0, t] for kind "sup".  Q_n is counted from the
-    arrivals and departures by t, without the event list."""
+    arrivals and the sorted departures, without the event list."""
     kind, t_ev, a = event["kind"], float(event["t"]), float(event["a"])
     if kind not in ("terminal", "sup"):
         raise ValueError(f"unknown event kind {kind!r}")
@@ -432,21 +432,19 @@ def tail_hit(trace: QueueTrace, event: dict) -> bool:
     def reaches(q: int) -> bool:  # monotone in q
         return (q - trace.n) / scale >= a
 
-    q0 = trace.q0_count
-    arrived = trace.arrival_times[:np.searchsorted(trace.arrival_times, t_ev, side="right")]
-    dep = np.concatenate([trace.eta0, trace.tau_hat + trace.eta])  # every departure, unsorted
     if kind == "terminal":
-        return reaches(q0 + len(arrived) - int(np.count_nonzero(dep <= t_ev)))
+        return reaches(int(trace.q_at(t_ev)))
+    q0 = trace.q0_count
     if reaches(q0):
         return True
+    arrived = trace.arrival_times[:np.searchsorted(trace.arrival_times, t_ev, side="right")]
     # Q peaks right after an arrival, and arrivals go first on ties, so right after
     # arrival i (from 0) Q is q0 + i + 1 - #{departures < a_i}.  That reaches q0 + m,
     # m the least count past q0 that reaches a, iff the departure of rank i + 1 - m
-    # (from 0) is not before a_i, or there is no such departure.
+    # (from 0) is not before a_i, or there is no such departure by the horizon.
     m = bisect.bisect_left(range(1, len(arrived) + 1), True, key=lambda m: reaches(q0 + m)) + 1
     late = arrived[m - 1:]  # the arrivals i >= m - 1, each against the departure of rank i + 1 - m
-    dep.sort()
-    return len(late) > len(dep) or bool(np.any(dep[:len(late)] >= late))
+    return len(late) > len(trace.departures) or bool(np.any(trace.departures[:len(late)] >= late))
 
 
 def mc_tail(hits_by_regime: dict) -> list[dict]:

@@ -134,16 +134,21 @@ def test_rate_at_fine_grid(pm_std):
     assert abs(res.rate - res.dual) / (1.0 + res.rate) <= 1e-10
 
 
-def test_negative_duality_gap_raises(pm_std, q_quad, monkeypatch):
+def test_negative_duality_gap_raises(pm_std, exp1, q_quad, monkeypatch):
     # an adjoint 10% short of the one its residual describes: the gap is
-    # -0.09 rate, far past what that residual allows
+    # -0.09 rate, far past what that residual allows.  At beta = q0 = 0 the forcing
+    # is linear in q, so q scaled by c scales the rate and the gap by c^2: the
+    # check is relative to them, and an absolute 1e-12 passed the gap of 4.6e-17 at 1e-7
     def short_solve(h, eq, q):
         p, diag = solve_p(h, eq, q)
         return GridPath(p.horizon, 0.9 * p.values), diag
 
     monkeypatch.setattr("mdqueue.fredholm.solve_p", short_solve)
-    with pytest.raises(FredholmError, match="duality gap"):
-        evaluate_rate(q_quad, equation(q_quad, pm_std))
+    pm0 = ModelParams(exp1, 1.0, 0.0, 0.0)
+    for pm, c in ((pm_std, 1.0), (pm0, 1.0), (pm0, 1e-3), (pm0, 1e-7)):
+        q = GridPath(HORIZON, c * q_quad.values)
+        with pytest.raises(FredholmError, match="duality gap"):
+            evaluate_rate(q, equation(q, pm))
 
 
 @pytest.mark.parametrize("case, iters", [("cap", 1), ("nan", 0)])
@@ -189,6 +194,10 @@ def test_rate_value_negative_raises():
     h = GridPath(1.0, np.array([-1.0, -1.0, -1.0]))
     with pytest.raises(FredholmError):
         rate_value(p, h)
+    # the clamp is relative to the size of the terms: the same pairing at 1e-100 raises too,
+    # where an absolute -1e-10 clamped -1e-200 to 0
+    with pytest.raises(FredholmError):
+        rate_value(GridPath(1.0, 1e-100 * p.values), GridPath(1.0, 1e-100 * h.values))
     # a NaN pairing fails the same sign check; GridPath itself rejects NaN values
     object.__setattr__(h, "values", np.full(3, np.nan))
     with pytest.raises(FredholmError):

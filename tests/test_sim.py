@@ -33,6 +33,19 @@ def equation(tr, d, n_steps):
     return PathEquation.from_law(ModelParams(d, 1.0, 0.0, 0.0), tr.horizon, n_steps)
 
 
+def _started_done(tr, t):
+    """The departures tau_hat + eta of the started customers at or before each node of t,
+    all departures less the initial customers' eta0, as `decomposition` counts them."""
+    return np.searchsorted(tr.departures, t, side="right") - np.searchsorted(np.sort(tr.eta0), t, side="right")
+
+
+def _theta(tr, d, n_steps):
+    """The decomposition's Theta term of the trace tr for the law d on n_steps steps of its horizon."""
+    t = np.linspace(0.0, tr.horizon, n_steps + 1)
+    dt = equation(tr, d, n_steps).dt
+    return -_theta_sums(d, t, dt, _started_done(tr, t), tr.tau_hat) / (tr.b * math.sqrt(tr.n))
+
+
 def model(d, q0=0.0, k=1):
     """The model of the service law d at beta 0.5 with Erlang(k) interarrival gaps: sigma^2 = mu / k."""
     return ModelParams(d, math.sqrt(d.mu / k), 0.5, q0)
@@ -190,7 +203,7 @@ def test_decomposition_theta_martingale_term_centered():
     vals = []
     for rng in spawn_streams(17, 40):
         tr = simulate(model(d), sr, 1.0, rng)
-        vals.append(decomposition(tr, equation(tr, d, 50)).Theta[-1])
+        vals.append(_theta(tr, d, 50)[-1])
     vals = np.array(vals)
     assert abs(vals.mean()) < 4 * vals.std() / np.sqrt(len(vals)) + 1e-3
 
@@ -687,6 +700,43 @@ def test_replication_diagnostics_leave_the_event_list_unbuilt():
     assert tr.event_times is times[1]  # built once
 
 
+def _count_traces():
+    """(kind, trace) params: a path with ties, one of several start-time windows, one with
+    idle servers at 0 and one with a queue at 0, the last three for every law."""
+    sr = ScalingRegime(n=3, rule=("power", 0.25))
+    yield pytest.param("tied", simulate(model(_UnitServices(), 0.8), sr, 2.0, _QuarterGaps()), id="tied")
+    for d in LAWS:
+        for kind, n, q0, horizon in (("windows", 10, 0.0, 100.0), ("idle", 50, -0.5, 2.0), ("queued", 50, 0.8, 2.0)):
+            sr = ScalingRegime(n=n, rule=("power", 0.25))
+            tr = simulate(model(d, q0), sr, horizon, np.random.default_rng(n))
+            yield pytest.param(kind, tr, id=f"{kind}-{d.family}")
+
+
+@pytest.mark.parametrize("kind, tr", list(_count_traces()))
+def test_departures_are_the_sorted_departures_by_the_horizon(kind, tr):
+    every = np.concatenate([tr.eta0, tr.tau_hat + tr.eta])
+    assert np.any(every > tr.horizon)  # some are cut
+    want = np.sort(every[every <= tr.horizon])
+    assert np.array_equal(tr.departures, want)
+    assert tr.departures is tr.departures  # sorted once
+    if kind == "windows":
+        assert len(tr.tau_hat) > 2 * max(256, 4 * tr.n)
+    elif kind == "idle":
+        assert tr.q0_count < tr.n
+    else:
+        assert tr.q0_count > tr.n
+
+
+@pytest.mark.parametrize("kind, tr", list(_count_traces()))
+def test_q_at_matches_the_event_list(kind, tr):
+    # the value after the last event at or before t, q0_count before the first
+    mid = (tr.event_times[1:] + tr.event_times[:-1]) / 2
+    t = np.concatenate([[-1.0, 0.0], tr.event_times, mid, tr.horizon * np.array([1.0, 1.5, 10.0])])
+    want = np.concatenate([[tr.q0_count], tr.q_values])[np.searchsorted(tr.event_times, t, side="right")]
+    assert np.array_equal(tr.q_at(t), want)
+    assert [tr.q_at(s) for s in t[:50]] == want[:50].tolist()
+
+
 def _dense_theta(trace: QueueTrace, d: ServiceDist, n_steps: int) -> np.ndarray:
     t = np.linspace(0.0, trace.horizon, n_steps + 1)
     tau, served = trace.tau_hat[None, :], trace.eta[None, :]
@@ -709,7 +759,7 @@ def test_decomposition_theta_matches_dense_formula(d):
     sr = ScalingRegime(n=40, rule=("power", 0.25))
     tr = simulate(pm, sr, 2.0, np.random.default_rng(3))
     want = _dense_theta(tr, d, 100)
-    assert np.allclose(decomposition(tr, equation(tr, d, 100)).Theta, want, rtol=1e-12, atol=1e-14)
+    assert np.allclose(_theta(tr, d, 100), want, rtol=1e-12, atol=1e-14)
 
 
 class _ZeroResiduals(_UnitServices):
@@ -731,7 +781,7 @@ def test_decomposition_theta_starts_on_nodes(d, stub):
     assert tr.tau_hat[-1] == 2.0
     assert (tr.tau_hat[0] == 0.0) == isinstance(stub, _ZeroResiduals)
     want = _dense_theta(tr, d, 8)
-    assert np.allclose(decomposition(tr, equation(tr, d, 8)).Theta, want, rtol=1e-12, atol=1e-14)
+    assert np.allclose(_theta(tr, d, 8), want, rtol=1e-12, atol=1e-14)
 
 
 def _longdouble_lag_sum(d: ServiceDist, t: float, tau: np.ndarray, eta: np.ndarray) -> float:
@@ -804,7 +854,7 @@ def test_theta_sums_match_longdouble_at_n1e5(d, traces_1e5):
     # 1e-10 is the bound
     tr = traces_1e5[d.family]
     t = np.linspace(0.0, 1.0, 401)
-    got = _theta_sums(d, t, 1.0 / 400, tr.tau_hat, tr.eta)
+    got = _theta_sums(d, t, 1.0 / 400, _started_done(tr, t), tr.tau_hat)
     for i in np.linspace(0, 400, 9).astype(int):
         want = _longdouble_lag_sum(d, t[i], tr.tau_hat, tr.eta)
         assert abs(got[i] - want) <= 1e-10, (i, got[i], want)
@@ -818,7 +868,7 @@ def test_theta_sums_match_node_recursion_at_n1e5(d, traces_1e5):
     scale = tr.b * math.sqrt(tr.n)
     for n_steps in (400, 800):
         t = np.linspace(0.0, 1.0, n_steps + 1)
-        got = _theta_sums(d, t, 1.0 / n_steps, tr.tau_hat, tr.eta)
+        got = _theta_sums(d, t, 1.0 / n_steps, _started_done(tr, t), tr.tau_hat)
         want = theta_sums_recursion(d, t, tr.tau_hat, tr.eta)
         assert np.max(np.abs(got - want)) / scale <= 1e-12
 
@@ -831,9 +881,9 @@ def test_theta_sums_match_node_recursion_at_horizon_0(d):
     tr = simulate(model(_ZeroResiduals(), 0.8), sr, 0.0, _QuarterGaps())
     assert np.array_equal(tr.tau_hat, np.zeros(2))
     t = np.zeros(1)
-    got = _theta_sums(d, t, 0.0, tr.tau_hat, tr.eta)
+    got = _theta_sums(d, t, 0.0, _started_done(tr, t), tr.tau_hat)
     assert np.allclose(got, theta_sums_recursion(d, t, tr.tau_hat, tr.eta), rtol=0, atol=1e-12)
-    theta = decomposition(tr, equation(tr, d, 10)).Theta
+    theta = _theta(tr, d, 10)
     assert np.allclose(theta, -got / (tr.b * math.sqrt(tr.n)), rtol=0, atol=1e-12)
 
 

@@ -10,8 +10,9 @@ service law, whose reciprocal mean is mu, so no function takes a model and a law
 side by side; a `PathEquation` carries both, and its lag and Gram operator the
 law sampled on its grid, so no function takes two of these either.  A fact is
 stored once: a `ServiceDist`'s family is the name of its phase table, a
-`ScalingRegime` reads beta from the model, and the simulator reads the arrival
-variability from the model's sigma."""
+`ScalingRegime` reads beta from the model, the simulator reads the arrival
+variability from the model's sigma, and a trace's departures are sorted in one
+place, `QueueTrace.departures`, from which every count of the queue reads them."""
 import ast
 import re
 from dataclasses import fields
@@ -139,3 +140,19 @@ def test_no_module_imports_a_private_name_of_another():
                   if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("mdqueue"))
                   for alias in node.names if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert found == []
+
+
+def test_departures_are_sorted_in_one_place():
+    # in sim.py only the start-time fixed point sorts its pool of free times and departures, the
+    # event list sorts the events, and QueueTrace.departures the departures that q_at, tail_hit and
+    # decomposition count, which sorts only the initial customers' residual services for its X0 term;
+    # a sort anywhere else is a second copy of the departures
+    path = Path(mdqueue.__file__).parent / "sim.py"
+    found = set()
+    for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(fn, ast.FunctionDef):
+            found |= {(fn.name, ast.unparse(node)) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("sort", "argsort")}
+    assert {name for name, _ in found} == {"_start_times", "_events", "departures", "decomposition"}
+    assert [call for name, call in found if name == "decomposition"] == ["np.sort(trace.eta0)"]
