@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .dist import ServiceDist
 from .fredholm import FredholmError, evaluate_rate, forcing, rate_value, solve_p
-from .grids import GridField2D, GridPath, float_strs, write_csv
+from .grids import GridField2D, GridPath, write_csv
 from .oracle import build_qp, solve_min_norm
 from .paths import ModelParams, PathEquation, defect, energy, forward_q, kiefer_energy, kiefer_from_sheet
 from .renewal import RenewalConvergenceError
@@ -94,15 +94,10 @@ def _load_csv(io: dict, key: str, cfg_dir: Path, cls):
 
 
 def _table_csv(path: Path, header: str, columns: list) -> None:
-    """A small CSV from whole columns: float columns as repr strings, any other by str."""
-    columns = [float_strs(c) if all(isinstance(v, float) for v in c) else list(map(str, c)) for c in columns]
-
-    def pieces(lo, hi):  # the columns' rows lo..hi-1 with a comma between columns
-        row = [","] * (2 * len(columns) - 1)
-        row[::2] = [c[lo:hi] for c in columns]
-        return row
-
-    write_csv(path, header, len(columns[0]), pieces)
+    """A small CSV from whole columns, with a comma between each two."""
+    pieces = [","] * (2 * len(columns) - 1)
+    pieces[::2] = columns
+    write_csv(path, header, pieces)
 
 
 def _sim_settings(s: dict, pm: ModelParams) -> dict:
@@ -299,13 +294,6 @@ def cmd_oracle_check(run: Run, out: Path) -> dict:
     return summary
 
 
-def _trace_csv(trace, path: Path) -> None:
-    names = np.array([",arrival,", ",departure,"], dtype=object)  # with the separators on both sides
-    write_csv(path, "time,type,customer", len(trace.event_times), lambda lo, hi: (
-        float_strs(trace.event_times[lo:hi]), names[trace.event_types[lo:hi]].tolist(),
-        float_strs(trace.event_ids[lo:hi])))
-
-
 def _replications(run: Run):
     s = run.sim
     return replications(run.model, s["regimes"], s["reps"], run.seed, s["horizon"])
@@ -317,7 +305,7 @@ def cmd_simulate(run: Run, out: Path) -> dict:
     sup_stats, hits = {}, {}
     for sr, rep, tr in _replications(run):
         if rep == 0:
-            _trace_csv(tr, out / f"trace_n{sr.n}.csv")
+            tr.to_csv(out / f"trace_n{sr.n}.csv")
         sup_stats.setdefault(sr.n, []).append(lln_sup_stat(tr, run.model.mu, s["lln_t"]))
         if s["event"] is not None:
             hits.setdefault(sr, []).append(tail_hit(tr, s["event"]))

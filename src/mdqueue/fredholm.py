@@ -129,35 +129,40 @@ def cg(name: str, apply, b: np.ndarray, inner, precond, cap: int, size: float = 
     return np.ldexp(x, -e), value, {"method": "cg", "iterations": iters, "residual": rel}
 
 
-def solve_p(h: GridPath, eq: PathEquation, q: GridPath | None = None) -> tuple[GridPath, dict]:
+def solve_p(h: GridPath, eq: PathEquation, q: GridPath) -> tuple[GridPath, dict]:
     """Solve (mu + sigma^2) p = h + K p for the adjoint on the grid of eq by conjugate gradients.
 
     The operator of `assemble_kernel`, mu p + sigma^2 (I - S*)(I - S) p, equals
     (mu + sigma^2) p - K p and is symmetric positive definite in the trapezoid inner product
     <x, y>_w = sum w x y, so `cg` in that inner product converges for every mu > 0, within
     _CG_MAX_ITER iterations or a FredholmError; the operator's coefficients reach
-    max(mu, sigma^2), the size `cg` scales h against.  Given q, h is its `forcing`, the difference
-    quotient of a defect whose terms reach max(|q|_inf, |drift|_inf): its round-off, eps times that
-    over dt, is the floor of `cg` (on the zero-control path h is that round-off alone).  An h off
-    the grid of eq is a ValueError.
+    max(mu, sigma^2), the size `cg` scales h against.  h is the `forcing` of the path q, the
+    difference quotient of a defect whose terms reach max(|q|_inf, |drift|_inf): its round-off, eps
+    times that over dt, is the floor of `cg` (on the zero-control path h is that round-off alone).
+    An h off the grid of eq is a ValueError.
     """
     eq.check_grid("h", h.horizon, h.n_steps)
     pm, w = eq.pm, trap_weights(eq.n_steps + 1, eq.dt)
-    terms = 0.0 if q is None else max(np.max(np.abs(q.values)), np.max(np.abs(eq.drift)))
+    terms = max(np.max(np.abs(q.values)), np.max(np.abs(eq.drift)))
     p, _, diag = cg("adjoint CG", assemble_kernel(eq), h.values, lambda u, v: float(w @ (u * v)), np.copy,
                     _CG_MAX_ITER, max(pm.mu, pm.sigma * pm.sigma), float(np.finfo(float).eps * terms / eq.dt))
     return GridPath(h.horizon, p), diag
 
 
 def rate_value(p: GridPath, h: GridPath) -> float:
-    """I = 1/2 * int p h dt, clamped to 0 inside [-floor, 0), floor = _ZERO_CLAMP 1/2 int |p h| dt plus
-    the subnormal spacing per term; below it, or NaN, is a FredholmError."""
-    w, ph = p.weights(), p.values * h.values
+    """I = 1/2 * int p h dt, summed on p 2^a and h 2^b of sup norms in [1/2, 1) and scaled back once (exact
+    in the normal range; a subnormal rate is rounded once), clamped to 0 inside [-floor, 0), floor =
+    _ZERO_CLAMP 1/2 int |p h| dt; below it, NaN or past the float range is a FredholmError."""
+    a, b = (-math.frexp(float(np.max(np.abs(g.values))))[1] for g in (p, h))
+    w, ph = p.weights(), np.ldexp(p.values, a) * np.ldexp(h.values, b)
     val = 0.5 * float(w @ ph)
-    floor = _ZERO_CLAMP * 0.5 * float(w @ np.abs(ph)) + len(ph) * np.finfo(float).smallest_subnormal
+    floor = _ZERO_CLAMP * 0.5 * float(w @ np.abs(ph))
     if not val >= -floor:  # the negated comparison also rejects NaN
-        raise FredholmError(f"rate value {val:.3e} below -{floor:.3e}: solver inconsistency")
-    return max(val, 0.0)
+        raise FredholmError(f"rate value {val:.3e} below -{floor:.3e}, both x 2^{-a - b}: solver inconsistency")
+    try:
+        return math.ldexp(max(val, 0.0), -a - b)
+    except OverflowError:
+        raise FredholmError(f"rate value {val:.3e} x 2^{-a - b} is past the float range") from None
 
 
 def dual_value(p: GridPath, h: GridPath, eq: PathEquation, wdot: GridPath) -> float:

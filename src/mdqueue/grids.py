@@ -43,21 +43,22 @@ def float_strs(values) -> list:
     return strs
 
 
-def write_csv(path, header: str, n_rows: int, pieces, newline: str = "\n") -> None:
-    """Write the header line and n_rows rows, BLOCK_ROWS at a time.  pieces(lo, hi)
-    returns the pieces of rows lo..hi-1 in row order, each a list with one string
-    per row or one string for every row; a row is its pieces joined, then the
-    newline, and a block is one join over the flat list of its rows' pieces.
-    Logs the file's rows and bytes."""
+def write_csv(path, header: str, columns: list, newline: str = "\n") -> None:
+    """Write the header line and one row per entry of the columns, BLOCK_ROWS rows at a time.  A column
+    is an array of numbers, written by `float_strs`; an array of strings, written as given; or one
+    string, written on every row (a separator).  A row is its columns' entries joined, then the
+    newline, and a block is one join over its rows.  Logs the file's rows and bytes."""
+    columns = [c if isinstance(c, str) else np.asarray(c) for c in columns]
+    (n_rows,) = {len(c) for c in columns if not isinstance(c, str)}  # arrays of unequal length: ValueError
+    k = len(columns) + 1  # pieces per row, the newline last
     with open(path, "w", newline="") as fh:
         n_bytes = fh.write(header + newline)
         for lo in range(0, n_rows, BLOCK_ROWS):
             m = min(BLOCK_ROWS, n_rows - lo)
-            columns = pieces(lo, lo + m)
-            k = len(columns) + 1  # pieces per row, the newline last
             flat = [newline] * (k * m)
             for j, c in enumerate(columns):
-                flat[j::k] = [c] * m if isinstance(c, str) else c
+                flat[j::k] = ([c] * m if isinstance(c, str) else c[lo:lo + m].tolist() if c.dtype.kind in "OU"
+                              else float_strs(c[lo:lo + m]))
             n_bytes += fh.write("".join(flat))
     log.info("%s: %d rows, %d bytes", os.path.basename(path), n_rows, n_bytes)
 
@@ -196,8 +197,7 @@ class GridPath:
         return np.interp(t, self.times, self.values)
 
     def to_csv(self, path) -> None:
-        t, v = self.times, self.values
-        write_csv(path, "t,value", len(v), lambda lo, hi: (float_strs(t[lo:hi]), ",", float_strs(v[lo:hi])), "\r\n")
+        write_csv(path, "t,value", [self.times, ",", self.values], "\r\n")
 
     @classmethod
     def from_csv(cls, path) -> "GridPath":
@@ -245,14 +245,10 @@ class GridField2D:
         return float(wx @ (self.values**2) @ wt)
 
     def to_csv(self, path) -> None:
-        # each x and t string carries the separator that follows it
-        xs, ts = (np.array([x + "," for x in float_strs(g)], dtype=object) for g in (self.x_grid, self.t_grid))
-
-        def columns(lo, hi):  # rows in t-major order: row r holds node divmod(r, M + 1) = (it, ix)
-            it, ix = np.divmod(np.arange(lo, hi), self.values.shape[0])
-            return xs[ix].tolist(), ts[it].tolist(), float_strs(self.values[ix, it])
-
-        write_csv(path, "x,t,value", self.values.size, columns, "\r\n")
+        # rows in t-major order, x fastest; each x and t label carries the comma that follows it
+        n_x, n_t = self.values.shape
+        xs, ts = (np.array([s + "," for s in float_strs(g)], dtype=object) for g in (self.x_grid, self.t_grid))
+        write_csv(path, "x,t,value", [np.tile(xs, n_t), np.repeat(ts, n_x), self.values.T.ravel()], "\r\n")
 
     @classmethod
     def from_csv(cls, path) -> "GridField2D":

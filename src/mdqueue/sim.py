@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import MAX_SHAPE, ServiceDist
+from .grids import write_csv
 from .paths import ModelParams, PathEquation
 
 __all__ = [
@@ -171,6 +172,11 @@ class QueueTrace:
     def event_ids(self) -> np.ndarray:
         """Customer index, in order of system entry."""
         return self._events[3]
+
+    def to_csv(self, path) -> None:
+        """The event list as rows time,type,customer, the type arrival or departure for event code 0 or 1."""
+        names = np.array([",arrival,", ",departure,"], dtype=object)  # with the separators on both sides
+        write_csv(path, "time,type,customer", [self.event_times, names[self.event_types], self.event_ids])
 
     def q_at(self, t) -> np.ndarray:
         """Right-continuous Q_n(t) = Q_n(0) + #arrivals - #departures by t, constant past the horizon."""

@@ -429,6 +429,18 @@ def kiefer_energy_columns(b):
 # -- CSV artifacts, one row and one repr per float at a time ----------------
 
 
+def csv_file(path, header, columns, newline="\n"):
+    """`grids.write_csv`: a float by repr, an integer by str, a string as given, and a column
+    that is one string on every row."""
+    n = len(next(c for c in columns if not isinstance(c, str)))
+    cells = [[c] * n if isinstance(c, str) else [v if isinstance(v, str) else repr(v) for v in np.asarray(c).tolist()]
+             for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(header + newline)
+        for row in zip(*cells):
+            fh.write("".join(row) + newline)
+
+
 def path_csv(q, path):
     """`GridPath.to_csv`: header t,value, CRLF line ends."""
     rows = [f"{t!r},{v!r}\r\n" for t, v in zip(q.times.tolist(), q.values.tolist())]

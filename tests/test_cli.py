@@ -797,6 +797,25 @@ def test_oracle_pcg_cap_exit_1_with_summary(tmp_path, monkeypatch):
     assert s["error"].startswith("FredholmError: oracle PCG: relative residual")
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_rate_past_the_float_range_exit_1_quietly(tmp_path, scale):
+    # both commands form the rate; past the float range it is a typed error, with no numpy
+    # RuntimeWarning on stderr (the product p h used to overflow to "rate value nan below -inf")
+    t = np.linspace(0.0, 2.0, 201)
+    GridPath(2.0, scale * 0.3 * t * (2.0 - t)).to_csv(tmp_path / "q.csv")
+    src = str(Path(mdqueue.__file__).resolve().parents[1])
+    for command in ("rate", "oracle-check"):
+        cfg = _cfg(tmp_path, f"{command}.json", {"command": command, "model": {"sigma": 1.0, "beta": 0.0, "q0": 0.0},
+                                                 "dist": {"family": "erlang", "shape": 3, "rate": 3.0},
+                                                 "io": {"q_csv": "q.csv"}})
+        out = tmp_path / command
+        argv = [sys.executable, "-m", "mdqueue.cli", "--config", str(cfg), "--out", str(out), "--quiet"]
+        proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        s = json.loads((out / "summary.json").read_text())
+        assert (proc.returncode, proc.stderr, s["status"]) == (1, "", "numerical-failure")
+        assert s["error"].startswith("FredholmError: rate value") and s["error"].endswith("past the float range")
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_oracle_pcg_stops_at_once_on_nan(tmp_path):
     # at dt = 2.5, sigma^2 dt overflows the Gram while the adjoint still converges:

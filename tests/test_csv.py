@@ -1,5 +1,6 @@
-"""The one CSV writer (`grids.float_strs`, `grids.write_csv`) against the
-row-at-a-time `repr` writers of `reference.py`: the same bytes, in bounded memory."""
+"""The one CSV writer (`grids.float_strs`, `grids.write_csv`) and the artifacts written
+through it against the row-at-a-time `repr` writers of `reference.py`: the same bytes,
+in bounded memory."""
 import json
 import os
 import subprocess
@@ -13,9 +14,9 @@ import pytest
 import reference
 
 import mdqueue
-from mdqueue import GridField2D, GridPath, ModelParams, ScalingRegime, ServiceDist, simulate
-from mdqueue.cli import _table_csv, _trace_csv, main
-from mdqueue.grids import BLOCK_ROWS, float_strs
+from mdqueue import GridField2D, GridPath, ModelParams, QueueTrace, ScalingRegime, ServiceDist, simulate
+from mdqueue.cli import _table_csv, main
+from mdqueue.grids import BLOCK_ROWS, float_strs, write_csv
 
 TINY, HUGE = 1e-4, 1e16  # where repr switches to an exponent
 
@@ -80,6 +81,24 @@ def _same_bytes(tmp_path, write, write_ref):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_write_csv_matches_reference(tmp_path, n_rows):
+    # each kind of column: float and int64 numbers, arrays of strings (object and unicode), and
+    # one string on every row, here as separators of one and of several characters
+    rng = np.random.default_rng(n_rows)
+    ints = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, n_rows, dtype=np.int64, endpoint=True)
+    words = np.array(["", "a", "b,c", "déjà"], dtype=object)[rng.integers(0, 4, n_rows)]
+    columns = [_wide_values(rng, n_rows), ",", ints, ";;", words, ",", words.astype(str), "|"]
+    _same_bytes(tmp_path, lambda p: write_csv(p, "f,i,s", columns, "\r\n"),
+                lambda p: reference.csv_file(p, "f,i,s", columns, "\r\n"))
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "x.csv", "a,b", [np.zeros(3), ",", np.zeros(2)])
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("n_nodes", [3, 201, BLOCK_ROWS + 1])
 def test_gridpath_csv_matches_reference(tmp_path, n_nodes):
     q = GridPath(1.7, _wide_values(np.random.default_rng(n_nodes), n_nodes))
@@ -110,12 +129,12 @@ def trace_1e5():
 @pytest.mark.parametrize("n_events", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
 def test_trace_csv_matches_reference(tmp_path, n_events):
     tr = _synthetic_trace(n_events)
-    _same_bytes(tmp_path, lambda p: _trace_csv(tr, p), lambda p: reference.trace_csv(tr, p))
+    _same_bytes(tmp_path, lambda p: QueueTrace.to_csv(tr, p), lambda p: reference.trace_csv(tr, p))
 
 
 def test_trace_csv_matches_reference_n1e5(tmp_path, trace_1e5):
     assert len(trace_1e5.event_times) > 10 * BLOCK_ROWS
-    _same_bytes(tmp_path, lambda p: _trace_csv(trace_1e5, p), lambda p: reference.trace_csv(trace_1e5, p))
+    _same_bytes(tmp_path, trace_1e5.to_csv, lambda p: reference.trace_csv(trace_1e5, p))
 
 
 def _tracemalloc_peak(fn):
@@ -130,7 +149,8 @@ def _tracemalloc_peak(fn):
 def test_writer_memory_is_bounded_by_the_block(tmp_path, trace_1e5):
     # the whole-file writers held every row string at once: 32 MiB for this trace
     f = GridField2D(3.2, np.random.default_rng(1).standard_normal((33, 1601)))
-    assert _tracemalloc_peak(lambda: _trace_csv(trace_1e5, tmp_path / "t.csv")) < 4 * 2**20
+    trace_1e5.event_times  # the trace builds its event list on first read: not the writer's memory
+    assert _tracemalloc_peak(lambda: trace_1e5.to_csv(tmp_path / "t.csv")) < 4 * 2**20
     assert _tracemalloc_peak(lambda: f.to_csv(tmp_path / "f.csv")) < 4 * 2**20
 
 

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -112,14 +113,15 @@ def test_cg_matches_dense_solve_at_large_sigma(d, q_quad):
     pm = ModelParams(d, 3.0, 0.5, 0.0)
     eq = equation(q_quad, pm)
     h = forcing(q_quad, defect(q_quad, eq))
-    p, diag = solve_p(h, eq)
+    p, diag = solve_p(h, eq, q_quad)
     A = (pm.mu + pm.sigma**2) * np.eye(len(h.values)) - operator_matrix(d, pm.sigma, HORIZON, q_quad.n_steps)
     assert diag["method"] == "cg"
     assert np.max(np.abs(p.values - np.linalg.solve(A, h.values))) < 1e-8
 
 
 def test_zero_forcing_gives_zero_adjoint(pm_std):
-    p, diag = solve_p(GridPath(HORIZON, np.zeros(201)), PathEquation.from_law(pm_std, HORIZON, 200))
+    zero = GridPath(HORIZON, np.zeros(201))
+    p, diag = solve_p(zero, PathEquation.from_law(pm_std, HORIZON, 200), zero)
     assert not np.any(p.values)
     assert diag["iterations"] == 0 and diag["residual"] == 0.0
 
@@ -162,13 +164,13 @@ def test_adjoint_cg_cap_and_nan_raise(pm_std, q_quad, monkeypatch, case, iters):
     else:
         h.values[5] = np.nan
     with pytest.raises(FredholmError, match=rf"adjoint CG: relative residual .* after {iters} iterations"):
-        solve_p(h, eq)
+        solve_p(h, eq, q_quad)
 
 
 def test_picard_and_direct_agree(pm_std, exp1, q_quad):
     eq = equation(q_quad, pm_std)
     h = forcing(q_quad, defect(q_quad, eq))
-    p_pic, diag = solve_p(h, eq)
+    p_pic, diag = solve_p(h, eq, q_quad)
     A = (pm_std.mu + pm_std.sigma**2) * np.eye(len(h.values)) - operator_matrix(
         exp1, pm_std.sigma, HORIZON, q_quad.n_steps
     )
@@ -202,6 +204,25 @@ def test_rate_value_negative_raises():
     object.__setattr__(h, "values", np.full(3, np.nan))
     with pytest.raises(FredholmError):
         rate_value(p, h)
+
+
+def test_rate_value_in_the_normal_range_is_the_sum_at_the_path_scale(pm_std, q_quad):
+    # p and h are scaled by powers of two, which is exact here, so the rate is bit for bit the plain sum
+    res = evaluate_rate(q_quad, equation(q_quad, pm_std))
+    assert res.rate == 0.5 * float(res.adjoint.weights() @ (res.adjoint.values * res.forcing.values))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_rate_past_the_float_range_raises_without_warnings(scale):
+    # p h at the path's scale overflowed, with numpy RuntimeWarnings, to "rate value nan below
+    # -inf"; summed at unit scale, the rate is a FredholmError that names the float range
+    pm = ModelParams(ServiceDist.erlang(3, 3.0), 1.0, 0.0, 0.0)
+    t = np.linspace(0.0, HORIZON, 201)
+    q = GridPath(HORIZON, scale * 0.3 * t * (2.0 - t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FredholmError, match="past the float range"):
+            evaluate_rate(q, equation(q, pm))
 
 
 def test_dual_at_perturbed_point_is_lower(pm_std, q_quad):
@@ -286,7 +307,7 @@ def test_adjoint_off_the_equation_grid_raises(pm_std, q_quad):
     # of 0.1157, with no error
     h = GridPath(2 * HORIZON, np.ones(101))
     with pytest.raises(ValueError, match="not on the grid of its path equation"):
-        solve_p(h, eq)
+        solve_p(h, eq, q_quad)
 
 
 def test_dual_value_off_the_equation_grid_raises(pm_std):

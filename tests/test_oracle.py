@@ -230,13 +230,13 @@ def test_value_scales_with_the_path(exp1, scale):
     # times that of q, the adjoint scale times its own, and the iterations are the same: the CG
     # driver runs on the right side scaled by a power of two and judges residuals relative to it
     # (at scale 1e-160 the oracle's r . z used to underflow to 0 and divide by it).  1e-322 covers
-    # the subnormal spacing of an oracle value near 6e-321, which the driver scales back once; the
-    # rate sums its 201 products at the path's scale, each rounded to that spacing
+    # the subnormal spacing of a value near 6e-321, which `fredholm.cg` and `rate_value` each scale
+    # back once (the rate used to sum its 201 products at the path's scale, each rounded to it)
     pm = ModelParams(exp1, 1.0, 0.0, 0.0)
     t = np.linspace(0.0, HORIZON, 201)
     q, scaled_q = (GridPath(HORIZON, c * t * (2.0 - t)) for c in (1.0, scale))
     ref, res = evaluate_rate(q, equation(q, pm)), evaluate_rate(scaled_q, equation(scaled_q, pm))
-    assert abs(res.rate - scale * (scale * ref.rate)) <= 1e-12 * scale * (scale * ref.rate) + 201 * 2.0**-1074
+    assert abs(res.rate - scale * (scale * ref.rate)) <= 1e-12 * scale * (scale * ref.rate) + 1e-322
     p_ref = ref.adjoint.values
     assert np.max(np.abs(res.adjoint.values / scale - p_ref)) <= 1e-12 * np.max(np.abs(p_ref))
     assert res.diagnostics["iterations"] == ref.diagnostics["iterations"]

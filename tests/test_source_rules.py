@@ -12,7 +12,9 @@ law sampled on its grid, so no function takes two of these either.  A fact is
 stored once: a `ServiceDist`'s family is the name of its phase table, a
 `ScalingRegime` reads beta from the model, the simulator reads the arrival
 variability from the model's sigma, and a trace's departures are sorted in one
-place, `QueueTrace.departures`, from which every count of the queue reads them."""
+place, `QueueTrace.departures`, from which every count of the queue reads them.
+Every CSV artifact is written by `grids.write_csv` from whole columns, and only
+`grids` formats a number for it (`float_strs`)."""
 import ast
 import re
 from dataclasses import fields
@@ -156,3 +158,20 @@ def test_departures_are_sorted_in_one_place():
                       and node.func.attr in ("sort", "argsort")}
     assert {name for name, _ in found} == {"_start_times", "_events", "departures", "decomposition"}
     assert [call for name, call in found if name == "decomposition"] == ["np.sort(trace.eta0)"]
+
+
+def test_only_grids_formats_a_number_and_write_csv_takes_whole_columns():
+    # a module that names float_strs has its own number rule, and a callable passed to write_csv
+    # writes its own slices and pieces of rows: each is a second CSV writer
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(mdqueue.__file__).parent.glob("*.py"))}
+    functions = {f.name for tree in trees.values() for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    found = [name for name, tree in trees.items() if name != "grids.py"
+             and any(isinstance(node, ast.Name) and node.id == "float_strs"
+                     or isinstance(node, ast.alias) and node.name == "float_strs" for node in ast.walk(tree))]
+    for name, tree in trees.items():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "write_csv"
+                  for arg in node.args + [k.value for k in node.keywords] for sub in ast.walk(arg)
+                  if isinstance(sub, ast.Lambda) or isinstance(sub, ast.Name) and sub.id in functions]
+    assert found == []
