@@ -31,7 +31,7 @@ log = logging.getLogger(__name__)
 # Errors inside a command exit 1 with a summary.json; a ValueError there is an input the config checks let through.
 NUMERICAL_ERRORS = (FredholmError, RenewalConvergenceError, SimulationError, FloatingPointError, ValueError)
 SIM_OPTIONAL = ("event", "lln_t", "decomposition_steps")  # named sim.<key> in COMMANDS
-MAX_EXPECTED_ARRIVALS = 1e7  # n mu rho_n horizon per replication; 1e6 took 0.3 s and 142 MB peak on 2-core x86
+MAX_EXPECTED_ARRIVALS = 1e7  # n mu rho_n horizon per replication; 1e6 took 0.7 s and 153 MB peak on 2-core x86
 MAX_SERVERS = 10**7  # n per rung, which sizes its server array; 1e7 at horizon 1e-9 took 0.2 s and 197 MB peak
 
 

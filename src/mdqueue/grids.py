@@ -26,10 +26,10 @@ BLOCK_ROWS = 4096  # rows formatted and written at a time: bounds the strings al
 
 
 def float_strs(values) -> list:
-    """repr() of each float in values, from orjson's shortest round-trip digits.  The two
-    differ only where repr writes an exponent (0 < |x| < 1e-4, |x| >= 1e16) or nan/inf:
-    orjson writes 1e-5 and 1e16 for 1e-05 and 1e+16, so those entries take repr.  An
-    integer array gives orjson's integer digits, which are str() of each entry."""
+    """repr() of each float in values, from orjson's shortest round-trip digits.  They can differ
+    only where repr writes an exponent (0 < |x| < 1e-4, |x| >= 1e16) and on nan and inf (orjson
+    writes 0.00001, -1e-7, 1e16 and null for 1e-05, -1e-07, 1e+16 and nan), so those entries take
+    repr.  An integer array gives orjson's integer digits, which are str() of each entry."""
     import orjson
     a = np.asarray(values)
     integer = a.dtype.kind in "iu"

@@ -101,8 +101,8 @@ class ScalingRegime:
 @dataclass(frozen=True)
 class QueueTrace:
     """One simulated GI/GI/n path: its arrivals, service starts and services.  The
-    sorted departures and the event list (event_times, q_values, event_types,
-    event_ids) are built from them, each once, the first time it is read."""
+    sorted departures and the event list (event_times, event_types, event_ids) are
+    built from them, each once, the first time it is read."""
 
     n: int
     b: float
@@ -122,20 +122,15 @@ class QueueTrace:
 
     @functools.cached_property
     def _events(self) -> tuple:
-        """(times, q_values, types, ids) of every arrival and every departure up to the
-        horizon, sorted by time; ties go arrivals first, then by customer index (they
-        occur with probability zero but must be deterministic)."""
+        """(times, types, ids) of every arrival and every departure up to the horizon,
+        sorted by time; ties go arrivals first, then by customer index (they occur with
+        probability zero but must be deterministic).  Only the trace file reads them."""
         arrivals, in_service = self.arrival_times, len(self.eta0)
         dep = self.tau_hat + self.eta
         keep0 = self.eta0 <= self.horizon
         keep = dep <= self.horizon
         times = np.concatenate([arrivals, self.eta0[keep0], dep[keep]])
-        types = np.repeat(np.array([0, 1], dtype=np.int8), [len(arrivals), len(times) - len(arrivals)])
-        ids = np.concatenate([
-            self.q0_count + np.arange(len(arrivals)),
-            np.flatnonzero(keep0),
-            in_service + np.flatnonzero(keep),
-        ]).astype(np.int64, copy=False)
+        del dep
         # distinct times have one sorting permutation, so the default (SIMD) sort
         # gives it; on a tie the stable sort of this (type, id)-ordered
         # concatenation breaks it arrivals first, then by customer index
@@ -145,13 +140,14 @@ class QueueTrace:
             log.debug("tied event times: stable sort")
             order = np.argsort(times, kind="stable")
             event_times = times[order]
-        # each input is dropped once gathered, so that at most one spare copy is alive
-        del times
-        ids, types = ids[order], types[order]
-        del order
-        q_values = np.cumsum(1 - 2 * types, dtype=np.int64)
-        q_values += self.q0_count
-        return event_times, q_values, types, ids
+        del times  # before the ids are built, so that at most one spare copy is alive
+        types = (order >= len(arrivals)).view(np.int8)  # the arrivals come first in the concatenation
+        ids = np.concatenate([
+            self.q0_count + np.arange(len(arrivals)),
+            np.flatnonzero(keep0),
+            in_service + np.flatnonzero(keep),
+        ]).astype(np.int64, copy=False)[order]
+        return event_times, types, ids
 
     @property
     def event_times(self) -> np.ndarray:
@@ -159,19 +155,14 @@ class QueueTrace:
         return self._events[0]
 
     @property
-    def q_values(self) -> np.ndarray:
-        """Q_n right after each event (integers)."""
-        return self._events[1]
-
-    @property
     def event_types(self) -> np.ndarray:
         """0 = arrival, 1 = departure."""
-        return self._events[2]
+        return self._events[1]
 
     @property
     def event_ids(self) -> np.ndarray:
         """Customer index, in order of system entry."""
-        return self._events[3]
+        return self._events[2]
 
     def to_csv(self, path) -> None:
         """The event list as rows time,type,customer, the type arrival or departure for event code 0 or 1."""
@@ -232,6 +223,8 @@ def _start_times(free: np.ndarray, entries: np.ndarray, horizon: float,
             break
         # the free times and departures the window did not take carry over
         free = pool[w:np.searchsorted(pool, horizon, side="right")]
+    if k == len(entries):  # nobody is cut at the horizon
+        return tau_hat, services
     return tau_hat[:k].copy(), services[:k].copy()
 
 
@@ -274,17 +267,17 @@ def simulate(pm: ModelParams, sr: ScalingRegime, horizon: float, rng: np.random.
     # pre-draw arrivals past the horizon
     chunk = max(64, int(lam * horizon * 1.2) + 64)
     gap_law = ServiceDist.erlang(k, k * lam)  # mean 1 / lam
-    # gaps stays bound: freed right after the cumsum, sim-ladder's peak RSS read 0.7 MB higher
     gaps = gap_law.sample(rng, chunk)
     arr = np.cumsum(gaps)
     while arr[-1] <= horizon:
         gaps = gap_law.sample(rng, chunk)
         arr = np.concatenate([arr, arr[-1] + np.cumsum(gaps)])
     arrivals = arr[arr <= horizon]
+    del gaps, arr  # the chunks, once cut (freeing gaps before the loop read sim-ladder's peak RSS 0.7 MB higher)
 
     # customers in order of system entry: the initial queue at time 0, then arrivals
-    entries = np.concatenate([np.zeros(q0_count - in_service), arrivals])
-    free = np.concatenate([eta0, np.zeros(n - in_service)])
+    entries = np.concatenate([np.zeros(q0_count - in_service), arrivals]) if q0_count > n else arrivals
+    free = np.concatenate([eta0, np.zeros(n - in_service)]) if in_service < n else eta0
     tau_hat, eta = _start_times(free, entries, horizon, pm.law.sample(rng, size=len(entries)))
     return QueueTrace(n=n, b=sr.b, q0_count=q0_count, horizon=horizon,
                       arrival_times=arrivals, tau_hat=tau_hat, eta=eta, eta0=eta0)
@@ -304,17 +297,23 @@ def replications(pm: ModelParams, regimes: list[ScalingRegime], reps: int, seed:
 
 
 def flow_balance_residuals(trace: QueueTrace) -> np.ndarray:
-    """(Q(t)-n)^+ + Ahat(t) - (Q(0)-n)^+ - A(t) after the last event at each event time, exact integers."""
-    t = trace.event_times
-
-    def counts(times):  # the times counted at each event: a time counts from the first event at or after it
-        return np.bincount(np.searchsorted(t, times, side="left"), minlength=len(t) + 1)[:len(t)]
-
-    # Ahat(t_k) - A(t_k), the starts less the arrivals counted up to event k, updated in place
-    res = np.cumsum(counts(trace.tau_hat) - counts(trace.arrival_times))
-    res += np.maximum(trace.q_values - trace.n, 0)
+    """(Q(t)-n)^+ + Ahat(t) - (Q(0)-n)^+ - A(t) at each distinct event time t, exact integers
+    counted from the sorted arrivals, starts and departures, without the event list."""
+    t = np.concatenate([trace.arrival_times, trace.departures])
+    t.sort()
+    res = np.searchsorted(trace.tau_hat, t, side="right")
+    arrived = np.searchsorted(trace.arrival_times, t, side="right")
+    last = np.ones(len(t), dtype=bool)  # the last event of each run of equal times
+    np.not_equal(t[:-1], t[1:], out=last[:-1])
+    del t
+    res -= arrived
     res -= max(trace.q0_count - trace.n, 0)
-    return res[np.diff(t, append=np.inf) != 0]  # the last event of each run of equal times
+    # at the last event of a run, the k-th (from 1), A + D = k, so Q - n = Q(0) - n + 2A - k
+    arrived *= 2
+    arrived -= np.arange(1, len(arrived) + 1)
+    arrived += trace.q0_count - trace.n
+    res += np.maximum(arrived, 0, out=arrived)
+    return res[last]
 
 
 @dataclass(frozen=True)

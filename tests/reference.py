@@ -2,7 +2,8 @@
 for the oracle's matrix-free Gram and for the prefix-trapezoid weights of
 `grids.conv_trap`; the oracle's solve with its earlier min-kernel
 preconditioner; for `mdqueue.sim`, the one-customer-at-a-time start-time
-recursion, the node-at-a-time Theta recursion, the stable event sort, and the
+recursion, the node-at-a-time Theta recursion, the stable event sort, the queue
+length after each event and the flow balance read from the event list, and the
 earlier `lln_sup_stat` and `LLNReport` / `TailRow` reducers of the ladder; the
 column-at-a-time Kiefer transform of `paths.kiefer_from_sheet` and
 `paths.kiefer_energy`; the variance at the horizon of the linear path equation,
@@ -379,6 +380,24 @@ def stable_events(trace):
     ids = np.concatenate([trace.q0_count + np.arange(n_arr), np.flatnonzero(keep0), in_service + np.flatnonzero(keep)])
     order = np.argsort(times, kind="stable")
     return times[order], types[order], ids[order]
+
+
+def q_values(trace):
+    """Q_n right after each event of the trace's event list: Q_n(0), plus one per arrival, less one per departure."""
+    return trace.q0_count + np.cumsum(1 - 2 * trace.event_types, dtype=np.int64)
+
+
+def flow_balance_from_events(trace):
+    """`sim.flow_balance_residuals` from the event list: each count is binned at the first event at or
+    after its time and summed, and Q is `q_values`, read after the last event of each run of equal times."""
+    t = trace.event_times
+
+    def counts(times):
+        return np.bincount(np.searchsorted(t, times, side="left"), minlength=len(t) + 1)[:len(t)]
+
+    res = np.cumsum(counts(trace.tau_hat) - counts(trace.arrival_times))
+    res += np.maximum(q_values(trace) - trace.n, 0) - max(trace.q0_count - trace.n, 0)
+    return res[np.diff(t, append=np.inf) != 0]
 
 
 # -- the Kiefer transform, one column at a time ------------------------------

@@ -2,14 +2,15 @@ import heapq
 import logging
 import math
 import time
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import (heap_start_times, lln_report, lln_sup_stat_with_head, stable_events, tail_rows,
-                       terminal_variance, theta_sums_recursion)
+from reference import (flow_balance_from_events, heap_start_times, lln_report, lln_sup_stat_with_head, q_values,
+                       stable_events, tail_rows, terminal_variance, theta_sums_recursion)
 from scipy.stats import kstest
 
 from mdqueue import (
@@ -135,9 +136,9 @@ def test_single_customer_hand_check():
     tr = simulate(pm1, sr, 50.0, rng)
     assert tr.q0_count == 0
     # every arrival raises Q by 1, every departure lowers it by 1
-    steps = np.diff(np.concatenate([[0], tr.q_values]))
+    steps = np.diff(np.concatenate([[0], q_values(tr)]))
     assert set(steps.tolist()) <= {-1, 1}
-    assert np.all(tr.q_values >= 0)
+    assert np.all(q_values(tr) >= 0)
     # first event is an arrival into the empty system: service starts immediately
     assert tr.event_types[0] == 0
     assert tr.tau_hat[0] == tr.arrival_times[0]
@@ -159,7 +160,7 @@ def test_reproducibility_bit_identical():
     tr1 = simulate(model(d), sr, 2.0, np.random.default_rng(7))
     tr2 = simulate(model(d), sr, 2.0, np.random.default_rng(7))
     assert np.array_equal(tr1.event_times, tr2.event_times)
-    assert np.array_equal(tr1.q_values, tr2.q_values)
+    assert np.array_equal(q_values(tr1), q_values(tr2))
     assert np.array_equal(tr1.eta, tr2.eta)
 
 
@@ -326,7 +327,7 @@ def _old_sup_hits(traces, t_ev, a):
     hits = 0
     for tr in traces:
         scale = tr.b * math.sqrt(tr.n)
-        vals = (tr.q_values[tr.event_times <= t_ev] - tr.n) / scale
+        vals = (q_values(tr)[tr.event_times <= t_ev] - tr.n) / scale
         x0 = (tr.q0_count - tr.n) / scale
         hits += bool(max([x0, *vals.tolist()]) >= a)
     return hits
@@ -345,7 +346,7 @@ def test_mc_tail_sup_matches_list_max():
     # 14: two of the four queued start at 0.5 and 1.0; 11: the one queued starts at 0.5,
     # and the first arrival at 1.5 on the server idle since 1.0
     traces = [trace(14, [0.5, 1.0]), trace(11, [0.5, 1.5])]
-    assert [tr.q_values.tolist() for tr in traces] == [[13, 12, 13, 14, 15], [10, 9, *range(10, 16)]]
+    assert [q_values(tr).tolist() for tr in traces] == [[13, 12, 13, 14, 15], [10, 9, *range(10, 16)]]
     scale = 1.5 * math.sqrt(10)
     cases = [
         (0.2, 4 / scale),  # before the first event: only q0_count counts, and hits exactly
@@ -469,6 +470,13 @@ def _reference_simulate(pm, sr, horizon, rng, arrival_family):
     }
 
 
+def _assert_matches_reference(tr, ref):
+    """Every field of `_reference_simulate`'s dict equals the trace's, its q_values the queue read off the event list."""
+    for name, want in ref.items():
+        got = q_values(tr) if name == "q_values" else getattr(tr, name)
+        assert np.array_equal(got, want), name
+
+
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
 @pytest.mark.parametrize("n", [1, 3, 50])
 def test_simulate_matches_event_driven_reference(d, n):
@@ -480,8 +488,7 @@ def test_simulate_matches_event_driven_reference(d, n):
         ref = _reference_simulate(pm, sr, 3.0, np.random.default_rng(seed), "erlang")
         assert tr.q0_count > n
         assert len(tr.event_times) > 0
-        for name, want in ref.items():
-            assert np.array_equal(getattr(tr, name), want), name
+        _assert_matches_reference(tr, ref)
 
 
 # mean 1: a rate-100 branch next to a slow one, so a server that frees up early
@@ -562,8 +569,7 @@ def test_simulate_matches_event_driven_reference_property(law, n, q0, horizon, k
     sr = ScalingRegime(n=n, rule=("power", 0.25))
     tr = simulate(pm, sr, horizon, np.random.default_rng(seed))
     ref = _reference_simulate(pm, sr, horizon, np.random.default_rng(seed), "exponential" if k == 1 else "erlang")
-    for name, want in ref.items():
-        assert np.array_equal(getattr(tr, name), want), name
+    _assert_matches_reference(tr, ref)
 
 
 class _UnitServices:
@@ -609,8 +615,7 @@ def test_simulate_ties_match_event_driven_reference(caplog):
     assert "tied event times: stable sort" in caplog.text
     ref = _reference_simulate(pm, sr, 2.0, _QuarterGaps(), "exponential")
     assert np.count_nonzero(tr.tau_hat == 2.0) == 3
-    for name, want in ref.items():
-        assert np.array_equal(getattr(tr, name), want), name
+    _assert_matches_reference(tr, ref)
     _assert_stable_event_order(tr)
 
 
@@ -648,7 +653,7 @@ def _assert_tail_hit_matches_event_list(tr, t):
     events by t from q0_count (sup) and q_at(t) (terminal).  Each is hit at its own
     level a and missed just above it, which pins the count tail_hit reaches."""
     scale = tr.b * math.sqrt(tr.n)
-    want = {"sup": int(np.max(tr.q_values[tr.event_times <= t], initial=tr.q0_count)), "terminal": int(tr.q_at(t))}
+    want = {"sup": int(np.max(q_values(tr)[tr.event_times <= t], initial=tr.q0_count)), "terminal": int(tr.q_at(t))}
     for kind, q in want.items():
         a = (q - tr.n) / scale
         assert tail_hit(tr, {"kind": kind, "t": t, "a": a}), (kind, t, q)
@@ -672,7 +677,7 @@ def test_tail_hit_matches_event_list_on_ties():
     # before an arrival's time, not strictly before it, would miss it
     sr = ScalingRegime(n=3, rule=("power", 0.25))
     tr = simulate(model(_UnitServices(), 0.8), sr, 2.0, _QuarterGaps())
-    assert tr.q0_count == 5 and np.max(tr.q_values[tr.event_times <= 1.0]) == 9
+    assert tr.q0_count == 5 and np.max(q_values(tr)[tr.event_times <= 1.0]) == 9
     for t in (0.0, 0.75, 1.0, 2.0):
         _assert_tail_hit_matches_event_list(tr, t)
 
@@ -682,7 +687,7 @@ def test_tail_hit_matches_event_list_past_the_last_departure():
     # departure there is, which a simulated path with a server never does
     tr = QueueTrace(n=1, b=1.0, q0_count=0, horizon=1.0, arrival_times=np.array([0.25, 0.5, 0.75]),
                     tau_hat=np.empty(0), eta=np.empty(0), eta0=np.empty(0))
-    assert tr.q_values.tolist() == [1, 2, 3]
+    assert q_values(tr).tolist() == [1, 2, 3]
     for t in (0.5, 1.0):
         _assert_tail_hit_matches_event_list(tr, t)
 
@@ -732,9 +737,47 @@ def test_q_at_matches_the_event_list(kind, tr):
     # the value after the last event at or before t, q0_count before the first
     mid = (tr.event_times[1:] + tr.event_times[:-1]) / 2
     t = np.concatenate([[-1.0, 0.0], tr.event_times, mid, tr.horizon * np.array([1.0, 1.5, 10.0])])
-    want = np.concatenate([[tr.q0_count], tr.q_values])[np.searchsorted(tr.event_times, t, side="right")]
+    want = np.concatenate([[tr.q0_count], q_values(tr)])[np.searchsorted(tr.event_times, t, side="right")]
     assert np.array_equal(tr.q_at(t), want)
     assert [tr.q_at(s) for s in t[:50]] == want[:50].tolist()
+
+
+def _assert_flow_balance_matches_the_event_list(tr):
+    # a trace whose starts are wrong, late or one short, has residuals that are not all zero
+    traces = [tr, replace(tr, tau_hat=tr.tau_hat + 0.01 * tr.horizon), replace(tr, tau_hat=tr.tau_hat[1:], eta=tr.eta[1:])]
+    got = [flow_balance_residuals(trace) for trace in traces]
+    assert not any("_events" in vars(trace) for trace in traces[1:])  # counted without the event list
+    for g, trace in zip(got, traces):
+        assert np.array_equal(g, flow_balance_from_events(trace))
+    assert np.any(got[1] != 0) and np.any(got[2] != 0)
+
+
+@pytest.mark.parametrize("kind, tr", list(_count_traces()))
+def test_flow_balance_matches_the_event_list(kind, tr):
+    _assert_flow_balance_matches_the_event_list(tr)
+
+
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: d.family)
+def test_flow_balance_matches_the_event_list_at_n1e5(d, traces_1e5):
+    _assert_flow_balance_matches_the_event_list(traces_1e5[d.family])
+
+
+def test_identity_checks_build_no_event_list_and_bound_their_memory():
+    # a replication at n = 1e5 and both identity-check grids: the trace is 3.9 MB and the run
+    # peaks near 9.8 MB; an event list built for the flow balance takes it past 14 MB
+    pm = model(ServiceDist.exponential(1.0))
+    eqs = [PathEquation.from_law(pm, 1.0, m) for m in (200, 400)]
+    tracemalloc.start()
+    try:
+        tr = simulate(pm, ScalingRegime(n=100_000, rule=("power", 0.25)), 1.0, np.random.default_rng(7))
+        flow_balance_residuals(tr)
+        for eq in eqs:
+            decomposition(tr, eq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11e6, f"peak {peak / 1e6:.1f} MB"
+    assert "_events" not in vars(tr)
 
 
 def _dense_theta(trace: QueueTrace, d: ServiceDist, n_steps: int) -> np.ndarray:
@@ -933,7 +976,7 @@ def test_simulated_variance_matches_the_zero_mean_gram(d, k):
     reps = 500
     z = []
     for _, _, tr in replications(pm, [sr], reps, 11, 1.0):
-        assert np.min(tr.q_values) > tr.n
+        assert np.min(q_values(tr)) > tr.n
         z.append((tr.q_at(1.0) - tr.n) / math.sqrt(tr.n))
     var = float(np.var(z, ddof=1))
     se = var * math.sqrt(2.0 / (reps - 1))

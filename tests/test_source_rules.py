@@ -146,18 +146,23 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_departures_are_sorted_in_one_place():
     # in sim.py only the start-time fixed point sorts its pool of free times and departures, the
-    # event list sorts the events, and QueueTrace.departures the departures that q_at, tail_hit and
-    # decomposition count, which sorts only the initial customers' residual services for its X0 term;
-    # a sort anywhere else is a second copy of the departures
+    # event list sorts the events for the trace file, QueueTrace.departures the departures that q_at,
+    # tail_hit and decomposition count, the flow balance the arrivals and departures whose distinct
+    # times it counts at, and decomposition only the initial customers' residual services for its X0
+    # term (lln_check sorts only the ladder's server counts); any other sort, np.unique and sorted
+    # among them, is a second copy of the departures
     path = Path(mdqueue.__file__).parent / "sim.py"
     found = set()
     for fn in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(fn, ast.FunctionDef):
-            found |= {(fn.name, ast.unparse(node)) for node in ast.walk(fn)
-                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                      and node.func.attr in ("sort", "argsort")}
-    assert {name for name, _ in found} == {"_start_times", "_events", "departures", "decomposition"}
+            found |= {(fn.name, ast.unparse(node)) for node in ast.walk(fn) if isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("sort", "argsort", "unique",
+                                                                                          "sorted")}
+    assert {name for name, _ in found} == {"_start_times", "_events", "departures", "flow_balance_residuals",
+                                           "decomposition", "lln_check"}
+    assert [call for name, call in found if name == "flow_balance_residuals"] == ["t.sort()"]
     assert [call for name, call in found if name == "decomposition"] == ["np.sort(trace.eta0)"]
+    assert [call for name, call in found if name == "lln_check"] == ["sorted(pct)"]
 
 
 def test_only_grids_formats_a_number_and_write_csv_takes_whole_columns():
